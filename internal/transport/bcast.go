@@ -122,7 +122,7 @@ type bcastRegion struct {
 	consClosed []*atomic.Uint32 // consumer gone: closed its endpoint or declared dead
 
 	prodMu   sync.Mutex
-	prodWake ringParker
+	prodWake waiter
 	consWake []ringParker // consumer r parks on its endpoint's wake channel
 
 	reclaimed uint64 // producer-private: bytes returned to the free span
@@ -219,22 +219,13 @@ func (b *bcastRegion) publish(tag int, data tensor.Vector, done <-chan struct{})
 		advance = contig + need
 	}
 
-	spins := 0
-	for {
-		if capacity-(tail-b.reclaim()) >= advance {
-			break
-		}
-		select {
-		case <-done:
-			return ErrClosed
-		default:
-		}
-		if !parkStep(&spins, &b.prodWake, b.prodParked, func() bool {
-			return capacity-(tail-b.reclaim()) >= advance
-		}, done) {
+	hasSpace := func() bool { return capacity-(tail-b.reclaim()) >= advance }
+	for !hasSpace() {
+		if !b.prodWake.wait(b.prodParked.Store, hasSpace, done) {
 			return ErrClosed
 		}
 	}
+	b.prodWake.idle = 0
 
 	idx := tail & b.mask
 	if pad {

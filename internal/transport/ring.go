@@ -95,10 +95,8 @@ var ErrRingClosed = errors.New("transport: ring closed")
 // same way.
 var errRingCorrupt = errors.New("transport: ring framing corrupt")
 
-// ringParker is how a ring end waits when it runs out of work or space after
-// exhausting its spin budget. In-process rings park on a channel the opposite
-// end signals; cross-process (mmap) rings fall back to escalating sleeps, so
-// the hot path stays syscall-free and only an idle ring pays the timer.
+// ringParker is where a ring end blocks once it parks and what the opposite
+// end signals to wake it (see waiter).
 type ringParker struct {
 	wake chan struct{} // buffered(1); nil => sleep parking (cross-process)
 }
@@ -131,7 +129,7 @@ type ringBuffer struct {
 
 	prodMu   sync.Mutex
 	consWake ringParker // signaled by the producer after a commit
-	prodWake ringParker // signaled by the consumer after freeing space
+	prodWake waiter     // the producer's wait state; signaled by the consumer after freeing space
 
 	// consPos is the consumer's private read cursor. It runs ahead of the
 	// shared head whenever aliased spans (ringalias.go) are outstanding: head
@@ -326,26 +324,20 @@ func (r *ringBuffer) writeRecord(recType int, payloadLen int, done <-chan struct
 		advance = contig + need
 	}
 
-	spins := 0
 	for {
 		if r.consClosed.Load() != 0 {
 			return ErrRingClosed
 		}
-		free := capacity - (tail - r.head.Load())
-		if advance <= free {
+		if advance <= capacity-(tail-r.head.Load()) {
 			break
 		}
-		select {
-		case <-done:
-			return ErrClosed
-		default:
-		}
-		if !parkStep(&spins, &r.prodWake, r.prodParked, func() bool {
+		if !r.prodWake.wait(r.prodParked.Store, func() bool {
 			return capacity-(tail-r.head.Load()) >= advance || r.consClosed.Load() != 0
 		}, done) {
 			return ErrClosed
 		}
 	}
+	r.prodWake.idle = 0
 
 	idx := tail & r.mask
 	if pad {
@@ -368,68 +360,117 @@ func (r *ringBuffer) writeRecord(recType int, payloadLen int, done <-chan struct
 // possible: a float64 view of the payload needs a naturally aligned base.
 func recordSpan(payloadLen int) int { return (4 + payloadLen + 7) &^ 7 }
 
-// Adaptive parking budgets: a busy ring never leaves the spin phase, a
-// bursty one burns a few Goscheds, and only a genuinely idle ring pays the
-// park (channel wait in-process, escalating sleep cross-process). Spinning
-// only pays when the opposite end can run in parallel: on a single-CPU
-// schedule (GOMAXPROCS=1) every spin iteration is stolen from the very
-// producer being waited on, so the budgets collapse to yield-then-park.
-var (
-	ringSpinBudget  = 2048
-	ringYieldBudget = 64
-)
+// ringYieldBudget is how many times a waiter yields the processor before it
+// parks (see waiter.wait).
+const ringYieldBudget = 2
 
-func init() {
-	if runtime.GOMAXPROCS(0) == 1 {
-		ringSpinBudget = 0
-		ringYieldBudget = 2
-	}
+// WaitStats counts how an endpoint's waiters — its poller and the producer
+// ends of its outgoing rings and broadcast segment — spent their idle time.
+type WaitStats struct {
+	Hits    uint64 // poller sweeps that found work
+	Yields  uint64 // runtime.Gosched calls
+	Parks   uint64 // times a waiter blocked (wake channel or sleep)
+	Wakeups uint64 // parks ended by the opposite end's signal
 }
 
-// parkStep advances one step of the spin → yield → park escalation, shared
-// by the rings and the broadcast segments. ready is re-checked after the
-// parked flag is raised (the lost-wakeup guard: the opposite end reads the
-// flag only after its own publish, so either it sees the flag and signals,
-// or this end's re-check sees the publish). Returns false when done fired
-// while parked.
-func parkStep(spins *int, parker *ringParker, parked *atomic.Uint32, ready func() bool, done <-chan struct{}) bool {
-	*spins++
-	if *spins <= ringSpinBudget {
-		return true
+func (s *WaitStats) add(o WaitStats) {
+	s.Hits += o.Hits
+	s.Yields += o.Yields
+	s.Parks += o.Parks
+	s.Wakeups += o.Wakeups
+}
+
+// waiter is how a ring end waits when it runs out of work or space: yield
+// briefly, then park. It never busy-waits: an exchange keeps two goroutines
+// per rank busy (the rank's own and its poller), and whenever those outnumber
+// the processors every spin iteration is stolen from the very goroutine being
+// waited on — a fixed spin budget turned a microsecond hand-off into a
+// scheduler quantum. It embeds the ringParker it blocks on, which the
+// opposite end signals. In-process ends park on the wake channel;
+// cross-process (mmap) ends have none and fall back to escalating sleeps, so
+// the hot path stays syscall-free and only an idle ring pays the timer. A
+// waiter belongs to one goroutine at a time (the poller, or a producer under
+// prodMu); only snapshot crosses goroutines.
+type waiter struct {
+	ringParker
+
+	idle   int         // consecutive empty checks of the current wait episode
+	timer  *time.Timer // cross-process sleep, reused across parks
+	counts WaitStats   // owner-private; copied to pub when parking
+
+	pubMu sync.Mutex
+	pub   WaitStats
+}
+
+// progressed ends the current wait episode: the owner found work or space.
+func (w *waiter) progressed() {
+	w.idle = 0
+	w.counts.Hits++
+}
+
+// snapshot returns the counts as of the waiter's most recent park.
+func (w *waiter) snapshot() WaitStats {
+	w.pubMu.Lock()
+	defer w.pubMu.Unlock()
+	return w.pub
+}
+
+// wait advances one step of the yield → park escalation after an empty
+// check; the caller re-checks when it returns true. To park, setParked(1)
+// raises the parked flag(s) and ready is re-checked before blocking (the
+// lost-wakeup guard: the opposite end reads the flag only after its own
+// publish, so either it sees the flag and signals, or this end's re-check
+// sees the publish). Returns false when done fired.
+func (w *waiter) wait(setParked func(uint32), ready func() bool, done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return false
+	default:
 	}
-	if *spins <= ringSpinBudget+ringYieldBudget {
+	w.idle++
+	if w.idle <= ringYieldBudget {
+		w.counts.Yields++
 		runtime.Gosched()
 		return true
 	}
-	parked.Store(1)
+	setParked(1)
+	defer setParked(0)
 	if ready() {
-		parked.Store(0)
 		return true
 	}
-	if parker.wake != nil {
+	w.counts.Parks++
+	w.pubMu.Lock()
+	w.pub = w.counts
+	w.pubMu.Unlock()
+	if w.wake != nil {
 		select {
-		case <-parker.wake:
+		case <-w.wake:
+			w.counts.Wakeups++
+			return true
 		case <-done:
-			parked.Store(0)
 			return false
-		}
-	} else {
-		// Cross-process fallback: no shared wake channel exists, so sleep a
-		// bounded, escalating amount. The opposite end clears the parked flag
-		// on publish purely as a hint; correctness comes from re-checking.
-		d := time.Duration(*spins-ringSpinBudget-ringYieldBudget) * 20 * time.Microsecond
-		if d > time.Millisecond {
-			d = time.Millisecond
-		}
-		select {
-		case <-done:
-			parked.Store(0)
-			return false
-		case <-time.After(d):
 		}
 	}
-	parked.Store(0)
-	return true
+	// Cross-process fallback: no shared wake channel exists, so sleep a
+	// bounded amount that escalates over the episode. The opposite end clears
+	// the parked flag on publish purely as a hint; correctness comes from
+	// re-checking.
+	d := time.Duration(w.idle-ringYieldBudget) * 20 * time.Microsecond
+	if d > time.Millisecond {
+		d = time.Millisecond
+	}
+	if w.timer == nil {
+		w.timer = time.NewTimer(d)
+	} else {
+		w.timer.Reset(d)
+	}
+	select {
+	case <-w.timer.C:
+		return true
+	case <-done:
+		w.timer.Stop()
+		return false
+	}
 }
 
 // closeProducer marks the producer end closed (EOF once drained) and wakes a

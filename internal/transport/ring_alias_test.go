@@ -133,7 +133,9 @@ func TestRingAliasBackpressure(t *testing.T) {
 	const total = 12
 	const elems = 2048 // 16 KiB payloads, exactly at the alias floor
 	var sent atomic.Int32
+	producer := make(chan struct{})
 	go func() {
+		defer close(producer)
 		for i := 0; i < total; i++ {
 			if err := r.enqueue(comm.Message{Tag: i, Data: leasedVector(elems, float64(i))}, done, true); err != nil {
 				return
@@ -189,6 +191,13 @@ func TestRingAliasBackpressure(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("ring did not drain after the aliases were released (%d of %d)", drained, total)
 		}
+	}
+	// The last record is visible to the consumer before its enqueue returns:
+	// join the producer before reading its count.
+	select {
+	case <-producer:
+	case <-time.After(5 * time.Second):
+		t.Fatal("producer still blocked after the ring drained")
 	}
 	if s := sent.Load(); s != total {
 		t.Fatalf("producer finished %d of %d sends after the release", s, total)

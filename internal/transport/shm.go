@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -148,7 +147,7 @@ type ShmEndpoint struct {
 	size  int
 	in    []*ringBuffer // indexed by producing peer; nil at own rank
 	out   []*ringBuffer // indexed by consuming peer; nil at own rank
-	wake  chan struct{} // poller park channel; nil => sleep parking (cross-process)
+	poll  waiter        // the poller's wait state; its wake channel is nil cross-process
 	inbox chan comm.Message
 	done  chan struct{} // closed by Close; unblocks enqueues, deliveries, the poller
 
@@ -183,19 +182,21 @@ type ShmEndpoint struct {
 	cleanups []func() // cross-process only: munmap + unlink, run at the end of Close
 }
 
+// newShmEndpoint wires an endpoint over its rings. wake is the channel the
+// poller parks on (nil cross-process).
 func newShmEndpoint(rank, size int, in, out []*ringBuffer, wake chan struct{}) *ShmEndpoint {
 	e := &ShmEndpoint{
 		rank:  rank,
 		size:  size,
 		in:    in,
 		out:   out,
-		wake:  wake,
 		inbox: make(chan comm.Message, DefaultInboxDepth),
 		done:  make(chan struct{}),
 		dead:  make([]bool, size),
 	}
 	e.bcIn = make([]*bcastReader, size)
 	e.bcDead = make([]bool, size)
+	e.poll.wake = wake
 	return e
 }
 
@@ -483,14 +484,13 @@ func (e *ShmEndpoint) Close() error {
 // pollLoop is the endpoint's single consumer: it sweeps the incoming rings
 // round-robin (one record per ring per sweep, so a firehose peer cannot
 // starve the others), decoding complete frames into the inbox. When every
-// ring is empty it escalates — spin, then runtime.Gosched, then park: the
+// ring is empty it waits the way every ring end does (waiter.wait): the
 // parked flag is raised on each ring, the rings are re-checked (the
 // lost-wakeup guard), and only then does it block on the wake channel (or an
 // escalating sleep cross-process) until a producer commits. It exits when
 // Close fires done.
 func (e *ShmEndpoint) pollLoop() {
 	defer e.wg.Done()
-	spins := 0
 	for {
 		select {
 		case <-e.done:
@@ -520,121 +520,113 @@ func (e *ShmEndpoint) pollLoop() {
 				progress = true
 			case res == ringDead:
 				e.dead[peer] = true
+				// The peer published to its segment before it closed its
+				// rings: deliver that before reporting the exit, or a receive
+				// naming the peer fails with its data still in the segment.
+				for more := true; more; {
+					var ok bool
+					if more, ok = e.sweepBcast(peer); !ok {
+						return
+					}
+				}
 				e.handleRingFailure(peer, fmt.Errorf("transport: rank %d closed its ring (process exited?): %w", peer, io.EOF))
 			}
 		}
 		for peer := 0; peer < e.size; peer++ {
-			br := e.bcIn[peer]
-			if br == nil || e.bcDead[peer] {
-				continue
+			more, ok := e.sweepBcast(peer)
+			if !ok {
+				return
 			}
-			m, res, err := br.tryDequeue()
-			switch {
-			case err != nil:
-				e.bcDead[peer] = true
-				e.handleRingFailure(peer, err)
-			case res == ringMsg:
-				progress = true
-				if e.deliverFn != nil {
-					e.deliverFn(m)
-				} else if !e.deliver(m) {
-					return
-				}
-			case res == ringMore:
-				progress = true
-			case res == ringDead:
-				// The producer closed its segment: its ring EOF reports the
-				// exit, the drained region just stops being swept.
-				e.bcDead[peer] = true
-			}
+			progress = progress || more
 		}
 		if progress {
-			spins = 0
-			continue
-		}
-		spins++
-		if spins <= ringSpinBudget {
-			continue
-		}
-		if spins <= ringSpinBudget+ringYieldBudget {
-			runtime.Gosched()
-			continue
-		}
-		if !e.parkPoller(spins) {
+			e.poll.progressed()
+		} else if !e.poll.wait(e.setParked, e.pending, e.done) {
 			return
 		}
-		spins = 0
 	}
 }
 
-// parkPoller blocks the poller until a producer commits or Close fires.
-// Returns false when the endpoint is closing.
-func (e *ShmEndpoint) parkPoller(spins int) bool {
+// sweepBcast consumes at most one record of peer's broadcast segment,
+// delivering a complete frame. more reports that a record was consumed; ok is
+// false once the endpoint is closing.
+func (e *ShmEndpoint) sweepBcast(peer int) (more, ok bool) {
+	br := e.bcIn[peer]
+	if br == nil || e.bcDead[peer] {
+		return false, true
+	}
+	m, res, err := br.tryDequeue()
+	switch {
+	case err != nil:
+		e.bcDead[peer] = true
+		e.handleRingFailure(peer, err)
+	case res == ringMsg:
+		if e.deliverFn != nil {
+			e.deliverFn(m)
+		} else if !e.deliver(m) {
+			return false, false
+		}
+		return true, true
+	case res == ringMore:
+		return true, true
+	case res == ringDead:
+		// The producer closed its segment: its ring EOF reports the
+		// exit, the drained region just stops being swept.
+		e.bcDead[peer] = true
+	}
+	return false, true
+}
+
+// setParked raises (1) or lowers (0) the poller's parked flag on every live
+// incoming ring and broadcast segment.
+func (e *ShmEndpoint) setParked(v uint32) {
 	for peer, r := range e.in {
 		if r != nil && !e.dead[peer] {
-			r.consParked.Store(1)
+			r.consParked.Store(v)
 		}
 	}
 	for peer, br := range e.bcIn {
 		if br != nil && !e.bcDead[peer] {
-			br.reg.consParked[e.rank].Store(1)
+			br.reg.consParked[e.rank].Store(v)
 		}
 	}
-	defer func() {
-		for peer, r := range e.in {
-			if r != nil && !e.dead[peer] {
-				r.consParked.Store(0)
-			}
-		}
-		for peer, br := range e.bcIn {
-			if br != nil && !e.bcDead[peer] {
-				br.reg.consParked[e.rank].Store(0)
-			}
-		}
-	}()
-	// Lost-wakeup guard: a producer reads the parked flag only after its
-	// commit is published, so either it sees the flag and signals, or this
-	// re-check sees the commit. The consumer's own cursor is compared, not
-	// the shared head — head lags consPos while aliased spans are out, and
-	// a fully-read ring must still park.
+}
+
+// pending is the poller's side of the lost-wakeup guard: a producer reads the
+// parked flag only after its commit is published, so either it sees the flag
+// and signals, or this re-check sees the commit. The consumer's own cursor is
+// compared, not the shared head — head lags consPos while aliased spans are
+// out, and a fully-read ring must still park.
+func (e *ShmEndpoint) pending() bool {
 	for peer, r := range e.in {
-		if r == nil || e.dead[peer] {
-			continue
-		}
-		if r.consPos != r.tail.Load() || r.prodClosed.Load() != 0 {
+		if r != nil && !e.dead[peer] && (r.consPos != r.tail.Load() || r.prodClosed.Load() != 0) {
 			return true
 		}
 	}
 	for peer, br := range e.bcIn {
-		if br == nil || e.bcDead[peer] {
-			continue
-		}
-		if br.pos != br.reg.tail.Load() || br.reg.prodClosed.Load() != 0 {
+		if br != nil && !e.bcDead[peer] && (br.pos != br.reg.tail.Load() || br.reg.prodClosed.Load() != 0) {
 			return true
 		}
 	}
-	if e.wake != nil {
-		select {
-		case <-e.wake:
-			return true
-		case <-e.done:
-			return false
+	return false
+}
+
+// WaitStats reports how this endpoint's waiters — the poller and the
+// producer ends of its outgoing rings and broadcast segment — have spent
+// their idle time. Each waiter publishes its counts when it parks, so the
+// hot path never touches shared memory for them: the snapshot is as of each
+// waiter's latest park, which for the poller means exact once traffic stops.
+func (e *ShmEndpoint) WaitStats() WaitStats {
+	s := e.poll.snapshot()
+	for _, r := range e.out {
+		if r != nil {
+			s.add(r.prodWake.snapshot())
 		}
 	}
-	// Cross-process: no shared wake channel exists, so sleep a bounded,
-	// escalating amount; producers still clear the parked flags as a hint.
-	d := time.Duration(spins-ringSpinBudget-ringYieldBudget) * 20 * time.Microsecond
-	if d > time.Millisecond {
-		d = time.Millisecond
+	if e.bcOut != nil {
+		s.add(e.bcOut.prodWake.snapshot())
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-e.done:
-		return false
-	}
+	return s
 }
 
 // deliver forwards a decoded message (ownership included) to the inbox.

@@ -1,0 +1,349 @@
+package transport
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"eagersgd/internal/comm"
+	"eagersgd/internal/race"
+	"eagersgd/internal/tensor"
+)
+
+// TestWaiterIgnoresGOMAXPROCS is the regression test for budgets latched at
+// package init: `go test -cpu` and callers set GOMAXPROCS after init, and a
+// `-cpu 1` run on a multi-core box used to keep the 2048-sweep budget. A wait
+// episode now costs the same few yields whatever GOMAXPROCS is or was.
+func TestWaiterIgnoresGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	w := &waiter{}
+	for _, procs := range []int{1, 2, 1, 4} {
+		runtime.GOMAXPROCS(procs)
+		before, checks, atPark := w.counts, 0, false
+		// Drive one whole episode without blocking: the ready re-check at the
+		// park step reports work.
+		for !atPark {
+			checks++
+			if !w.wait(func(uint32) {}, func() bool { atPark = true; return true }, nil) {
+				t.Fatal("wait reported done on a nil channel")
+			}
+		}
+		w.idle = 0
+		if got := w.counts.Yields - before.Yields; got != ringYieldBudget || checks != ringYieldBudget+1 {
+			t.Errorf("GOMAXPROCS=%d: episode took %d yields in %d steps, want %d yields then the park step", procs, got, checks, ringYieldBudget)
+		}
+	}
+}
+
+// TestWaiterSleepParkReusesTimer: a cross-process waiter (no wake channel)
+// parks on one reusable timer — no timer allocated per park, none abandoned
+// when done fires mid-sleep — and its sleeps escalate over an episode.
+func TestWaiterSleepParkReusesTimer(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	w := &waiter{}
+	parked := func(uint32) {}
+	idle := func() bool { return false }
+	for w.counts.Parks == 0 { // run through the yields into the first sleep
+		w.wait(parked, idle, nil)
+	}
+	timer := w.timer
+	if avg := testing.AllocsPerRun(20, func() { w.wait(parked, idle, nil) }); avg != 0 {
+		t.Errorf("sleep park allocates %.1f objects, want 0", avg)
+	}
+	if w.timer != timer {
+		t.Error("sleep park replaced its timer")
+	}
+	start := time.Now()
+	w.wait(parked, idle, nil)
+	if d := time.Since(start); d < 400*time.Microsecond {
+		t.Errorf("park %d of the episode slept %v; the sleep should have escalated to ~%v", w.counts.Parks, d, 20*time.Microsecond*time.Duration(w.counts.Parks))
+	}
+	done := make(chan struct{})
+	close(done)
+	if w.wait(parked, idle, done) {
+		t.Error("wait returned true after done fired")
+	}
+}
+
+// settledStats polls ep.WaitStats until two reads 20 ms apart agree — every
+// waiter of the endpoint has parked — and returns that snapshot.
+func settledStats(t *testing.T, ep *ShmEndpoint) WaitStats {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	prev := ep.WaitStats()
+	for {
+		time.Sleep(20 * time.Millisecond)
+		cur := ep.WaitStats()
+		if cur == prev {
+			return cur
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rank %d wait stats never settled: %+v", ep.Rank(), cur)
+		}
+		prev = cur
+	}
+}
+
+// TestWaitStatsOversubscribedPingPong is the count-based form of the
+// oversubscription fix, independent of timing: with four ranks on two
+// processors every frame costs a bounded number of yields, and an idle world
+// stops counting. At the parent commit each delivered frame cost 2048 spin
+// iterations and 64 yields per poller.
+func TestWaitStatsOversubscribedPingPong(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(2)
+	const frames = 500 // per rank, each direction
+	before := tensor.ReadPoolStats()
+	hub := NewShmHub(4)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ep, peer := hub.Endpoint(r), r^1
+			for i := 0; i < frames; i++ {
+				if r < peer { // the lower rank serves, the higher returns
+					if err := ep.Send(peer, comm.Message{Source: r, Tag: i, Data: leasedVector(8, float64(i))}); err != nil {
+						t.Errorf("rank %d send %d: %v", r, i, err)
+						return
+					}
+				}
+				m := <-ep.Inbox()
+				if m.Tag != i || m.Data[0] != float64(i) {
+					t.Errorf("rank %d frame %d: got tag %d data %v", r, i, m.Tag, m.Data[0])
+				}
+				tensor.PutVector(m.Data)
+				if r > peer {
+					if err := ep.Send(peer, comm.Message{Source: r, Tag: i, Data: leasedVector(8, float64(i))}); err != nil {
+						t.Errorf("rank %d send %d: %v", r, i, err)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	waitOrFatal(t, &wg, 60*time.Second, "ping-pong")
+
+	var total WaitStats
+	for r := 0; r < 4; r++ {
+		total.add(settledStats(t, hub.Endpoint(r)))
+	}
+	const delivered = 4 * frames
+	if perFrame := float64(total.Yields) / delivered; perFrame > 8 {
+		t.Errorf("%.1f yields per delivered frame (%+v), want <= 8", perFrame, total)
+	}
+	// One frame in flight per pair: every delivery is its own sweep, and at
+	// rest every poller has parked.
+	if total.Hits != delivered || total.Parks < 4 {
+		t.Errorf("got %+v, want Hits = %d delivered frames and all 4 pollers parked", total, delivered)
+	}
+	time.Sleep(50 * time.Millisecond)
+	var later WaitStats
+	for r := 0; r < 4; r++ {
+		later.add(hub.Endpoint(r).WaitStats())
+	}
+	if later != total {
+		t.Errorf("idle world kept counting: %+v then %+v", total, later)
+	}
+	hub.Close()
+	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+		t.Errorf("%d leases leaked", n)
+	}
+}
+
+// waitOrFatal is the liveness watchdog: wg must drain within limit.
+func waitOrFatal(t *testing.T, wg *sync.WaitGroup, limit time.Duration, what string) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(limit):
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%s made no progress for %v (lost wakeup?)\n%s", what, limit, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestChaosShmWaitersOversubscribed stresses the park/wake contract where it
+// is most exposed: processors fewer than, equal to and (on a small box)
+// nominally above the rank count, over small rings so producers park on full
+// rings as often as pollers park on empty ones, with both sides going idle on
+// their own schedules. Pairwise, fan-in and broadcast-segment traffic each
+// exercise a different flag set (ring prodParked/consParked, the poller's
+// shared wake channel, the segment's per-consumer flags). The assertions are
+// liveness (a watchdog, no wall-clock thresholds), per-source FIFO and lease
+// balance.
+func TestChaosShmWaitersOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const ranks = 4
+	frames := 400
+	blocks := 24
+	if testing.Short() {
+		frames, blocks = 100, 8
+	}
+	// Payload sizes either side of the alias floor and the fragment threshold
+	// of a 64 KiB ring (16 KiB records).
+	sizes := []int{4, 700, 2048, 5000}
+
+	// receive drains want frames from ep's inbox, checking that each source's
+	// sequence numbers (carried in Data[0]) arrive in order, and goes idle on
+	// its own schedule so producers meet full rings.
+	receive := func(ep *ShmEndpoint, want int) {
+		next := make([]float64, ranks)
+		for i := 0; i < want; i++ {
+			m, ok := <-ep.Inbox()
+			if !ok {
+				t.Errorf("rank %d inbox closed after %d of %d frames", ep.Rank(), i, want)
+				return
+			}
+			if m.Data[0] != next[m.Source] {
+				t.Errorf("rank %d: frame from %d carries seq %v, want %v", ep.Rank(), m.Source, m.Data[0], next[m.Source])
+			}
+			next[m.Source]++
+			tensor.PutVector(m.Data)
+			if i%29 == 28 {
+				time.Sleep(300 * time.Microsecond)
+			}
+		}
+	}
+	// pause makes a producer go idle on a schedule coprime to the receivers',
+	// so pollers meet empty rings.
+	pause := func(i int) {
+		if i%17 == 16 {
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+
+	patterns := []struct {
+		name string
+		run  func(hub *ShmHub, wg *sync.WaitGroup)
+	}{
+		{"pairwise", func(hub *ShmHub, wg *sync.WaitGroup) {
+			for r := 0; r < ranks; r++ {
+				wg.Add(2)
+				go func(ep *ShmEndpoint) {
+					defer wg.Done()
+					for i := 0; i < frames; i++ {
+						v := leasedVector(sizes[i%len(sizes)], float64(i))
+						if err := ep.Send(ep.Rank()^1, comm.Message{Source: ep.Rank(), Tag: i, Data: v}); err != nil {
+							t.Errorf("rank %d send %d: %v", ep.Rank(), i, err)
+							return
+						}
+						pause(i)
+					}
+				}(hub.Endpoint(r))
+				go func(ep *ShmEndpoint) { defer wg.Done(); receive(ep, frames) }(hub.Endpoint(r))
+			}
+		}},
+		{"many-to-one", func(hub *ShmHub, wg *sync.WaitGroup) {
+			for r := 1; r < ranks; r++ {
+				wg.Add(1)
+				go func(ep *ShmEndpoint) {
+					defer wg.Done()
+					for i := 0; i < frames; i++ {
+						v := leasedVector(sizes[(i+ep.Rank())%len(sizes)], float64(i))
+						if err := ep.SendBorrowed(0, comm.Message{Source: ep.Rank(), Tag: i, Data: v}); err != nil {
+							t.Errorf("rank %d send %d: %v", ep.Rank(), i, err)
+						}
+						tensor.PutVector(v)
+						pause(i + ep.Rank())
+					}
+				}(hub.Endpoint(r))
+			}
+			wg.Add(1)
+			go func() { defer wg.Done(); receive(hub.Endpoint(0), (ranks-1)*frames) }()
+		}},
+		{"broadcast-segment", func(hub *ShmHub, wg *sync.WaitGroup) {
+			// 1 MiB blocks: four fill a segment, so a publisher whose
+			// consumers idle parks on reclamation.
+			block := tensor.NewVector(1 << 17)
+			for r := 0; r < ranks; r++ {
+				wg.Add(2)
+				go func(ep *ShmEndpoint) {
+					defer wg.Done()
+					data := tensor.GetVectorCopy(block)
+					defer tensor.PutVector(data)
+					for i := 0; i < blocks; i++ {
+						data[0] = float64(i)
+						n := len(data)
+						if i%3 == 2 {
+							n = 64 // below the alias floor: copy delivery
+						}
+						if err := ep.SendBroadcast(i, data[:n]); err != nil {
+							t.Errorf("rank %d publish %d: %v", ep.Rank(), i, err)
+							return
+						}
+						pause(i * 5)
+					}
+				}(hub.Endpoint(r))
+				go func(ep *ShmEndpoint) { defer wg.Done(); receive(ep, (ranks-1)*blocks) }(hub.Endpoint(r))
+			}
+		}},
+	}
+
+	for _, procs := range []int{1, 2, 4} {
+		for _, p := range patterns {
+			t.Run(fmt.Sprintf("procs=%d/%s", procs, p.name), func(t *testing.T) {
+				runtime.GOMAXPROCS(procs)
+				before := tensor.ReadPoolStats()
+				hub := NewShmHubRing(ranks, 1<<16)
+				var wg sync.WaitGroup
+				p.run(hub, &wg)
+				waitOrFatal(t, &wg, 2*time.Minute, p.name)
+				var pollers, total WaitStats
+				for r := 0; r < ranks; r++ {
+					pollers.add(hub.Endpoint(r).poll.snapshot())
+					total.add(hub.Endpoint(r).WaitStats())
+				}
+				// How often each side parked depends on the schedule the run
+				// drew, so it is logged, not asserted.
+				t.Logf("all waiters %+v, pollers alone %+v", total, pollers)
+				hub.Close()
+				if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+					t.Errorf("%d leases leaked", n)
+				}
+			})
+		}
+	}
+}
+
+// TestShmExitReportedAfterSegmentDrained: what a rank published to its
+// broadcast segment before closing reaches its peers before they are told it
+// exited — a receive naming the peer must not fail with its data still in the
+// segment. On one processor the consumer's poller cannot run between the
+// publish and the Close, so its next sweep meets the ring EOF and the
+// unread block together.
+func TestShmExitReportedAfterSegmentDrained(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	before := tensor.ReadPoolStats()
+	hub := NewShmHub(2)
+	consumer := hub.Endpoint(0)
+	delivered := make(chan int, 1)
+	consumer.NotifyPeerFailure(func(int, error) { delivered <- len(consumer.Inbox()) })
+	time.Sleep(10 * time.Millisecond) // both pollers park
+	block := tensor.NewVector(64)
+	if err := hub.Endpoint(1).SendBroadcast(7, block); err != nil {
+		t.Fatal(err)
+	}
+	hub.Endpoint(1).Close()
+	select {
+	case n := <-delivered:
+		if n != 1 {
+			t.Errorf("peer exit reported with %d of 1 published blocks delivered", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("peer exit never reported")
+	}
+	hub.Close()
+	for m := range consumer.Inbox() {
+		tensor.PutVector(m.Data)
+	}
+	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+		t.Errorf("%d leases leaked", n)
+	}
+}
