@@ -25,9 +25,10 @@ import (
 // onto a fixed set of stream workers — bucket i runs on stream i mod
 // numBucketStreams, in submit order — so at most numBucketStreams reductions
 // are in flight and every rank pairs the same bucket with the same stream.
-// The eager reducers run buckets as concurrent sub-collectives of one partial
-// round behind a single activation: one solo/majority/quorum participation
-// decision per step, shared by every bucket (see internal/partial).
+// The eager reducers commit a step's buckets in one fold and reduce them as
+// one partial round behind a single activation: one solo/majority/quorum
+// participation decision per step, shared by every bucket (see
+// internal/partial).
 
 // ErrReducerClosed is returned by the bucketed step API after Close.
 var ErrReducerClosed = errors.New("collective: reducer closed")
@@ -51,8 +52,8 @@ const numBucketStreams = 4
 // submit the buckets in the same order (the reverse layer order of the
 // backward pass satisfies this), interleaved identically with any plain
 // Reduce calls. Eager reducers additionally fix the layout at construction
-// (WithBucketLayout) because their engine's per-round schedules are built per
-// bucket.
+// (WithBucketLayout): their engine hands out every round's result by the one
+// layout it was built with.
 type BucketReducer interface {
 	Reducer
 	// BeginStep opens a bucketed step whose buckets have the given lengths,
@@ -504,9 +505,10 @@ func (s *syncReducer) Close() error {
 // eagerStep is the eager reducer's in-flight bucketed step.
 type eagerStep struct {
 	call      int
-	round     int    // engine round (engine steps only)
-	seq       uint64 // contribution sequence, set at commit
-	syncStep  bool   // this step is the periodic full synchronization
+	round     int           // engine round (engine steps only)
+	seq       uint64        // contribution sequence, set at commit
+	syncStep  bool          // this step is the periodic full synchronization
+	stage     tensor.Vector // where the step's buckets are staged until its last one commits them
 	submitted int
 	handles   []*BucketHandle
 
@@ -525,8 +527,8 @@ func (e *eagerReducer) overlapSettings() (bool, int) { return e.overlap, e.bucke
 
 // BeginStep opens a bucketed step (see BucketReducer). The lens must match
 // the layout the reducer was constructed with (WithBucketLayout, or the
-// single whole-vector bucket): the partial engine's per-round schedules are
-// built per bucket, so the layout is fixed for the reducer's lifetime.
+// single whole-vector bucket): the partial engine hands out every round's
+// result by that layout, which is fixed for the reducer's lifetime.
 func (e *eagerReducer) BeginStep(ctx context.Context, lens []int) error {
 	if e.estep != nil {
 		return errors.New("collective: BeginStep with a step already in flight")
@@ -547,15 +549,16 @@ func (e *eagerReducer) BeginStep(ctx context.Context, lens []int) error {
 	st := &eagerStep{call: call, handles: make([]*BucketHandle, len(lens))}
 	if e.syncEvery > 0 && (call+1)%e.syncEvery == 0 {
 		st.syncStep = true
+		if e.stepBuf == nil {
+			e.stepBuf = tensor.NewVector(e.dim)
+		}
+		st.stage = e.stepBuf
 	} else {
-		round, err := e.ar.BeginStep()
+		round, stage, err := e.ar.BeginStep()
 		if err != nil {
 			return e.stepErr(err)
 		}
-		st.round = round
-	}
-	if e.stepBuf == nil {
-		e.stepBuf = tensor.NewVector(e.dim)
+		st.round, st.stage = round, stage
 	}
 	e.estep = st
 	return nil
@@ -571,7 +574,7 @@ func (e *eagerReducer) stepErr(err error) error {
 // SubmitBucket stages the bucket; when the step's final bucket arrives the
 // whole contribution is committed to the engine in one atomic fold, so every
 // bucket of the step shares one participation decision. Bucket handles
-// resolve as the engine's per-bucket chains complete.
+// resolve when the engine publishes the step's round.
 func (e *eagerReducer) SubmitBucket(ctx context.Context, offset int, data tensor.Vector) (*BucketHandle, error) {
 	st := e.estep
 	if st == nil {
@@ -584,7 +587,7 @@ func (e *eagerReducer) SubmitBucket(ctx context.Context, offset int, data tensor
 	if st.handles[b] != nil {
 		return nil, fmt.Errorf("collective: bucket at offset %d submitted twice", offset)
 	}
-	e.stepBuf[offset : offset+len(data)].CopyFrom(data)
+	st.stage[offset : offset+len(data)].CopyFrom(data)
 	var h *BucketHandle
 	if st.syncStep {
 		h = &BucketHandle{offset: offset, length: len(data), done: make(chan struct{})}
@@ -601,7 +604,7 @@ func (e *eagerReducer) SubmitBucket(ctx context.Context, offset int, data tensor
 		if st.syncStep {
 			e.launchSyncStep(ctx, st, e.lens, e.offs)
 		} else {
-			seq, err := e.ar.Contribute(st.round, e.stepBuf)
+			seq, err := e.ar.Contribute(st.round)
 			st.seq = seq
 			if err != nil {
 				return h, e.stepErr(err)
@@ -621,7 +624,7 @@ func (e *eagerReducer) SubmitBucket(ctx context.Context, offset int, data tensor
 // one-shot path carry over bucket by bucket.
 func (e *eagerReducer) launchSyncStep(ctx context.Context, st *eagerStep, lens, offs []int) {
 	drained := e.ar.DrainPending()
-	sum := tensor.GetVectorCopy(e.stepBuf)
+	sum := tensor.GetVectorCopy(st.stage)
 	sum.Add(drained)
 	tensor.PutVector(drained)
 	st.syncSum = sum

@@ -280,7 +280,7 @@ func (r *elasticReducer) overlapSettings() (bool, int) { return r.cfg.overlap, r
 
 // BeginStep opens a bucketed step. The whole step counts as one operation at
 // the drain barrier — a transition arriving mid-step waits for WaitStep, so an
-// epoch boundary never splits a step's buckets across two schedules.
+// epoch boundary never splits a step's buckets across two epochs' reducers.
 func (r *elasticReducer) BeginStep(ctx context.Context, lens []int) error {
 	inner, err := r.beginOp()
 	if err != nil {

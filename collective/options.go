@@ -214,9 +214,10 @@ func withEpoch(e uint64) Option {
 // WithBucketLayout fixes the reducer's bucket layout at construction: lens
 // are the bucket lengths in ascending offset order, summing to the reducer
 // dimension. Eager reducers require this for overlapped steps — their
-// engine's per-round schedules are built per bucket, so the layout cannot
-// change after construction. Sync reducers accept any layout per BeginStep
-// and ignore this option. Every rank must pass the same layout.
+// engine hands out every round's result by the one layout it was built with,
+// so the layout cannot change after construction. Sync reducers accept any
+// layout per BeginStep and ignore this option. Every rank must pass the same
+// layout.
 func WithBucketLayout(lens ...int) Option {
 	return func(c *config) { c.layout = append([]int(nil), lens...) }
 }

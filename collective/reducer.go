@@ -199,7 +199,7 @@ func (s *syncReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result, e
 // the periodic full synchronization of WithSyncEvery. It also implements
 // BucketReducer (bucket.go): buckets are staged during backprop, committed to
 // the engine in one atomic fold (one participation decision per step), and
-// their results resolve as the engine's per-bucket chains complete.
+// their results resolve together when the engine publishes the step's round.
 type eagerReducer struct {
 	comm      *comm.Communicator
 	ar        *partial.Allreducer
@@ -216,7 +216,7 @@ type eagerReducer struct {
 	tagShift     int            // epoch tag-block shift (membership.CollectiveTagShift)
 	reapers      sync.WaitGroup // detached periodic-sync reapers (bucket.go)
 	lens, offs   []int          // the engine's fixed bucket layout (layoutOf)
-	stepBuf      tensor.Vector  // staging buffer for the in-flight step's buckets
+	stepBuf      tensor.Vector  // staging buffer of the periodic-synchronization steps (engine steps stage in the engine's)
 	estep        *eagerStep     // in-flight bucketed step, nil between steps
 }
 

@@ -98,5 +98,5 @@ func WithBucketElems(n int) Option { return collective.WithBucketElems(n) }
 
 // WithBucketLayout fixes the bucket layout at construction — required for
 // overlapped steps on the eager modes (Solo/Majority/Quorum), whose engine
-// builds its per-round schedules per bucket.
+// hands out every round's result by the one layout it was built with.
 func WithBucketLayout(lens ...int) Option { return collective.WithBucketLayout(lens...) }

@@ -1,7 +1,7 @@
 // Package analysis implements eagervet, the repository's static-analysis
 // suite. It encodes the stack's hand-maintained invariant systems — the
 // buffer-ownership/lease model of internal/tensor and internal/comm, the
-// per-stream tag-block discipline of internal/sched and internal/collectives,
+// per-stream tag-block discipline of internal/partial and internal/collectives,
 // and the leak-free-shutdown rules pinned by the chaos suite — as compile-time
 // checks, so every new package upholds them without re-learning the idioms
 // from DESIGN.md (see the "Invariants as code" section there).

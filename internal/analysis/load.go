@@ -241,7 +241,7 @@ func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
 	return os.Open(file)
 }
 
-// Expand resolves package patterns ("./...", "./internal/sched", an import
+// Expand resolves package patterns ("./...", "./internal/partial", an import
 // path below the module) into the sorted list of matching import paths.
 // Directories without buildable Go files are skipped, as are testdata, hidden
 // directories, and (for recursive patterns) nested modules.

@@ -12,7 +12,7 @@ import (
 // through the loader's overlay — the tree on disk is never touched — and
 // require the suite to catch them. They pin the acceptance criteria from the
 // analyzers' introduction: deleting a PutVector in internal/collectives must
-// trip leasecheck, and hardcoding a tag literal in internal/sched must trip
+// trip leasecheck, and hardcoding a tag literal in internal/partial must trip
 // tagcheck.
 
 // mutate loads the file, applies old->new (which must change it), and returns
@@ -67,15 +67,15 @@ func TestMutationDeletedPutVector(t *testing.T) {
 	requireFinding(t, diags, "leasecheck", `pool lease "scratch"`)
 }
 
-// TestMutationHardcodedTag replaces a named tag derivation in internal/sched
-// with a raw literal; tagcheck must flag it.
+// TestMutationHardcodedTag replaces the activation listener's named tag
+// derivation in internal/partial with a raw literal; tagcheck must flag it.
 func TestMutationHardcodedTag(t *testing.T) {
 	l := newTestLoader(t, nil)
-	file := filepath.Join(l.ModuleRoot, "internal", "sched", "builders.go")
+	file := filepath.Join(l.ModuleRoot, "internal", "partial", "partial.go")
 	overlay := mutate(t, file,
-		"s.AddRecv(peer, actTag, ActivationBuffer, DepAnd)",
-		"s.AddRecv(peer, 31337, ActivationBuffer, DepAnd)")
-	diags := runOn(t, overlay, l.ModulePath+"/internal/sched")
+		"a.comm.Recv(comm.AnySource, a.opts.BaseTag+tagActivation)",
+		"a.comm.Recv(comm.AnySource, 31337)")
+	diags := runOn(t, overlay, l.ModulePath+"/internal/partial")
 	requireFinding(t, diags, "tagcheck", "raw literal tag")
 }
 

@@ -9,8 +9,8 @@ import (
 
 // TagCheck enforces the tag-block discipline (DESIGN.md, "Tag-space layout"):
 // every distinct logical stream owns a named block of the message-tag space
-// (collectives tagBase/tagSpan, sched TagStride, partial DefaultBaseTag), and
-// call sites must derive tags from those names. A raw integer literal passed
+// (collectives tagBase/tagSpan, partial DefaultBaseTag/TagSpan and the engine's
+// offsets within it), and call sites must derive tags from those names. A raw integer literal passed
 // as a tag argument silently collides with whichever block happens to cover
 // that number — the class of bug the registries exist to prevent — so the
 // analyzer flags any tag-position argument built purely from literals.
@@ -137,7 +137,7 @@ func reportLiteralTag(pass *Pass, arg ast.Expr, callee, param string) {
 		}
 	}
 	pass.Report(arg.Pos(),
-		"raw literal tag passed as %q to %s: derive tags from the named tag-block constants (collectives tagBase, sched.TagStride, partial.DefaultBaseTag, ...)",
+		"raw literal tag passed as %q to %s: derive tags from the named tag-block constants (collectives tagBase, partial.DefaultBaseTag, ...)",
 		param, callee)
 }
 

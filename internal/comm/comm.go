@@ -204,7 +204,7 @@ type Communicator struct {
 	cond     *sync.Cond
 	queue    []Message // unexpected-message queue, arrival order
 	closed   bool
-	closedCh chan struct{} // closed when the transport is down (see Done)
+	closedCh chan struct{} // closed when the transport is down; wakes slot receivers
 	demuxWG  sync.WaitGroup
 
 	down      []error          // per-rank down cause; nil = peer believed up
@@ -266,13 +266,6 @@ func (c *Communicator) demux() {
 	c.mu.Unlock()
 	close(c.closedCh)
 }
-
-// Done returns a channel closed once the communicator's transport is down
-// (every blocked receive has been or will be woken with ErrClosed). It lets
-// code that deliberately waits on messages that may never arrive — the
-// schedule executor's held activation receives — observe shutdown without a
-// receive posted.
-func (c *Communicator) Done() <-chan struct{} { return c.closedCh }
 
 // Rank returns this communicator's rank.
 func (c *Communicator) Rank() int { return c.ep.Rank() }
@@ -580,10 +573,8 @@ func (c *Communicator) Recv(source, tag int) (tensor.Vector, Status, error) {
 }
 
 // RecvCancel behaves like Recv but gives up with ErrCanceled if cancel is
-// closed before a matching message arrives. It is used by the schedule
-// executor to abandon receives for redundant activation messages that may
-// never be sent (e.g. when this rank was the only initiator of a solo
-// collective).
+// closed before a matching message arrives: the receive for a message that
+// may never be sent (the state-transfer server waiting for requests).
 func (c *Communicator) RecvCancel(source, tag int, cancel <-chan struct{}) (tensor.Vector, Status, error) {
 	return c.RecvTimeout(source, tag, cancel, 0)
 }
@@ -680,11 +671,10 @@ func (c *Communicator) recvQueued(source, tag int, cancel <-chan struct{}, deadl
 }
 
 // DiscardTagRange removes every queued unexpected message whose tag t
-// satisfies lo <= t < hi and returns the number removed. Long-running
-// persistent collectives use monotonically increasing per-round tags within a
-// private tag namespace and call this once per round to purge stray duplicate
-// activation messages from already-completed rounds, keeping the unexpected
-// queue short without touching other namespaces.
+// satisfies lo <= t < hi and returns the number removed. An abandoned
+// (canceled) bucketed step uses it to purge the stray payloads of its tag
+// blocks, returning their leases to the pool without touching other
+// namespaces.
 func (c *Communicator) DiscardTagRange(lo, hi int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -252,3 +252,36 @@ func TestIsolateRankCutsBothDirections(t *testing.T) {
 	hub.Close()
 	inj.Close()
 }
+
+// TestLinkFirstUsedAfterCloseIsBornClosed is the regression test for a hang
+// in Close: a link whose first message arrived after Close had snapshotted
+// the link table was created open, nothing ever closed it, and its delivery
+// worker — counted in the injector's wait group — waited forever, so the next
+// Close (World.Close after the epoch's own) never returned. A link created by
+// a closed injector must refuse the message and start no worker.
+func TestLinkFirstUsedAfterCloseIsBornClosed(t *testing.T) {
+	hub := transport.NewHub(2)
+	defer hub.Close()
+	inj := NewInjector(2, Scenario{Seed: 1, Default: LinkRule{DelayProb: 1, DelayMin: time.Millisecond, DelayMax: time.Millisecond}})
+	inj.Close()
+
+	before := tensor.ReadPoolStats()
+	if ls := inj.link(0, 1); !ls.closed {
+		t.Error("a link created after Close is open")
+	}
+	inj.enqueueFIFO(0, delayedMsg{ep: hub.Endpoint(0), dest: 1, m: comm.Message{Source: 0, Tag: 7, Data: payload(1, 2, 3)}})
+	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+		t.Errorf("the refused message's payload was not released (%d leases outstanding)", n)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		inj.Close() // waits for every delivery worker
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hangs on the worker of a link first used after Close")
+	}
+}

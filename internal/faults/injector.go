@@ -107,7 +107,10 @@ func (in *Injector) link(from, to int) *linkState {
 	key := Link{From: from, To: to}
 	ls := in.links[key]
 	if ls == nil {
-		ls = &linkState{rng: rand.New(rand.NewSource(in.linkSeed(from, to)))}
+		// A link first used after Close took its snapshot of the table is
+		// born closed: nothing would ever close it, and its worker would
+		// hold Close's wait forever.
+		ls = &linkState{rng: rand.New(rand.NewSource(in.linkSeed(from, to))), closed: in.closed}
 		ls.cond = sync.NewCond(&ls.mu)
 		in.links[key] = ls
 	}

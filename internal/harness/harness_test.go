@@ -128,8 +128,12 @@ func TestFig9MicrobenchmarkQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Tables) != 1 || len(r.Curves) != 5 {
+	// Two tables: the latencies, and the partial engines' counters.
+	if len(r.Tables) != 2 || len(r.Curves) != 5 {
 		t.Fatalf("fig9 shape wrong: %d tables %d curves", len(r.Tables), len(r.Curves))
+	}
+	if out := r.Render(); !strings.Contains(out, "Partial engine counters") || !strings.Contains(out, "stale act.") {
+		t.Fatalf("fig9 report does not print the engine counters:\n%s", out)
 	}
 	// The assertions below are latency RATIOS under a skew deliberately
 	// replayed large (quick fig9Clock = 4.0): the synchronous allreduce is

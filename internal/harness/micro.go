@@ -41,6 +41,16 @@ func Fig9Microbenchmark(cfg Config) (*Report, error) {
 		"majority": {Name: "NAP majority"},
 	}
 
+	// What the partial engines did to produce those latencies, summed over the
+	// ranks: the always-on counters of partial.Allreducer.Stats.
+	engine := trace.NewTable("Partial engine counters, summed over ranks",
+		"msg bytes", "mode", "rounds", "internal act.", "external act.", "stale act.", "failover act.",
+		"included", "straggler", "null snapshots")
+	addEngineRow := func(bytes int, mode partial.Mode, st partial.Stats) {
+		engine.AddRow(bytes, mode.String(), st.Rounds, st.InternalActivations, st.ExternalActivations, st.StaleActivations,
+			st.FailoverActivations, st.ExchangesIncluded, st.ExchangesStraggler, st.NullSnapshots)
+	}
+
 	var soloSpeedups, majoritySpeedups []float64
 	for _, elems := range p.fig9Sizes {
 		iterations := p.fig9Iterations
@@ -55,14 +65,16 @@ func Fig9Microbenchmark(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		solo, soloNAP, err := microPartialLatency(p.fig9Procs, elems, iterations, skew, clock, partial.Options{Mode: partial.Solo, Seed: cfg.Seed})
+		solo, soloNAP, soloStats, err := microPartialLatency(p.fig9Procs, elems, iterations, skew, clock, partial.Options{Mode: partial.Solo, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
-		majority, majNAP, err := microPartialLatency(p.fig9Procs, elems, iterations, skew, clock, partial.Options{Mode: partial.Majority, Seed: cfg.Seed})
+		majority, majNAP, majStats, err := microPartialLatency(p.fig9Procs, elems, iterations, skew, clock, partial.Options{Mode: partial.Majority, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
+		addEngineRow(bytes, partial.Solo, soloStats)
+		addEngineRow(bytes, partial.Majority, majStats)
 
 		soloSpeedup := ratio(synch, solo)
 		majSpeedup := ratio(synch, majority)
@@ -82,7 +94,7 @@ func Fig9Microbenchmark(cfg Config) (*Report, error) {
 		r.Values[fmt.Sprintf("nap/solo/%d", bytes)] = soloNAP
 		r.Values[fmt.Sprintf("nap/majority/%d", bytes)] = majNAP
 	}
-	r.Tables = append(r.Tables, table)
+	r.Tables = append(r.Tables, table, engine)
 	r.Curves = append(r.Curves,
 		latencyCurves["allreduce"], latencyCurves["majority"], latencyCurves["solo"],
 		napCurves["solo"], napCurves["majority"])
@@ -132,8 +144,9 @@ func microSynchLatency(procs, elems, iterations int, skew imbalance.Injector, cl
 }
 
 // microPartialLatency measures the average per-rank latency and mean NAP of a
-// partial allreduce with linearly skewed entry times.
-func microPartialLatency(procs, elems, iterations int, skew imbalance.Injector, clock imbalance.Clock, opts partial.Options) (time.Duration, float64, error) {
+// partial allreduce with linearly skewed entry times, and returns the engines'
+// counters summed over the ranks.
+func microPartialLatency(procs, elems, iterations int, skew imbalance.Injector, clock imbalance.Clock, opts partial.Options) (time.Duration, float64, partial.Stats, error) {
 	world := transport.NewInprocWorld(procs)
 	defer world[0].Close()
 	reducers := make([]*partial.Allreducer, procs)
@@ -178,13 +191,25 @@ func microPartialLatency(procs, elems, iterations int, skew imbalance.Injector, 
 		return nil
 	}, world)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, partial.Stats{}, err
 	}
 	napSum := 0
 	for _, n := range napByIter {
 		napSum += n
 	}
-	return total / time.Duration(count), float64(napSum) / float64(iterations), nil
+	var stats partial.Stats
+	for _, a := range reducers {
+		st := a.Stats()
+		stats.Rounds += st.Rounds
+		stats.InternalActivations += st.InternalActivations
+		stats.ExternalActivations += st.ExternalActivations
+		stats.StaleActivations += st.StaleActivations
+		stats.FailoverActivations += st.FailoverActivations
+		stats.ExchangesIncluded += st.ExchangesIncluded
+		stats.ExchangesStraggler += st.ExchangesStraggler
+		stats.NullSnapshots += st.NullSnapshots
+	}
+	return total / time.Duration(count), float64(napSum) / float64(iterations), stats, nil
 }
 
 // runRanks runs body on every rank concurrently and returns the first error.

@@ -17,12 +17,20 @@ import (
 // The layout (all below the int32 wire-tag limit):
 //
 //	[1<<20, 1<<20 + 128*2^16)  collective blocks, one 2^16 block per epoch
-//	[1<<24 + e*2^27, ...)      partial (eager engine) base tags, 8-epoch wrap
+//	[1<<24 + e*2^21, ...)      partial (eager engine) blocks, 8-epoch wrap
 //	[1<<30, ...)               state transfer (transfer.go), epoch-free
+//
+// An eager engine never leaves its block however long the epoch lasts: it uses
+// a constant set of tags inside [base, base+partial.TagSpan) — base+0 for the
+// round-stamped activation flood, base+64 onward one internal/collectives tag
+// block for the data phase, base+2048 onward the recursive doubling used under
+// a peer deadline — the same ones every round (rounds are strictly
+// sequential, so per-(source, tag) FIFO orders them). Round numbers travel in
+// the activation payload, not in the tag.
 const (
 	collectiveEpochPeriod = 128
 	partialEpochPeriod    = 8
-	partialEpochStride    = 1 << 27
+	partialEpochStride    = partial.TagSpan
 )
 
 // CollectiveTagShift returns the collectives.Config.TagOffset shift of the

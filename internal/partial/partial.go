@@ -2,16 +2,18 @@
 // solo allreduce, majority allreduce, and the generalized quorum allreduce
 // mentioned as future work (§8), all without a central parameter server.
 //
-// An Allreducer owns a background engine goroutine (the "communication
-// library" of §4.3) that executes one persistent schedule per round. The
-// schedule (built by internal/sched) contains an activation broadcast and a
-// recursive-doubling allreduce. Fast ranks activate the round internally;
-// slow ranks are activated externally by the broadcast and contribute
-// whatever their send buffer holds — null gradients, or stale gradients
-// accumulated from earlier rounds (Fig. 7 semantics). The application-facing
-// Exchange call therefore never waits for stragglers in Solo mode, and in
-// Majority mode waits only for a per-round randomly designated initiator,
-// giving the statistical ≥P/2 participation guarantee of §4.2.
+// An Allreducer owns a background engine (the "communication library" of
+// §4.3): one long-lived goroutine that runs the persistent schedule of Fig. 6
+// round after round as straight-line code — wait for the round's activation,
+// flood it to the hypercube neighbours, snapshot the send buffer, allreduce —
+// plus one long-lived listener that receives the peers' activations. Fast
+// ranks activate the round internally; slow ranks are activated externally by
+// the flood and contribute whatever their send buffer holds — null gradients,
+// or stale gradients accumulated from earlier rounds (Fig. 7 semantics). The
+// application-facing Exchange call therefore never waits for stragglers in
+// Solo mode, and in Majority mode waits only for a per-round randomly
+// designated initiator, giving the statistical ≥P/2 participation guarantee
+// of §4.2.
 package partial
 
 import (
@@ -21,8 +23,8 @@ import (
 	"sync"
 	"time"
 
+	"eagersgd/internal/collectives"
 	"eagersgd/internal/comm"
-	"eagersgd/internal/sched"
 	"eagersgd/internal/tensor"
 )
 
@@ -63,6 +65,20 @@ func (m Mode) String() string {
 // the two can share a communicator.
 const DefaultBaseTag = 1 << 24
 
+// TagSpan is the width of an Allreducer's tag namespace: every tag it ever
+// puts on the wire lies in [BaseTag, BaseTag+TagSpan). The set is constant —
+// the same tags every round, ordered by the communicator's per-(source, tag)
+// FIFO because rounds are strictly sequential — so the namespace cannot be
+// outgrown however long the training runs.
+const TagSpan = 1 << 21
+
+// Offsets of the engine's tags within its namespace.
+const (
+	tagActivation = 0    // the round-stamped activation flood
+	tagData       = 64   // data phase without PeerDeadline: one internal/collectives tag block
+	tagTolerant   = 2048 // data phase with PeerDeadline: fold, fold-back, then one tag per doubling step
+)
+
 // Options configures an Allreducer.
 type Options struct {
 	// Mode selects solo, majority, or quorum behaviour. Default Solo.
@@ -79,24 +95,28 @@ type Options struct {
 	// DefaultBaseTag.
 	BaseTag int
 	// Buckets partitions the n-element gradient into contiguous buckets of
-	// the given lengths (summing to n). Each round then reduces the buckets
-	// as concurrent per-bucket sub-collectives behind a single activation —
-	// one solo/majority/quorum participation decision per round, shared by
-	// every bucket — and publishes each bucket's result as soon as its chain
-	// completes, which is what the overlapped (bucketed) step API exposes.
-	// Empty means one bucket covering the whole vector. Every rank must use
-	// the same layout (the per-bucket tag blocks are wire state).
+	// the given lengths (summing to n) for the bucketed step API: WaitBucket
+	// hands out the round's result one bucket at a time. It does not change
+	// the wire: a step commits all its buckets in one atomic fold, so a round
+	// reduces the whole vector behind a single activation — one
+	// solo/majority/quorum participation decision shared by every bucket —
+	// and publishes every bucket together. Empty means one bucket covering
+	// the whole vector.
 	Buckets []int
 	// PeerDeadline enables rank-failure tolerance: it is the failure
-	// detector's deadline. A reduction-chain receive blocked on a peer for
+	// detector's deadline. The data phase then runs as a recursive doubling
+	// whose every hop can drop a dead peer: a receive blocked on a peer for
 	// longer than this marks the peer down (its subtree — data and activation
 	// flag — is dropped from the round and every later round), and a rank that
 	// has arrived at a round whose designated initiators are all marked down
 	// activates the round itself after this long, so a dead initiator cannot
 	// stall Majority/Quorum training. Choose it far above any legitimate
 	// skew: a rank it fires on is treated as permanently failed. Zero (the
-	// default) disables failure tolerance — a dead peer then blocks the round
-	// forever, the pre-fault-tolerance behaviour.
+	// default) disables failure tolerance: the data phase is a plain
+	// internal/collectives allreduce (pipelined ring at large sizes), which
+	// blocks on a silent peer forever and fails the engine with
+	// collectives.ErrRankUnreachable on one marked down. Every rank must use
+	// the same value: it selects the wire protocol.
 	PeerDeadline time.Duration
 }
 
@@ -119,13 +139,47 @@ type RoundInfo struct {
 // ErrClosed is returned by Exchange after Close has been called.
 var ErrClosed = errors.New("partial: allreducer closed")
 
+// roundRecord is the accounting of one round kept for late callers.
 type roundRecord struct {
-	snapshotSeq uint64
-	nap         int
+	round       int    // the round this slot describes (slots are reused modulo retainedRounds)
+	snapshotSeq uint64 // contribSeq at the round's snapshot: contributions up to it were included
+	nap         int    // number of active processes; -1 until the round completes
 }
 
 // retainedRounds bounds the per-round bookkeeping kept for late callers.
 const retainedRounds = 128
+
+// Stats counts what an Allreducer's engine and its callers have done since
+// New. Every word is updated inside a critical section the engine or the
+// caller takes anyway, so keeping them costs no lock, atomic or allocation.
+type Stats struct {
+	// Rounds is the number of rounds completed.
+	Rounds int64
+	// InternalActivations counts rounds started by this rank's application
+	// reaching the collective, ExternalActivations rounds started by a peer's
+	// activation message; they sum to the rounds activated here.
+	InternalActivations int64
+	ExternalActivations int64
+	// StaleActivations counts activation messages that started no round
+	// here: the redundant copies the flood delivers over other hypercube
+	// edges (the round was already activated, or the application's own
+	// activation got there first) and late ones. Every activation received
+	// is counted here or in ExternalActivations.
+	StaleActivations int64
+	// FailoverActivations counts internal activations by a rank that is not a
+	// designated initiator of the round, made because every designated
+	// initiator was marked down (Options.PeerDeadline).
+	FailoverActivations int64
+	// ExchangesIncluded counts Exchange / WaitStep calls whose contribution
+	// made their round's snapshot; ExchangesStraggler those whose
+	// contribution arrived after it and stayed in the send buffer as a stale
+	// gradient.
+	ExchangesIncluded  int64
+	ExchangesStraggler int64
+	// NullSnapshots counts rounds this rank entered with nothing in its send
+	// buffer, contributing null gradients.
+	NullSnapshots int64
+}
 
 // Allreducer provides partial allreduce over a fixed-size gradient vector.
 // It is safe for concurrent use by one application goroutine per rank plus
@@ -140,27 +194,41 @@ type Allreducer struct {
 	bucketOffs []int // bucket start offsets
 
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond *sync.Cond // application callers wait here for a round to complete
+	wake *sync.Cond // the engine waits here for the armed round's activation
 
-	sendBuf     tensor.Vector // accumulated not-yet-contributed gradients
-	contribSeq  uint64        // bumped on every accumulation into sendBuf
-	appRound    int           // next round index the application will exchange
-	appArrived  int           // highest round for which the application has arrived (-1 none)
-	pendingInit int           // highest round the app wants internally activated (-1 none)
+	// Buffers of n+1 elements (the gradient plus the round's
+	// fresh-contribution flag) rotate through roles instead of being copied.
+	// sendBuf accumulates the application's not-yet-contributed gradients; at
+	// activation the engine takes it as its round buffer and leaves its
+	// previous one behind as the new, logically empty send buffer (sendNull:
+	// the next fold overwrites instead of adding, so the stale contents are
+	// never read and never need zeroing). At completion the round buffer and
+	// lastResult swap the same way, and a bucketed step's staging buffer swaps
+	// with an empty send buffer at Contribute. sendBuf and lastResult are only
+	// touched under mu; roundBuf belongs to the engine goroutine alone from
+	// the snapshot to the publication of a round, stageBuf to the application
+	// from BeginStep to Contribute.
+	sendBuf    tensor.Vector
+	sendNull   bool // sendBuf holds no contribution; its contents are garbage
+	roundBuf   tensor.Vector
+	lastResult tensor.Vector
+	stageBuf   tensor.Vector // allocated by the first BeginStep
+
+	contribSeq  uint64 // bumped on every accumulation into sendBuf
+	appRound    int    // next round index the application will exchange
+	appArrived  int    // highest round for which the application has arrived (-1 none)
+	pendingInit int    // highest round the app wants internally activated (-1 none)
+	extRound    int    // highest round stamp received in a peer's activation (-1 none)
 
 	engineRound    int // round currently armed by the engine
-	activatedRound int // highest round whose activation snapshot ran (-1 none)
+	activatedRound int // highest round the engine has been activated for (-1 none)
 	completedRound int // highest completed round (-1 none)
-	lastResult     tensor.Vector
-	records        map[int]roundRecord
+	records        [retainedRounds]roundRecord
+	stats          Stats
 
-	bucketRound int    // round whose bucketDone entries are valid
-	bucketDone  []bool // per-bucket completion of bucketRound
-
-	currentEx         *sched.Executor
-	currentActivation sched.OpID
-
-	closed   bool
+	closed   bool // Close was called, or the communicator closed
+	stopped  bool // the engine must stop: fail was called
 	engineWG sync.WaitGroup
 	err      error
 }
@@ -197,26 +265,31 @@ func New(c *comm.Communicator, n int, opts Options) *Allreducer {
 		opts:           opts,
 		buckets:        buckets,
 		bucketOffs:     offs,
-		sendBuf:        tensor.NewVector(n),
+		sendBuf:        tensor.NewVector(n + 1),
+		sendNull:       true,
+		roundBuf:       tensor.NewVector(n + 1),
+		lastResult:     tensor.NewVector(n + 1),
 		appArrived:     -1,
 		pendingInit:    -1,
+		extRound:       -1,
 		activatedRound: -1,
 		completedRound: -1,
-		bucketRound:    -1,
-		bucketDone:     make([]bool, len(buckets)),
-		lastResult:     tensor.NewVector(n),
-		records:        make(map[int]roundRecord),
+	}
+	for i := range a.records {
+		a.records[i].round = -1
 	}
 	a.cond = sync.NewCond(&a.mu)
+	a.wake = sync.NewCond(&a.mu)
 	if opts.PeerDeadline > 0 {
-		// A peer marked down (by a chain deadline, the transport, or the
+		// A peer marked down (by a data-phase deadline, the transport, or the
 		// failure detector of a sibling allreducer on the same communicator)
 		// may have been the only rank allowed to activate the armed round;
 		// re-evaluate failover activation on every marking.
 		c.OnPeerDown(func(int) { a.maybeFailoverActivate() })
 	}
-	a.engineWG.Add(1)
+	a.engineWG.Add(2)
 	go a.engineLoop()
+	go a.listen()
 	return a
 }
 
@@ -259,11 +332,23 @@ func (a *Allreducer) maybeFailoverActivate() {
 	}
 	round := a.engineRound
 	if a.appArrived >= round && a.completedRound < round && a.mayActivateLocked(round) {
-		if a.pendingInit < round {
-			a.pendingInit = round
-		}
-		a.triggerIfArmedLocked(round)
+		a.activateLocked(round)
 	}
+}
+
+// activateLocked is the internal activation of §4.1.1: the application wants
+// the round started. The engine acts on it at once if it is waiting on that
+// round, and as soon as it arms the round otherwise. The caller has checked
+// mayActivateLocked and holds a.mu.
+func (a *Allreducer) activateLocked(round int) {
+	if a.pendingInit >= round {
+		return
+	}
+	a.pendingInit = round
+	if !a.isInitiator(round) {
+		a.stats.FailoverActivations++
+	}
+	a.wake.Signal()
 }
 
 // armFailoverTimer starts the per-wait failure detector used while the
@@ -286,8 +371,8 @@ func (a *Allreducer) armFailoverTimer(round int) (stop func()) {
 		a.mu.Lock()
 		// Only suspect the initiators while the round is both incomplete AND
 		// unactivated: once any live initiator activated it, the wait is on
-		// the reduction chains (whose own deadlines handle dead ranks), and
-		// marking the initiators down here would falsely kill live ranks.
+		// the data phase (whose own deadlines handle dead ranks), and marking
+		// the initiators down here would falsely kill live ranks.
 		expired := !a.closed && a.err == nil && a.completedRound < round && a.activatedRound < round
 		a.mu.Unlock()
 		if !expired {
@@ -307,7 +392,7 @@ func (a *Allreducer) armFailoverTimer(round int) (stop func()) {
 	return func() { timer.Stop() }
 }
 
-// NumBuckets returns the number of buckets each round reduces.
+// NumBuckets returns the number of buckets WaitBucket slices a round into.
 func (a *Allreducer) NumBuckets() int { return len(a.buckets) }
 
 // BucketRange returns the [lo, hi) element range of bucket b.
@@ -439,9 +524,7 @@ func (a *Allreducer) ExchangeContext(ctx context.Context, grad tensor.Vector) (t
 	a.appRound++
 	a.appArrived = round
 
-	// Fold the new gradient into the send buffer together with any stale
-	// gradients waiting there.
-	a.sendBuf.Add(grad)
+	a.foldLocked(grad)
 	a.contribSeq++
 	mySeq := a.contribSeq
 
@@ -451,8 +534,9 @@ func (a *Allreducer) ExchangeContext(ctx context.Context, grad tensor.Vector) (t
 	if a.completedRound >= round {
 		// Straggler path: the engine already completed this round on our
 		// behalf using whatever was in the send buffer at the time.
+		a.stats.ExchangesStraggler++
 		info := RoundInfo{Round: a.completedRound, Included: false}
-		if rec, ok := a.records[a.completedRound]; ok {
+		if rec, ok := a.recordLocked(a.completedRound); ok {
 			info.ActiveProcesses = rec.nap
 		}
 		return a.resultCopyLocked(), info, nil
@@ -462,8 +546,7 @@ func (a *Allreducer) ExchangeContext(ctx context.Context, grad tensor.Vector) (t
 	// allowed to initiate under the configured mode (or via failover when
 	// every designated initiator is already known dead).
 	if a.mayActivateLocked(round) {
-		a.pendingInit = round
-		a.triggerIfArmedLocked(round)
+		a.activateLocked(round)
 	} else {
 		stopDetector := a.armFailoverTimer(round)
 		defer stopDetector()
@@ -482,19 +565,51 @@ func (a *Allreducer) ExchangeContext(ctx context.Context, grad tensor.Vector) (t
 	if a.closed {
 		return nil, RoundInfo{}, ErrClosed
 	}
-	info := RoundInfo{Round: round}
-	if rec, ok := a.records[round]; ok {
-		info.ActiveProcesses = rec.nap
-		info.Included = mySeq <= rec.snapshotSeq
+	return a.resultCopyLocked(), a.roundInfoLocked(round, mySeq), nil
+}
+
+// foldLocked accumulates grad into the send buffer together with any stale
+// gradients waiting there. A logically empty send buffer is overwritten rather
+// than added to: it still holds whatever the buffer carried in its previous
+// role. Caller holds a.mu.
+func (a *Allreducer) foldLocked(grad tensor.Vector) {
+	if a.sendNull {
+		a.sendBuf[:a.n].CopyFrom(grad)
+		a.sendNull = false
+	} else {
+		a.sendBuf[:a.n].Add(grad)
 	}
-	return a.resultCopyLocked(), info, nil
+}
+
+// recordLocked returns the retained accounting of the round, if it has not
+// been overwritten by a round retainedRounds later. Caller holds a.mu.
+func (a *Allreducer) recordLocked(round int) (roundRecord, bool) {
+	rec := a.records[round%retainedRounds]
+	return rec, rec.round == round
+}
+
+// roundInfoLocked reports the completed round to the caller whose
+// contribution has sequence number seq (zero: none), and counts the call as
+// included or straggling. Caller holds a.mu.
+func (a *Allreducer) roundInfoLocked(round int, seq uint64) RoundInfo {
+	info := RoundInfo{Round: round}
+	if rec, ok := a.recordLocked(round); ok {
+		info.ActiveProcesses = rec.nap
+		info.Included = seq > 0 && seq <= rec.snapshotSeq
+	}
+	if info.Included {
+		a.stats.ExchangesIncluded++
+	} else {
+		a.stats.ExchangesStraggler++
+	}
+	return info
 }
 
 // resultCopyLocked returns a pool-leased copy of the latest receive-buffer
 // contents. The caller (the application) owns the lease and may release it
 // with tensor.PutVector once consumed. Caller holds a.mu.
 func (a *Allreducer) resultCopyLocked() tensor.Vector {
-	return tensor.GetVectorCopy(a.lastResult)
+	return tensor.GetVectorCopy(a.lastResult[:a.n])
 }
 
 // watchContext converts a context cancellation into condition-variable
@@ -519,50 +634,58 @@ func (a *Allreducer) watchContext(ctx context.Context) (stop func()) {
 }
 
 // BeginStep reserves the next exchange round for a bucketed step and returns
-// its round index. The bucketed step protocol — the overlapped path behind
-// collective's SubmitBucket/WaitStep — is:
+// its round index and the step's staging vector. The bucketed step protocol —
+// the overlapped path behind collective's SubmitBucket/WaitStep — is:
 //
-//	round, _ := a.BeginStep()
-//	// ... as backprop produces buckets, stage them application-side ...
-//	seq, _ := a.Contribute(round, full)   // commit: the step's arrival
-//	a.WaitBucket(ctx, round, b)           // per bucket, as results land
+//	round, stage, _ := a.BeginStep()
+//	// ... as backprop produces buckets, copy them into stage ...
+//	seq, _ := a.Contribute(round)         // commit: the step's arrival
+//	a.WaitBucket(ctx, round, b)           // per bucket
 //	a.WaitStep(ctx, round, seq)           // end-of-step accounting
 //
 // The contribution is committed atomically by Contribute, so the set of ranks
 // whose data is fresh in the round is identical for every bucket: one
-// participation decision per step. Every rank must interleave its
+// participation decision per step. The staging vector belongs to the caller
+// until Contribute, which must find all n elements written; it is one more
+// buffer of the rotation, so that committing into an empty send buffer is a
+// swap, not a pass over the vector. Every rank must interleave its
 // BeginStep/Contribute pairs and Exchange calls in the same order (SPMD).
-func (a *Allreducer) BeginStep() (int, error) {
+func (a *Allreducer) BeginStep() (int, tensor.Vector, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
-		return 0, ErrClosed
+		return 0, nil, ErrClosed
 	}
 	if a.err != nil {
-		return 0, a.err
+		return 0, nil, a.err
+	}
+	if a.stageBuf == nil {
+		a.stageBuf = tensor.NewVector(a.n + 1)
 	}
 	round := a.appRound
 	a.appRound++
-	return round, nil
+	return round, a.stageBuf[:a.n], nil
 }
 
-// Contribute commits the step's whole gradient vector to the send buffer in
+// Contribute commits the step's staged gradient vector to the send buffer in
 // one atomic fold — the bucketed step's arrival point. If this rank may
 // initiate the round under the configured mode, the round is activated. The
 // returned sequence number identifies the contribution for WaitStep's
 // inclusion accounting. Contribute never blocks on communication: if the
 // round already completed (straggler), the data simply stays buffered and is
 // folded into a later round as a stale gradient (Fig. 7).
-func (a *Allreducer) Contribute(round int, grad tensor.Vector) (uint64, error) {
-	if len(grad) != a.n {
-		return 0, fmt.Errorf("partial: gradient length %d, want %d", len(grad), a.n)
-	}
+func (a *Allreducer) Contribute(round int) (uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
 		return 0, ErrClosed
 	}
-	a.sendBuf.Add(grad)
+	if a.sendNull {
+		a.sendBuf, a.stageBuf = a.stageBuf, a.sendBuf
+		a.sendNull = false
+	} else {
+		a.foldLocked(a.stageBuf[:a.n])
+	}
 	a.contribSeq++
 	seq := a.contribSeq
 	if round > a.appArrived {
@@ -572,18 +695,16 @@ func (a *Allreducer) Contribute(round int, grad tensor.Vector) (uint64, error) {
 		return seq, a.err
 	}
 	if a.completedRound < round && a.mayActivateLocked(round) {
-		a.pendingInit = round
-		a.triggerIfArmedLocked(round)
+		a.activateLocked(round)
 	}
 	return seq, nil
 }
 
-// WaitBucket blocks until bucket b of the round has been reduced and returns
-// a pool-leased copy of the bucket's receive-buffer slice. Buckets complete
-// (and unblock their waiters) as their chains drain, before the round as a
-// whole finishes. If the round — or a later one — already completed, the
-// latest receive-buffer contents for the bucket are returned immediately:
-// the straggler path of Fig. 7 at bucket granularity.
+// WaitBucket blocks until the round has been reduced and returns a
+// pool-leased copy of bucket b's slice of the receive buffer. If the round —
+// or a later one — already completed, the latest receive-buffer contents for
+// the bucket are returned immediately: the straggler path of Fig. 7 at bucket
+// granularity.
 func (a *Allreducer) WaitBucket(ctx context.Context, round, b int) (tensor.Vector, error) {
 	if b < 0 || b >= len(a.buckets) {
 		return nil, fmt.Errorf("partial: bucket %d out of range [0,%d)", b, len(a.buckets))
@@ -599,7 +720,7 @@ func (a *Allreducer) WaitBucket(ctx context.Context, round, b int) (tensor.Vecto
 		if a.closed {
 			return nil, ErrClosed
 		}
-		if a.completedRound >= round || (a.bucketRound == round && a.bucketDone[b]) {
+		if a.completedRound >= round {
 			lo := a.bucketOffs[b]
 			return tensor.GetVectorCopy(a.lastResult[lo : lo+a.buckets[b]]), nil
 		}
@@ -632,173 +753,291 @@ func (a *Allreducer) WaitStep(ctx context.Context, round int, seq uint64) (Round
 	if a.closed {
 		return RoundInfo{}, ErrClosed
 	}
-	info := RoundInfo{Round: round}
-	if rec, ok := a.records[round]; ok {
-		info.ActiveProcesses = rec.nap
-		info.Included = seq > 0 && seq <= rec.snapshotSeq
-	}
-	return info, nil
+	return a.roundInfoLocked(round, seq), nil
 }
 
-// triggerIfArmedLocked triggers the internal activation of the armed round if
-// it matches the requested one; otherwise the engine triggers it itself when
-// it arms the round (it checks pendingInit). Caller holds a.mu. Holding a.mu
-// across Trigger is safe: schedule computations (including the snapshot hook)
-// run on their own goroutines and only take a.mu while no executor lock is
-// held, so there is no lock cycle.
-func (a *Allreducer) triggerIfArmedLocked(round int) {
-	if a.currentEx != nil && a.engineRound == round {
-		_ = a.currentEx.Trigger(a.currentActivation)
-	}
-}
-
-// snapshot is invoked by the schedule's prepare hook at activation time: it
-// moves the send buffer into the schedule's data buffer (appending the
-// "fresh contribution" flag used to compute the number of active processes)
-// and resets the send buffer to null gradients.
-func (a *Allreducer) snapshot(round int, data tensor.Vector) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if round > a.activatedRound {
-		a.activatedRound = round
-	}
-	copy(data[:a.n], a.sendBuf)
-	if a.appArrived >= round {
-		data[a.n] = 1 // this rank's application reached the collective in time
-	} else {
-		data[a.n] = 0
-	}
-	a.records[round] = roundRecord{snapshotSeq: a.contribSeq, nap: -1}
-	a.sendBuf.Zero()
-}
-
-// engineLoop is the background communication engine: it arms one bucketed
-// schedule per round, lets it be activated internally or externally (one
-// participation decision per round, shared by every bucket), publishes each
-// bucket's result as its chain completes, and publishes the round itself when
-// every chain has drained.
+// engineLoop is the background communication engine: the persistent schedule
+// of Fig. 6 as a loop. Each iteration arms one round, waits for its
+// activation — internal or external, whichever comes first — and then runs
+// the round on behalf of the application, whether or not it has arrived: flood
+// the activation, snapshot the send buffer, reduce, publish.
 func (a *Allreducer) engineLoop() {
 	defer a.engineWG.Done()
-	rank, size := a.comm.Rank(), a.comm.Size()
-	roundStride := sched.BucketRoundTagStride(len(a.buckets))
 	for round := 0; ; round++ {
-		baseTag := a.opts.BaseTag + round*roundStride
-		r := round
-		plan := sched.BuildBucketedPartialAllreduce(rank, size, baseTag, a.buckets, sched.SumReduce,
-			func(data tensor.Vector) { a.snapshot(r, data) },
-			func(b int, seg tensor.Vector) { a.publishBucket(r, b, seg) })
-		// Failure tolerance: reduction-chain receives blocked past the
-		// deadline mark their peer down and are skipped, so a round always
-		// drains with the surviving participant set (zero disables this).
-		plan.Schedule.SetPeerDeadline(a.opts.PeerDeadline)
-		ex, err := sched.NewExecutor(a.comm, plan.Schedule)
+		if !a.awaitActivation(round) {
+			return
+		}
+		err := a.flood(round)
+		if err == nil {
+			a.snapshot(round)
+			err = a.reduce(a.roundBuf)
+		}
 		if err != nil {
-			plan.ReleaseBuffers()
 			a.fail(err)
 			return
 		}
+		a.publish(round)
+	}
+}
 
-		// Start first so a Trigger from the application (which only happens
-		// after currentEx is published below) is never rejected as premature.
-		ex.Start()
+// awaitActivation arms the round and blocks until the application asks for it
+// (activateLocked) or a peer's activation stamped with this round or a later
+// one has been received (listen). It reports false when the engine must stop
+// instead (fail).
+func (a *Allreducer) awaitActivation(round int) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.engineRound = round
+	for a.pendingInit < round && a.extRound < round && !a.stopped {
+		a.wake.Wait()
+	}
+	switch {
+	case a.stopped:
+		return false
+	case a.pendingInit >= round:
+		a.stats.InternalActivations++
+		if a.extRound == round {
+			a.stats.StaleActivations++ // a peer's activation was waiting too; ours won
+		}
+	default:
+		a.stats.ExternalActivations++
+	}
+	a.activatedRound = round
+	return true
+}
 
+// listen receives the peers' activation messages for the lifetime of the
+// communicator: one wildcard-source receive on the one activation tag. Each
+// message is stamped with the round it activates. Only the highest stamp seen
+// matters — the consumable, OR-dependency activation of Fig. 6: a stamp at or
+// below a round already activated here is a redundant copy of the flood and is
+// dropped, so it can never start the next round; a stamp above the armed round
+// (a fast peer is already one round ahead) is remembered and activates that
+// round the moment the engine arms it.
+func (a *Allreducer) listen() {
+	defer a.engineWG.Done()
+	for {
+		//eagervet:ignore ctxcheck -- the listener lives as long as the communicator: closing it is what interrupts this receive.
+		msg, _, err := a.comm.Recv(comm.AnySource, a.opts.BaseTag+tagActivation)
+		if err != nil {
+			a.fail(err)
+			return
+		}
+		stamp := int(msg[0])
+		comm.Release(msg)
 		a.mu.Lock()
-		closing := a.closed
-		a.engineRound = round
-		a.currentEx = ex
-		a.currentActivation = plan.InternalActivation
-		a.bucketRound = round
-		for b := range a.bucketDone {
-			a.bucketDone[b] = false
+		if stamp > a.extRound && stamp > a.activatedRound {
+			a.extRound = stamp
+			a.wake.Signal()
+		} else {
+			a.stats.StaleActivations++
 		}
-		trigger := a.pendingInit >= round
 		a.mu.Unlock()
+	}
+}
 
-		if trigger && !closing {
-			_ = ex.Trigger(plan.InternalActivation)
+// flood forwards the round's activation to the hypercube neighbours — the
+// union of P binomial broadcast trees, so whichever ranks initiate, every rank
+// hears of the round within log2(P) hops. The engine floods each round exactly
+// once, on its first activation. A neighbour marked down is skipped: its
+// activation simply never happens.
+func (a *Allreducer) flood(round int) error {
+	rank, size := a.comm.Rank(), a.comm.Size()
+	for d := 1; d < size; d *= 2 {
+		peer := rank ^ d
+		if peer >= size {
+			continue
 		}
+		msg := tensor.GetVector(1)
+		msg[0] = float64(round)
+		if err := a.comm.Send(peer, a.opts.BaseTag+tagActivation, msg); err != nil && !errors.Is(err, comm.ErrPeerDown) {
+			return err
+		}
+	}
+	return nil
+}
 
-		// Even when the allreducer is closing, the armed executor must drain
-		// before its buffers can be recycled: peers may still activate the
-		// round, and the communicator's close unblocks it otherwise. Waiting
-		// here (instead of abandoning the executor) is what guarantees a
-		// closed engine leaks no pool leases.
-		if err := ex.Wait(); err != nil {
-			plan.ReleaseBuffers()
-			if errors.Is(err, comm.ErrClosed) {
-				a.fail(ErrClosed)
-				return
+// snapshot runs at activation time: the engine takes whatever the send buffer
+// holds — fresh, stale, or no gradients at all — as the round's contribution
+// (Fig. 7), appends the "fresh contribution" flag whose sum is the round's
+// number of active processes, and leaves the application an empty send buffer.
+func (a *Allreducer) snapshot(round int) {
+	a.mu.Lock()
+	null := a.sendNull
+	if !null {
+		a.sendBuf, a.roundBuf = a.roundBuf, a.sendBuf
+		a.sendNull = true
+	} else {
+		a.stats.NullSnapshots++
+	}
+	flag := 0.0
+	if a.appArrived >= round {
+		flag = 1 // this rank's application reached the collective in time
+	}
+	a.records[round%retainedRounds] = roundRecord{round: round, snapshotSeq: a.contribSeq, nap: -1}
+	a.mu.Unlock()
+	if null {
+		a.roundBuf.Zero() // this rank really contributes null gradients
+	}
+	a.roundBuf[a.n] = flag
+}
+
+// reduce is the data phase: an in-place sum of data (gradient plus flag)
+// across all ranks. The algorithm is chosen from what every rank knows alike.
+// Without a peer deadline it is the synchronous allreduce of
+// internal/collectives in the engine's own tag block — recursive doubling for
+// small vectors, Rabenseifner and the pipelined ring above. With one it is
+// reduceTolerant at every size, the only algorithm here whose survivors can
+// drop a peer in the middle of a round.
+func (a *Allreducer) reduce(data tensor.Vector) error {
+	if a.opts.PeerDeadline > 0 {
+		return a.reduceTolerant(data)
+	}
+	lo, _ := collectives.BucketStreamTagRange()
+	cfg := collectives.Config{
+		TagOffset: a.opts.BaseTag + tagData - lo,
+		// One element more per pipeline segment, for the flag: the n+1 elements
+		// then segment exactly as the n-element gradient would, instead of the
+		// flag costing every ring chunk of a power-of-two gradient a segment of
+		// its own (and the chunk its single-segment fast path).
+		SegmentElems: collectives.DefaultSegmentElems + 1,
+	}
+	return collectives.AllreduceWith(a.comm, data, collectives.OpSum, collectives.AlgoAuto, cfg, nil)
+}
+
+// reduceTolerant is a recursive-doubling allreduce (with the standard MPICH
+// fold for non-power-of-two sizes: the first 2*rem ranks pair up so 2^k ranks
+// run the doubling, and the result is handed back afterwards) in which a dead
+// peer costs its subtree's contribution instead of the round: sends to it are
+// dropped, receives from it are skipped, and a receive that outlasts the
+// deadline declares it dead. A dead rank is permanently not participating, so
+// the survivors' rounds keep completing with the surviving participant set.
+func (a *Allreducer) reduceTolerant(data tensor.Vector) error {
+	rank, size := a.comm.Rank(), a.comm.Size()
+	pof2 := 1
+	for pof2*2 <= size {
+		pof2 *= 2
+	}
+	rem := size - pof2
+	tag := a.opts.BaseTag + tagTolerant
+	foldTag, backTag, stepTag := tag, tag+1, tag+2
+
+	group := rank - rem // this rank's id among the 2^k that run the doubling
+	if rank < 2*rem {
+		if rank%2 == 0 {
+			// Folded out: hand the contribution to the odd neighbour and take
+			// the final result back from it.
+			if err := a.sendTolerant(rank+1, foldTag, data); err != nil {
+				return err
 			}
-			a.fail(err)
-			return
+			return a.recvTolerant(rank+1, backTag, data, false)
 		}
-
-		if !closing {
-			data := plan.Schedule.Buffer(sched.DataBuffer)
-			a.publish(round, data)
+		if err := a.recvTolerant(rank-1, foldTag, data, true); err != nil {
+			return err
 		}
-		// The executor has fully drained (Wait returned), so nothing references
-		// the round's schedule buffers anymore: recycle them for the next round.
-		plan.ReleaseBuffers()
-
-		// Purge stray duplicate activation messages from completed rounds so
-		// the unexpected queue stays short over long trainings (their payloads
-		// are released back to the pool by the communicator).
-		a.comm.DiscardTagRange(a.opts.BaseTag, baseTag)
-
-		a.mu.Lock()
-		closed := a.closed
-		a.mu.Unlock()
-		if closed {
-			return
-		}
+		group = rank / 2
 	}
+	for d := 1; d < pof2; d *= 2 {
+		peer := group ^ d
+		if peer < rem {
+			peer = peer*2 + 1
+		} else {
+			peer += rem
+		}
+		if err := a.sendTolerant(peer, stepTag, data); err != nil {
+			return err
+		}
+		if err := a.recvTolerant(peer, stepTag, data, true); err != nil {
+			return err
+		}
+		stepTag++
+	}
+	if rank < 2*rem {
+		return a.sendTolerant(rank-1, backTag, data)
+	}
+	return nil
 }
 
-// publishBucket records one completed bucket of the armed round into the
-// receive buffer and wakes WaitBucket callers. It runs on a schedule compute
-// goroutine as soon as the bucket's reduction chain drains — typically while
-// other buckets of the same round are still in flight.
-func (a *Allreducer) publishBucket(round, b int, seg tensor.Vector) {
+// sendTolerant sends a copy of data; to a peer marked down the message is
+// simply lost, like any send to a crashed process.
+func (a *Allreducer) sendTolerant(dest, tag int, data tensor.Vector) error {
+	if err := a.comm.SendCopy(dest, tag, data); err != nil && !errors.Is(err, comm.ErrPeerDown) {
+		return err
+	}
+	return nil
+}
+
+// recvTolerant folds (sum) or copies the peer's vector into data. A peer that
+// is, or during the wait becomes, marked down contributes nothing and the
+// call succeeds. Once a peer is down it is never received from again: the
+// tags are the same every round, so a message it sent before dying, or one
+// from a live peer wrongly suspected, could otherwise be taken for a later
+// round's. The deadline carries a depth allowance (chainSlack): progress here
+// is engine-bound, so a peer silent that long is dead, not merely slow.
+func (a *Allreducer) recvTolerant(source, tag int, data tensor.Vector, sum bool) error {
+	if a.comm.PeerDown(source) {
+		return nil
+	}
+	deadline := a.opts.PeerDeadline * time.Duration(chainSlack(a.comm.Size()))
+	in, _, err := a.comm.RecvTimeout(source, tag, nil, deadline)
+	if err != nil {
+		if errors.Is(err, comm.ErrPeerDown) {
+			return nil
+		}
+		return err
+	}
+	defer comm.Release(in)
+	if len(in) != len(data) {
+		return fmt.Errorf("partial: rank %d sent %d elements, want %d", source, len(in), len(data))
+	}
+	if sum {
+		data.Add(in)
+	} else {
+		data.CopyFrom(in)
+	}
+	return nil
+}
+
+// chainSlack returns the failure-detector depth allowance for a world of the
+// given size: one deadline unit per possible doubling hop plus one. A live
+// peer's send can legitimately be delayed by its own detection wait on a dead
+// rank earlier in its chain, and that latency accumulates once per hop —
+// without the slack, detecting one dead rank would cascade into falsely
+// suspecting live ones.
+func chainSlack(size int) int {
+	slack := 2
+	for p := 2; p < size; p *= 2 {
+		slack++
+	}
+	return slack
+}
+
+// publish makes the reduced round the receive buffer, records its number of
+// active processes, and wakes the callers waiting for it.
+func (a *Allreducer) publish(round int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	lo := a.bucketOffs[b]
-	a.lastResult[lo : lo+a.buckets[b]].CopyFrom(seg)
-	if a.bucketRound == round {
-		a.bucketDone[b] = true
-	}
+	a.roundBuf, a.lastResult = a.lastResult, a.roundBuf
+	a.records[round%retainedRounds].nap = int(a.lastResult[a.n] + 0.5)
+	a.completedRound = round
+	a.stats.Rounds++
 	a.cond.Broadcast()
 }
 
-// publish records the accounting of a completed round and wakes waiting
-// Exchange calls. The receive buffer itself was already filled bucket by
-// bucket (publishBucket) as the chains drained; only the flag element — the
-// round's number of active processes — is read here.
-func (a *Allreducer) publish(round int, data tensor.Vector) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	nap := int(data[a.n] + 0.5)
-	rec := a.records[round]
-	rec.nap = nap
-	a.records[round] = rec
-	delete(a.records, round-retainedRounds)
-	if round > a.completedRound {
-		a.completedRound = round
-	}
-	a.cond.Broadcast()
-}
-
-// fail records a fatal engine error and wakes all waiters.
+// fail stops the engine — the communicator closed under it, or a round hit an
+// error it cannot tolerate — and wakes every waiter. A closed communicator
+// closes the allreducer; any other error is reported to its callers.
 func (a *Allreducer) fail(err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.err == nil && !errors.Is(err, ErrClosed) {
+	a.stopped = true
+	if errors.Is(err, comm.ErrClosed) {
+		a.closed = true
+	} else if a.err == nil {
 		a.err = err
 	}
-	if errors.Is(err, ErrClosed) {
-		a.closed = true
-	}
 	a.cond.Broadcast()
+	a.wake.Signal()
 }
 
 // LastRound returns the highest completed round, or -1 if none completed yet.
@@ -808,13 +1047,23 @@ func (a *Allreducer) LastRound() int {
 	return a.completedRound
 }
 
+// Stats returns the engine's counters as of now.
+func (a *Allreducer) Stats() Stats {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.stats
+}
+
 // PendingStale returns the L2 norm of the gradients currently parked in the
 // send buffer (stale gradients not yet contributed). Useful for diagnostics
 // and tests of the Fig. 7 protocol.
 func (a *Allreducer) PendingStale() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.sendBuf.Norm2()
+	if a.sendNull {
+		return 0
+	}
+	return a.sendBuf[:a.n].Norm2()
 }
 
 // DrainPending atomically removes and returns the stale gradients accumulated
@@ -826,9 +1075,11 @@ func (a *Allreducer) PendingStale() float64 {
 func (a *Allreducer) DrainPending() tensor.Vector {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := tensor.GetVectorCopy(a.sendBuf)
-	a.sendBuf.Zero()
-	return out
+	if a.sendNull {
+		return tensor.GetVectorZero(a.n)
+	}
+	a.sendNull = true
+	return tensor.GetVectorCopy(a.sendBuf[:a.n])
 }
 
 // RestorePending folds v back into the send buffer. It is the undo of
@@ -838,21 +1089,22 @@ func (a *Allreducer) DrainPending() tensor.Vector {
 func (a *Allreducer) RestorePending(v tensor.Vector) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.sendBuf.Add(v)
+	a.foldLocked(v)
 }
 
-// Join blocks until the background engine goroutine has exited and released
-// its round buffers back to the pool. The engine only exits once the
-// underlying communicator is closed, so call Join after that point (the
-// collective World does, giving leak-free shutdown accounting).
+// Join blocks until the engine's two goroutines have exited. They only exit
+// once the underlying communicator is closed (or a round failed), so call
+// Join after that point (the collective World does, giving leak-free shutdown
+// accounting).
 func (a *Allreducer) Join() {
 	a.engineWG.Wait()
 }
 
 // Close marks the allreducer closed. Pending and future Exchange calls return
-// ErrClosed. The background engine exits once the underlying communicator is
-// closed (closing the communicator is the collective shutdown point, after
-// all ranks have stopped exchanging); Close itself does not block.
+// ErrClosed. The engine keeps serving the peers' rounds with null gradients
+// until the underlying communicator is closed (closing the communicator is
+// the collective shutdown point, after all ranks have stopped exchanging);
+// Close itself does not block.
 func (a *Allreducer) Close() {
 	a.mu.Lock()
 	a.closed = true

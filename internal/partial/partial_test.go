@@ -18,18 +18,8 @@ import (
 // cleanup closes the transport, which also releases the background engines.
 func makeWorld(t *testing.T, p, n int, opts partial.Options) ([]*comm.Communicator, []*partial.Allreducer) {
 	t.Helper()
-	world := transport.NewInprocWorld(p)
-	reducers := make([]*partial.Allreducer, p)
-	for r := 0; r < p; r++ {
-		reducers[r] = partial.New(world[r], n, opts)
-	}
-	t.Cleanup(func() {
-		for _, a := range reducers {
-			a.Close()
-		}
-		world[0].Close()
-	})
-	return world, reducers
+	world := newWorld(t, "inproc", p)
+	return world, newReducers(t, world, n, opts)
 }
 
 func TestModeString(t *testing.T) {
