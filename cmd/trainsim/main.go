@@ -1,12 +1,15 @@
-// Command trainsim runs the end-to-end training experiments of the paper's
-// evaluation (§6.2–§6.3): Fig. 10 (hyperplane), Fig. 11 (ImageNet-like, light
-// imbalance), Fig. 12 (CIFAR-like, severe imbalance), Fig. 13 (video LSTM,
-// inherent imbalance), Table 1, plus the scaling summary and the quorum
-// spectrum ablation.
+// Command trainsim runs the experiments of the paper's evaluation: the
+// workload characterization of §2 (Figs. 2–4), the partial-allreduce
+// microbenchmark of §6.1 (Figs. 8–9, id fig9), the end-to-end training runs of
+// §6.2–§6.3 — Fig. 10 (hyperplane), Fig. 11 (ImageNet-like, light imbalance),
+// Fig. 12 (CIFAR-like, severe imbalance), Fig. 13 (video LSTM, inherent
+// imbalance) — Table 1, plus the scaling summary and the quorum spectrum
+// ablation.
 //
 // Usage:
 //
 //	trainsim -experiment fig10          # one experiment at full scale
+//	trainsim -experiment fig9 -quick    # the microbenchmark at test scale
 //	trainsim -experiment all -quick     # every experiment at test scale
 //	trainsim -list                      # list available experiments
 package main
@@ -20,7 +23,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment id (fig10, fig11, fig12, fig13, table1, scaling, quorum) or \"all\"")
+	experiment := flag.String("experiment", "all", "experiment id (see -list) or \"all\"")
 	quick := flag.Bool("quick", false, "run at reduced test scale")
 	clockScale := flag.Float64("clock-scale", 0, "override the delay clock scale (0 = per-experiment default)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -35,8 +38,12 @@ func main() {
 	}
 
 	cfg := harness.Config{Quick: *quick, ClockScale: *clockScale, Seed: *seed}
-	ids := []string{"table1", "fig10", "fig11", "fig12", "fig13", "scaling", "quorum"}
-	if *experiment != "all" {
+	var ids []string
+	if *experiment == "all" {
+		for _, e := range harness.Experiments() {
+			ids = append(ids, e.ID)
+		}
+	} else {
 		ids = []string{*experiment}
 	}
 	for _, id := range ids {

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"eagersgd/internal/collectives"
-	"eagersgd/internal/comm"
 	"eagersgd/internal/partial"
 	"eagersgd/internal/tensor"
 )
@@ -227,9 +226,9 @@ func bucketIndex(lens, offs []int, offset, length int) (int, error) {
 
 // bucketTask is one submitted bucket on its way through a stream worker.
 type bucketTask struct {
-	h      *BucketHandle
-	sum    tensor.Vector
-	cancel <-chan struct{}
+	h   *BucketHandle
+	sum tensor.Vector
+	ctx context.Context
 }
 
 // bucketStreams is the Sync reducer's worker pool: numBucketStreams
@@ -293,7 +292,7 @@ func (s *syncReducer) ensureStreams() *bucketStreams {
 		st.wg.Add(1)
 		go func(i int) {
 			defer st.wg.Done()
-			cfg := collectives.Config{SegmentElems: s.segElems, TagOffset: s.tagShift + collectives.BucketStreamTagOffset(i), PeerDeadline: s.peerDeadline}
+			cfg := collectives.Config{TagOffset: s.tagShift + collectives.BucketStreamTagOffset(i), PeerDeadline: s.peerDeadline}
 			for {
 				st.mu.Lock()
 				for len(st.qs[i]) == 0 && !st.closed {
@@ -314,9 +313,9 @@ func (s *syncReducer) ensureStreams() *bucketStreams {
 					tensor.PutVector(task.sum)
 					task.h.resolve(nil, ErrReducerClosed)
 				default:
-					if err := collectives.AllreduceWith(s.comm, task.sum, collectives.OpSum, s.algo, cfg, task.cancel); err != nil {
+					if err := collectives.AllreduceWith(s.comm, task.sum, collectives.OpSum, s.algo, cfg, task.ctx.Done()); err != nil {
 						tensor.PutVector(task.sum)
-						task.h.resolve(nil, ctxErrorChan(task.cancel, err))
+						task.h.resolve(nil, ctxError(task.ctx, err))
 						continue
 					}
 					task.h.resolve(task.sum, nil)
@@ -326,22 +325,6 @@ func (s *syncReducer) ensureStreams() *bucketStreams {
 	}
 	s.streams = st
 	return st
-}
-
-// ctxErrorChan converts the comm cancellation sentinel into context.Canceled
-// when the cancel channel has fired (the channel came from a context).
-func ctxErrorChan(cancel <-chan struct{}, err error) error {
-	if cancel == nil {
-		return err
-	}
-	select {
-	case <-cancel:
-		if errors.Is(err, comm.ErrCanceled) {
-			return context.Canceled
-		}
-	default:
-	}
-	return err
 }
 
 // syncStep is the Sync reducer's in-flight bucketed step.
@@ -418,7 +401,7 @@ func (s *syncReducer) SubmitBucket(ctx context.Context, offset int, data tensor.
 	st.handles[b] = h
 	streams := s.ensureStreams()
 	s.mu.Unlock()
-	streams.enqueue(b%numBucketStreams, bucketTask{h: h, sum: tensor.GetVectorCopy(data), cancel: ctx.Done()})
+	streams.enqueue(b%numBucketStreams, bucketTask{h: h, sum: tensor.GetVectorCopy(data), ctx: ctx})
 	return h, nil
 }
 
@@ -504,23 +487,11 @@ func (s *syncReducer) Close() error {
 
 // eagerStep is the eager reducer's in-flight bucketed step.
 type eagerStep struct {
-	call      int
-	round     int           // engine round (engine steps only)
+	round     int           // engine round
 	seq       uint64        // contribution sequence, set at commit
-	syncStep  bool          // this step is the periodic full synchronization
 	stage     tensor.Vector // where the step's buckets are staged until its last one commits them
 	submitted int
 	handles   []*BucketHandle
-
-	// Periodic-synchronization state (syncStep only): the combined
-	// fresh+drained contribution being reduced per bucket by the stream
-	// goroutines, a pristine copy for the failure restore, and the reaper's
-	// completion group.
-	syncSum tensor.Vector
-	contrib tensor.Vector
-	syncErr error
-	syncMu  sync.Mutex
-	syncWG  sync.WaitGroup
 }
 
 func (e *eagerReducer) overlapSettings() (bool, int) { return e.overlap, e.bucketElems }
@@ -544,23 +515,11 @@ func (e *eagerReducer) BeginStep(ctx context.Context, lens []int) error {
 			return fmt.Errorf("collective: bucket %d has %d elements, reducer layout has %d", b, l, hi-lo)
 		}
 	}
-	call := e.calls
-	e.calls++
-	st := &eagerStep{call: call, handles: make([]*BucketHandle, len(lens))}
-	if e.syncEvery > 0 && (call+1)%e.syncEvery == 0 {
-		st.syncStep = true
-		if e.stepBuf == nil {
-			e.stepBuf = tensor.NewVector(e.dim)
-		}
-		st.stage = e.stepBuf
-	} else {
-		round, stage, err := e.ar.BeginStep()
-		if err != nil {
-			return e.stepErr(err)
-		}
-		st.round, st.stage = round, stage
+	round, stage, err := e.ar.BeginStep()
+	if err != nil {
+		return e.stepErr(err)
 	}
-	e.estep = st
+	e.estep = &eagerStep{round: round, stage: stage, handles: make([]*BucketHandle, len(lens))}
 	return nil
 }
 
@@ -588,92 +547,21 @@ func (e *eagerReducer) SubmitBucket(ctx context.Context, offset int, data tensor
 		return nil, fmt.Errorf("collective: bucket at offset %d submitted twice", offset)
 	}
 	st.stage[offset : offset+len(data)].CopyFrom(data)
-	var h *BucketHandle
-	if st.syncStep {
-		h = &BucketHandle{offset: offset, length: len(data), done: make(chan struct{})}
-	} else {
-		round, bucket := st.round, b
-		h = &BucketHandle{offset: offset, length: len(data), lazy: func(ctx context.Context) (tensor.Vector, error) {
-			sum, err := e.ar.WaitBucket(ctx, round, bucket)
-			return sum, e.stepErr(err)
-		}}
-	}
+	round := st.round
+	h := &BucketHandle{offset: offset, length: len(data), lazy: func(ctx context.Context) (tensor.Vector, error) {
+		sum, err := e.ar.WaitBucket(ctx, round, b)
+		return sum, e.stepErr(err)
+	}}
 	st.handles[b] = h
 	st.submitted++
 	if st.submitted == len(st.handles) {
-		if st.syncStep {
-			e.launchSyncStep(ctx, st, e.lens, e.offs)
-		} else {
-			seq, err := e.ar.Contribute(st.round)
-			st.seq = seq
-			if err != nil {
-				return h, e.stepErr(err)
-			}
+		seq, err := e.ar.Contribute(st.round)
+		st.seq = seq
+		if err != nil {
+			return h, e.stepErr(err)
 		}
 	}
 	return h, nil
-}
-
-// launchSyncStep runs the periodic full synchronization as per-bucket
-// synchronous allreduces: the stale-gradient buffer is drained and folded
-// into the step's contribution per bucket, and the buckets reduce
-// concurrently on stream goroutines (stream i handles buckets i, i+N, ... in
-// ascending order, each in its own tag block) so handles still resolve
-// incrementally. Every rank reaches this point on the same call index
-// (WithSyncEvery is SPMD), so the full-participation semantics of the
-// one-shot path carry over bucket by bucket.
-func (e *eagerReducer) launchSyncStep(ctx context.Context, st *eagerStep, lens, offs []int) {
-	drained := e.ar.DrainPending()
-	sum := tensor.GetVectorCopy(st.stage)
-	sum.Add(drained)
-	tensor.PutVector(drained)
-	st.syncSum = sum
-	st.contrib = tensor.GetVectorCopy(sum)
-	cancel := ctx.Done()
-	streams := numBucketStreams
-	if streams > len(lens) {
-		streams = len(lens)
-	}
-	for i := 0; i < streams; i++ {
-		st.syncWG.Add(1)
-		go func(i int) {
-			defer st.syncWG.Done()
-			cfg := collectives.Config{SegmentElems: e.segElems, TagOffset: e.tagShift + collectives.BucketStreamTagOffset(i), PeerDeadline: e.peerDeadline}
-			for b := i; b < len(lens); b += streams {
-				h := st.handles[b]
-				seg := sum[offs[b] : offs[b]+lens[b]]
-				if err := collectives.AllreduceWith(e.comm, seg, collectives.OpSum, e.algo, cfg, cancel); err != nil {
-					err = ctxErrorChan(cancel, err)
-					st.syncMu.Lock()
-					if st.syncErr == nil {
-						st.syncErr = err
-					}
-					st.syncMu.Unlock()
-					h.resolve(nil, err)
-					continue
-				}
-				h.resolve(tensor.GetVectorCopy(seg), nil)
-			}
-		}(i)
-	}
-	// Reaper: once every stream goroutine is done, restore the contribution
-	// on failure (no gradient lost — it returns to the send buffer as stale
-	// data) and recycle the step's scratch leases. Running detached keeps
-	// WaitStep cancelable without freeing buffers under the workers; the
-	// reducer's joinEngine waits for it at world shutdown.
-	e.reapers.Add(1)
-	go func() {
-		defer e.reapers.Done()
-		st.syncWG.Wait()
-		st.syncMu.Lock()
-		failed := st.syncErr != nil
-		st.syncMu.Unlock()
-		if failed {
-			e.ar.RestorePending(st.contrib)
-		}
-		tensor.PutVector(st.contrib)
-		tensor.PutVector(st.syncSum)
-	}()
 }
 
 // layoutOf computes the reducer's bucket lengths and offsets from the
@@ -690,9 +578,9 @@ func (e *eagerReducer) layoutOf() (lens, offs []int) {
 }
 
 // WaitStep completes the step (see BucketReducer): it waits for the engine
-// round (or the periodic synchronization) to finish and returns the step's
-// accounting — one participation decision, so ActiveRanks and Included are
-// identical for every bucket of the step.
+// round to finish and returns the step's accounting — one participation
+// decision, so ActiveRanks and Included are identical for every bucket of
+// the step.
 func (e *eagerReducer) WaitStep(ctx context.Context) (Result, error) {
 	st := e.estep
 	if st == nil {
@@ -701,19 +589,6 @@ func (e *eagerReducer) WaitStep(ctx context.Context) (Result, error) {
 	e.estep = nil
 	if st.submitted != len(st.handles) {
 		return Result{}, fmt.Errorf("collective: step ended with %d of %d buckets submitted", st.submitted, len(st.handles))
-	}
-	if st.syncStep {
-		var firstErr error
-		for _, h := range st.handles {
-			if err := h.finalize(ctx); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if firstErr != nil {
-			return Result{}, ctxError(ctx, firstErr)
-		}
-		size := e.comm.Size()
-		return Result{Ranks: size, ActiveRanks: size, Included: true, Round: st.call}, nil
 	}
 	info, err := e.ar.WaitStep(ctx, st.round, st.seq)
 	if err != nil {

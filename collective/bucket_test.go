@@ -416,6 +416,47 @@ func TestSubmitBucketCancellation(t *testing.T) {
 	}
 }
 
+// TestSyncBucketedStepTimeoutReportsDeadlineExceeded: a bucket worker must
+// report the error of the context it was submitted under, not a blanket
+// context.Canceled — under context.WithTimeout both the handle and WaitStep
+// return context.DeadlineExceeded, whichever of "the worker resolved the
+// handle" and "the waiter saw ctx.Done()" happens first.
+func TestSyncBucketedStepTimeoutReportsDeadlineExceeded(t *testing.T) {
+	world, err := NewWorld(2, WithAlgorithm(RecursiveDoubling), WithOverlap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	red, err := world.Node(0).Reducer(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := red.(BucketReducer)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := br.BeginStep(ctx, []int{64}); err != nil {
+		t.Fatal(err)
+	}
+	// The peer never joins, so the bucket's allreduce ends only by timeout.
+	h, err := br.SubmitBucket(ctx, 0, tensor.NewVector(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-h.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed-out bucket never resolved")
+	}
+	// The worker has resolved the handle: waiting under a live context returns
+	// the worker's own verdict, with no ctx.Done() arm to mask it.
+	if _, err := h.Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("handle Wait error = %v, want context.DeadlineExceeded", err)
+	}
+	if _, err := br.WaitStep(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitStep error = %v, want context.DeadlineExceeded", err)
+	}
+}
+
 // TestWaitStepCancellationEager covers context cancellation on the eager
 // bucketed path: in Majority mode with the designated initiator absent, the
 // round cannot complete; WaitStep must return the context's error, and per

@@ -49,7 +49,7 @@ func TestChaosChurnScenarios(t *testing.T) {
 			// leave headroom between blocks.
 			return []collective.Option{
 				collective.WithTransport(collective.TCP),
-				collective.WithBasePort(40200 + block*32),
+				collective.WithBasePort(26200 + block*32),
 				collective.WithDialRetry(5 * time.Second),
 			}
 		}},

@@ -7,8 +7,7 @@
 //
 //   - World: builds a fixed-size job over the in-process, TCP, or shared-ring
 //     transport and hands out one Node per rank. Options select the transport,
-//     the reduction mode, the allreduce algorithm, and the periodic full
-//     synchronization.
+//     the reduction mode, and the allreduce algorithm.
 //   - Reducer: the per-rank object a training loop calls once per step. Every
 //     mode — Sync, Solo, Majority, Quorum(k) — implements the same interface,
 //     so swapping eager-SGD for synch-SGD is one option, not a rewrite.
@@ -55,14 +54,14 @@ type Result struct {
 	Ranks int
 	// ActiveRanks is the number of ranks whose fresh contribution is part of
 	// Sum — the "number of active processes" metric of Fig. 9. It equals
-	// Ranks for Sync reductions and for the periodic full synchronization.
+	// Ranks for Sync reductions.
 	ActiveRanks int
 	// Included reports whether this rank's contribution to this call is part
 	// of Sum. When false, the gradient stays buffered and is folded into a
 	// later round as a stale contribution (Fig. 7); nothing is lost.
 	Included bool
 	// Round is the engine round whose result was observed (eager modes), or
-	// the zero-based call index (Sync and full-synchronization reductions).
+	// the zero-based call index (Sync reductions).
 	Round int
 }
 
@@ -156,8 +155,7 @@ func (m Mode) String() string {
 	}
 }
 
-// Algorithm selects the allreduce wire algorithm used by Sync reducers and by
-// the periodic full synchronization of the eager reducers.
+// Algorithm selects the allreduce wire algorithm used by Sync reducers.
 type Algorithm int
 
 // Available allreduce algorithms.

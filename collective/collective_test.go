@@ -42,15 +42,13 @@ func runRanks(t *testing.T, size int, fn func(rank int) error) {
 }
 
 // TestReduceRoundTripEveryModeAndTransport drives every reduction mode over
-// both transports through the one Reducer interface: several eager (or sync)
-// rounds followed by a full synchronization round, with every rank
-// contributing an all-ones vector each round.
+// every transport through the one Reducer interface: several eager (or sync)
+// rounds, with every rank contributing an all-ones vector each round.
 func TestReduceRoundTripEveryModeAndTransport(t *testing.T) {
 	const (
-		ranks     = 4
-		dim       = 6
-		rounds    = 6
-		syncEvery = 3 // calls 3 and 6 are full synchronizations
+		ranks  = 4
+		dim    = 6
+		rounds = 6
 	)
 	modes := []struct {
 		name string
@@ -88,7 +86,6 @@ func TestReduceRoundTripEveryModeAndTransport(t *testing.T) {
 				opts := append([]collective.Option{
 					collective.WithMode(m.mode),
 					collective.WithSeed(42),
-					collective.WithSyncEvery(syncEvery),
 					// Distinct ports per subtest so TCP listeners never collide.
 					collective.WithBasePort(30100 + 100*ti + 10*mi),
 				}, tr.opts...)
@@ -99,7 +96,7 @@ func TestReduceRoundTripEveryModeAndTransport(t *testing.T) {
 				defer world.Close()
 
 				// results[round][rank] collects every observation for the
-				// cross-rank checks on synchronization rounds.
+				// cross-rank checks on synchronous rounds.
 				results := make([][]collective.Result, rounds)
 				for i := range results {
 					results[i] = make([]collective.Result, ranks)
@@ -139,11 +136,7 @@ func TestReduceRoundTripEveryModeAndTransport(t *testing.T) {
 					return nil
 				})
 
-				for round := 0; round < rounds; round++ {
-					fullSync := m.mode == collective.Sync || (round+1)%syncEvery == 0
-					if !fullSync {
-						continue
-					}
+				for round := 0; round < rounds && m.mode == collective.Sync; round++ {
 					// Synchronous rounds include every rank's fresh
 					// contribution and agree bit-exactly across ranks.
 					for rank := 0; rank < ranks; rank++ {

@@ -406,7 +406,7 @@ func TestCloseRacingStateTransfer(t *testing.T) {
 func TestHybridWorldRejectsTransitions(t *testing.T) {
 	w, err := collective.NewWorld(3,
 		collective.WithTransport(collective.TCP),
-		collective.WithBasePort(39520),
+		collective.WithBasePort(25520),
 		collective.WithHosts(0, 0, 1),
 	)
 	if err != nil {
@@ -426,7 +426,7 @@ func TestTCPWorldGrows(t *testing.T) {
 	before := tensor.ReadPoolStats()
 	w, err := collective.NewWorld(2,
 		collective.WithTransport(collective.TCP),
-		collective.WithBasePort(39540),
+		collective.WithBasePort(25540),
 		collective.WithDialRetry(5*time.Second),
 	)
 	if err != nil {

@@ -18,11 +18,9 @@ type config struct {
 	basePort     int
 	mode         Mode
 	algorithm    Algorithm
-	syncEvery    int
 	seed         int64
 	chunks       int
 	negotiate    bool
-	segElems     int
 	overlap      bool
 	bucketElems  int
 	layout       []int
@@ -32,11 +30,11 @@ type config struct {
 	dialRetry    time.Duration
 	sim          SimConfig
 
-	// epoch and epochShift are internal: elastic worlds stamp them on the
-	// option set handed to reducer construction so every reducer of epoch e
-	// places its wire traffic in e's tag blocks (membership.CollectiveTagShift
-	// / membership.PartialBaseTag). Both are zero for fixed worlds and
-	// standalone NewReducer calls, which keeps the pre-elastic wire layout.
+	// epoch is internal: elastic worlds stamp it on the option set handed to
+	// reducer construction so every reducer of epoch e places its wire
+	// traffic in e's tag blocks (membership.CollectiveTagShift /
+	// membership.PartialBaseTag). Zero for fixed worlds and standalone
+	// NewReducer calls, which keeps the pre-elastic wire layout.
 	epoch uint64
 }
 
@@ -79,20 +77,10 @@ func WithMode(m Mode) Option {
 	return func(c *config) { c.mode = m }
 }
 
-// WithAlgorithm selects the allreduce wire algorithm used by Sync reductions
-// and the periodic full synchronization. Default Auto.
+// WithAlgorithm selects the allreduce wire algorithm used by Sync reductions.
+// Default Auto.
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *config) { c.algorithm = a }
-}
-
-// WithSyncEvery makes every n-th Reduce call of an eager reducer a full
-// synchronous allreduce that includes all ranks and drains the stale-gradient
-// buffer — the periodic synchronization eager-SGD uses to bound staleness
-// (§5). Every rank must use the same n (the calls are matched by index).
-// n <= 0 (the default) disables it. Ignored by Sync reducers, which are
-// always fully synchronous.
-func WithSyncEvery(n int) Option {
-	return func(c *config) { c.syncEvery = n }
 }
 
 // WithSeed sets the shared seed that drives the per-round random initiator
@@ -113,17 +101,6 @@ func WithChunks(n int) Option {
 		}
 		c.chunks = n
 	}
-}
-
-// WithSegmentElems sets the pipeline segment size (in elements) of the
-// synchronous allreduce algorithms: payload ranges larger than this stream in
-// segments so that reducing one segment overlaps receiving the next and
-// sending the previous. Zero (the default) selects the library default
-// (currently 16Ki elements); a negative value disables segmentation and
-// restores one message per hop. Every rank must use the same value (the
-// segment stream is part of the wire protocol).
-func WithSegmentElems(n int) Option {
-	return func(c *config) { c.segElems = n }
 }
 
 // WithNegotiation prefixes every Sync reduction with a readiness consensus
@@ -202,13 +179,6 @@ func WithHosts(hosts ...int) Option {
 // endpoints rendezvous in memory.
 func WithDialRetry(d time.Duration) Option {
 	return func(c *config) { c.dialRetry = d }
-}
-
-// withEpoch stamps the epoch whose tag blocks reducers built from this config
-// must use. Internal: applied by elastic worlds when re-minting reducers after
-// a transition.
-func withEpoch(e uint64) Option {
-	return func(c *config) { c.epoch = e }
 }
 
 // WithBucketLayout fixes the reducer's bucket layout at construction: lens

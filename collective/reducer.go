@@ -21,8 +21,7 @@ import (
 // world's options.
 //
 // dim is the fixed gradient length; every rank must construct its reducer
-// with the same dim and the same mode, seed, and sync period (the engines are
-// SPMD).
+// with the same dim and the same mode and seed (the engines are SPMD).
 func NewReducer(c *comm.Communicator, dim int, opts ...Option) (Reducer, error) {
 	if c == nil {
 		return nil, errors.New("collective: nil communicator")
@@ -50,7 +49,7 @@ func NewReducer(c *comm.Communicator, dim int, opts ...Option) (Reducer, error) 
 	case kindSync:
 		return &syncReducer{
 			comm: c, dim: dim, algo: algo,
-			chunks: cfg.chunks, negotiate: cfg.negotiate, segElems: cfg.segElems,
+			chunks: cfg.chunks, negotiate: cfg.negotiate,
 			overlap: cfg.overlap, bucketElems: cfg.bucketElems,
 			peerDeadline: cfg.peerDeadline, tagShift: tagShift,
 		}, nil
@@ -69,17 +68,12 @@ func NewReducer(c *comm.Communicator, dim int, opts ...Option) (Reducer, error) 
 			popts.Candidates = cfg.mode.candidates
 		}
 		e := &eagerReducer{
-			comm:         c,
-			ar:           partial.New(c, dim, popts),
-			mode:         cfg.mode,
-			algo:         algo,
-			dim:          dim,
-			syncEvery:    cfg.syncEvery,
-			segElems:     cfg.segElems,
-			overlap:      cfg.overlap,
-			bucketElems:  cfg.bucketElems,
-			peerDeadline: cfg.peerDeadline,
-			tagShift:     tagShift,
+			comm:        c,
+			ar:          partial.New(c, dim, popts),
+			mode:        cfg.mode,
+			dim:         dim,
+			overlap:     cfg.overlap,
+			bucketElems: cfg.bucketElems,
 		}
 		e.lens, e.offs = e.layoutOf()
 		return e, nil
@@ -122,7 +116,6 @@ type syncReducer struct {
 	algo      collectives.Algorithm
 	chunks    int
 	negotiate bool
-	segElems  int
 	calls     int
 
 	overlap      bool
@@ -175,7 +168,7 @@ func (s *syncReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result, e
 			return Result{}, ctxError(ctx, err)
 		}
 	}
-	wireCfg := collectives.Config{SegmentElems: s.segElems, TagOffset: s.tagShift, PeerDeadline: s.peerDeadline}
+	wireCfg := collectives.Config{TagOffset: s.tagShift, PeerDeadline: s.peerDeadline}
 	if s.chunks > 1 {
 		for i := 0; i < s.chunks; i++ {
 			lo, hi := tensor.ChunkBounds(len(sum), s.chunks, i)
@@ -195,29 +188,21 @@ func (s *syncReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result, e
 	return Result{Sum: sum, Ranks: size, ActiveRanks: size, Included: true, Round: call}, nil
 }
 
-// eagerReducer wraps a partial.Allreducer in the Reducer interface and adds
-// the periodic full synchronization of WithSyncEvery. It also implements
-// BucketReducer (bucket.go): buckets are staged during backprop, committed to
-// the engine in one atomic fold (one participation decision per step), and
-// their results resolve together when the engine publishes the step's round.
+// eagerReducer adapts a partial.Allreducer to the Reducer interface. It also
+// implements BucketReducer (bucket.go): buckets are staged during backprop,
+// committed to the engine in one atomic fold (one participation decision per
+// step), and their results resolve together when the engine publishes the
+// step's round.
 type eagerReducer struct {
-	comm      *comm.Communicator
-	ar        *partial.Allreducer
-	mode      Mode
-	algo      collectives.Algorithm
-	dim       int
-	syncEvery int
-	segElems  int
-	calls     int
+	comm *comm.Communicator
+	ar   *partial.Allreducer
+	mode Mode
+	dim  int
 
-	overlap      bool
-	bucketElems  int
-	peerDeadline time.Duration
-	tagShift     int            // epoch tag-block shift (membership.CollectiveTagShift)
-	reapers      sync.WaitGroup // detached periodic-sync reapers (bucket.go)
-	lens, offs   []int          // the engine's fixed bucket layout (layoutOf)
-	stepBuf      tensor.Vector  // staging buffer of the periodic-synchronization steps (engine steps stage in the engine's)
-	estep        *eagerStep     // in-flight bucketed step, nil between steps
+	overlap     bool
+	bucketElems int
+	lens, offs  []int      // the engine's fixed bucket layout (layoutOf)
+	estep       *eagerStep // in-flight bucketed step, nil between steps
 }
 
 // Name identifies the reducer in reports.
@@ -227,35 +212,12 @@ func (e *eagerReducer) Name() string { return fmt.Sprintf("eager-sgd (%s)", e.mo
 // counters, designated initiators, pending stale norm).
 func (e *eagerReducer) Allreducer() *partial.Allreducer { return e.ar }
 
-// Reduce contributes grad to the current partial-allreduce round, or — on
-// every syncEvery-th call — performs a full synchronous allreduce that also
-// drains the stale-gradient buffer, so no contribution outlives a
-// synchronization period. Canceling ctx on the eager path abandons only the
-// wait: the contribution stays buffered and the engine keeps serving peers,
-// so the reducer remains usable.
+// Reduce contributes grad to the current partial-allreduce round. Canceling
+// ctx abandons only the wait: the contribution stays buffered and the engine
+// keeps serving peers, so the reducer remains usable.
 func (e *eagerReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result, error) {
 	if len(grad) != e.dim {
 		return Result{}, fmt.Errorf("collective: gradient length %d, want %d", len(grad), e.dim)
-	}
-	call := e.calls
-	e.calls++
-	if e.syncEvery > 0 && (call+1)%e.syncEvery == 0 {
-		drained := e.ar.DrainPending()
-		sum := tensor.GetVectorCopy(grad)
-		sum.Add(drained)
-		if err := collectives.AllreduceWith(e.comm, sum, collectives.OpSum, e.algo, collectives.Config{SegmentElems: e.segElems, TagOffset: e.tagShift, PeerDeadline: e.peerDeadline}, ctx.Done()); err != nil {
-			// Preserve the no-gradient-lost guarantee: the fresh gradient and
-			// the drained stale contributions return to the send buffer and
-			// are delivered in a later round.
-			drained.Add(grad)
-			e.ar.RestorePending(drained)
-			tensor.PutVector(drained)
-			tensor.PutVector(sum)
-			return Result{}, ctxError(ctx, err)
-		}
-		tensor.PutVector(drained)
-		size := e.comm.Size()
-		return Result{Sum: sum, Ranks: size, ActiveRanks: size, Included: true, Round: call}, nil
 	}
 	sum, info, err := e.ar.ExchangeContext(ctx, grad)
 	if err != nil {
@@ -277,11 +239,7 @@ func (e *eagerReducer) Close() error {
 	return nil
 }
 
-// joinEngine blocks until the partial engine and any detached
-// periodic-synchronization reapers have exited and returned their buffers to
-// the pool. Only valid after the communicator is closed; World.Close calls it
-// so shutdown leaks no pool leases.
-func (e *eagerReducer) joinEngine() {
-	e.ar.Join()
-	e.reapers.Wait()
-}
+// joinEngine blocks until the partial engine has exited and returned its
+// buffers to the pool. Only valid after the communicator is closed;
+// World.Close calls it so shutdown leaks no pool leases.
+func (e *eagerReducer) joinEngine() { e.ar.Join() }

@@ -1,7 +1,7 @@
 // Package eagersgd is a from-scratch Go reproduction of "Taming Unbalanced
 // Training Workloads in Deep Learning with Partial Collective Operations"
-// (Li et al., PPoPP 2020): partial collective operations (solo and majority
-// allreduce) built on a communication-schedule engine, the eager-SGD
+// (Li et al., PPoPP 2020): partial collective operations (solo, majority and
+// quorum allreduce) run by one persistent engine per rank, the eager-SGD
 // distributed training algorithm that uses them, the synchronous SGD
 // baselines it is compared against, and a benchmark harness that regenerates
 // every figure and table of the paper's evaluation.
@@ -27,6 +27,7 @@
 //	res, _ := red.Reduce(ctx, grad) // never waits for stragglers
 //
 // The engines live under internal/ (see DESIGN.md for the system inventory);
-// runnable entry points are the binaries under cmd/, the examples under
-// examples/, and the benchmarks in bench_test.go.
+// runnable entry points are the binaries under cmd/ (trainsim runs every
+// harness experiment by id), the examples under examples/, and the benchmarks
+// in bench_test.go.
 package eagersgd

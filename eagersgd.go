@@ -82,9 +82,6 @@ func WithMode(m Mode) Option { return collective.WithMode(m) }
 // WithBasePort sets the first loopback port of a TCP world.
 func WithBasePort(port int) Option { return collective.WithBasePort(port) }
 
-// WithSyncEvery makes every n-th eager Reduce a full synchronous allreduce.
-func WithSyncEvery(n int) Option { return collective.WithSyncEvery(n) }
-
 // WithSeed sets the shared initiator-selection seed for Majority and Quorum.
 func WithSeed(seed int64) Option { return collective.WithSeed(seed) }
 

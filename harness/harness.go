@@ -38,7 +38,3 @@ func Experiments() []Experiment { return iharness.Experiments() }
 // RunByID runs the experiment with the given ID ("fig2" ... "fig13",
 // "table1", "fig9", "scaling", "quorum").
 func RunByID(id string, cfg Config) (*Report, error) { return iharness.RunByID(id, cfg) }
-
-// Fig9Microbenchmark runs the §6.1 partial-allreduce microbenchmark (Figs. 8
-// and 9): latency and number of active processes under linear skew.
-func Fig9Microbenchmark(cfg Config) (*Report, error) { return iharness.Fig9Microbenchmark(cfg) }

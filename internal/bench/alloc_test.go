@@ -78,7 +78,7 @@ func TestAllreduceInprocAllocFree(t *testing.T) {
 					data[r].Fill(1)
 				}
 				d := newRoundDriver(size, func(rank int) error {
-					return collectives.Allreduce(w[rank], data[rank], collectives.OpSum, ac.algo)
+					return collectives.AllreduceWith(w[rank], data[rank], collectives.OpSum, ac.algo, collectives.Config{}, nil)
 				})
 				defer d.stop()
 				// Warm the vector pool, the box pool, the unexpected-queue
@@ -129,7 +129,7 @@ func TestAllreduceShmAllocFree(t *testing.T) {
 					data[r].Fill(1)
 				}
 				d := newRoundDriver(size, func(rank int) error {
-					return collectives.Allreduce(w[rank], data[rank], collectives.OpSum, ac.algo)
+					return collectives.AllreduceWith(w[rank], data[rank], collectives.OpSum, ac.algo, collectives.Config{}, nil)
 				})
 				defer d.stop()
 				for i := 0; i < 32; i++ {
@@ -182,7 +182,7 @@ func TestAllreduceShmBcastAllocFree(t *testing.T) {
 		data[r].Fill(1)
 	}
 	d := newRoundDriver(size, func(rank int) error {
-		return collectives.Allreduce(w[rank], data[rank], collectives.OpSum, collectives.AlgoRing)
+		return collectives.AllreduceWith(w[rank], data[rank], collectives.OpSum, collectives.AlgoRing, collectives.Config{}, nil)
 	})
 	defer d.stop()
 	// Warm the pools, the broadcast block list, and the alias table before
@@ -229,7 +229,7 @@ func TestAllreducePipelinedInprocAllocFree(t *testing.T) {
 				data[r].Fill(1)
 			}
 			d := newRoundDriver(size, func(rank int) error {
-				return collectives.Allreduce(w[rank], data[rank], collectives.OpSum, ac.algo)
+				return collectives.AllreduceWith(w[rank], data[rank], collectives.OpSum, ac.algo, collectives.Config{}, nil)
 			})
 			defer d.stop()
 			for i := 0; i < 16; i++ {

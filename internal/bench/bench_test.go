@@ -34,7 +34,7 @@ const benchRanks = 4
 // benchmarks so repeated runs (-count, -benchtime) never collide.
 var nextTCPPort atomic.Int64
 
-func init() { nextTCPPort.Store(40100) }
+func init() { nextTCPPort.Store(27100) }
 
 // worldFactory builds a communicator world and returns it with its cleanup.
 type worldFactory struct {
@@ -151,7 +151,7 @@ func BenchmarkAllreduce(b *testing.B) {
 							}
 							b.SetBytes(int64(8 * n))
 							runRounds(b, benchRanks, func(rank int) error {
-								return collectives.Allreduce(w[rank], data[rank], collectives.OpSum, ac.algo)
+								return collectives.AllreduceWith(w[rank], data[rank], collectives.OpSum, ac.algo, collectives.Config{}, nil)
 							})
 						})
 					}

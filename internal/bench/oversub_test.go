@@ -33,7 +33,7 @@ func TestAllreduceShmOversubscribedNearInproc(t *testing.T) {
 			data[r] = tensor.NewVector(n)
 		}
 		d := newRoundDriver(len(w), func(rank int) error {
-			return collectives.Allreduce(w[rank], data[rank], collectives.OpSum, collectives.AlgoRing)
+			return collectives.AllreduceWith(w[rank], data[rank], collectives.OpSum, collectives.AlgoRing, collectives.Config{}, nil)
 		})
 		defer d.stop()
 		best := time.Duration(math.MaxInt64)

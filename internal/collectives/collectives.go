@@ -8,10 +8,11 @@
 // not return on any rank before every rank has entered it (that is the
 // synchronization the paper's partial collectives relax).
 //
-// Every operation has a *Cancel variant taking a cancel channel (typically a
-// context's Done channel) that aborts blocked receives with comm.ErrCanceled
-// instead of hanging when a peer never joins. A canceled collective leaves the
-// communicator mid-protocol; the only safe follow-up is closing it.
+// Every operation takes a Config (the zero value is the default) and a cancel
+// channel (typically a context's Done channel; nil never fires) that aborts
+// blocked receives with comm.ErrCanceled instead of hanging when a peer never
+// joins. A canceled collective leaves the communicator mid-protocol; the only
+// safe follow-up is closing it.
 package collectives
 
 import (
@@ -389,22 +390,12 @@ func (e env) sendSeg(dest, tag int, seg tensor.Vector) error {
 	return wrapUnreachable(e.c.SendCopyCancel(dest, tag, seg, e.cancel))
 }
 
-// Allreduce reduces data element-wise across all ranks with op and leaves the
-// identical result in data on every rank. The operation is synchronous: it
-// cannot complete before the slowest rank joins.
-func Allreduce(c *comm.Communicator, data tensor.Vector, op ReduceOp, algo Algorithm) error {
-	return AllreduceCancel(c, data, op, algo, nil)
-}
-
-// AllreduceCancel behaves like Allreduce but aborts blocked receives with
-// comm.ErrCanceled when cancel is closed.
-func AllreduceCancel(c *comm.Communicator, data tensor.Vector, op ReduceOp, algo Algorithm, cancel <-chan struct{}) error {
-	return AllreduceWith(c, data, op, algo, Config{}, cancel)
-}
-
-// AllreduceWith is the fully configurable allreduce: algorithm, pipeline
-// segment size, and cancellation. Every rank must pass the same op, algo, and
-// cfg (SPMD).
+// AllreduceWith reduces data element-wise across all ranks with op and leaves
+// the identical result in data on every rank. The operation is synchronous:
+// it cannot complete before the slowest rank joins. Every rank must pass the
+// same op, algo, and cfg (SPMD); cfg carries the pipeline segment size, tag
+// block and peer deadline, and closing cancel aborts blocked receives with
+// comm.ErrCanceled.
 func AllreduceWith(c *comm.Communicator, data tensor.Vector, op ReduceOp, algo Algorithm, cfg Config, cancel <-chan struct{}) error {
 	e := cfg.env(c, cancel)
 	switch algo {
@@ -780,21 +771,10 @@ func allreduceRabenseifner(e env, data tensor.Vector, op ReduceOp) error {
 	return nil
 }
 
-// Broadcast copies data from the root rank to every other rank using a
-// binomial tree. All ranks must pass a buffer of the same length.
-func Broadcast(c *comm.Communicator, root int, data tensor.Vector) error {
-	return BroadcastCancel(c, root, data, nil)
-}
-
-// BroadcastCancel behaves like Broadcast but aborts blocked receives with
-// comm.ErrCanceled when cancel is closed.
-func BroadcastCancel(c *comm.Communicator, root int, data tensor.Vector, cancel <-chan struct{}) error {
-	return BroadcastWith(c, root, data, Config{}, cancel)
-}
-
-// BroadcastWith adds the Config tunables — in particular Config.PeerDeadline,
-// so a broadcast blocked on a dead parent aborts with ErrRankUnreachable
-// instead of hanging.
+// BroadcastWith copies data from the root rank to every other rank using a
+// binomial tree. All ranks must pass a buffer of the same length. With
+// Config.PeerDeadline set, a broadcast blocked on a dead parent aborts with
+// ErrRankUnreachable instead of hanging.
 func BroadcastWith(c *comm.Communicator, root int, data tensor.Vector, cfg Config, cancel <-chan struct{}) error {
 	e := cfg.env(c, cancel)
 	rank, size := c.Rank(), c.Size()
@@ -866,22 +846,10 @@ func BroadcastWith(c *comm.Communicator, root int, data tensor.Vector, cfg Confi
 	return nil
 }
 
-// Reduce combines data from all ranks onto the root with op; other ranks'
+// ReduceWith combines data from all ranks onto the root with op; other ranks'
 // buffers are left unchanged. It is implemented as an allreduce followed by
 // discarding on non-roots, which is wasteful but simple; it is only used for
 // small metric vectors in this repository.
-func Reduce(c *comm.Communicator, root int, data tensor.Vector, op ReduceOp) error {
-	return ReduceCancel(c, root, data, op, nil)
-}
-
-// ReduceCancel behaves like Reduce but aborts blocked receives with
-// comm.ErrCanceled when cancel is closed.
-func ReduceCancel(c *comm.Communicator, root int, data tensor.Vector, op ReduceOp, cancel <-chan struct{}) error {
-	return ReduceWith(c, root, data, op, Config{}, cancel)
-}
-
-// ReduceWith adds the Config tunables (PeerDeadline: abort typed on a dead
-// rank instead of hanging).
 func ReduceWith(c *comm.Communicator, root int, data tensor.Vector, op ReduceOp, cfg Config, cancel <-chan struct{}) error {
 	if root < 0 || root >= c.Size() {
 		return fmt.Errorf("collectives: reduce root %d out of range", root)
@@ -897,20 +865,9 @@ func ReduceWith(c *comm.Communicator, root int, data tensor.Vector, op ReduceOp,
 	return nil
 }
 
-// Allgather concatenates each rank's contribution (all of identical length)
-// into a vector of length size*len(contrib), ordered by rank, on every rank.
-func Allgather(c *comm.Communicator, contrib tensor.Vector) (tensor.Vector, error) {
-	return AllgatherCancel(c, contrib, nil)
-}
-
-// AllgatherCancel behaves like Allgather but aborts blocked receives with
-// comm.ErrCanceled when cancel is closed.
-func AllgatherCancel(c *comm.Communicator, contrib tensor.Vector, cancel <-chan struct{}) (tensor.Vector, error) {
-	return AllgatherWith(c, contrib, Config{}, cancel)
-}
-
-// AllgatherWith adds the Config tunables (PeerDeadline: abort typed on a dead
-// rank instead of hanging).
+// AllgatherWith concatenates each rank's contribution (all of identical
+// length) into a vector of length size*len(contrib), ordered by rank, on
+// every rank.
 func AllgatherWith(c *comm.Communicator, contrib tensor.Vector, cfg Config, cancel <-chan struct{}) (tensor.Vector, error) {
 	e := cfg.env(c, cancel)
 	size := c.Size()
@@ -937,20 +894,10 @@ func AllgatherWith(c *comm.Communicator, contrib tensor.Vector, cfg Config, canc
 	return out, nil
 }
 
-// Barrier blocks until every rank has entered it, using a dissemination
-// barrier (log2(size) rounds of token exchange).
-func Barrier(c *comm.Communicator) error {
-	return BarrierCancel(c, nil)
-}
-
-// BarrierCancel behaves like Barrier but aborts blocked receives with
-// comm.ErrCanceled when cancel is closed.
-func BarrierCancel(c *comm.Communicator, cancel <-chan struct{}) error {
-	return BarrierWith(c, Config{}, cancel)
-}
-
-// BarrierWith adds the Config tunables (PeerDeadline: a barrier blocked on a
-// dead rank aborts with ErrRankUnreachable instead of hanging).
+// BarrierWith blocks until every rank has entered it, using a dissemination
+// barrier (log2(size) rounds of token exchange). With Config.PeerDeadline
+// set, a barrier blocked on a dead rank aborts with ErrRankUnreachable
+// instead of hanging.
 func BarrierWith(c *comm.Communicator, cfg Config, cancel <-chan struct{}) error {
 	e := cfg.env(c, cancel)
 	rank, size := c.Rank(), c.Size()

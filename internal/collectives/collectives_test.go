@@ -72,7 +72,7 @@ func testAllreduceCorrect(t *testing.T, algo collectives.Algorithm, sizes []int,
 				results := make(map[int]tensor.Vector)
 				runSPMD(t, p, func(c *comm.Communicator) error {
 					data := makeContribution(c.Rank(), n)
-					if err := collectives.Allreduce(c, data, collectives.OpSum, algo); err != nil {
+					if err := collectives.AllreduceWith(c, data, collectives.OpSum, algo, collectives.Config{}, nil); err != nil {
 						return err
 					}
 					mu.Lock()
@@ -108,7 +108,7 @@ func TestAllreduceAuto(t *testing.T) {
 
 func TestAllreduceUnknownAlgorithm(t *testing.T) {
 	runSPMD(t, 1, func(c *comm.Communicator) error {
-		err := collectives.Allreduce(c, tensor.Vector{1}, collectives.OpSum, collectives.Algorithm(42))
+		err := collectives.AllreduceWith(c, tensor.Vector{1}, collectives.OpSum, collectives.Algorithm(42), collectives.Config{}, nil)
 		if err == nil {
 			return fmt.Errorf("expected error for unknown algorithm")
 		}
@@ -123,11 +123,11 @@ func TestAllreduceMaxAndMin(t *testing.T) {
 	minResults := make(map[int]tensor.Vector)
 	runSPMD(t, p, func(c *comm.Communicator) error {
 		maxData := tensor.Vector{float64(c.Rank()), float64(-c.Rank()), 3}
-		if err := collectives.Allreduce(c, maxData, collectives.OpMax, collectives.AlgoRecursiveDoubling); err != nil {
+		if err := collectives.AllreduceWith(c, maxData, collectives.OpMax, collectives.AlgoRecursiveDoubling, collectives.Config{}, nil); err != nil {
 			return err
 		}
 		minData := tensor.Vector{float64(c.Rank()), float64(-c.Rank()), 3}
-		if err := collectives.Allreduce(c, minData, collectives.OpMin, collectives.AlgoRecursiveDoubling); err != nil {
+		if err := collectives.AllreduceWith(c, minData, collectives.OpMin, collectives.AlgoRecursiveDoubling, collectives.Config{}, nil); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -179,7 +179,7 @@ func TestBroadcastAllRoots(t *testing.T) {
 					if c.Rank() == root {
 						data.CopyFrom(tensor.Vector{1, 2, 3, 4, 5})
 					}
-					if err := collectives.Broadcast(c, root, data); err != nil {
+					if err := collectives.BroadcastWith(c, root, data, collectives.Config{}, nil); err != nil {
 						return err
 					}
 					mu.Lock()
@@ -199,7 +199,7 @@ func TestBroadcastAllRoots(t *testing.T) {
 
 func TestBroadcastInvalidRoot(t *testing.T) {
 	runSPMD(t, 2, func(c *comm.Communicator) error {
-		if err := collectives.Broadcast(c, 7, tensor.Vector{1}); err == nil {
+		if err := collectives.BroadcastWith(c, 7, tensor.Vector{1}, collectives.Config{}, nil); err == nil {
 			return fmt.Errorf("expected error for invalid root")
 		}
 		return nil
@@ -214,7 +214,7 @@ func TestReduceToRoot(t *testing.T) {
 	results := make(map[int]tensor.Vector)
 	runSPMD(t, p, func(c *comm.Communicator) error {
 		data := makeContribution(c.Rank(), n)
-		if err := collectives.Reduce(c, 2, data, collectives.OpSum); err != nil {
+		if err := collectives.ReduceWith(c, 2, data, collectives.OpSum, collectives.Config{}, nil); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -233,7 +233,7 @@ func TestReduceToRoot(t *testing.T) {
 
 func TestReduceInvalidRoot(t *testing.T) {
 	runSPMD(t, 2, func(c *comm.Communicator) error {
-		if err := collectives.Reduce(c, -1, tensor.Vector{1}, collectives.OpSum); err == nil {
+		if err := collectives.ReduceWith(c, -1, tensor.Vector{1}, collectives.OpSum, collectives.Config{}, nil); err == nil {
 			return fmt.Errorf("expected error")
 		}
 		return nil
@@ -248,7 +248,7 @@ func TestAllgather(t *testing.T) {
 			results := make(map[int]tensor.Vector)
 			runSPMD(t, p, func(c *comm.Communicator) error {
 				contrib := tensor.Vector{float64(c.Rank()), float64(c.Rank() * 10)}
-				out, err := collectives.Allgather(c, contrib)
+				out, err := collectives.AllgatherWith(c, contrib, collectives.Config{}, nil)
 				if err != nil {
 					return err
 				}
@@ -278,7 +278,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 		// Stagger arrivals so the barrier has real work to do.
 		time.Sleep(time.Duration(c.Rank()) * 5 * time.Millisecond)
 		before[c.Rank()] = time.Now()
-		if err := collectives.Barrier(c); err != nil {
+		if err := collectives.BarrierWith(c, collectives.Config{}, nil); err != nil {
 			return err
 		}
 		after[c.Rank()] = time.Now()
@@ -311,7 +311,7 @@ func TestConsecutiveAllreducesDoNotInterfere(t *testing.T) {
 			// Random per-rank jitter so ranks enter successive collectives in
 			// different orders.
 			time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
-			if err := collectives.Allreduce(c, data, collectives.OpSum, collectives.AlgoRecursiveDoubling); err != nil {
+			if err := collectives.AllreduceWith(c, data, collectives.OpSum, collectives.AlgoRecursiveDoubling, collectives.Config{}, nil); err != nil {
 				return err
 			}
 			got = append(got, data[0])
@@ -357,7 +357,7 @@ func TestPropAllreduceAlgorithmsAgree(t *testing.T) {
 				go func(r int) {
 					defer wg.Done()
 					data := contribs[r].Clone()
-					if err := collectives.Allreduce(world[r], data, collectives.OpSum, algo); err != nil {
+					if err := collectives.AllreduceWith(world[r], data, collectives.OpSum, algo, collectives.Config{}, nil); err != nil {
 						ok = false
 						return
 					}

@@ -98,7 +98,7 @@ func TestAllreduceDirectMatchesDemux(t *testing.T) {
 						results := make([]tensor.Vector, p)
 						runWorld(t, world, func(c *comm.Communicator) error {
 							data := makeContribution(c.Rank(), n)
-							if err := collectives.Allreduce(c, data, collectives.OpSum, ac.algo); err != nil {
+							if err := collectives.AllreduceWith(c, data, collectives.OpSum, ac.algo, collectives.Config{}, nil); err != nil {
 								return err
 							}
 							results[c.Rank()] = data
@@ -143,7 +143,7 @@ func TestBroadcastDirectMatchesDemux(t *testing.T) {
 									data[i] = -1 // poison: broadcast must overwrite every element
 								}
 							}
-							if err := collectives.Broadcast(c, root, data); err != nil {
+							if err := collectives.BroadcastWith(c, root, data, collectives.Config{}, nil); err != nil {
 								return err
 							}
 							results[c.Rank()] = data

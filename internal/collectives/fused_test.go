@@ -72,7 +72,7 @@ func TestAllreduceRingFusedMatchesUnfused(t *testing.T) {
 						results := make([]tensor.Vector, p)
 						spmd(t, p, func(c *comm.Communicator) error {
 							data := makeContribution(c.Rank(), n)
-							if err := collectives.Allreduce(c, data, o.op, collectives.AlgoRing); err != nil {
+							if err := collectives.AllreduceWith(c, data, o.op, collectives.AlgoRing, collectives.Config{}, nil); err != nil {
 								return err
 							}
 							results[c.Rank()] = data

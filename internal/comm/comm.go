@@ -17,12 +17,12 @@
 //   - Send and Isend take ownership of the payload: the caller must not read
 //     or write the vector after the call. Callers that need to keep using
 //     their buffer use SendCopy, which snapshots it into a pool-leased buffer.
-//   - Recv, RecvCancel, TryRecv, and SendRecv hand back a leased buffer: the
-//     receiver owns it and should release it with Release (or
+//   - Recv, RecvCancel, TryRecv, and SendRecvCancel hand back a leased
+//     buffer: the receiver owns it and should release it with Release (or
 //     tensor.PutVector) once the payload has been consumed. Forgetting to
 //     release only costs a garbage collection; releasing twice, or while a
 //     reference is still live, corrupts another lease.
-//   - SendRecv borrows its outgoing payload (it snapshots into a pooled
+//   - SendRecvCancel borrows its outgoing payload (it snapshots into a pooled
 //     buffer internally), so the caller's vector is untouched.
 package comm
 
@@ -36,7 +36,7 @@ import (
 	"eagersgd/internal/tensor"
 )
 
-// Wildcards accepted by Recv and Irecv.
+// Wildcards accepted by the receive calls.
 const (
 	// AnySource matches a message from any rank.
 	AnySource = -1
@@ -181,10 +181,10 @@ type Endpoint interface {
 }
 
 // Release returns a received payload to the shared vector pool. It is the
-// companion of Recv/RecvCancel/TryRecv/SendRecv: call it once the payload has
-// been consumed (reduced into a local buffer, copied out, discarded). It is an
-// alias for tensor.PutVector and inherits its contract: at most one release
-// per lease, and no live references afterwards.
+// companion of Recv/RecvCancel/TryRecv/SendRecvCancel: call it once the
+// payload has been consumed (reduced into a local buffer, copied out,
+// discarded). It is an alias for tensor.PutVector and inherits its contract:
+// at most one release per lease, and no live references afterwards.
 func Release(v tensor.Vector) { tensor.PutVector(v) }
 
 // Status describes a completed receive.
@@ -206,6 +206,13 @@ type Communicator struct {
 	closed   bool
 	closedCh chan struct{} // closed when the transport is down; wakes slot receivers
 	demuxWG  sync.WaitGroup
+
+	// sends counts in-flight Isend goroutines, each of which owns the pool
+	// lease of its payload; Close joins them so no lease is released after it
+	// returns. noSends (under mu) refuses new ones once Close has begun, so
+	// sends.Add never races sends.Wait.
+	sends   sync.WaitGroup
+	noSends bool
 
 	down      []error          // per-rank down cause; nil = peer believed up
 	downHooks []func(rank int) // observers notified (outside mu) on each marking
@@ -276,10 +283,17 @@ func (c *Communicator) Size() int { return c.ep.Size() }
 // Close shuts down the underlying endpoint and wakes any blocked receivers
 // with ErrClosed. Unexpected messages still queued are released back to the
 // vector pool — after Close no receive can claim them, and dropping the queue
-// without releasing would leak their leases.
+// without releasing would leak their leases. Close also joins the sends that
+// a canceled SendCopyCancel or SendRecvCancel abandoned in the background:
+// closing the endpoint unblocks them, and each releases its payload's lease
+// before Close returns.
 func (c *Communicator) Close() error {
+	c.mu.Lock()
+	c.noSends = true
+	c.mu.Unlock()
 	err := c.ep.Close()
 	c.demuxWG.Wait()
+	c.sends.Wait()
 	c.mu.Lock()
 	for _, m := range c.queue {
 		tensor.PutVector(m.Data)
@@ -545,8 +559,7 @@ func (c *Communicator) SendCopyCancel(dest, tag int, data tensor.Vector, cancel 
 	req := c.Isend(dest, tag, tensor.GetVectorCopy(data))
 	select {
 	case <-req.done:
-		_, _, err := req.Wait()
-		return err
+		return req.Wait()
 	case <-cancel:
 		return ErrCanceled
 	}
@@ -753,79 +766,50 @@ func (c *Communicator) Pending() int {
 	return len(c.queue)
 }
 
-// Request represents an outstanding non-blocking operation.
+// Request represents an outstanding non-blocking send.
 type Request struct {
-	done   chan struct{}
-	data   tensor.Vector
-	status Status
-	err    error
+	done chan struct{}
+	err  error
 }
 
-// Wait blocks until the operation completes and returns the received payload
-// (nil for sends), its status, and any error.
-func (r *Request) Wait() (tensor.Vector, Status, error) {
+// Wait blocks until the send completes and returns its error.
+func (r *Request) Wait() error {
 	<-r.done
-	return r.data, r.status, r.err
-}
-
-// Test reports whether the operation has completed without blocking.
-func (r *Request) Test() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
+	return r.err
 }
 
 // Isend starts a non-blocking send and returns a request that completes when
 // the message has been handed to the transport. Like Send, it takes ownership
 // of data immediately: the caller must not touch the vector after the call.
+// The sending goroutine is joined by Close; after Close the request completes
+// at once with ErrClosed.
 func (c *Communicator) Isend(dest, tag int, data tensor.Vector) *Request {
 	r := &Request{done: make(chan struct{})}
+	c.mu.Lock()
+	if c.noSends {
+		c.mu.Unlock()
+		tensor.PutVector(data)
+		r.err = ErrClosed
+		close(r.done)
+		return r
+	}
+	c.sends.Add(1)
+	c.mu.Unlock()
 	go func() {
+		defer c.sends.Done()
 		defer close(r.done)
 		r.err = c.Send(dest, tag, data)
 	}()
 	return r
 }
 
-// Irecv starts a non-blocking receive for a message matching (source, tag).
-func (c *Communicator) Irecv(source, tag int) *Request {
-	r := &Request{done: make(chan struct{})}
-	go func() {
-		defer close(r.done)
-		r.data, r.status, r.err = c.Recv(source, tag)
-	}()
-	return r
-}
-
-// WaitAll waits for every request and returns the first error encountered.
-func WaitAll(reqs ...*Request) error {
-	var first error
-	for _, r := range reqs {
-		if r == nil {
-			continue
-		}
-		if _, _, err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// SendRecv performs a combined send to dest and receive from source with the
-// given tags, the workhorse of symmetric exchange patterns such as recursive
-// doubling. The outgoing payload is borrowed (snapshotted into a pool lease),
-// so the caller keeps ownership of data; the returned vector is a lease the
-// caller releases with Release.
-func (c *Communicator) SendRecv(dest, sendTag int, data tensor.Vector, source, recvTag int) (tensor.Vector, Status, error) {
-	return c.SendRecvCancel(dest, sendTag, data, source, recvTag, nil)
-}
-
-// SendRecvCancel behaves like SendRecv but gives up on the receive half with
-// ErrCanceled when cancel is closed before a matching message arrives. It is
-// the primitive the cancel-aware collectives are built on: a collective
+// SendRecvCancel performs a combined send to dest and receive from source with
+// the given tags, the workhorse of symmetric exchange patterns such as
+// recursive doubling. The outgoing payload is borrowed (snapshotted into a
+// pool lease), so the caller keeps ownership of data; the returned vector is a
+// lease the caller releases with Release. The receive half gives up with
+// ErrCanceled when cancel is closed before a matching message arrives (a nil
+// cancel never fires). It is the primitive the collectives are built on: a collective
 // blocked on a peer that will never send (e.g. because the caller's context
 // was canceled mid-job) unblocks instead of hanging forever.
 //
@@ -876,7 +860,7 @@ func (c *Communicator) SendRecvTimeout(dest, sendTag int, data tensor.Vector, so
 		tensor.PutVector(rdata)
 		return nil, Status{}, ErrCanceled
 	}
-	if _, _, serr := sreq.Wait(); serr != nil && rerr == nil {
+	if serr := sreq.Wait(); serr != nil && rerr == nil {
 		tensor.PutVector(rdata)
 		return nil, Status{}, serr
 	}

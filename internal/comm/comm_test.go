@@ -92,7 +92,7 @@ func TestSendRecvBorrowsOutgoingBuffer(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			peer := 1 - r
-			data, _, err := w[r].SendRecv(peer, 0, bufs[r], peer, 0)
+			data, _, err := w[r].SendRecvCancel(peer, 0, bufs[r], peer, 0, nil)
 			if err != nil {
 				t.Errorf("rank %d: %v", r, err)
 				return
@@ -189,34 +189,54 @@ func TestTryRecv(t *testing.T) {
 	}
 }
 
-func TestIsendIrecv(t *testing.T) {
+type recvResult struct {
+	data tensor.Vector
+	st   comm.Status
+	err  error
+}
+
+// recvAsync posts a blocking Recv on its own goroutine and delivers the
+// outcome on the returned channel.
+func recvAsync(c *comm.Communicator, source, tag int) <-chan recvResult {
+	ch := make(chan recvResult, 1)
+	go func() {
+		var r recvResult
+		r.data, r.st, r.err = c.Recv(source, tag)
+		ch <- r
+	}()
+	return ch
+}
+
+func TestIsendRecv(t *testing.T) {
 	w := world(t, 2)
-	rreq := w[1].Irecv(0, 11)
-	sreq := w[0].Isend(1, 11, tensor.Vector{3, 4})
-	if err := comm.WaitAll(sreq, rreq); err != nil {
-		t.Fatalf("WaitAll: %v", err)
+	recvd := recvAsync(w[1], 0, 11)
+	if err := w[0].Isend(1, 11, tensor.Vector{3, 4}).Wait(); err != nil {
+		t.Fatalf("Isend: %v", err)
 	}
-	data, st, err := rreq.Wait()
-	if err != nil || !data.Equal(tensor.Vector{3, 4}) || st.Source != 0 {
-		t.Fatalf("Irecv got %v %+v err=%v", data, st, err)
+	r := <-recvd
+	if r.err != nil || !r.data.Equal(tensor.Vector{3, 4}) || r.st.Source != 0 {
+		t.Fatalf("Recv got %v %+v err=%v", r.data, r.st, r.err)
 	}
 }
 
-func TestRequestTest(t *testing.T) {
+func TestRecvBlocksUntilMatchingSend(t *testing.T) {
 	w := world(t, 2)
-	req := w[1].Irecv(0, 5)
-	if req.Test() {
-		t.Fatalf("request complete before matching send")
+	recvd := recvAsync(w[1], 0, 5)
+	select {
+	case r := <-recvd:
+		t.Fatalf("receive complete before matching send: %+v", r)
+	case <-time.After(20 * time.Millisecond):
 	}
 	if err := w[0].Send(1, 5, tensor.Vector{1}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(time.Second)
-	for !req.Test() {
-		if time.Now().After(deadline) {
-			t.Fatalf("request never completed")
+	select {
+	case r := <-recvd:
+		if r.err != nil || !r.data.Equal(tensor.Vector{1}) {
+			t.Fatalf("Recv got %v err=%v", r.data, r.err)
 		}
-		time.Sleep(time.Millisecond)
+	case <-time.After(time.Second):
+		t.Fatalf("receive never completed")
 	}
 }
 
@@ -229,7 +249,7 @@ func TestSendRecvExchangeNoDeadlock(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			peer := 1 - r
-			data, _, err := w[r].SendRecv(peer, 0, tensor.Vector{float64(r)}, peer, 0)
+			data, _, err := w[r].SendRecvCancel(peer, 0, tensor.Vector{float64(r)}, peer, 0, nil)
 			if err != nil {
 				t.Errorf("rank %d SendRecv: %v", r, err)
 				return
@@ -267,7 +287,7 @@ func TestSendRecvInprocAllocFree(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		go func(r int) {
 			for range start[r] {
-				data, _, err := w[r].SendRecv(1-r, 0, payload[r], 1-r, 0)
+				data, _, err := w[r].SendRecvCancel(1-r, 0, payload[r], 1-r, 0, nil)
 				if err == nil {
 					comm.Release(data)
 				}
@@ -379,6 +399,46 @@ func TestSendRecvCancelUnblocksWhenRecvSatisfiedButSendStalled(t *testing.T) {
 	}
 	close(ep.release)
 	c.Close()
+}
+
+// closeBlockedEndpoint is a transport whose Send blocks until the endpoint is
+// closed and then, like the real transports, releases the payload it owns and
+// fails — a little late, the way a sender woken by Close runs after Close's
+// caller does.
+type closeBlockedEndpoint struct{ *stallEndpoint }
+
+func (s closeBlockedEndpoint) Send(dest int, m comm.Message) error {
+	<-s.closed
+	time.Sleep(20 * time.Millisecond)
+	tensor.PutVector(m.Data)
+	return comm.ErrClosed
+}
+
+// TestCloseJoinsAbandonedSends: a canceled SendCopyCancel abandons its send to
+// a background goroutine that owns the payload's pool lease. Close must join
+// it, so the lease is back in the pool when Close returns — not some time
+// after, where shutdown lease accounting would see it as a leak.
+func TestCloseJoinsAbandonedSends(t *testing.T) {
+	before := tensor.ReadPoolStats()
+	c := comm.NewCommunicator(closeBlockedEndpoint{newStallEndpoint()})
+	cancel := make(chan struct{})
+	close(cancel)
+	if err := c.SendCopyCancel(1, 0, tensor.Vector{1, 2, 3}, cancel); err != comm.ErrCanceled {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if leaked := tensor.ReadPoolStats().OutstandingSince(before); leaked != 0 {
+		t.Fatalf("%d pool lease(s) still out after Close returned", leaked)
+	}
+	// Once closed, a send is refused outright and its payload released.
+	if err := c.Isend(1, 0, tensor.GetVectorCopy(tensor.Vector{4})).Wait(); err != comm.ErrClosed {
+		t.Fatalf("Isend after Close: err = %v, want ErrClosed", err)
+	}
+	if leaked := tensor.ReadPoolStats().OutstandingSince(before); leaked != 0 {
+		t.Fatalf("%d pool lease(s) out after a refused Isend", leaked)
+	}
 }
 
 func TestSendInvalidPeer(t *testing.T) {

@@ -533,9 +533,8 @@ func TestOverlappedSyncTrainingBitForBit(t *testing.T) {
 }
 
 // TestOverlappedEagerTraining smoke-tests the overlapped path through the
-// eager (solo) engine end to end, including the periodic WithSyncEvery
-// synchronization happening per bucket: replicas must converge after a final
-// model sync and per-step stats must stay sane.
+// eager (solo) engine end to end: replicas must converge after a final model
+// sync and per-step stats must stay sane.
 func TestOverlappedEagerTraining(t *testing.T) {
 	const size = 4
 	const steps = 160
@@ -548,8 +547,7 @@ func TestOverlappedEagerTraining(t *testing.T) {
 			Task: task,
 			Exchanger: mustReducer(c, task.NumParams(),
 				collective.WithMode(collective.Solo), collective.WithSeed(17),
-				collective.WithOverlap(), collective.WithBucketLayout(layout...),
-				collective.WithSyncEvery(10)),
+				collective.WithOverlap(), collective.WithBucketLayout(layout...)),
 			Optimizer:      optimizer.NewSGD(0.02),
 			SyncEverySteps: 20,
 		})

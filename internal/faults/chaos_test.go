@@ -94,7 +94,7 @@ func leaseBalanced(t *testing.T, fn func()) {
 }
 
 // chaosPort hands out disjoint TCP base ports so subtests never collide.
-var chaosPort = 33000
+var chaosPort = 24000
 
 func nextChaosPort() int {
 	p := chaosPort

@@ -122,7 +122,7 @@ func microSynchLatency(procs, elems, iterations int, skew imbalance.Injector, cl
 			buf.Fill(1)
 			start := time.Now()
 			//eagervet:ignore ctxcheck -- microbenchmark measures the uncancellable hot path; iterations bound the loop.
-			if err := collectives.Allreduce(c, buf, collectives.OpSum, collectives.AlgoAuto); err != nil {
+			if err := collectives.AllreduceWith(c, buf, collectives.OpSum, collectives.AlgoAuto, collectives.Config{}, nil); err != nil {
 				return err
 			}
 			elapsed := time.Since(start)
@@ -131,7 +131,7 @@ func microSynchLatency(procs, elems, iterations int, skew imbalance.Injector, cl
 			count++
 			mu.Unlock()
 			//eagervet:ignore ctxcheck -- microbenchmark barrier on the measured path; iterations bound the loop.
-			if err := collectives.Barrier(c); err != nil {
+			if err := collectives.BarrierWith(c, collectives.Config{}, nil); err != nil {
 				return err
 			}
 		}
@@ -184,7 +184,7 @@ func microPartialLatency(procs, elems, iterations int, skew imbalance.Injector, 
 			}
 			mu.Unlock()
 			//eagervet:ignore ctxcheck -- microbenchmark barrier on the measured path; iterations bound the loop.
-			if err := collectives.Barrier(c); err != nil {
+			if err := collectives.BarrierWith(c, collectives.Config{}, nil); err != nil {
 				return err
 			}
 		}

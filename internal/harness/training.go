@@ -86,41 +86,16 @@ func runVariant(spec trainingSpec, v variant) (*core.RunResult, error) {
 		FinalSync:      true,
 		WorldOptions:   worldOpts,
 		Build: func(rank int, n *collective.Node) (*core.Trainer, error) {
-			task := spec.buildTask(rank, spec.size)
-			opts := append([]collective.Option{collective.WithSeed(spec.seed)}, v.opts...)
-			if spec.peerDeadline > 0 {
-				opts = append(opts, collective.WithPeerDeadline(spec.peerDeadline))
-			}
-			if spec.overlap {
-				bt, ok := task.(core.BucketedTask)
-				if !ok {
-					return nil, fmt.Errorf("harness: task %T does not support the overlapped exchange", task)
-				}
-				opts = append(opts,
-					collective.WithOverlap(),
-					collective.WithBucketElems(spec.bucketElems),
-					collective.WithBucketLayout(core.BucketLayout(bt, spec.bucketElems)...))
-			}
-			ex, err := n.Reducer(task.NumParams(), opts...)
-			if err != nil {
-				return nil, err
-			}
-			syncEvery := 0
-			if v.eager {
-				syncEvery = v.syncEvery
-			}
-			return core.NewTrainer(core.Config{
-				Node:            n,
-				Task:            task,
-				Exchanger:       ex,
+			return core.BuildTrainer(n, core.Config{
+				Task:            spec.buildTask(rank, spec.size),
 				Optimizer:       optimizer.NewSGD(spec.lr),
 				Injector:        spec.injector,
 				Clock:           spec.clock,
 				BaseStepPaperMs: spec.baseMs,
 				CostModel:       spec.costModel,
-				SyncEverySteps:  syncEvery,
+				SyncEverySteps:  v.syncEvery, // zero for the synchronous variants
 				PeerDeadline:    spec.peerDeadline,
-			})
+			}, spec.seed, v.opts, spec.overlap, spec.bucketElems)
 		},
 	})
 }
@@ -487,7 +462,11 @@ func QuorumSpectrum(cfg Config) (*Report, error) {
 		net := nn.NewNetwork(nn.MSE{}, nn.NewDense(p.fig10Dim, 1))
 		return core.NewRegressionTask("hyperplane", net, train, eval, p.fig10Batch, rank, sz, cfg.Seed+61)
 	}
-	injector := imbalance.LinearSkew{StepMs: 100}
+	spec := trainingSpec{
+		name: "quorum", size: size, steps: steps, lr: p.fig10LR, baseMs: p.fig10BaseMs / 2,
+		injector: imbalance.LinearSkew{StepMs: 100}, clock: clock, seed: cfg.Seed,
+		overlap: cfg.Overlap, bucketElems: cfg.BucketElems, faults: cfg.Faults, peerDeadline: cfg.PeerDeadline, buildTask: buildTask,
+	}
 
 	table := trace.NewTable(
 		fmt.Sprintf("Quorum spectrum on %d processes under linear skew (clock scale %g)", size, p.fig10Clock),
@@ -495,32 +474,7 @@ func QuorumSpectrum(cfg Config) (*Report, error) {
 
 	candidateCounts := []int{1, 2, size / 2, size}
 	for _, cand := range candidateCounts {
-		cand := cand
-		//eagervet:ignore ctxcheck -- figure harness sweep: each run is bounded by Steps on an in-process world; the harness owns the process lifetime.
-		res, err := core.Run(core.RunConfig{
-			Name:      fmt.Sprintf("quorum-%d", cand),
-			Size:      size,
-			Steps:     steps,
-			FinalSync: true,
-			Build: func(rank int, n *collective.Node) (*core.Trainer, error) {
-				task := buildTask(rank, size)
-				ex, err := n.Reducer(task.NumParams(),
-					collective.WithMode(collective.Quorum(cand)), collective.WithSeed(cfg.Seed))
-				if err != nil {
-					return nil, err
-				}
-				return core.NewTrainer(core.Config{
-					Node:            n,
-					Task:            task,
-					Exchanger:       ex,
-					Optimizer:       optimizer.NewSGD(p.fig10LR),
-					Injector:        injector,
-					Clock:           clock,
-					BaseStepPaperMs: p.fig10BaseMs / 2,
-					SyncEverySteps:  p.syncEvery,
-				})
-			},
-		})
+		res, err := runVariant(spec, eagerVariant(collective.Quorum(cand), p.syncEvery))
 		if err != nil {
 			return nil, err
 		}

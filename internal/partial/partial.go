@@ -1067,11 +1067,9 @@ func (a *Allreducer) PendingStale() float64 {
 }
 
 // DrainPending atomically removes and returns the stale gradients accumulated
-// in the send buffer, leaving it null. It exists for hybrid reduction
-// schemes that periodically fold the pending contributions into a synchronous
-// allreduce outside the partial engine (the periodic full synchronization of
-// §5): every rank must drain at the same exchange index, with no Exchange in
-// flight, so no round can snapshot concurrently.
+// in the send buffer, leaving it null. It exists for mass-conservation
+// accounting (what was contributed but not yet delivered): call it with no
+// Exchange in flight, so no round can snapshot concurrently.
 func (a *Allreducer) DrainPending() tensor.Vector {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -1080,16 +1078,6 @@ func (a *Allreducer) DrainPending() tensor.Vector {
 	}
 	a.sendNull = true
 	return tensor.GetVectorCopy(a.sendBuf[:a.n])
-}
-
-// RestorePending folds v back into the send buffer. It is the undo of
-// DrainPending for hybrid schemes whose out-of-engine reduction failed after
-// draining: the contributions return to the buffer and are delivered in a
-// later round, preserving the no-gradient-lost guarantee of Fig. 7.
-func (a *Allreducer) RestorePending(v tensor.Vector) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.foldLocked(v)
 }
 
 // Join blocks until the engine's two goroutines have exited. They only exit

@@ -563,8 +563,8 @@ func TestExchangeContextCancellation(t *testing.T) {
 	}
 }
 
-// TestDrainPendingTakesStaleGradients checks the atomic take used by the
-// periodic full synchronization.
+// TestDrainPendingTakesStaleGradients checks the atomic take of the send
+// buffer.
 func TestDrainPendingTakesStaleGradients(t *testing.T) {
 	_, reducers := makeWorld(t, 2, 2, partial.Options{Mode: partial.Majority, Seed: 8})
 	waiter := (reducers[0].DesignatedInitiators(0)[0] + 1) % 2

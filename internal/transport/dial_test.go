@@ -63,7 +63,7 @@ func TestDialRetryExhaustsBudget(t *testing.T) {
 }
 
 func TestNewTCPEndpointsRetryBuildsWorld(t *testing.T) {
-	eps, err := NewTCPEndpointsRetry(3, 39400, 2*time.Second)
+	eps, err := NewTCPEndpointsRetry(3, 23450, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

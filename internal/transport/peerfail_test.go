@@ -29,7 +29,7 @@ func dialTCPPair(t *testing.T, basePort int) [2]*TCPEndpoint {
 // returns a typed PeerDownError, and the root cause — the endpoint's recorded
 // ReadError — is in the error chain instead of a bare timeout.
 func TestSendRecvSurfacesPeerReadLoopDeath(t *testing.T) {
-	eps := dialTCPPair(t, 37100)
+	eps := dialTCPPair(t, 23100)
 	c0 := comm.NewCommunicator(eps[0])
 	c1 := comm.NewCommunicator(eps[1])
 	defer c0.Close()
@@ -43,7 +43,7 @@ func TestSendRecvSurfacesPeerReadLoopDeath(t *testing.T) {
 	go func() {
 		// Rank 1 exchanges with rank 0; rank 0 never answers because its
 		// stream to rank 1 is about to die.
-		v, _, err := c1.SendRecv(0, 5, make(tensor.Vector, 4), 0, 5)
+		v, _, err := c1.SendRecvCancel(0, 5, make(tensor.Vector, 4), 0, 5, nil)
 		done <- result{v, err}
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -85,7 +85,7 @@ func TestSendRecvSurfacesPeerReadLoopDeath(t *testing.T) {
 // contract: even without transport-level detection (the peer is silent, not
 // dead), a canceled SendRecv returns promptly.
 func TestSendRecvCancelStillHonorsContextOnDeadPeer(t *testing.T) {
-	eps := dialTCPPair(t, 37140)
+	eps := dialTCPPair(t, 23140)
 	c0 := comm.NewCommunicator(eps[0])
 	c1 := comm.NewCommunicator(eps[1])
 	defer c0.Close()
@@ -113,7 +113,7 @@ func TestSendRecvCancelStillHonorsContextOnDeadPeer(t *testing.T) {
 // on its connections) is a rank failure for the survivors — with a notifier
 // registered, the survivor marks it down instead of closing its endpoint.
 func TestPeerEOFMarksPeerDownWithNotifier(t *testing.T) {
-	eps := dialTCPPair(t, 37180)
+	eps := dialTCPPair(t, 23180)
 	c0 := comm.NewCommunicator(eps[0])
 	defer c0.Close()
 

@@ -225,7 +225,7 @@ func TestDecodeFrameTruncatedHeader(t *testing.T) {
 }
 
 func TestTCPReadErrorRecordedOnCorruptFrame(t *testing.T) {
-	addrs := []string{"127.0.0.1:39500", "127.0.0.1:39501"}
+	addrs := []string{"127.0.0.1:23500", "127.0.0.1:23501"}
 	var eps [2]*TCPEndpoint
 	var errs [2]error
 	var wg sync.WaitGroup
@@ -276,7 +276,7 @@ func TestTCPReadErrorRecordedOnCorruptFrame(t *testing.T) {
 }
 
 func TestTCPWorldSendRecv(t *testing.T) {
-	w, err := NewTCPWorld(3, 39200)
+	w, err := NewTCPWorld(3, 23200)
 	if err != nil {
 		t.Skipf("TCP unavailable in this environment: %v", err)
 	}
@@ -308,7 +308,7 @@ func TestTCPWorldSendRecv(t *testing.T) {
 }
 
 func TestTCPSelfSend(t *testing.T) {
-	w, err := NewTCPWorld(2, 39300)
+	w, err := NewTCPWorld(2, 23300)
 	if err != nil {
 		t.Skipf("TCP unavailable in this environment: %v", err)
 	}
@@ -327,7 +327,7 @@ func TestTCPSelfSend(t *testing.T) {
 }
 
 func TestTCPLargeMessage(t *testing.T) {
-	w, err := NewTCPWorld(2, 39400)
+	w, err := NewTCPWorld(2, 23400)
 	if err != nil {
 		t.Skipf("TCP unavailable in this environment: %v", err)
 	}

@@ -289,31 +289,8 @@ func Run(spec Spec) (*Result, error) {
 		WorldOptions:   worldOpts,
 		Churn:          spec.Churn,
 		Build: func(rank int, n *collective.Node) (*core.Trainer, error) {
-			task := buildTask(rank, spec.Ranks)
-			opts := append([]collective.Option{collective.WithSeed(spec.Seed)}, v.opts...)
-			if spec.PeerDeadline > 0 {
-				opts = append(opts, collective.WithPeerDeadline(spec.PeerDeadline))
-			}
-			if spec.Overlap {
-				bt, ok := task.(core.BucketedTask)
-				if !ok {
-					return nil, fmt.Errorf("train: workload task %T does not support the overlapped exchange", task)
-				}
-				opts = append(opts,
-					collective.WithOverlap(),
-					collective.WithBucketElems(spec.BucketElems),
-					// Eager reducers fix the bucket layout at construction;
-					// sync reducers ignore it.
-					collective.WithBucketLayout(core.BucketLayout(bt, spec.BucketElems)...))
-			}
-			ex, err := n.Reducer(task.NumParams(), opts...)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewTrainer(core.Config{
-				Node:            n,
-				Task:            task,
-				Exchanger:       ex,
+			return core.BuildTrainer(n, core.Config{
+				Task:            buildTask(rank, spec.Ranks),
 				Optimizer:       optimizer.NewSGD(lr),
 				Injector:        injector,
 				Clock:           clock,
@@ -321,7 +298,7 @@ func Run(spec Spec) (*Result, error) {
 				CostModel:       costModel,
 				SyncEverySteps:  v.syncEvery,
 				PeerDeadline:    spec.PeerDeadline,
-			})
+			}, spec.Seed, v.opts, spec.Overlap, spec.BucketElems)
 		},
 	})
 	if err != nil {
