@@ -1,5 +1,5 @@
 // Command simsweep runs the deterministic 1000-rank policy sweep and writes
-// NAP-vs-step-time curves as a benchjson-compatible JSON snapshot.
+// NAP-vs-step-time curves as a JSON snapshot.
 //
 // It is the command-line face of internal/simnet/sweep: every {policy ×
 // skew-distribution × world-size} cell is simulated in lockstep over
@@ -15,8 +15,7 @@
 //	go run ./cmd/simsweep -crash 500@120,501@121,502@122   # cascading death at rank 500
 //
 // Skew specs are ';'-separated (each spec may itself contain commas); see
-// simnet.ParseModel for the spec syntax. The output drops straight into
-// cmd/benchjson: `benchjson -compare old.json new.json` diffs two sweeps.
+// simnet.ParseModel for the spec syntax.
 package main
 
 import (

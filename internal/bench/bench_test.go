@@ -4,8 +4,12 @@
 //
 //	go test -run '^$' -bench . -benchmem ./internal/bench
 //
-// to regenerate the numbers quoted in README.md, or use cmd/benchjson to emit
-// them as a BENCH_<date>.json snapshot.
+// to regenerate the numbers quoted in README.md. The package also holds the
+// gates that need a wall clock or an allocation count: the steady-state
+// alloc-free tests, the oversubscription ratio test, and
+// BenchmarkTransportFloors, CI's blocking shm/tcp and shm/inproc floors.
+// Changes are accepted on the acceptance benchmark under benchmarks/, not on
+// these numbers.
 //
 // Every benchmark drives persistent per-rank worker goroutines through
 // start/done channels, so one benchmark iteration measures exactly one

@@ -107,23 +107,6 @@ func (op ReduceOp) Apply(local, incoming tensor.Vector) {
 	}
 }
 
-// ApplyInto combines local and incoming element-wise into dst, which may be
-// transport memory (a reserved ring span) rather than either operand. Same
-// kernels, ordering, and NaN convention as Apply, so fused and in-place
-// reductions are bit-for-bit identical.
-func (op ReduceOp) ApplyInto(dst, local, incoming tensor.Vector) {
-	switch op {
-	case OpSum:
-		tensor.AddInto(dst, local, incoming)
-	case OpMax:
-		tensor.MaxInto(dst, local, incoming)
-	case OpMin:
-		tensor.MinInto(dst, local, incoming)
-	default:
-		panic(fmt.Sprintf("collectives: unknown reduce op %d", int(op)))
-	}
-}
-
 // String returns the operator name.
 func (op ReduceOp) String() string {
 	switch op {
@@ -315,7 +298,7 @@ func (e env) sendFrom(dest, tag int, a, b tensor.Vector, fill func(dst, a, b ten
 //
 // When both directions fit in a single segment the exchange degenerates to
 // the classic combined sendRecv, which also keeps the cancel-overlapped send
-// of SendRecvCancel for small payloads. On the multi-segment path,
+// of SendRecvTimeout for small payloads. On the multi-segment path,
 // cancellation is honored at every receive and — through sendSeg's
 // SendCopyCancel — at every send, so a frozen peer whose socket stops
 // draining cannot wedge a cancel-aware collective.

@@ -87,3 +87,33 @@ func TestAllreduceDeadlineDetectsSilentRank(t *testing.T) {
 		t.Fatalf("err = %v, want ErrPeerDeadline as the cause", err)
 	}
 }
+
+// deafEndpoint is a shared-ring endpoint whose communicator is never told a
+// peer exited — the window in which a survivor's send meets the dead rank's
+// closed ring before its own poller has reported the exit.
+type deafEndpoint struct{ *transport.ShmEndpoint }
+
+func (deafEndpoint) NotifyPeerFailure(func(rank int, cause error)) {}
+
+// TestAllreduceSendIntoClosedRingIsRankUnreachable: the failed send alone
+// types the collective's error; no peer-down mark is needed first.
+func TestAllreduceSendIntoClosedRingIsRankUnreachable(t *testing.T) {
+	for name, algo := range map[string]collectives.Algorithm{
+		"recursive-doubling": collectives.AlgoRecursiveDoubling,
+		"ring":               collectives.AlgoRing,
+		"rabenseifner":       collectives.AlgoRabenseifner,
+	} {
+		t.Run(name, func(t *testing.T) {
+			hub := transport.NewShmHub(2)
+			defer hub.Close()
+			c := comm.NewCommunicator(deafEndpoint{hub.Endpoint(0)})
+			defer c.Close()
+			hub.Endpoint(1).Close()
+			err := collectives.AllreduceWith(c, tensor.NewVector(64), collectives.OpSum, algo,
+				collectives.Config{PeerDeadline: 5 * time.Second}, nil)
+			if !errors.Is(err, collectives.ErrRankUnreachable) || !errors.Is(err, comm.ErrPeerDown) {
+				t.Fatalf("err = %v, want ErrRankUnreachable over a PeerDownError", err)
+			}
+		})
+	}
+}

@@ -17,12 +17,12 @@
 //   - Send and Isend take ownership of the payload: the caller must not read
 //     or write the vector after the call. Callers that need to keep using
 //     their buffer use SendCopy, which snapshots it into a pool-leased buffer.
-//   - Recv, RecvCancel, TryRecv, and SendRecvCancel hand back a leased
+//   - Recv, RecvCancel, TryRecv, and SendRecvTimeout hand back a leased
 //     buffer: the receiver owns it and should release it with Release (or
 //     tensor.PutVector) once the payload has been consumed. Forgetting to
 //     release only costs a garbage collection; releasing twice, or while a
 //     reference is still live, corrupts another lease.
-//   - SendRecvCancel borrows its outgoing payload (it snapshots into a pooled
+//   - SendRecvTimeout borrows its outgoing payload (it snapshots into a pooled
 //     buffer internally), so the caller's vector is untouched.
 package comm
 
@@ -181,7 +181,7 @@ type Endpoint interface {
 }
 
 // Release returns a received payload to the shared vector pool. It is the
-// companion of Recv/RecvCancel/TryRecv/SendRecvCancel: call it once the
+// companion of Recv/RecvCancel/TryRecv/SendRecvTimeout: call it once the
 // payload has been consumed (reduced into a local buffer, copied out,
 // discarded). It is an alias for tensor.PutVector and inherits its contract:
 // at most one release per lease, and no live references afterwards.
@@ -284,7 +284,7 @@ func (c *Communicator) Size() int { return c.ep.Size() }
 // with ErrClosed. Unexpected messages still queued are released back to the
 // vector pool — after Close no receive can claim them, and dropping the queue
 // without releasing would leak their leases. Close also joins the sends that
-// a canceled SendCopyCancel or SendRecvCancel abandoned in the background:
+// a canceled SendCopyCancel or SendRecvTimeout abandoned in the background:
 // closing the endpoint unblocks them, and each releases its payload's lease
 // before Close returns.
 func (c *Communicator) Close() error {
@@ -803,8 +803,8 @@ func (c *Communicator) Isend(dest, tag int, data tensor.Vector) *Request {
 	return r
 }
 
-// SendRecvCancel performs a combined send to dest and receive from source with
-// the given tags, the workhorse of symmetric exchange patterns such as
+// SendRecvTimeout performs a combined send to dest and receive from source
+// with the given tags, the workhorse of symmetric exchange patterns such as
 // recursive doubling. The outgoing payload is borrowed (snapshotted into a
 // pool lease), so the caller keeps ownership of data; the returned vector is a
 // lease the caller releases with Release. The receive half gives up with
@@ -826,15 +826,12 @@ func (c *Communicator) Isend(dest, tag int, data tensor.Vector) *Request {
 // ErrCanceled even then. A canceled call abandons the in-flight send to
 // complete in the background; the communicator is then mid-collective and the
 // only safe follow-up is closing it.
-func (c *Communicator) SendRecvCancel(dest, sendTag int, data tensor.Vector, source, recvTag int, cancel <-chan struct{}) (tensor.Vector, Status, error) {
-	return c.SendRecvTimeout(dest, sendTag, data, source, recvTag, cancel, 0)
-}
-
-// SendRecvTimeout behaves like SendRecvCancel with a per-peer deadline on the
-// receive half (see RecvTimeout): a peer that neither delivers a matching
-// message nor is otherwise heard from within the deadline is marked down and
-// the call returns a PeerDownError instead of blocking forever — the typed
-// surface for "the peer's read loop died mid-collective".
+//
+// A positive deadline is a per-peer deadline on the receive half (see
+// RecvTimeout): a peer that neither delivers a matching message nor is
+// otherwise heard from within the deadline is marked down and the call
+// returns a PeerDownError instead of blocking forever — the typed surface for
+// "the peer's read loop died mid-collective". Zero waits indefinitely.
 func (c *Communicator) SendRecvTimeout(dest, sendTag int, data tensor.Vector, source, recvTag int, cancel <-chan struct{}, deadline time.Duration) (tensor.Vector, Status, error) {
 	if cancel == nil {
 		if err := c.SendCopy(dest, sendTag, data); err != nil {

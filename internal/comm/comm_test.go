@@ -92,7 +92,7 @@ func TestSendRecvBorrowsOutgoingBuffer(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			peer := 1 - r
-			data, _, err := w[r].SendRecvCancel(peer, 0, bufs[r], peer, 0, nil)
+			data, _, err := w[r].SendRecvTimeout(peer, 0, bufs[r], peer, 0, nil, 0)
 			if err != nil {
 				t.Errorf("rank %d: %v", r, err)
 				return
@@ -249,7 +249,7 @@ func TestSendRecvExchangeNoDeadlock(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			peer := 1 - r
-			data, _, err := w[r].SendRecvCancel(peer, 0, tensor.Vector{float64(r)}, peer, 0, nil)
+			data, _, err := w[r].SendRecvTimeout(peer, 0, tensor.Vector{float64(r)}, peer, 0, nil, 0)
 			if err != nil {
 				t.Errorf("rank %d SendRecv: %v", r, err)
 				return
@@ -287,7 +287,7 @@ func TestSendRecvInprocAllocFree(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		go func(r int) {
 			for range start[r] {
-				data, _, err := w[r].SendRecvCancel(1-r, 0, payload[r], 1-r, 0, nil)
+				data, _, err := w[r].SendRecvTimeout(1-r, 0, payload[r], 1-r, 0, nil, 0)
 				if err == nil {
 					comm.Release(data)
 				}
@@ -347,7 +347,7 @@ func (s *stallEndpoint) Close() error {
 
 // TestSendRecvCancelUnblocksWhileSendStalled pins the liveness property of the
 // cancel-aware exchange: even when the transport send is stuck on a stalled
-// peer, a canceled SendRecvCancel must return ErrCanceled instead of hanging
+// peer, a canceled SendRecvTimeout must return ErrCanceled instead of hanging
 // (the in-flight send is abandoned to the background and the communicator is
 // closed afterwards, per the documented contract).
 func TestSendRecvCancelUnblocksWhileSendStalled(t *testing.T) {
@@ -356,7 +356,7 @@ func TestSendRecvCancelUnblocksWhileSendStalled(t *testing.T) {
 	cancel := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.SendRecvCancel(1, 0, tensor.Vector{1}, 1, 0, cancel)
+		_, _, err := c.SendRecvTimeout(1, 0, tensor.Vector{1}, 1, 0, cancel, 0)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -367,7 +367,7 @@ func TestSendRecvCancelUnblocksWhileSendStalled(t *testing.T) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("SendRecvCancel hung although canceled: stalled send blocks the cancel path")
+		t.Fatal("SendRecvTimeout hung although canceled: stalled send blocks the cancel path")
 	}
 	close(ep.release) // let the abandoned background send drain
 	c.Close()
@@ -384,7 +384,7 @@ func TestSendRecvCancelUnblocksWhenRecvSatisfiedButSendStalled(t *testing.T) {
 	cancel := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.SendRecvCancel(1, 0, tensor.Vector{1}, 1, 0, cancel)
+		_, _, err := c.SendRecvTimeout(1, 0, tensor.Vector{1}, 1, 0, cancel, 0)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -395,7 +395,7 @@ func TestSendRecvCancelUnblocksWhenRecvSatisfiedButSendStalled(t *testing.T) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("SendRecvCancel hung in the send wait although canceled")
+		t.Fatal("SendRecvTimeout hung in the send wait although canceled")
 	}
 	close(ep.release)
 	c.Close()

@@ -60,7 +60,7 @@ type params struct {
 	fig13Steps     int
 	fig13MinLen    int
 	fig13MaxLen    int
-	fig13MedianLen float64
+	fig13MedianLen int
 	fig13PerUnitMs float64
 	fig13Clock     float64
 	fig13LR        float64

@@ -252,13 +252,6 @@ func (t *Transition) Ack(id RankID) {
 	}
 }
 
-// Acked reports whether the member has acknowledged the drain.
-func (t *Transition) Acked(id RankID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.acks[id]
-}
-
 // AllAcked reports whether every surviving member (one that is in both the
 // outgoing and proposed views and that down does not report dead) has
 // acknowledged the drain.

@@ -6,11 +6,8 @@ import (
 	"runtime"
 )
 
-// The snapshot schema mirrors cmd/benchjson's BENCH_*.json documents field
-// for field, so the sweep's curves drop straight into the repository's
-// existing comparison tooling (`benchjson -compare sim_a.json sim_b.json`
-// diffs two sweeps like any two benchmark runs). The structs are duplicated
-// rather than imported because cmd/benchjson is package main.
+// The snapshot lays one policy curve out like one `go test -bench` line: a
+// name, an iteration count, ns per operation, and named metrics.
 //
 // Determinism: nothing machine- or time-dependent enters the document. The
 // Date field carries the root seed instead of a wall-clock date, map-valued
@@ -18,26 +15,20 @@ import (
 // and benchmarks append in sweep order — so two runs of the same sweep are
 // byte-identical, which CI diffs to gate the determinism contract.
 
-// Result is one benchmark line, schema-compatible with cmd/benchjson.
+// Result is one policy curve.
 type Result struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
-	BPerOp     float64            `json:"b_per_op"`
-	AllocsPer  float64            `json:"allocs_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Snapshot is the top-level JSON document, schema-compatible with
-// cmd/benchjson.
+// Snapshot is the top-level JSON document.
 type Snapshot struct {
 	Date       string   `json:"date"`
 	Command    string   `json:"command"`
 	GOOS       string   `json:"goos,omitempty"`
 	GOARCH     string   `json:"goarch,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
-	GoMaxProcs int      `json:"gomaxprocs,omitempty"`
-	NumCPU     int      `json:"numcpu,omitempty"`
 	Package    string   `json:"package,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }

@@ -189,13 +189,6 @@ func (v Vector) Randomize(rng *rand.Rand, scale float64) {
 	}
 }
 
-// RandomizeNormal fills v with normal values N(0, std^2) drawn from rng.
-func (v Vector) RandomizeNormal(rng *rand.Rand, std float64) {
-	for i := range v {
-		v[i] = rng.NormFloat64() * std
-	}
-}
-
 // Chunk splits v into n contiguous chunks whose sizes differ by at most one
 // element; the first (len(v) mod n) chunks receive one extra element. The
 // returned slices alias v. Chunk panics if n <= 0.

@@ -7,7 +7,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -55,18 +54,6 @@ func (r *ThroughputRecorder) StepsPerSecond() float64 {
 	return float64(len(r.records)) / r.total.Seconds()
 }
 
-// MeanLoss returns the mean recorded loss.
-func (r *ThroughputRecorder) MeanLoss() float64 {
-	if len(r.records) == 0 {
-		return 0
-	}
-	var s float64
-	for _, rec := range r.records {
-		s += rec.Loss
-	}
-	return s / float64(len(r.records))
-}
-
 // MeanActiveProcesses returns the mean NAP across recorded steps.
 func (r *ThroughputRecorder) MeanActiveProcesses() float64 {
 	if len(r.records) == 0 {
@@ -92,26 +79,6 @@ func (r *ThroughputRecorder) InclusionRate() float64 {
 		}
 	}
 	return float64(n) / float64(len(r.records))
-}
-
-// DurationPercentile returns the p-th percentile (0-100) of step durations.
-func (r *ThroughputRecorder) DurationPercentile(p float64) time.Duration {
-	if len(r.records) == 0 {
-		return 0
-	}
-	ds := make([]time.Duration, len(r.records))
-	for i, rec := range r.records {
-		ds[i] = rec.Duration
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	idx := int(math.Ceil(p/100*float64(len(ds)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(ds) {
-		idx = len(ds) - 1
-	}
-	return ds[idx]
 }
 
 // Records returns a copy of the recorded steps.
@@ -142,34 +109,6 @@ func (c *Curve) Last() CurvePoint {
 		return CurvePoint{}
 	}
 	return c.Points[len(c.Points)-1]
-}
-
-// MaxY returns the maximum y value seen, or 0 for an empty curve.
-func (c *Curve) MaxY() float64 {
-	best := math.Inf(-1)
-	for _, p := range c.Points {
-		if p.Y > best {
-			best = p.Y
-		}
-	}
-	if math.IsInf(best, -1) {
-		return 0
-	}
-	return best
-}
-
-// FinalY returns the y value of the last point (0 if empty).
-func (c *Curve) FinalY() float64 { return c.Last().Y }
-
-// XAtY returns the first x at which the curve reaches at least y, and whether
-// it ever does — used for "time to reach accuracy X" comparisons.
-func (c *Curve) XAtY(y float64) (float64, bool) {
-	for _, p := range c.Points {
-		if p.Y >= y {
-			return p.X, true
-		}
-	}
-	return 0, false
 }
 
 // Table is a simple text table with a caption, used to print the rows of the
@@ -246,18 +185,6 @@ func (t *Table) Render() string {
 	writeRow(sep)
 	for _, row := range t.Rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (caption omitted).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Headers, ","))
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -43,7 +43,7 @@ func TestSendRecvSurfacesPeerReadLoopDeath(t *testing.T) {
 	go func() {
 		// Rank 1 exchanges with rank 0; rank 0 never answers because its
 		// stream to rank 1 is about to die.
-		v, _, err := c1.SendRecvCancel(0, 5, make(tensor.Vector, 4), 0, 5, nil)
+		v, _, err := c1.SendRecvTimeout(0, 5, make(tensor.Vector, 4), 0, 5, nil, 0)
 		done <- result{v, err}
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -94,7 +94,7 @@ func TestSendRecvCancelStillHonorsContextOnDeadPeer(t *testing.T) {
 	cancel := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c1.SendRecvCancel(0, 6, make(tensor.Vector, 4), 0, 6, cancel)
+		_, _, err := c1.SendRecvTimeout(0, 6, make(tensor.Vector, 4), 0, 6, cancel, 0)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

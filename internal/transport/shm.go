@@ -328,9 +328,18 @@ func (e *ShmEndpoint) SendFill(dest, tag int, a, b tensor.Vector, fill func(dst,
 		return false, nil
 	}
 	if err != nil && errors.Is(err, ErrRingClosed) {
-		return true, fmt.Errorf("transport: ring to rank %d: %w", dest, err)
+		return true, ringClosedErr(dest, err)
 	}
 	return true, err
+}
+
+// ringClosedErr types a send that found dest's ring closed by its consumer:
+// dest closed its endpoint or was declared dead. The sender learns this from
+// the ring before the poller reports dest's exit (which waits until dest's
+// broadcast segment is drained), so the error itself carries comm.ErrPeerDown
+// and nothing is marked down early for receivers.
+func ringClosedErr(dest int, err error) error {
+	return &comm.PeerDownError{Rank: dest, Cause: fmt.Errorf("transport: ring to rank %d: %w", dest, err)}
 }
 
 // BroadcastGroup returns the colocated peer ranks that consume this rank's
@@ -400,7 +409,7 @@ func (e *ShmEndpoint) send(dest int, m comm.Message, owned bool) error {
 	}
 	if err := r.enqueue(m, e.done, owned); err != nil {
 		if errors.Is(err, ErrRingClosed) {
-			return fmt.Errorf("transport: ring to rank %d: %w", dest, err)
+			return ringClosedErr(dest, err)
 		}
 		return err
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -343,6 +344,46 @@ func TestShmExitReportedAfterSegmentDrained(t *testing.T) {
 	for m := range consumer.Inbox() {
 		tensor.PutVector(m.Data)
 	}
+	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+		t.Errorf("%d leases leaked", n)
+	}
+}
+
+// deafEndpoint is a ShmEndpoint whose communicator is never told a peer
+// exited: it pins the window between a peer closing its rings and this rank's
+// poller reporting the exit, in which a send must already fail typed.
+type deafEndpoint struct{ *ShmEndpoint }
+
+func (deafEndpoint) NotifyPeerFailure(func(rank int, cause error)) {}
+
+// TestShmSendToClosedPeerIsPeerDown: a send that finds the destination's ring
+// closed by its consumer carries comm.ErrPeerDown by itself, on every send
+// path, whether or not the communicator has marked the peer down yet.
+func TestShmSendToClosedPeerIsPeerDown(t *testing.T) {
+	before := tensor.ReadPoolStats()
+	hub := NewShmHub(2)
+	c := comm.NewCommunicator(deafEndpoint{hub.Endpoint(0)})
+	hub.Endpoint(1).Close()
+	data := tensor.NewVector(64)
+	copyInto := func(dst, a, _ tensor.Vector) { copy(dst, a) }
+	for name, err := range map[string]error{
+		"Send":     c.Send(1, 3, tensor.GetVectorCopy(data)),
+		"SendCopy": c.SendCopy(1, 3, data),
+		"SendFrom": c.SendFrom(1, 3, data, data, copyInto),
+	} {
+		if !errors.Is(err, comm.ErrPeerDown) || !errors.Is(err, ErrRingClosed) {
+			t.Errorf("%s to a closed peer: err = %v, want a PeerDownError wrapping ErrRingClosed", name, err)
+		}
+		var down *comm.PeerDownError
+		if errors.As(err, &down) && down.Rank != 1 {
+			t.Errorf("%s: PeerDownError names rank %d, want 1", name, down.Rank)
+		}
+	}
+	if c.PeerError(1) != nil {
+		t.Error("the send marked the peer down for receivers")
+	}
+	c.Close()
+	hub.Close()
 	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
 		t.Errorf("%d leases leaked", n)
 	}

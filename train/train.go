@@ -30,6 +30,7 @@ import (
 	"eagersgd/internal/core"
 	"eagersgd/internal/imbalance"
 	"eagersgd/internal/optimizer"
+	"eagersgd/internal/trace"
 )
 
 // Variant selects the distributed SGD algorithm. Use the constructors; the
@@ -233,6 +234,11 @@ type Result struct {
 	// MeanActiveRanks is the mean number of fresh contributions per
 	// reduction observed by rank 0 (the NAP metric of Fig. 9).
 	MeanActiveRanks float64
+	// EvalLoss and EvalTop1 are the held-out loss and top-1 accuracy against
+	// cumulative training time in seconds: one point per Spec.EvalEvery steps
+	// and one for the final evaluation, whose values Loss and Top1 repeat.
+	// TrainLoss is the minibatch loss averaged between those evaluations.
+	EvalLoss, EvalTop1, TrainLoss *trace.Curve
 }
 
 // Run executes the spec and returns rank 0's results. All ranks run as
@@ -312,5 +318,8 @@ func Run(spec Spec) (*Result, error) {
 		Top1:            res.Final.Top1,
 		Top5:            res.Final.Top5,
 		MeanActiveRanks: res.MeanActiveProcesses,
+		EvalLoss:        res.EvalLoss,
+		EvalTop1:        res.EvalTop1,
+		TrainLoss:       res.TrainLoss,
 	}, nil
 }

@@ -28,7 +28,8 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestRunEveryVariant drives each SGD variant through a short hyperplane run
-// on the public façade, checking the headline metrics come back sane.
+// on the public façade, checking the headline metrics come back sane and the
+// curves hold one point per evaluation, the last one being the headline.
 func TestRunEveryVariant(t *testing.T) {
 	workload := train.Hyperplane(train.HyperplaneConfig{Dim: 8, Samples: 64, Batch: 4})
 	for _, v := range []train.Variant{
@@ -46,6 +47,7 @@ func TestRunEveryVariant(t *testing.T) {
 			Variant:    v,
 			Imbalance:  train.RandomDelays(1, 5),
 			ClockScale: 0.05,
+			EvalEvery:  2,
 			Seed:       3,
 		})
 		if err != nil {
@@ -59,6 +61,13 @@ func TestRunEveryVariant(t *testing.T) {
 		}
 		if res.Loss <= 0 {
 			t.Fatalf("%s: final loss %v", v.Name, res.Loss)
+		}
+		// Evaluations after steps 2, 4 and 6, and the final one after step 8.
+		if n, m := len(res.EvalLoss.Points), len(res.TrainLoss.Points); n != 4 || m != 4 {
+			t.Fatalf("%s: %d eval-loss and %d train-loss points, want 4 each", v.Name, n, m)
+		}
+		if last := res.EvalLoss.Last(); last.Y != res.Loss || last.X != res.TrainingTime.Seconds() {
+			t.Fatalf("%s: last eval point %+v, headline loss %v after %v", v.Name, last, res.Loss, res.TrainingTime)
 		}
 	}
 }
@@ -79,6 +88,10 @@ func TestWorkloadsTrain(t *testing.T) {
 	}
 	if images.Top1 < 0 || images.Top1 > 1 || images.Top5 < images.Top1 {
 		t.Fatalf("images accuracies top1=%v top5=%v", images.Top1, images.Top5)
+	}
+	// No EvalEvery: the curve is the final evaluation alone.
+	if pts := images.EvalTop1.Points; len(pts) != 1 || pts[0].Y != images.Top1 {
+		t.Fatalf("images top-1 curve %+v, headline top1=%v", pts, images.Top1)
 	}
 	video, err := train.Run(train.Spec{
 		Ranks:    2,
