@@ -197,8 +197,7 @@ const (
 	TCP
 	// Shm connects the ranks through per-pair SPSC shared rings: frames are
 	// encoded in place into a ring span and decoded straight into pooled
-	// vectors — zero syscalls per exchange. Combine with WithHosts to run a
-	// mixed world where colocated rank pairs use rings and remote pairs TCP.
+	// vectors — zero syscalls per exchange. All ranks live in this process.
 	Shm
 	// Sim runs the ranks over the deterministic simulation transport: a
 	// discrete-event network with a virtual clock where per-link latency and

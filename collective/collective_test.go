@@ -66,12 +66,6 @@ func TestReduceRoundTripEveryModeAndTransport(t *testing.T) {
 		{"inproc", []collective.Option{collective.WithTransport(collective.Inproc)}},
 		{"tcp", []collective.Option{collective.WithTransport(collective.TCP)}},
 		{"shm", []collective.Option{collective.WithTransport(collective.Shm)}},
-		{"mixed", []collective.Option{
-			collective.WithTransport(collective.TCP),
-			// Ranks 0,1 share a host (rings), 2,3 share another; the
-			// cross-host pairs stay on TCP.
-			collective.WithHosts(0, 0, 1, 1),
-		}},
 		{"sim", []collective.Option{
 			collective.WithTransport(collective.Sim),
 			collective.WithSimConfig(collective.SimConfig{

@@ -401,23 +401,6 @@ func TestCloseRacingStateTransfer(t *testing.T) {
 	}
 }
 
-// TestHybridWorldRejectsTransitions pins the explicit unsupported-transport
-// contract: a WithHosts world's placement is fixed at construction.
-func TestHybridWorldRejectsTransitions(t *testing.T) {
-	w, err := collective.NewWorld(3,
-		collective.WithTransport(collective.TCP),
-		collective.WithBasePort(25520),
-		collective.WithHosts(0, 0, 1),
-	)
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
-	defer w.Close()
-	if _, err := w.Join("x"); !errors.Is(err, collective.ErrElasticUnsupported) {
-		t.Fatalf("hybrid join: %v, want ErrElasticUnsupported", err)
-	}
-}
-
 // TestTCPWorldGrows runs one join on the TCP transport: the new epoch's
 // generation listens on a fresh port block and the joiner's dials ride the
 // retry/backoff path.

@@ -43,10 +43,6 @@ var (
 	// ErrTransitionActive is returned when a second membership change is
 	// requested while one is still in flight.
 	ErrTransitionActive = membership.ErrTransitionActive
-	// ErrElasticUnsupported is returned by membership verbs on worlds whose
-	// transport cannot be reconfigured (currently the hybrid WithHosts
-	// placement, whose host mapping is fixed at construction).
-	ErrElasticUnsupported = errors.New("collective: this world's transport does not support membership changes")
 	// ErrWorldClosed is returned by membership verbs once Close has begun.
 	ErrWorldClosed = errors.New("collective: world is closed")
 )
@@ -146,9 +142,6 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 	if w.isClosing() {
 		return nil, ErrWorldClosed
 	}
-	if len(w.cfg.hosts) > 0 {
-		return nil, fmt.Errorf("%w: hybrid (WithHosts) placement is fixed at construction", ErrElasticUnsupported)
-	}
 
 	w.mu.Lock()
 	oldGen := w.gen
@@ -243,7 +236,7 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 	// Build the next generation and blocklist the outgoing epoch's tag
 	// blocks on its communicators: a straggler frame from epoch N is released
 	// on arrival, never misdelivered into epoch N+1.
-	newGen, err := w.buildGeneration(to.Epoch, to.Size(), false)
+	newGen, err := w.buildGeneration(to.Epoch, to.Size())
 	if err != nil {
 		undrain()
 		w.tracker.Abort(trans)

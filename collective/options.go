@@ -26,7 +26,6 @@ type config struct {
 	layout       []int
 	peerDeadline time.Duration
 	faults       *faults.Scenario
-	hosts        []int
 	dialRetry    time.Duration
 	sim          SimConfig
 
@@ -158,16 +157,6 @@ func WithFaults(sc FaultScenario) Option {
 		copied := sc
 		c.faults = &copied
 	}
-}
-
-// WithHosts declares the host placement of the ranks: hosts[r] is an opaque
-// host id and ranks sharing an id are colocated. A TCP world with a placement
-// becomes a mixed-transport world — colocated rank pairs exchange over
-// syscall-free shared rings (the Shm transport) while cross-host pairs keep
-// their TCP sockets. One entry per rank is required. Inproc and Shm worlds,
-// which are entirely same-host by construction, ignore the placement.
-func WithHosts(hosts ...int) Option {
-	return func(c *config) { c.hosts = append([]int(nil), hosts...) }
 }
 
 // WithDialRetry sets the total wall-clock budget a TCP world's dials keep

@@ -108,7 +108,7 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 		portCursor: cfg.basePort,
 		closing:    make(chan struct{}),
 	}
-	gen, err := w.buildGeneration(0, size, true)
+	gen, err := w.buildGeneration(0, size)
 	if err != nil {
 		return nil, err
 	}
@@ -120,12 +120,11 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 	return w, nil
 }
 
-// buildGeneration constructs the transport stack for one epoch's view.
-// firstEpoch permits the hybrid (WithHosts) upgrade, which only the founding
-// epoch supports. TCP generations consume a fresh block of consecutive ports
-// from the port cursor, so a retired epoch's lingering sockets can never
-// collide with the next epoch's listeners.
-func (w *World) buildGeneration(epoch uint64, size int, firstEpoch bool) (*generation, error) {
+// buildGeneration constructs the transport stack for one epoch's view. TCP
+// generations consume a fresh block of consecutive ports from the port
+// cursor, so a retired epoch's lingering sockets can never collide with the
+// next epoch's listeners.
+func (w *World) buildGeneration(epoch uint64, size int) (*generation, error) {
 	cfg := w.cfg
 	eps := make([]comm.Endpoint, size)
 	var simHub *simnet.Hub
@@ -147,14 +146,6 @@ func (w *World) buildGeneration(epoch uint64, size int, firstEpoch bool) (*gener
 		}
 		for r := 0; r < size; r++ {
 			eps[r] = teps[r]
-		}
-		if firstEpoch && len(cfg.hosts) > 0 {
-			if err := mixWithSharedRings(eps, cfg.hosts); err != nil {
-				for _, ep := range eps {
-					ep.Close()
-				}
-				return nil, err
-			}
 		}
 	case Shm:
 		hub := transport.NewShmHub(size)
@@ -190,36 +181,6 @@ func (w *World) buildGeneration(epoch uint64, size int, firstEpoch bool) (*gener
 		g.comms[r] = comm.NewCommunicator(eps[r])
 	}
 	return g, nil
-}
-
-// mixWithSharedRings upgrades a TCP world to a mixed-transport world per the
-// WithHosts placement: every host group of two or more ranks gets a shared-
-// ring hub carrying its intra-host traffic, and each member rank's endpoint
-// becomes a hybrid that routes colocated sends through its ring and remote
-// sends through the original TCP endpoint. Singleton ranks keep plain TCP.
-func mixWithSharedRings(eps []comm.Endpoint, hosts []int) error {
-	size := len(eps)
-	if len(hosts) != size {
-		return fmt.Errorf("collective: WithHosts gave %d host ids for %d ranks", len(hosts), size)
-	}
-	groups := make(map[int][]int)
-	for r, h := range hosts {
-		groups[h] = append(groups[h], r)
-	}
-	for _, members := range groups {
-		if len(members) < 2 {
-			continue
-		}
-		hub := transport.NewShmHubFor(size, members, transport.DefaultRingBytes)
-		colocated := make([]bool, size)
-		for _, r := range members {
-			colocated[r] = true
-		}
-		for _, r := range members {
-			eps[r] = transport.NewHybridEndpoint(hub.Endpoint(r), eps[r], colocated)
-		}
-	}
-	return nil
 }
 
 // Size returns the number of members in the current epoch.

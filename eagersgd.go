@@ -71,11 +71,6 @@ func WithTransport(t Transport) Option { return collective.WithTransport(t) }
 // latency model, compute-skew model); see collective.WithSimConfig.
 func WithSimConfig(sc collective.SimConfig) Option { return collective.WithSimConfig(sc) }
 
-// WithHosts declares rank placement for a mixed world: ranks sharing a host
-// id exchange over shared rings, cross-host pairs keep TCP. See
-// collective.WithHosts.
-func WithHosts(hosts ...int) Option { return collective.WithHosts(hosts...) }
-
 // WithMode selects the reduction behaviour. Default Sync.
 func WithMode(m Mode) Option { return collective.WithMode(m) }
 

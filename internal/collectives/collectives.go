@@ -67,18 +67,17 @@ const (
 // bcastWorld reports whether this rank can reach every peer of the world with
 // one comm.SendBroadcastCopy of up to maxBytes — the gate for replacing a
 // relay or tree protocol with direct publication over the transport's
-// broadcast segment. The decision is SPMD-consistent without agreement
-// traffic: group membership is symmetric (either the whole world shares one
-// segment hub, in which case every rank's group covers all its peers, or some
-// rank is outside it, in which case every rank's group is short), the budget
-// is a hub-wide constant, and maxBytes derives from the collective's SPMD
+// broadcast segment. An endpoint with the capability reaches the whole world
+// (a segment hub connects all its ranks), so the gate is the budget alone,
+// and the decision is SPMD-consistent without agreement traffic: the budget
+// is a hub-wide constant and maxBytes derives from the collective's SPMD
 // arguments. Ranks whose endpoints hide the capability (fault-injection
-// wrappers, plain-endpoint worlds) see a nil group and keep the classic path
-// — wrapping only some ranks of one world would break the consistency and is
-// not supported.
+// wrappers, plain-endpoint worlds) see a zero budget and keep the classic
+// path — wrapping only some ranks of one world would break the consistency
+// and is not supported.
 func bcastWorld(c *comm.Communicator, maxBytes int) bool {
-	g := c.BroadcastGroup()
-	return len(g) == c.Size()-1 && maxBytes <= c.BroadcastBudget()
+	budget := c.BroadcastBudget()
+	return budget > 0 && maxBytes <= budget
 }
 
 // ReduceOp identifies the element-wise combination applied by reductions.

@@ -129,18 +129,18 @@ type FillSender interface {
 }
 
 // GroupBroadcaster is an optional Endpoint capability: the transport can
-// publish one payload to a whole group of peers in a single operation (a
-// shared-memory broadcast segment every colocated rank reads in place),
-// instead of one send per peer. BroadcastGroup returns the peer ranks that
-// receive such a publication (never including the endpoint's own rank; nil
-// or empty when the capability is unavailable), and BroadcastBudget the
+// publish one payload to all of its peers in a single operation (a
+// shared-memory broadcast segment every other rank reads in place), instead
+// of one send per peer. BroadcastGroup returns the peer ranks that receive
+// such a publication — every rank of the world but the endpoint's own, which
+// is what lets callers gate on the budget alone — and BroadcastBudget the
 // largest payload byte count SendBroadcast accepts. SendBroadcast borrows
 // data for the duration of the call — ownership stays with the caller on
 // every path — and on return the payload is en route to every rank in
 // BroadcastGroup as an ordinary tagged message from this endpoint's rank;
-// like Send, it may block for flow control. Group membership and budget are
-// fixed for the endpoint's lifetime, so SPMD callers can derive consistent
-// routing decisions from them.
+// like Send, it may block for flow control. Group and budget are fixed for
+// the endpoint's lifetime, so SPMD callers can derive consistent routing
+// decisions from them.
 type GroupBroadcaster interface {
 	BroadcastGroup() []int
 	BroadcastBudget() int
@@ -500,21 +500,11 @@ func (c *Communicator) SendFrom(dest, tag int, a, b tensor.Vector, fill func(dst
 	return c.Send(dest, tag, tmp)
 }
 
-// BroadcastGroup returns the peer ranks a SendBroadcastCopy from this
-// communicator reaches in one transport-level publication, nil when the
-// endpoint has no group-broadcast capability (GroupBroadcaster). Callers
-// gate one-to-many protocols on it: the group and budget are fixed for the
-// communicator's lifetime, so every rank of an SPMD collective can derive
-// the same routing decision locally.
-func (c *Communicator) BroadcastGroup() []int {
-	if gb, ok := c.ep.(GroupBroadcaster); ok {
-		return gb.BroadcastGroup()
-	}
-	return nil
-}
-
 // BroadcastBudget returns the largest payload byte count SendBroadcastCopy
-// accepts, zero without the capability.
+// accepts, zero when the endpoint has no group-broadcast capability
+// (GroupBroadcaster). Callers gate one-to-many protocols on it: the budget is
+// fixed for the communicator's lifetime and the same on every rank of a
+// world, so an SPMD collective derives the same routing decision locally.
 func (c *Communicator) BroadcastBudget() int {
 	if gb, ok := c.ep.(GroupBroadcaster); ok {
 		return gb.BroadcastBudget()
@@ -522,12 +512,12 @@ func (c *Communicator) BroadcastBudget() int {
 	return 0
 }
 
-// SendBroadcastCopy publishes data once to every rank in BroadcastGroup,
+// SendBroadcastCopy publishes data once to every other rank of the world,
 // where it arrives as an ordinary tagged message from this rank — matched,
 // queued, and discarded exactly like a point-to-point send. data is
 // borrowed: the transport finishes with it before returning and the caller
 // keeps ownership on every path. Fails on endpoints without the capability;
-// callers must gate on BroadcastGroup first.
+// callers must gate on BroadcastBudget first.
 func (c *Communicator) SendBroadcastCopy(tag int, data tensor.Vector) error {
 	gb, ok := c.ep.(GroupBroadcaster)
 	if !ok {

@@ -1,6 +1,7 @@
 package partial_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -192,5 +193,71 @@ func TestPeerDeadlineZeroKeepsStrictSemantics(t *testing.T) {
 	case <-time.After(300 * time.Millisecond):
 		// Still blocked: strict semantics preserved. Cleanup closes the world
 		// and unblocks the goroutine.
+	}
+}
+
+// TestOnlyTheSilentRankIsSuspected is the regression test for the flat
+// data-phase allowance: with one rank silent and nothing but the deadline to
+// detect it (no crash signal; every link 10 ms slow, so arrival order is not
+// left to the scheduler), a rank waiting on a live peer that is itself
+// waiting out the silent one used to time out at the same instant and mark
+// the live peer down. The allowance now grows with the hop, so only the
+// silent rank may ever be suspected.
+func TestOnlyTheSilentRankIsSuspected(t *testing.T) {
+	const (
+		n        = 4
+		rounds   = 2
+		deadline = 100 * time.Millisecond
+	)
+	slow := faults.LinkRule{DelayProb: 1, DelayMin: 10 * time.Millisecond, DelayMax: 10 * time.Millisecond}
+	for _, p := range []int{3, 4} {
+		for silent := 0; silent < p; silent++ {
+			t.Run(fmt.Sprintf("P%d/silent%d", p, silent), func(t *testing.T) {
+				t.Parallel()
+				sc := faults.Scenario{Seed: 9, Default: slow}
+				inj, comms, ars := faultyWorld(t, p, n, sc, partial.Options{Mode: partial.Solo, PeerDeadline: deadline})
+				inj.Crash(silent)
+
+				errs := make([]error, p)
+				var wg sync.WaitGroup
+				for r := 0; r < p; r++ {
+					if r == silent {
+						continue
+					}
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						grad := make(tensor.Vector, n)
+						for k := 0; k < rounds && errs[r] == nil; k++ {
+							grad.Fill(1)
+							var sum tensor.Vector
+							if sum, _, errs[r] = ars[r].Exchange(grad); errs[r] == nil {
+								tensor.PutVector(sum)
+							}
+						}
+					}(r)
+				}
+				wg.Wait()
+
+				detected := false
+				for r := 0; r < p; r++ {
+					if r == silent {
+						continue
+					}
+					if errs[r] != nil {
+						t.Errorf("rank %d: %v", r, errs[r])
+					}
+					detected = detected || comms[r].PeerDown(silent)
+					for q := 0; q < p; q++ {
+						if q != silent && comms[r].PeerDown(q) {
+							t.Errorf("rank %d marked live rank %d down while rank %d was the silent one", r, q, silent)
+						}
+					}
+				}
+				if !detected {
+					t.Errorf("no survivor marked the silent rank %d down", silent)
+				}
+			})
+		}
 	}
 }

@@ -912,13 +912,23 @@ func (a *Allreducer) reduce(data tensor.Vector) error {
 // dropped, receives from it are skipped, and a receive that outlasts the
 // deadline declares it dead. A dead rank is permanently not participating, so
 // the survivors' rounds keep completing with the surviving participant set.
+//
+// Every receive is numbered by its hop in the round's chain — the fold is hop
+// 0 (for every rank of a world that folds, also those that skip it), the
+// doubling steps follow, the fold-back is last — and recvTolerant's allowance
+// grows with that number.
 func (a *Allreducer) reduceTolerant(data tensor.Vector) error {
 	rank, size := a.comm.Rank(), a.comm.Size()
-	pof2 := 1
+	pof2, steps := 1, 0
 	for pof2*2 <= size {
 		pof2 *= 2
+		steps++
 	}
 	rem := size - pof2
+	hop := 0
+	if rem > 0 {
+		hop = 1
+	}
 	tag := a.opts.BaseTag + tagTolerant
 	foldTag, backTag, stepTag := tag, tag+1, tag+2
 
@@ -930,9 +940,9 @@ func (a *Allreducer) reduceTolerant(data tensor.Vector) error {
 			if err := a.sendTolerant(rank+1, foldTag, data); err != nil {
 				return err
 			}
-			return a.recvTolerant(rank+1, backTag, data, false)
+			return a.recvTolerant(rank+1, backTag, hop+steps, data, false)
 		}
-		if err := a.recvTolerant(rank-1, foldTag, data, true); err != nil {
+		if err := a.recvTolerant(rank-1, foldTag, 0, data, true); err != nil {
 			return err
 		}
 		group = rank / 2
@@ -947,10 +957,11 @@ func (a *Allreducer) reduceTolerant(data tensor.Vector) error {
 		if err := a.sendTolerant(peer, stepTag, data); err != nil {
 			return err
 		}
-		if err := a.recvTolerant(peer, stepTag, data, true); err != nil {
+		if err := a.recvTolerant(peer, stepTag, hop, data, true); err != nil {
 			return err
 		}
 		stepTag++
+		hop++
 	}
 	if rank < 2*rem {
 		return a.sendTolerant(rank-1, backTag, data)
@@ -972,13 +983,20 @@ func (a *Allreducer) sendTolerant(dest, tag int, data tensor.Vector) error {
 // call succeeds. Once a peer is down it is never received from again: the
 // tags are the same every round, so a message it sent before dying, or one
 // from a live peer wrongly suspected, could otherwise be taken for a later
-// round's. The deadline carries a depth allowance (chainSlack): progress here
-// is engine-bound, so a peer silent that long is dead, not merely slow.
-func (a *Allreducer) recvTolerant(source, tag int, data tensor.Vector, sum bool) error {
+// round's.
+//
+// The deadline is two units of PeerDeadline at hop 0 and one more per hop. A
+// live peer's send at hop h can legitimately be late by the allowance of an
+// earlier hop, where the peer (or a rank upstream of it) waited out a dead
+// one; with a flat allowance both waits expire at the same instant and the
+// live peer is suspected too. Growing by a unit per hop keeps a whole
+// PeerDeadline between the two, and progress here is engine-bound, so a peer
+// silent that long is dead, not merely slow.
+func (a *Allreducer) recvTolerant(source, tag, hop int, data tensor.Vector, sum bool) error {
 	if a.comm.PeerDown(source) {
 		return nil
 	}
-	deadline := a.opts.PeerDeadline * time.Duration(chainSlack(a.comm.Size()))
+	deadline := a.opts.PeerDeadline * time.Duration(2+hop)
 	in, _, err := a.comm.RecvTimeout(source, tag, nil, deadline)
 	if err != nil {
 		if errors.Is(err, comm.ErrPeerDown) {
@@ -996,20 +1014,6 @@ func (a *Allreducer) recvTolerant(source, tag int, data tensor.Vector, sum bool)
 		data.CopyFrom(in)
 	}
 	return nil
-}
-
-// chainSlack returns the failure-detector depth allowance for a world of the
-// given size: one deadline unit per possible doubling hop plus one. A live
-// peer's send can legitimately be delayed by its own detection wait on a dead
-// rank earlier in its chain, and that latency accumulates once per hop —
-// without the slack, detecting one dead rank would cascade into falsely
-// suspecting live ones.
-func chainSlack(size int) int {
-	slack := 2
-	for p := 2; p < size; p *= 2 {
-		slack++
-	}
-	return slack
 }
 
 // publish makes the reduced round the receive buffer, records its number of

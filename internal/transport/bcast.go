@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"eagersgd/internal/comm"
 	"eagersgd/internal/tensor"
@@ -15,28 +14,17 @@ import (
 // rings (ring.go): one single-producer/many-consumer byte region per rank,
 // into which a one-to-many hop — the ring allreduce's allgather phase, a
 // collective broadcast — publishes each block exactly once, and from which
-// every colocated consumer reads it in place. A P-rank allgather hop that
+// every other rank reads it in place. A P-rank allgather hop that
 // costs P-1 ring encodes (and P-1 decode copies) over the pairwise rings
 // costs one encode and zero copies here: consumers above the alias floor
 // receive a float64 view of the region itself (ringalias.go machinery), and
 // a per-block reference count — not per-consumer bookkeeping — tells the
 // producer when the block's space is free again.
 //
-// Region layout (little endian; producer fields cache-line separated, one
-// cache line per consumer so their head cursors never false-share):
-//
-//	  0  magic      uint64 — bcastMagic once the producer initialized the region
-//	 64  tail       uint64 — producer position, bytes published (monotonic)
-//	128  prodClosed uint32 — producer closed its end (EOF after drain)
-//	192  prodParked uint32 — producer parked on a full region; consumers wake it
-//	256  capacity   uint64 — data-area size in bytes (power of two)
-//	320+64*r  per-consumer slot r: head uint64, parked uint32 (+8), closed uint32 (+12)
-//	320+64*size  data[capacity]
-//
 // Block framing inside the data area (blocks 8-byte aligned, so the payload —
 // 16 bytes in — can be handed out as a zero-copy float64 view):
 //
-//	uint32 word (type<<30 | payload bytes) | uint32 tag | uint32 count | uint32 reserved | payload
+//	uint32 word (type<<30 | payload bytes) | uint32 tag | uint32 count | 4 pad bytes | payload
 //
 // Reclamation protocol: every consumer advances its shared head cursor the
 // moment it consumes a block — copy or alias — so heads measure sweep
@@ -48,35 +36,16 @@ import (
 // consumers (closed endpoints, ranks declared failed) are dropped from the
 // head quorum so one crashed rank cannot pin the region forever.
 //
-// The reference counts and block FIFO live on the Go heap under a region
-// mutex, which is why broadcast segments are in-process only for now: a
-// cross-process port needs the counts moved into the mapped header with a
-// lock-free release protocol. The byte-region layout is already
-// mmap-shaped for that day.
+// The reference counts and block FIFO live under a region mutex.
 const (
-	bcOffMagic      = 0
-	bcOffTail       = 64
-	bcOffProdClosed = 128
-	bcOffProdParked = 192
-	bcOffCapacity   = 256
-	bcOffConsBase   = 320
-	bcConsStride    = 64
-
-	bcConsOffHead   = 0
-	bcConsOffParked = 8
-	bcConsOffClosed = 12
-
-	bcastMagic = 0xEA6E55D0_B40ADCA5 // "eager-sgd broadcast v1"
-
 	// Block types (top two bits of the block word, sharing the ring's record
 	// framing constants). Broadcast blocks are never fragmented: a block
 	// either fits the region budget whole or the caller must use the rings.
 	bcFrame = recFrame
 	bcPad   = recPad
 
-	// bcBlockHdr is the fixed block header: word, tag, element count, and a
-	// reserved word (a future cross-process port's shared reference count).
-	// 16 bytes keeps the payload of an 8-aligned block 8-aligned.
+	// bcBlockHdr is the fixed block header: word, tag, element count, padded
+	// to 16 bytes so the payload of an 8-aligned block is 8-aligned.
 	bcBlockHdr = 16
 
 	// DefaultBcastBytes is the default broadcast-segment capacity per rank.
@@ -85,10 +54,6 @@ const (
 	// still able to run one block ahead of the slowest consumer.
 	DefaultBcastBytes = 4 << 20
 )
-
-// bcastHdrSize is the header footprint of a size-rank region; the data area
-// starts cache-line aligned right after it.
-func bcastHdrSize(size int) int { return bcOffConsBase + size*bcConsStride }
 
 // bcastSpan is the region-space footprint of a block with the given payload
 // length: header plus payload, rounded up to 8 bytes.
@@ -104,26 +69,33 @@ type bcastBlock struct {
 	refs     int    // outstanding zero-copy views
 }
 
+// bcastConsumer is one consumer's shared state, a cache line of its own so
+// the consumers' head cursors never false-share.
+type bcastConsumer struct {
+	head   atomic.Uint64 // sweep cursor, bytes consumed (monotonic)
+	parked atomic.Uint32 // consumer is parked; a publishing producer must wake it
+	closed atomic.Uint32 // consumer gone: closed its endpoint or declared dead
+	wake   ringParker    // the consumer's endpoint wake channel
+	_      [40]byte
+}
+
 // bcastRegion is one rank's broadcast segment: that rank is the only
-// producer, every other member of its hub is a consumer.
+// producer, every other rank of its hub is a consumer.
 type bcastRegion struct {
 	producer int
-	size     int
-	group    []int // member ranks other than the producer (BroadcastGroup)
+	group    []int // every rank other than the producer (BroadcastGroup)
 	data     []byte
 	mask     uint64
 	maxBlock int // payload-byte budget of one block (BroadcastBudget)
 
-	tail       *atomic.Uint64
-	prodClosed *atomic.Uint32
-	prodParked *atomic.Uint32
-	heads      []*atomic.Uint64 // per-consumer sweep cursors
-	consParked []*atomic.Uint32
-	consClosed []*atomic.Uint32 // consumer gone: closed its endpoint or declared dead
+	_          [64]byte        // keeps tail off the line of the read-only fields above
+	tail       paddedUint64    // producer position, bytes published (monotonic)
+	prodClosed paddedUint32    // producer closed its end (EOF after drain)
+	prodParked paddedUint32    // producer parked on a full region; consumers wake it
+	cons       []bcastConsumer // indexed by rank; the producer's own slot is born closed
 
 	prodMu   sync.Mutex
 	prodWake waiter
-	consWake []ringParker // consumer r parks on its endpoint's wake channel
 
 	reclaimed uint64 // producer-private: bytes returned to the free span
 
@@ -135,48 +107,30 @@ type bcastRegion struct {
 	aliasOut      int  // outstanding views across all blocks
 	retirePending bool // producer closed with views outstanding
 	retired       bool // left the alias table; no new views may be taken
-
-	region []byte
 }
 
-// newBcastRegion creates an in-process broadcast segment for the given
-// producer. Non-member ranks' consumer slots (and the producer's own) are
-// born closed, so they never count toward the reclamation quorum. The hub
-// wires consWake and prodWake before handing out readers.
-func newBcastRegion(producer, size, capacity int, member []bool) *bcastRegion {
+// newBcastRegion creates the broadcast segment the given rank produces into.
+// wakes holds every rank's endpoint wake channel: consumer r parks on
+// wakes[r]. The producer's own slot is born closed, so it never counts toward
+// the reclamation quorum.
+func newBcastRegion(producer, capacity int, wakes []chan struct{}) *bcastRegion {
 	capacity = ringCapacity(capacity)
 	b := &bcastRegion{
 		producer: producer,
-		size:     size,
+		data:     make([]byte, capacity),
 		mask:     uint64(capacity - 1),
 		maxBlock: capacity / 2,
-		consWake: make([]ringParker, size),
+		cons:     make([]bcastConsumer, len(wakes)),
 	}
-	region := make([]byte, bcastHdrSize(size)+capacity)
-	if uintptr(unsafe.Pointer(&region[0]))%8 != 0 {
-		panic("transport: broadcast region is not 8-byte aligned")
-	}
-	b.region = region
-	b.data = region[bcastHdrSize(size):]
-	b.tail = (*atomic.Uint64)(unsafe.Pointer(&region[bcOffTail]))
-	b.prodClosed = (*atomic.Uint32)(unsafe.Pointer(&region[bcOffProdClosed]))
-	b.prodParked = (*atomic.Uint32)(unsafe.Pointer(&region[bcOffProdParked]))
-	b.heads = make([]*atomic.Uint64, size)
-	b.consParked = make([]*atomic.Uint32, size)
-	b.consClosed = make([]*atomic.Uint32, size)
-	for r := 0; r < size; r++ {
-		slot := bcOffConsBase + r*bcConsStride
-		b.heads[r] = (*atomic.Uint64)(unsafe.Pointer(&region[slot+bcConsOffHead]))
-		b.consParked[r] = (*atomic.Uint32)(unsafe.Pointer(&region[slot+bcConsOffParked]))
-		b.consClosed[r] = (*atomic.Uint32)(unsafe.Pointer(&region[slot+bcConsOffClosed]))
-		if r == producer || !member[r] {
-			b.consClosed[r].Store(1)
-		} else {
-			b.group = append(b.group, r)
+	b.prodWake.wake = make(chan struct{}, 1)
+	for r := range b.cons {
+		if r == producer {
+			b.cons[r].closed.Store(1)
+			continue
 		}
+		b.cons[r].wake.wake = wakes[r]
+		b.group = append(b.group, r)
 	}
-	binary.LittleEndian.PutUint64(region[bcOffCapacity:], uint64(capacity))
-	binary.LittleEndian.PutUint64(region[bcOffMagic:], bcastMagic)
 
 	// Registered for alias release from birth (removed again by retire):
 	// registration must be visible before the first zero-copy view can
@@ -235,7 +189,6 @@ func (b *bcastRegion) publish(tag int, data tensor.Vector, done <-chan struct{})
 	binary.LittleEndian.PutUint32(b.data[idx:], uint32(bcFrame)<<recTypeShift|uint32(payloadLen))
 	binary.LittleEndian.PutUint32(b.data[idx+4:], uint32(int32(tag)))
 	binary.LittleEndian.PutUint32(b.data[idx+8:], uint32(len(data)))
-	binary.LittleEndian.PutUint32(b.data[idx+12:], 0)
 	putFloats(b.data[idx+bcBlockHdr:idx+bcBlockHdr+uint64(payloadLen)], data)
 
 	b.aliasMu.Lock()
@@ -247,11 +200,9 @@ func (b *bcastRegion) publish(tag int, data tensor.Vector, done <-chan struct{})
 
 	b.tail.Store(tail + advance)
 	for _, c := range b.group {
-		if b.consClosed[c].Load() != 0 {
-			continue
-		}
-		if b.consParked[c].Swap(0) != 0 {
-			b.consWake[c].signal()
+		cons := &b.cons[c]
+		if cons.closed.Load() == 0 && cons.parked.Swap(0) != 0 {
+			cons.wake.signal()
 		}
 	}
 	return nil
@@ -285,10 +236,7 @@ func (b *bcastRegion) reclaim() uint64 {
 // headsPassed reports whether every live consumer's head reached end.
 func (b *bcastRegion) headsPassed(end uint64) bool {
 	for _, c := range b.group {
-		if b.consClosed[c].Load() != 0 {
-			continue
-		}
-		if b.heads[c].Load() < end {
+		if cons := &b.cons[c]; cons.closed.Load() == 0 && cons.head.Load() < end {
 			return false
 		}
 	}
@@ -348,20 +296,20 @@ func (b *bcastRegion) releaseAliasAt(off uint64) bool {
 func (b *bcastRegion) closeProducer() {
 	b.prodClosed.Store(1)
 	for _, c := range b.group {
-		if b.consParked[c].Swap(0) != 0 {
-			b.consWake[c].signal()
+		if b.cons[c].parked.Swap(0) != 0 {
+			b.cons[c].wake.signal()
 		}
-		b.consWake[c].signal()
+		b.cons[c].wake.signal()
 	}
 }
 
 // deadConsumer drops consumer rank from the reclamation quorum — its own
 // endpoint closing, or the producer's side observing the rank fail — and
 // wakes a producer its sweep debt may have been blocking. Views the consumer
-// already took stay counted; in-process they are released when the dead
-// rank's communicator drains its queue.
+// already took stay counted; they are released when the dead rank's
+// communicator drains its queue.
 func (b *bcastRegion) deadConsumer(rank int) {
-	b.consClosed[rank].Store(1)
+	b.cons[rank].closed.Store(1)
 	if b.prodParked.Swap(0) != 0 {
 		b.prodWake.signal()
 	}
@@ -450,7 +398,7 @@ func (br *bcastReader) tryDequeue() (comm.Message, ringResult, error) {
 // be registered (see reclaim's ordering comment).
 func (br *bcastReader) advance(n uint64) {
 	br.pos += n
-	br.reg.heads[br.rank].Store(br.pos)
+	br.reg.cons[br.rank].head.Store(br.pos)
 	if br.reg.prodParked.Swap(0) != 0 {
 		br.reg.prodWake.signal()
 	}

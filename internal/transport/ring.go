@@ -7,35 +7,19 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-	"unsafe"
 
 	"eagersgd/internal/comm"
 	"eagersgd/internal/tensor"
 )
 
 // This file implements the SPSC byte ring beneath the shared-memory transport
-// (see shm.go): one directed ring per (producer rank, consumer rank) pair,
-// laid out in a flat byte region so the same code runs over an in-process
-// slice and an mmap-backed file shared between OS processes. The producer
-// reserves a span, encodes the PR 2 frame format in place with the wire_le.go
-// bulk codec, and publishes it with one atomic store; the consumer decodes
-// straight into a pool-leased vector. A same-host frame exchange therefore
-// performs zero syscalls and exactly one copy on each side (encode into the
-// ring, decode out of it).
-//
-// Region layout (little endian, offsets cache-line separated so the two ends
-// never false-share):
-//
-//	  0  magic    uint64  — ringMagic once the producer has initialized the region
-//	 64  head     uint64  — consumer position, bytes consumed (monotonic)
-//	128  tail     uint64  — producer position, bytes published (monotonic)
-//	192  prodClosed uint32 — producer closed its end (EOF after drain)
-//	256  consClosed uint32 — consumer closed its end (producer aborts)
-//	320  consParked uint32 — consumer is parked; a committing producer must wake it
-//	384  prodParked uint32 — producer is parked on a full ring; consumer wakes it
-//	448  capacity uint64  — data-area size in bytes (power of two)
-//	512  data[capacity]
+// (see shm.go): one directed ring per (producer rank, consumer rank) pair.
+// The producer reserves a span of the data area, encodes the PR 2 frame
+// format in place with the wire_le.go bulk codec, and publishes it with one
+// atomic store; the consumer decodes straight into a pool-leased vector. A
+// same-host frame exchange therefore performs zero syscalls and exactly one
+// copy on each side (encode into the ring, decode out of it). The words the
+// two ends share are ringHeader's fields.
 //
 // Record framing inside the data area (all records 8-byte aligned, so a
 // complete frame's float payload — at offset 16 into the record — can be
@@ -52,18 +36,6 @@ import (
 // the ring itself pipelines the copy. A pad record skips the tail of the data
 // area when a record would wrap.
 const (
-	ringOffMagic      = 0
-	ringOffHead       = 64
-	ringOffTail       = 128
-	ringOffProdClosed = 192
-	ringOffConsClosed = 256
-	ringOffConsParked = 320
-	ringOffProdParked = 384
-	ringOffCapacity   = 448
-	ringHdrSize       = 512
-
-	ringMagic = 0xEA6E55D0_51C0FF33 // "eager-sgd ring v1"
-
 	// Record types (top two bits of the record word).
 	recFrame = 0 // complete frame: 12-byte header + payload
 	recStart = 1 // fragment start: 12-byte header (count = total) + first chunk
@@ -98,34 +70,49 @@ var errRingCorrupt = errors.New("transport: ring framing corrupt")
 // ringParker is where a ring end blocks once it parks and what the opposite
 // end signals to wake it (see waiter).
 type ringParker struct {
-	wake chan struct{} // buffered(1); nil => sleep parking (cross-process)
+	wake chan struct{} // buffered(1)
 }
 
 func (p *ringParker) signal() {
-	if p.wake == nil {
-		return
-	}
 	select {
 	case p.wake <- struct{}{}:
 	default:
 	}
 }
 
-// ringBuffer is one directed SPSC ring over a byte region. The producer side
-// is internally serialized (prodMu): the comm layer may issue concurrent
-// sends to one destination, and they are appended to the ring in admission
-// order, preserving per-(source, tag) FIFO.
+// paddedUint64 and paddedUint32 are atomics that fill a cache line, so
+// neighbouring words written by different ring ends never false-share.
+type paddedUint64 struct {
+	atomic.Uint64
+	_ [56]byte
+}
+
+type paddedUint32 struct {
+	atomic.Uint32
+	_ [60]byte
+}
+
+// ringHeader is the state a ring's two ends share, one cache line per word.
+type ringHeader struct {
+	_          [64]byte     // keeps head off the line of whatever precedes the header
+	head       paddedUint64 // consumer position, bytes consumed (monotonic)
+	tail       paddedUint64 // producer position, bytes published (monotonic)
+	prodClosed paddedUint32 // producer closed its end (EOF after drain)
+	consClosed paddedUint32 // consumer closed its end (producer aborts)
+	consParked paddedUint32 // consumer is parked; a committing producer must wake it
+	prodParked paddedUint32 // producer is parked on a full ring; consumer wakes it
+}
+
+// ringBuffer is one directed SPSC ring. The producer side is internally
+// serialized (prodMu): the comm layer may issue concurrent sends to one
+// destination, and they are appended to the ring in admission order,
+// preserving per-(source, tag) FIFO.
 type ringBuffer struct {
-	data   []byte
+	data   []byte // the data area: capacity bytes, a power of two
 	mask   uint64
 	maxRec int // payload-byte budget of one record (scaled down for tiny rings)
 
-	head       *atomic.Uint64
-	tail       *atomic.Uint64
-	prodClosed *atomic.Uint32
-	consClosed *atomic.Uint32
-	consParked *atomic.Uint32
-	prodParked *atomic.Uint32
+	ringHeader
 
 	prodMu   sync.Mutex
 	consWake ringParker // signaled by the producer after a commit
@@ -151,39 +138,18 @@ type ringBuffer struct {
 	aliasSpans  []aliasSpan // FIFO of consumed spans not yet freed to the producer
 	aliasHeld   int         // unreleased alias entries among aliasSpans
 	aliasReg    bool        // consumer-owned: ring is in the process alias table
-	aliasRetire func()      // teardown deferred until the last alias is released
-
-	region []byte       // full region (header + data), kept for cross-process unmap
-	unmap  func() error // non-nil for mmap-backed regions the consumer attached
+	aliasRetire bool        // consumer closed with aliases outstanding; leave the table at the last release
 }
 
-// ringAtomics binds the typed atomic views into a region. The region must be
-// 8-byte aligned (heap allocations and mmap pages both are).
-func (r *ringBuffer) bind(region []byte) {
-	if uintptr(unsafe.Pointer(&region[0]))%8 != 0 {
-		panic("transport: ring region is not 8-byte aligned")
-	}
-	r.region = region
-	r.head = (*atomic.Uint64)(unsafe.Pointer(&region[ringOffHead]))
-	r.tail = (*atomic.Uint64)(unsafe.Pointer(&region[ringOffTail]))
-	r.prodClosed = (*atomic.Uint32)(unsafe.Pointer(&region[ringOffProdClosed]))
-	r.consClosed = (*atomic.Uint32)(unsafe.Pointer(&region[ringOffConsClosed]))
-	r.consParked = (*atomic.Uint32)(unsafe.Pointer(&region[ringOffConsParked]))
-	r.prodParked = (*atomic.Uint32)(unsafe.Pointer(&region[ringOffProdParked]))
-	r.consPos = r.head.Load()
-}
-
-// newRing creates an in-process ring with the given data capacity (rounded up
-// to a power of two, minimum 4 KiB). Both ends park on channels.
+// newRing creates a ring with the given data capacity (rounded up to a power
+// of two, minimum 4 KiB). Both ends park on channels.
 func newRing(capacity int) *ringBuffer {
 	capacity = ringCapacity(capacity)
-	r := &ringBuffer{}
-	r.bind(make([]byte, ringHdrSize+capacity))
-	r.data = r.region[ringHdrSize:]
-	r.mask = uint64(capacity - 1)
-	r.maxRec = ringMaxRec(capacity)
-	binary.LittleEndian.PutUint64(r.region[ringOffCapacity:], uint64(capacity))
-	binary.LittleEndian.PutUint64(r.region[ringOffMagic:], ringMagic)
+	r := &ringBuffer{
+		data:   make([]byte, capacity),
+		mask:   uint64(capacity - 1),
+		maxRec: ringMaxRec(capacity),
+	}
 	r.consWake.wake = make(chan struct{}, 1)
 	r.prodWake.wake = make(chan struct{}, 1)
 	return r
@@ -369,7 +335,7 @@ const ringYieldBudget = 2
 type WaitStats struct {
 	Hits    uint64 // poller sweeps that found work
 	Yields  uint64 // runtime.Gosched calls
-	Parks   uint64 // times a waiter blocked (wake channel or sleep)
+	Parks   uint64 // times a waiter blocked on its wake channel
 	Wakeups uint64 // parks ended by the opposite end's signal
 }
 
@@ -386,17 +352,13 @@ func (s *WaitStats) add(o WaitStats) {
 // the processors every spin iteration is stolen from the very goroutine being
 // waited on — a fixed spin budget turned a microsecond hand-off into a
 // scheduler quantum. It embeds the ringParker it blocks on, which the
-// opposite end signals. In-process ends park on the wake channel;
-// cross-process (mmap) ends have none and fall back to escalating sleeps, so
-// the hot path stays syscall-free and only an idle ring pays the timer. A
-// waiter belongs to one goroutine at a time (the poller, or a producer under
-// prodMu); only snapshot crosses goroutines.
+// opposite end signals. A waiter belongs to one goroutine at a time (the
+// poller, or a producer under prodMu); only snapshot crosses goroutines.
 type waiter struct {
 	ringParker
 
-	idle   int         // consecutive empty checks of the current wait episode
-	timer  *time.Timer // cross-process sleep, reused across parks
-	counts WaitStats   // owner-private; copied to pub when parking
+	idle   int       // consecutive empty checks of the current wait episode
+	counts WaitStats // owner-private; copied to pub when parking
 
 	pubMu sync.Mutex
 	pub   WaitStats
@@ -442,33 +404,11 @@ func (w *waiter) wait(setParked func(uint32), ready func() bool, done <-chan str
 	w.pubMu.Lock()
 	w.pub = w.counts
 	w.pubMu.Unlock()
-	if w.wake != nil {
-		select {
-		case <-w.wake:
-			w.counts.Wakeups++
-			return true
-		case <-done:
-			return false
-		}
-	}
-	// Cross-process fallback: no shared wake channel exists, so sleep a
-	// bounded amount that escalates over the episode. The opposite end clears
-	// the parked flag on publish purely as a hint; correctness comes from
-	// re-checking.
-	d := time.Duration(w.idle-ringYieldBudget) * 20 * time.Microsecond
-	if d > time.Millisecond {
-		d = time.Millisecond
-	}
-	if w.timer == nil {
-		w.timer = time.NewTimer(d)
-	} else {
-		w.timer.Reset(d)
-	}
 	select {
-	case <-w.timer.C:
+	case <-w.wake:
+		w.counts.Wakeups++
 		return true
 	case <-done:
-		w.timer.Stop()
 		return false
 	}
 }
@@ -638,48 +578,6 @@ func (r *ringBuffer) advance(head, n uint64) {
 	if r.prodParked.Swap(0) != 0 {
 		r.prodWake.signal()
 	}
-}
-
-// initRingRegion initializes a zeroed shared region (freshly truncated backing
-// file) as a ring of the given data capacity and returns a ringBuffer bound to
-// it. The magic word is published last, with an atomic store: a consumer
-// process polling the region attaches only after it observes the magic, by
-// which point the capacity and zeroed positions are visible.
-func initRingRegion(region []byte, capacity int) (*ringBuffer, error) {
-	if len(region) != ringHdrSize+capacity {
-		return nil, fmt.Errorf("transport: ring region of %d bytes does not match header + %d-byte capacity", len(region), capacity)
-	}
-	r := &ringBuffer{}
-	r.bind(region)
-	r.data = region[ringHdrSize:]
-	r.mask = uint64(capacity - 1)
-	r.maxRec = ringMaxRec(capacity)
-	binary.LittleEndian.PutUint64(region[ringOffCapacity:], uint64(capacity))
-	(*atomic.Uint64)(unsafe.Pointer(&region[ringOffMagic])).Store(ringMagic)
-	return r, nil
-}
-
-// attachRingRegion binds a ringBuffer to a region another process initialized.
-// It validates the magic word and the header's capacity against the mapped
-// size before trusting either.
-func attachRingRegion(region []byte) (*ringBuffer, error) {
-	if len(region) < ringHdrSize {
-		return nil, fmt.Errorf("transport: ring region of %d bytes is shorter than the %d-byte header", len(region), ringHdrSize)
-	}
-	if (*atomic.Uint64)(unsafe.Pointer(&region[0])).Load() != ringMagic {
-		return nil, fmt.Errorf("transport: ring region lacks the magic word (producer not initialized yet?)")
-	}
-	capacity := binary.LittleEndian.Uint64(region[ringOffCapacity:])
-	if capacity == 0 || capacity&(capacity-1) != 0 || uint64(len(region)) != ringHdrSize+capacity {
-		return nil, fmt.Errorf("transport: ring header announces %d-byte capacity, region holds %d bytes (corrupt or mismatched mapping)",
-			capacity, len(region))
-	}
-	r := &ringBuffer{}
-	r.bind(region)
-	r.data = region[ringHdrSize:]
-	r.mask = capacity - 1
-	r.maxRec = ringMaxRec(int(capacity))
-	return r, nil
 }
 
 // ringFrameHeader decodes and validates the 12-byte frame header at the start

@@ -31,7 +31,7 @@ func vectorAliasesRing(r *ringBuffer, v tensor.Vector) bool {
 // receiver releases the view, then advanced past the record.
 func TestRingAliasDeliveryZeroCopy(t *testing.T) {
 	r := newRing(1 << 18)
-	defer r.retireAliases(nil)
+	defer r.retireAliases()
 	done := make(chan struct{})
 	defer close(done)
 
@@ -76,7 +76,7 @@ func TestRingAliasDeliveryZeroCopy(t *testing.T) {
 // release.
 func TestRingAliasOutOfOrderRelease(t *testing.T) {
 	r := newRing(1 << 18)
-	defer r.retireAliases(nil)
+	defer r.retireAliases()
 	done := make(chan struct{})
 	defer close(done)
 
@@ -127,7 +127,7 @@ func TestRingAliasOutOfOrderRelease(t *testing.T) {
 // receiver releases them, exactly like TCP socket-buffer backpressure.
 func TestRingAliasBackpressure(t *testing.T) {
 	r := newRing(1 << 17) // 128 KiB, maxRec 32 KiB
-	defer r.retireAliases(nil)
+	defer r.retireAliases()
 	done := make(chan struct{})
 	defer close(done)
 	const total = 12
@@ -209,7 +209,7 @@ func TestRingAliasBackpressure(t *testing.T) {
 // address containment, not slice identity.
 func TestRingAliasSubsliceRelease(t *testing.T) {
 	r := newRing(1 << 18)
-	defer r.retireAliases(nil)
+	defer r.retireAliases()
 	done := make(chan struct{})
 	defer close(done)
 	if err := r.enqueue(comm.Message{Data: leasedVector(aliasTestElems, 1)}, done, true); err != nil {
@@ -227,9 +227,9 @@ func TestRingAliasSubsliceRelease(t *testing.T) {
 }
 
 // TestRingAliasRetireDeferred: a ring closed while a view is still held must
-// defer its teardown (the cross-process unmap) until the receiver releases
-// the view — releasing after teardown would hand transport-owned memory to
-// the pool.
+// stay in the alias table until the receiver releases the view — a release
+// that no longer finds the ring would hand transport-owned memory to the
+// pool.
 func TestRingAliasRetireDeferred(t *testing.T) {
 	r := newRing(1 << 18)
 	done := make(chan struct{})
@@ -240,29 +240,34 @@ func TestRingAliasRetireDeferred(t *testing.T) {
 	m := drainOne(t, r)
 	if !vectorAliasesRing(r, m.Data) {
 		tensor.PutVector(m.Data)
-		r.retireAliases(nil)
+		r.retireAliases()
 		t.Skip("alias delivery unavailable on this architecture (portable wire codec)")
 	}
-	var torndown atomic.Bool
-	r.retireAliases(func() { torndown.Store(true) })
-	if torndown.Load() {
-		t.Fatal("teardown ran while an alias was still held")
+	registered := func() bool {
+		aliasTable.mu.Lock()
+		defer aliasTable.mu.Unlock()
+		for _, reg := range aliasTable.rings {
+			if reg == r {
+				return true
+			}
+		}
+		return false
 	}
-	if m.Data[1] != 4 { // the mapped span must still be readable
+	r.retireAliases()
+	if !registered() {
+		t.Fatal("ring left the alias table while an alias was still held")
+	}
+	if m.Data[1] != 4 { // the span must still be readable
 		t.Fatal("aliased payload corrupted before release")
 	}
+	before := tensor.ReadPoolStats()
 	tensor.PutVector(m.Data)
-	if !torndown.Load() {
-		t.Fatal("teardown did not run when the last alias was released")
+	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+		t.Fatalf("late release reached the pool (%d leases), want it routed to the ring", n)
 	}
-	aliasTable.mu.Lock()
-	for _, reg := range aliasTable.rings {
-		if reg == r {
-			aliasTable.mu.Unlock()
-			t.Fatal("retired ring still registered in the alias table")
-		}
+	if registered() {
+		t.Fatal("retired ring still registered in the alias table")
 	}
-	aliasTable.mu.Unlock()
 }
 
 // TestShmEndpointAliasRoundTrip: the full endpoint path delivers large frames

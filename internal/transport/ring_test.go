@@ -438,53 +438,28 @@ func TestShmCorruptRingFailsPeer(t *testing.T) {
 	}
 }
 
-// TestShmCrossProcessRings exercises the mmap-backed path inside one process:
-// two endpoints attach to each other's ring files in a temp directory and
-// exchange frames, including one large enough to fragment.
-func TestShmCrossProcessRings(t *testing.T) {
-	dir := t.TempDir()
-	var eps [2]*ShmEndpoint
-	var errs [2]error
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			eps[r], errs[r] = NewShmEndpoint(ShmConfig{Dir: dir, Rank: r, Size: 2, RingBytes: 1 << 16})
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Skipf("mmap-backed rings unavailable in this environment (rank %d): %v", r, err)
+// TestShmBroadcastGroupIsTheWorld pins what collectives' segment gate relies
+// on: a hub connects all of its ranks, so every endpoint's broadcast group is
+// the rest of the world and its budget is non-zero.
+func TestShmBroadcastGroupIsTheWorld(t *testing.T) {
+	for size := 1; size <= 5; size++ {
+		hub := NewShmHub(size)
+		for r := 0; r < size; r++ {
+			ep := hub.Endpoint(r)
+			seen := make(map[int]bool)
+			for _, peer := range ep.BroadcastGroup() {
+				if peer == r || peer < 0 || peer >= size || seen[peer] {
+					t.Errorf("size %d rank %d: group %v names itself, a stranger or a rank twice", size, r, ep.BroadcastGroup())
+				}
+				seen[peer] = true
+			}
+			if len(seen) != size-1 {
+				t.Errorf("size %d rank %d: group %v, want the other %d ranks", size, r, ep.BroadcastGroup(), size-1)
+			}
+			if ep.BroadcastBudget() <= 0 {
+				t.Errorf("size %d rank %d: broadcast budget %d, want > 0", size, r, ep.BroadcastBudget())
+			}
 		}
-	}
-	defer eps[0].Close()
-	defer eps[1].Close()
-
-	if err := eps[0].Send(1, comm.Message{Source: 0, Tag: 7, Data: leasedVector(32, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-eps[1].Inbox():
-		if m.Source != 0 || m.Tag != 7 || len(m.Data) != 32 || m.Data[3] != 4 {
-			t.Fatalf("got %+v", m)
-		}
-		tensor.PutVector(m.Data)
-	case <-time.After(10 * time.Second):
-		t.Fatal("frame never crossed the mmap ring")
-	}
-
-	// A fragmented frame (256 KiB of wire bytes vs a 64 KiB ring).
-	big := leasedVector(1<<15, 3)
-	go func() { _ = eps[1].Send(0, comm.Message{Source: 1, Tag: 8, Data: big}) }()
-	select {
-	case m := <-eps[0].Inbox():
-		if len(m.Data) != 1<<15 || m.Data[100] != 103 {
-			t.Fatalf("fragmented frame mangled: len %d", len(m.Data))
-		}
-		tensor.PutVector(m.Data)
-	case <-time.After(10 * time.Second):
-		t.Fatal("fragmented frame never crossed the mmap ring")
+		hub.Close()
 	}
 }

@@ -82,17 +82,10 @@ func (t *ringAliasTable) ReleaseAlias(v tensor.Vector) bool {
 		if addr < base || addr >= base+uintptr(len(r.data)) {
 			continue
 		}
-		retired := r.releaseAlias(uint64(addr - base))
-		var teardown func()
-		if retired {
+		if r.releaseAlias(uint64(addr - base)) {
 			t.rings = append(t.rings[:i], t.rings[i+1:]...)
-			teardown = r.aliasRetire
-			r.aliasRetire = nil
 		}
 		t.mu.Unlock()
-		if teardown != nil {
-			teardown()
-		}
 		return true
 	}
 	for i, b := range t.bcasts {
@@ -195,7 +188,7 @@ func (r *ringBuffer) releaseAlias(off uint64) bool {
 		}
 	}
 	r.drainAliasLocked()
-	return r.aliasRetire != nil && r.aliasHeld == 0 && len(r.aliasSpans) == 0
+	return r.aliasRetire && r.aliasHeld == 0 && len(r.aliasSpans) == 0
 }
 
 // drainAliasLocked pops the released prefix of the span queue, publishing the
@@ -219,23 +212,19 @@ func (r *ringBuffer) drainAliasLocked() {
 	}
 }
 
-// retireAliases detaches the ring from alias delivery at consumer close.
-// teardown (the unmap of an attached cross-process region) runs immediately
-// when no aliases are outstanding; otherwise it is deferred — and the ring
-// stays registered — until the receiver releases the last aliased vector, so
-// a late tensor.PutVector still finds the ring and never reaches the pool
-// with transport-owned (soon unmapped) memory. Only the closing endpoint may
-// call it, after the poller has been joined.
-func (r *ringBuffer) retireAliases(teardown func()) {
+// retireAliases detaches the ring from alias delivery at consumer close:
+// immediately when no aliases are outstanding; otherwise the ring stays
+// registered until the receiver releases the last aliased vector, so a late
+// tensor.PutVector still finds the ring and never reaches the pool with
+// transport-owned memory. Only the closing endpoint may call it, after the
+// poller has been joined.
+func (r *ringBuffer) retireAliases() {
 	aliasTable.mu.Lock()
+	defer aliasTable.mu.Unlock()
 	r.aliasMu.Lock()
+	defer r.aliasMu.Unlock()
 	if r.aliasHeld > 0 {
-		r.aliasRetire = teardown
-		if r.aliasRetire == nil {
-			r.aliasRetire = func() {} // mark retirement pending even without work
-		}
-		r.aliasMu.Unlock()
-		aliasTable.mu.Unlock()
+		r.aliasRetire = true
 		return
 	}
 	if r.aliasReg {
@@ -246,10 +235,5 @@ func (r *ringBuffer) retireAliases(teardown func()) {
 			}
 		}
 		r.aliasReg = false
-	}
-	r.aliasMu.Unlock()
-	aliasTable.mu.Unlock()
-	if teardown != nil {
-		teardown()
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
-	"time"
 
 	"eagersgd/internal/comm"
 	"eagersgd/internal/tensor"
@@ -15,10 +12,9 @@ import (
 
 // The shared-memory transport: one directed SPSC ring (ring.go) per peer
 // pair, a single poller goroutine per endpoint sweeping its incoming rings,
-// and adaptive parking so idle ranks burn no cores. In-process the rings live
-// on the heap and the poller parks on a channel; cross-process they are
-// mmap-backed files and parking falls back to escalating sleeps. Either way
-// the data path is identical — and performs zero syscalls per frame.
+// and adaptive parking so idle ranks burn no cores. The rings live on the
+// heap of the one process that holds every rank, the poller parks on a
+// channel, and the data path performs zero syscalls per frame.
 
 // ShmHub connects size in-process endpoints through heap-backed rings. It is
 // the shared-memory analogue of Hub, but endpoints have independent
@@ -36,42 +32,19 @@ func NewShmHub(size int) *ShmHub { return NewShmHubRing(size, DefaultRingBytes) 
 // NewShmHubRing creates an in-process shared-ring hub with an explicit
 // per-ring data capacity (rounded up to a power of two).
 func NewShmHubRing(size, ringBytes int) *ShmHub {
-	members := make([]int, size)
-	for r := range members {
-		members[r] = r
-	}
-	return NewShmHubFor(size, members, ringBytes)
-}
-
-// NewShmHubFor creates a hub connecting only the given member ranks of a
-// size-rank world: rings and endpoints exist solely for member pairs. This is
-// the building block of mixed-transport worlds, where each host group gets a
-// hub carrying its colocated traffic while remote pairs stay on TCP.
-// Endpoint panics for non-member ranks.
-func NewShmHubFor(size int, members []int, ringBytes int) *ShmHub {
 	if size <= 0 {
 		panic(fmt.Sprintf("transport: shm hub size %d must be positive", size))
 	}
-	member := make([]bool, size)
-	for _, r := range members {
-		if r < 0 || r >= size {
-			panic(fmt.Sprintf("transport: shm hub member %d out of range [0,%d)", r, size))
-		}
-		member[r] = true
-	}
 	h := &ShmHub{size: size, eps: make([]*ShmEndpoint, size)}
 	wakes := make([]chan struct{}, size)
-	for _, r := range members {
+	for r := range wakes {
 		wakes[r] = make(chan struct{}, 1)
 	}
 	rings := make([][]*ringBuffer, size) // [producer][consumer]
 	for p := 0; p < size; p++ {
 		rings[p] = make([]*ringBuffer, size)
-		if !member[p] {
-			continue
-		}
 		for c := 0; c < size; c++ {
-			if p == c || !member[c] {
+			if p == c {
 				continue
 			}
 			rb := newRing(ringBytes)
@@ -81,33 +54,24 @@ func NewShmHubFor(size int, members []int, ringBytes int) *ShmHub {
 			rings[p][c] = rb
 		}
 	}
-	// One broadcast segment per member (bcast.go): that member produces,
-	// every other member consumes, parking on its endpoint's wake channel.
+	// One broadcast segment per rank (bcast.go): that rank produces, every
+	// other rank consumes, parking on its endpoint's wake channel.
 	bcasts := make([]*bcastRegion, size)
-	for _, p := range members {
-		reg := newBcastRegion(p, size, DefaultBcastBytes, member)
-		reg.prodWake.wake = make(chan struct{}, 1)
-		for _, c := range members {
-			if c != p {
-				reg.consWake[c] = ringParker{wake: wakes[c]}
-			}
-		}
-		bcasts[p] = reg
+	for p := range bcasts {
+		bcasts[p] = newBcastRegion(p, DefaultBcastBytes, wakes)
 	}
-	for _, r := range members {
+	for r := 0; r < size; r++ {
 		in := make([]*ringBuffer, size)
 		out := make([]*ringBuffer, size)
+		bcIn := make([]*bcastReader, size)
 		for p := 0; p < size; p++ {
 			in[p] = rings[p][r]
 			out[p] = rings[r][p]
-		}
-		h.eps[r] = newShmEndpoint(r, size, in, out, wakes[r])
-		h.eps[r].bcOut = bcasts[r]
-		for p := 0; p < size; p++ {
-			if p != r && bcasts[p] != nil {
-				h.eps[r].bcIn[p] = bcasts[p].reader(r)
+			if p != r {
+				bcIn[p] = bcasts[p].reader(r)
 			}
 		}
+		h.eps[r] = newShmEndpoint(r, in, out, bcasts[r], bcIn, wakes[r])
 	}
 	return h
 }
@@ -120,18 +84,13 @@ func (h *ShmHub) Endpoint(rank int) *ShmEndpoint {
 	if rank < 0 || rank >= h.size {
 		panic(fmt.Sprintf("transport: rank %d out of range [0,%d)", rank, h.size))
 	}
-	if h.eps[rank] == nil {
-		panic(fmt.Sprintf("transport: rank %d is not a member of this shm hub", rank))
-	}
 	return h.eps[rank]
 }
 
 // Close closes every endpoint of the hub.
 func (h *ShmHub) Close() error {
 	for _, ep := range h.eps {
-		if ep != nil {
-			ep.Close()
-		}
+		ep.Close()
 	}
 	return nil
 }
@@ -147,7 +106,7 @@ type ShmEndpoint struct {
 	size  int
 	in    []*ringBuffer // indexed by producing peer; nil at own rank
 	out   []*ringBuffer // indexed by consuming peer; nil at own rank
-	poll  waiter        // the poller's wait state; its wake channel is nil cross-process
+	poll  waiter        // the poller's wait state
 	inbox chan comm.Message
 	done  chan struct{} // closed by Close; unblocks enqueues, deliveries, the poller
 
@@ -172,30 +131,29 @@ type ShmEndpoint struct {
 	dead []bool // poller-owned: rings no longer swept (peer EOF or corrupt)
 
 	// Broadcast segments (bcast.go): bcOut is the region this rank produces
-	// into (nil without one — cross-process endpoints, for now), bcIn the
-	// readers over colocated peers' regions, bcDead the poller-owned marks
-	// for regions no longer swept.
+	// into, bcIn the readers over the peers' regions (nil at own rank), bcDead
+	// the poller-owned marks for regions no longer swept.
 	bcOut  *bcastRegion
 	bcIn   []*bcastReader
 	bcDead []bool
-
-	cleanups []func() // cross-process only: munmap + unlink, run at the end of Close
 }
 
-// newShmEndpoint wires an endpoint over its rings. wake is the channel the
-// poller parks on (nil cross-process).
-func newShmEndpoint(rank, size int, in, out []*ringBuffer, wake chan struct{}) *ShmEndpoint {
+// newShmEndpoint wires an endpoint over its rings and broadcast segments.
+// wake is the channel the poller parks on.
+func newShmEndpoint(rank int, in, out []*ringBuffer, bcOut *bcastRegion, bcIn []*bcastReader, wake chan struct{}) *ShmEndpoint {
+	size := len(in)
 	e := &ShmEndpoint{
-		rank:  rank,
-		size:  size,
-		in:    in,
-		out:   out,
-		inbox: make(chan comm.Message, DefaultInboxDepth),
-		done:  make(chan struct{}),
-		dead:  make([]bool, size),
+		rank:   rank,
+		size:   size,
+		in:     in,
+		out:    out,
+		inbox:  make(chan comm.Message, DefaultInboxDepth),
+		done:   make(chan struct{}),
+		dead:   make([]bool, size),
+		bcOut:  bcOut,
+		bcIn:   bcIn,
+		bcDead: make([]bool, size),
 	}
-	e.bcIn = make([]*bcastReader, size)
-	e.bcDead = make([]bool, size)
 	e.poll.wake = wake
 	return e
 }
@@ -306,9 +264,9 @@ func (e *ShmEndpoint) SendBorrowed(dest int, m comm.Message) error {
 
 // SendFill is the comm.FillSender in-place path: the outgoing frame's payload
 // span is reserved in the ring and fill computes it there, fusing the
-// caller's combine pass with the encode. handled=false (self-sends, missing
-// ring, frames past the single-record budget) tells the caller to fall back
-// to a staged send; nothing was reserved.
+// caller's combine pass with the encode. handled=false (self-sends, frames
+// past the single-record budget) tells the caller to fall back to a staged
+// send; nothing was reserved.
 func (e *ShmEndpoint) SendFill(dest, tag int, a, b tensor.Vector, fill func(dst, a, b tensor.Vector)) (bool, error) {
 	if dest < 0 || dest >= e.size || dest == e.rank {
 		return false, nil
@@ -319,11 +277,7 @@ func (e *ShmEndpoint) SendFill(dest, tag int, a, b tensor.Vector, fill func(dst,
 	if closed {
 		return true, ErrClosed
 	}
-	r := e.out[dest]
-	if r == nil {
-		return false, nil
-	}
-	ok, err := r.enqueueFill(e.rank, tag, a, b, fill, e.done)
+	ok, err := e.out[dest].enqueueFill(e.rank, tag, a, b, fill, e.done)
 	if !ok {
 		return false, nil
 	}
@@ -342,23 +296,13 @@ func ringClosedErr(dest int, err error) error {
 	return &comm.PeerDownError{Rank: dest, Cause: fmt.Errorf("transport: ring to rank %d: %w", dest, err)}
 }
 
-// BroadcastGroup returns the colocated peer ranks that consume this rank's
-// broadcast segment (comm.GroupBroadcaster); nil without a segment.
-func (e *ShmEndpoint) BroadcastGroup() []int {
-	if e.bcOut == nil {
-		return nil
-	}
-	return e.bcOut.group
-}
+// BroadcastGroup returns the ranks that consume this rank's broadcast segment
+// (comm.GroupBroadcaster): every other rank of the world.
+func (e *ShmEndpoint) BroadcastGroup() []int { return e.bcOut.group }
 
 // BroadcastBudget returns the payload-byte budget of one broadcast block —
-// the largest payload SendBroadcast accepts. Zero without a segment.
-func (e *ShmEndpoint) BroadcastBudget() int {
-	if e.bcOut == nil {
-		return 0
-	}
-	return e.bcOut.maxBlock
-}
+// the largest payload SendBroadcast accepts.
+func (e *ShmEndpoint) BroadcastBudget() int { return e.bcOut.maxBlock }
 
 // SendBroadcast publishes data (borrowed from the caller, fully encoded
 // before return) once into this rank's broadcast segment; every rank in
@@ -366,9 +310,6 @@ func (e *ShmEndpoint) BroadcastBudget() int {
 // while the region is full — the same flow control as a ring send — and
 // fails with ErrFrameTooLarge past BroadcastBudget.
 func (e *ShmEndpoint) SendBroadcast(tag int, data tensor.Vector) error {
-	if e.bcOut == nil {
-		return fmt.Errorf("transport: rank %d has no broadcast segment", e.rank)
-	}
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
@@ -400,14 +341,7 @@ func (e *ShmEndpoint) send(dest int, m comm.Message, owned bool) error {
 		return ErrClosed
 	}
 	e.mu.Unlock()
-	r := e.out[dest]
-	if r == nil {
-		if owned {
-			tensor.PutVector(m.Data)
-		}
-		return fmt.Errorf("transport: no ring to rank %d", dest)
-	}
-	if err := r.enqueue(m, e.done, owned); err != nil {
+	if err := e.out[dest].enqueue(m, e.done, owned); err != nil {
 		if errors.Is(err, ErrRingClosed) {
 			return ringClosedErr(dest, err)
 		}
@@ -459,17 +393,13 @@ func (e *ShmEndpoint) Close() error {
 			r.closeProducer()
 		}
 	}
-	if e.bcOut != nil {
-		e.bcOut.closeProducer()
-	}
+	e.bcOut.closeProducer()
 	e.wg.Wait() // the poller exits via done; after this the consumer state is ours
 	for _, r := range e.in {
 		if r != nil {
 			r.releasePending()
 			r.abortProducer()
-			// Detach from alias delivery; an attached region's unmap waits
-			// for the receiver to release any still-outstanding alias.
-			r.retireAliases(unmapTeardown(r.unmap))
+			r.retireAliases()
 		}
 	}
 	for _, br := range e.bcIn {
@@ -479,14 +409,9 @@ func (e *ShmEndpoint) Close() error {
 			br.reg.deadConsumer(e.rank)
 		}
 	}
-	if e.bcOut != nil {
-		e.bcOut.retire()
-	}
+	e.bcOut.retire()
 	e.senders.Wait()
 	close(e.inbox)
-	for _, fn := range e.cleanups {
-		fn()
-	}
 	return nil
 }
 
@@ -495,9 +420,8 @@ func (e *ShmEndpoint) Close() error {
 // starve the others), decoding complete frames into the inbox. When every
 // ring is empty it waits the way every ring end does (waiter.wait): the
 // parked flag is raised on each ring, the rings are re-checked (the
-// lost-wakeup guard), and only then does it block on the wake channel (or an
-// escalating sleep cross-process) until a producer commits. It exits when
-// Close fires done.
+// lost-wakeup guard), and only then does it block on the wake channel until a
+// producer commits. It exits when Close fires done.
 func (e *ShmEndpoint) pollLoop() {
 	defer e.wg.Done()
 	for {
@@ -596,7 +520,7 @@ func (e *ShmEndpoint) setParked(v uint32) {
 	}
 	for peer, br := range e.bcIn {
 		if br != nil && !e.bcDead[peer] {
-			br.reg.consParked[e.rank].Store(v)
+			br.reg.cons[e.rank].parked.Store(v)
 		}
 	}
 }
@@ -632,9 +556,7 @@ func (e *ShmEndpoint) WaitStats() WaitStats {
 			s.add(r.prodWake.snapshot())
 		}
 	}
-	if e.bcOut != nil {
-		s.add(e.bcOut.prodWake.snapshot())
-	}
+	s.add(e.bcOut.prodWake.snapshot())
 	return s
 }
 
@@ -677,15 +599,11 @@ func (e *ShmEndpoint) handleRingFailure(peer int, cause error) {
 		// closing, and the region carries its own EOF).
 		e.bcDead[peer] = true
 	}
-	if e.bcOut != nil {
-		// The peer can no longer consume our segment: drop it from the
-		// reclamation quorum so its sweep debt cannot pin the region.
-		e.bcOut.deadConsumer(peer)
-	}
+	// The peer can no longer consume our segment: drop it from the
+	// reclamation quorum so its sweep debt cannot pin the region.
+	e.bcOut.deadConsumer(peer)
 	if fns := e.recordPeerFailure(peer, cause); len(fns) > 0 {
-		if r := e.out[peer]; r != nil {
-			r.abortProducer() // fail pending sends toward the dead peer too
-		}
+		e.out[peer].abortProducer() // fail pending sends toward the dead peer too
 		for _, fn := range fns {
 			fn(peer, cause)
 		}
@@ -708,168 +626,4 @@ func NewShmWorld(size int) []*comm.Communicator {
 		world[r] = comm.NewCommunicator(hub.Endpoint(r))
 	}
 	return world
-}
-
-// ShmConfig describes one rank of a cross-process shared-memory job: a
-// directory every rank can reach (ideally tmpfs, e.g. /dev/shm), this
-// process's rank, and the job size.
-type ShmConfig struct {
-	Dir         string
-	Rank        int
-	Size        int
-	RingBytes   int           // per-ring data capacity (default DefaultRingBytes)
-	AttachRetry time.Duration // total time to keep waiting for peers' rings (default 5s)
-}
-
-// unmapTeardown adapts a ring's consumer-side unmap (nil for in-process
-// rings) into the teardown retireAliases defers behind outstanding aliases.
-func unmapTeardown(unmap func() error) func() {
-	if unmap == nil {
-		return nil
-	}
-	return func() { unmap() }
-}
-
-// shmRingPath names the backing file of the (producer → consumer) ring.
-func shmRingPath(dir string, producer, consumer int) string {
-	return filepath.Join(dir, fmt.Sprintf("eagersgd-ring-%d-%d.shm", producer, consumer))
-}
-
-// NewShmEndpoint joins a cross-process shared-memory job: it creates and
-// initializes the mmap-backed rings this rank produces (unlinked again on
-// Close), attaches to the rings its peers produce (retrying until each
-// appears or the retry budget is exhausted), and starts the poller. Requires
-// a platform with mmap; elsewhere it fails with a descriptive error.
-func NewShmEndpoint(cfg ShmConfig) (*ShmEndpoint, error) {
-	if cfg.Size <= 0 {
-		return nil, fmt.Errorf("transport: shm job size %d must be positive", cfg.Size)
-	}
-	if cfg.Rank < 0 || cfg.Rank >= cfg.Size {
-		return nil, fmt.Errorf("transport: rank %d out of range for job size %d", cfg.Rank, cfg.Size)
-	}
-	capacity := ringCapacity(cfg.RingBytes)
-	retry := cfg.AttachRetry
-	if retry <= 0 {
-		retry = 5 * time.Second
-	}
-
-	in := make([]*ringBuffer, cfg.Size)
-	out := make([]*ringBuffer, cfg.Size)
-	var cleanups []func() // endpoint-owned teardown, run at the end of Close
-	var undo []func()     // constructor-failure teardown: everything mapped so far
-	fail := func(err error) (*ShmEndpoint, error) {
-		for _, fn := range undo {
-			fn()
-		}
-		return nil, err
-	}
-
-	// Create the rings this rank produces first, so peers polling for them
-	// see every rank's rings appear regardless of startup order.
-	for peer := 0; peer < cfg.Size; peer++ {
-		if peer == cfg.Rank {
-			continue
-		}
-		path := shmRingPath(cfg.Dir, cfg.Rank, peer)
-		region, unmap, err := createRingFile(path, ringHdrSize+capacity)
-		if err != nil {
-			return fail(fmt.Errorf("transport: create ring %s: %w", path, err))
-		}
-		remove := func() {
-			unmap()
-			os.Remove(path)
-		}
-		cleanups = append(cleanups, remove)
-		undo = append(undo, remove)
-		r, err := initRingRegion(region, capacity)
-		if err != nil {
-			return fail(err)
-		}
-		out[peer] = r
-	}
-
-	// Attach to the rings our peers produce.
-	deadline := time.Now().Add(retry)
-	for peer := 0; peer < cfg.Size; peer++ {
-		if peer == cfg.Rank {
-			continue
-		}
-		path := shmRingPath(cfg.Dir, peer, cfg.Rank)
-		r, unmap, err := attachRingFile(path, deadline)
-		if err != nil {
-			return fail(fmt.Errorf("transport: attach ring %s: %w", path, err))
-		}
-		// The consumer-side unmap is owned by the ring, not the endpoint
-		// cleanup list: Close routes it through retireAliases so the region
-		// outlives any zero-copy views still held by the receiver.
-		r.unmap = unmap
-		undo = append(undo, func() { unmap() })
-		in[peer] = r
-	}
-
-	e := newShmEndpoint(cfg.Rank, cfg.Size, in, out, nil)
-	e.cleanups = cleanups
-	return e, nil
-}
-
-// createRingFile creates (or re-truncates) a ring backing file of the given
-// size and maps it shared.
-func createRingFile(path string, size int) ([]byte, func() error, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	// Truncating to zero first wipes any leftover from a crashed run, so a
-	// stale magic word can never let a peer attach to garbage.
-	if err := f.Truncate(0); err != nil {
-		return nil, nil, err
-	}
-	if err := f.Truncate(int64(size)); err != nil {
-		return nil, nil, err
-	}
-	return mmapFile(f, size)
-}
-
-// attachRingFile opens a peer's ring backing file, waiting until the file
-// exists, has its full size, and carries the magic word (the producer
-// publishes it last), then binds a ringBuffer to the mapping.
-func attachRingFile(path string, deadline time.Time) (*ringBuffer, func() error, error) {
-	var lastErr error
-	for {
-		r, unmap, err := tryAttachRingFile(path)
-		if err == nil {
-			return r, unmap, nil
-		}
-		lastErr = err
-		if time.Now().After(deadline) {
-			return nil, nil, fmt.Errorf("peer ring never became ready: %w", lastErr)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func tryAttachRingFile(path string) (*ringBuffer, func() error, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, nil, err
-	}
-	if st.Size() < ringHdrSize {
-		return nil, nil, fmt.Errorf("ring file %s holds %d bytes, producer still initializing", path, st.Size())
-	}
-	region, unmap, err := mmapFile(f, int(st.Size()))
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := attachRingRegion(region)
-	if err != nil {
-		unmap()
-		return nil, nil, err
-	}
-	return r, unmap, nil
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"eagersgd/internal/comm"
-	"eagersgd/internal/race"
 	"eagersgd/internal/tensor"
 )
 
@@ -35,38 +34,6 @@ func TestWaiterIgnoresGOMAXPROCS(t *testing.T) {
 		if got := w.counts.Yields - before.Yields; got != ringYieldBudget || checks != ringYieldBudget+1 {
 			t.Errorf("GOMAXPROCS=%d: episode took %d yields in %d steps, want %d yields then the park step", procs, got, checks, ringYieldBudget)
 		}
-	}
-}
-
-// TestWaiterSleepParkReusesTimer: a cross-process waiter (no wake channel)
-// parks on one reusable timer — no timer allocated per park, none abandoned
-// when done fires mid-sleep — and its sleeps escalate over an episode.
-func TestWaiterSleepParkReusesTimer(t *testing.T) {
-	if race.Enabled {
-		t.Skip("AllocsPerRun is unreliable under the race detector")
-	}
-	w := &waiter{}
-	parked := func(uint32) {}
-	idle := func() bool { return false }
-	for w.counts.Parks == 0 { // run through the yields into the first sleep
-		w.wait(parked, idle, nil)
-	}
-	timer := w.timer
-	if avg := testing.AllocsPerRun(20, func() { w.wait(parked, idle, nil) }); avg != 0 {
-		t.Errorf("sleep park allocates %.1f objects, want 0", avg)
-	}
-	if w.timer != timer {
-		t.Error("sleep park replaced its timer")
-	}
-	start := time.Now()
-	w.wait(parked, idle, nil)
-	if d := time.Since(start); d < 400*time.Microsecond {
-		t.Errorf("park %d of the episode slept %v; the sleep should have escalated to ~%v", w.counts.Parks, d, 20*time.Microsecond*time.Duration(w.counts.Parks))
-	}
-	done := make(chan struct{})
-	close(done)
-	if w.wait(parked, idle, done) {
-		t.Error("wait returned true after done fired")
 	}
 }
 
