@@ -249,6 +249,30 @@ func TestAllreducePipelinedInprocAllocFree(t *testing.T) {
 	}
 }
 
+// TestModelComputeAllocFree gates the batched model compute: once a warm-up
+// call has sized the model's workspaces, a minibatch gradient at each
+// eagerbench model shape, and a classification Evaluate, allocate nothing.
+func TestModelComputeAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	for _, mc := range modelCases() {
+		t.Run(mc.name, func(t *testing.T) {
+			mc.grad(0)
+			if avg := testing.AllocsPerRun(10, func() { mc.grad(0) }); avg > 0 {
+				t.Errorf("steady-state BatchGradient allocates %.2f objects per call, want 0", avg)
+			}
+			if mc.evaluate == nil {
+				return
+			}
+			mc.evaluate()
+			if avg := testing.AllocsPerRun(10, func() { mc.evaluate() }); avg > 0 {
+				t.Errorf("steady-state Evaluate allocates %.2f objects per call, want 0", avg)
+			}
+		})
+	}
+}
+
 // partialRoundAllocBudget bounds the per-round allocations of one eager
 // (solo) partial-allreduce round across 4 ranks. An eager round inherently
 // allocates: each round builds a fresh schedule DAG and executor and spawns

@@ -64,6 +64,19 @@ type BucketedTask interface {
 	ComputeGradientBuckets(step int, ready func(nn.Segment)) float64
 }
 
+// evalBatch is how many held-out samples Evaluate runs through one batched
+// forward pass: enough to amortize a pass over the weights, few enough to
+// keep the model's activation workspaces near their training size.
+const evalBatch = 32
+
+// evalChunks calls fn on consecutive [lo, hi) chunks of n held-out samples,
+// in order.
+func evalChunks(n int, fn func(lo, hi int)) {
+	for lo := 0; lo < n; lo += evalBatch {
+		fn(lo, min(lo+evalBatch, n))
+	}
+}
+
 // RegressionTask trains an nn.Network on a data.RegressionDataset shard —
 // the hyperplane workload of §6.2.1.
 type RegressionTask struct {
@@ -72,6 +85,8 @@ type RegressionTask struct {
 	train   *data.RegressionDataset
 	eval    *data.RegressionDataset
 	sampler *data.BatchSampler
+
+	xs, ys []tensor.Vector // the step's minibatch, reused across steps
 }
 
 // NewRegressionTask builds the per-rank task. Every rank must pass the same
@@ -100,19 +115,22 @@ func (t *RegressionTask) Params() tensor.Vector { return t.net.Params() }
 // Grads returns the flat gradients.
 func (t *RegressionTask) Grads() tensor.Vector { return t.net.Grads() }
 
-// ComputeGradient computes the mean gradient of the step's minibatch. The
-// batch is step-indexed (BatchSampler.At), so a retried step — an elastic
-// run replaying a step that failed on a dying epoch — recomputes the exact
-// gradient the step would have produced.
-func (t *RegressionTask) ComputeGradient(step int) float64 {
-	idx := t.sampler.At(step)
-	xs := make([]tensor.Vector, len(idx))
-	ys := make([]tensor.Vector, len(idx))
-	for i, j := range idx {
-		xs[i] = t.train.Inputs[j]
-		ys[i] = t.train.Targets[j]
+// batch gathers the step's minibatch. The batch is step-indexed
+// (BatchSampler.At), so a retried step — an elastic run replaying a step that
+// failed on a dying epoch — recomputes the exact gradient the step would have
+// produced.
+func (t *RegressionTask) batch(step int) (xs, ys []tensor.Vector) {
+	t.xs, t.ys = t.xs[:0], t.ys[:0]
+	for _, j := range t.sampler.At(step) {
+		t.xs = append(t.xs, t.train.Inputs[j])
+		t.ys = append(t.ys, t.train.Targets[j])
 	}
-	return t.net.BatchGradient(xs, ys)
+	return t.xs, t.ys
+}
+
+// ComputeGradient computes the mean gradient of the step's minibatch.
+func (t *RegressionTask) ComputeGradient(step int) float64 {
+	return t.net.BatchGradient(t.batch(step))
 }
 
 // Segments returns the network's layer-aligned bucket boundaries.
@@ -121,22 +139,19 @@ func (t *RegressionTask) Segments() []nn.Segment { return t.net.Segments() }
 // ComputeGradientBuckets is ComputeGradient with per-segment ready
 // notifications during the backward pass (see BucketedTask).
 func (t *RegressionTask) ComputeGradientBuckets(step int, ready func(nn.Segment)) float64 {
-	idx := t.sampler.At(step)
-	xs := make([]tensor.Vector, len(idx))
-	ys := make([]tensor.Vector, len(idx))
-	for i, j := range idx {
-		xs[i] = t.train.Inputs[j]
-		ys[i] = t.train.Targets[j]
-	}
+	xs, ys := t.batch(step)
 	return t.net.BatchGradientBuckets(xs, ys, ready)
 }
 
 // Evaluate returns the mean validation loss.
 func (t *RegressionTask) Evaluate() Metrics {
+	loss := t.net.Loss()
 	var total float64
-	for i := range t.eval.Inputs {
-		total += t.net.LossValue(t.eval.Inputs[i], t.eval.Targets[i])
-	}
+	evalChunks(t.eval.Len(), func(lo, hi int) {
+		for s, pred := range t.net.Forward(t.eval.Inputs[lo:hi]) {
+			total += loss.Loss(pred, t.eval.Targets[lo+s])
+		}
+	})
 	return Metrics{Loss: total / float64(t.eval.Len())}
 }
 
@@ -156,6 +171,9 @@ type ClassificationTask struct {
 	train   *data.ClassificationDataset
 	eval    *data.ClassificationDataset
 	sampler *data.BatchSampler
+
+	targets []tensor.Vector // one-hot target of each class
+	xs, ys  []tensor.Vector // the step's minibatch, reused across steps
 }
 
 // NewClassificationTask builds the per-rank task (same sharing rules as
@@ -168,6 +186,7 @@ func NewClassificationTask(name string, net *nn.Network, train, eval *data.Class
 		train:   train,
 		eval:    eval,
 		sampler: data.NewBatchSampler(train.Len(), batchSize, rank, size, seed),
+		targets: nn.OneHots(train.Classes),
 	}
 }
 
@@ -183,17 +202,20 @@ func (t *ClassificationTask) Params() tensor.Vector { return t.net.Params() }
 // Grads returns the flat gradients.
 func (t *ClassificationTask) Grads() tensor.Vector { return t.net.Grads() }
 
-// ComputeGradient computes the mean gradient of the step's minibatch,
-// step-indexed like RegressionTask's so elastic retries resample it exactly.
-func (t *ClassificationTask) ComputeGradient(step int) float64 {
-	idx := t.sampler.At(step)
-	xs := make([]tensor.Vector, len(idx))
-	ys := make([]tensor.Vector, len(idx))
-	for i, j := range idx {
-		xs[i] = t.train.Inputs[j]
-		ys[i] = nn.OneHot(t.train.Labels[j], t.train.Classes)
+// batch gathers the step's minibatch, step-indexed like RegressionTask's so
+// elastic retries resample it exactly.
+func (t *ClassificationTask) batch(step int) (xs, ys []tensor.Vector) {
+	t.xs, t.ys = t.xs[:0], t.ys[:0]
+	for _, j := range t.sampler.At(step) {
+		t.xs = append(t.xs, t.train.Inputs[j])
+		t.ys = append(t.ys, t.targets[t.train.Labels[j]])
 	}
-	return t.net.BatchGradient(xs, ys)
+	return t.xs, t.ys
+}
+
+// ComputeGradient computes the mean gradient of the step's minibatch.
+func (t *ClassificationTask) ComputeGradient(step int) float64 {
+	return t.net.BatchGradient(t.batch(step))
 }
 
 // Segments returns the network's layer-aligned bucket boundaries.
@@ -202,19 +224,17 @@ func (t *ClassificationTask) Segments() []nn.Segment { return t.net.Segments() }
 // ComputeGradientBuckets is ComputeGradient with per-segment ready
 // notifications during the backward pass (see BucketedTask).
 func (t *ClassificationTask) ComputeGradientBuckets(step int, ready func(nn.Segment)) float64 {
-	idx := t.sampler.At(step)
-	xs := make([]tensor.Vector, len(idx))
-	ys := make([]tensor.Vector, len(idx))
-	for i, j := range idx {
-		xs[i] = t.train.Inputs[j]
-		ys[i] = nn.OneHot(t.train.Labels[j], t.train.Classes)
-	}
+	xs, ys := t.batch(step)
 	return t.net.BatchGradientBuckets(xs, ys, ready)
 }
 
 // Evaluate returns held-out loss and top-1/top-5 accuracy.
 func (t *ClassificationTask) Evaluate() Metrics {
-	return evaluateClassifier(t.eval, t.net.Forward)
+	var m classMetrics
+	evalChunks(t.eval.Len(), func(lo, hi int) {
+		m.add(t.net.Forward(t.eval.Inputs[lo:hi]), t.eval.Labels[lo:hi], t.targets)
+	})
+	return m.metrics()
 }
 
 // WorkloadUnits returns 0: every classification batch costs the same.
@@ -224,23 +244,31 @@ func (t *ClassificationTask) WorkloadUnits(int) int { return 0 }
 // rank's shard.
 func (t *ClassificationTask) StepsPerEpoch() int { return t.sampler.StepsPerEpoch() }
 
-func evaluateClassifier(eval *data.ClassificationDataset, forward func(tensor.Vector) tensor.Vector) Metrics {
+// classMetrics accumulates held-out cross-entropy and top-1/top-5 hits over
+// chunks of logits, in sample order.
+type classMetrics struct {
+	loss          float64
+	top1, top5, n int
+}
+
+func (c *classMetrics) add(logits []tensor.Vector, labels []int, targets []tensor.Vector) {
 	var xent nn.SoftmaxCrossEntropy
-	var loss float64
-	top1, top5 := 0, 0
-	for i := range eval.Inputs {
-		logits := forward(eval.Inputs[i])
-		label := eval.Labels[i]
-		loss += xent.Loss(logits, nn.OneHot(label, eval.Classes))
-		if logits.ArgMax() == label {
-			top1++
+	for s, l := range logits {
+		label := labels[s]
+		c.loss += xent.Loss(l, targets[label])
+		if l.ArgMax() == label {
+			c.top1++
 		}
-		if inTopK(logits, label, 5) {
-			top5++
+		if inTopK(l, label, 5) {
+			c.top5++
 		}
+		c.n++
 	}
-	n := float64(eval.Len())
-	return Metrics{Loss: loss / n, Top1: float64(top1) / n, Top5: float64(top5) / n}
+}
+
+func (c *classMetrics) metrics() Metrics {
+	n := float64(c.n)
+	return Metrics{Loss: c.loss / n, Top1: float64(c.top1) / n, Top5: float64(c.top5) / n}
 }
 
 func inTopK(logits tensor.Vector, label, k int) bool {
@@ -267,6 +295,9 @@ type SequenceTask struct {
 	eval    *data.SequenceDataset
 	sampler *data.BatchSampler
 
+	targets      []tensor.Vector   // one-hot target of each class
+	seqs         [][]tensor.Vector // the step's minibatch, reused across steps
+	labels       []int
 	lastWorkload int
 }
 
@@ -280,6 +311,7 @@ func NewSequenceTask(name string, model *nn.LSTMClassifier, train, eval *data.Se
 		train:   train,
 		eval:    eval,
 		sampler: data.NewBatchSampler(train.Len(), batchSize, rank, size, seed),
+		targets: nn.OneHots(model.NumClasses),
 	}
 }
 
@@ -295,21 +327,23 @@ func (t *SequenceTask) Params() tensor.Vector { return t.model.Params() }
 // Grads returns the flat gradients.
 func (t *SequenceTask) Grads() tensor.Vector { return t.model.Grads() }
 
+// batch gathers the step's minibatch and records its total frame count.
+func (t *SequenceTask) batch(step int) ([][]tensor.Vector, []int) {
+	t.seqs, t.labels = t.seqs[:0], t.labels[:0]
+	t.lastWorkload = 0
+	for _, j := range t.sampler.At(step) {
+		t.seqs = append(t.seqs, t.train.Sequences[j])
+		t.labels = append(t.labels, t.train.Labels[j])
+		t.lastWorkload += len(t.train.Sequences[j])
+	}
+	return t.seqs, t.labels
+}
+
 // ComputeGradient runs BPTT over the step's minibatch of sequences. Its cost
 // is genuinely proportional to the batch's total frame count, reproducing the
 // inherent load imbalance of the video workload.
 func (t *SequenceTask) ComputeGradient(step int) float64 {
-	idx := t.sampler.At(step)
-	seqs := make([][]tensor.Vector, len(idx))
-	labels := make([]int, len(idx))
-	workload := 0
-	for i, j := range idx {
-		seqs[i] = t.train.Sequences[j]
-		labels[i] = t.train.Labels[j]
-		workload += len(seqs[i])
-	}
-	t.lastWorkload = workload
-	return t.model.BatchGradient(seqs, labels)
+	return t.model.BatchGradient(t.batch(step))
 }
 
 // Segments returns the model's layer-aligned bucket boundaries (recurrent
@@ -319,37 +353,17 @@ func (t *SequenceTask) Segments() []nn.Segment { return t.model.Segments() }
 // ComputeGradientBuckets is ComputeGradient with per-segment ready
 // notifications during backpropagation through time (see BucketedTask).
 func (t *SequenceTask) ComputeGradientBuckets(step int, ready func(nn.Segment)) float64 {
-	idx := t.sampler.At(step)
-	seqs := make([][]tensor.Vector, len(idx))
-	labels := make([]int, len(idx))
-	workload := 0
-	for i, j := range idx {
-		seqs[i] = t.train.Sequences[j]
-		labels[i] = t.train.Labels[j]
-		workload += len(seqs[i])
-	}
-	t.lastWorkload = workload
+	seqs, labels := t.batch(step)
 	return t.model.BatchGradientBuckets(seqs, labels, ready)
 }
 
 // Evaluate returns held-out loss and top-1/top-5 accuracy.
 func (t *SequenceTask) Evaluate() Metrics {
-	var xent nn.SoftmaxCrossEntropy
-	var loss float64
-	top1, top5 := 0, 0
-	for i := range t.eval.Sequences {
-		logits := t.model.Forward(t.eval.Sequences[i])
-		label := t.eval.Labels[i]
-		loss += xent.Loss(logits, nn.OneHot(label, t.eval.Classes))
-		if logits.ArgMax() == label {
-			top1++
-		}
-		if inTopK(logits, label, 5) {
-			top5++
-		}
-	}
-	n := float64(t.eval.Len())
-	return Metrics{Loss: loss / n, Top1: float64(top1) / n, Top5: float64(top5) / n}
+	var m classMetrics
+	evalChunks(t.eval.Len(), func(lo, hi int) {
+		m.add(t.model.Forward(t.eval.Sequences[lo:hi]), t.eval.Labels[lo:hi], t.targets)
+	})
+	return m.metrics()
 }
 
 // WorkloadUnits returns the total frame count of the most recent minibatch.

@@ -78,11 +78,14 @@ type Trainer struct {
 
 // trainerBuckets holds the overlapped path's wiring: the bucket-capable
 // reducer and task plus the bucket plan mapping layer segments onto exchange
-// buckets.
+// buckets, and the per-step bookkeeping stepOverlapped reuses across steps.
 type trainerBuckets struct {
 	reducer collective.BucketReducer
 	task    BucketedTask
 	plan    bucketPlan
+
+	handles   []*collective.BucketHandle // the step's submitted buckets, in order
+	remaining []int                      // per bucket: segments still to settle
 }
 
 // NewTrainer validates the configuration and builds a trainer. When the
@@ -290,16 +293,16 @@ func (t *Trainer) stepOverlapped(ctx context.Context, step int) (float64, collec
 	if err := bk.reducer.BeginStep(ctx, bk.plan.lens); err != nil {
 		return 0, collective.Result{}, fmt.Errorf("core: step %d begin: %w", step, err)
 	}
-	handles := make([]*collective.BucketHandle, 0, len(bk.plan.lens))
-	remaining := append([]int(nil), bk.plan.segsPerBucket...)
+	bk.handles = bk.handles[:0]
+	bk.remaining = append(bk.remaining[:0], bk.plan.segsPerBucket...)
 	var submitErr error
 	loss := bk.task.ComputeGradientBuckets(step, func(seg nn.Segment) {
 		if submitErr != nil {
 			return
 		}
 		b := bk.plan.bucketOf[seg.Offset]
-		remaining[b]--
-		if remaining[b] > 0 {
+		bk.remaining[b]--
+		if bk.remaining[b] > 0 {
 			return // bucket coalesces several segments; wait for the rest
 		}
 		lo := bk.plan.offs[b]
@@ -308,14 +311,14 @@ func (t *Trainer) stepOverlapped(ctx context.Context, step int) (float64, collec
 			submitErr = err
 			return
 		}
-		handles = append(handles, h)
+		bk.handles = append(bk.handles, h)
 	})
 	t.sleepImbalance(step)
 
 	var applyErr error
 	if submitErr == nil {
 		inv := 1 / float64(t.Size())
-		for _, h := range handles {
+		for _, h := range bk.handles {
 			sum, err := h.Wait(ctx)
 			if err != nil {
 				applyErr = err

@@ -38,6 +38,24 @@ type LSTMClassifier struct {
 	gbias tensor.Vector
 	gwout *tensor.Matrix
 	gbout tensor.Vector
+
+	targets []tensor.Vector // one-hot target of each class
+
+	// Per-frame state of the last forward pass, frames newest first within
+	// each sequence — the order backpropagation through time visits them —
+	// and sequence after sequence. The slices index workspaces that grow to
+	// the largest batch seen and are reused, so a steady-state pass
+	// allocates nothing.
+	x, hPrev, cPrev []tensor.Vector // input and previous states (zero before a sequence's first frame)
+	// z is a frame's 4H pre-activations; the forward pass turns it in place
+	// into the gate activations [i f g o], and BPTT, once it has used them,
+	// into dL/d(pre-activation).
+	z     []tensor.Vector
+	c, h  []tensor.Vector
+	lastH []tensor.Vector // per sequence: the final hidden state
+
+	zs, cs, hs, logits, dLogits workspace
+	zero, preH, dh, dc          tensor.Vector
 }
 
 // NewLSTMClassifier allocates an LSTM classifier with the given feature size,
@@ -51,6 +69,11 @@ func NewLSTMClassifier(inputSize, hiddenSize, numClasses int) *LSTMClassifier {
 	m.params = tensor.NewVector(total)
 	m.grads = tensor.NewVector(total)
 	m.bind()
+	m.targets = OneHots(numClasses)
+	m.zero = tensor.NewVector(hiddenSize)
+	m.preH = tensor.NewVector(4 * hiddenSize)
+	m.dh = tensor.NewVector(hiddenSize)
+	m.dc = tensor.NewVector(hiddenSize)
 	return m
 }
 
@@ -111,77 +134,69 @@ func (m *LSTMClassifier) Grads() tensor.Vector { return m.grads }
 // ZeroGrads clears the accumulated gradients.
 func (m *LSTMClassifier) ZeroGrads() { m.grads.Zero() }
 
-// stepCache holds the per-time-step values needed by backpropagation through
-// time.
-type stepCache struct {
-	x          tensor.Vector
-	hPrev      tensor.Vector
-	cPrev      tensor.Vector
-	i, f, g, o tensor.Vector // gate activations
-	c, h       tensor.Vector
+// resize returns vs with length n, reallocating only to grow.
+func resize(vs []tensor.Vector, n int) []tensor.Vector {
+	if n > cap(vs) {
+		return make([]tensor.Vector, n)
+	}
+	return vs[:n]
 }
 
-// forwardSequence runs the LSTM over the sequence and returns the logits plus
-// the per-step caches (nil caches if withCache is false).
-func (m *LSTMClassifier) forwardSequence(seq []tensor.Vector, withCache bool) (tensor.Vector, []stepCache) {
+// Forward runs the LSTM over a batch of sequences, keeping every frame's
+// state for backpropagation, and returns each sequence's logits. The logits
+// belong to the model and stay valid until its next Forward or gradient
+// computation. The input projections wx·x of all frames come from one MulMat
+// pass over wx; the recurrent wh·h is inherently one frame at a time.
+func (m *LSTMClassifier) Forward(seqs [][]tensor.Vector) []tensor.Vector {
+	frames := 0
+	for _, seq := range seqs {
+		if len(seq) == 0 {
+			panic("nn: empty sequence")
+		}
+		frames += len(seq)
+	}
 	h := m.HiddenSize
-	hState := tensor.NewVector(h)
-	cState := tensor.NewVector(h)
-	var caches []stepCache
-	if withCache {
-		caches = make([]stepCache, 0, len(seq))
+	m.x, m.hPrev, m.cPrev = resize(m.x, frames), resize(m.hPrev, frames), resize(m.cPrev, frames)
+	m.z, m.c, m.h = m.zs.get(frames, 4*h), m.cs.get(frames, h), m.hs.get(frames, h)
+	m.lastH = resize(m.lastH, len(seqs))
+	base := 0
+	for _, seq := range seqs {
+		for t, x := range seq {
+			m.x[base+len(seq)-1-t] = x
+		}
+		base += len(seq)
 	}
-	pre := tensor.NewVector(4 * h)
-	preH := tensor.NewVector(4 * h)
-	for _, x := range seq {
-		if len(x) != m.InputSize {
-			panic(fmt.Sprintf("nn: LSTM input size %d, want %d", len(x), m.InputSize))
-		}
-		m.wx.MulVec(x, pre)
-		m.wh.MulVec(hState, preH)
-		pre.Add(preH)
-		pre.Add(m.bias)
+	m.wx.MulMat(m.x, m.z)
 
-		ig := tensor.NewVector(h)
-		fg := tensor.NewVector(h)
-		gg := tensor.NewVector(h)
-		og := tensor.NewVector(h)
-		for j := 0; j < h; j++ {
-			ig[j] = sigmoid(pre[j])
-			fg[j] = sigmoid(pre[h+j])
-			gg[j] = tanh(pre[2*h+j])
-			og[j] = sigmoid(pre[3*h+j])
+	logits := m.logits.get(len(seqs), m.NumClasses)
+	base = 0
+	for s, seq := range seqs {
+		hPrev, cPrev := m.zero, m.zero
+		for k := base + len(seq) - 1; k >= base; k-- { // t ascending
+			z := m.z[k]
+			m.wh.MulVec(hPrev, m.preH)
+			z.Add(m.preH)
+			z.Add(m.bias)
+			for j := 0; j < h; j++ {
+				z[j] = sigmoid(z[j])
+				z[h+j] = sigmoid(z[h+j])
+				z[2*h+j] = tanh(z[2*h+j])
+				z[3*h+j] = sigmoid(z[3*h+j])
+			}
+			c, hv := m.c[k], m.h[k]
+			for j := 0; j < h; j++ {
+				c[j] = z[h+j]*cPrev[j] + z[j]*z[2*h+j]
+				hv[j] = z[3*h+j] * tanh(c[j])
+			}
+			m.hPrev[k], m.cPrev[k] = hPrev, cPrev
+			hPrev, cPrev = hv, c
 		}
-		newC := tensor.NewVector(h)
-		newH := tensor.NewVector(h)
-		for j := 0; j < h; j++ {
-			newC[j] = fg[j]*cState[j] + ig[j]*gg[j]
-			newH[j] = og[j] * tanh(newC[j])
-		}
-		if withCache {
-			caches = append(caches, stepCache{
-				x: x, hPrev: hState.Clone(), cPrev: cState.Clone(),
-				i: ig, f: fg, g: gg, o: og, c: newC.Clone(), h: newH.Clone(),
-			})
-		}
-		hState = newH
-		cState = newC
+		m.wout.MulVec(hPrev, logits[s])
+		logits[s].Add(m.bout)
+		m.lastH[s] = hPrev
+		base += len(seq)
 	}
-	logits := tensor.NewVector(m.NumClasses)
-	m.wout.MulVec(hState, logits)
-	logits.Add(m.bout)
-	return logits, caches
-}
-
-// Forward returns the class logits for the sequence.
-func (m *LSTMClassifier) Forward(seq []tensor.Vector) tensor.Vector {
-	logits, _ := m.forwardSequence(seq, false)
 	return logits
-}
-
-// Predict returns the most likely class for the sequence.
-func (m *LSTMClassifier) Predict(seq []tensor.Vector) int {
-	return m.Forward(seq).ArgMax()
 }
 
 // recurrentParams returns the element count of the recurrent block (wx, wh,
@@ -192,104 +207,96 @@ func (m *LSTMClassifier) recurrentParams() int {
 	return 4*h*i + 4*h*h + 4*h
 }
 
+// segments returns the recurrent and read-out segments by value.
+func (m *LSTMClassifier) segments() (recurrent, readout Segment) {
+	r := m.recurrentParams()
+	return Segment{Name: "0:lstm", Offset: 0, Len: r}, Segment{Name: "1:readout", Offset: r, Len: m.NumParams() - r}
+}
+
 // Segments returns the two layer-aligned segments of the flat vectors: the
 // recurrent block (wx, wh, bias) and the dense read-out (wout, bout). During
 // backpropagation through time the read-out's gradient settles first and the
 // recurrent block's last, so a bucketed exchange sees the segments become
 // ready in reverse layer order.
 func (m *LSTMClassifier) Segments() []Segment {
-	r := m.recurrentParams()
-	return []Segment{
-		{Name: "0:lstm", Offset: 0, Len: r},
-		{Name: "1:readout", Offset: r, Len: m.NumParams() - r},
-	}
+	recurrent, readout := m.segments()
+	return []Segment{recurrent, readout}
 }
 
 // AccumulateGradient runs forward and full backpropagation through time for
-// one labelled sequence, accumulating gradients, and returns the sample's
-// cross-entropy loss.
+// one labelled sequence — a batch of one — accumulating gradients, and
+// returns the sample's cross-entropy loss.
 func (m *LSTMClassifier) AccumulateGradient(seq []tensor.Vector, label int) float64 {
-	return m.accumulateGradient(seq, label, nil)
+	return m.accumulate([][]tensor.Vector{seq}, []int{label}, nil)
 }
 
-// accumulateGradient is AccumulateGradient with an optional hook invoked
-// right after the read-out gradients (gwout, gbout) have been accumulated —
-// the point at which the read-out segment is final for the sample while the
-// BPTT loop over the recurrent block is still to come.
-func (m *LSTMClassifier) accumulateGradient(seq []tensor.Vector, label int, afterReadout func()) float64 {
-	if len(seq) == 0 {
-		panic("nn: empty sequence")
-	}
-	h := m.HiddenSize
-	logits, caches := m.forwardSequence(seq, true)
-	target := OneHot(label, m.NumClasses)
+// accumulate runs forward and full backpropagation through time for a batch
+// of labelled sequences, adds every sequence's gradients into Grads in
+// sequence order (and, within one, frames newest first), and returns the
+// summed loss. readoutDone, when non-nil, runs as soon as the read-out
+// gradients (gwout, gbout) are final: before the BPTT loop over the
+// recurrent block.
+func (m *LSTMClassifier) accumulate(seqs [][]tensor.Vector, labels []int, readoutDone func()) float64 {
+	logits := m.Forward(seqs)
+	dLogits := m.dLogits.get(len(seqs), m.NumClasses)
 	var xent SoftmaxCrossEntropy
-	loss := xent.Loss(logits, target)
-	dLogits := xent.Grad(logits, target)
-
-	last := caches[len(caches)-1]
-	m.gwout.AddOuter(1, dLogits, last.h)
-	m.gbout.Add(dLogits)
-	if afterReadout != nil {
-		afterReadout()
+	var total float64
+	for s, l := range logits {
+		total += xent.LossGrad(l, m.targets[labels[s]], dLogits[s])
+	}
+	m.gwout.AddOuters(dLogits, m.lastH)
+	for _, g := range dLogits {
+		m.gbout.Add(g)
+	}
+	if readoutDone != nil {
+		readoutDone()
 	}
 
-	dh := tensor.NewVector(h)
-	m.wout.MulVecT(dLogits, dh)
-	dc := tensor.NewVector(h)
-
-	dPre := tensor.NewVector(4 * h)
-	scratch := tensor.NewVector(h)
-	for t := len(caches) - 1; t >= 0; t-- {
-		cc := caches[t]
-		for j := 0; j < h; j++ {
-			tc := tanh(cc.c[j])
-			dcj := dc[j] + dh[j]*cc.o[j]*(1-tc*tc)
-			di := dcj * cc.g[j] * cc.i[j] * (1 - cc.i[j])
-			df := dcj * cc.cPrev[j] * cc.f[j] * (1 - cc.f[j])
-			dg := dcj * cc.i[j] * (1 - cc.g[j]*cc.g[j])
-			do := dh[j] * tc * cc.o[j] * (1 - cc.o[j])
-			dPre[j] = di
-			dPre[h+j] = df
-			dPre[2*h+j] = dg
-			dPre[3*h+j] = do
-			dc[j] = dcj * cc.f[j]
+	h := m.HiddenSize
+	dh, dc := m.dh, m.dc
+	base := 0
+	for s, seq := range seqs {
+		m.wout.MulVecT(dLogits[s], dh)
+		dc.Zero()
+		first := base + len(seq) - 1     // the sequence's t = 0
+		for k := base; k <= first; k++ { // t descending
+			z, c, cPrev := m.z[k], m.c[k], m.cPrev[k]
+			for j := 0; j < h; j++ {
+				i, f, g, o := z[j], z[h+j], z[2*h+j], z[3*h+j]
+				tc := tanh(c[j])
+				dcj := dc[j] + dh[j]*o*(1-tc*tc)
+				z[j] = dcj * g * i * (1 - i)
+				z[h+j] = dcj * cPrev[j] * f * (1 - f)
+				z[2*h+j] = dcj * i * (1 - g*g)
+				z[3*h+j] = dh[j] * tc * o * (1 - o)
+				dc[j] = dcj * f
+			}
+			if k < first { // t = 0's dL/dh feeds no earlier frame
+				m.wh.MulVecT(z, dh)
+			}
 		}
-		m.gwx.AddOuter(1, dPre, cc.x)
-		m.gwh.AddOuter(1, dPre, cc.hPrev)
-		m.gbias.Add(dPre)
-		m.wh.MulVecT(dPre, scratch)
-		dh.CopyFrom(scratch)
+		base = first + 1
 	}
-	return loss
+	m.gwx.AddOuters(m.z, m.x)
+	m.gwh.AddOuters(m.z, m.hPrev)
+	for _, dPre := range m.z {
+		m.gbias.Add(dPre)
+	}
+	return total
 }
 
 // BatchGradient zeroes the gradients, accumulates over the labelled
 // sequences, scales by the batch size, and returns the mean loss.
 func (m *LSTMClassifier) BatchGradient(seqs [][]tensor.Vector, labels []int) float64 {
-	if len(seqs) != len(labels) {
-		panic(fmt.Sprintf("nn: batch size mismatch %d sequences vs %d labels", len(seqs), len(labels)))
-	}
-	if len(seqs) == 0 {
-		panic("nn: empty batch")
-	}
-	m.ZeroGrads()
-	var total float64
-	for i, seq := range seqs {
-		total += m.AccumulateGradient(seq, labels[i])
-	}
-	inv := 1 / float64(len(seqs))
-	m.grads.Scale(inv)
-	return total * inv
+	return m.BatchGradientBuckets(seqs, labels, nil)
 }
 
-// BatchGradientBuckets computes exactly the gradients of BatchGradient (same
-// accumulation order, same element-wise scaling — bit-for-bit identical) but
-// announces each segment through ready as soon as it is final during the
-// final sequence's backpropagation: the read-out segment right after its
-// gradient settles, the recurrent segment once the BPTT loop finishes. Each
-// segment is already scaled by the batch size when its notification fires. A
-// nil ready degrades to BatchGradient.
+// BatchGradientBuckets computes exactly the gradients of BatchGradient but
+// announces each segment through ready as soon as it is final: the read-out
+// segment once the batch's read-out gradients settle, before any BPTT runs,
+// and the recurrent segment after the BPTT loop. Each segment is already
+// scaled by the batch size when its notification fires. A nil ready degrades
+// to BatchGradient.
 func (m *LSTMClassifier) BatchGradientBuckets(seqs [][]tensor.Vector, labels []int, ready func(Segment)) float64 {
 	if len(seqs) != len(labels) {
 		panic(fmt.Sprintf("nn: batch size mismatch %d sequences vs %d labels", len(seqs), len(labels)))
@@ -298,25 +305,16 @@ func (m *LSTMClassifier) BatchGradientBuckets(seqs [][]tensor.Vector, labels []i
 		panic("nn: empty batch")
 	}
 	m.ZeroGrads()
-	var total float64
-	last := len(seqs) - 1
-	for i := 0; i < last; i++ {
-		total += m.AccumulateGradient(seqs[i], labels[i])
-	}
 	inv := 1 / float64(len(seqs))
-	segs := m.Segments()
-	total += m.accumulateGradient(seqs[last], labels[last], func() {
-		seg := segs[1] // read-out: final before the BPTT loop runs
+	finish := func(seg Segment) {
 		m.grads[seg.Offset : seg.Offset+seg.Len].Scale(inv)
 		if ready != nil {
 			ready(seg)
 		}
-	})
-	seg := segs[0] // recurrent block: final after the full BPTT loop
-	m.grads[seg.Offset : seg.Offset+seg.Len].Scale(inv)
-	if ready != nil {
-		ready(seg)
 	}
+	recurrent, readout := m.segments()
+	total := m.accumulate(seqs, labels, func() { finish(readout) })
+	finish(recurrent)
 	return total * inv
 }
 

@@ -57,8 +57,8 @@ func TestLSTMForwardDeterministicAndFinite(t *testing.T) {
 	m := NewLSTMClassifier(4, 6, 3)
 	m.Init(rng)
 	seq := randomSequence(rng, 12, 4)
-	a := m.Forward(seq)
-	b := m.Forward(seq)
+	a := m.Forward([][]tensor.Vector{seq})[0].Clone()
+	b := m.Forward([][]tensor.Vector{seq})[0]
 	if !a.Equal(b) {
 		t.Fatal("Forward is not deterministic")
 	}
@@ -94,7 +94,7 @@ func TestLSTMGradientMatchesNumerical(t *testing.T) {
 	var xent SoftmaxCrossEntropy
 	target := OneHot(label, 3)
 	numeric := numericalGradient(m.Params(), func() float64 {
-		return xent.Loss(m.Forward(seq), target)
+		return xent.Loss(m.Forward([][]tensor.Vector{seq})[0], target)
 	})
 
 	for i := range analytic {
@@ -187,7 +187,7 @@ func TestLSTMLearnsSequenceSumSign(t *testing.T) {
 	const eval = 200
 	for i := 0; i < eval; i++ {
 		seq, label := makeSample()
-		if m.Predict(seq) == label {
+		if m.Forward([][]tensor.Vector{seq})[0].ArgMax() == label {
 			correct++
 		}
 	}

@@ -8,6 +8,13 @@
 // gradients (one fused allreduce over the flattened model) and lets the
 // distributed trainers in internal/core hand Grads() directly to a collective
 // without any marshalling.
+//
+// Models compute at minibatch granularity: a pass runs the whole batch through
+// one layer before the next, on the blocked matrix kernels of internal/tensor,
+// and keeps its activations in workspaces the model owns and reuses across
+// steps. Every gradient element still receives exactly the additions of a
+// sample-by-sample pass, in sample order, so the results are bit-for-bit
+// those of one (DESIGN.md "Model compute").
 package nn
 
 import (
@@ -19,8 +26,8 @@ import (
 )
 
 // Layer is one stage of a feed-forward network. A layer binds views into the
-// network's flat parameter and gradient vectors, then transforms activations
-// forward and gradients backward.
+// network's flat parameter and gradient vectors, then transforms a minibatch
+// of activations forward and its gradients backward.
 type Layer interface {
 	// NumParams returns how many scalar parameters the layer owns.
 	NumParams() int
@@ -32,12 +39,40 @@ type Layer interface {
 	// OutputSize returns the length of the activation vector the layer
 	// produces for an input of the configured size.
 	OutputSize() int
-	// Forward computes the layer output for one sample.
-	Forward(x tensor.Vector) tensor.Vector
-	// Backward consumes dL/d(output), accumulates parameter gradients into
-	// the bound gradient view, and returns dL/d(input). It must be called
-	// immediately after the Forward for the same sample.
-	Backward(dOut tensor.Vector) tensor.Vector
+	// Forward computes the layer outputs for a batch of inputs. The outputs
+	// belong to the layer and stay valid until its next Forward; the inputs
+	// must stay unchanged until the matching Backward.
+	Forward(xs []tensor.Vector) []tensor.Vector
+	// Backward consumes dL/d(output) for the batch of the preceding Forward,
+	// accumulates parameter gradients into the bound gradient view in sample
+	// order, and returns dL/d(input), owned by the layer like Forward's
+	// outputs. With needInput false it returns nil and skips that work: the
+	// first layer's input gradient has no consumer.
+	Backward(dOuts []tensor.Vector, needInput bool) []tensor.Vector
+}
+
+// workspace is a reusable batch of equal-length vectors carved from one
+// backing array. It grows to the largest batch it has held and is reused
+// across steps, so a steady-state pass allocates nothing.
+type workspace struct {
+	buf tensor.Vector
+	vs  []tensor.Vector
+}
+
+// get returns n vectors of length size with stale contents, valid until the
+// next get.
+func (w *workspace) get(n, size int) []tensor.Vector {
+	if n*size > len(w.buf) {
+		w.buf = tensor.NewVector(n * size)
+	}
+	if n > cap(w.vs) {
+		w.vs = make([]tensor.Vector, n)
+	}
+	vs := w.vs[:n]
+	for s := range vs {
+		vs[s] = w.buf[s*size : (s+1)*size : (s+1)*size]
+	}
+	return vs
 }
 
 // Dense is a fully connected layer: y = W*x + b.
@@ -50,7 +85,8 @@ type Dense struct {
 	gw *tensor.Matrix
 	gb tensor.Vector
 
-	lastIn tensor.Vector
+	in         []tensor.Vector // inputs of the last Forward
+	outs, dIns workspace
 }
 
 // NewDense creates a fully connected layer with the given fan-in and fan-out.
@@ -85,38 +121,42 @@ func (d *Dense) Init(rng *rand.Rand) {
 	d.b.Zero()
 }
 
-// Forward computes W*x + b.
-func (d *Dense) Forward(x tensor.Vector) tensor.Vector {
-	if len(x) != d.In {
-		panic(fmt.Sprintf("nn: dense forward input %d, want %d", len(x), d.In))
+// Forward computes W*x + b for every sample with one pass over W.
+func (d *Dense) Forward(xs []tensor.Vector) []tensor.Vector {
+	outs := d.outs.get(len(xs), d.Out)
+	d.w.MulMat(xs, outs)
+	for _, out := range outs {
+		out.Add(d.b)
 	}
-	d.lastIn = x.Clone()
-	out := tensor.NewVector(d.Out)
-	d.w.MulVec(x, out)
-	out.Add(d.b)
-	return out
+	d.in = xs
+	return outs
 }
 
-// Backward accumulates dW and db and returns dL/dx.
-func (d *Dense) Backward(dOut tensor.Vector) tensor.Vector {
-	if len(dOut) != d.Out {
-		panic(fmt.Sprintf("nn: dense backward grad %d, want %d", len(dOut), d.Out))
+// Backward accumulates dW (one pass over it for the batch) and db, and
+// returns dL/dx when asked.
+func (d *Dense) Backward(dOuts []tensor.Vector, needInput bool) []tensor.Vector {
+	d.gw.AddOuters(dOuts, d.in)
+	for _, g := range dOuts {
+		d.gb.Add(g)
 	}
-	d.gw.AddOuter(1, dOut, d.lastIn)
-	d.gb.Add(dOut)
-	dIn := tensor.NewVector(d.In)
-	d.w.MulVecT(dOut, dIn)
-	return dIn
+	if !needInput {
+		return nil
+	}
+	dIns := d.dIns.get(len(dOuts), d.In)
+	for s, g := range dOuts {
+		d.w.MulVecT(g, dIns[s])
+	}
+	return dIns
 }
 
 // activation is a parameter-free element-wise layer.
 type activation struct {
-	size    int
-	fn      func(float64) float64
-	deriv   func(x, y float64) float64 // derivative given input x and output y
-	lastIn  tensor.Vector
-	lastOut tensor.Vector
-	name    string
+	size       int
+	fn         func(float64) float64
+	deriv      func(x, y float64) float64 // derivative given input x and output y
+	name       string
+	in, out    []tensor.Vector // inputs and outputs of the last Forward
+	outs, dIns workspace
 }
 
 // NewReLU returns a rectified linear activation for vectors of length size.
@@ -161,25 +201,34 @@ func (a *activation) OutputSize() int         { return a.size }
 func (a *activation) Bind(_, _ tensor.Vector) {}
 func (a *activation) Init(_ *rand.Rand)       {}
 func (a *activation) String() string          { return a.name }
-func (a *activation) Forward(x tensor.Vector) tensor.Vector {
-	if len(x) != a.size {
-		panic(fmt.Sprintf("nn: %s forward input %d, want %d", a.name, len(x), a.size))
+
+func (a *activation) Forward(xs []tensor.Vector) []tensor.Vector {
+	outs := a.outs.get(len(xs), a.size)
+	for s, x := range xs {
+		if len(x) != a.size {
+			panic(fmt.Sprintf("nn: %s forward input %d, want %d", a.name, len(x), a.size))
+		}
+		out := outs[s]
+		for i, v := range x {
+			out[i] = a.fn(v)
+		}
 	}
-	a.lastIn = x.Clone()
-	out := tensor.NewVector(a.size)
-	for i, v := range x {
-		out[i] = a.fn(v)
-	}
-	a.lastOut = out.Clone()
-	return out
+	a.in, a.out = xs, outs
+	return outs
 }
 
-func (a *activation) Backward(dOut tensor.Vector) tensor.Vector {
-	dIn := tensor.NewVector(a.size)
-	for i, g := range dOut {
-		dIn[i] = g * a.deriv(a.lastIn[i], a.lastOut[i])
+func (a *activation) Backward(dOuts []tensor.Vector, needInput bool) []tensor.Vector {
+	if !needInput {
+		return nil
 	}
-	return dIn
+	dIns := a.dIns.get(len(dOuts), a.size)
+	for s, g := range dOuts {
+		in, out, dIn := a.in[s], a.out[s], dIns[s]
+		for i, gi := range g {
+			dIn[i] = gi * a.deriv(in[i], out[i])
+		}
+	}
+	return dIns
 }
 
 // Loss maps a prediction and target to a scalar loss and its gradient with
@@ -187,8 +236,9 @@ func (a *activation) Backward(dOut tensor.Vector) tensor.Vector {
 type Loss interface {
 	// Loss returns the scalar loss for one sample.
 	Loss(pred, target tensor.Vector) float64
-	// Grad returns dLoss/dPred for one sample.
-	Grad(pred, target tensor.Vector) tensor.Vector
+	// LossGrad returns the scalar loss for one sample — the value Loss
+	// returns — and writes dLoss/dPred into grad.
+	LossGrad(pred, target, grad tensor.Vector) float64
 	// Name identifies the loss in logs.
 	Name() string
 }
@@ -210,52 +260,68 @@ func (MSE) Loss(pred, target tensor.Vector) float64 {
 	return 0.5 * s
 }
 
-// Grad returns pred - target.
-func (MSE) Grad(pred, target tensor.Vector) tensor.Vector {
-	out := pred.Clone()
-	out.Sub(target)
-	return out
+// LossGrad returns 0.5 * squared error and writes pred - target into grad.
+func (MSE) LossGrad(pred, target, grad tensor.Vector) float64 {
+	var s float64
+	for i, p := range pred {
+		d := p - target[i]
+		grad[i] = d
+		s += d * d
+	}
+	return 0.5 * s
 }
 
 // SoftmaxCrossEntropy combines a softmax output layer with the cross-entropy
-// loss; Grad returns the numerically stable softmax(pred)-onehot form. The
+// loss; its gradient is the numerically stable softmax(pred)-onehot form. The
 // target vector is a one-hot encoding of the class.
 type SoftmaxCrossEntropy struct{}
 
 // Name returns "softmax-xent".
 func (SoftmaxCrossEntropy) Name() string { return "softmax-xent" }
 
-// Softmax returns the softmax distribution of logits.
-func Softmax(logits tensor.Vector) tensor.Vector {
+// softmax writes the softmax distribution of logits into out.
+func softmax(logits, out tensor.Vector) {
 	maxLogit, _ := logits.Max()
-	out := tensor.NewVector(len(logits))
 	var sum float64
 	for i, l := range logits {
 		out[i] = math.Exp(l - maxLogit)
 		sum += out[i]
 	}
 	out.Scale(1 / sum)
-	return out
 }
 
 // Loss returns the cross entropy between softmax(pred) and the one-hot
-// target.
+// target. It evaluates softmax(pred)[i] — exp(pred[i]-max) times the
+// normalizer, as softmax computes it — only where the target is positive, so
+// it needs no buffer.
 func (SoftmaxCrossEntropy) Loss(pred, target tensor.Vector) float64 {
-	probs := Softmax(pred)
+	maxLogit, _ := pred.Max()
+	var sum float64
+	for _, l := range pred {
+		sum += math.Exp(l - maxLogit)
+	}
+	inv := 1 / sum
 	var loss float64
 	for i, t := range target {
 		if t > 0 {
-			loss -= t * math.Log(math.Max(probs[i], 1e-12))
+			loss -= t * math.Log(math.Max(math.Exp(pred[i]-maxLogit)*inv, 1e-12))
 		}
 	}
 	return loss
 }
 
-// Grad returns softmax(pred) - target.
-func (SoftmaxCrossEntropy) Grad(pred, target tensor.Vector) tensor.Vector {
-	probs := Softmax(pred)
-	probs.Sub(target)
-	return probs
+// LossGrad returns the cross entropy and writes softmax(pred) - target into
+// grad, computing the softmax once for both.
+func (SoftmaxCrossEntropy) LossGrad(pred, target, grad tensor.Vector) float64 {
+	softmax(pred, grad)
+	var loss float64
+	for i, t := range target {
+		if t > 0 {
+			loss -= t * math.Log(math.Max(grad[i], 1e-12))
+		}
+	}
+	grad.Sub(target)
+	return loss
 }
 
 // OneHot returns a one-hot vector of the given length with index class set.
@@ -266,6 +332,16 @@ func OneHot(class, length int) tensor.Vector {
 	v := tensor.NewVector(length)
 	v[class] = 1
 	return v
+}
+
+// OneHots returns the one-hot target of every class of a classes-way
+// classification, indexed by class: minted once, read by every sample.
+func OneHots(classes int) []tensor.Vector {
+	vs := make([]tensor.Vector, classes)
+	for c := range vs {
+		vs[c] = OneHot(c, classes)
+	}
+	return vs
 }
 
 // Segment describes one layer-aligned slice of a model's flat parameter and
@@ -285,11 +361,12 @@ type Segment struct {
 // Network is a feed-forward stack of layers with a loss, holding all
 // parameters and gradients in flat vectors.
 type Network struct {
-	layers  []Layer
-	offsets []int // per-layer start offset within the flat vectors
-	loss    Loss
-	params  tensor.Vector
-	grads   tensor.Vector
+	layers   []Layer
+	segments []Segment // per layer; Len is 0 for a parameter-free layer
+	loss     Loss
+	params   tensor.Vector
+	grads    tensor.Vector
+	dPreds   workspace
 }
 
 // NewNetwork assembles the layers into a network and allocates the flat
@@ -306,16 +383,16 @@ func NewNetwork(loss Loss, layers ...Layer) *Network {
 		total += l.NumParams()
 	}
 	n := &Network{
-		layers: layers,
-		loss:   loss,
-		params: tensor.NewVector(total),
-		grads:  tensor.NewVector(total),
+		layers:   layers,
+		segments: make([]Segment, len(layers)),
+		loss:     loss,
+		params:   tensor.NewVector(total),
+		grads:    tensor.NewVector(total),
 	}
-	n.offsets = make([]int, len(layers))
 	off := 0
 	for i, l := range layers {
 		sz := l.NumParams()
-		n.offsets[i] = off
+		n.segments[i] = Segment{Name: layerName(i, l), Offset: off, Len: sz}
 		l.Bind(n.params[off:off+sz], n.grads[off:off+sz])
 		off += sz
 	}
@@ -336,9 +413,9 @@ func layerName(i int, l Layer) string {
 // parameters; parameter-free layers (activations) own no segment.
 func (n *Network) Segments() []Segment {
 	var segs []Segment
-	for i, l := range n.layers {
-		if sz := l.NumParams(); sz > 0 {
-			segs = append(segs, Segment{Name: layerName(i, l), Offset: n.offsets[i], Len: sz})
+	for _, s := range n.segments {
+		if s.Len > 0 {
+			segs = append(segs, s)
 		}
 	}
 	return segs
@@ -363,68 +440,59 @@ func (n *Network) Grads() tensor.Vector { return n.grads }
 // ZeroGrads clears the accumulated gradients.
 func (n *Network) ZeroGrads() { n.grads.Zero() }
 
-// Forward runs one sample through the network and returns the output.
-func (n *Network) Forward(x tensor.Vector) tensor.Vector {
-	out := x
+// Forward runs a batch of samples through the network, one layer at a time,
+// and returns their outputs. The outputs belong to the network and stay valid
+// until its next Forward or gradient computation.
+func (n *Network) Forward(xs []tensor.Vector) []tensor.Vector {
+	out := xs
 	for _, l := range n.layers {
 		out = l.Forward(out)
 	}
 	return out
 }
 
-// LossValue returns the loss for one sample without touching gradients.
-func (n *Network) LossValue(x, target tensor.Vector) float64 {
-	return n.loss.Loss(n.Forward(x), target)
-}
-
-// BackwardFrom backpropagates the prediction gradient through the network,
-// accumulating parameter gradients. It must directly follow the Forward call
-// for the same sample.
-func (n *Network) BackwardFrom(dPred tensor.Vector) {
-	g := dPred
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		g = n.layers[i].Backward(g)
+// accumulate runs the batch forward and backward, adding every sample's
+// parameter gradients into Grads in sample order, and returns the summed
+// loss. layerDone(i), when non-nil, runs right after layer i's batch
+// backward: the moment that layer's gradient segment is final.
+func (n *Network) accumulate(xs, targets []tensor.Vector, layerDone func(i int)) float64 {
+	preds := n.Forward(xs)
+	dPreds := n.dPreds.get(len(preds), n.layers[len(n.layers)-1].OutputSize())
+	var total float64
+	for s, pred := range preds {
+		total += n.loss.LossGrad(pred, targets[s], dPreds[s])
 	}
+	g := dPreds
+	for i := len(n.layers) - 1; i >= 0; i-- {
+		g = n.layers[i].Backward(g, i > 0)
+		if layerDone != nil {
+			layerDone(i)
+		}
+	}
+	return total
 }
 
-// AccumulateGradient runs forward and backward for one sample and returns its
-// loss. Gradients accumulate into Grads (call ZeroGrads between batches and
-// scale by the batch size afterwards).
+// AccumulateGradient runs forward and backward for one sample — a batch of
+// one — and returns its loss. Gradients accumulate into Grads (call ZeroGrads
+// between batches and scale by the batch size afterwards).
 func (n *Network) AccumulateGradient(x, target tensor.Vector) float64 {
-	pred := n.Forward(x)
-	loss := n.loss.Loss(pred, target)
-	n.BackwardFrom(n.loss.Grad(pred, target))
-	return loss
+	return n.accumulate([]tensor.Vector{x}, []tensor.Vector{target}, nil)
 }
 
 // BatchGradient zeroes the gradients, accumulates over the batch, divides by
 // the batch size, and returns the mean loss.
 func (n *Network) BatchGradient(xs, targets []tensor.Vector) float64 {
-	if len(xs) != len(targets) {
-		panic(fmt.Sprintf("nn: batch size mismatch %d inputs vs %d targets", len(xs), len(targets)))
-	}
-	if len(xs) == 0 {
-		panic("nn: empty batch")
-	}
-	n.ZeroGrads()
-	var total float64
-	for i, x := range xs {
-		total += n.AccumulateGradient(x, targets[i])
-	}
-	inv := 1 / float64(len(xs))
-	n.grads.Scale(inv)
-	return total * inv
+	return n.BatchGradientBuckets(xs, targets, nil)
 }
 
-// BatchGradientBuckets computes exactly the gradients of BatchGradient — the
-// same accumulation order and the same element-wise scaling, so the result is
-// bit-for-bit identical — but announces each layer's segment through ready as
-// soon as it is final, which happens during the final sample's backward pass
-// in reverse layer order (the output layer's gradient settles first). Each
-// segment is already scaled by the batch size when its notification fires, so
-// the callback may hand Grads()[Offset:Offset+Len] straight to a gradient
-// exchange while the remaining layers are still backpropagating. A nil ready
-// degrades to BatchGradient.
+// BatchGradientBuckets computes exactly the gradients of BatchGradient but
+// announces each layer's segment through ready as soon as it is final: right
+// after that layer's batch backward, in reverse layer order (the output
+// layer's gradient settles first). Each segment is already scaled by the
+// batch size when its notification fires, so the callback may hand
+// Grads()[Offset:Offset+Len] straight to a gradient exchange while the
+// remaining layers are still backpropagating. A nil ready degrades to
+// BatchGradient.
 func (n *Network) BatchGradientBuckets(xs, targets []tensor.Vector, ready func(Segment)) float64 {
 	if len(xs) != len(targets) {
 		panic(fmt.Sprintf("nn: batch size mismatch %d inputs vs %d targets", len(xs), len(targets)))
@@ -433,35 +501,18 @@ func (n *Network) BatchGradientBuckets(xs, targets []tensor.Vector, ready func(S
 		panic("nn: empty batch")
 	}
 	n.ZeroGrads()
-	var total float64
-	last := len(xs) - 1
-	for i := 0; i < last; i++ {
-		total += n.AccumulateGradient(xs[i], targets[i])
-	}
 	inv := 1 / float64(len(xs))
-
-	// Final sample: backpropagate layer by layer; a layer's gradient segment
-	// is final the moment its backward completes, so finalize (scale) and
-	// announce it right there.
-	pred := n.Forward(xs[last])
-	total += n.loss.Loss(pred, targets[last])
-	g := n.loss.Grad(pred, targets[last])
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		l := n.layers[i]
-		g = l.Backward(g)
-		if sz := l.NumParams(); sz > 0 {
-			n.grads[n.offsets[i] : n.offsets[i]+sz].Scale(inv)
-			if ready != nil {
-				ready(Segment{Name: layerName(i, l), Offset: n.offsets[i], Len: sz})
-			}
+	total := n.accumulate(xs, targets, func(i int) {
+		seg := n.segments[i]
+		if seg.Len == 0 {
+			return
 		}
-	}
+		n.grads[seg.Offset : seg.Offset+seg.Len].Scale(inv)
+		if ready != nil {
+			ready(seg)
+		}
+	})
 	return total * inv
-}
-
-// Predict returns the class index with the highest output for x.
-func (n *Network) Predict(x tensor.Vector) int {
-	return n.Forward(x).ArgMax()
 }
 
 // Loss returns the network's loss function.

@@ -33,7 +33,7 @@ func TestDenseForwardKnownValues(t *testing.T) {
 	params := tensor.Vector{1, 2, 3, 4, 10, 20} // W=[[1,2],[3,4]], b=[10,20]
 	grads := tensor.NewVector(6)
 	d.Bind(params, grads)
-	out := d.Forward(tensor.Vector{1, 1})
+	out := d.Forward([]tensor.Vector{{1, 1}})[0]
 	if !out.Equal(tensor.Vector{13, 27}) {
 		t.Fatalf("Forward = %v", out)
 	}
@@ -44,8 +44,8 @@ func TestDenseBackwardAccumulates(t *testing.T) {
 	params := tensor.Vector{2, 3, 0}
 	grads := tensor.NewVector(3)
 	d.Bind(params, grads)
-	d.Forward(tensor.Vector{5, 7})
-	dIn := d.Backward(tensor.Vector{1})
+	d.Forward([]tensor.Vector{{5, 7}})
+	dIn := d.Backward([]tensor.Vector{{1}}, true)[0]
 	// dW = dOut * x^T = [5, 7]; db = 1; dx = W^T*dOut = [2, 3].
 	if !grads.Equal(tensor.Vector{5, 7, 1}) {
 		t.Fatalf("grads = %v", grads)
@@ -54,8 +54,10 @@ func TestDenseBackwardAccumulates(t *testing.T) {
 		t.Fatalf("dIn = %v", dIn)
 	}
 	// A second backward must accumulate, not overwrite.
-	d.Forward(tensor.Vector{5, 7})
-	d.Backward(tensor.Vector{1})
+	d.Forward([]tensor.Vector{{5, 7}})
+	if d.Backward([]tensor.Vector{{1}}, false) != nil {
+		t.Fatal("Backward without needInput returned an input gradient")
+	}
 	if !grads.Equal(tensor.Vector{10, 14, 2}) {
 		t.Fatalf("grads after second backward = %v", grads)
 	}
@@ -63,27 +65,27 @@ func TestDenseBackwardAccumulates(t *testing.T) {
 
 func TestActivations(t *testing.T) {
 	relu := NewReLU(3)
-	out := relu.Forward(tensor.Vector{-1, 0, 2})
+	out := relu.Forward([]tensor.Vector{{-1, 0, 2}})[0]
 	if !out.Equal(tensor.Vector{0, 0, 2}) {
 		t.Fatalf("relu forward = %v", out)
 	}
-	dIn := relu.Backward(tensor.Vector{1, 1, 1})
+	dIn := relu.Backward([]tensor.Vector{{1, 1, 1}}, true)[0]
 	if !dIn.Equal(tensor.Vector{0, 0, 1}) {
 		t.Fatalf("relu backward = %v", dIn)
 	}
 
 	tanhL := NewTanh(1)
-	y := tanhL.Forward(tensor.Vector{0.5})
+	y := tanhL.Forward([]tensor.Vector{{0.5}})[0]
 	if math.Abs(y[0]-math.Tanh(0.5)) > 1e-12 {
 		t.Fatalf("tanh forward = %v", y)
 	}
-	g := tanhL.Backward(tensor.Vector{1})
+	g := tanhL.Backward([]tensor.Vector{{1}}, true)[0]
 	if math.Abs(g[0]-(1-y[0]*y[0])) > 1e-12 {
 		t.Fatalf("tanh backward = %v", g)
 	}
 
 	sig := NewSigmoid(1)
-	y = sig.Forward(tensor.Vector{0})
+	y = sig.Forward([]tensor.Vector{{0}})[0]
 	if math.Abs(y[0]-0.5) > 1e-12 {
 		t.Fatalf("sigmoid(0) = %v", y)
 	}
@@ -101,9 +103,10 @@ func TestMSELoss(t *testing.T) {
 	if math.Abs(l-2.5) > 1e-12 {
 		t.Fatalf("MSE loss = %v, want 2.5", l)
 	}
-	g := mse.Grad(tensor.Vector{1, 2}, tensor.Vector{0, 1})
-	if !g.Equal(tensor.Vector{1, 1}) {
-		t.Fatalf("MSE grad = %v", g)
+	g := tensor.NewVector(2)
+	l = mse.LossGrad(tensor.Vector{1, 2}, tensor.Vector{0, 1}, g)
+	if !g.Equal(tensor.Vector{1, 1}) || l != 1 {
+		t.Fatalf("MSE LossGrad = %v, grad %v", l, g)
 	}
 }
 
@@ -119,7 +122,8 @@ func TestSoftmaxProperties(t *testing.T) {
 			}
 			logits = append(logits, math.Mod(x, 50))
 		}
-		p := Softmax(logits)
+		p := tensor.NewVector(len(logits))
+		softmax(logits, p)
 		var sum float64
 		for _, v := range p {
 			if v < 0 || v > 1 || math.IsNaN(v) {
@@ -144,9 +148,13 @@ func TestSoftmaxCrossEntropy(t *testing.T) {
 	if math.Abs(l-math.Log(4)) > 1e-9 {
 		t.Fatalf("xent loss = %v, want ln4", l)
 	}
-	g := xent.Grad(tensor.Vector{1, 1, 1, 1}, OneHot(2, 4))
+	g := tensor.NewVector(4)
+	lg := xent.LossGrad(tensor.Vector{1, 1, 1, 1}, OneHot(2, 4), g)
 	if math.Abs(g[2]-(0.25-1)) > 1e-9 || math.Abs(g[0]-0.25) > 1e-9 {
 		t.Fatalf("xent grad = %v", g)
+	}
+	if lg != l {
+		t.Fatalf("LossGrad loss %v != Loss %v", lg, l)
 	}
 }
 
@@ -181,7 +189,7 @@ func TestNetworkParamsAliasLayers(t *testing.T) {
 	net := NewNetwork(MSE{}, NewDense(1, 1))
 	net.Params()[0] = 3 // weight
 	net.Params()[1] = 1 // bias
-	out := net.Forward(tensor.Vector{2})
+	out := net.Forward([]tensor.Vector{{2}})[0]
 	if out[0] != 7 {
 		t.Fatalf("Forward = %v, want 7 (params not aliased)", out)
 	}
@@ -223,6 +231,11 @@ func TestBatchGradientValidation(t *testing.T) {
 	}
 }
 
+// lossValue returns the loss of one sample without touching gradients.
+func lossValue(net *Network, x, target tensor.Vector) float64 {
+	return net.Loss().Loss(net.Forward([]tensor.Vector{x})[0], target)
+}
+
 // numericalGradient estimates dLoss/dParams with central differences.
 func numericalGradient(params tensor.Vector, lossFn func() float64) tensor.Vector {
 	const eps = 1e-5
@@ -250,7 +263,7 @@ func TestNetworkGradientMatchesNumerical(t *testing.T) {
 	net.ZeroGrads()
 	net.AccumulateGradient(x, target)
 	analytic := net.Grads().Clone()
-	numeric := numericalGradient(net.Params(), func() float64 { return net.LossValue(x, target) })
+	numeric := numericalGradient(net.Params(), func() float64 { return lossValue(net, x, target) })
 
 	for i := range analytic {
 		diff := math.Abs(analytic[i] - numeric[i])
@@ -272,7 +285,7 @@ func TestNetworkGradientMatchesNumericalMSEReLU(t *testing.T) {
 	net.ZeroGrads()
 	net.AccumulateGradient(x, target)
 	analytic := net.Grads().Clone()
-	numeric := numericalGradient(net.Params(), func() float64 { return net.LossValue(x, target) })
+	numeric := numericalGradient(net.Params(), func() float64 { return lossValue(net, x, target) })
 
 	for i := range analytic {
 		diff := math.Abs(analytic[i] - numeric[i])
@@ -310,7 +323,7 @@ func TestNetworkLearnsLinearRegression(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		x := tensor.NewVector(dim)
 		x.Randomize(rng, 1)
-		pred := net.Forward(x)[0]
+		pred := net.Forward([]tensor.Vector{x})[0][0]
 		if err := math.Abs(pred - truth.Dot(x)); err > worst {
 			worst = err
 		}
@@ -335,8 +348,8 @@ func TestNetworkLearnsXOR(t *testing.T) {
 		net.Params().Axpy(-0.5, net.Grads())
 	}
 	for i, x := range xs {
-		if net.Predict(x) != labels[i] {
-			t.Fatalf("XOR not learned: input %v predicted %d, want %d", x, net.Predict(x), labels[i])
+		if got := net.Forward([]tensor.Vector{x})[0].ArgMax(); got != labels[i] {
+			t.Fatalf("XOR not learned: input %v predicted %d, want %d", x, got, labels[i])
 		}
 	}
 }

@@ -270,59 +270,6 @@ func (m *Matrix) Clone() *Matrix {
 // Zero sets every element of m to 0.
 func (m *Matrix) Zero() { m.Data.Zero() }
 
-// MulVec computes out = m * x for a column vector x of length Cols, writing
-// the result into out of length Rows.
-func (m *Matrix) MulVec(x, out Vector) {
-	if len(x) != m.Cols || len(out) != m.Rows {
-		panic(fmt.Sprintf("tensor: MulVec shape mismatch (%dx%d) * %d -> %d", m.Rows, m.Cols, len(x), len(out)))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, w := range row {
-			s += w * x[j]
-		}
-		out[i] = s
-	}
-}
-
-// MulVecT computes out = m^T * x for a vector x of length Rows, writing the
-// result into out of length Cols.
-func (m *Matrix) MulVecT(x, out Vector) {
-	if len(x) != m.Rows || len(out) != m.Cols {
-		panic(fmt.Sprintf("tensor: MulVecT shape mismatch (%dx%d)^T * %d -> %d", m.Rows, m.Cols, len(x), len(out)))
-	}
-	out.Zero()
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for j, w := range row {
-			out[j] += w * xi
-		}
-	}
-}
-
-// AddOuter accumulates the outer product alpha * x * y^T into m, where x has
-// length Rows and y has length Cols.
-func (m *Matrix) AddOuter(alpha float64, x, y Vector) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddOuter shape mismatch (%dx%d) vs %d,%d", m.Rows, m.Cols, len(x), len(y)))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		ax := alpha * x[i]
-		if ax == 0 {
-			continue
-		}
-		for j, yj := range y {
-			row[j] += ax * yj
-		}
-	}
-}
-
 // Randomize fills m with uniform values in [-scale, scale).
 func (m *Matrix) Randomize(rng *rand.Rand, scale float64) { m.Data.Randomize(rng, scale) }
 

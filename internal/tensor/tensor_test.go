@@ -275,12 +275,12 @@ func TestMulVecT(t *testing.T) {
 	}
 }
 
-func TestAddOuter(t *testing.T) {
+func TestAddOuters(t *testing.T) {
 	m := NewMatrix(2, 2)
-	m.AddOuter(2, Vector{1, 2}, Vector{3, 4})
-	want := Vector{6, 8, 12, 16}
+	m.AddOuters([]Vector{{1, 2}, {1, 0}}, []Vector{{3, 4}, {1, 1}})
+	want := Vector{4, 5, 6, 8}
 	if !m.Data.Equal(want) {
-		t.Fatalf("AddOuter = %v, want %v", m.Data, want)
+		t.Fatalf("AddOuters = %v, want %v", m.Data, want)
 	}
 }
 
