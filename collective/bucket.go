@@ -292,7 +292,7 @@ func (s *syncReducer) ensureStreams() *bucketStreams {
 		st.wg.Add(1)
 		go func(i int) {
 			defer st.wg.Done()
-			cfg := collectives.Config{TagOffset: s.tagShift + collectives.BucketStreamTagOffset(i), PeerDeadline: s.peerDeadline}
+			cfg := collectives.Config{TagOffset: collectives.BucketStreamTagOffset(i), PeerDeadline: s.peerDeadline}
 			for {
 				st.mu.Lock()
 				for len(st.qs[i]) == 0 && !st.closed {
@@ -360,7 +360,7 @@ func (s *syncReducer) BeginStep(ctx context.Context, lens []int) error {
 	if s.negotiate {
 		ready := tensor.GetVector(1)
 		ready[0] = 1
-		err := collectives.AllreduceWith(s.comm, ready, collectives.OpSum, collectives.AlgoRecursiveDoubling, collectives.Config{TagOffset: s.tagShift, PeerDeadline: s.peerDeadline}, ctx.Done())
+		err := collectives.AllreduceWith(s.comm, ready, collectives.OpSum, collectives.AlgoRecursiveDoubling, collectives.Config{PeerDeadline: s.peerDeadline}, ctx.Done())
 		tensor.PutVector(ready)
 		if err != nil {
 			return ctxError(ctx, err)
@@ -438,7 +438,7 @@ func (s *syncReducer) WaitStep(ctx context.Context) (Result, error) {
 					}
 				}
 				lo, hi := collectives.BucketStreamTagRange()
-				s.comm.DiscardTagRange(lo+s.tagShift, hi+s.tagShift)
+				s.comm.DiscardTagRange(lo, hi)
 				return Result{}, ctxError(ctx, firstErr)
 			}
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 // TestChaosChurnScenarios is the elastic-membership leg of the chaos matrix:
-// the three churn shapes (crash→replace, join-under-load, coordinator-kill)
+// the three churn shapes (crash→replace, join-under-load, lowest-rank-kill)
 // run over {inproc, tcp} × seeds with jittery delaying links. Every scenario
 // asserts liveness — all post-transition members complete reductions over the
 // new epoch's schedule — and leak-freedom; there are no wall-clock thresholds
@@ -30,13 +30,13 @@ func TestChaosChurnScenarios(t *testing.T) {
 		wantRanks int
 	}
 	scenarios := []scenario{
-		// A non-coordinator rank dies and is replaced in one transition.
+		// A middle rank dies and is replaced in one transition.
 		{name: "crash-replace", victim: 1, wantSize: size, wantRanks: size},
 		// A fresh member joins while every rank is mid-reduction.
 		{name: "join-under-load", victim: -1, wantSize: size + 1, wantRanks: size + 1},
-		// The coordinator (lowest live rank) dies; the transition must
-		// re-elect before it can drain, transfer state, and commit.
-		{name: "coordinator-kill", victim: 0, wantSize: size, wantRanks: size},
+		// The lowest rank dies and is replaced: every survivor's dense rank
+		// shifts, and the state comes from the next live rank.
+		{name: "lowest-rank-kill", victim: 0, wantSize: size, wantRanks: size},
 	}
 	transports := []struct {
 		name string

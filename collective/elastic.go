@@ -7,7 +7,6 @@ import (
 
 	"eagersgd/internal/collectives"
 	"eagersgd/internal/comm"
-	"eagersgd/internal/membership"
 	"eagersgd/internal/partial"
 	"eagersgd/internal/tensor"
 )
@@ -18,7 +17,7 @@ import (
 // divergence, the final model average) must do it through this method on
 // elastic worlds — it runs inside the same drain barrier as the gradient
 // exchange, so an epoch transition can never split or orphan the synchronous
-// collective it issues, and its tags follow the epoch's namespace.
+// collective it issues, and it runs over the current epoch's communicator.
 type ParamSyncer interface {
 	// SyncParams sums params across all members in place, scales by the member
 	// count, and returns that count. A zero deadline blocks indefinitely on a
@@ -38,12 +37,11 @@ type ParamSyncer interface {
 type elasticReducer struct {
 	node *Node
 	dim  int
-	cfg  config // merged option set at mint time; epoch is stamped per remint
+	cfg  config // merged option set at mint time
 
 	mu          sync.Mutex
 	cond        *sync.Cond
 	inner       Reducer
-	epoch       uint64
 	active      int           // in-flight operations on inner (Reduce calls and whole bucketed steps)
 	rounds      uint64        // operations completed since mint — the drain allowance is measured in these
 	guarded     int           // open TrainStepper brackets; nested operations bypass the gate
@@ -89,12 +87,12 @@ func (r *elasticReducer) EndTrainStep() {
 	r.endOp()
 }
 
-func newElasticReducer(n *Node, dim int, cfg config, epoch uint64, c *comm.Communicator) (*elasticReducer, error) {
-	inner, err := NewReducer(c, dim, func(cc *config) { *cc = cfg; cc.epoch = epoch })
+func newElasticReducer(n *Node, dim int, cfg config, c *comm.Communicator) (*elasticReducer, error) {
+	inner, err := NewReducer(c, dim, func(cc *config) { *cc = cfg })
 	if err != nil {
 		return nil, err
 	}
-	r := &elasticReducer{node: n, dim: dim, cfg: cfg, inner: inner, epoch: epoch}
+	r := &elasticReducer{node: n, dim: dim, cfg: cfg, inner: inner}
 	r.cond = sync.NewCond(&r.mu)
 	return r, nil
 }
@@ -201,15 +199,14 @@ func (r *elasticReducer) undrain() {
 // remint builds the new epoch's inner reducer over the given communicator and
 // returns the retired one for the transition to close and join with the old
 // generation. Only called with the barrier down and the reducer idle.
-func (r *elasticReducer) remint(c *comm.Communicator, epoch uint64) (Reducer, error) {
-	inner, err := NewReducer(c, r.dim, func(cc *config) { *cc = r.cfg; cc.epoch = epoch })
+func (r *elasticReducer) remint(c *comm.Communicator) (Reducer, error) {
+	inner, err := NewReducer(c, r.dim, func(cc *config) { *cc = r.cfg })
 	if err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
 	old := r.inner
 	r.inner = inner
-	r.epoch = epoch
 	// Round counters restart with the epoch. Drain allowances compare these
 	// counters ACROSS members (the group target is a max over the matched
 	// reducers), which is only meaningful while everyone counts from the
@@ -336,14 +333,11 @@ func (r *elasticReducer) SyncParams(params tensor.Vector, deadline time.Duration
 		return 0, err
 	}
 	defer r.endOp()
-	r.mu.Lock()
-	epoch := r.epoch
-	r.mu.Unlock()
-	// The node's communicator and this reducer's epoch move together: both are
-	// swapped while the barrier holds every operation out.
+	// The node's communicator is swapped while the barrier holds every
+	// operation out, so it is the current epoch's for the whole call.
 	c := r.node.Communicator()
 	if err := collectives.AllreduceWith(c, params, collectives.OpSum, collectives.AlgoAuto,
-		collectives.Config{PeerDeadline: deadline, TagOffset: membership.CollectiveTagShift(epoch)}, nil); err != nil {
+		collectives.Config{PeerDeadline: deadline}, nil); err != nil {
 		return 0, err
 	}
 	size := c.Size()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -364,7 +365,7 @@ func TestCloseRacingDrain(t *testing.T) {
 }
 
 // TestCloseRacingStateTransfer closes the world from inside the state
-// provider, so the shutdown lands in or just before the transfer phase. The
+// provider, so the shutdown lands during the handoff to the joiner. The
 // transition must finish (committed or aborted, both are legal at this race)
 // without hanging and without leaking. Run with -tags leasedebug to name any
 // leaked lease's minting site.
@@ -394,10 +395,10 @@ func TestCloseRacingStateTransfer(t *testing.T) {
 			t.Fatalf("close: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("close deadlocked against the state transfer")
+		t.Fatal("close deadlocked against the state handoff")
 	}
 	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
-		t.Fatalf("close-during-transfer leaked %d pool leases", n)
+		t.Fatalf("close-during-handoff leaked %d pool leases", n)
 	}
 }
 
@@ -451,5 +452,289 @@ func TestTCPWorldGrows(t *testing.T) {
 	}
 	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
 		t.Fatalf("tcp growth leaked %d pool leases", n)
+	}
+}
+
+// TestReplaceHandsOverOneSurvivorsState pins where a joiner's state comes
+// from: the provider of the first live survivor in the outgoing rank order,
+// called once. Rank 0 is crashed and replaced, so rank 1 is the source; the
+// replacement owns a copy, so rank 1 mutating its live slice afterwards does
+// not reach it.
+func TestReplaceHandsOverOneSurvivorsState(t *testing.T) {
+	const size = 3
+	before := tensor.ReadPoolStats()
+	w, err := collective.NewWorld(size, collective.WithFaults(collective.FaultScenario{Seed: 1}))
+	if err != nil {
+		t.Fatalf("world: %v", err)
+	}
+	snaps := make([][]float64, size)
+	var calls [size]atomic.Int32
+	for r := 0; r < size; r++ {
+		snaps[r] = []float64{float64(r), float64(r) + 0.5, -float64(r) * 3}
+		w.Node(r).SetStateProvider(func() []float64 {
+			calls[r].Add(1)
+			return snaps[r] // live state, not a copy
+		})
+	}
+	w.FaultInjector().Crash(0)
+	awaitDown(t, w, 0)
+	repl, err := w.Replace(0, "fresh")
+	if err != nil {
+		t.Fatalf("Replace: %v", err)
+	}
+	want := append([]float64(nil), snaps[1]...)
+	got := repl.InitialState()
+	if len(got) != len(want) {
+		t.Fatalf("InitialState = %v, want rank 1's snapshot %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("InitialState[%d] = %v, want rank 1's %v", i, got[i], want[i])
+		}
+	}
+	for i := range snaps[1] {
+		snaps[1][i] = 1e9
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("mutating rank 1's state changed InitialState[%d] to %v", i, got[i])
+		}
+	}
+	total := 0
+	for r := range calls {
+		total += int(calls[r].Load())
+	}
+	if total != 1 || calls[1].Load() != 1 {
+		t.Fatalf("provider calls per rank = [%d %d %d], want exactly one, on rank 1",
+			calls[0].Load(), calls[1].Load(), calls[2].Load())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+		t.Fatalf("replace leaked %d pool leases", n)
+	}
+}
+
+// TestHandoverSkipsSurvivorsWithoutProvider: a live survivor with no state
+// provider does not serve state, so the next one in rank order does.
+func TestHandoverSkipsSurvivorsWithoutProvider(t *testing.T) {
+	w, err := collective.NewWorld(3)
+	if err != nil {
+		t.Fatalf("world: %v", err)
+	}
+	defer w.Close()
+	var calls [3]atomic.Int32
+	for r := 1; r < 3; r++ {
+		w.Node(r).SetStateProvider(func() []float64 {
+			calls[r].Add(1)
+			return []float64{float64(r)}
+		})
+	}
+	j, err := w.Join("late")
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if got := j.InitialState(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("InitialState = %v, want rank 1's [1]", got)
+	}
+	if calls[1].Load() != 1 || calls[2].Load() != 0 {
+		t.Fatalf("provider calls = [- %d %d], want exactly one, on rank 1", calls[1].Load(), calls[2].Load())
+	}
+}
+
+// TestJoinWithoutStateProviders: a world nobody serves state from still
+// admits members; they start with no initial state.
+func TestJoinWithoutStateProviders(t *testing.T) {
+	w, err := collective.NewWorld(2)
+	if err != nil {
+		t.Fatalf("world: %v", err)
+	}
+	defer w.Close()
+	j, err := w.Join("late")
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if got := j.InitialState(); got != nil {
+		t.Fatalf("InitialState = %v, want nil", got)
+	}
+	if got := w.Node(0).InitialState(); got != nil {
+		t.Fatalf("founding member's InitialState = %v, want nil", got)
+	}
+}
+
+// TestTransitionWithEveryMemberDownFails: with the whole outgoing epoch down
+// nobody can drain or hand state over, so the change is refused and the
+// committed epoch stays in force.
+func TestTransitionWithEveryMemberDownFails(t *testing.T) {
+	before := tensor.ReadPoolStats()
+	w, err := collective.NewWorld(2, collective.WithFaults(collective.FaultScenario{Seed: 3}))
+	if err != nil {
+		t.Fatalf("world: %v", err)
+	}
+	w.FaultInjector().Crash(0)
+	w.FaultInjector().Crash(1)
+	if _, err := w.Replace(0, "fresh"); err == nil {
+		t.Fatal("Replace with every member down succeeded")
+	}
+	if err := w.Leave(1); err == nil {
+		t.Fatal("Leave with every member down succeeded")
+	}
+	if ep := w.Membership(); ep.Number != 0 || len(ep.Members) != 2 {
+		t.Fatalf("membership after refused changes = %+v, want epoch 0 with 2 members", ep)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+		t.Fatalf("refused transitions leaked %d pool leases", n)
+	}
+}
+
+// TestRejectedChangeKeepsEpochAndIDs: a change membership.Next rejects
+// commits nothing and mints no stable ID.
+func TestRejectedChangeKeepsEpochAndIDs(t *testing.T) {
+	w, err := collective.NewWorld(2)
+	if err != nil {
+		t.Fatalf("world: %v", err)
+	}
+	defer w.Close()
+	if err := w.Leave(9); !errors.Is(err, collective.ErrNotMember) {
+		t.Fatalf("Leave(9) = %v, want ErrNotMember", err)
+	}
+	if _, err := w.Replace(9, "x"); !errors.Is(err, collective.ErrNotMember) {
+		t.Fatalf("Replace(9) = %v, want ErrNotMember", err)
+	}
+	if ep := w.Membership(); ep.Number != 0 || len(ep.Members) != 2 {
+		t.Fatalf("membership after rejected changes = %+v, want epoch 0 with 2 members", ep)
+	}
+	j, err := w.Join("late")
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if j.ID() != 2 {
+		t.Fatalf("joiner ID = %d, want 2 (rejected changes mint no ID)", j.ID())
+	}
+}
+
+// TestConcurrentJoinsSerialize: transitions never overlap, so concurrent
+// Joins each commit their own epoch, in order, with distinct stable IDs.
+func TestConcurrentJoinsSerialize(t *testing.T) {
+	const (
+		size  = 2
+		joins = 4
+	)
+	before := tensor.ReadPoolStats()
+	w, err := collective.NewWorld(size)
+	if err != nil {
+		t.Fatalf("world: %v", err)
+	}
+	var mu sync.Mutex
+	var epochs []uint64
+	w.OnMembershipChange(func(ep collective.Epoch) {
+		mu.Lock()
+		epochs = append(epochs, ep.Number)
+		mu.Unlock()
+	})
+	ids := make(chan collective.RankID, joins)
+	var wg sync.WaitGroup
+	for i := 0; i < joins; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j, err := w.Join("late")
+			if err != nil {
+				t.Errorf("Join: %v", err)
+				return
+			}
+			ids <- j.ID()
+		}()
+	}
+	waitDone(t, &wg, 10*time.Second, "concurrent joins did not finish")
+	close(ids)
+	seen := make(map[collective.RankID]bool)
+	for id := range ids {
+		if id < size || id >= size+joins || seen[id] {
+			t.Fatalf("joiner ID %d duplicated or outside [%d,%d)", id, size, size+joins)
+		}
+		seen[id] = true
+	}
+	if ep := w.Membership(); ep.Number != joins || len(ep.Members) != size+joins {
+		t.Fatalf("membership = %+v, want epoch %d with %d members", ep, joins, size+joins)
+	}
+	mu.Lock()
+	if len(epochs) != joins {
+		t.Fatalf("committed epochs = %v, want %d notifications", epochs, joins)
+	}
+	for i, e := range epochs {
+		if e != uint64(i+1) {
+			t.Fatalf("committed epochs = %v, want 1..%d in order", epochs, joins)
+		}
+	}
+	mu.Unlock()
+	if err := w.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+		t.Fatalf("concurrent joins leaked %d pool leases", n)
+	}
+}
+
+// TestJoinFencesTheOldGeneration pins what keeps epochs apart: every
+// transition builds a fresh transport generation and retires the old one, so
+// a communicator held across a Join can no longer send, and a frame left
+// queued on the old generation never reaches the new one.
+func TestJoinFencesTheOldGeneration(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []collective.Option
+	}{
+		{"inproc", nil},
+		{"shm", []collective.Option{collective.WithTransport(collective.Shm)}},
+		{"tcp", []collective.Option{
+			collective.WithTransport(collective.TCP),
+			collective.WithBasePort(25560),
+			collective.WithDialRetry(5 * time.Second),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := tensor.ReadPoolStats()
+			w, err := collective.NewWorld(3, tc.opts...)
+			if err != nil {
+				t.Fatalf("world: %v", err)
+			}
+			old := w.Node(1).Communicator()
+			// Leave a frame queued on the old generation: sent, never received.
+			if err := old.Send(0, 7, tensor.GetVector(4)); err != nil {
+				t.Fatalf("send before join: %v", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for w.Node(0).Communicator().Pending() != 1 {
+				if time.Now().After(deadline) {
+					t.Fatal("the frame never arrived on the old generation")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if _, err := w.Join("late"); err != nil {
+				t.Fatalf("Join: %v", err)
+			}
+			if err := old.Send(0, 7, tensor.GetVector(4)); err == nil {
+				t.Fatal("send on the retired generation succeeded")
+			}
+			for r, n := range w.Nodes() {
+				if n.Communicator() == old {
+					t.Fatalf("rank %d still holds the retired communicator", r)
+				}
+				if p := n.Communicator().Pending(); p != 0 {
+					t.Fatalf("rank %d's new communicator has %d pending frames, want 0", r, p)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+				t.Fatalf("join leaked %d pool leases", n)
+			}
+		})
 	}
 }

@@ -61,14 +61,13 @@ type PeerStatus struct {
 // at dense rank r is reported down as soon as any node's failure detector
 // marked it down, or the fault injector crashed it. A world without failures
 // (and without deadlines or fault injection configured) reports every member
-// up. This is the health view the epoch-transition coordinator election
-// consumes.
+// up. An epoch transition reads the same verdict to skip dead members when
+// it drains and picks the state source for joiners.
 func (w *World) Peers() []PeerStatus {
 	w.mu.Lock()
-	gen := w.gen
+	gen, view := w.gen, w.view
 	nodes := append([]*Node(nil), w.nodes...)
 	w.mu.Unlock()
-	view := w.tracker.View()
 	out := make([]PeerStatus, len(nodes))
 	for r := range out {
 		out[r] = PeerStatus{Rank: r, Up: true, Epoch: view.Epoch}

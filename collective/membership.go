@@ -3,8 +3,6 @@ package collective
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"eagersgd/internal/faults"
 	"eagersgd/internal/membership"
@@ -40,21 +38,19 @@ var (
 	// ErrNotMember is returned by verbs naming a RankID outside the current
 	// epoch, and by operations on a Node that has left the world.
 	ErrNotMember = membership.ErrNotMember
-	// ErrTransitionActive is returned when a second membership change is
-	// requested while one is still in flight.
-	ErrTransitionActive = membership.ErrTransitionActive
 	// ErrWorldClosed is returned by membership verbs once Close has begun.
 	ErrWorldClosed = errors.New("collective: world is closed")
 )
 
-// stateTransferDeadline bounds each blocking receive of a joiner's state
-// fetch when the world has no WithPeerDeadline configured.
-const stateTransferDeadline = 5 * time.Second
+// errNoLiveMember is returned by a membership change while every member of
+// the current epoch is down: nobody is left to drain or to hand state over.
+var errNoLiveMember = errors.New("collective: no live member in the current epoch")
 
 // Membership returns the current committed epoch.
 func (w *World) Membership() Epoch {
-	view := w.tracker.View()
-	return epochOf(view)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return epochOf(w.view)
 }
 
 func epochOf(view membership.View) Epoch {
@@ -76,12 +72,12 @@ func (w *World) OnMembershipChange(fn func(Epoch)) {
 }
 
 // Join admits a fresh member while training runs: the world transitions to
-// the next epoch, in-flight steps drain at the epoch boundary, the model
-// parameters are state-transferred to the joiner from the surviving members'
-// state providers, and the returned Node is a full member of the new epoch —
-// mint its reducers (same dim and options as everyone else) and start its
-// training loop. addr is recorded as the member's announced address; for the
-// in-process transports it is an opaque label.
+// the next epoch, in-flight steps drain at the epoch boundary, the joiner
+// receives a copy of a surviving member's model parameters (SetStateProvider),
+// and the returned Node is a full member of the new epoch — mint its reducers
+// (same dim and options as everyone else) and start its training loop. addr is
+// recorded as the member's announced address; for the in-process transports
+// it is an opaque label.
 func (w *World) Join(addr string) (*Node, error) {
 	nodes, err := w.transition([]membership.Change{{Kind: membership.ChangeJoin, Addr: addr}})
 	if err != nil {
@@ -119,17 +115,19 @@ func (w *World) Reconfigure(changes []membership.Change) ([]*Node, error) {
 	return w.transition(changes)
 }
 
-// transition drives one epoch handoff end to end:
+// transition drives one epoch handoff end to end, holding transMu from the
+// proposal to the commit or abort, so no two transitions ever overlap:
 //
-//	propose (coordinator elected from the PR 5 health view, re-elected if the
-//	         health view says the coordinator itself is dead)
-//	→ drain  (every live survivor finishes its in-flight steps and acks)
-//	→ build  (next generation's transports; old epoch's tag blocks are
-//	          registered as arrival-discard ranges on the new communicators)
-//	→ transfer (joiners pull model state from surviving providers, resumable
-//	            with failover if a source dies mid-transfer)
-//	→ commit (nodes swap to the new generation, reducers re-mint over it,
-//	          the old generation retires, subscribers are notified)
+//	propose   (membership.Next computes the next view; the health view names
+//	           the live survivors)
+//	→ drain   (every live survivor finishes its in-flight steps)
+//	→ build   (the next transport generation: a fresh hub or port block,
+//	           fresh communicators and injector, so no frame of the outgoing
+//	           epoch can ever reach it)
+//	→ hand over (the first live survivor's state provider runs once and every
+//	           joiner gets its own copy of the snapshot)
+//	→ commit  (nodes swap to the new generation, reducers re-mint over it,
+//	           the old generation retires, subscribers are notified)
 //
 // Any failure — and Close racing the transition — takes the abort path
 // instead: the half-built generation is retired, the outgoing epoch stays in
@@ -144,30 +142,36 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 	}
 
 	w.mu.Lock()
-	oldGen := w.gen
+	from, oldGen := w.view, w.gen
 	oldNodes := append([]*Node(nil), w.nodes...)
+	to, joined, err := membership.Next(from, w.nextID, changes)
 	w.mu.Unlock()
-
-	isDown := w.downByID(oldGen, oldNodes)
-	trans, err := w.tracker.Propose(changes, isDown)
 	if err != nil {
 		return nil, err
 	}
-	// Coordinator-death recovery: the proposer elected the lowest live ID,
-	// but the health view may have aged between observation and proposal (or
-	// a chaos scenario killed the coordinator in the window). Re-elect before
-	// draining; a transition with no live member to coordinate cannot run.
-	if isDown(trans.Coordinator()) {
-		if _, ok := trans.Reelect(isDown); !ok {
-			w.tracker.Abort(trans)
-			return nil, membership.ErrNoCoordinator
+	isDown := w.downByID(oldGen, oldNodes)
+	live := false
+	survivors := make([]*Node, 0, len(oldNodes))
+	for _, n := range oldNodes {
+		if isDown(n.id) {
+			continue
+		}
+		live = true
+		if to.IndexOf(n.id) >= 0 {
+			survivors = append(survivors, n)
 		}
 	}
-	from, to := trans.From(), trans.To()
+	if !live {
+		return nil, errNoLiveMember
+	}
+	// The joiners' IDs are spent from here on, even if the transition aborts.
+	w.mu.Lock()
+	w.nextID += RankID(len(joined))
+	w.mu.Unlock()
 
-	// Drain: flip every survivor's barrier, wait for idle, ack per member.
-	// Dead members are skipped (AllAcked ignores them); their wedged steps
-	// unblock with errors when the old generation retires.
+	// Drain: flip every survivor's barrier and wait until the world is idle.
+	// Dead members are skipped; their wedged steps unblock with errors when
+	// the old generation retires.
 	//
 	// The barrier admits catch-up rounds rather than parking members outright:
 	// synchronous collectives are lockstep, so when the gate falls while one
@@ -178,14 +182,6 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 	// idle instant (quiesceReducers), at which point unused allowances are
 	// revoked — a member that stopped pumping below the target (its operations
 	// errored on a dead peer) must not hold the epoch boundary open.
-	trans.Advance(membership.PhaseDraining)
-	survivors := make([]*Node, 0, len(oldNodes))
-	for _, n := range oldNodes {
-		if to.IndexOf(n.id) < 0 || isDown(n.id) {
-			continue
-		}
-		survivors = append(survivors, n)
-	}
 	reducerSets := make([][]*elasticReducer, len(survivors))
 	var allReducers []*elasticReducer
 	groupTarget := make(map[int]uint64)
@@ -203,18 +199,6 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 			r.allowRounds(groupTarget[idx])
 		}
 	}
-	var drainWG sync.WaitGroup
-	for i, n := range survivors {
-		drainWG.Add(1)
-		go func(n *Node, rs []*elasticReducer) {
-			defer drainWG.Done()
-			for _, r := range rs {
-				r.awaitIdle()
-			}
-			trans.Ack(n.id)
-		}(n, reducerSets[i])
-	}
-	drainWG.Wait()
 	for !quiesceReducers(allReducers) {
 		for _, r := range allReducers {
 			r.awaitIdle()
@@ -229,23 +213,13 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 	}
 	if w.isClosing() {
 		undrain()
-		w.tracker.Abort(trans)
 		return nil, ErrWorldClosed
 	}
 
-	// Build the next generation and blocklist the outgoing epoch's tag
-	// blocks on its communicators: a straggler frame from epoch N is released
-	// on arrival, never misdelivered into epoch N+1.
-	newGen, err := w.buildGeneration(to.Epoch, to.Size())
+	newGen, err := w.buildGeneration(to.Size())
 	if err != nil {
 		undrain()
-		w.tracker.Abort(trans)
 		return nil, err
-	}
-	for _, c := range newGen.comms {
-		for _, tr := range membership.EpochTagRanges(from.Epoch) {
-			c.DiscardTagsOnArrival(tr[0], tr[1])
-		}
 	}
 	// Members that were already down in the old epoch but remain in the view
 	// (e.g. a Join while some rank is dead) stay down in the new one: carry
@@ -262,27 +236,27 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 			}
 		}
 	}
-
 	abort := func() {
 		newGen.closeComms()
 		if newGen.injector != nil {
 			newGen.injector.Close()
 		}
 		undrain()
-		w.tracker.Abort(trans)
 	}
 
-	// State transfer: joiners pull the model parameters over the incoming
-	// generation from every surviving member that registered a provider,
-	// failing over down the source list if one dies mid-transfer.
-	joinerNodes, err := w.transferState(trans, from, to, newGen, survivors)
-	if err != nil || w.isClosing() {
+	// Hand over: the survivors are quiesced, so one snapshot serves every
+	// joiner. Each joiner owns its copy; the provider may return live state.
+	joiners := make(map[RankID]*Node, len(joined))
+	var state []float64
+	if len(joined) > 0 {
+		state = firstState(survivors)
+	}
+	for _, id := range joined {
+		joiners[id] = &Node{world: w, id: id, initState: append([]float64(nil), state...)}
+	}
+	if w.isClosing() {
 		abort()
-		if w.isClosing() {
-			// A transfer canceled by Close reports the close, not the fetch.
-			return nil, ErrWorldClosed
-		}
-		return nil, err
+		return nil, ErrWorldClosed
 	}
 
 	// Commit: re-mint every survivor's reducers over the new generation (the
@@ -293,7 +267,7 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 	for _, n := range survivors {
 		dense := to.IndexOf(n.id)
 		for _, r := range n.snapshotReducers() {
-			old, err := r.remint(newGen.comms[dense], to.Epoch)
+			old, err := r.remint(newGen.comms[dense])
 			if err != nil {
 				// A remint failure is unrecoverable mid-swap only if some
 				// reducers already moved; with per-reducer remint the failure
@@ -306,54 +280,40 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 		}
 	}
 	for _, old := range retired {
-		if err := old.Close(); err != nil && !errors.Is(err, ErrReducerClosed) {
-			// Close on a drained reducer only fails on double close; ignore.
-			_ = err
-		}
+		_ = old.Close() // a drained reducer's Close only fails on double close
 	}
 
 	w.mu.Lock()
 	newNodes := make([]*Node, to.Size())
 	for dense, m := range to.Members {
+		n := joiners[m.ID]
 		if oldIdx := from.IndexOf(m.ID); oldIdx >= 0 {
-			n := oldNodes[oldIdx]
-			n.mu.Lock()
-			n.comm = newGen.comms[dense]
-			n.rank = dense
-			n.epoch = to.Epoch
-			n.mu.Unlock()
-			newNodes[dense] = n
-		} else {
-			n := joinerNodes[m.ID]
-			n.mu.Lock()
-			n.comm = newGen.comms[dense]
-			n.rank = dense
-			n.epoch = to.Epoch
-			n.mu.Unlock()
-			newNodes[dense] = n
+			n = oldNodes[oldIdx]
 		}
+		n.mu.Lock()
+		n.comm, n.rank, n.epoch = newGen.comms[dense], dense, to.Epoch
+		n.mu.Unlock()
+		newNodes[dense] = n
 	}
-	w.nodes = newNodes
-	w.gen = newGen
+	w.nodes, w.gen, w.view = newNodes, newGen, to
 	subs := append([]func(Epoch){}, w.subs...)
 	w.mu.Unlock()
 
 	// Departed members: their handles go dead, their reducers close, so a
 	// trainer still holding them observes ErrReducerClosed / ErrNotMember.
+	var departed []*elasticReducer
 	for _, n := range oldNodes {
 		if to.IndexOf(n.id) >= 0 {
 			continue
 		}
 		n.mu.Lock()
 		n.left = true
-		departed := append([]*elasticReducer(nil), n.reducers...)
+		departed = append(departed, n.reducers...)
 		n.mu.Unlock()
-		for _, r := range departed {
-			r.markClosed()
-		}
 	}
-
-	w.tracker.Commit(trans)
+	for _, r := range departed {
+		r.markClosed()
+	}
 	undrain()
 
 	// Retire the outgoing generation: transports down, engines joined,
@@ -364,120 +324,37 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 			j.joinEngine()
 		}
 	}
-	for _, n := range oldNodes {
-		if to.IndexOf(n.id) >= 0 {
-			continue
-		}
-		n.mu.Lock()
-		departed := append([]*elasticReducer(nil), n.reducers...)
-		n.mu.Unlock()
-		for _, r := range departed {
-			r.joinEngine()
-		}
+	for _, r := range departed {
+		r.joinEngine()
 	}
 	if oldGen.injector != nil {
 		oldGen.injector.Close()
 	}
 
-	committed := epochOf(w.tracker.View())
+	committed := epochOf(to)
 	for _, fn := range subs {
 		fn(committed)
 	}
-
-	out := make([]*Node, 0, len(trans.Joined()))
-	for _, id := range trans.Joined() {
-		out = append(out, joinerNodes[id])
+	out := make([]*Node, len(joined))
+	for i, id := range joined {
+		out[i] = joiners[id]
 	}
 	return out, nil
 }
 
-// transferState runs the state-transfer phase: every surviving member with a
-// registered provider serves its post-drain parameter snapshot over the new
-// generation, and each joiner pulls the state with failover. It returns the
-// joiner Nodes (keyed by stable ID) with their fetched initial state. Worlds
-// without providers skip the wire protocol entirely.
-func (w *World) transferState(trans *membership.Transition, from, to membership.View, newGen *generation, survivors []*Node) (map[RankID]*Node, error) {
-	joiners := make(map[RankID]*Node)
-	for _, id := range trans.Joined() {
-		joiners[id] = &Node{world: w, id: id}
-	}
-	if len(joiners) == 0 {
-		return joiners, nil
-	}
-
-	type source struct {
-		node  *Node
-		dense int
-		snap  []float64
-	}
-	var sources []source
+// firstState snapshots the model state joiners start from: the provider of
+// the first survivor (outgoing rank order) that registered one, called once.
+// It returns nil when no survivor serves state.
+func firstState(survivors []*Node) []float64 {
 	for _, n := range survivors {
 		n.mu.Lock()
 		provider := n.stateProvider
 		n.mu.Unlock()
-		if provider == nil {
-			continue
+		if provider != nil {
+			return provider()
 		}
-		sources = append(sources, source{node: n, dense: to.IndexOf(n.id), snap: provider()})
 	}
-	if len(sources) == 0 {
-		return joiners, nil // nothing to transfer; joiners start from scratch
-	}
-
-	trans.Advance(membership.PhaseTransferring)
-	deadline := w.cfg.peerDeadline
-	if deadline <= 0 {
-		deadline = stateTransferDeadline
-	}
-
-	stopServe := make(chan struct{})
-	var serveWG sync.WaitGroup
-	for _, s := range sources {
-		serveWG.Add(1)
-		go func(s source) {
-			defer serveWG.Done()
-			membership.ServeState(newGen.comms[s.dense], s.snap, 0, stopServe)
-		}(s)
-	}
-	srcRanks := make([]int, len(sources))
-	for i, s := range sources {
-		srcRanks[i] = s.dense
-	}
-
-	var fetchWG sync.WaitGroup
-	fetchErrs := make(map[RankID]error, len(joiners))
-	var fetchMu sync.Mutex
-	for _, id := range trans.Joined() {
-		fetchWG.Add(1)
-		go func(id RankID) {
-			defer fetchWG.Done()
-			dense := to.IndexOf(id)
-			state, err := membership.FetchState(newGen.comms[dense], srcRanks, deadline, w.closing)
-			fetchMu.Lock()
-			defer fetchMu.Unlock()
-			if err != nil {
-				fetchErrs[id] = err
-				return
-			}
-			n := joiners[id]
-			n.mu.Lock()
-			n.initState = state
-			n.mu.Unlock()
-		}(id)
-	}
-	fetchWG.Wait()
-	close(stopServe)
-	serveWG.Wait()
-	// Transfer-tag hygiene: the window is over, so any straggler transfer
-	// frame on this generation (a suspected-slow source's late chunks) is
-	// released on arrival from here on.
-	for _, c := range newGen.comms {
-		c.DiscardTagsOnArrival(membership.TransferTagBase, membership.TransferTagBase+3)
-	}
-	for _, err := range fetchErrs {
-		return nil, fmt.Errorf("collective: state transfer to joiner: %w", err)
-	}
-	return joiners, nil
+	return nil
 }
 
 // downByID builds the transition's health verdict over the outgoing epoch,

@@ -28,13 +28,6 @@ type config struct {
 	faults       *faults.Scenario
 	dialRetry    time.Duration
 	sim          SimConfig
-
-	// epoch is internal: elastic worlds stamp it on the option set handed to
-	// reducer construction so every reducer of epoch e places its wire
-	// traffic in e's tag blocks (membership.CollectiveTagShift /
-	// membership.PartialBaseTag). Zero for fixed worlds and standalone
-	// NewReducer calls, which keeps the pre-elastic wire layout.
-	epoch uint64
 }
 
 func defaultConfig() config {

@@ -9,7 +9,6 @@ import (
 
 	"eagersgd/internal/collectives"
 	"eagersgd/internal/comm"
-	"eagersgd/internal/membership"
 	"eagersgd/internal/partial"
 	"eagersgd/internal/tensor"
 )
@@ -39,25 +38,16 @@ func NewReducer(c *comm.Communicator, dim int, opts ...Option) (Reducer, error) 
 			return nil, err
 		}
 	}
-	// Epoch tag namespacing (elastic worlds): every collective of epoch e is
-	// shifted into e's private tag block, so a straggler frame from a retired
-	// epoch can be recognized and discarded instead of matching a same-tag
-	// receive of the current one. Epoch 0 shifts by zero — fixed worlds and
-	// standalone reducers keep the pre-elastic wire layout.
-	tagShift := membership.CollectiveTagShift(cfg.epoch)
 	switch cfg.mode.kind {
 	case kindSync:
 		return &syncReducer{
 			comm: c, dim: dim, algo: algo,
 			chunks: cfg.chunks, negotiate: cfg.negotiate,
 			overlap: cfg.overlap, bucketElems: cfg.bucketElems,
-			peerDeadline: cfg.peerDeadline, tagShift: tagShift,
+			peerDeadline: cfg.peerDeadline,
 		}, nil
 	case kindSolo, kindMajority, kindQuorum:
-		popts := partial.Options{
-			Seed: cfg.seed, Buckets: cfg.layout, PeerDeadline: cfg.peerDeadline,
-			BaseTag: membership.PartialBaseTag(cfg.epoch),
-		}
+		popts := partial.Options{Seed: cfg.seed, Buckets: cfg.layout, PeerDeadline: cfg.peerDeadline}
 		switch cfg.mode.kind {
 		case kindSolo:
 			popts.Mode = partial.Solo
@@ -121,7 +111,6 @@ type syncReducer struct {
 	overlap      bool
 	bucketElems  int
 	peerDeadline time.Duration
-	tagShift     int // epoch tag-block shift (membership.CollectiveTagShift)
 
 	// mu guards the bucketed-step fields below: the step API itself is
 	// driven by one goroutine (the rank's training loop), but Close may be
@@ -161,14 +150,14 @@ func (s *syncReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result, e
 		// allreduce over the whole gradient.
 		ready := tensor.GetVector(1)
 		ready[0] = 1
-		err := collectives.AllreduceWith(s.comm, ready, collectives.OpSum, collectives.AlgoRecursiveDoubling, collectives.Config{TagOffset: s.tagShift, PeerDeadline: s.peerDeadline}, cancel)
+		err := collectives.AllreduceWith(s.comm, ready, collectives.OpSum, collectives.AlgoRecursiveDoubling, collectives.Config{PeerDeadline: s.peerDeadline}, cancel)
 		tensor.PutVector(ready)
 		if err != nil {
 			tensor.PutVector(sum)
 			return Result{}, ctxError(ctx, err)
 		}
 	}
-	wireCfg := collectives.Config{TagOffset: s.tagShift, PeerDeadline: s.peerDeadline}
+	wireCfg := collectives.Config{PeerDeadline: s.peerDeadline}
 	if s.chunks > 1 {
 		for i := 0; i < s.chunks; i++ {
 			lo, hi := tensor.ChunkBounds(len(sum), s.chunks, i)

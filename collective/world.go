@@ -21,8 +21,9 @@ import (
 // Membership is versioned by epoch: the world starts at epoch 0 with the
 // NewWorld size, and Join, Leave, and Replace move it to the next epoch while
 // training runs (see membership.go). Each epoch owns a complete transport
-// generation — communicators, fault injector, tag blocks — retired wholesale
-// when the epoch ends, so traffic from different epochs can never mix.
+// generation — hub or port block, communicators, fault injector — retired
+// wholesale when the epoch ends, so traffic from different epochs can never
+// mix.
 //
 // Closing the world releases every member's transport resources, whichever
 // transport is in use — callers must not rely on the in-process transport's
@@ -31,15 +32,17 @@ type World struct {
 	cfg config
 
 	mu         sync.Mutex
-	nodes      []*Node // current epoch's members, dense rank order
+	nodes      []*Node         // current epoch's members, dense rank order
+	view       membership.View // current epoch's committed membership
+	nextID     RankID          // stable ID the next joiner gets; never reused
 	gen        *generation
-	tracker    *membership.Tracker
 	subs       []func(Epoch)
 	portCursor int // next unused TCP base port (per-epoch port blocks)
 
-	// transMu serializes epoch transitions with each other and with Close.
-	// closing is closed by Close before it takes transMu, so an in-flight
-	// transition observes the shutdown at its next phase boundary and aborts.
+	// transMu serializes epoch transitions with each other and with Close:
+	// a transition holds it from proposal to commit or abort. closing is
+	// closed by Close before it takes transMu, so an in-flight transition
+	// observes the shutdown at its next step and aborts.
 	transMu sync.Mutex
 	closing chan struct{}
 
@@ -50,7 +53,6 @@ type World struct {
 // generation is one epoch's transport stack. A transition builds the next
 // generation, moves the nodes over, and retires this one.
 type generation struct {
-	epoch    uint64
 	comms    []*comm.Communicator // dense rank order of the generation's view
 	injector *faults.Injector     // non-nil when built WithFaults
 	simHub   *simnet.Hub          // non-nil for Sim worlds (World.SimNow)
@@ -82,7 +84,7 @@ type engineJoiner interface{ joinEngine() }
 // rank, communicator, and world size follow the membership.
 type Node struct {
 	world *World
-	id    membership.RankID
+	id    RankID
 
 	mu            sync.Mutex
 	comm          *comm.Communicator
@@ -91,7 +93,7 @@ type Node struct {
 	left          bool // no longer a member; operations fail
 	reducers      []*elasticReducer
 	stateProvider func() []float64
-	initState     []float64 // joiners: parameters fetched during admission
+	initState     []float64 // joiners: parameters handed over at admission
 }
 
 // NewWorld builds a world of size ranks over the configured transport.
@@ -104,18 +106,21 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 	cfg := defaultConfig().with(opts)
 	w := &World{
 		cfg:        cfg,
-		tracker:    membership.NewTracker(size),
+		nextID:     RankID(size),
 		portCursor: cfg.basePort,
 		closing:    make(chan struct{}),
 	}
-	gen, err := w.buildGeneration(0, size)
+	gen, err := w.buildGeneration(size)
 	if err != nil {
 		return nil, err
 	}
 	w.gen = gen
+	// Founding members' stable IDs equal their epoch-0 ranks.
 	w.nodes = make([]*Node, size)
+	w.view.Members = make([]membership.Member, size)
 	for r := 0; r < size; r++ {
-		w.nodes[r] = &Node{world: w, id: membership.RankID(r), comm: gen.comms[r], rank: r}
+		w.nodes[r] = &Node{world: w, id: RankID(r), comm: gen.comms[r], rank: r}
+		w.view.Members[r] = membership.Member{ID: RankID(r)}
 	}
 	return w, nil
 }
@@ -124,7 +129,7 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 // generations consume a fresh block of consecutive ports from the port
 // cursor, so a retired epoch's lingering sockets can never collide with the
 // next epoch's listeners.
-func (w *World) buildGeneration(epoch uint64, size int) (*generation, error) {
+func (w *World) buildGeneration(size int) (*generation, error) {
 	cfg := w.cfg
 	eps := make([]comm.Endpoint, size)
 	var simHub *simnet.Hub
@@ -164,7 +169,7 @@ func (w *World) buildGeneration(epoch uint64, size int) (*generation, error) {
 	default:
 		return nil, fmt.Errorf("collective: unknown transport %v", cfg.transport)
 	}
-	g := &generation{epoch: epoch, simHub: simHub}
+	g := &generation{simHub: simHub}
 	if cfg.faults != nil {
 		// The injector interposes between every endpoint and its
 		// communicator, so all layers above experience the scenario's faults
@@ -333,10 +338,10 @@ func (n *Node) Reducer(dim int, opts ...Option) (Reducer, error) {
 		n.mu.Unlock()
 		return nil, ErrNotMember
 	}
-	c, epoch := n.comm, n.epoch
+	c := n.comm
 	n.mu.Unlock()
 	cfg := n.world.cfg.with(opts)
-	r, err := newElasticReducer(n, dim, cfg, epoch, c)
+	r, err := newElasticReducer(n, dim, cfg, c)
 	if err != nil {
 		return nil, err
 	}
@@ -347,10 +352,13 @@ func (n *Node) Reducer(dim int, opts ...Option) (Reducer, error) {
 }
 
 // SetStateProvider registers the function the world calls at an epoch
-// boundary to snapshot this member's model parameters for state transfer to
-// joiners. The snapshot runs after the drain barrier, so in synchronous modes
-// every provider returns identical parameters; in eager modes the joiner
-// receives one surviving member's view, which the next periodic
+// boundary to snapshot this member's model parameters for the joiners. A
+// transition that admits members calls the provider of the first live
+// surviving member (in the outgoing epoch's rank order) that has one, once,
+// after the drain barrier, and gives every joiner its own copy of the result —
+// so the provider may return live parameters. In synchronous modes every
+// survivor holds identical parameters at that point; in eager modes the
+// joiners receive one survivor's view, which the next periodic
 // synchronization reconciles. A nil provider (the default) opts the member
 // out of serving state.
 func (n *Node) SetStateProvider(fn func() []float64) {
@@ -359,9 +367,9 @@ func (n *Node) SetStateProvider(fn func() []float64) {
 	n.mu.Unlock()
 }
 
-// InitialState returns the model parameters transferred to this member when
-// it joined mid-training, or nil for founding members and worlds without
-// state providers. The slice is owned by the caller.
+// InitialState returns the model parameters handed to this member when it
+// joined mid-training, or nil for founding members and worlds without state
+// providers. The slice is owned by the caller.
 func (n *Node) InitialState() []float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -3,12 +3,13 @@
 //
 // Three founding ranks reduce synchronously while the world is reconfigured
 // under them twice: first a fresh member joins (3 → 4), then a scripted
-// crash kills one rank and a replacement takes its dense slot. Each change
-// is one epoch transition — drain, state transfer to the newcomer, re-mint,
-// commit — and the training loops never rebuild their reducers: a reducer
-// minted through Node.Reducer is an epoch-stable handle that follows the
-// member across epochs. Joiners adopt the model state from live survivors,
-// so they start from the current parameters, not from scratch.
+// crash kills one rank and a fresh member replaces it. Each change is one
+// epoch transition — drain, a fresh transport generation, an in-memory copy
+// of one survivor's state for the newcomer, re-mint, commit — and the
+// training loops never rebuild their reducers: a reducer minted through
+// Node.Reducer is an epoch-stable handle that follows the member across
+// epochs. Joiners adopt the model state of a live survivor, so they start
+// from the current parameters, not from scratch.
 //
 // Run with: go run ./examples/elastic
 package main
@@ -77,7 +78,8 @@ func run(out io.Writer) error {
 	}
 
 	// The model state joiners adopt: in a real trainer this is the parameter
-	// vector; the state provider hands the transfer protocol a snapshot.
+	// vector. The world copies what the provider returns for each joiner, so
+	// the provider may hand over the live slice.
 	params := []float64{0.5, -1.25, 2}
 
 	// One training loop per member. Loops run until the world closes; a
@@ -119,7 +121,7 @@ func run(out io.Writer) error {
 		}
 	}
 	start := func(n *collective.Node) error {
-		n.SetStateProvider(func() []float64 { return append([]float64(nil), params...) })
+		n.SetStateProvider(func() []float64 { return params })
 		red, err := n.Reducer(dim)
 		if err != nil {
 			return err
@@ -135,7 +137,7 @@ func run(out io.Writer) error {
 	}
 	time.Sleep(5 * time.Millisecond) // let the founding epoch reduce a little
 
-	// Grow: a fresh member joins mid-run and adopts the transferred state.
+	// Grow: a fresh member joins mid-run and adopts a survivor's state.
 	joiner, err := world.Join("worker-4.example:7777")
 	if err != nil {
 		return fmt.Errorf("join: %w", err)
@@ -147,8 +149,8 @@ func run(out io.Writer) error {
 	}
 
 	// Repair: kill a member at runtime, wait for the failure detector, and
-	// replace it. The replacement takes the victim's dense slot but gets a
-	// fresh stable ID — identities are never reused.
+	// replace it. The replacement gets a fresh stable ID — identities are
+	// never reused — so it takes the last dense rank.
 	world.FaultInjector().Crash(int(victim))
 	awaitDown(world, victim)
 	printf("rank %d is down; replacing\n", victim)

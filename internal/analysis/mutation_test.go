@@ -73,7 +73,7 @@ func TestMutationHardcodedTag(t *testing.T) {
 	l := newTestLoader(t, nil)
 	file := filepath.Join(l.ModuleRoot, "internal", "partial", "partial.go")
 	overlay := mutate(t, file,
-		"a.comm.Recv(comm.AnySource, a.opts.BaseTag+tagActivation)",
+		"a.comm.Recv(comm.AnySource, DefaultBaseTag+tagActivation)",
 		"a.comm.Recv(comm.AnySource, 31337)")
 	diags := runOn(t, overlay, l.ModulePath+"/internal/partial")
 	requireFinding(t, diags, "tagcheck", "raw literal tag")

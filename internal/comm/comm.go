@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"eagersgd/internal/tensor"
@@ -217,17 +216,10 @@ type Communicator struct {
 	down      []error          // per-rank down cause; nil = peer believed up
 	downHooks []func(rank int) // observers notified (outside mu) on each marking
 
-	discard []tagRange // sticky arrival-time discard ranges (see DiscardTagsOnArrival)
-
 	// slots is the direct-delivery match table, one slot per source rank (see
-	// direct.go). discardRanges mirrors discard for lock-free reads on the
-	// direct fast path; it is replaced, never mutated, under mu.
-	slots         []directSlot
-	discardRanges atomic.Pointer[[]tagRange]
+	// direct.go).
+	slots []directSlot
 }
-
-// tagRange is a half-open [lo, hi) interval of tags.
-type tagRange struct{ lo, hi int }
 
 // NewCommunicator wraps a transport endpoint. The communicator starts a demux
 // goroutine that drains the endpoint's inbox; Close (or closing the endpoint)
@@ -259,11 +251,6 @@ func (c *Communicator) demux() {
 	defer c.demuxWG.Done()
 	for m := range c.ep.Inbox() {
 		c.mu.Lock()
-		if c.discardedLocked(m.Tag) {
-			c.mu.Unlock()
-			tensor.PutVector(m.Data) // demux was the last owner
-			continue
-		}
 		c.dispatchLocked(m)
 		c.mu.Unlock()
 	}
@@ -577,7 +564,7 @@ func (c *Communicator) Recv(source, tag int) (tensor.Vector, Status, error) {
 
 // RecvCancel behaves like Recv but gives up with ErrCanceled if cancel is
 // closed before a matching message arrives: the receive for a message that
-// may never be sent (the state-transfer server waiting for requests).
+// may never be sent.
 func (c *Communicator) RecvCancel(source, tag int, cancel <-chan struct{}) (tensor.Vector, Status, error) {
 	return c.RecvTimeout(source, tag, cancel, 0)
 }
@@ -693,48 +680,6 @@ func (c *Communicator) DiscardTagRange(lo, hi int) int {
 	}
 	c.queue = kept
 	return removed
-}
-
-// DiscardTagsOnArrival registers a sticky discard range: from now on, every
-// arriving message whose tag t satisfies lo <= t < hi is released back to the
-// vector pool at the demux instead of entering the unexpected queue, and any
-// matching messages already queued are purged (the count purged is returned).
-// Unlike DiscardTagRange — a one-shot sweep of what has already arrived — this
-// also covers frames still in flight. Epoch transitions use it to blocklist
-// the outgoing epoch's tag blocks on the surviving communicators, so a
-// straggler frame from epoch N can never match a receive posted in epoch N+1
-// or sit in the queue as a leaked lease. Ranges accumulate; there is no
-// unregister, because a retired epoch's tag block stays retired until the
-// namespace wraps, at which point the communicator generation that held the
-// blocklist has itself been retired.
-func (c *Communicator) DiscardTagsOnArrival(lo, hi int) int {
-	if lo >= hi {
-		return 0
-	}
-	c.mu.Lock()
-	c.discard = append(c.discard, tagRange{lo, hi})
-	mirror := append([]tagRange(nil), c.discard...)
-	c.discardRanges.Store(&mirror) // direct fast path reads this lock-free
-	c.mu.Unlock()
-	return c.DiscardTagRange(lo, hi)
-}
-
-// discardedLocked reports whether a tag falls in a registered arrival-time
-// discard range. Caller holds c.mu.
-func (c *Communicator) discardedLocked(tag int) bool {
-	return tagInRanges(c.discard, tag)
-}
-
-// tagInRanges reports whether tag falls in any of the half-open ranges. Used
-// lock-free by the direct fast path (on the immutable mirror slice) and under
-// c.mu by discardedLocked.
-func tagInRanges(rs []tagRange, tag int) bool {
-	for _, r := range rs {
-		if tag >= r.lo && tag < r.hi {
-			return true
-		}
-	}
-	return false
 }
 
 // TryRecv returns a matching message if one is already available, without

@@ -572,51 +572,6 @@ func TestDiscardTagRange(t *testing.T) {
 	}
 }
 
-func TestDiscardTagsOnArrival(t *testing.T) {
-	w := world(t, 2)
-	before := tensor.ReadPoolStats()
-	// Queue one message inside the soon-to-be-discarded range and one outside.
-	for _, tag := range []int{7, 40} {
-		if err := w[0].Send(1, tag, tensor.GetVector(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(time.Second)
-	for w[1].Pending() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if purged := w[1].DiscardTagsOnArrival(5, 16); purged != 1 {
-		t.Fatalf("purged %d already-queued messages, want 1", purged)
-	}
-	// A message arriving after registration is released at the demux: it
-	// never becomes pending and can never match a receive.
-	if err := w[0].Send(1, 9, tensor.GetVector(1)); err != nil {
-		t.Fatal(err)
-	}
-	// Sentinel outside the range to order against: once it is receivable the
-	// tag-9 frame has certainly been through the demux.
-	if err := w[0].Send(1, 40, tensor.GetVector(1)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		data, _, err := w[1].Recv(0, 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		comm.Release(data)
-	}
-	if v, _, ok := w[1].TryRecv(0, 9); ok {
-		comm.Release(v)
-		t.Fatal("message in a registered discard range was delivered")
-	}
-	if w[1].Pending() != 0 {
-		t.Fatalf("pending = %d, want 0", w[1].Pending())
-	}
-	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
-		t.Fatalf("discard-on-arrival leaked %d leases", n)
-	}
-}
-
 func TestManyToOneAnySource(t *testing.T) {
 	const p = 8
 	w := world(t, p)

@@ -36,9 +36,8 @@ import (
 //     slot.
 //
 // Everything that cannot take the fast path — wildcard receives, a slot
-// already armed by another receiver, tags under an arrival-time discard
-// range, transports without a DirectSource receive loop — falls back to the
-// inbox/demux/cond machinery unchanged.
+// already armed by another receiver, transports without a DirectSource
+// receive loop — falls back to the inbox/demux/cond machinery unchanged.
 
 // DirectSource is an optional Endpoint capability: the transport's receive
 // loop can hand decoded messages straight to the communicator instead of
@@ -136,61 +135,24 @@ func (s *directSlot) nudgeLocked() {
 	}
 }
 
-// testHookDirectPreClaim, when non-nil, runs on the direct fast path between
-// the lock-free discard-range check and the claim attempt. It exists only so
-// tests can deterministically interleave a DiscardTagsOnArrival installation
-// into that window — the historical race the post-claim re-check closes.
-var testHookDirectPreClaim func(m Message)
-
 // deliverDirect is the sink installed on DirectSource transports: the
 // receive loop calls it once per decoded message, transferring ownership of
 // m.Data. The fast path claims an armed matching slot with no lock; every
-// miss — no receiver posted, tag mismatch, wildcard waiters, a tag under an
-// arrival-time discard range — takes c.mu and runs the same dispatch the
-// demux goroutine uses, so the two paths are observationally identical.
-//
-// The arrival-time discard ranges are re-checked AFTER a successful claim:
-// the pre-claim load alone races DiscardTagsOnArrival (load nil, lose the CPU
-// to the installation, then claim — handing the receiver a frame the
-// blocklist was meant to kill, e.g. a wrapped-epoch straggler). The re-check
-// cannot miss an installation the receiver is entitled to: the claim's CAS on
-// the slot word synchronizes with the receiver's arm store, and arming
-// happens under c.mu — the same lock the ranges are installed under — so a
-// range installed before the receiver armed is always visible to the
-// post-claim load.
+// miss — no receiver posted, tag mismatch, wildcard waiters — takes c.mu and
+// runs the same dispatch the demux goroutine uses, so the two paths are
+// observationally identical.
 func (c *Communicator) deliverDirect(m Message) {
 	s := &c.slots[m.Source]
-	if r := c.discardRanges.Load(); r == nil || !tagInRanges(*r, m.Tag) {
-		if testHookDirectPreClaim != nil {
-			testHookDirectPreClaim(m)
-		}
-		if s.tryClaim(m.Tag) {
-			if r := c.discardRanges.Load(); r != nil && tagInRanges(*r, m.Tag) {
-				// Discarded after the claim won the slot: release the payload
-				// and complete the slot protocol with an empty sentinel
-				// delivery, so the receiver (or its disarm) observes a
-				// spurious wake instead of a dead epoch's frame. Source -1
-				// marks the sentinel; real messages always carry a rank in
-				// [0, Size).
-				tensor.PutVector(m.Data)
-				s.ch <- Message{Source: -1}
-				return
-			}
-			s.ch <- m
-			return
-		}
-	}
-	c.mu.Lock()
-	if c.discardedLocked(m.Tag) {
-		c.mu.Unlock()
-		tensor.PutVector(m.Data) // the delivery path was the last owner
+	if s.tryClaim(m.Tag) {
+		s.ch <- m
 		return
 	}
+	c.mu.Lock()
 	c.dispatchLocked(m)
 	c.mu.Unlock()
 }
 
-// dispatchLocked places an arriving, not-discarded message: a posted direct
+// dispatchLocked places an arriving message: a posted direct
 // receiver with a matching (source, tag) gets it handed straight to its slot;
 // otherwise it joins the unexpected queue and the cond waiters are woken.
 // Caller holds c.mu. Used by both the demux goroutine and deliverDirect's
@@ -281,12 +243,6 @@ func (c *Communicator) recvDirect(source, tag int, cancel <-chan struct{}, deadl
 		select {
 		case m := <-s.ch:
 			s.release(w)
-			if m.Source < 0 {
-				// Sentinel: the claimed delivery was discarded after its claim
-				// (see deliverDirect). The receive is still outstanding —
-				// re-run the state checks and re-arm with a fresh generation.
-				continue
-			}
 			return m.Data, Status{Source: m.Source, Tag: m.Tag, Count: len(m.Data)}, nil
 		case <-s.nudge:
 		case <-cancel:
@@ -298,9 +254,6 @@ func (c *Communicator) recvDirect(source, tag int, cancel <-chan struct{}, deadl
 		// would likewise deliver an already-arrived message before reporting
 		// cancellation, closure, or peer death).
 		if m, ok := s.disarm(w); ok {
-			if m.Source < 0 {
-				continue // a discarded claim's sentinel — nothing was delivered
-			}
 			return m.Data, Status{Source: m.Source, Tag: m.Tag, Count: len(m.Data)}, nil
 		}
 	}

@@ -131,7 +131,7 @@ func TestChurnReplaceBitIdentical(t *testing.T) {
 	reference := refTasks.params(t, 0)
 
 	// Phase C: the elastic run — crash by script, repair by churn. The
-	// replacement is built at dense rank 2 (shard 2), adopts the transferred
+	// replacement is built at dense rank 2 (shard 2), adopts the handed-over
 	// parameters, and trains from the handoff step.
 	before := tensor.ReadPoolStats()
 	elTasks := newElasticTasks()
@@ -193,7 +193,7 @@ func TestChurnReplaceBitIdentical(t *testing.T) {
 }
 
 // TestChurnJoinGrowsUnderLoad scripts two ChurnJoin events that grow a
-// 4-rank run to 6 while it trains. Joiners adopt the transferred parameters
+// 4-rank run to 6 while it trains. Joiners adopt the handed-over parameters
 // and handoff step, post-transition reductions span the grown schedule, and
 // the run leaks no pool leases.
 func TestChurnJoinGrowsUnderLoad(t *testing.T) {

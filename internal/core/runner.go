@@ -30,7 +30,7 @@ const (
 // ChurnEvent scripts one membership change executed while the run trains.
 // Events fire in order, each once rank 0 has completed AfterStep steps.
 // Joiners admitted by ChurnJoin and ChurnReplace are built with the run's
-// Build function at their dense rank, adopt the state-transferred parameters,
+// Build function at their dense rank, adopt the handed-over parameters,
 // and train the remaining steps starting from the survivors' handoff step, so
 // their collective sequence stays matched with the survivors'.
 type ChurnEvent struct {
@@ -238,8 +238,8 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 }
 
 // registerStateProvider wires the trainer's model parameters (plus its step
-// counter, appended as one trailing element) as the node's state-transfer
-// source. The provider runs at the quiesced epoch boundary — the trainer
+// counter, appended as one trailing element) as the node's state source
+// for joiners. The provider runs at the quiesced epoch boundary — the trainer
 // brackets each whole step as one drain-barrier operation — so the snapshot
 // is never mid-update and the handoff step is exact.
 func registerStateProvider(node *collective.Node, tr *Trainer) {
@@ -293,7 +293,7 @@ func runChurn(ctx context.Context, cfg RunConfig, world *collective.World, progr
 }
 
 // spawnJoiner builds a trainer for a freshly admitted member — adopting the
-// state-transferred parameters and handoff step — and starts its training
+// handed-over parameters and handoff step — and starts its training
 // loop for the remaining steps.
 func spawnJoiner(ctx context.Context, cfg RunConfig, world *collective.World, node *collective.Node, ev ChurnEvent, result *RunResult, joinersWG *sync.WaitGroup) (*rankRun, error) {
 	startStep := ev.AfterStep

@@ -189,7 +189,7 @@ func (t *Trainer) StepContext(ctx context.Context) (trace.StepRecord, error) {
 	// On an elastic world the whole step — gradient compute, exchange,
 	// optimizer update, periodic sync — is one operation at the drain
 	// barrier, so an epoch transition only ever lands between steps and a
-	// state-transfer snapshot never reads a replica mid-update.
+	// handoff snapshot never reads a replica mid-update.
 	if ts, ok := t.cfg.Exchanger.(collective.TrainStepper); ok {
 		if err := ts.BeginTrainStep(); err != nil {
 			return trace.StepRecord{}, err
@@ -364,8 +364,8 @@ func (t *Trainer) SyncModel() error {
 }
 
 // SetParams overwrites the model replica with vals — how a joiner admitted to
-// an elastic world mid-run adopts the parameters state-transferred to it at
-// the epoch boundary (collective.Node.InitialState).
+// an elastic world mid-run adopts the parameters handed to it at the epoch
+// boundary (collective.Node.InitialState).
 func (t *Trainer) SetParams(vals []float64) error {
 	params := t.cfg.Task.Params()
 	if len(vals) != len(params) {

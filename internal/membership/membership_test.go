@@ -5,49 +5,41 @@ import (
 	"testing"
 )
 
-func TestTrackerEpochZero(t *testing.T) {
-	tr := NewTracker(4)
-	v := tr.View()
-	if v.Epoch != 0 || v.Size() != 4 {
-		t.Fatalf("epoch-0 view = %+v, want epoch 0 size 4", v)
+// founding returns the epoch-0 view of a world of the given size: stable IDs
+// 0..size-1 in rank order.
+func founding(size int) View {
+	members := make([]Member, size)
+	for i := range members {
+		members[i] = Member{ID: RankID(i)}
 	}
-	for i, m := range v.Members {
-		if m.ID != RankID(i) {
-			t.Fatalf("founding member %d has ID %d; stable ID and dense index must coincide at epoch 0", i, m.ID)
-		}
-	}
+	return View{Members: members}
 }
 
-func TestProposeJoinAssignsFreshIDsAndDenseIndices(t *testing.T) {
-	tr := NewTracker(4)
-	trans, err := tr.Propose([]Change{{Kind: ChangeJoin, Addr: "a"}, {Kind: ChangeJoin, Addr: "b"}}, nil)
+func TestNextJoinAssignsFreshIDsAndDenseIndices(t *testing.T) {
+	cur := founding(4)
+	to, joined, err := Next(cur, 4, []Change{{Kind: ChangeJoin, Addr: "a"}, {Kind: ChangeJoin, Addr: "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	to := trans.To()
 	if to.Epoch != 1 || to.Size() != 6 {
-		t.Fatalf("proposed view = %+v, want epoch 1 size 6", to)
+		t.Fatalf("next view = %+v, want epoch 1 size 6", to)
 	}
-	joined := trans.Joined()
 	if len(joined) != 2 || joined[0] != 4 || joined[1] != 5 {
 		t.Fatalf("joined IDs = %v, want [4 5]", joined)
 	}
 	if got := to.IndexOf(4); got != 4 {
 		t.Fatalf("joiner 4 dense index = %d, want 4", got)
 	}
-	tr.Commit(trans)
-	if v := tr.View(); v.Epoch != 1 || v.Size() != 6 {
-		t.Fatalf("committed view = %+v", v)
+	if cur.Epoch != 0 || cur.Size() != 4 {
+		t.Fatalf("Next modified the current view: %+v", cur)
 	}
 }
 
-func TestProposeReplaceReindexesSurvivors(t *testing.T) {
-	tr := NewTracker(4)
-	trans, err := tr.Propose([]Change{{Kind: ChangeReplace, Dead: 1, Addr: "new"}}, nil)
+func TestNextReplaceReindexesSurvivors(t *testing.T) {
+	to, _, err := Next(founding(4), 4, []Change{{Kind: ChangeReplace, Dead: 1, Addr: "new"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	to := trans.To()
 	// Members 0,2,3 survive; joiner gets ID 4. Dense order by stable ID:
 	// 0->0, 2->1, 3->2, 4->3.
 	wantIdx := map[RankID]int{0: 0, 2: 1, 3: 2, 4: 3}
@@ -57,132 +49,123 @@ func TestProposeReplaceReindexesSurvivors(t *testing.T) {
 		}
 	}
 	if to.IndexOf(1) != -1 {
-		t.Fatal("dead member 1 still indexed in the proposed view")
+		t.Fatal("dead member 1 still indexed in the next view")
+	}
+}
+
+func TestNextMintsFromTheGivenID(t *testing.T) {
+	// A counter the caller advanced past an abandoned transition's joiners is
+	// honoured: burned IDs are not reused.
+	_, joined, err := Next(founding(3), 4, []Change{{Kind: ChangeJoin}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(joined) != 1 || joined[0] != 4 {
+		t.Fatalf("joiner IDs = %v, want [4]", joined)
 	}
 }
 
 func TestLeaveLastMemberRejected(t *testing.T) {
-	tr := NewTracker(1)
-	if _, err := tr.Propose([]Change{{Kind: ChangeLeave, Dead: 0}}, nil); !errors.Is(err, ErrEmptyWorld) {
+	if _, _, err := Next(founding(1), 1, []Change{{Kind: ChangeLeave, Dead: 0}}); !errors.Is(err, ErrEmptyWorld) {
 		t.Fatalf("err = %v, want ErrEmptyWorld", err)
 	}
 }
 
 func TestLeaveUnknownRankRejected(t *testing.T) {
-	tr := NewTracker(2)
-	if _, err := tr.Propose([]Change{{Kind: ChangeLeave, Dead: 9}}, nil); !errors.Is(err, ErrNotMember) {
+	if _, _, err := Next(founding(2), 2, []Change{{Kind: ChangeLeave, Dead: 9}}); !errors.Is(err, ErrNotMember) {
 		t.Fatalf("err = %v, want ErrNotMember", err)
 	}
 }
 
-func TestSingleTransitionInFlight(t *testing.T) {
-	tr := NewTracker(3)
-	trans, err := tr.Propose([]Change{{Kind: ChangeJoin}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Propose([]Change{{Kind: ChangeJoin}}, nil); !errors.Is(err, ErrTransitionActive) {
-		t.Fatalf("second propose err = %v, want ErrTransitionActive", err)
-	}
-	tr.Abort(trans)
-	if trans.Phase() != PhaseAborted {
-		t.Fatalf("phase after abort = %v", trans.Phase())
-	}
-	// Aborting frees the slot; the burned joiner ID is not reused.
-	trans2, err := tr.Propose([]Change{{Kind: ChangeJoin}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ids := trans2.Joined(); len(ids) != 1 || ids[0] != 4 {
-		t.Fatalf("joiner ID after aborted transition = %v, want [4] (ID 3 burned)", ids)
+func TestNextRejectsEmptyChangeSet(t *testing.T) {
+	if _, _, err := Next(founding(2), 2, nil); err == nil {
+		t.Fatal("an empty change set proposed a new epoch")
 	}
 }
 
-func TestCoordinatorElectionSkipsDead(t *testing.T) {
-	tr := NewTracker(4)
-	down := map[RankID]bool{0: true}
-	id, ok := Coordinator(tr.View(), func(r RankID) bool { return down[r] })
-	if !ok || id != 1 {
-		t.Fatalf("coordinator = %d,%v; want 1 (lowest live)", id, ok)
-	}
-	down[1], down[2], down[3] = true, true, true
-	if _, ok := Coordinator(tr.View(), func(r RankID) bool { return down[r] }); ok {
-		t.Fatal("coordinator elected with every member down")
+func TestNextRejectsUnknownChangeKind(t *testing.T) {
+	if _, _, err := Next(founding(2), 2, []Change{{Kind: ChangeKind(9)}}); err == nil {
+		t.Fatal("an unknown change kind proposed a new epoch")
 	}
 }
 
-func TestTransitionReelectOnCoordinatorDeath(t *testing.T) {
-	tr := NewTracker(4)
-	down := map[RankID]bool{}
-	trans, err := tr.Propose([]Change{{Kind: ChangeJoin}}, func(r RankID) bool { return down[r] })
+func TestNextLeaveDoesNotAliasCurrentView(t *testing.T) {
+	// Removing the first member shifts the rest of the slice down; the
+	// caller's view must keep its own backing array.
+	cur := founding(3)
+	to, _, err := Next(cur, 3, []Change{{Kind: ChangeLeave, Dead: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trans.Coordinator() != 0 {
-		t.Fatalf("initial coordinator = %d, want 0", trans.Coordinator())
+	if to.Size() != 2 || to.IndexOf(1) != 0 || to.IndexOf(2) != 1 {
+		t.Fatalf("next view = %+v, want members 1,2 at ranks 0,1", to)
 	}
-	down[0] = true // coordinator dies mid-transition
-	id, ok := trans.Reelect(func(r RankID) bool { return down[r] })
-	if !ok || id != 1 || trans.Coordinator() != 1 {
-		t.Fatalf("re-elected coordinator = %d,%v; want 1", id, ok)
-	}
-}
-
-func TestDrainAcksIgnoreDeadAndJoiners(t *testing.T) {
-	tr := NewTracker(3)
-	down := map[RankID]bool{2: true}
-	isDown := func(r RankID) bool { return down[r] }
-	trans, err := tr.Propose([]Change{{Kind: ChangeReplace, Dead: 2, Addr: "x"}, {Kind: ChangeJoin, Addr: "y"}}, isDown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trans.AllAcked(isDown) {
-		t.Fatal("AllAcked before any survivor acked")
-	}
-	trans.Ack(0)
-	trans.Ack(3) // joiner: not a voter, must be ignored
-	if trans.AllAcked(isDown) {
-		t.Fatal("AllAcked with survivor 1 still outstanding")
-	}
-	trans.Ack(1)
-	if !trans.AllAcked(isDown) {
-		t.Fatal("AllAcked false with every live survivor acked")
-	}
-}
-
-func TestCommitNotifiesSubscribers(t *testing.T) {
-	tr := NewTracker(2)
-	var got []View
-	tr.Subscribe(func(v View) { got = append(got, v) })
-	trans, err := tr.Propose([]Change{{Kind: ChangeJoin}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Commit(trans)
-	if len(got) != 1 || got[0].Epoch != 1 || got[0].Size() != 3 {
-		t.Fatalf("subscriber saw %+v, want one epoch-1 size-3 view", got)
-	}
-}
-
-func TestEpochTagRangesDisjointAcrossAdjacentEpochs(t *testing.T) {
-	for e := uint64(0); e < 12; e++ {
-		a := EpochTagRanges(e)
-		b := EpochTagRanges(e + 1)
-		for _, ra := range a {
-			for _, rb := range b {
-				if ra[0] < rb[1] && rb[0] < ra[1] {
-					t.Fatalf("epoch %d range %v overlaps epoch %d range %v", e, ra, e+1, rb)
-				}
-			}
-		}
-		// Every range must fit the int32 wire tag.
-		for _, r := range a {
-			if r[1] > 1<<31-1 {
-				t.Fatalf("epoch %d range %v exceeds the int32 wire tag limit", e, r)
-			}
+	for i, m := range cur.Members {
+		if m.ID != RankID(i) {
+			t.Fatalf("Next rewrote the current view: Members = %+v", cur.Members)
 		}
 	}
-	if CollectiveTagShift(0) != 0 {
-		t.Fatal("epoch-0 collective shift must be zero for wire compatibility")
+}
+
+func TestNextRemovingOneMemberTwiceRejected(t *testing.T) {
+	// A member removed earlier in the same change set is no longer a member.
+	_, _, err := Next(founding(3), 3, []Change{
+		{Kind: ChangeLeave, Dead: 1},
+		{Kind: ChangeReplace, Dead: 1, Addr: "again"},
+	})
+	if !errors.Is(err, ErrNotMember) {
+		t.Fatalf("err = %v, want ErrNotMember", err)
+	}
+}
+
+func TestNextMixedChangesAdvanceOneEpoch(t *testing.T) {
+	cur := View{Epoch: 5, Members: founding(3).Members}
+	to, joined, err := Next(cur, 7, []Change{
+		{Kind: ChangeJoin, Addr: "a"},
+		{Kind: ChangeReplace, Dead: 0, Addr: "b"},
+		{Kind: ChangeLeave, Dead: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if to.Epoch != 6 {
+		t.Fatalf("epoch = %d, want 6 (one transition, however many changes)", to.Epoch)
+	}
+	if len(joined) != 2 || joined[0] != 7 || joined[1] != 8 {
+		t.Fatalf("joined IDs = %v, want [7 8] in change order", joined)
+	}
+	want := []Member{{ID: 1}, {ID: 7, Addr: "a"}, {ID: 8, Addr: "b"}}
+	if len(to.Members) != len(want) {
+		t.Fatalf("members = %+v, want %+v", to.Members, want)
+	}
+	for i := range want {
+		if to.Members[i] != want[i] {
+			t.Fatalf("members = %+v, want %+v", to.Members, want)
+		}
+	}
+}
+
+func TestReplaceLastMemberAllowed(t *testing.T) {
+	// Only the outgoing view may not be empty: a one-member world replacing
+	// its member passes through zero members inside the change set.
+	to, joined, err := Next(founding(1), 1, []Change{{Kind: ChangeReplace, Dead: 0, Addr: "new"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if to.Size() != 1 || len(joined) != 1 || to.Members[0].ID != joined[0] {
+		t.Fatalf("next view = %+v, joined = %v, want only the replacement", to, joined)
+	}
+}
+
+func TestChangeKindString(t *testing.T) {
+	for k, want := range map[ChangeKind]string{
+		ChangeJoin:    "join",
+		ChangeLeave:   "leave",
+		ChangeReplace: "replace",
+		ChangeKind(7): "change(7)",
+	} {
+		if got := k.String(); got != want {
+			t.Fatalf("ChangeKind(%d).String() = %q, want %q", int(k), got, want)
+		}
 	}
 }

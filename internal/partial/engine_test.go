@@ -493,13 +493,13 @@ func (e tagRecorder) Send(dest int, m comm.Message) error {
 }
 
 // TestTagsStayInsideTheNamespaceForever: round r used to take its tags from a
-// block at BaseTag + r*stride, which walks out of the epoch's tag range — into
-// a neighbouring epoch's discard-on-arrival range — after a few hundred
-// thousand rounds. The engine now uses the same few tags every round: over
-// 2000 rounds every tag must lie in [BaseTag, BaseTag+TagSpan), and no tag may
-// appear for the first time after the opening rounds.
+// block at base + r*stride, which walks out of the engine's namespace after a
+// few hundred thousand rounds. The engine now uses the same few tags every
+// round: over 2000 rounds every tag must lie in [DefaultBaseTag,
+// DefaultBaseTag+TagSpan), and no tag may appear for the first time after the
+// opening rounds.
 func TestTagsStayInsideTheNamespaceForever(t *testing.T) {
-	const n, rounds, base = 3, 2000, partial.DefaultBaseTag + 5*partial.TagSpan
+	const n, rounds, base = 3, 2000, partial.DefaultBaseTag
 	for _, tc := range []struct {
 		p        int
 		deadline time.Duration
@@ -514,7 +514,7 @@ func TestTagsStayInsideTheNamespaceForever(t *testing.T) {
 				world[r] = comm.NewCommunicator(ep)
 			}
 			t.Cleanup(func() { world[0].Close() })
-			ars := newReducers(t, world, n, partial.Options{Mode: partial.Solo, BaseTag: base, PeerDeadline: tc.deadline})
+			ars := newReducers(t, world, n, partial.Options{Mode: partial.Solo, PeerDeadline: tc.deadline})
 			grads := make([]tensor.Vector, tc.p)
 			for r := range grads {
 				grads[r] = tensor.Vector{1, 2, 3}

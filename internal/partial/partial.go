@@ -62,14 +62,16 @@ func (m Mode) String() string {
 
 // DefaultBaseTag is the start of the tag namespace used by partial
 // collectives. It is far above the namespace used by internal/collectives so
-// the two can share a communicator.
+// the two can share a communicator. Every Allreducer uses it: an elastic world
+// builds a fresh communicator generation per epoch, so epochs need no tag
+// blocks of their own.
 const DefaultBaseTag = 1 << 24
 
 // TagSpan is the width of an Allreducer's tag namespace: every tag it ever
-// puts on the wire lies in [BaseTag, BaseTag+TagSpan). The set is constant —
-// the same tags every round, ordered by the communicator's per-(source, tag)
-// FIFO because rounds are strictly sequential — so the namespace cannot be
-// outgrown however long the training runs.
+// puts on the wire lies in [DefaultBaseTag, DefaultBaseTag+TagSpan). The set
+// is constant — the same tags every round, ordered by the communicator's
+// per-(source, tag) FIFO because rounds are strictly sequential — so the
+// namespace cannot be outgrown however long the training runs.
 const TagSpan = 1 << 21
 
 // Offsets of the engine's tags within its namespace.
@@ -91,9 +93,6 @@ type Options struct {
 	// mode. Values below 1 are treated as 1; values above the communicator
 	// size behave like Solo.
 	Candidates int
-	// BaseTag is the first tag of the private tag namespace. Defaults to
-	// DefaultBaseTag.
-	BaseTag int
 	// Buckets partitions the n-element gradient into contiguous buckets of
 	// the given lengths (summing to n) for the bucketed step API: WaitBucket
 	// hands out the round's result one bucket at a time. It does not change
@@ -237,9 +236,6 @@ type Allreducer struct {
 // Every rank of the communicator must create one with identical n and
 // options; the engines start immediately.
 func New(c *comm.Communicator, n int, opts Options) *Allreducer {
-	if opts.BaseTag == 0 {
-		opts.BaseTag = DefaultBaseTag
-	}
 	if opts.Candidates < 1 {
 		opts.Candidates = 1
 	}
@@ -818,7 +814,7 @@ func (a *Allreducer) listen() {
 	defer a.engineWG.Done()
 	for {
 		//eagervet:ignore ctxcheck -- the listener lives as long as the communicator: closing it is what interrupts this receive.
-		msg, _, err := a.comm.Recv(comm.AnySource, a.opts.BaseTag+tagActivation)
+		msg, _, err := a.comm.Recv(comm.AnySource, DefaultBaseTag+tagActivation)
 		if err != nil {
 			a.fail(err)
 			return
@@ -850,7 +846,7 @@ func (a *Allreducer) flood(round int) error {
 		}
 		msg := tensor.GetVector(1)
 		msg[0] = float64(round)
-		if err := a.comm.Send(peer, a.opts.BaseTag+tagActivation, msg); err != nil && !errors.Is(err, comm.ErrPeerDown) {
+		if err := a.comm.Send(peer, DefaultBaseTag+tagActivation, msg); err != nil && !errors.Is(err, comm.ErrPeerDown) {
 			return err
 		}
 	}
@@ -895,7 +891,7 @@ func (a *Allreducer) reduce(data tensor.Vector) error {
 	}
 	lo, _ := collectives.BucketStreamTagRange()
 	cfg := collectives.Config{
-		TagOffset: a.opts.BaseTag + tagData - lo,
+		TagOffset: DefaultBaseTag + tagData - lo,
 		// One element more per pipeline segment, for the flag: the n+1 elements
 		// then segment exactly as the n-element gradient would, instead of the
 		// flag costing every ring chunk of a power-of-two gradient a segment of
@@ -929,7 +925,7 @@ func (a *Allreducer) reduceTolerant(data tensor.Vector) error {
 	if rem > 0 {
 		hop = 1
 	}
-	tag := a.opts.BaseTag + tagTolerant
+	tag := DefaultBaseTag + tagTolerant
 	foldTag, backTag, stepTag := tag, tag+1, tag+2
 
 	group := rank - rem // this rank's id among the 2^k that run the doubling

@@ -206,7 +206,7 @@ type Spec struct {
 	// replaced — executed at step boundaries while training runs (the elastic
 	// path). Combine ChurnReplace with a Faults scenario that crashes the
 	// victim and a PeerDeadline that detects it. Joiners train the remaining
-	// steps from the state transferred at their epoch boundary.
+	// steps from the state handed over at their epoch boundary.
 	Churn []ChurnEvent
 }
 
