@@ -172,7 +172,7 @@ func (h *BucketHandle) finalize(ctx context.Context) error {
 	return h.err
 }
 
-// overlapper is implemented by the built-in reducers.
+// overlapper is implemented by the reducers Node.Reducer mints.
 type overlapper interface {
 	overlapSettings() (enabled bool, bucketElems int)
 }
@@ -269,10 +269,9 @@ func (st *bucketStreams) close() {
 	st.mu.Unlock()
 }
 
-// joinEngine blocks until the stream workers have drained and exited,
-// returning their queued leases to the pool. Only valid after the
-// communicator is closed (a worker blocked inside a collective exits then);
-// World.Close calls it so shutdown leaks no pool leases.
+// joinEngine implements engine: it blocks until the stream workers have
+// drained and exited, returning their queued leases to the pool (a worker
+// blocked inside a collective exits once the communicator is closed).
 func (s *syncReducer) joinEngine() {
 	s.mu.Lock()
 	st := s.streams
@@ -313,7 +312,7 @@ func (s *syncReducer) ensureStreams() *bucketStreams {
 					tensor.PutVector(task.sum)
 					task.h.resolve(nil, ErrReducerClosed)
 				default:
-					if err := collectives.AllreduceWith(s.comm, task.sum, collectives.OpSum, s.algo, cfg, task.ctx.Done()); err != nil {
+					if err := collectives.AllreduceWith(s.comm, task.sum, collectives.OpSum, collectives.AlgoAuto, cfg, task.ctx.Done()); err != nil {
 						tensor.PutVector(task.sum)
 						task.h.resolve(nil, ctxError(task.ctx, err))
 						continue
@@ -334,8 +333,6 @@ type syncStep struct {
 	handles []*BucketHandle
 	call    int
 }
-
-func (s *syncReducer) overlapSettings() (bool, int) { return s.overlap, s.bucketElems }
 
 // BeginStep opens a bucketed step (see BucketReducer). For the negotiated
 // style the step's single readiness consensus runs here — one negotiation per
@@ -493,8 +490,6 @@ type eagerStep struct {
 	submitted int
 	handles   []*BucketHandle
 }
-
-func (e *eagerReducer) overlapSettings() (bool, int) { return e.overlap, e.bucketElems }
 
 // BeginStep opens a bucketed step (see BucketReducer). The lens must match
 // the layout the reducer was constructed with (WithBucketLayout, or the

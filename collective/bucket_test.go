@@ -12,6 +12,13 @@ import (
 	"eagersgd/internal/tensor"
 )
 
+// partialOf reaches through a Node.Reducer reducer of an eager mode to its
+// current epoch's partial allreducer, for the engine diagnostics (designated
+// initiators, pending stale norm).
+func partialOf(red Reducer) *partial.Allreducer {
+	return red.(*elasticReducer).inner.(*eagerReducer).ar
+}
+
 // runBucketedStep drives one bucketed step on every rank concurrently: each
 // rank submits the layout's buckets in reverse order (the backward-pass
 // order), waits the handles, then waits the step. It returns rank 0's
@@ -79,10 +86,10 @@ func runBucketedStep(t *testing.T, reducers []Reducer, lens []int, fill func(ran
 }
 
 // TestSyncBucketedBitForBitSingleShot is the numerical-equivalence gate of
-// the overlapped exchange: with recursive doubling (whose per-element
-// reduction tree does not depend on the vector length), a bucketed step must
-// produce bit-for-bit the sums of the one-shot Reduce on the in-process
-// transport.
+// the overlapped exchange: at these lengths Auto runs recursive doubling
+// (whose per-element reduction tree does not depend on the vector length), so
+// a bucketed step must produce bit-for-bit the sums of the one-shot Reduce on
+// the in-process transport.
 func TestSyncBucketedBitForBitSingleShot(t *testing.T) {
 	const ranks = 4
 	lens := []int{5, 17, 42}
@@ -94,7 +101,7 @@ func TestSyncBucketedBitForBitSingleShot(t *testing.T) {
 	}
 
 	// Reference: one-shot Reduce over the full vector.
-	refWorld, err := NewWorld(ranks, WithAlgorithm(RecursiveDoubling))
+	refWorld, err := NewWorld(ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +135,7 @@ func TestSyncBucketedBitForBitSingleShot(t *testing.T) {
 		}
 	}
 
-	world, err := NewWorld(ranks, WithAlgorithm(RecursiveDoubling), WithOverlap())
+	world, err := NewWorld(ranks, WithOverlap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +239,7 @@ func TestSubmitBucketRejectsUnknownOffset(t *testing.T) {
 func TestWorldCloseDuringOverlappedStep(t *testing.T) {
 	const ranks = 2
 	dim := 1 << 15 // large enough that the allreduce genuinely blocks on the peer
-	world, err := NewWorld(ranks, WithAlgorithm(RecursiveDoubling), WithOverlap())
+	world, err := NewWorld(ranks, WithOverlap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +382,7 @@ func TestStepConsistencyAcrossBuckets(t *testing.T) {
 // complete; canceling the submission context must resolve the handle and
 // WaitStep with the context's error instead of hanging.
 func TestSubmitBucketCancellation(t *testing.T) {
-	world, err := NewWorld(2, WithAlgorithm(RecursiveDoubling), WithOverlap())
+	world, err := NewWorld(2, WithOverlap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +429,7 @@ func TestSubmitBucketCancellation(t *testing.T) {
 // return context.DeadlineExceeded, whichever of "the worker resolved the
 // handle" and "the waiter saw ctx.Done()" happens first.
 func TestSyncBucketedStepTimeoutReportsDeadlineExceeded(t *testing.T) {
-	world, err := NewWorld(2, WithAlgorithm(RecursiveDoubling), WithOverlap())
+	world, err := NewWorld(2, WithOverlap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +482,7 @@ func TestWaitStepCancellationEager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inits := red.(interface{ Allreducer() *partial.Allreducer }).Allreducer().DesignatedInitiators(0)
+		inits := partialOf(red).DesignatedInitiators(0)
 		world.Close()
 		if len(inits) == 1 && inits[0] == 1 {
 			seed = s
@@ -509,8 +516,8 @@ func TestWaitStepCancellationEager(t *testing.T) {
 		t.Fatalf("WaitStep error = %v, want context.DeadlineExceeded", err)
 	}
 	// The canceled wait only abandoned the result: the contribution stays
-	// buffered as a stale gradient, visible through the diagnostics surface.
-	ar := red.(interface{ Allreducer() *partial.Allreducer }).Allreducer()
+	// buffered as a stale gradient, visible in the engine's diagnostics.
+	ar := partialOf(red)
 	if ar.PendingStale() == 0 {
 		t.Fatal("canceled step's contribution should remain buffered as stale gradient")
 	}
@@ -522,7 +529,7 @@ func TestWaitStepCancellationEager(t *testing.T) {
 // panic or deadlock.
 func TestCloseRacesSubmitBucket(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		world, err := NewWorld(2, WithAlgorithm(RecursiveDoubling), WithOverlap())
+		world, err := NewWorld(2, WithOverlap())
 		if err != nil {
 			t.Fatal(err)
 		}

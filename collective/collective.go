@@ -5,12 +5,16 @@
 //
 // The two entry points are:
 //
-//   - World: builds a fixed-size job over the in-process, TCP, or shared-ring
-//     transport and hands out one Node per rank. Options select the transport,
-//     the reduction mode, and the allreduce algorithm.
-//   - Reducer: the per-rank object a training loop calls once per step. Every
-//     mode — Sync, Solo, Majority, Quorum(k) — implements the same interface,
-//     so swapping eager-SGD for synch-SGD is one option, not a rewrite.
+//   - World: builds a job over the in-process, TCP, shared-ring, or simulated
+//     transport and hands out one Node per member; Join, Leave and Replace
+//     change the membership while training runs. Options select the
+//     transport, the reduction mode and its Sync style (chunked or
+//     negotiated); the allreduce algorithm follows from the vector length
+//     and the world size.
+//   - Reducer: the per-rank object a training loop calls once per step,
+//     minted by Node.Reducer. Every mode — Sync, Solo, Majority, Quorum(k) —
+//     implements the same interface, so swapping eager-SGD for synch-SGD is
+//     one option, not a rewrite.
 //
 // A minimal job:
 //
@@ -152,35 +156,6 @@ func (m Mode) String() string {
 		return "quorum"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m.kind))
-	}
-}
-
-// Algorithm selects the allreduce wire algorithm used by Sync reducers.
-type Algorithm int
-
-// Available allreduce algorithms.
-const (
-	// Auto picks recursive doubling for small vectors and Rabenseifner's
-	// algorithm for large ones, mirroring production MPI libraries.
-	Auto Algorithm = iota
-	RecursiveDoubling
-	Ring
-	Rabenseifner
-)
-
-// String returns the algorithm name.
-func (a Algorithm) String() string {
-	switch a {
-	case Auto:
-		return "auto"
-	case RecursiveDoubling:
-		return "recursive-doubling"
-	case Ring:
-		return "ring"
-	case Rabenseifner:
-		return "rabenseifner"
-	default:
-		return fmt.Sprintf("algorithm(%d)", int(a))
 	}
 }
 

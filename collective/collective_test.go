@@ -155,45 +155,100 @@ func TestReduceRoundTripEveryModeAndTransport(t *testing.T) {
 	}
 }
 
-// TestSyncReduceMatchesExactSum checks the arithmetic of the Sync mode: with
-// rank r contributing the value r+1 everywhere, every rank must see the exact
-// total, every round, for each wire algorithm.
+// TestSyncReduceMatchesExactSum checks the arithmetic of the Sync mode in
+// each of its styles: with rank r contributing the value r+1 everywhere,
+// every rank must see the exact total, every round. The dimensions steer
+// Auto to each wire algorithm in turn for the fused style at this world size
+// (the Deep500 style reduces a third of each in one call).
 func TestSyncReduceMatchesExactSum(t *testing.T) {
 	const ranks = 5 // non-power-of-two exercises the fold paths
-	const dim = 9
 	want := 0.0
 	for r := 0; r < ranks; r++ {
 		want += float64(r + 1)
 	}
-	for _, algo := range []collective.Algorithm{collective.RecursiveDoubling, collective.Ring, collective.Rabenseifner} {
-		t.Run(algo.String(), func(t *testing.T) {
-			world, err := collective.NewWorld(ranks, collective.WithAlgorithm(algo))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer world.Close()
-			runRanks(t, ranks, func(rank int) error {
-				red, err := world.Node(rank).Reducer(dim)
-				if err != nil {
-					return err
-				}
-				defer red.Close()
-				for round := 0; round < 3; round++ {
-					grad := tensor.NewVector(dim)
-					grad.Fill(float64(rank + 1))
-					res, err := red.Reduce(context.Background(), grad)
+	for _, tc := range []struct {
+		algo string
+		dim  int
+	}{
+		{"recursive-doubling", 9},
+		{"rabenseifner", 5000},
+		{"ring", 40000},
+	} {
+		t.Run(tc.algo, func(t *testing.T) {
+			for _, style := range []struct {
+				name string
+				opt  collective.Option
+			}{
+				{"fused", collective.WithChunks(1)},
+				{"deep500", collective.WithChunks(3)},
+				{"horovod", collective.WithNegotiation()},
+			} {
+				t.Run(style.name, func(t *testing.T) {
+					world, err := collective.NewWorld(ranks, style.opt)
 					if err != nil {
-						return err
+						t.Fatal(err)
 					}
-					for i, x := range res.Sum {
-						if x != want {
-							return fmt.Errorf("round %d elem %d: got %v, want %v", round, i, x, want)
+					defer world.Close()
+					runRanks(t, ranks, func(rank int) error {
+						red, err := world.Node(rank).Reducer(tc.dim)
+						if err != nil {
+							return err
 						}
-					}
-				}
-				return nil
-			})
+						defer red.Close()
+						for round := 0; round < 3; round++ {
+							grad := tensor.NewVector(tc.dim)
+							grad.Fill(float64(rank + 1))
+							res, err := red.Reduce(context.Background(), grad)
+							if err != nil {
+								return err
+							}
+							for i, x := range res.Sum {
+								if x != want {
+									return fmt.Errorf("round %d elem %d: got %v, want %v", round, i, x, want)
+								}
+							}
+						}
+						return nil
+					})
+				})
+			}
 		})
+	}
+}
+
+// TestReducerRejectsBadArguments: Node.Reducer refuses a non-positive
+// dimension and a bucket layout that does not partition it, in the sync and
+// the eager modes alike, and a refused call enrols nothing — the next epoch
+// transition, which re-mints every enrolled reducer, still commits.
+func TestReducerRejectsBadArguments(t *testing.T) {
+	for _, mode := range []collective.Mode{collective.Sync, collective.Solo} {
+		for _, tc := range []struct {
+			name string
+			dim  int
+			opts []collective.Option
+		}{
+			{"zero-dim", 0, nil},
+			{"negative-dim", -1, nil},
+			{"layout-short-of-dim", 10, []collective.Option{collective.WithBucketLayout(4, 5)}},
+			{"zero-length-bucket", 10, []collective.Option{collective.WithBucketLayout(4, 0, 6)}},
+		} {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				world, err := collective.NewWorld(2, collective.WithMode(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer world.Close()
+				if _, err := world.Node(0).Reducer(tc.dim, tc.opts...); err == nil {
+					t.Fatalf("Reducer(%d) succeeded, want an error", tc.dim)
+				}
+				if _, err := world.Join("joiner"); err != nil {
+					t.Fatalf("Join after a refused Reducer: %v", err)
+				}
+				if got := world.Membership().Number; got != 1 {
+					t.Fatalf("epoch %d after Join, want 1", got)
+				}
+			})
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"eagersgd/internal/collectives"
 	"eagersgd/internal/comm"
-	"eagersgd/internal/partial"
 	"eagersgd/internal/tensor"
 )
 
@@ -41,11 +40,11 @@ type elasticReducer struct {
 
 	mu          sync.Mutex
 	cond        *sync.Cond
-	inner       Reducer
-	active      int           // in-flight operations on inner (Reduce calls and whole bucketed steps)
-	rounds      uint64        // operations completed since mint — the drain allowance is measured in these
-	guarded     int           // open TrainStepper brackets; nested operations bypass the gate
-	stepInner   BucketReducer // inner bound by an open bucketed step, nil between steps
+	inner       engine
+	active      int    // in-flight operations on inner (Reduce calls and whole bucketed steps)
+	rounds      uint64 // operations completed since mint — the drain allowance is measured in these
+	guarded     int    // open TrainStepper brackets; nested operations bypass the gate
+	stepOpen    bool   // a bucketed step is open: BeginStep passed the gate, WaitStep not yet called
 	draining    bool
 	drainTarget uint64 // while draining: admit ops until rounds reaches this
 	closed      bool
@@ -88,7 +87,7 @@ func (r *elasticReducer) EndTrainStep() {
 }
 
 func newElasticReducer(n *Node, dim int, cfg config, c *comm.Communicator) (*elasticReducer, error) {
-	inner, err := NewReducer(c, dim, func(cc *config) { *cc = cfg })
+	inner, err := newEngine(c, dim, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +100,7 @@ func newElasticReducer(n *Node, dim int, cfg config, c *comm.Communicator) (*ela
 // is draining, new operations are admitted only up to the drain allowance
 // (see beginDrain), then park. Admitted operations pin the current inner
 // reducer until endOp.
-func (r *elasticReducer) beginOp() (Reducer, error) {
+func (r *elasticReducer) beginOp() (engine, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for r.draining && r.rounds >= r.drainTarget && r.guarded == 0 && !r.closed {
@@ -199,8 +198,8 @@ func (r *elasticReducer) undrain() {
 // remint builds the new epoch's inner reducer over the given communicator and
 // returns the retired one for the transition to close and join with the old
 // generation. Only called with the barrier down and the reducer idle.
-func (r *elasticReducer) remint(c *comm.Communicator) (Reducer, error) {
-	inner, err := NewReducer(c, r.dim, func(cc *config) { *cc = r.cfg })
+func (r *elasticReducer) remint(c *comm.Communicator) (engine, error) {
+	inner, err := newEngine(c, r.dim, r.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -254,22 +253,7 @@ func (r *elasticReducer) Close() error { return r.markClosed() }
 func (r *elasticReducer) Name() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n, ok := r.inner.(interface{ Name() string }); ok {
-		return n.Name()
-	}
-	return "elastic"
-}
-
-// Allreducer exposes the current epoch's partial allreducer for diagnostics
-// (NAP counters, designated initiators), or nil for Sync modes. The handle is
-// per-epoch: re-fetch it after a membership change.
-func (r *elasticReducer) Allreducer() *partial.Allreducer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.inner.(interface{ Allreducer() *partial.Allreducer }); ok {
-		return e.Allreducer()
-	}
-	return nil
+	return r.inner.Name()
 }
 
 // overlapSettings forwards the mint-time overlap configuration (OverlapSettings).
@@ -283,44 +267,40 @@ func (r *elasticReducer) BeginStep(ctx context.Context, lens []int) error {
 	if err != nil {
 		return err
 	}
-	br, ok := inner.(BucketReducer)
-	if !ok {
-		r.endOp()
-		return ErrReducerClosed
-	}
-	if err := br.BeginStep(ctx, lens); err != nil {
+	if err := inner.BeginStep(ctx, lens); err != nil {
 		r.endOp()
 		return err
 	}
 	r.mu.Lock()
-	r.stepInner = br
+	r.stepOpen = true
 	r.mu.Unlock()
 	return nil
 }
 
-// SubmitBucket forwards to the step's reducer.
+// SubmitBucket forwards to the step's reducer. The open step holds the drain
+// barrier, so inner cannot be reminted under it.
 func (r *elasticReducer) SubmitBucket(ctx context.Context, offset int, data tensor.Vector) (*BucketHandle, error) {
 	r.mu.Lock()
-	br := r.stepInner
+	open, inner := r.stepOpen, r.inner
 	r.mu.Unlock()
-	if br == nil {
+	if !open {
 		return nil, ErrReducerClosed // data is borrowed, so nothing to release
 	}
-	return br.SubmitBucket(ctx, offset, data)
+	return inner.SubmitBucket(ctx, offset, data)
 }
 
 // WaitStep completes the step and releases the reducer's slot at the drain
 // barrier.
 func (r *elasticReducer) WaitStep(ctx context.Context) (Result, error) {
 	r.mu.Lock()
-	br := r.stepInner
-	r.stepInner = nil
+	open, inner := r.stepOpen, r.inner
+	r.stepOpen = false
 	r.mu.Unlock()
-	if br == nil {
+	if !open {
 		return Result{}, ErrReducerClosed
 	}
 	defer r.endOp()
-	return br.WaitStep(ctx)
+	return inner.WaitStep(ctx)
 }
 
 // SyncParams implements ParamSyncer: one synchronous allreduce over the
@@ -351,7 +331,5 @@ func (r *elasticReducer) joinEngine() {
 	r.mu.Lock()
 	inner := r.inner
 	r.mu.Unlock()
-	if j, ok := inner.(engineJoiner); ok {
-		j.joinEngine()
-	}
+	inner.joinEngine()
 }

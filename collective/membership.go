@@ -263,7 +263,7 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 	// retired inners are closed now and joined with the old generation), swap
 	// the node handles, install the epoch, lift the barrier, retire the old
 	// world, and notify subscribers.
-	var retired []Reducer
+	var retired []engine
 	for _, n := range survivors {
 		dense := to.IndexOf(n.id)
 		for _, r := range n.snapshotReducers() {
@@ -320,9 +320,7 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 	// injector drained — zero outstanding leases from epoch N survive it.
 	oldGen.closeComms()
 	for _, old := range retired {
-		if j, ok := old.(engineJoiner); ok {
-			j.joinEngine()
-		}
+		old.joinEngine()
 	}
 	for _, r := range departed {
 		r.joinEngine()

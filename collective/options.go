@@ -10,14 +10,13 @@ import (
 // WithBasePort is not given.
 const DefaultBasePort = 29500
 
-// config collects the settings shared by NewWorld, Node.Reducer, and
-// NewReducer. World-level options (transport, base port) are ignored by
-// reducer construction and vice versa where they do not apply.
+// config collects the settings shared by NewWorld and Node.Reducer.
+// World-level options (transport, base port) are ignored by reducer
+// construction and vice versa where they do not apply.
 type config struct {
 	transport    Transport
 	basePort     int
 	mode         Mode
-	algorithm    Algorithm
 	seed         int64
 	chunks       int
 	negotiate    bool
@@ -35,7 +34,6 @@ func defaultConfig() config {
 		transport: Inproc,
 		basePort:  DefaultBasePort,
 		mode:      Sync,
-		algorithm: Auto,
 		chunks:    1,
 	}
 }
@@ -67,12 +65,6 @@ func WithBasePort(port int) Option {
 // Quorum(k). Default Sync.
 func WithMode(m Mode) Option {
 	return func(c *config) { c.mode = m }
-}
-
-// WithAlgorithm selects the allreduce wire algorithm used by Sync reductions.
-// Default Auto.
-func WithAlgorithm(a Algorithm) Option {
-	return func(c *config) { c.algorithm = a }
 }
 
 // WithSeed sets the shared seed that drives the per-round random initiator
@@ -143,7 +135,7 @@ func WithPeerDeadline(d time.Duration) Option {
 // injector is exposed through World.FaultInjector for runtime control
 // (advancing crash-at-step counters, cutting links mid-step). Combine with
 // WithPeerDeadline so the layers above detect the injected failures instead
-// of blocking on them. Ignored by NewReducer (the injector wraps transport
+// of blocking on them. Ignored by Node.Reducer (the injector wraps transport
 // endpoints, which only the World builder constructs).
 func WithFaults(sc FaultScenario) Option {
 	return func(c *config) {

@@ -13,25 +13,24 @@ import (
 	"eagersgd/internal/tensor"
 )
 
-// NewReducer builds a Reducer of the configured mode directly over a
-// communicator. This is the advanced constructor used by the internal
-// training engine and by code that manages its own transport; most programs
-// obtain reducers from World.Node(r).Reducer, which forwards here with the
-// world's options.
-//
-// dim is the fixed gradient length; every rank must construct its reducer
-// with the same dim and the same mode and seed (the engines are SPMD).
-func NewReducer(c *comm.Communicator, dim int, opts ...Option) (Reducer, error) {
-	if c == nil {
-		return nil, errors.New("collective: nil communicator")
-	}
+// engine is the sync or eager reducer an elasticReducer runs its current
+// epoch on. Node.Reducer is the only way to obtain one, wrapped.
+type engine interface {
+	BucketReducer
+	Name() string
+	// joinEngine blocks until the engine's background goroutines have exited
+	// and returned their buffers to the pool. Only valid after the
+	// communicator is closed; World.Close and generation retirement call it
+	// so shutdown leaks no pool leases.
+	joinEngine()
+}
+
+// newEngine builds the engine of cfg's mode over one epoch's communicator.
+// dim is the fixed gradient length; every rank must build its engine with
+// the same dim, mode and seed (the engines are SPMD).
+func newEngine(c *comm.Communicator, dim int, cfg config) (engine, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("collective: reducer dimension %d must be positive", dim)
-	}
-	cfg := defaultConfig().with(opts)
-	algo, err := wireAlgorithm(cfg.algorithm)
-	if err != nil {
-		return nil, err
 	}
 	if len(cfg.layout) > 0 {
 		if _, err := validateLayout(dim, cfg.layout); err != nil {
@@ -41,9 +40,8 @@ func NewReducer(c *comm.Communicator, dim int, opts ...Option) (Reducer, error) 
 	switch cfg.mode.kind {
 	case kindSync:
 		return &syncReducer{
-			comm: c, dim: dim, algo: algo,
+			comm: c, dim: dim,
 			chunks: cfg.chunks, negotiate: cfg.negotiate,
-			overlap: cfg.overlap, bucketElems: cfg.bucketElems,
 			peerDeadline: cfg.peerDeadline,
 		}, nil
 	case kindSolo, kindMajority, kindQuorum:
@@ -58,32 +56,15 @@ func NewReducer(c *comm.Communicator, dim int, opts ...Option) (Reducer, error) 
 			popts.Candidates = cfg.mode.candidates
 		}
 		e := &eagerReducer{
-			comm:        c,
-			ar:          partial.New(c, dim, popts),
-			mode:        cfg.mode,
-			dim:         dim,
-			overlap:     cfg.overlap,
-			bucketElems: cfg.bucketElems,
+			comm: c,
+			ar:   partial.New(c, dim, popts),
+			mode: cfg.mode,
+			dim:  dim,
 		}
 		e.lens, e.offs = e.layoutOf()
 		return e, nil
 	default:
 		return nil, fmt.Errorf("collective: unknown mode %v", cfg.mode)
-	}
-}
-
-func wireAlgorithm(a Algorithm) (collectives.Algorithm, error) {
-	switch a {
-	case Auto:
-		return collectives.AlgoAuto, nil
-	case RecursiveDoubling:
-		return collectives.AlgoRecursiveDoubling, nil
-	case Ring:
-		return collectives.AlgoRing, nil
-	case Rabenseifner:
-		return collectives.AlgoRabenseifner, nil
-	default:
-		return 0, fmt.Errorf("collective: unknown algorithm %v", a)
 	}
 }
 
@@ -101,15 +82,11 @@ func ctxError(ctx context.Context, err error) error {
 // It also implements BucketReducer (bucket.go): the bucketed step runs each
 // bucket's allreduce on a stream worker as soon as the bucket is submitted.
 type syncReducer struct {
-	comm      *comm.Communicator
-	dim       int
-	algo      collectives.Algorithm
-	chunks    int
-	negotiate bool
-	calls     int
-
-	overlap      bool
-	bucketElems  int
+	comm         *comm.Communicator
+	dim          int
+	chunks       int
+	negotiate    bool
+	calls        int
 	peerDeadline time.Duration
 
 	// mu guards the bucketed-step fields below: the step API itself is
@@ -164,12 +141,12 @@ func (s *syncReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result, e
 			if lo == hi {
 				continue
 			}
-			if err := collectives.AllreduceWith(s.comm, sum[lo:hi], collectives.OpSum, s.algo, wireCfg, cancel); err != nil {
+			if err := collectives.AllreduceWith(s.comm, sum[lo:hi], collectives.OpSum, collectives.AlgoAuto, wireCfg, cancel); err != nil {
 				tensor.PutVector(sum)
 				return Result{}, ctxError(ctx, err)
 			}
 		}
-	} else if err := collectives.AllreduceWith(s.comm, sum, collectives.OpSum, s.algo, wireCfg, cancel); err != nil {
+	} else if err := collectives.AllreduceWith(s.comm, sum, collectives.OpSum, collectives.AlgoAuto, wireCfg, cancel); err != nil {
 		tensor.PutVector(sum)
 		return Result{}, ctxError(ctx, err)
 	}
@@ -183,23 +160,16 @@ func (s *syncReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result, e
 // step), and their results resolve together when the engine publishes the
 // step's round.
 type eagerReducer struct {
-	comm *comm.Communicator
-	ar   *partial.Allreducer
-	mode Mode
-	dim  int
-
-	overlap     bool
-	bucketElems int
-	lens, offs  []int      // the engine's fixed bucket layout (layoutOf)
-	estep       *eagerStep // in-flight bucketed step, nil between steps
+	comm       *comm.Communicator
+	ar         *partial.Allreducer
+	mode       Mode
+	dim        int
+	lens, offs []int      // the engine's fixed bucket layout (layoutOf)
+	estep      *eagerStep // in-flight bucketed step, nil between steps
 }
 
 // Name identifies the reducer in reports.
 func (e *eagerReducer) Name() string { return fmt.Sprintf("eager-sgd (%s)", e.mode) }
-
-// Allreducer exposes the underlying partial allreducer for diagnostics (NAP
-// counters, designated initiators, pending stale norm).
-func (e *eagerReducer) Allreducer() *partial.Allreducer { return e.ar }
 
 // Reduce contributes grad to the current partial-allreduce round. Canceling
 // ctx abandons only the wait: the contribution stays buffered and the engine
@@ -228,7 +198,5 @@ func (e *eagerReducer) Close() error {
 	return nil
 }
 
-// joinEngine blocks until the partial engine has exited and returned its
-// buffers to the pool. Only valid after the communicator is closed;
-// World.Close calls it so shutdown leaks no pool leases.
+// joinEngine implements engine: it joins the partial engine's goroutines.
 func (e *eagerReducer) joinEngine() { e.ar.Join() }

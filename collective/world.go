@@ -14,9 +14,8 @@ import (
 // World is an elastic collective job: one Node per member over a shared
 // transport, built from a single NewWorld call. All ranks live in this
 // process (goroutines over channels for Inproc, loopback sockets for TCP),
-// which is the deployment every experiment and test in this repository uses;
-// multi-process TCP jobs construct their endpoints individually and use
-// NewReducer directly.
+// which is the deployment every experiment and test in this repository uses,
+// and Node.Reducer is the only way to mint a reducer.
 //
 // Membership is versioned by epoch: the world starts at epoch 0 with the
 // NewWorld size, and Join, Leave, and Replace move it to the next epoch while
@@ -73,11 +72,6 @@ func (g *generation) closeComms() error {
 	})
 	return g.commsErr
 }
-
-// engineJoiner is implemented by reducers with background goroutines that
-// only exit once the transport is closed; World.Close and generation
-// retirement join them after closing the communicators.
-type engineJoiner interface{ joinEngine() }
 
 // Node is one member's view of a World: the handle reducers are minted from.
 // The handle is stable across epochs — its ID never changes — while its dense

@@ -6,12 +6,12 @@ import (
 )
 
 // The root package aliases the collective and tensor essentials so a minimal
-// program needs a single import; the full surfaces (algorithm selection,
-// sync styles, matrices) live in the respective packages.
+// program needs a single import; the full surfaces (sync styles, elastic
+// membership, fault injection, matrices) live in the respective packages.
 
 // Core collective types; see package eagersgd/collective.
 type (
-	// World is a fixed-size collective job over one transport.
+	// World is a collective job over one transport.
 	World = collective.World
 	// Node is one rank's view of a World.
 	Node = collective.Node

@@ -55,16 +55,16 @@ func requireFinding(t *testing.T, diags []Diagnostic, analyzer, substr string) {
 	t.Fatalf("expected a %s diagnostic containing %q; got %d diagnostics: %v", analyzer, substr, len(diags), diags)
 }
 
-// TestMutationDeletedPutVector deletes the scratch buffer's deferred release
+// TestMutationDeletedPutVector deletes the barrier token's deferred release
 // in internal/collectives; leasecheck must report the leak.
 func TestMutationDeletedPutVector(t *testing.T) {
 	l := newTestLoader(t, nil)
 	file := filepath.Join(l.ModuleRoot, "internal", "collectives", "collectives.go")
 	overlay := mutate(t, file,
-		"defer tensor.PutVector(scratch)",
-		"_ = scratch")
+		"defer tensor.PutVector(token)",
+		"_ = token")
 	diags := runOn(t, overlay, l.ModulePath+"/internal/collectives")
-	requireFinding(t, diags, "leasecheck", `pool lease "scratch"`)
+	requireFinding(t, diags, "leasecheck", `pool lease "token"`)
 }
 
 // TestMutationHardcodedTag replaces the activation listener's named tag

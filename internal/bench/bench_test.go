@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"eagersgd/collective"
 	"eagersgd/internal/collectives"
 	"eagersgd/internal/comm"
 	"eagersgd/internal/partial"
@@ -40,21 +41,25 @@ var nextTCPPort atomic.Int64
 
 func init() { nextTCPPort.Store(27100) }
 
-// worldFactory builds a communicator world and returns it with its cleanup.
+// worldFactory builds a communicator world and returns it with its cleanup;
+// kind is the same transport for benchmarks that build a collective.World.
 type worldFactory struct {
 	name string
+	kind collective.Transport
 	make func(b *testing.B, size int) ([]*comm.Communicator, func())
 }
 
+// takeTCPPorts reserves size consecutive loopback ports.
+func takeTCPPorts(size int) int { return int(nextTCPPort.Add(int64(size))) - size }
+
 func transports() []worldFactory {
 	return []worldFactory{
-		{name: "inproc", make: func(b *testing.B, size int) ([]*comm.Communicator, func()) {
+		{name: "inproc", kind: collective.Inproc, make: func(b *testing.B, size int) ([]*comm.Communicator, func()) {
 			w := transport.NewInprocWorld(size)
 			return w, func() { w[0].Close() }
 		}},
-		{name: "tcp", make: func(b *testing.B, size int) ([]*comm.Communicator, func()) {
-			base := int(nextTCPPort.Add(int64(size))) - size
-			w, err := transport.NewTCPWorld(size, base)
+		{name: "tcp", kind: collective.TCP, make: func(b *testing.B, size int) ([]*comm.Communicator, func()) {
+			w, err := transport.NewTCPWorld(size, takeTCPPorts(size))
 			if err != nil {
 				b.Skipf("TCP unavailable in this environment: %v", err)
 			}
@@ -64,7 +69,7 @@ func transports() []worldFactory {
 				}
 			}
 		}},
-		{name: "shm", make: func(b *testing.B, size int) ([]*comm.Communicator, func()) {
+		{name: "shm", kind: collective.Shm, make: func(b *testing.B, size int) ([]*comm.Communicator, func()) {
 			w := transport.NewShmWorld(size)
 			return w, func() {
 				for _, c := range w {
@@ -200,31 +205,33 @@ func BenchmarkAllreduceSegment(b *testing.B) {
 // naive scalar loops they replaced, at a small size (unrolled path) and a
 // large one (parallel-eligible when more than one processor is available).
 func BenchmarkReduceKernels(b *testing.B) {
-	naive := map[string]func(dst, src tensor.Vector){
-		"sum": func(dst, src tensor.Vector) {
+	// Every kernel reads src; add_into, the three-address sum the fused ring
+	// computes into its outgoing frame, also reads a and writes dst without
+	// reading it.
+	type kernel func(dst, a, src tensor.Vector)
+	naive := map[string]kernel{
+		"sum": func(dst, _, src tensor.Vector) {
 			for i, x := range src {
 				dst[i] += x
 			}
 		},
-		"max": func(dst, src tensor.Vector) {
+		"add_into": func(dst, a, src tensor.Vector) {
 			for i, x := range src {
-				if x > dst[i] {
-					dst[i] = x
-				}
+				dst[i] = a[i] + x
 			}
 		},
-		"axpy": func(dst, src tensor.Vector) {
+		"axpy": func(dst, _, src tensor.Vector) {
 			for i, x := range src {
 				dst[i] += 0.5 * x
 			}
 		},
 	}
-	tuned := map[string]func(dst, src tensor.Vector){
-		"sum":  func(dst, src tensor.Vector) { tensor.AddVec(dst, src) },
-		"max":  func(dst, src tensor.Vector) { tensor.MaxVec(dst, src) },
-		"axpy": func(dst, src tensor.Vector) { tensor.AxpyVec(dst, 0.5, src) },
+	tuned := map[string]kernel{
+		"sum":      func(dst, _, src tensor.Vector) { tensor.AddVec(dst, src) },
+		"add_into": func(dst, a, src tensor.Vector) { tensor.AddInto(dst, a, src) },
+		"axpy":     func(dst, _, src tensor.Vector) { tensor.AxpyVec(dst, 0.5, src) },
 	}
-	for _, op := range []string{"sum", "max", "axpy"} {
+	for _, op := range []string{"sum", "add_into", "axpy"} {
 		op := op
 		b.Run(op, func(b *testing.B) {
 			for _, n := range []int{1 << 12, 1 << 18} {
@@ -233,19 +240,27 @@ func BenchmarkReduceKernels(b *testing.B) {
 					impl := impl
 					b.Run(fmt.Sprintf("%s/n=%d", impl, n), func(b *testing.B) {
 						dst := tensor.NewVector(n)
+						a := tensor.NewVector(n)
 						src := tensor.NewVector(n)
 						for i := range src {
+							a[i] = float64(i % 89)
 							src[i] = float64(i % 97)
 						}
 						fn := naive[op]
 						if impl == "kernel" {
 							fn = tuned[op]
 						}
-						b.SetBytes(int64(16 * n)) // one read + one read-modify-write stream
+						// Two streams: a read and a read-modify-write, or for
+						// add_into two reads and a write.
+						streams := 2
+						if op == "add_into" {
+							streams = 3
+						}
+						b.SetBytes(int64(8 * streams * n))
 						b.ReportAllocs()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							fn(dst, src)
+							fn(dst, a, src)
 						}
 					})
 				}

@@ -62,24 +62,29 @@ func BenchmarkStepOverlap(b *testing.B) {
 					for _, overlap := range []bool{false, true} {
 						overlap := overlap
 						b.Run(fmt.Sprintf("overlap=%v", overlap), func(b *testing.B) {
-							w, cleanup := tr.make(b, benchRanks)
-							defer cleanup()
+							w, err := collective.NewWorld(benchRanks,
+								collective.WithTransport(tr.kind), collective.WithBasePort(takeTCPPorts(benchRanks)))
+							if err != nil {
+								b.Skipf("%s world unavailable in this environment: %v", tr.name, err)
+							}
+							defer w.Close()
 							trainers := make([]*core.Trainer, benchRanks)
 							for r := 0; r < benchRanks; r++ {
 								task := m.buildTask(r, benchRanks)
-								opts := []collective.Option{collective.WithAlgorithm(collective.RecursiveDoubling)}
+								var opts []collective.Option
 								if overlap {
 									bt := task.(core.BucketedTask)
 									opts = append(opts,
 										collective.WithOverlap(),
 										collective.WithBucketLayout(core.BucketLayout(bt, 0)...))
 								}
-								ex, err := collective.NewReducer(w[r], task.NumParams(), opts...)
+								n := w.Node(r)
+								ex, err := n.Reducer(task.NumParams(), opts...)
 								if err != nil {
 									b.Fatal(err)
 								}
 								trainers[r], err = core.NewTrainer(core.Config{
-									Comm: w[r], Task: task, Exchanger: ex,
+									Node: n, Task: task, Exchanger: ex,
 									Optimizer: optimizer.NewSGD(0.01),
 								})
 								if err != nil {

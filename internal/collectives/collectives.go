@@ -1,7 +1,7 @@
 // Package collectives implements the synchronous collective operations the
 // paper uses as its baseline (§3, §7): allreduce with three classic
 // algorithms (recursive doubling, ring, and Rabenseifner's reduce-scatter +
-// allgather), broadcast, reduce, allgather, and barrier.
+// allgather) and barrier.
 //
 // All operations are SPMD: every rank of the communicator must call the same
 // sequence of collectives with compatible arguments. A collective call does
@@ -53,20 +53,16 @@ const (
 	tagRecursiveDoubling = tagBase + 0
 	tagRingReduce        = tagBase + 64
 	tagRingGather        = tagBase + 128
-	tagBroadcast         = tagBase + 192
-	tagReduce            = tagBase + 256
 	tagBarrier           = tagBase + 320
-	tagAllgather         = tagBase + 384
 	tagFold              = tagBase + 448
 	tagScatterReduce     = tagBase + 512
 	tagAllgatherRab      = tagBase + 576
 	tagRingBcast         = tagBase + 640
-	tagBcastDirect       = tagBase + 704
 )
 
 // bcastWorld reports whether this rank can reach every peer of the world with
-// one comm.SendBroadcastCopy of up to maxBytes — the gate for replacing a
-// relay or tree protocol with direct publication over the transport's
+// one comm.SendBroadcastCopy of up to maxBytes — the gate for replacing the
+// ring allgather's relay walk with direct publication over the transport's
 // broadcast segment. An endpoint with the capability reaches the whole world
 // (a segment hub connects all its ranks), so the gate is the budget alone,
 // and the decision is SPMD-consistent without agreement traffic: the budget
@@ -80,53 +76,21 @@ func bcastWorld(c *comm.Communicator, maxBytes int) bool {
 	return budget > 0 && maxBytes <= budget
 }
 
-// ReduceOp identifies the element-wise combination applied by reductions.
+// ReduceOp identifies the element-wise combination applied by AllreduceWith.
+// Sum is the only one: every gradient exchange and model average is a sum.
 type ReduceOp int
 
-// Supported reduction operators.
-const (
-	OpSum ReduceOp = iota
-	OpMax
-	OpMin
-)
-
-// Apply combines incoming into local element-wise according to the operator.
-// All three operators route through the tuned kernel layer in internal/tensor
-// (unrolled loops, parallel above tensor.ParallelThreshold).
-func (op ReduceOp) Apply(local, incoming tensor.Vector) {
-	switch op {
-	case OpSum:
-		tensor.AddVec(local, incoming)
-	case OpMax:
-		tensor.MaxVec(local, incoming)
-	case OpMin:
-		tensor.MinVec(local, incoming)
-	default:
-		panic(fmt.Sprintf("collectives: unknown reduce op %d", int(op)))
-	}
-}
-
-// String returns the operator name.
-func (op ReduceOp) String() string {
-	switch op {
-	case OpSum:
-		return "sum"
-	case OpMax:
-		return "max"
-	case OpMin:
-		return "min"
-	default:
-		return fmt.Sprintf("op(%d)", int(op))
-	}
-}
+// OpSum is the element-wise sum, through tensor.AddVec and tensor.AddInto.
+const OpSum ReduceOp = 0
 
 // Algorithm selects the allreduce implementation.
 type Algorithm int
 
 // Available allreduce algorithms.
 const (
-	// AlgoAuto picks recursive doubling for small vectors and Rabenseifner's
-	// algorithm for large ones, mirroring production MPI libraries.
+	// AlgoAuto picks recursive doubling at up to 4Ki elements or below four
+	// ranks, Rabenseifner's algorithm below 32Ki elements, and the pipelined
+	// ring from 32Ki up, mirroring production MPI libraries.
 	AlgoAuto Algorithm = iota
 	AlgoRecursiveDoubling
 	AlgoRing
@@ -157,10 +121,10 @@ const DefaultSegmentElems = 16 * 1024
 const pipelineWindow = 2
 
 // Config carries the tunables of the algorithm implementations. The zero
-// value selects the defaults. Like the algorithm and the operator, the
-// configuration is SPMD state: every rank of a collective must use the same
-// values (segmentation determines the message stream each peer expects, and
-// the tag offset determines which stream a message belongs to).
+// value selects the defaults. Like the algorithm, the configuration is SPMD
+// state: every rank of a collective must use the same values (segmentation
+// determines the message stream each peer expects, and the tag offset
+// determines which stream a message belongs to).
 type Config struct {
 	// SegmentElems is the pipeline segment size in elements. Zero selects
 	// DefaultSegmentElems; a negative value disables segmentation (one
@@ -280,7 +244,7 @@ func (e env) sendFrom(dest, tag int, a, b tensor.Vector, fill func(dst, a, b ten
 
 // exchangeSegmented performs one pipelined exchange: it streams send to dest
 // in segments of at most e.seg elements while receiving the peer's same-tag
-// stream from source into recvInto — reducing each incoming segment with op
+// stream from source into recvInto — summing each incoming segment into place
 // when reduce is true, copying it otherwise. Segment k's reduction overlaps
 // segment k+1's receive and the next outgoing segment's send; at most
 // pipelineWindow outgoing segments are in flight ahead of the receive stream,
@@ -301,14 +265,14 @@ func (e env) sendFrom(dest, tag int, a, b tensor.Vector, fill func(dst, a, b ten
 // cancellation is honored at every receive and — through sendSeg's
 // SendCopyCancel — at every send, so a frozen peer whose socket stops
 // draining cannot wedge a cancel-aware collective.
-func (e env) exchangeSegmented(dest, source, tag int, send, recvInto tensor.Vector, op ReduceOp, reduce bool) error {
+func (e env) exchangeSegmented(dest, source, tag int, send, recvInto tensor.Vector, reduce bool) error {
 	if len(send) <= e.seg && len(recvInto) <= e.seg {
 		incoming, _, err := e.sendRecv(dest, tag, send, source, tag)
 		if err != nil {
 			return err
 		}
 		if reduce {
-			op.Apply(recvInto, incoming)
+			tensor.AddVec(recvInto, incoming)
 		} else {
 			recvInto.CopyFrom(incoming)
 		}
@@ -345,7 +309,7 @@ func (e env) exchangeSegmented(dest, source, tag int, send, recvInto tensor.Vect
 				source, recvOff, len(incoming), len(recvInto))
 		}
 		if reduce {
-			op.Apply(recvInto[recvOff:recvOff+len(incoming)], incoming)
+			tensor.AddVec(recvInto[recvOff:recvOff+len(incoming)], incoming)
 		} else {
 			recvInto[recvOff : recvOff+len(incoming)].CopyFrom(incoming)
 		}
@@ -372,38 +336,48 @@ func (e env) sendSeg(dest, tag int, seg tensor.Vector) error {
 	return wrapUnreachable(e.c.SendCopyCancel(dest, tag, seg, e.cancel))
 }
 
-// AllreduceWith reduces data element-wise across all ranks with op and leaves
-// the identical result in data on every rank. The operation is synchronous:
-// it cannot complete before the slowest rank joins. Every rank must pass the
-// same op, algo, and cfg (SPMD); cfg carries the pipeline segment size, tag
-// block and peer deadline, and closing cancel aborts blocked receives with
-// comm.ErrCanceled.
+// AllreduceWith sums data element-wise across all ranks and leaves the
+// identical result in data on every rank; op must be OpSum. The operation is
+// synchronous: it cannot complete before the slowest rank joins. Every rank
+// must pass the same algo and cfg (SPMD); cfg carries the pipeline segment
+// size, tag block and peer deadline, and closing cancel aborts blocked
+// receives with comm.ErrCanceled.
 func AllreduceWith(c *comm.Communicator, data tensor.Vector, op ReduceOp, algo Algorithm, cfg Config, cancel <-chan struct{}) error {
+	if op != OpSum {
+		return fmt.Errorf("collectives: unknown reduce op %d", int(op))
+	}
+	if algo == AlgoAuto {
+		algo = autoAlgorithm(len(data), c.Size())
+	}
 	e := cfg.env(c, cancel)
 	switch algo {
 	case AlgoRecursiveDoubling:
-		return allreduceRecursiveDoubling(e, data, op)
+		return allreduceRecursiveDoubling(e, data)
 	case AlgoRing:
-		return allreduceRing(e, data, op)
+		return allreduceRing(e, data)
 	case AlgoRabenseifner:
-		return allreduceRabenseifner(e, data, op)
-	case AlgoAuto:
-		switch {
-		case len(data) <= autoThreshold || c.Size() < 4:
-			return allreduceRecursiveDoubling(e, data, op)
-		case len(data) >= autoRingThreshold:
-			return allreduceRing(e, data, op)
-		default:
-			return allreduceRabenseifner(e, data, op)
-		}
+		return allreduceRabenseifner(e, data)
 	default:
 		return fmt.Errorf("collectives: unknown algorithm %d", int(algo))
 	}
 }
 
+// autoAlgorithm is AlgoAuto's pick for n elements over size ranks. Both
+// inputs are SPMD arguments, so every rank picks the same algorithm.
+func autoAlgorithm(n, size int) Algorithm {
+	switch {
+	case n <= autoThreshold || size < 4:
+		return AlgoRecursiveDoubling
+	case n >= autoRingThreshold:
+		return AlgoRing
+	default:
+		return AlgoRabenseifner
+	}
+}
+
 // allreduceRecursiveDoubling implements the O(log P) latency algorithm with
 // the standard fold for non-power-of-two process counts.
-func allreduceRecursiveDoubling(e env, data tensor.Vector, op ReduceOp) error {
+func allreduceRecursiveDoubling(e env, data tensor.Vector) error {
 	c := e.c
 	rank, size := c.Rank(), c.Size()
 	if size == 1 {
@@ -426,7 +400,7 @@ func allreduceRecursiveDoubling(e env, data tensor.Vector, op ReduceOp) error {
 		if err != nil {
 			return err
 		}
-		op.Apply(data, incoming)
+		tensor.AddVec(data, incoming)
 		e.release(incoming)
 		doublingRank = rank / 2
 	default:
@@ -441,7 +415,7 @@ func allreduceRecursiveDoubling(e env, data tensor.Vector, op ReduceOp) error {
 			if err != nil {
 				return err
 			}
-			op.Apply(data, incoming)
+			tensor.AddVec(data, incoming)
 			e.release(incoming)
 			step++
 		}
@@ -469,7 +443,7 @@ func allreduceRecursiveDoubling(e env, data tensor.Vector, op ReduceOp) error {
 // Each per-step chunk exchange is pipelined: chunks larger than the segment
 // size stream in segments, so reducing segment k overlaps receiving segment
 // k+1 and sending the next outgoing segment (see exchangeSegmented).
-func allreduceRing(e env, data tensor.Vector, op ReduceOp) error {
+func allreduceRing(e env, data tensor.Vector) error {
 	rank, size := e.c.Rank(), e.c.Size()
 	if size == 1 {
 		return nil
@@ -477,7 +451,7 @@ func allreduceRing(e env, data tensor.Vector, op ReduceOp) error {
 	n := len(data)
 	if e.cancel == nil && n >= size {
 		if lo, hi := tensor.ChunkBounds(n, size, 0); hi-lo <= e.seg {
-			return allreduceRingFused(e, data, op)
+			return allreduceRingFused(e, data)
 		}
 	}
 	next := (rank + 1) % size
@@ -490,7 +464,7 @@ func allreduceRing(e env, data tensor.Vector, op ReduceOp) error {
 		recvIdx := (rank - step - 1 + size) % size
 		sendLo, sendHi := tensor.ChunkBounds(n, size, sendIdx)
 		recvLo, recvHi := tensor.ChunkBounds(n, size, recvIdx)
-		if err := e.exchangeSegmented(next, prev, e.tag(tagRingReduce+step), data[sendLo:sendHi], data[recvLo:recvHi], op, true); err != nil {
+		if err := e.exchangeSegmented(next, prev, e.tag(tagRingReduce+step), data[sendLo:sendHi], data[recvLo:recvHi], true); err != nil {
 			return err
 		}
 	}
@@ -501,49 +475,34 @@ func allreduceRing(e env, data tensor.Vector, op ReduceOp) error {
 		recvIdx := (rank - step + size) % size
 		sendLo, sendHi := tensor.ChunkBounds(n, size, sendIdx)
 		recvLo, recvHi := tensor.ChunkBounds(n, size, recvIdx)
-		if err := e.exchangeSegmented(next, prev, e.tag(tagRingGather+step), data[sendLo:sendHi], data[recvLo:recvHi], op, false); err != nil {
+		if err := e.exchangeSegmented(next, prev, e.tag(tagRingGather+step), data[sendLo:sendHi], data[recvLo:recvHi], false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// intoFill returns the three-address kernel matching op, as a static
-// function value (no closure, no allocation) for the fill-send path.
-func (op ReduceOp) intoFill() func(dst, a, b tensor.Vector) {
-	switch op {
-	case OpSum:
-		return tensor.AddInto
-	case OpMax:
-		return tensor.MaxInto
-	case OpMin:
-		return tensor.MinInto
-	default:
-		panic(fmt.Sprintf("collectives: unknown reduce op %d", int(op)))
-	}
-}
-
 // allreduceRingFused is allreduceRing with the per-hop staging copies fused
 // into the transport encode. In the reduce-scatter, each forwarded partial
-// sum is computed by op's three-address kernel directly inside the outgoing
-// frame (comm.SendFrom — the reserved ring span on the shared-ring transport,
-// one pool stage elsewhere) instead of accumulating in data and copying out
-// afterwards; the local accumulation is skipped entirely for chunks whose
-// partials this rank only relays. In the allgather, each forwarded chunk is
-// written into the result buffer and the outgoing frame in one pass (Copy2).
+// sum is computed by the three-address tensor.AddInto directly inside the
+// outgoing frame (comm.SendFrom — the reserved ring span on the shared-ring
+// transport, one pool stage elsewhere) instead of accumulating in data and
+// copying out afterwards; the local accumulation is skipped entirely for
+// chunks whose partials this rank only relays. In the allgather, each
+// forwarded chunk is written into the result buffer and the outgoing frame in
+// one pass (Copy2).
 // The wire stream — tags, chunk order, payload values — is identical to
 // allreduceRing's single-segment path, so fused and unfused ranks
-// interoperate, and the sum order matches Apply bit for bit.
+// interoperate, and the sum order matches tensor.AddVec bit for bit.
 //
 // Chosen only for cancel-free calls whose chunks fit one segment; the
 // cancelable and multi-segment regimes keep exchangeSegmented's overlapped
 // sends and pipelining.
-func allreduceRingFused(e env, data tensor.Vector, op ReduceOp) error {
+func allreduceRingFused(e env, data tensor.Vector) error {
 	rank, size := e.c.Rank(), e.c.Size()
 	n := len(data)
 	next := (rank + 1) % size
 	prev := (rank - 1 + size) % size
-	fill := op.intoFill()
 
 	// Reduce-scatter: each hop forwards local-chunk + incoming straight into
 	// the ring; only the last incoming chunk — the one this rank owns fully
@@ -565,9 +524,9 @@ func allreduceRingFused(e env, data tensor.Vector, op ReduceOp) error {
 				idx, prev, len(incoming), hi-lo)
 		}
 		if step < size-2 {
-			err = e.sendFrom(next, e.tag(tagRingReduce+step+1), data[lo:hi], incoming, fill)
+			err = e.sendFrom(next, e.tag(tagRingReduce+step+1), data[lo:hi], incoming, tensor.AddInto)
 		} else {
-			op.Apply(data[lo:hi], incoming)
+			tensor.AddVec(data[lo:hi], incoming)
 		}
 		e.release(incoming)
 		if err != nil {
@@ -661,7 +620,7 @@ func allgatherOwnedBcast(e env, data tensor.Vector) error {
 // halving reduce-scatter followed by a recursive doubling allgather. For
 // non-power-of-two sizes it first folds the extra ranks as in recursive
 // doubling.
-func allreduceRabenseifner(e env, data tensor.Vector, op ReduceOp) error {
+func allreduceRabenseifner(e env, data tensor.Vector) error {
 	c := e.c
 	rank, size := c.Rank(), c.Size()
 	if size == 1 {
@@ -684,7 +643,7 @@ func allreduceRabenseifner(e env, data tensor.Vector, op ReduceOp) error {
 		if err != nil {
 			return err
 		}
-		op.Apply(data, incoming)
+		tensor.AddVec(data, incoming)
 		e.release(incoming)
 		groupRank = rank / 2
 	default:
@@ -708,7 +667,7 @@ func allreduceRabenseifner(e env, data tensor.Vector, op ReduceOp) error {
 			} else {
 				sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
 			}
-			if err := e.exchangeSegmented(peer, peer, e.tag(tagScatterReduce+step), data[sendLo:sendHi], data[keepLo:keepHi], op, true); err != nil {
+			if err := e.exchangeSegmented(peer, peer, e.tag(tagScatterReduce+step), data[sendLo:sendHi], data[keepLo:keepHi], true); err != nil {
 				return err
 			}
 			lo, hi = keepLo, keepHi
@@ -725,7 +684,7 @@ func allreduceRabenseifner(e env, data tensor.Vector, op ReduceOp) error {
 			peerGroup := groupRank ^ d
 			peer := doublingToRank(peerGroup, rem)
 			peerLo, peerHi := rabOwnedRange(len(data), pof2, peerGroup, d)
-			if err := e.exchangeSegmented(peer, peer, e.tag(tagAllgatherRab+agStep), data[lo:hi], data[peerLo:peerHi], op, false); err != nil {
+			if err := e.exchangeSegmented(peer, peer, e.tag(tagAllgatherRab+agStep), data[lo:hi], data[peerLo:peerHi], false); err != nil {
 				return err
 			}
 			if peerLo < lo {
@@ -751,129 +710,6 @@ func allreduceRabenseifner(e env, data tensor.Vector, op ReduceOp) error {
 		e.release(result)
 	}
 	return nil
-}
-
-// BroadcastWith copies data from the root rank to every other rank using a
-// binomial tree. All ranks must pass a buffer of the same length. With
-// Config.PeerDeadline set, a broadcast blocked on a dead parent aborts with
-// ErrRankUnreachable instead of hanging.
-func BroadcastWith(c *comm.Communicator, root int, data tensor.Vector, cfg Config, cancel <-chan struct{}) error {
-	e := cfg.env(c, cancel)
-	rank, size := c.Rank(), c.Size()
-	if size == 1 {
-		return nil
-	}
-	if root < 0 || root >= size {
-		return fmt.Errorf("collectives: broadcast root %d out of range", root)
-	}
-
-	// Direct path: the root publishes once into its broadcast segment and
-	// every rank reads it from there — one hop instead of a log-depth tree,
-	// zero-copy above the transport's alias floor. A distinct tag keeps this
-	// stream apart from the tree's relayed sends, so a communicator whose
-	// broadcasts alternate between the two regimes (the payload budget gates
-	// per call) never interleaves them on one (source, tag) stream.
-	if bcastWorld(c, 8*len(data)) {
-		if rank == root {
-			return wrapUnreachable(c.SendBroadcastCopy(e.tag(tagBcastDirect), data))
-		}
-		incoming, _, err := e.recv(root, e.tag(tagBcastDirect))
-		if err != nil {
-			return err
-		}
-		if len(incoming) != len(data) {
-			e.release(incoming)
-			return fmt.Errorf("collectives: broadcast from root %d carries %d elements, want %d",
-				root, len(incoming), len(data))
-		}
-		data.CopyFrom(incoming)
-		e.release(incoming)
-		return nil
-	}
-	rel := (rank - root + size) % size
-
-	// Receive from parent (unless root).
-	if rel != 0 {
-		mask := 1
-		for mask < size {
-			if rel&mask != 0 {
-				parent := (rel - mask + root) % size
-				incoming, _, err := e.recv(parent, e.tag(tagBroadcast))
-				if err != nil {
-					return err
-				}
-				data.CopyFrom(incoming)
-				e.release(incoming)
-				break
-			}
-			mask *= 2
-		}
-	}
-	// Forward to children. SendCopy: data is the caller's buffer and the same
-	// payload goes to every child.
-	mask := 1
-	for mask < size {
-		if rel&mask != 0 {
-			break
-		}
-		childRel := rel + mask
-		if childRel < size {
-			child := (childRel + root) % size
-			if err := e.sendCopy(child, e.tag(tagBroadcast), data); err != nil {
-				return err
-			}
-		}
-		mask *= 2
-	}
-	return nil
-}
-
-// ReduceWith combines data from all ranks onto the root with op; other ranks'
-// buffers are left unchanged. It is implemented as an allreduce followed by
-// discarding on non-roots, which is wasteful but simple; it is only used for
-// small metric vectors in this repository.
-func ReduceWith(c *comm.Communicator, root int, data tensor.Vector, op ReduceOp, cfg Config, cancel <-chan struct{}) error {
-	if root < 0 || root >= c.Size() {
-		return fmt.Errorf("collectives: reduce root %d out of range", root)
-	}
-	scratch := tensor.GetVectorCopy(data)
-	defer tensor.PutVector(scratch)
-	if err := AllreduceWith(c, scratch, op, AlgoRecursiveDoubling, cfg, cancel); err != nil {
-		return err
-	}
-	if c.Rank() == root {
-		data.CopyFrom(scratch)
-	}
-	return nil
-}
-
-// AllgatherWith concatenates each rank's contribution (all of identical
-// length) into a vector of length size*len(contrib), ordered by rank, on
-// every rank.
-func AllgatherWith(c *comm.Communicator, contrib tensor.Vector, cfg Config, cancel <-chan struct{}) (tensor.Vector, error) {
-	e := cfg.env(c, cancel)
-	size := c.Size()
-	rank := c.Rank()
-	n := len(contrib)
-	out := tensor.NewVector(size * n)
-	out[rank*n : (rank+1)*n].CopyFrom(contrib)
-	if size == 1 {
-		return out, nil
-	}
-	// Ring allgather: size-1 steps, passing blocks around.
-	next := (rank + 1) % size
-	prev := (rank - 1 + size) % size
-	for step := 0; step < size-1; step++ {
-		sendIdx := (rank - step + size) % size
-		recvIdx := (rank - step - 1 + size) % size
-		incoming, _, err := e.sendRecv(next, e.tag(tagAllgather+step), out[sendIdx*n:(sendIdx+1)*n], prev, e.tag(tagAllgather+step))
-		if err != nil {
-			return nil, err
-		}
-		out[recvIdx*n : (recvIdx+1)*n].CopyFrom(incoming)
-		e.release(incoming)
-	}
-	return out, nil
 }
 
 // BarrierWith blocks until every rank has entered it, using a dissemination

@@ -102,8 +102,20 @@ func TestAllreduceRabenseifner(t *testing.T) {
 	testAllreduceCorrect(t, collectives.AlgoRabenseifner, []int{1, 2, 3, 4, 5, 6, 8, 16}, []int{16, 63, 257})
 }
 
+// TestAllreduceAuto crosses every regime of Auto's choice: below four ranks,
+// and recursive doubling, Rabenseifner and the ring by length above.
 func TestAllreduceAuto(t *testing.T) {
-	testAllreduceCorrect(t, collectives.AlgoAuto, []int{4, 8}, []int{16, 8192})
+	testAllreduceCorrect(t, collectives.AlgoAuto, []int{2, 3, 4, 5, 8}, []int{16, 8192, 40000})
+}
+
+func TestAllreduceRejectsNonSumOp(t *testing.T) {
+	runSPMD(t, 1, func(c *comm.Communicator) error {
+		err := collectives.AllreduceWith(c, tensor.Vector{1}, collectives.ReduceOp(1), collectives.AlgoAuto, collectives.Config{}, nil)
+		if err == nil {
+			return fmt.Errorf("expected error for a reduce op other than OpSum")
+		}
+		return nil
+	})
 }
 
 func TestAllreduceUnknownAlgorithm(t *testing.T) {
@@ -116,185 +128,35 @@ func TestAllreduceUnknownAlgorithm(t *testing.T) {
 	})
 }
 
-func TestAllreduceMaxAndMin(t *testing.T) {
-	const p = 5
-	var mu sync.Mutex
-	maxResults := make(map[int]tensor.Vector)
-	minResults := make(map[int]tensor.Vector)
-	runSPMD(t, p, func(c *comm.Communicator) error {
-		maxData := tensor.Vector{float64(c.Rank()), float64(-c.Rank()), 3}
-		if err := collectives.AllreduceWith(c, maxData, collectives.OpMax, collectives.AlgoRecursiveDoubling, collectives.Config{}, nil); err != nil {
-			return err
-		}
-		minData := tensor.Vector{float64(c.Rank()), float64(-c.Rank()), 3}
-		if err := collectives.AllreduceWith(c, minData, collectives.OpMin, collectives.AlgoRecursiveDoubling, collectives.Config{}, nil); err != nil {
-			return err
-		}
-		mu.Lock()
-		maxResults[c.Rank()] = maxData
-		minResults[c.Rank()] = minData
-		mu.Unlock()
-		return nil
-	})
-	for r := 0; r < p; r++ {
-		if !maxResults[r].Equal(tensor.Vector{4, 0, 3}) {
-			t.Fatalf("rank %d max result %v", r, maxResults[r])
-		}
-		if !minResults[r].Equal(tensor.Vector{0, -4, 3}) {
-			t.Fatalf("rank %d min result %v", r, minResults[r])
-		}
-	}
-}
-
-func TestReduceOpApplyAndString(t *testing.T) {
-	a := tensor.Vector{1, 5}
-	collectives.OpSum.Apply(a, tensor.Vector{2, 2})
-	if !a.Equal(tensor.Vector{3, 7}) {
-		t.Fatalf("sum apply: %v", a)
-	}
-	collectives.OpMax.Apply(a, tensor.Vector{10, 0})
-	if !a.Equal(tensor.Vector{10, 7}) {
-		t.Fatalf("max apply: %v", a)
-	}
-	collectives.OpMin.Apply(a, tensor.Vector{2, 100})
-	if !a.Equal(tensor.Vector{2, 7}) {
-		t.Fatalf("min apply: %v", a)
-	}
-	for _, op := range []collectives.ReduceOp{collectives.OpSum, collectives.OpMax, collectives.OpMin, collectives.ReduceOp(9)} {
-		if op.String() == "" {
-			t.Fatal("empty op name")
-		}
-	}
-}
-
-func TestBroadcastAllRoots(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 7, 8} {
-		for root := 0; root < p; root++ {
-			p, root := p, root
-			t.Run(fmt.Sprintf("p%d_root%d", p, root), func(t *testing.T) {
-				var mu sync.Mutex
-				results := make(map[int]tensor.Vector)
-				runSPMD(t, p, func(c *comm.Communicator) error {
-					data := tensor.NewVector(5)
-					if c.Rank() == root {
-						data.CopyFrom(tensor.Vector{1, 2, 3, 4, 5})
-					}
-					if err := collectives.BroadcastWith(c, root, data, collectives.Config{}, nil); err != nil {
-						return err
-					}
-					mu.Lock()
-					results[c.Rank()] = data
-					mu.Unlock()
-					return nil
-				})
-				for r := 0; r < p; r++ {
-					if !results[r].Equal(tensor.Vector{1, 2, 3, 4, 5}) {
-						t.Fatalf("rank %d did not receive broadcast: %v", r, results[r])
-					}
-				}
-			})
-		}
-	}
-}
-
-func TestBroadcastInvalidRoot(t *testing.T) {
-	runSPMD(t, 2, func(c *comm.Communicator) error {
-		if err := collectives.BroadcastWith(c, 7, tensor.Vector{1}, collectives.Config{}, nil); err == nil {
-			return fmt.Errorf("expected error for invalid root")
-		}
-		return nil
-	})
-}
-
-func TestReduceToRoot(t *testing.T) {
-	const p = 6
-	const n = 4
-	want := expectedSum(p, n)
-	var mu sync.Mutex
-	results := make(map[int]tensor.Vector)
-	runSPMD(t, p, func(c *comm.Communicator) error {
-		data := makeContribution(c.Rank(), n)
-		if err := collectives.ReduceWith(c, 2, data, collectives.OpSum, collectives.Config{}, nil); err != nil {
-			return err
-		}
-		mu.Lock()
-		results[c.Rank()] = data
-		mu.Unlock()
-		return nil
-	})
-	if !results[2].AllClose(want, 1e-9) {
-		t.Fatalf("root result %v, want %v", results[2], want)
-	}
-	// Non-root buffers must be untouched.
-	if !results[0].Equal(makeContribution(0, n)) {
-		t.Fatalf("non-root buffer modified: %v", results[0])
-	}
-}
-
-func TestReduceInvalidRoot(t *testing.T) {
-	runSPMD(t, 2, func(c *comm.Communicator) error {
-		if err := collectives.ReduceWith(c, -1, tensor.Vector{1}, collectives.OpSum, collectives.Config{}, nil); err == nil {
-			return fmt.Errorf("expected error")
-		}
-		return nil
-	})
-}
-
-func TestAllgather(t *testing.T) {
+// TestBarrierSynchronizes runs the dissemination barrier at power-of-two and
+// other world sizes, where its last round wraps around the rank ring.
+func TestBarrierSynchronizes(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
-		p := p
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
-			var mu sync.Mutex
-			results := make(map[int]tensor.Vector)
+			before, after := make([]time.Time, p), make([]time.Time, p)
 			runSPMD(t, p, func(c *comm.Communicator) error {
-				contrib := tensor.Vector{float64(c.Rank()), float64(c.Rank() * 10)}
-				out, err := collectives.AllgatherWith(c, contrib, collectives.Config{}, nil)
-				if err != nil {
+				// Stagger arrivals so the barrier has real work to do.
+				time.Sleep(time.Duration(c.Rank()) * 5 * time.Millisecond)
+				before[c.Rank()] = time.Now()
+				if err := collectives.BarrierWith(c, collectives.Config{}, nil); err != nil {
 					return err
 				}
-				mu.Lock()
-				results[c.Rank()] = out
-				mu.Unlock()
+				after[c.Rank()] = time.Now()
 				return nil
 			})
-			want := tensor.NewVector(2 * p)
-			for r := 0; r < p; r++ {
-				want[2*r] = float64(r)
-				want[2*r+1] = float64(r * 10)
+			// No rank may leave the barrier before the last rank entered it.
+			lastEnter := before[0]
+			for _, b := range before {
+				if b.After(lastEnter) {
+					lastEnter = b
+				}
 			}
-			for r := 0; r < p; r++ {
-				if !results[r].Equal(want) {
-					t.Fatalf("rank %d allgather %v, want %v", r, results[r], want)
+			for r, a := range after {
+				if a.Before(lastEnter) {
+					t.Fatalf("rank %d left the barrier %v before the last rank entered", r, lastEnter.Sub(a))
 				}
 			}
 		})
-	}
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	const p = 8
-	var before, after [p]time.Time
-	runSPMD(t, p, func(c *comm.Communicator) error {
-		// Stagger arrivals so the barrier has real work to do.
-		time.Sleep(time.Duration(c.Rank()) * 5 * time.Millisecond)
-		before[c.Rank()] = time.Now()
-		if err := collectives.BarrierWith(c, collectives.Config{}, nil); err != nil {
-			return err
-		}
-		after[c.Rank()] = time.Now()
-		return nil
-	})
-	// No rank may leave the barrier before the last rank entered it.
-	lastEnter := before[0]
-	for _, b := range before {
-		if b.After(lastEnter) {
-			lastEnter = b
-		}
-	}
-	for r, a := range after {
-		if a.Before(lastEnter) {
-			t.Fatalf("rank %d left the barrier %v before the last rank entered", r, lastEnter.Sub(a))
-		}
 	}
 }
 
@@ -379,10 +241,10 @@ func TestPropAllreduceAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-// testOpAllreduce runs one allreduce with the given op/algo/config on p ranks
+// testRandomAllreduce runs one allreduce with the given algo/config on p ranks
 // over random data and compares every rank's result against the locally
-// computed reference.
-func testOpAllreduce(t *testing.T, p, n int, op collectives.ReduceOp, algo collectives.Algorithm, cfg collectives.Config) {
+// computed sum.
+func testRandomAllreduce(t *testing.T, p, n int, algo collectives.Algorithm, cfg collectives.Config) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(97*p + n)))
 	contribs := make([]tensor.Vector, p)
@@ -392,13 +254,13 @@ func testOpAllreduce(t *testing.T, p, n int, op collectives.ReduceOp, algo colle
 	}
 	want := contribs[0].Clone()
 	for r := 1; r < p; r++ {
-		op.Apply(want, contribs[r])
+		want.Add(contribs[r])
 	}
 	var mu sync.Mutex
 	results := make(map[int]tensor.Vector)
 	runSPMD(t, p, func(c *comm.Communicator) error {
 		data := contribs[c.Rank()].Clone()
-		if err := collectives.AllreduceWith(c, data, op, algo, cfg, nil); err != nil {
+		if err := collectives.AllreduceWith(c, data, collectives.OpSum, algo, cfg, nil); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -406,39 +268,32 @@ func testOpAllreduce(t *testing.T, p, n int, op collectives.ReduceOp, algo colle
 		mu.Unlock()
 		return nil
 	})
-	tol := 1e-9
-	if op != collectives.OpSum {
-		tol = 0 // max/min never round: results must be exact
-	}
 	for r := 0; r < p; r++ {
-		if !results[r].AllClose(want, tol) {
-			t.Fatalf("rank %d: wrong %v result (algo %v, cfg %+v)", r, op, algo, cfg)
+		if !results[r].AllClose(want, 1e-9) {
+			t.Fatalf("rank %d: wrong sum (algo %v, cfg %+v)", r, algo, cfg)
 		}
 	}
 }
 
-// TestAllreduceOpsAllAlgorithms covers OpMax and OpMin (and OpSum for
-// completeness) across every algorithm, on power-of-two and folded world
-// sizes, both unsegmented and with a tiny segment size that forces the
-// pipelined multi-segment path.
-func TestAllreduceOpsAllAlgorithms(t *testing.T) {
+// TestAllreduceSumAllAlgorithms covers every algorithm on power-of-two world
+// sizes and on folded ones with one, two and three extra ranks, both
+// unsegmented and with a tiny segment size that forces the pipelined
+// multi-segment path.
+func TestAllreduceSumAllAlgorithms(t *testing.T) {
 	algos := []collectives.Algorithm{
 		collectives.AlgoRecursiveDoubling,
 		collectives.AlgoRing,
 		collectives.AlgoRabenseifner,
 		collectives.AlgoAuto,
 	}
-	ops := []collectives.ReduceOp{collectives.OpSum, collectives.OpMax, collectives.OpMin}
 	for _, algo := range algos {
-		for _, op := range ops {
-			for _, p := range []int{3, 4} {
-				for _, cfg := range []collectives.Config{{}, {SegmentElems: 13}} {
-					algo, op, p, cfg := algo, op, p, cfg
-					name := fmt.Sprintf("%v/%v/p%d/seg%d", algo, op, p, cfg.SegmentElems)
-					t.Run(name, func(t *testing.T) {
-						testOpAllreduce(t, p, 257, op, algo, cfg)
-					})
-				}
+		for _, p := range []int{3, 4, 5, 6, 7, 8} {
+			for _, cfg := range []collectives.Config{{}, {SegmentElems: 13}} {
+				algo, p, cfg := algo, p, cfg
+				name := fmt.Sprintf("%v/p%d/seg%d", algo, p, cfg.SegmentElems)
+				t.Run(name, func(t *testing.T) {
+					testRandomAllreduce(t, p, 257, algo, cfg)
+				})
 			}
 		}
 	}
@@ -498,6 +353,6 @@ func TestSegmentedAllreduceLargeVectors(t *testing.T) {
 	const p = 4
 	n := 3*collectives.DefaultSegmentElems + 1017
 	for _, algo := range []collectives.Algorithm{collectives.AlgoRing, collectives.AlgoRabenseifner, collectives.AlgoAuto} {
-		testOpAllreduce(t, p, n, collectives.OpSum, algo, collectives.Config{})
+		testRandomAllreduce(t, p, n, algo, collectives.Config{})
 	}
 }

@@ -70,7 +70,7 @@ func runWorld(t *testing.T, world []*comm.Communicator, body func(c *comm.Commun
 // direct delivery from the poll loop plus the broadcast-segment allgather
 // with zero-copy block aliasing — must produce results bit-for-bit identical
 // to the same allreduce over the classic demux + ring-relay paths on the same
-// transport. The size sweep crosses every routing boundary: tiny fused
+// transport, for every algorithm and for Auto, the one the reducers run. The size sweep crosses every routing boundary: tiny fused
 // chunks, chunks below and above the alias threshold, a non-divisible
 // element count (unequal chunk bounds), and a chunk past the segment bound
 // that must fall back to the segmented unfused path on both worlds.
@@ -81,6 +81,8 @@ func TestAllreduceDirectMatchesDemux(t *testing.T) {
 	}{
 		{"ring", collectives.AlgoRing},
 		{"recursive-doubling", collectives.AlgoRecursiveDoubling},
+		{"rabenseifner", collectives.AlgoRabenseifner},
+		{"auto", collectives.AlgoAuto},
 	}
 	for _, p := range []int{3, 4} {
 		ns := []int{
@@ -113,54 +115,6 @@ func TestAllreduceDirectMatchesDemux(t *testing.T) {
 							if demux[r][i] != direct[r][i] {
 								t.Fatalf("rank %d elem %d: demux %v != direct %v (fast path diverged)",
 									r, i, demux[r][i], direct[r][i])
-							}
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestBroadcastDirectMatchesDemux: the broadcast collective's segment path
-// (root publishes once, every peer receives the same block, large peers alias
-// it zero-copy) must leave every rank holding exactly the root's bytes, and
-// must agree bit-for-bit with the classic hop-by-hop broadcast over demuxed
-// rings. Roots at both ends cover the rank-rotation arithmetic; 64Ki elements
-// puts the payload over the alias threshold, 64 under it.
-func TestBroadcastDirectMatchesDemux(t *testing.T) {
-	for _, p := range []int{3, 4} {
-		for _, n := range []int{64, 1 << 16} {
-			for _, root := range []int{0, p - 1} {
-				p, n, root := p, n, root
-				t.Run(fmt.Sprintf("p%d_n%d_root%d", p, n, root), func(t *testing.T) {
-					run := func(world []*comm.Communicator) []tensor.Vector {
-						results := make([]tensor.Vector, p)
-						runWorld(t, world, func(c *comm.Communicator) error {
-							data := makeContribution(root, n) // root's payload everywhere; non-roots get overwritten
-							if c.Rank() != root {
-								for i := range data {
-									data[i] = -1 // poison: broadcast must overwrite every element
-								}
-							}
-							if err := collectives.BroadcastWith(c, root, data, collectives.Config{}, nil); err != nil {
-								return err
-							}
-							results[c.Rank()] = data
-							return nil
-						})
-						return results
-					}
-					want := makeContribution(root, n)
-					demux := run(newPlainShmWorld(p))
-					direct := run(transport.NewShmWorld(p))
-					for r := 0; r < p; r++ {
-						for i := range want {
-							if direct[r][i] != want[i] {
-								t.Fatalf("rank %d elem %d: direct broadcast %v, want root's %v", r, i, direct[r][i], want[i])
-							}
-							if demux[r][i] != direct[r][i] {
-								t.Fatalf("rank %d elem %d: demux %v != direct %v", r, i, demux[r][i], direct[r][i])
 							}
 						}
 					}

@@ -48,50 +48,40 @@ func runSPMDShm(t *testing.T, p int, body func(c *comm.Communicator) error) {
 
 // TestAllreduceRingFusedMatchesUnfused: the fused ring allreduce (shared
 // rings, single-segment regime) must produce results bit-for-bit identical to
-// the unfused path (in-process transport, same algorithm) — the fill kernels
-// combine operands in the same order op.Apply would, and the fused wire
+// the unfused path (in-process transport, same algorithm) — the fill kernel
+// adds operands in the same order tensor.AddVec would, and the fused wire
 // stream is the unfused one. Sizes cross the fused gate: n >= p with the
 // per-rank chunk within one default segment, plus a chunk straddling the
 // segment bound (> DefaultSegmentElems per chunk) that must fall back to the
 // segmented unfused path and still agree.
 func TestAllreduceRingFusedMatchesUnfused(t *testing.T) {
-	ops := []struct {
-		name string
-		op   collectives.ReduceOp
-	}{
-		{"sum", collectives.OpSum},
-		{"max", collectives.OpMax},
-		{"min", collectives.OpMin},
-	}
-	for _, p := range []int{2, 3, 4, 5} {
+	for _, p := range []int{2, 3, 4, 5, 6, 7, 8} {
 		for _, n := range []int{p, 64, 1000, 4*collectives.DefaultSegmentElems + 5} {
-			for _, o := range ops {
-				p, n, o := p, n, o
-				t.Run(fmt.Sprintf("p%d_n%d_%s", p, n, o.name), func(t *testing.T) {
-					run := func(spmd func(*testing.T, int, func(c *comm.Communicator) error)) []tensor.Vector {
-						results := make([]tensor.Vector, p)
-						spmd(t, p, func(c *comm.Communicator) error {
-							data := makeContribution(c.Rank(), n)
-							if err := collectives.AllreduceWith(c, data, o.op, collectives.AlgoRing, collectives.Config{}, nil); err != nil {
-								return err
-							}
-							results[c.Rank()] = data
-							return nil
-						})
-						return results
-					}
-					unfused := run(runSPMD)
-					fused := run(runSPMDShm)
-					for r := 0; r < p; r++ {
-						for i := range unfused[r] {
-							if unfused[r][i] != fused[r][i] {
-								t.Fatalf("rank %d elem %d: inproc %v != shm %v (fused path diverged)",
-									r, i, unfused[r][i], fused[r][i])
-							}
+			p, n := p, n
+			t.Run(fmt.Sprintf("p%d_n%d", p, n), func(t *testing.T) {
+				run := func(spmd func(*testing.T, int, func(c *comm.Communicator) error)) []tensor.Vector {
+					results := make([]tensor.Vector, p)
+					spmd(t, p, func(c *comm.Communicator) error {
+						data := makeContribution(c.Rank(), n)
+						if err := collectives.AllreduceWith(c, data, collectives.OpSum, collectives.AlgoRing, collectives.Config{}, nil); err != nil {
+							return err
+						}
+						results[c.Rank()] = data
+						return nil
+					})
+					return results
+				}
+				unfused := run(runSPMD)
+				fused := run(runSPMDShm)
+				for r := 0; r < p; r++ {
+					for i := range unfused[r] {
+						if unfused[r][i] != fused[r][i] {
+							t.Fatalf("rank %d elem %d: inproc %v != shm %v (fused path diverged)",
+								r, i, unfused[r][i], fused[r][i])
 						}
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -14,22 +14,74 @@ import (
 	"eagersgd/internal/nn"
 	"eagersgd/internal/optimizer"
 	"eagersgd/internal/tensor"
-	"eagersgd/internal/transport"
 )
 
-// mustReducer builds a collective reducer for tests, panicking on
-// construction errors (which only arise from programming mistakes here).
-func mustReducer(c *comm.Communicator, dim int, opts ...collective.Option) collective.Reducer {
-	r, err := collective.NewReducer(c, dim, opts...)
+// mustReducer mints the node's reducer for tests, panicking on construction
+// errors (which only arise from programming mistakes here).
+func mustReducer(n *collective.Node, dim int, opts ...collective.Option) collective.Reducer {
+	r, err := n.Reducer(dim, opts...)
 	if err != nil {
 		panic(err)
 	}
 	return r
 }
 
+// bareReducer hides every optional interface of the reducer it wraps.
+type bareReducer struct{ collective.Reducer }
+
 func TestNewTrainerValidation(t *testing.T) {
-	if _, err := core.NewTrainer(core.Config{}); err == nil {
-		t.Fatal("expected error for empty config")
+	world, err := collective.NewWorld(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	n := world.Node(0)
+	task := buildRegressionTask(0, 1, 4, 4)
+	red := mustReducer(n, task.NumParams(), collective.WithMode(collective.Solo))
+	valid := core.Config{Node: n, Task: task, Exchanger: red, Optimizer: optimizer.NewSGD(0.1), SyncEverySteps: 5}
+	for _, tc := range []struct {
+		name  string
+		edit  func(*core.Config)
+		valid bool
+	}{
+		{"empty", func(c *core.Config) { *c = core.Config{} }, false},
+		{"no-node", func(c *core.Config) { c.Node = nil }, false},
+		{"periodic-sync-without-param-syncer", func(c *core.Config) { c.Exchanger = bareReducer{red} }, false},
+		{"bare-exchanger-without-periodic-sync", func(c *core.Config) { c.Exchanger, c.SyncEverySteps = bareReducer{red}, 0 }, true},
+		{"valid", func(*core.Config) {}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := valid
+			tc.edit(&cfg)
+			if _, err := core.NewTrainer(cfg); (err == nil) != tc.valid {
+				t.Fatalf("NewTrainer error = %v, want valid=%v", err, tc.valid)
+			}
+		})
+	}
+}
+
+// TestSyncModelNeedsParamSyncer: with no ParamSyncer to run it through, a
+// model sync is an error.
+func TestSyncModelNeedsParamSyncer(t *testing.T) {
+	world, err := collective.NewWorld(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	n := world.Node(0)
+	task := buildRegressionTask(0, 1, 4, 4)
+	tr, err := core.NewTrainer(core.Config{
+		Node:      n,
+		Task:      task,
+		Exchanger: bareReducer{mustReducer(n, task.NumParams())},
+		Optimizer: optimizer.NewSGD(0.1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if err := tr.SyncModel(); err == nil {
+		t.Fatal("SyncModel through a bare exchanger succeeded, want an error")
 	}
 }
 
@@ -118,18 +170,21 @@ func TestSequenceTaskBasics(t *testing.T) {
 	}
 }
 
-// runWorld runs fn on every rank of a fresh world concurrently.
-func runWorld(t *testing.T, size int, fn func(rank int, c *comm.Communicator) error) {
+// runWorld runs fn on every node of a fresh in-process world concurrently.
+func runWorld(t *testing.T, size int, fn func(rank int, n *collective.Node) error) {
 	t.Helper()
-	world := transport.NewInprocWorld(size)
-	defer world[0].Close()
+	world, err := collective.NewWorld(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
 	errs := make([]error, size)
 	var wg sync.WaitGroup
 	for r := 0; r < size; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			errs[r] = fn(r, world[r])
+			errs[r] = fn(r, world.Node(r))
 		}(r)
 	}
 	done := make(chan struct{})
@@ -157,12 +212,12 @@ func TestSynchSGDReplicasStayIdentical(t *testing.T) {
 	const steps = 15
 	finalParams := make([]tensor.Vector, size)
 	losses := make([][]float64, size)
-	runWorld(t, size, func(rank int, c *comm.Communicator) error {
+	runWorld(t, size, func(rank int, n *collective.Node) error {
 		task := buildRegressionTask(rank, size, dim, 4)
 		tr, err := core.NewTrainer(core.Config{
-			Comm:      c,
+			Node:      n,
 			Task:      task,
-			Exchanger: mustReducer(c, task.NumParams(), collective.WithChunks(3)),
+			Exchanger: mustReducer(n, task.NumParams(), collective.WithChunks(3)),
 			Optimizer: optimizer.NewSGD(0.05),
 		})
 		if err != nil {
@@ -197,12 +252,12 @@ func TestSynchSGDReplicasStayIdentical(t *testing.T) {
 func TestHorovodStyleAlsoKeepsReplicasIdentical(t *testing.T) {
 	const size = 3
 	finalParams := make([]tensor.Vector, size)
-	runWorld(t, size, func(rank int, c *comm.Communicator) error {
+	runWorld(t, size, func(rank int, n *collective.Node) error {
 		task := buildRegressionTask(rank, size, 5, 4)
 		tr, err := core.NewTrainer(core.Config{
-			Comm:      c,
+			Node:      n,
 			Task:      task,
-			Exchanger: mustReducer(c, task.NumParams(), collective.WithNegotiation()),
+			Exchanger: mustReducer(n, task.NumParams(), collective.WithNegotiation()),
 			Optimizer: optimizer.NewSGD(0.05),
 		})
 		if err != nil {
@@ -231,12 +286,12 @@ func TestEagerSGDConvergesOnHyperplane(t *testing.T) {
 	const size = 4
 	const steps = 200
 	evalLosses := make([]float64, size)
-	runWorld(t, size, func(rank int, c *comm.Communicator) error {
+	runWorld(t, size, func(rank int, n *collective.Node) error {
 		task := buildRegressionTask(rank, size, 8, 8)
 		tr, err := core.NewTrainer(core.Config{
-			Comm:            c,
+			Node:            n,
 			Task:            task,
-			Exchanger:       mustReducer(c, task.NumParams(), collective.WithMode(collective.Solo), collective.WithSeed(17)),
+			Exchanger:       mustReducer(n, task.NumParams(), collective.WithMode(collective.Solo), collective.WithSeed(17)),
 			Optimizer:       optimizer.NewSGD(0.02),
 			Injector:        imbalance.RandomSubset{Size: size, K: 1, Amount: 6, Seed: 2},
 			Clock:           imbalance.ScaledClock(0.05),
@@ -273,12 +328,12 @@ func TestEagerSGDMajorityWaitsForQuorum(t *testing.T) {
 	const steps = 20
 	meanNAP := func(mode collective.Mode) float64 {
 		naps := make([]float64, size)
-		runWorld(t, size, func(rank int, c *comm.Communicator) error {
+		runWorld(t, size, func(rank int, n *collective.Node) error {
 			task := buildRegressionTask(rank, size, 5, 4)
 			tr, err := core.NewTrainer(core.Config{
-				Comm:      c,
+				Node:      n,
 				Task:      task,
-				Exchanger: mustReducer(c, task.NumParams(), collective.WithMode(mode), collective.WithSeed(5)),
+				Exchanger: mustReducer(n, task.NumParams(), collective.WithMode(mode), collective.WithSeed(5)),
 				Optimizer: optimizer.NewSGD(0.01),
 				Injector:  imbalance.LinearSkew{StepMs: 30},
 				Clock:     imbalance.ScaledClock(0.2),
@@ -321,16 +376,16 @@ func TestEagerSoloFasterThanSynchUnderSkew(t *testing.T) {
 
 	runVariant := func(eager bool) time.Duration {
 		times := make([]time.Duration, size)
-		runWorld(t, size, func(rank int, c *comm.Communicator) error {
+		runWorld(t, size, func(rank int, n *collective.Node) error {
 			task := buildRegressionTask(rank, size, 5, 4)
 			var ex collective.Reducer
 			if eager {
-				ex = mustReducer(c, task.NumParams(), collective.WithMode(collective.Solo), collective.WithSeed(3))
+				ex = mustReducer(n, task.NumParams(), collective.WithMode(collective.Solo), collective.WithSeed(3))
 			} else {
-				ex = mustReducer(c, task.NumParams())
+				ex = mustReducer(n, task.NumParams())
 			}
 			tr, err := core.NewTrainer(core.Config{
-				Comm:      c,
+				Node:      n,
 				Task:      task,
 				Exchanger: ex,
 				Optimizer: optimizer.NewSGD(0.01),
@@ -377,11 +432,10 @@ func TestRunnerEndToEnd(t *testing.T) {
 		FinalSync:      true,
 		Build: func(rank int, n *collective.Node) (*core.Trainer, error) {
 			task := buildRegressionTask(rank, 2, 5, 4)
-			c := n.Communicator()
 			return core.NewTrainer(core.Config{
 				Node:      n,
 				Task:      task,
-				Exchanger: mustReducer(c, task.NumParams(), collective.WithChunks(2)),
+				Exchanger: mustReducer(n, task.NumParams(), collective.WithChunks(2)),
 				Optimizer: optimizer.NewSGD(0.05),
 			})
 		},
@@ -418,18 +472,22 @@ func TestRunnerValidation(t *testing.T) {
 }
 
 func TestExchangerNames(t *testing.T) {
-	world := transport.NewInprocWorld(1)
-	defer world[0].Close()
-	se := mustReducer(world[0], 3, collective.WithNegotiation())
+	world, err := collective.NewWorld(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	n := world.Node(0)
+	se := mustReducer(n, 3, collective.WithNegotiation())
 	if collective.ReducerName(se) != "synch-sgd (horovod)" {
 		t.Fatalf("name %q", collective.ReducerName(se))
 	}
-	ee := mustReducer(world[0], 3, collective.WithMode(collective.Majority), collective.WithSeed(1))
+	ee := mustReducer(n, 3, collective.WithMode(collective.Majority), collective.WithSeed(1))
 	defer ee.Close()
 	if collective.ReducerName(ee) != "eager-sgd (majority)" {
 		t.Fatalf("name %q", collective.ReducerName(ee))
 	}
-	qe := mustReducer(world[0], 3, collective.WithMode(collective.Quorum(1)), collective.WithSeed(1))
+	qe := mustReducer(n, 3, collective.WithMode(collective.Quorum(1)), collective.WithSeed(1))
 	defer qe.Close()
 	if collective.ReducerName(qe) != "eager-sgd (quorum)" {
 		t.Fatalf("name %q", collective.ReducerName(qe))
@@ -439,14 +497,14 @@ func TestExchangerNames(t *testing.T) {
 func TestSyncModelAveragesReplicas(t *testing.T) {
 	const size = 3
 	results := make([]tensor.Vector, size)
-	runWorld(t, size, func(rank int, c *comm.Communicator) error {
+	runWorld(t, size, func(rank int, n *collective.Node) error {
 		task := buildRegressionTask(rank, size, 4, 4)
 		// Force divergent replicas.
 		task.Params().Fill(float64(rank + 1))
 		tr, err := core.NewTrainer(core.Config{
-			Comm:      c,
+			Node:      n,
 			Task:      task,
-			Exchanger: mustReducer(c, task.NumParams()),
+			Exchanger: mustReducer(n, task.NumParams()),
 			Optimizer: optimizer.NewSGD(0.1),
 		})
 		if err != nil {
@@ -479,25 +537,26 @@ func buildDeepClassificationTask(rank, size int) *core.ClassificationTask {
 }
 
 // TestOverlappedSyncTrainingBitForBit is the trainer-level half of the
-// numerical-equivalence acceptance gate: on the in-process transport with
-// recursive doubling (whose per-element reduction tree is independent of the
-// vector length), overlapped bucketed training must produce bit-for-bit the
-// parameters of the serial single-shot path.
+// numerical-equivalence acceptance gate: on the in-process transport at three
+// ranks, where Auto runs recursive doubling at every length (its per-element
+// reduction tree is independent of the vector length), overlapped bucketed
+// training must produce bit-for-bit the parameters of the serial single-shot
+// path.
 func TestOverlappedSyncTrainingBitForBit(t *testing.T) {
-	const size = 4
+	const size = 3
 	const steps = 6
 	run := func(overlap bool, bucketElems int) []tensor.Vector {
 		finalParams := make([]tensor.Vector, size)
-		runWorld(t, size, func(rank int, c *comm.Communicator) error {
+		runWorld(t, size, func(rank int, n *collective.Node) error {
 			task := buildDeepClassificationTask(rank, size)
-			opts := []collective.Option{collective.WithAlgorithm(collective.RecursiveDoubling)}
+			var opts []collective.Option
 			if overlap {
 				opts = append(opts, collective.WithOverlap(), collective.WithBucketElems(bucketElems))
 			}
 			tr, err := core.NewTrainer(core.Config{
-				Comm:      c,
+				Node:      n,
 				Task:      task,
-				Exchanger: mustReducer(c, task.NumParams(), opts...),
+				Exchanger: mustReducer(n, task.NumParams(), opts...),
 				Optimizer: optimizer.NewSGD(0.05),
 			})
 			if err != nil {
@@ -539,13 +598,13 @@ func TestOverlappedEagerTraining(t *testing.T) {
 	const size = 4
 	const steps = 160
 	evalLosses := make([]float64, size)
-	runWorld(t, size, func(rank int, c *comm.Communicator) error {
+	runWorld(t, size, func(rank int, n *collective.Node) error {
 		task := buildRegressionTask(rank, size, 8, 8)
 		layout := core.BucketLayout(task, 0)
 		tr, err := core.NewTrainer(core.Config{
-			Comm: c,
+			Node: n,
 			Task: task,
-			Exchanger: mustReducer(c, task.NumParams(),
+			Exchanger: mustReducer(n, task.NumParams(),
 				collective.WithMode(collective.Solo), collective.WithSeed(17),
 				collective.WithOverlap(), collective.WithBucketLayout(layout...)),
 			Optimizer:      optimizer.NewSGD(0.02),

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"eagersgd/collective"
-	"eagersgd/internal/collectives"
-	"eagersgd/internal/comm"
 	"eagersgd/internal/imbalance"
 	"eagersgd/internal/nn"
 	"eagersgd/internal/optimizer"
@@ -21,13 +19,9 @@ import (
 // quorum) — is one constructor option away, and new variants plug in without
 // touching the trainer.
 type Config struct {
-	// Comm is the rank's point-to-point communicator. On an elastic world set
-	// Node instead (Comm is then derived) so the trainer follows membership
-	// changes; Comm alone pins the trainer to one epoch's communicator.
-	Comm *comm.Communicator
-	// Node is the rank's world membership handle. When set, the trainer's
-	// rank, world size, and model synchronization follow the current epoch
-	// across Join/Leave/Replace transitions.
+	// Node is the rank's world membership handle, the one Exchanger was minted
+	// on: the trainer's rank and world size follow the current epoch across
+	// Join/Leave/Replace transitions.
 	Node      *collective.Node
 	Task      Task
 	Exchanger collective.Reducer
@@ -49,8 +43,9 @@ type Config struct {
 	CostModel *imbalance.SequenceCostModel
 	// SyncEverySteps, when positive, synchronizes (averages) model replicas
 	// across ranks every that many steps — the periodic model synchronization
-	// eager-SGD uses to bound replica divergence (§5). Ignored by synchronous
-	// exchangers, whose replicas never diverge.
+	// eager-SGD uses to bound replica divergence (§5). It needs an Exchanger
+	// that implements collective.ParamSyncer. Synchronous replicas never
+	// diverge, so only the eager variants set it.
 	SyncEverySteps int
 	// PeerDeadline is the failure-detector deadline applied to the trainer's
 	// own synchronous collectives (SyncModel): a rank silent past it is
@@ -94,11 +89,11 @@ type trainerBuckets struct {
 // during the backward pass and each bucket's reduced result is applied as it
 // lands.
 func NewTrainer(cfg Config) (*Trainer, error) {
-	if cfg.Comm == nil && cfg.Node != nil {
-		cfg.Comm = cfg.Node.Communicator()
+	if cfg.Node == nil || cfg.Task == nil || cfg.Exchanger == nil || cfg.Optimizer == nil {
+		return nil, fmt.Errorf("core: config requires Node, Task, Exchanger, and Optimizer")
 	}
-	if cfg.Comm == nil || cfg.Task == nil || cfg.Exchanger == nil || cfg.Optimizer == nil {
-		return nil, fmt.Errorf("core: config requires Comm (or Node), Task, Exchanger, and Optimizer")
+	if _, ok := cfg.Exchanger.(collective.ParamSyncer); cfg.SyncEverySteps > 0 && !ok {
+		return nil, fmt.Errorf("core: SyncEverySteps needs an exchanger that implements collective.ParamSyncer (have %T)", cfg.Exchanger)
 	}
 	if cfg.Injector == nil {
 		cfg.Injector = imbalance.None{}
@@ -146,23 +141,12 @@ func BuildTrainer(n *collective.Node, cfg Config, seed int64, variant []collecti
 	return NewTrainer(cfg)
 }
 
-// Rank returns the trainer's rank: the dense rank in the current epoch on an
-// elastic world (it can change at an epoch boundary), the communicator's rank
-// otherwise.
-func (t *Trainer) Rank() int {
-	if t.cfg.Node != nil {
-		return t.cfg.Node.Rank()
-	}
-	return t.cfg.Comm.Rank()
-}
+// Rank returns the trainer's dense rank in the current epoch; it can change
+// at an epoch boundary.
+func (t *Trainer) Rank() int { return t.cfg.Node.Rank() }
 
 // Size returns the world size of the current epoch.
-func (t *Trainer) Size() int {
-	if t.cfg.Node != nil {
-		return t.cfg.Node.Size()
-	}
-	return t.cfg.Comm.Size()
-}
+func (t *Trainer) Size() int { return t.cfg.Node.Size() }
 
 // Recorder returns the per-step measurements collected so far.
 func (t *Trainer) Recorder() *trace.ThroughputRecorder { return t.recorder }
@@ -344,23 +328,18 @@ func (t *Trainer) stepOverlapped(ctx context.Context, step int) (float64, collec
 }
 
 // SyncModel averages the model replicas across all ranks (a synchronous
-// collective; every rank must call it at the same step). With a
-// Config.PeerDeadline it aborts with a typed error instead of blocking on a
-// dead rank. When the exchanger is epoch-aware (minted by Node.Reducer), the
-// sync runs through it so it covers the current epoch's members, passes the
-// drain barrier like any reduction, and uses the epoch's tag namespace.
+// collective; every rank must call it at the same step). It runs through the
+// exchanger's collective.ParamSyncer, so it covers the current epoch's
+// members, passes the drain barrier like any reduction, and runs over the
+// epoch's communicator. With a Config.PeerDeadline it aborts with a typed
+// error instead of blocking on a dead rank.
 func (t *Trainer) SyncModel() error {
-	params := t.cfg.Task.Params()
-	if ps, ok := t.cfg.Exchanger.(collective.ParamSyncer); ok {
-		_, err := ps.SyncParams(params, t.cfg.PeerDeadline)
-		return err
+	ps, ok := t.cfg.Exchanger.(collective.ParamSyncer)
+	if !ok {
+		return fmt.Errorf("core: model sync needs an exchanger that implements collective.ParamSyncer (have %T)", t.cfg.Exchanger)
 	}
-	if err := collectives.AllreduceWith(t.cfg.Comm, params, collectives.OpSum, collectives.AlgoAuto,
-		collectives.Config{PeerDeadline: t.cfg.PeerDeadline}, nil); err != nil {
-		return err
-	}
-	params.Scale(1 / float64(t.Size()))
-	return nil
+	_, err := ps.SyncParams(t.cfg.Task.Params(), t.cfg.PeerDeadline)
+	return err
 }
 
 // SetParams overwrites the model replica with vals — how a joiner admitted to

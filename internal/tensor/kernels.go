@@ -7,11 +7,11 @@ import (
 
 // This file implements the tuned reduction-kernel layer beneath the
 // element-wise vector operations the collectives hammer on every hop:
-// unrolled single-thread kernels for sum, max, min, and axpy, plus a chunked
+// unrolled single-thread kernels for sum and axpy, plus a chunked
 // multi-goroutine parallel dispatcher backed by a persistent worker pool.
 //
-// Vector.Add, Vector.Axpy, and the collective ReduceOp implementations all
-// route through AddVec/MaxVec/MinVec/AxpyVec. Small vectors stay on the
+// Vector.Add, Vector.Axpy, and the collective reductions all route through
+// AddVec/AxpyVec. Small vectors stay on the
 // single-thread unrolled path (spawning work costs more than it saves below
 // tens of kilobytes); vectors of ParallelThreshold elements or more are split
 // into contiguous chunks and fanned out across the pool, with the calling
@@ -50,12 +50,8 @@ type kernelOp uint8
 
 const (
 	kernelAdd kernelOp = iota
-	kernelMax
-	kernelMin
 	kernelAxpy
 	kernelAddInto
-	kernelMaxInto
-	kernelMinInto
 	kernelCopy2
 )
 
@@ -109,18 +105,10 @@ func runKernel(op kernelOp, dst, src, aux []float64, alpha float64) {
 	switch op {
 	case kernelAdd:
 		addKernel(dst, src)
-	case kernelMax:
-		maxKernel(dst, src)
-	case kernelMin:
-		minKernel(dst, src)
 	case kernelAxpy:
 		axpyKernel(dst, alpha, src)
 	case kernelAddInto:
 		addIntoKernel(dst, src, aux)
-	case kernelMaxInto:
-		maxIntoKernel(dst, src, aux)
-	case kernelMinInto:
-		minIntoKernel(dst, src, aux)
 	case kernelCopy2:
 		copy2Kernel(dst, src, aux)
 	}
@@ -179,21 +167,6 @@ func AddVec(dst, src Vector) {
 	applyKernel(kernelAdd, dst, src, nil, 0)
 }
 
-// MaxVec keeps the element-wise maximum: dst[i] = max(dst[i], src[i]).
-// Following the comparison-based convention of the collective reduce ops, a
-// NaN in src never replaces dst (NaN comparisons are false).
-func MaxVec(dst, src Vector) {
-	checkKernelLen("MaxVec", len(dst), len(src))
-	applyKernel(kernelMax, dst, src, nil, 0)
-}
-
-// MinVec keeps the element-wise minimum: dst[i] = min(dst[i], src[i]), with
-// the same NaN convention as MaxVec.
-func MinVec(dst, src Vector) {
-	checkKernelLen("MinVec", len(dst), len(src))
-	applyKernel(kernelMin, dst, src, nil, 0)
-}
-
 // AxpyVec computes dst[i] += alpha * src[i]. It panics if the lengths differ.
 func AxpyVec(dst Vector, alpha float64, src Vector) {
 	checkKernelLen("AxpyVec", len(dst), len(src))
@@ -247,60 +220,5 @@ func axpyKernel(dst []float64, alpha float64, src []float64) {
 	}
 	for ; i < n; i++ {
 		dst[i] += alpha * src[i]
-	}
-}
-
-// maxKernel is the 4-way unrolled element-wise maximum (comparison-based, so
-// NaNs in src lose and dst is kept — matching the scalar reduce loop).
-func maxKernel(dst, src []float64) {
-	n := len(dst)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d := dst[i : i+4 : i+4]
-		s := src[i : i+4 : i+4]
-		if s[0] > d[0] {
-			d[0] = s[0]
-		}
-		if s[1] > d[1] {
-			d[1] = s[1]
-		}
-		if s[2] > d[2] {
-			d[2] = s[2]
-		}
-		if s[3] > d[3] {
-			d[3] = s[3]
-		}
-	}
-	for ; i < n; i++ {
-		if src[i] > dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
-// minKernel is the 4-way unrolled element-wise minimum.
-func minKernel(dst, src []float64) {
-	n := len(dst)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d := dst[i : i+4 : i+4]
-		s := src[i : i+4 : i+4]
-		if s[0] < d[0] {
-			d[0] = s[0]
-		}
-		if s[1] < d[1] {
-			d[1] = s[1]
-		}
-		if s[2] < d[2] {
-			d[2] = s[2]
-		}
-		if s[3] < d[3] {
-			d[3] = s[3]
-		}
-	}
-	for ; i < n; i++ {
-		if src[i] < dst[i] {
-			dst[i] = src[i]
-		}
 	}
 }

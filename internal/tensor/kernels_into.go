@@ -8,9 +8,7 @@ package tensor
 //
 // Like their two-address siblings, the kernels are element-wise and chunk
 // across the same worker pool above ParallelThreshold, producing results
-// bit-for-bit identical to the scalar loop. The comparison kernels keep the
-// reduce-op NaN convention: b is the incoming operand, and a NaN in b never
-// replaces the local value from a.
+// bit-for-bit identical to the scalar loop.
 
 // AddInto computes dst[i] = a[i] + b[i]. It panics if the lengths differ.
 // dst may alias a or b (the kernels only read an element before writing it).
@@ -18,22 +16,6 @@ func AddInto(dst, a, b Vector) {
 	checkKernelLen("AddInto", len(dst), len(a))
 	checkKernelLen("AddInto", len(dst), len(b))
 	applyKernel(kernelAddInto, dst, a, b, 0)
-}
-
-// MaxInto computes dst[i] = max(a[i], b[i]) with the reduce-op NaN
-// convention: a NaN in b never wins, a NaN in a is kept.
-func MaxInto(dst, a, b Vector) {
-	checkKernelLen("MaxInto", len(dst), len(a))
-	checkKernelLen("MaxInto", len(dst), len(b))
-	applyKernel(kernelMaxInto, dst, a, b, 0)
-}
-
-// MinInto computes dst[i] = min(a[i], b[i]) with the same NaN convention as
-// MaxInto.
-func MinInto(dst, a, b Vector) {
-	checkKernelLen("MinInto", len(dst), len(a))
-	checkKernelLen("MinInto", len(dst), len(b))
-	applyKernel(kernelMinInto, dst, a, b, 0)
 }
 
 // Copy2 copies src into both dst and dup in one pass — one read of src, two
@@ -64,57 +46,6 @@ func addIntoKernel(dst, a, b []float64) {
 	}
 	for ; i < n; i++ {
 		dst[i] = a[i] + b[i]
-	}
-}
-
-// maxIntoKernel is the 4-way unrolled dst = max(a, b); comparison-based, so a
-// NaN in b loses and a's value is taken (matching maxKernel).
-func maxIntoKernel(dst, a, b []float64) {
-	n := len(dst)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d := dst[i : i+4 : i+4]
-		x := a[i : i+4 : i+4]
-		y := b[i : i+4 : i+4]
-		for k := 0; k < 4; k++ {
-			v := x[k]
-			if y[k] > v {
-				v = y[k]
-			}
-			d[k] = v
-		}
-	}
-	for ; i < n; i++ {
-		v := a[i]
-		if b[i] > v {
-			v = b[i]
-		}
-		dst[i] = v
-	}
-}
-
-// minIntoKernel is the 4-way unrolled dst = min(a, b), same NaN convention.
-func minIntoKernel(dst, a, b []float64) {
-	n := len(dst)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d := dst[i : i+4 : i+4]
-		x := a[i : i+4 : i+4]
-		y := b[i : i+4 : i+4]
-		for k := 0; k < 4; k++ {
-			v := x[k]
-			if y[k] < v {
-				v = y[k]
-			}
-			d[k] = v
-		}
-	}
-	for ; i < n; i++ {
-		v := a[i]
-		if b[i] < v {
-			v = b[i]
-		}
-		dst[i] = v
 	}
 }
 

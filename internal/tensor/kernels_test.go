@@ -17,22 +17,6 @@ func naiveAdd(dst, src []float64) {
 	}
 }
 
-func naiveMax(dst, src []float64) {
-	for i, x := range src {
-		if x > dst[i] {
-			dst[i] = x
-		}
-	}
-}
-
-func naiveMin(dst, src []float64) {
-	for i, x := range src {
-		if x < dst[i] {
-			dst[i] = x
-		}
-	}
-}
-
 func naiveAxpy(dst []float64, alpha float64, src []float64) {
 	for i, x := range src {
 		dst[i] += alpha * x
@@ -58,20 +42,6 @@ var kernelCases = []struct {
 		op:       kernelAdd,
 	},
 	{
-		name:     "max",
-		naive:    func(d []float64, _ float64, s []float64) { naiveMax(d, s) },
-		unrolled: func(d []float64, _ float64, s []float64) { maxKernel(d, s) },
-		routed:   func(d []float64, _ float64, s []float64) { MaxVec(d, s) },
-		op:       kernelMax,
-	},
-	{
-		name:     "min",
-		naive:    func(d []float64, _ float64, s []float64) { naiveMin(d, s) },
-		unrolled: func(d []float64, _ float64, s []float64) { minKernel(d, s) },
-		routed:   func(d []float64, _ float64, s []float64) { MinVec(d, s) },
-		op:       kernelMin,
-	},
-	{
 		name:     "axpy",
 		naive:    naiveAxpy,
 		unrolled: axpyKernel,
@@ -80,7 +50,7 @@ var kernelCases = []struct {
 	},
 }
 
-// fillSpecial draws values that stress the comparison kernels: ordinary
+// fillSpecial draws values that stress the kernels' bit patterns: ordinary
 // finites plus signed zeros, infinities, and NaNs.
 func fillSpecial(rng *rand.Rand, v []float64) {
 	for i := range v {
