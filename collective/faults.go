@@ -99,7 +99,7 @@ func (w *World) Peers() []PeerStatus {
 
 // PeerDown reports whether this node's communicator has marked the rank down
 // (see comm-level failure detection); the node's own rank is always up.
-func (n *Node) PeerDown(rank int) bool { return n.comm.PeerDown(rank) }
+func (n *Node) PeerDown(rank int) bool { return n.comm.PeerError(rank) != nil }
 
 // MarkPeerDown lets integrations with external failure detectors (a cluster
 // membership service, an orchestrator's liveness probe) declare a rank dead

@@ -12,16 +12,16 @@ import (
 //     scope) must not mint its own root context with context.Background() or
 //     context.TODO(): roots belong to the binary entry point, and a library
 //     that fabricates one severs the caller's cancellation chain. The two
-//     compatibility shims that deliberately root a context (Exchange,
-//     Trainer.Step) carry //eagervet:ignore annotations explaining why.
+//     compatibility shims that deliberately root a context (core.Run,
+//     partial's Exchange) carry //eagervet:ignore annotations explaining why.
 //
 //  2. A blocking collective or transport call issued from inside a loop must
 //     be the cancellable variant when one exists: calling Recv in a
-//     for-loop when RecvCancel is available (same for *Context siblings)
-//     recreates the unkillable-engine-loop bug the PR 5 chaos suite exists
-//     to catch. The check fires only when the callee takes neither a
-//     context.Context nor a stop/done channel and a sibling named
-//     <Name>Cancel or <Name>Context is in scope.
+//     for-loop when RecvTimeout is available (same for *Cancel and *Context
+//     siblings) recreates the unkillable-engine-loop bug the PR 5 chaos
+//     suite exists to catch. The check fires only when the callee takes
+//     neither a context.Context nor a stop/done channel and a sibling named
+//     <Name>Cancel, <Name>Context or <Name>Timeout is in scope.
 var CtxCheck = &Analyzer{
 	Name: "ctxcheck",
 	Doc:  "forbid context.Background/TODO in library code; require cancellable call variants inside loops",
@@ -61,15 +61,17 @@ func isContextRoot(fn *types.Func) bool {
 }
 
 // checkLoopCancellable flags a call inside a for/range body to a module-local
-// function that has no cancellation input when a *Cancel/*Context sibling
-// exists.
+// function that has no cancellation input when a *Cancel/*Context/*Timeout
+// sibling exists.
 func checkLoopCancellable(pass *Pass, parents parentMap, call *ast.CallExpr, fn *types.Func) {
 	if !isSourcePkg(pass.Facts, fn) {
 		return
 	}
 	name := fn.Name()
-	if strings.HasSuffix(name, "Cancel") || strings.HasSuffix(name, "Context") {
-		return
+	for _, suffix := range cancellableSuffixes {
+		if strings.HasSuffix(name, suffix) {
+			return
+		}
 	}
 	if !inLoopBody(parents, call) {
 		return
@@ -133,12 +135,16 @@ func isSignalChan(t types.Type) bool {
 	return ok && st.NumFields() == 0
 }
 
-// cancellableSibling returns the name of a <Name>Cancel or <Name>Context
-// variant visible where fn is defined — a package-level function for
-// package-level fn, a method on the same receiver type for methods.
+// cancellableSuffixes name the cancellable variant of a blocking call.
+var cancellableSuffixes = []string{"Cancel", "Context", "Timeout"}
+
+// cancellableSibling returns the name of a <Name>Cancel, <Name>Context or
+// <Name>Timeout variant visible where fn is defined — a package-level
+// function for package-level fn, a method on the same receiver type for
+// methods.
 func cancellableSibling(fn *types.Func) string {
 	sig := fn.Type().(*types.Signature)
-	for _, suffix := range []string{"Cancel", "Context"} {
+	for _, suffix := range cancellableSuffixes {
 		want := fn.Name() + suffix
 		if recv := sig.Recv(); recv != nil {
 			t := recv.Type()

@@ -16,7 +16,8 @@ import (
 // diagnostics for the named analyzers only; placed in the file's package doc
 // it silences them for the whole file. The reason is mandatory — an ignore
 // without one is itself a diagnostic — so every suppression documents why the
-// invariant holds even though the analyzer cannot see it.
+// invariant holds even though the analyzer cannot see it. A directive that
+// suppresses nothing is a diagnostic too, so none outlives its finding.
 const IgnoreDirective = "eagervet:ignore"
 
 type ignoreScope int
@@ -28,6 +29,7 @@ const (
 
 type ignore struct {
 	analyzers []string
+	pos       token.Pos
 	file      string
 	line      int  // line the directive appears on
 	ownLine   bool // the comment is alone on its line (suppress the following line too)
@@ -80,7 +82,7 @@ func parseIgnoreDirectives(files []*ast.File, fset *token.FileSet, known map[str
 					report(c.Pos(), "%s %s requires a reason: //%s %s -- <why the invariant holds here>", IgnoreDirective, names, IgnoreDirective, names)
 					continue
 				}
-				ig := ignore{analyzers: list, file: pos.Filename, line: pos.Line, ownLine: pos.Column == 1 || onOwnLine(fset, file, c)}
+				ig := ignore{analyzers: list, pos: c.Pos(), file: pos.Filename, line: pos.Line, ownLine: pos.Column == 1 || onOwnLine(fset, file, c)}
 				if pos.Line <= pkgLine {
 					ig.scope = scopeFile
 				}
@@ -120,33 +122,31 @@ func onOwnLine(fset *token.FileSet, file *ast.File, c *ast.Comment) bool {
 	return !shared
 }
 
-// applyIgnores filters out the diagnostics matched by a directive.
+// applyIgnores filters out the diagnostics matched by a directive and
+// reports, as diagnostics of the pseudo-analyzer "eagervet", the directives
+// that matched none.
 func applyIgnores(diags []Diagnostic, igs []ignore, fset *token.FileSet) []Diagnostic {
-	if len(igs) == 0 {
-		return diags
-	}
+	used := make([]bool, len(igs))
 	kept := diags[:0]
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
 		suppressed := false
-		for _, ig := range igs {
+		for i, ig := range igs {
 			if ig.file != pos.Filename || !containsName(ig.analyzers, d.Analyzer) {
 				continue
 			}
-			switch ig.scope {
-			case scopeFile:
-				suppressed = true
-			case scopeLine:
-				if pos.Line == ig.line || (ig.ownLine && pos.Line == ig.line+1) {
-					suppressed = true
-				}
-			}
-			if suppressed {
-				break
+			if ig.scope == scopeFile || pos.Line == ig.line || (ig.ownLine && pos.Line == ig.line+1) {
+				used[i], suppressed = true, true
 			}
 		}
 		if !suppressed {
 			kept = append(kept, d)
+		}
+	}
+	for i, ig := range igs {
+		if !used[i] {
+			kept = append(kept, Diagnostic{Analyzer: "eagervet", Pos: ig.pos,
+				Message: fmt.Sprintf("%s %s suppresses no diagnostic: delete it", IgnoreDirective, strings.Join(ig.analyzers, ","))})
 		}
 	}
 	return kept

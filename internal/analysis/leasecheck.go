@@ -10,8 +10,8 @@ import (
 // LeaseCheck enforces the PR 2 buffer-ownership model (DESIGN.md, "Buffer
 // ownership & pooling"): every vector leased with tensor.GetVector /
 // GetVectorZero / GetVectorCopy must leave the function through exactly one
-// ownership edge — tensor.PutVector / comm.Release, an ownership-transferring
-// send (comm.Send / comm.Isend payload), storage into longer-lived state, a
+// ownership edge — tensor.PutVector, an ownership-transferring send
+// (comm.Send payload), storage into longer-lived state, a
 // return, or a callee annotated //eagersgd:takes-ownership. The analysis is
 // intra-function and flow-approximate (lexical dominance over the AST):
 //
@@ -20,8 +20,8 @@ import (
 //   - a return statement reachable after the lease with no prior (or
 //     deferred) release on the path is an early-return leak;
 //   - a second release dominated by a first is a double release;
-//   - any use dominated by a strict release (PutVector / Release / Send /
-//     Isend) is a use-after-release or use-after-send.
+//   - any use dominated by a strict release (PutVector / Send) is a
+//     use-after-release or use-after-send.
 //
 // Dominance never crosses sibling branches or loop boundaries, so the
 // "already released" and "use after release" findings are certain; the leak
@@ -39,8 +39,8 @@ type leaseEventKind int
 
 const (
 	evUse          leaseEventKind = iota // borrow: read, slice, pass to an ordinary call
-	evRelease                            // strict release: PutVector / Release
-	evTransfer                           // strict transfer: comm.Send / comm.Isend payload
+	evRelease                            // strict release: tensor.PutVector
+	evTransfer                           // strict transfer: comm.Send payload
 	evAnnotated                          // callee annotated //eagersgd:takes-ownership
 	evStored                             // stored into a field/map/slice/channel/global or aliased
 	evReturned                           // returned to the caller
@@ -240,7 +240,7 @@ func reportLeaseDiagnostics(pass *Pass, parents parentMap, inst *leaseInstance, 
 	}
 	if !edge {
 		pass.Report(inst.get.Pos(),
-			"pool lease %q is never released or transferred: add tensor.PutVector / comm.Release, hand it to an owning call, or annotate the consumer //eagersgd:takes-ownership",
+			"pool lease %q is never released or transferred: add tensor.PutVector, hand it to an owning call, or annotate the consumer //eagersgd:takes-ownership",
 			inst.name)
 		return
 	}
@@ -317,30 +317,16 @@ func isLeaseGet(pass *Pass, call *ast.CallExpr) bool {
 	return false
 }
 
-// isLeaseRelease reports whether fn is a strict release: tensor.PutVector or
-// comm.Release.
+// isLeaseRelease reports whether fn is the strict release tensor.PutVector.
 func isLeaseRelease(fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	return (pkgNameIs(fn.Pkg(), "tensor") && fn.Name() == "PutVector") ||
-		(pkgNameIs(fn.Pkg(), "comm") && fn.Name() == "Release")
+	return fn != nil && pkgNameIs(fn.Pkg(), "tensor") && fn.Name() == "PutVector"
 }
 
 // isOwnershipTransfer reports whether fn consumes its payload argument:
-// comm.Communicator.Send / Isend (ownership transfers even on error).
+// comm.Communicator.Send (ownership transfers even on error).
 func isOwnershipTransfer(fn *types.Func) bool {
-	if fn == nil || !pkgNameIs(fn.Pkg(), "comm") {
-		return false
-	}
-	if fn.Type().(*types.Signature).Recv() == nil {
-		return false
-	}
-	switch fn.Name() {
-	case "Send", "Isend":
-		return true
-	}
-	return false
+	return fn != nil && pkgNameIs(fn.Pkg(), "comm") && fn.Name() == "Send" &&
+		fn.Type().(*types.Signature).Recv() != nil
 }
 
 // classifyLeaseUse determines what one identifier occurrence does with the

@@ -102,6 +102,19 @@ func TestMutationContextRoot(t *testing.T) {
 	requireFinding(t, diags, "ctxcheck", "context.Background")
 }
 
+// TestMutationListenerRecv strips the suppression over internal/partial's
+// activation listener, whose loop-resident Recv has a RecvTimeout sibling;
+// ctxcheck must flag the receive.
+func TestMutationListenerRecv(t *testing.T) {
+	l := newTestLoader(t, nil)
+	file := filepath.Join(l.ModuleRoot, "internal", "partial", "partial.go")
+	overlay := mutate(t, file,
+		"//eagervet:ignore ctxcheck -- the listener lives",
+		"// the listener lives")
+	diags := runOn(t, overlay, l.ModulePath+"/internal/partial")
+	requireFinding(t, diags, "ctxcheck", "use RecvTimeout")
+}
+
 // TestMutationDetachedGoroutine plants a goroutine with no join plumbing
 // (before the constructor's WaitGroup.Add, so the Add-before-go idiom does
 // not cover it) in internal/comm; lifecyclecheck must flag the launch.

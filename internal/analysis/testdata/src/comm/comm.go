@@ -1,10 +1,11 @@
 // Package comm is the golden-test stub of the transport layer, mirroring the
-// ownership semantics the analyzers encode: Send and Isend consume their
-// payload, SendCopy borrows it, and Release is a strict release.
+// ownership semantics the analyzers encode: Send consumes its payload and
+// SendCopy borrows it.
 package comm
 
 import (
 	"context"
+	"time"
 
 	"tensor"
 )
@@ -15,17 +16,16 @@ type Communicator struct{}
 // Send transfers ownership of payload, even on error.
 func (c *Communicator) Send(dest, tag int, payload tensor.Vector) error { return nil }
 
-// Isend transfers ownership of payload, even on error.
-func (c *Communicator) Isend(dest, tag int, payload tensor.Vector) error { return nil }
-
 // SendCopy borrows payload: the caller still owns it afterward.
-func (c *Communicator) SendCopy(dest, tag int, payload tensor.Vector) error { return nil }
+func (c *Communicator) SendCopy(dest, tag int, payload tensor.Vector, cancel <-chan struct{}) error {
+	return nil
+}
 
 // Recv blocks until a message arrives.
 func (c *Communicator) Recv(source, tag int) (tensor.Vector, error) { return nil, nil }
 
-// RecvCancel is the cancellable variant of Recv.
-func (c *Communicator) RecvCancel(source, tag int, cancel <-chan struct{}) (tensor.Vector, error) {
+// RecvTimeout is the general receive: cancellable, with a peer deadline.
+func (c *Communicator) RecvTimeout(source, tag int, cancel <-chan struct{}, deadline time.Duration) (tensor.Vector, error) {
 	return nil, nil
 }
 
@@ -34,6 +34,3 @@ func (c *Communicator) Barrier() error { return nil }
 
 // BarrierContext is the cancellable variant of Barrier.
 func (c *Communicator) BarrierContext(ctx context.Context) error { return nil }
-
-// Release returns a received (pool-leased) vector to the pool.
-func Release(v tensor.Vector) {}

@@ -8,6 +8,8 @@ import (
 	"comm"
 )
 
+const tagWork = 1 << 8
+
 // Engine is a stand-in for a collective endpoint.
 type Engine struct{}
 
@@ -45,6 +47,9 @@ func loopWithoutCancel(e *Engine, c *comm.Communicator) error {
 		if err := c.Barrier(); err != nil { // want "loop-resident call to Barrier has no cancellation path: use BarrierContext"
 			return err
 		}
+		if _, err := c.Recv(0, tagWork); err != nil { // want "loop-resident call to Recv has no cancellation path: use RecvTimeout"
+			return err
+		}
 	}
 }
 
@@ -56,6 +61,9 @@ func loopWithCancel(ctx context.Context, e *Engine, c *comm.Communicator, stop <
 		}
 		pollContext(ctx)
 		if err := c.BarrierContext(ctx); err != nil {
+			return err
+		}
+		if _, err := c.RecvTimeout(0, tagWork, stop, 0); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,8 @@
 // Package ignoretest exercises the //eagervet:ignore directive machinery
 // itself: a directive silences exactly the diagnostics on its line (or the
 // next line for standalone directives), a directive without a reason is
-// itself a diagnostic, and unknown analyzer names are rejected.
+// itself a diagnostic, unknown analyzer names are rejected, and a directive
+// that suppresses nothing is flagged.
 package ignoretest
 
 const tagBase = 1 << 20
@@ -41,4 +42,11 @@ func unknownAnalyzer() {
 // noAnalyzer: a bare directive is flagged.
 func noAnalyzer() {
 	send(5, tagBase) /* want "names no analyzer" */ //eagervet:ignore
+}
+
+// deadDirective: a directive over a line the analyzer does not flag is itself
+// flagged; the identical directive over a flagged line is not.
+func deadDirective() {
+	send(6, tagBase) /* want "suppresses no diagnostic" */ //eagervet:ignore tagcheck -- fixture: the tag is named, so this covers nothing.
+	send(6, 666)     //eagervet:ignore tagcheck -- fixture: covers the raw literal tag on this line.
 }

@@ -21,7 +21,7 @@ func straightLineLeak(n int) float64 {
 // earlyReturnLeak releases on the happy path but leaks on the error path.
 func earlyReturnLeak(c *comm.Communicator, n int) error {
 	v := tensor.GetVectorZero(n)
-	if err := c.SendCopy(1, tagWork, v); err != nil {
+	if err := c.SendCopy(1, tagWork, v, nil); err != nil {
 		return err // want "may leak on this return path"
 	}
 	tensor.PutVector(v)

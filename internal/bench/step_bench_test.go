@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -97,7 +98,7 @@ func BenchmarkStepOverlap(b *testing.B) {
 								}
 							}()
 							runRounds(b, benchRanks, func(rank int) error {
-								_, err := trainers[rank].Step()
+								_, err := trainers[rank].StepContext(context.Background())
 								return err
 							})
 						})

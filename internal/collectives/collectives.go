@@ -203,9 +203,9 @@ func BucketStreamTagRange() (lo, hi int) {
 // Buffer discipline (DESIGN.md, "Buffer ownership & pooling"): every vector
 // returned by recv or sendRecv is a pool lease; the algorithms reduce or copy
 // it into the caller-owned data buffer in place and release it immediately
-// with release. Outgoing payloads always borrow the caller's buffer (sendCopy
-// / sendRecv snapshot into a pooled buffer internally), because data is owned
-// by the application for the whole collective.
+// with release. Outgoing payloads always borrow the caller's buffer
+// (comm.SendCopy), because data is owned by the application for the whole
+// collective.
 type env struct {
 	c        *comm.Communicator
 	cancel   <-chan struct{}
@@ -222,18 +222,26 @@ func (e env) recv(source, tag int) (tensor.Vector, comm.Status, error) {
 	return v, st, wrapUnreachable(err)
 }
 
+// sendRecv is the step of the symmetric exchanges (recursive doubling, the
+// barrier): send to dest, then receive from source. Sending first cannot
+// deadlock: every communicator's demux goroutine drains its endpoint inbox
+// continuously, so a transport send only blocks transiently for flow control,
+// never on the peer entering the collective.
 func (e env) sendRecv(dest, sendTag int, data tensor.Vector, source, recvTag int) (tensor.Vector, comm.Status, error) {
-	v, st, err := e.c.SendRecvTimeout(dest, sendTag, data, source, recvTag, e.cancel, e.deadline)
-	return v, st, wrapUnreachable(err)
+	if err := e.sendCopy(dest, sendTag, data); err != nil {
+		return nil, comm.Status{}, err
+	}
+	return e.recv(source, recvTag)
 }
 
-// sendCopy borrows data and sends it, surfacing a dead destination as
-// ErrRankUnreachable.
+// sendCopy borrows data and sends it, honoring the cancel channel (a stalled
+// peer cannot block a cancelable collective) and surfacing a dead destination
+// as ErrRankUnreachable.
 func (e env) sendCopy(dest, tag int, data tensor.Vector) error {
-	return wrapUnreachable(e.c.SendCopy(dest, tag, data))
+	return wrapUnreachable(e.c.SendCopy(dest, tag, data, e.cancel))
 }
 
-func (e env) release(v tensor.Vector) { comm.Release(v) }
+func (e env) release(v tensor.Vector) { tensor.PutVector(v) }
 
 // sendFrom sends a frame produced in place by fill(dst, a, b) (comm.SendFrom:
 // straight into the ring span on a fill-capable transport, staged through one
@@ -249,10 +257,9 @@ func (e env) sendFrom(dest, tag int, a, b tensor.Vector, fill func(dst, a, b ten
 // segment k+1's receive and the next outgoing segment's send; at most
 // pipelineWindow outgoing segments are in flight ahead of the receive stream,
 // double-buffered through the vector pool. With a nil cancel channel the
-// steady state allocates nothing; a cancelable call pays one overlapped send
-// (goroutine + request) per outgoing segment — the price of staying
-// responsive to cancellation on a stalled peer, and the same mechanism the
-// pre-pipelining code paid once per chunk exchange.
+// steady state allocates nothing; a cancelable call pays one snapshot and one
+// goroutine per outgoing segment — the price of staying responsive to
+// cancellation on a stalled peer.
 //
 // Both sides must segment identically (same e.seg — an SPMD configuration),
 // because the receiver walks recvInto by the lengths of the segments the
@@ -260,11 +267,9 @@ func (e env) sendFrom(dest, tag int, a, b tensor.Vector, fill func(dst, a, b ten
 // guarantees per-(source, tag) FIFO order, so offsets advance in send order.
 //
 // When both directions fit in a single segment the exchange degenerates to
-// the classic combined sendRecv, which also keeps the cancel-overlapped send
-// of SendRecvTimeout for small payloads. On the multi-segment path,
-// cancellation is honored at every receive and — through sendSeg's
-// SendCopyCancel — at every send, so a frozen peer whose socket stops
-// draining cannot wedge a cancel-aware collective.
+// the classic combined sendRecv. Cancellation is honored at every receive and
+// every send, so a frozen peer whose socket stops draining cannot wedge a
+// cancel-aware collective.
 func (e env) exchangeSegmented(dest, source, tag int, send, recvInto tensor.Vector, reduce bool) error {
 	if len(send) <= e.seg && len(recvInto) <= e.seg {
 		incoming, _, err := e.sendRecv(dest, tag, send, source, tag)
@@ -282,7 +287,7 @@ func (e env) exchangeSegmented(dest, source, tag int, send, recvInto tensor.Vect
 	sendOff := 0
 	for i := 0; i < pipelineWindow && sendOff < len(send); i++ {
 		hi := min(sendOff+e.seg, len(send))
-		if err := e.sendSeg(dest, tag, send[sendOff:hi]); err != nil {
+		if err := e.sendCopy(dest, tag, send[sendOff:hi]); err != nil {
 			return err
 		}
 		sendOff = hi
@@ -297,7 +302,7 @@ func (e env) exchangeSegmented(dest, source, tag int, send, recvInto tensor.Vect
 		// segment while this one is folded in.
 		if sendOff < len(send) {
 			hi := min(sendOff+e.seg, len(send))
-			if err := e.sendSeg(dest, tag, send[sendOff:hi]); err != nil {
+			if err := e.sendCopy(dest, tag, send[sendOff:hi]); err != nil {
 				e.release(incoming)
 				return err
 			}
@@ -318,22 +323,12 @@ func (e env) exchangeSegmented(dest, source, tag int, send, recvInto tensor.Vect
 	}
 	for sendOff < len(send) {
 		hi := min(sendOff+e.seg, len(send))
-		if err := e.sendSeg(dest, tag, send[sendOff:hi]); err != nil {
+		if err := e.sendCopy(dest, tag, send[sendOff:hi]); err != nil {
 			return err
 		}
 		sendOff = hi
 	}
 	return nil
-}
-
-// sendSeg sends one outgoing segment. Without a cancel channel the send runs
-// inline and allocation-free; with one it is cancel-overlapped (SendCopyCancel)
-// so a stalled peer cannot block a cancelable collective indefinitely.
-func (e env) sendSeg(dest, tag int, seg tensor.Vector) error {
-	if e.cancel == nil {
-		return wrapUnreachable(e.c.SendCopy(dest, tag, seg))
-	}
-	return wrapUnreachable(e.c.SendCopyCancel(dest, tag, seg, e.cancel))
 }
 
 // AllreduceWith sums data element-wise across all ranks and leaves the
@@ -496,7 +491,7 @@ func allreduceRing(e env, data tensor.Vector) error {
 // interoperate, and the sum order matches tensor.AddVec bit for bit.
 //
 // Chosen only for cancel-free calls whose chunks fit one segment; the
-// cancelable and multi-segment regimes keep exchangeSegmented's overlapped
+// cancelable and multi-segment regimes keep exchangeSegmented's cancelable
 // sends and pipelining.
 func allreduceRingFused(e env, data tensor.Vector) error {
 	rank, size := e.c.Rank(), e.c.Size()

@@ -1,6 +1,5 @@
 // Package comm provides the message-passing substrate the collectives are
-// built on: ranks, communicators, and tag-matched point-to-point messaging
-// with blocking and non-blocking variants.
+// built on: ranks, communicators, and tag-matched point-to-point messaging.
 //
 // The design mirrors the small subset of MPI semantics the paper relies on.
 // A Communicator wraps a transport Endpoint (see internal/transport for the
@@ -14,16 +13,16 @@
 // The layer follows an explicit ownership model (DESIGN.md, "Buffer ownership
 // & pooling") so the steady-state hot path never touches the allocator:
 //
-//   - Send and Isend take ownership of the payload: the caller must not read
-//     or write the vector after the call. Callers that need to keep using
-//     their buffer use SendCopy, which snapshots it into a pool-leased buffer.
-//   - Recv, RecvCancel, TryRecv, and SendRecvTimeout hand back a leased
-//     buffer: the receiver owns it and should release it with Release (or
-//     tensor.PutVector) once the payload has been consumed. Forgetting to
-//     release only costs a garbage collection; releasing twice, or while a
-//     reference is still live, corrupts another lease.
-//   - SendRecvTimeout borrows its outgoing payload (it snapshots into a pooled
-//     buffer internally), so the caller's vector is untouched.
+//   - Send takes ownership of the payload: the caller must not read or write
+//     the vector after the call.
+//   - SendCopy, SendFrom and SendBroadcastCopy borrow their operands: the
+//     caller keeps ownership and may reuse the buffer as soon as the call
+//     returns.
+//   - Recv and RecvTimeout hand back a leased buffer: the receiver owns it and
+//     should release it with tensor.PutVector once the payload has been
+//     consumed. Forgetting to release only costs a garbage collection;
+//     releasing twice, or while a reference is still live, corrupts another
+//     lease.
 package comm
 
 import (
@@ -47,9 +46,9 @@ const (
 // been shut down.
 var ErrClosed = errors.New("comm: communicator closed")
 
-// ErrCanceled is returned by RecvCancel when the cancel channel fires before
-// a matching message arrives.
-var ErrCanceled = errors.New("comm: receive canceled")
+// ErrCanceled is returned by RecvTimeout and SendCopy when the cancel channel
+// fires before the message is matched or accepted by the transport.
+var ErrCanceled = errors.New("comm: canceled")
 
 // ErrPeerDown is the sentinel every peer-failure error matches
 // (errors.Is(err, ErrPeerDown)). A peer is marked down by the transport (a
@@ -130,18 +129,16 @@ type FillSender interface {
 // GroupBroadcaster is an optional Endpoint capability: the transport can
 // publish one payload to all of its peers in a single operation (a
 // shared-memory broadcast segment every other rank reads in place), instead
-// of one send per peer. BroadcastGroup returns the peer ranks that receive
-// such a publication — every rank of the world but the endpoint's own, which
-// is what lets callers gate on the budget alone — and BroadcastBudget the
-// largest payload byte count SendBroadcast accepts. SendBroadcast borrows
-// data for the duration of the call — ownership stays with the caller on
-// every path — and on return the payload is en route to every rank in
-// BroadcastGroup as an ordinary tagged message from this endpoint's rank;
-// like Send, it may block for flow control. Group and budget are fixed for
-// the endpoint's lifetime, so SPMD callers can derive consistent routing
-// decisions from them.
+// of one send per peer. A publication reaches every rank of the world but the
+// endpoint's own, which is what lets callers gate on the budget alone.
+// BroadcastBudget returns the largest payload byte count SendBroadcast
+// accepts. SendBroadcast borrows data for the duration of the call —
+// ownership stays with the caller on every path — and on return the payload
+// is en route to every other rank as an ordinary tagged message from this
+// endpoint's rank; like Send, it may block for flow control. The budget is
+// fixed for the endpoint's lifetime, so SPMD callers can derive consistent
+// routing decisions from it.
 type GroupBroadcaster interface {
-	BroadcastGroup() []int
 	BroadcastBudget() int
 	SendBroadcast(tag int, data tensor.Vector) error
 }
@@ -179,13 +176,6 @@ type Endpoint interface {
 	Close() error
 }
 
-// Release returns a received payload to the shared vector pool. It is the
-// companion of Recv/RecvCancel/TryRecv/SendRecvTimeout: call it once the
-// payload has been consumed (reduced into a local buffer, copied out,
-// discarded). It is an alias for tensor.PutVector and inherits its contract:
-// at most one release per lease, and no live references afterwards.
-func Release(v tensor.Vector) { tensor.PutVector(v) }
-
 // Status describes a completed receive.
 type Status struct {
 	Source int
@@ -193,9 +183,8 @@ type Status struct {
 	Count  int
 }
 
-// Communicator provides blocking and non-blocking tagged point-to-point
-// communication among a fixed group of ranks. It is safe for concurrent use
-// by multiple goroutines.
+// Communicator provides tagged point-to-point communication among a fixed
+// group of ranks. It is safe for concurrent use by multiple goroutines.
 type Communicator struct {
 	ep Endpoint
 
@@ -206,10 +195,10 @@ type Communicator struct {
 	closedCh chan struct{} // closed when the transport is down; wakes slot receivers
 	demuxWG  sync.WaitGroup
 
-	// sends counts in-flight Isend goroutines, each of which owns the pool
-	// lease of its payload; Close joins them so no lease is released after it
-	// returns. noSends (under mu) refuses new ones once Close has begun, so
-	// sends.Add never races sends.Wait.
+	// sends counts in-flight cancelable SendCopy goroutines, each of which
+	// owns the pool lease of its payload; Close joins them so no lease is
+	// released after it returns. noSends (under mu) refuses new ones once
+	// Close has begun, so sends.Add never races sends.Wait.
 	sends   sync.WaitGroup
 	noSends bool
 
@@ -271,9 +260,8 @@ func (c *Communicator) Size() int { return c.ep.Size() }
 // with ErrClosed. Unexpected messages still queued are released back to the
 // vector pool — after Close no receive can claim them, and dropping the queue
 // without releasing would leak their leases. Close also joins the sends that
-// a canceled SendCopyCancel or SendRecvTimeout abandoned in the background:
-// closing the endpoint unblocks them, and each releases its payload's lease
-// before Close returns.
+// a canceled SendCopy abandoned in the background: closing the endpoint
+// unblocks them, and each releases its payload's lease before Close returns.
 func (c *Communicator) Close() error {
 	c.mu.Lock()
 	c.noSends = true
@@ -317,23 +305,11 @@ func (c *Communicator) MarkPeerDown(rank int, cause error) {
 	c.down[rank] = cause
 	hooks := append([]func(int){}, c.downHooks...)
 	c.cond.Broadcast()
-	if c.slots != nil {
-		c.slots[rank].nudgeLocked() // wake a direct receiver naming this peer
-	}
+	c.slots[rank].nudgeLocked() // wake a direct receiver naming this peer
 	c.mu.Unlock()
 	for _, fn := range hooks {
 		fn(rank)
 	}
-}
-
-// PeerDown reports whether the rank has been marked down.
-func (c *Communicator) PeerDown(rank int) bool {
-	if rank < 0 || rank >= c.Size() {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.down[rank] != nil
 }
 
 // PeerError returns the cause the rank was marked down with (nil if up).
@@ -344,19 +320,6 @@ func (c *Communicator) PeerError(rank int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.down[rank]
-}
-
-// DownPeers returns the ranks currently marked down, in ascending order.
-func (c *Communicator) DownPeers() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []int
-	for r, cause := range c.down {
-		if cause != nil {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // OnPeerDown registers an observer invoked once per peer when that peer is
@@ -423,15 +386,33 @@ func (c *Communicator) Send(dest, tag int, data tensor.Vector) error {
 	return err
 }
 
-// SendCopy behaves like Send but snapshots data into a pool-leased buffer
-// first, so the caller keeps ownership of data and may reuse it immediately.
-// This is the right call when the payload aliases a live working buffer (a
-// caller-owned gradient, a collective's accumulation buffer).
+// SendCopy behaves like Send but borrows data: the caller keeps ownership
+// and may reuse the buffer as soon as the call returns. This is the right call
+// when the payload aliases a live working buffer (a caller-owned gradient, a
+// collective's accumulation buffer).
 //
-// On a transport that implements BorrowingSender the snapshot is elided: the
-// transport encodes the caller's buffer in place before returning, which is
-// one whole payload copy saved per send on the shared-ring hot path.
-func (c *Communicator) SendCopy(dest, tag int, data tensor.Vector) error {
+// With a nil cancel the send runs inline. On a transport that implements
+// BorrowingSender the transport encodes the caller's buffer in place before
+// returning — one whole payload copy saved per send on the shared-ring hot
+// path, and no allocation; elsewhere data is snapshotted into a pool lease
+// that Send consumes.
+//
+// With a non-nil cancel the snapshot is handed to the transport on a
+// goroutine that Close joins, and the call gives up with ErrCanceled when
+// cancel fires before the transport accepts it: a transport send can block
+// indefinitely on a stalled peer (e.g. TCP backpressure from a frozen
+// process). A canceled call abandons the send to complete in the background;
+// the communicator is then mid-protocol and the only safe follow-up is
+// closing it. Once Close has begun, a cancelable send is refused with
+// ErrClosed. An uncanceled call returns only once the transport accepted the
+// payload, so a caller's sends never overlap and per-(source, tag) FIFO order
+// is preserved.
+//
+// No receive deadline covers a stalled send: only cancel (or Close) ends one.
+func (c *Communicator) SendCopy(dest, tag int, data tensor.Vector, cancel <-chan struct{}) error {
+	if cancel != nil {
+		return c.sendCancelable(dest, tag, data, cancel)
+	}
 	bs, ok := c.ep.(BorrowingSender)
 	if !ok {
 		// Send performs the peer validation and releases the copy on every
@@ -453,6 +434,29 @@ func (c *Communicator) SendCopy(dest, tag int, data tensor.Vector) error {
 		}
 	}
 	return err
+}
+
+// sendCancelable is SendCopy's path for a non-nil cancel channel.
+func (c *Communicator) sendCancelable(dest, tag int, data tensor.Vector, cancel <-chan struct{}) error {
+	c.mu.Lock()
+	if c.noSends {
+		c.mu.Unlock()
+		return ErrClosed
+	}
+	c.sends.Add(1)
+	c.mu.Unlock()
+	lease := tensor.GetVectorCopy(data)
+	done := make(chan error, 1)
+	go func() {
+		defer c.sends.Done()
+		done <- c.Send(dest, tag, lease)
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-cancel:
+		return ErrCanceled
+	}
 }
 
 // SendFrom sends a len(a)-element frame whose payload is produced by
@@ -519,29 +523,6 @@ func (c *Communicator) SendBroadcastCopy(tag int, data tensor.Vector) error {
 	return gb.SendBroadcast(tag, data)
 }
 
-// SendCopyCancel behaves like SendCopy but gives up with ErrCanceled when
-// cancel is closed before the transport accepts the payload. A transport send
-// can block indefinitely on a stalled peer (e.g. TCP backpressure from a
-// frozen process), so cancel-aware callers that send inline — the pipelined
-// collectives' segment streams — use this to stay responsive. A canceled call
-// abandons the in-flight send to complete in the background; the communicator
-// is then mid-protocol and the only safe follow-up is closing it. The send is
-// not issued concurrently with any later send by the same caller (the call
-// only returns once the transport accepted the payload), so per-(source, tag)
-// FIFO order is preserved.
-func (c *Communicator) SendCopyCancel(dest, tag int, data tensor.Vector, cancel <-chan struct{}) error {
-	if cancel == nil {
-		return c.SendCopy(dest, tag, data)
-	}
-	req := c.Isend(dest, tag, tensor.GetVectorCopy(data))
-	select {
-	case <-req.done:
-		return req.Wait()
-	case <-cancel:
-		return ErrCanceled
-	}
-}
-
 // matchLocked scans the unexpected queue for the first message matching
 // (source, tag) and removes it. Caller must hold c.mu.
 func (c *Communicator) matchLocked(source, tag int) (Message, bool) {
@@ -557,16 +538,9 @@ func (c *Communicator) matchLocked(source, tag int) (Message, bool) {
 // Recv blocks until a message matching (source, tag) arrives and returns its
 // payload and status. source may be AnySource and tag may be AnyTag. The
 // returned vector is a pool lease owned by the caller; release it with
-// Release once consumed.
+// tensor.PutVector once consumed.
 func (c *Communicator) Recv(source, tag int) (tensor.Vector, Status, error) {
 	return c.RecvTimeout(source, tag, nil, 0)
-}
-
-// RecvCancel behaves like Recv but gives up with ErrCanceled if cancel is
-// closed before a matching message arrives: the receive for a message that
-// may never be sent.
-func (c *Communicator) RecvCancel(source, tag int, cancel <-chan struct{}) (tensor.Vector, Status, error) {
-	return c.RecvTimeout(source, tag, cancel, 0)
 }
 
 // RecvTimeout is the fully general blocking receive: it matches (source, tag)
@@ -585,7 +559,7 @@ func (c *Communicator) RecvTimeout(source, tag int, cancel <-chan struct{}, dead
 		if err := c.checkPeer(source); err != nil {
 			return nil, Status{}, err
 		}
-		if tag != AnyTag && c.slots != nil {
+		if tag != AnyTag {
 			// Fully named receives take the direct-delivery path: same
 			// semantics, one goroutine hop instead of two (see direct.go).
 			return c.recvDirect(source, tag, cancel, deadline)
@@ -682,119 +656,10 @@ func (c *Communicator) DiscardTagRange(lo, hi int) int {
 	return removed
 }
 
-// TryRecv returns a matching message if one is already available, without
-// blocking. The boolean result reports whether a message was returned.
-func (c *Communicator) TryRecv(source, tag int) (tensor.Vector, Status, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if m, ok := c.matchLocked(source, tag); ok {
-		return m.Data, Status{Source: m.Source, Tag: m.Tag, Count: len(m.Data)}, true
-	}
-	return nil, Status{}, false
-}
-
 // Pending returns the number of unexpected messages currently queued. It is
 // intended for tests and diagnostics.
 func (c *Communicator) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.queue)
-}
-
-// Request represents an outstanding non-blocking send.
-type Request struct {
-	done chan struct{}
-	err  error
-}
-
-// Wait blocks until the send completes and returns its error.
-func (r *Request) Wait() error {
-	<-r.done
-	return r.err
-}
-
-// Isend starts a non-blocking send and returns a request that completes when
-// the message has been handed to the transport. Like Send, it takes ownership
-// of data immediately: the caller must not touch the vector after the call.
-// The sending goroutine is joined by Close; after Close the request completes
-// at once with ErrClosed.
-func (c *Communicator) Isend(dest, tag int, data tensor.Vector) *Request {
-	r := &Request{done: make(chan struct{})}
-	c.mu.Lock()
-	if c.noSends {
-		c.mu.Unlock()
-		tensor.PutVector(data)
-		r.err = ErrClosed
-		close(r.done)
-		return r
-	}
-	c.sends.Add(1)
-	c.mu.Unlock()
-	go func() {
-		defer c.sends.Done()
-		defer close(r.done)
-		r.err = c.Send(dest, tag, data)
-	}()
-	return r
-}
-
-// SendRecvTimeout performs a combined send to dest and receive from source
-// with the given tags, the workhorse of symmetric exchange patterns such as
-// recursive doubling. The outgoing payload is borrowed (snapshotted into a
-// pool lease), so the caller keeps ownership of data; the returned vector is a
-// lease the caller releases with Release. The receive half gives up with
-// ErrCanceled when cancel is closed before a matching message arrives (a nil
-// cancel never fires). It is the primitive the collectives are built on: a collective
-// blocked on a peer that will never send (e.g. because the caller's context
-// was canceled mid-job) unblocks instead of hanging forever.
-//
-// Without a cancel channel the send half runs inline rather than on a helper
-// goroutine: every communicator's demux goroutine continuously drains its
-// endpoint inbox into the unexpected queue, so a transport send can only
-// block transiently for flow control, never on the peer entering the
-// collective — the classic exchange deadlock cannot occur, and the hot path
-// stays free of goroutine, channel, and request allocations.
-//
-// With a cancel channel the send is overlapped on a goroutine instead: a
-// transport send can still block indefinitely on a stalled peer (e.g. TCP
-// backpressure from a frozen process), and a cancelable call must return
-// ErrCanceled even then. A canceled call abandons the in-flight send to
-// complete in the background; the communicator is then mid-collective and the
-// only safe follow-up is closing it.
-//
-// A positive deadline is a per-peer deadline on the receive half (see
-// RecvTimeout): a peer that neither delivers a matching message nor is
-// otherwise heard from within the deadline is marked down and the call
-// returns a PeerDownError instead of blocking forever — the typed surface for
-// "the peer's read loop died mid-collective". Zero waits indefinitely.
-func (c *Communicator) SendRecvTimeout(dest, sendTag int, data tensor.Vector, source, recvTag int, cancel <-chan struct{}, deadline time.Duration) (tensor.Vector, Status, error) {
-	if cancel == nil {
-		if err := c.SendCopy(dest, sendTag, data); err != nil {
-			return nil, Status{}, err
-		}
-		return c.RecvTimeout(source, recvTag, nil, deadline)
-	}
-	sreq := c.Isend(dest, sendTag, tensor.GetVectorCopy(data))
-	rdata, rstatus, rerr := c.RecvTimeout(source, recvTag, cancel, deadline)
-	if errors.Is(rerr, ErrCanceled) || errors.Is(rerr, ErrPeerDown) {
-		// The peer will never satisfy the receive; abandon the in-flight send
-		// (it may itself be stuck on the dead peer's backpressure) rather than
-		// waiting on it.
-		return nil, Status{}, rerr
-	}
-	// The receive may have completed (its message was already queued) while
-	// the send is still stuck on a stalled peer, so the wait for the send must
-	// honor the cancel channel too — otherwise cancellation could never
-	// unblock the call it exists to unblock.
-	select {
-	case <-sreq.done:
-	case <-cancel:
-		tensor.PutVector(rdata)
-		return nil, Status{}, ErrCanceled
-	}
-	if serr := sreq.Wait(); serr != nil && rerr == nil {
-		tensor.PutVector(rdata)
-		return nil, Status{}, serr
-	}
-	return rdata, rstatus, rerr
 }

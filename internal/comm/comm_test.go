@@ -50,7 +50,7 @@ func TestSendRecvBasic(t *testing.T) {
 func TestSendCopyRetainsCallerBuffer(t *testing.T) {
 	w := world(t, 2)
 	buf := tensor.Vector{1, 2, 3}
-	if err := w[0].SendCopy(1, 0, buf); err != nil {
+	if err := w[0].SendCopy(1, 0, buf, nil); err != nil {
 		t.Fatalf("SendCopy: %v", err)
 	}
 	buf[0] = 99 // caller keeps ownership; receiver must still see the original
@@ -61,7 +61,7 @@ func TestSendCopyRetainsCallerBuffer(t *testing.T) {
 	if data[0] != 1 {
 		t.Fatalf("SendCopy did not snapshot payload: got %v", data)
 	}
-	comm.Release(data)
+	tensor.PutVector(data)
 }
 
 func TestSendTransfersOwnershipZeroCopyInproc(t *testing.T) {
@@ -80,7 +80,7 @@ func TestSendTransfersOwnershipZeroCopyInproc(t *testing.T) {
 	if &data[0] != &buf[0] {
 		t.Fatalf("inproc Send copied the payload: receiver got a different backing array")
 	}
-	comm.Release(data)
+	tensor.PutVector(data)
 }
 
 func TestSendRecvBorrowsOutgoingBuffer(t *testing.T) {
@@ -92,7 +92,11 @@ func TestSendRecvBorrowsOutgoingBuffer(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			peer := 1 - r
-			data, _, err := w[r].SendRecvTimeout(peer, 0, bufs[r], peer, 0, nil, 0)
+			if err := w[r].SendCopy(peer, 0, bufs[r], nil); err != nil {
+				t.Errorf("rank %d: %v", r, err)
+				return
+			}
+			data, _, err := w[r].Recv(peer, 0)
 			if err != nil {
 				t.Errorf("rank %d: %v", r, err)
 				return
@@ -104,7 +108,7 @@ func TestSendRecvBorrowsOutgoingBuffer(t *testing.T) {
 			if data[0] != float64(peer) {
 				t.Errorf("rank %d: got %v", r, data)
 			}
-			comm.Release(data)
+			tensor.PutVector(data)
 		}(r)
 	}
 	wg.Wait()
@@ -166,29 +170,6 @@ func TestRecvFIFOPerSourceTag(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
-	w := world(t, 2)
-	if _, _, ok := w[1].TryRecv(0, 3); ok {
-		t.Fatalf("TryRecv returned a message before any send")
-	}
-	if err := w[0].Send(1, 3, tensor.Vector{8}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(time.Second)
-	for {
-		if data, st, ok := w[1].TryRecv(0, 3); ok {
-			if data[0] != 8 || st.Tag != 3 {
-				t.Fatalf("TryRecv got %v %+v", data, st)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("TryRecv never observed the message")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 type recvResult struct {
 	data tensor.Vector
 	st   comm.Status
@@ -205,18 +186,6 @@ func recvAsync(c *comm.Communicator, source, tag int) <-chan recvResult {
 		ch <- r
 	}()
 	return ch
-}
-
-func TestIsendRecv(t *testing.T) {
-	w := world(t, 2)
-	recvd := recvAsync(w[1], 0, 11)
-	if err := w[0].Isend(1, 11, tensor.Vector{3, 4}).Wait(); err != nil {
-		t.Fatalf("Isend: %v", err)
-	}
-	r := <-recvd
-	if r.err != nil || !r.data.Equal(tensor.Vector{3, 4}) || r.st.Source != 0 {
-		t.Fatalf("Recv got %v %+v err=%v", r.data, r.st, r.err)
-	}
 }
 
 func TestRecvBlocksUntilMatchingSend(t *testing.T) {
@@ -249,9 +218,13 @@ func TestSendRecvExchangeNoDeadlock(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			peer := 1 - r
-			data, _, err := w[r].SendRecvTimeout(peer, 0, tensor.Vector{float64(r)}, peer, 0, nil, 0)
+			if err := w[r].SendCopy(peer, 0, tensor.Vector{float64(r)}, nil); err != nil {
+				t.Errorf("rank %d SendCopy: %v", r, err)
+				return
+			}
+			data, _, err := w[r].RecvTimeout(peer, 0, nil, 0)
 			if err != nil {
-				t.Errorf("rank %d SendRecv: %v", r, err)
+				t.Errorf("rank %d RecvTimeout: %v", r, err)
 				return
 			}
 			results[r] = data
@@ -267,11 +240,11 @@ func TestSendRecvExchangeNoDeadlock(t *testing.T) {
 }
 
 // TestSendRecvInprocAllocFree pins down the ownership refactor's headline
-// property on the point-to-point layer: a steady-state SendRecv exchange on
-// the in-process transport performs zero allocations — no defensive clone on
-// the send half (the old Send+Isend path cloned the payload twice), no
-// per-exchange goroutine or request, and a pooled receive buffer that is
-// recycled by Release.
+// property on the point-to-point layer: a steady-state exchange on the
+// in-process transport — SendCopy with a nil cancel, then RecvTimeout, the
+// collectives' step — performs zero allocations: the send snapshot and the
+// receive buffer are pool leases recycled by tensor.PutVector, and no
+// goroutine or channel is made per exchange.
 func TestSendRecvInprocAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -287,9 +260,12 @@ func TestSendRecvInprocAllocFree(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		go func(r int) {
 			for range start[r] {
-				data, _, err := w[r].SendRecvTimeout(1-r, 0, payload[r], 1-r, 0, nil, 0)
+				err := w[r].SendCopy(1-r, 0, payload[r], nil)
 				if err == nil {
-					comm.Release(data)
+					var data tensor.Vector
+					if data, _, err = w[r].RecvTimeout(1-r, 0, nil, 0); err == nil {
+						tensor.PutVector(data)
+					}
 				}
 				done <- err
 			}
@@ -345,20 +321,17 @@ func (s *stallEndpoint) Close() error {
 	return nil
 }
 
-// TestSendRecvCancelUnblocksWhileSendStalled pins the liveness property of the
-// cancel-aware exchange: even when the transport send is stuck on a stalled
-// peer, a canceled SendRecvTimeout must return ErrCanceled instead of hanging
-// (the in-flight send is abandoned to the background and the communicator is
-// closed afterwards, per the documented contract).
-func TestSendRecvCancelUnblocksWhileSendStalled(t *testing.T) {
+// TestCanceledSendUnblocksWhileStalled pins the liveness property of the
+// cancelable send: even when the transport send is stuck on a stalled peer, a
+// canceled SendCopy must return ErrCanceled instead of hanging (the in-flight
+// send is abandoned to the background and the communicator is closed
+// afterwards, per the documented contract).
+func TestCanceledSendUnblocksWhileStalled(t *testing.T) {
 	ep := newStallEndpoint()
 	c := comm.NewCommunicator(ep)
 	cancel := make(chan struct{})
 	done := make(chan error, 1)
-	go func() {
-		_, _, err := c.SendRecvTimeout(1, 0, tensor.Vector{1}, 1, 0, cancel, 0)
-		done <- err
-	}()
+	go func() { done <- c.SendCopy(1, 0, tensor.Vector{1}, cancel) }()
 	time.Sleep(5 * time.Millisecond)
 	close(cancel)
 	select {
@@ -367,26 +340,23 @@ func TestSendRecvCancelUnblocksWhileSendStalled(t *testing.T) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("SendRecvTimeout hung although canceled: stalled send blocks the cancel path")
+		t.Fatal("SendCopy hung although canceled: stalled send blocks the cancel path")
 	}
 	close(ep.release) // let the abandoned background send drain
 	c.Close()
 }
 
-// TestSendRecvCancelUnblocksWhenRecvSatisfiedButSendStalled covers the other
-// half of the liveness guarantee: the matching message is already queued (the
-// receive succeeds immediately) but the send is stuck on a stalled peer. The
-// wait for the send must honor the cancel channel.
-func TestSendRecvCancelUnblocksWhenRecvSatisfiedButSendStalled(t *testing.T) {
+// TestCanceledSendUnblocksWhenRecvAlreadyQueued covers an exchange whose
+// receive would succeed at once — the peer's message is already queued — but
+// whose send is stuck on a stalled peer: the send must still honor the cancel
+// channel, and the queued message stays receivable.
+func TestCanceledSendUnblocksWhenRecvAlreadyQueued(t *testing.T) {
 	ep := newStallEndpoint()
 	ep.inbox <- comm.Message{Source: 1, Tag: 0, Data: tensor.Vector{9}} // recv half satisfied up front
 	c := comm.NewCommunicator(ep)
 	cancel := make(chan struct{})
 	done := make(chan error, 1)
-	go func() {
-		_, _, err := c.SendRecvTimeout(1, 0, tensor.Vector{1}, 1, 0, cancel, 0)
-		done <- err
-	}()
+	go func() { done <- c.SendCopy(1, 0, tensor.Vector{1}, cancel) }()
 	time.Sleep(5 * time.Millisecond)
 	close(cancel)
 	select {
@@ -395,7 +365,10 @@ func TestSendRecvCancelUnblocksWhenRecvSatisfiedButSendStalled(t *testing.T) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("SendRecvTimeout hung in the send wait although canceled")
+		t.Fatal("SendCopy hung although canceled and the receive was already queued")
+	}
+	if data, _, err := c.RecvTimeout(1, 0, nil, 0); err != nil || data[0] != 9 {
+		t.Fatalf("queued message after a canceled send: %v err=%v", data, err)
 	}
 	close(ep.release)
 	c.Close()
@@ -414,7 +387,7 @@ func (s closeBlockedEndpoint) Send(dest int, m comm.Message) error {
 	return comm.ErrClosed
 }
 
-// TestCloseJoinsAbandonedSends: a canceled SendCopyCancel abandons its send to
+// TestCloseJoinsAbandonedSends: a canceled SendCopy abandons its send to
 // a background goroutine that owns the payload's pool lease. Close must join
 // it, so the lease is back in the pool when Close returns — not some time
 // after, where shutdown lease accounting would see it as a leak.
@@ -423,7 +396,7 @@ func TestCloseJoinsAbandonedSends(t *testing.T) {
 	c := comm.NewCommunicator(closeBlockedEndpoint{newStallEndpoint()})
 	cancel := make(chan struct{})
 	close(cancel)
-	if err := c.SendCopyCancel(1, 0, tensor.Vector{1, 2, 3}, cancel); err != comm.ErrCanceled {
+	if err := c.SendCopy(1, 0, tensor.Vector{1, 2, 3}, cancel); err != comm.ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if err := c.Close(); err != nil {
@@ -432,12 +405,12 @@ func TestCloseJoinsAbandonedSends(t *testing.T) {
 	if leaked := tensor.ReadPoolStats().OutstandingSince(before); leaked != 0 {
 		t.Fatalf("%d pool lease(s) still out after Close returned", leaked)
 	}
-	// Once closed, a send is refused outright and its payload released.
-	if err := c.Isend(1, 0, tensor.GetVectorCopy(tensor.Vector{4})).Wait(); err != comm.ErrClosed {
-		t.Fatalf("Isend after Close: err = %v, want ErrClosed", err)
+	// Once closed, a cancelable send is refused outright and leaks nothing.
+	if err := c.SendCopy(1, 0, tensor.Vector{4}, cancel); err != comm.ErrClosed {
+		t.Fatalf("cancelable SendCopy after Close: err = %v, want ErrClosed", err)
 	}
 	if leaked := tensor.ReadPoolStats().OutstandingSince(before); leaked != 0 {
-		t.Fatalf("%d pool lease(s) out after a refused Isend", leaked)
+		t.Fatalf("%d pool lease(s) out after a refused send", leaked)
 	}
 }
 
@@ -503,12 +476,12 @@ func TestConcurrentReceiversDistinctTags(t *testing.T) {
 	}
 }
 
-func TestRecvCancelReturnsWhenCanceled(t *testing.T) {
+func TestRecvTimeoutReturnsWhenCanceled(t *testing.T) {
 	w := world(t, 2)
 	cancel := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := w[1].RecvCancel(0, 99, cancel)
+		_, _, err := w[1].RecvTimeout(0, 99, cancel, 0)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -519,27 +492,27 @@ func TestRecvCancelReturnsWhenCanceled(t *testing.T) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("RecvCancel did not return after cancel")
+		t.Fatal("RecvTimeout did not return after cancel")
 	}
 }
 
-func TestRecvCancelDeliversMessageBeforeCancel(t *testing.T) {
+func TestRecvTimeoutDeliversQueuedMessageBeforeCancel(t *testing.T) {
 	w := world(t, 2)
 	cancel := make(chan struct{})
 	defer close(cancel)
 	if err := w[0].Send(1, 4, tensor.Vector{9}); err != nil {
 		t.Fatal(err)
 	}
-	data, st, err := w[1].RecvCancel(0, 4, cancel)
+	data, st, err := w[1].RecvTimeout(0, 4, cancel, 0)
 	if err != nil || data[0] != 9 || st.Tag != 4 {
 		t.Fatalf("got %v %+v err=%v", data, st, err)
 	}
 }
 
-func TestRecvCancelNilCancelBehavesLikeRecv(t *testing.T) {
+func TestRecvTimeoutNilCancelBehavesLikeRecv(t *testing.T) {
 	w := world(t, 2)
 	go func() { _ = w[0].Send(1, 8, tensor.Vector{2}) }()
-	data, _, err := w[1].RecvCancel(0, 8, nil)
+	data, _, err := w[1].RecvTimeout(0, 8, nil, 0)
 	if err != nil || data[0] != 2 {
 		t.Fatalf("got %v err=%v", data, err)
 	}

@@ -168,12 +168,10 @@ func (c *Communicator) dispatchLocked(m Message) {
 		tensor.PutVector(m.Data)
 		return
 	}
-	if c.slots != nil {
-		s := &c.slots[m.Source]
-		if s.tryClaim(m.Tag) {
-			s.ch <- m // buffered: never blocks, even under c.mu
-			return
-		}
+	s := &c.slots[m.Source]
+	if s.tryClaim(m.Tag) {
+		s.ch <- m // buffered: never blocks, even under c.mu
+		return
 	}
 	c.queue = append(c.queue, m)
 	c.cond.Broadcast()

@@ -56,7 +56,7 @@ func TestQueuedMessageBeatsDownMarking(t *testing.T) {
 	if got[0] != 42 {
 		t.Fatalf("payload = %v", got[0])
 	}
-	comm.Release(got)
+	tensor.PutVector(got)
 	// The next receive fails fast.
 	if _, _, err := w[0].Recv(1, 9); !errors.Is(err, comm.ErrPeerDown) {
 		t.Fatalf("second recv err = %v, want ErrPeerDown", err)
@@ -71,7 +71,7 @@ func TestSendToDownPeerFailsFast(t *testing.T) {
 	if err := w[0].Send(1, 1, v); !errors.Is(err, comm.ErrPeerDown) {
 		t.Fatalf("Send err = %v, want ErrPeerDown", err)
 	}
-	if err := w[0].SendCopy(1, 1, make(tensor.Vector, 4)); !errors.Is(err, comm.ErrPeerDown) {
+	if err := w[0].SendCopy(1, 1, make(tensor.Vector, 4), nil); !errors.Is(err, comm.ErrPeerDown) {
 		t.Fatalf("SendCopy err = %v, want ErrPeerDown", err)
 	}
 }
@@ -86,11 +86,8 @@ func TestRecvTimeoutMarksPeerDown(t *testing.T) {
 	if !errors.Is(err, comm.ErrPeerDeadline) {
 		t.Fatalf("err = %v does not carry ErrPeerDeadline as cause", err)
 	}
-	if !w[0].PeerDown(1) {
-		t.Fatal("peer not marked down after deadline")
-	}
-	if got := w[0].DownPeers(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("DownPeers = %v, want [1]", got)
+	if cause := w[0].PeerError(1); !errors.Is(cause, comm.ErrPeerDeadline) {
+		t.Fatalf("PeerError(1) = %v, want the deadline cause", cause)
 	}
 }
 
@@ -110,8 +107,8 @@ func TestRecvTimeoutDeliversWithinDeadline(t *testing.T) {
 	if got[0] != 7 {
 		t.Fatalf("payload = %v", got[0])
 	}
-	comm.Release(got)
-	if w[0].PeerDown(1) {
+	tensor.PutVector(got)
+	if w[0].PeerError(1) != nil {
 		t.Fatal("peer marked down although it delivered in time")
 	}
 }
@@ -152,11 +149,17 @@ func TestCloseReleasesUnexpectedQueue(t *testing.T) {
 	}
 }
 
-func TestSendRecvTimeoutSurfacesPeerDown(t *testing.T) {
+// TestExchangeDeadlineSurfacesPeerDown: an exchange with a silent peer —
+// SendCopy then RecvTimeout with a deadline — fails typed instead of blocking,
+// with and without a cancel channel.
+func TestExchangeDeadlineSurfacesPeerDown(t *testing.T) {
 	w := transport.NewInprocWorld(2)
 	defer w[0].Close()
 	data := make(tensor.Vector, 4)
-	_, _, err := w[0].SendRecvTimeout(1, 1, data, 1, 1, nil, 30*time.Millisecond)
+	if err := w[0].SendCopy(1, 1, data, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := w[0].RecvTimeout(1, 1, nil, 30*time.Millisecond)
 	if !errors.Is(err, comm.ErrPeerDown) {
 		t.Fatalf("err = %v, want ErrPeerDown", err)
 	}
@@ -165,7 +168,10 @@ func TestSendRecvTimeoutSurfacesPeerDown(t *testing.T) {
 	defer w2[0].Close()
 	cancel := make(chan struct{})
 	defer close(cancel)
-	_, _, err = w2[0].SendRecvTimeout(1, 1, data, 1, 1, cancel, 30*time.Millisecond)
+	if err := w2[0].SendCopy(1, 1, data, cancel); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = w2[0].RecvTimeout(1, 1, cancel, 30*time.Millisecond)
 	if !errors.Is(err, comm.ErrPeerDown) {
 		t.Fatalf("cancelable err = %v, want ErrPeerDown", err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -225,7 +226,7 @@ func TestSynchSGDReplicasStayIdentical(t *testing.T) {
 		}
 		defer tr.Close()
 		for s := 0; s < steps; s++ {
-			rec, err := tr.Step()
+			rec, err := tr.StepContext(context.Background())
 			if err != nil {
 				return err
 			}
@@ -265,7 +266,7 @@ func TestHorovodStyleAlsoKeepsReplicasIdentical(t *testing.T) {
 		}
 		defer tr.Close()
 		for s := 0; s < 8; s++ {
-			if _, err := tr.Step(); err != nil {
+			if _, err := tr.StepContext(context.Background()); err != nil {
 				return err
 			}
 		}
@@ -303,7 +304,7 @@ func TestEagerSGDConvergesOnHyperplane(t *testing.T) {
 		}
 		defer tr.Close()
 		for s := 0; s < steps; s++ {
-			if _, err := tr.Step(); err != nil {
+			if _, err := tr.StepContext(context.Background()); err != nil {
 				return err
 			}
 		}
@@ -343,7 +344,7 @@ func TestEagerSGDMajorityWaitsForQuorum(t *testing.T) {
 			}
 			defer tr.Close()
 			for s := 0; s < steps; s++ {
-				if _, err := tr.Step(); err != nil {
+				if _, err := tr.StepContext(context.Background()); err != nil {
 					return err
 				}
 			}
@@ -397,7 +398,7 @@ func TestEagerSoloFasterThanSynchUnderSkew(t *testing.T) {
 			}
 			defer tr.Close()
 			for s := 0; s < steps; s++ {
-				if _, err := tr.Step(); err != nil {
+				if _, err := tr.StepContext(context.Background()); err != nil {
 					return err
 				}
 			}
@@ -564,7 +565,7 @@ func TestOverlappedSyncTrainingBitForBit(t *testing.T) {
 			}
 			defer tr.Close()
 			for s := 0; s < steps; s++ {
-				rec, err := tr.Step()
+				rec, err := tr.StepContext(context.Background())
 				if err != nil {
 					return err
 				}
@@ -615,7 +616,7 @@ func TestOverlappedEagerTraining(t *testing.T) {
 		}
 		defer tr.Close()
 		for s := 0; s < steps; s++ {
-			rec, err := tr.Step()
+			rec, err := tr.StepContext(context.Background())
 			if err != nil {
 				return err
 			}

@@ -114,20 +114,11 @@ type rankRun struct {
 	err  error
 }
 
-// Run executes the configured training with no cancellation chain. It is the
-// compatibility entry point; code holding a context should call RunContext so
-// a blocked gradient exchange can be interrupted.
+// Run executes the configured training on a collective.World (in-process
+// unless WorldOptions say otherwise) and collects the curves the paper's
+// figures plot. Every rank's transport resources are released through
+// World.Close when the run finishes.
 func Run(cfg RunConfig) (*RunResult, error) {
-	//eagervet:ignore ctxcheck -- Run is the documented no-context shim over RunContext; the root lives here by design.
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext executes the configured training on a collective.World
-// (in-process unless WorldOptions say otherwise) and collects the curves the
-// paper's figures plot. Every rank's transport resources are released through
-// World.Close when the run finishes. Canceling ctx aborts each rank's next
-// blocked gradient exchange; the run then returns the cancellation error.
-func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 	if cfg.Size <= 0 || cfg.Steps <= 0 || cfg.Build == nil {
 		return nil, fmt.Errorf("core: run config requires positive Size and Steps and a Build function")
 	}
@@ -172,7 +163,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 			if record {
 				p = &progress
 			}
-			rr.err = runRank(ctx, cfg, rr.tr, record, result, world, rr.node, p)
+			rr.err = runRank(cfg, rr.tr, record, result, world, rr.node, p)
 		}()
 	}
 
@@ -188,7 +179,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 		ctrlWG.Add(1)
 		go func() {
 			defer ctrlWG.Done()
-			joinerRuns, churnErr = runChurn(ctx, cfg, world, &progress, runDone, result, &joinersWG)
+			joinerRuns, churnErr = runChurn(cfg, world, &progress, runDone, result, &joinersWG)
 		}()
 	}
 
@@ -254,11 +245,11 @@ func registerStateProvider(node *collective.Node, tr *Trainer) {
 
 // runChurn executes the scripted membership changes in order, each gated on
 // rank 0's completed-step clock, and spawns a training loop for every joiner.
-// It stops early when the run finishes (runDone) or the context is canceled.
-func runChurn(ctx context.Context, cfg RunConfig, world *collective.World, progress *atomic.Int64, runDone <-chan struct{}, result *RunResult, joinersWG *sync.WaitGroup) ([]*rankRun, error) {
+// It stops early when the run finishes (runDone).
+func runChurn(cfg RunConfig, world *collective.World, progress *atomic.Int64, runDone <-chan struct{}, result *RunResult, joinersWG *sync.WaitGroup) ([]*rankRun, error) {
 	var joiners []*rankRun
 	for _, ev := range cfg.Churn {
-		if !awaitProgress(ctx, progress, int64(ev.AfterStep), runDone) {
+		if !awaitProgress(progress, int64(ev.AfterStep), runDone) {
 			return joiners, nil
 		}
 		switch ev.Kind {
@@ -270,7 +261,7 @@ func runChurn(ctx context.Context, cfg RunConfig, world *collective.World, progr
 			var node *collective.Node
 			var err error
 			if ev.Kind == ChurnReplace {
-				if !awaitPeerDown(ctx, world, ev.Victim, runDone) {
+				if !awaitPeerDown(world, ev.Victim, runDone) {
 					return joiners, fmt.Errorf("replace %d after step %d: victim never confirmed down", ev.Victim, ev.AfterStep)
 				}
 				node, err = world.Replace(ev.Victim, ev.Addr)
@@ -280,7 +271,7 @@ func runChurn(ctx context.Context, cfg RunConfig, world *collective.World, progr
 			if err != nil {
 				return joiners, fmt.Errorf("admit %q after step %d: %w", ev.Addr, ev.AfterStep, err)
 			}
-			rr, err := spawnJoiner(ctx, cfg, world, node, ev, result, joinersWG)
+			rr, err := spawnJoiner(cfg, world, node, ev, result, joinersWG)
 			if err != nil {
 				return joiners, err
 			}
@@ -295,7 +286,7 @@ func runChurn(ctx context.Context, cfg RunConfig, world *collective.World, progr
 // spawnJoiner builds a trainer for a freshly admitted member — adopting the
 // handed-over parameters and handoff step — and starts its training
 // loop for the remaining steps.
-func spawnJoiner(ctx context.Context, cfg RunConfig, world *collective.World, node *collective.Node, ev ChurnEvent, result *RunResult, joinersWG *sync.WaitGroup) (*rankRun, error) {
+func spawnJoiner(cfg RunConfig, world *collective.World, node *collective.Node, ev ChurnEvent, result *RunResult, joinersWG *sync.WaitGroup) (*rankRun, error) {
 	startStep := ev.AfterStep
 	init := node.InitialState()
 	if len(init) > 0 {
@@ -319,18 +310,16 @@ func spawnJoiner(ctx context.Context, cfg RunConfig, world *collective.World, no
 	joinersWG.Add(1)
 	go func() {
 		defer joinersWG.Done()
-		rr.err = runRank(ctx, cfg, tr, false, result, world, node, nil)
+		rr.err = runRank(cfg, tr, false, result, world, node, nil)
 	}()
 	return rr, nil
 }
 
 // awaitProgress blocks until rank 0 has completed at least target steps.
-// It reports false when the run ended or the context was canceled first.
-func awaitProgress(ctx context.Context, progress *atomic.Int64, target int64, runDone <-chan struct{}) bool {
+// It reports false when the run ended first.
+func awaitProgress(progress *atomic.Int64, target int64, runDone <-chan struct{}) bool {
 	for progress.Load() < target {
 		select {
-		case <-ctx.Done():
-			return false
 		case <-runDone:
 			return false
 		case <-time.After(time.Millisecond):
@@ -341,7 +330,7 @@ func awaitProgress(ctx context.Context, progress *atomic.Int64, target int64, ru
 
 // awaitPeerDown blocks until the world's health view reports the victim down,
 // so a Replace composes deterministically with the scripted crash it repairs.
-func awaitPeerDown(ctx context.Context, world *collective.World, victim collective.RankID, runDone <-chan struct{}) bool {
+func awaitPeerDown(world *collective.World, victim collective.RankID, runDone <-chan struct{}) bool {
 	deadline := time.Now().Add(churnWaitTimeout)
 	for time.Now().Before(deadline) {
 		for _, p := range world.Peers() {
@@ -350,8 +339,6 @@ func awaitPeerDown(ctx context.Context, world *collective.World, victim collecti
 			}
 		}
 		select {
-		case <-ctx.Done():
-			return false
 		case <-runDone:
 			return false
 		case <-time.After(time.Millisecond):
@@ -367,9 +354,9 @@ func awaitPeerDown(ctx context.Context, world *collective.World, victim collecti
 // commit races the failure return — when the epoch already moved past
 // epochBefore the wait is over before it starts. It returns the original
 // error when no transition arrives in time, the rank itself is the scripted
-// crash victim, the rank was removed from the membership (Leave/Replace took
-// effect, or the world closed), or ctx is canceled.
-func awaitNextEpoch(ctx context.Context, world *collective.World, node *collective.Node, stepErr error, epochBefore uint64) error {
+// crash victim, or the rank was removed from the membership (Leave/Replace
+// took effect, or the world closed).
+func awaitNextEpoch(world *collective.World, node *collective.Node, stepErr error, epochBefore uint64) error {
 	if errors.Is(stepErr, collective.ErrReducerClosed) {
 		return stepErr // the member departed or the world is closing
 	}
@@ -385,11 +372,7 @@ func awaitNextEpoch(ctx context.Context, world *collective.World, node *collecti
 		if !stillMember(world, node) || time.Now().After(deadline) {
 			return stepErr
 		}
-		select {
-		case <-ctx.Done():
-			return stepErr
-		case <-time.After(time.Millisecond):
-		}
+		time.Sleep(time.Millisecond)
 	}
 	return nil
 }
@@ -411,8 +394,10 @@ func stillMember(world *collective.World, node *collective.Node) bool {
 // step, so scripted crashes fire deterministically in the rank's own step
 // sequence; the injector handle is re-fetched per step because each epoch
 // runs its own.
-func runRank(ctx context.Context, cfg RunConfig, tr *Trainer, record bool, result *RunResult, world *collective.World, node *collective.Node, progress *atomic.Int64) error {
+func runRank(cfg RunConfig, tr *Trainer, record bool, result *RunResult, world *collective.World, node *collective.Node, progress *atomic.Int64) error {
 	defer tr.Close()
+	//eagervet:ignore ctxcheck -- Run takes no context, so each rank loop roots the one its steps run under.
+	ctx := context.Background()
 	lossAccum := 0.0
 	lossCount := 0
 	evaluate := func() {
@@ -440,7 +425,7 @@ func runRank(ctx context.Context, cfg RunConfig, tr *Trainer, record bool, resul
 			// scripted transition to commit, then retry the step — the
 			// trainer's counter only advances on success, so the retry
 			// recomputes the same step over the repaired world.
-			if waitErr := awaitNextEpoch(ctx, world, node, err, epochBefore); waitErr != nil {
+			if waitErr := awaitNextEpoch(world, node, err, epochBefore); waitErr != nil {
 				return waitErr
 			}
 			continue

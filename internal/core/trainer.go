@@ -151,14 +151,6 @@ func (t *Trainer) Size() int { return t.cfg.Node.Size() }
 // Recorder returns the per-step measurements collected so far.
 func (t *Trainer) Recorder() *trace.ThroughputRecorder { return t.recorder }
 
-// Step executes one training step with a background context. It is the
-// compatibility entry point for callers without a cancellation chain; code
-// with a context should call StepContext.
-func (t *Trainer) Step() (trace.StepRecord, error) {
-	//eagervet:ignore ctxcheck -- Step is the documented no-context shim over StepContext; the root lives here by design.
-	return t.StepContext(context.Background())
-}
-
 // StepContext executes one training step: local gradient computation (plus
 // any injected or modelled imbalance), gradient exchange through the Reducer,
 // averaging, and the optimizer update, followed by the periodic model

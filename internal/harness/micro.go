@@ -121,7 +121,6 @@ func microSynchLatency(procs, elems, iterations int, skew imbalance.Injector, cl
 			clock.Sleep(skew.Delay(iter, rank))
 			buf.Fill(1)
 			start := time.Now()
-			//eagervet:ignore ctxcheck -- microbenchmark measures the uncancellable hot path; iterations bound the loop.
 			if err := collectives.AllreduceWith(c, buf, collectives.OpSum, collectives.AlgoAuto, collectives.Config{}, nil); err != nil {
 				return err
 			}
@@ -130,7 +129,6 @@ func microSynchLatency(procs, elems, iterations int, skew imbalance.Injector, cl
 			total += elapsed
 			count++
 			mu.Unlock()
-			//eagervet:ignore ctxcheck -- microbenchmark barrier on the measured path; iterations bound the loop.
 			if err := collectives.BarrierWith(c, collectives.Config{}, nil); err != nil {
 				return err
 			}
@@ -183,7 +181,6 @@ func microPartialLatency(procs, elems, iterations int, skew imbalance.Injector, 
 				napByIter[iter] = info.ActiveProcesses
 			}
 			mu.Unlock()
-			//eagervet:ignore ctxcheck -- microbenchmark barrier on the measured path; iterations bound the loop.
 			if err := collectives.BarrierWith(c, collectives.Config{}, nil); err != nil {
 				return err
 			}

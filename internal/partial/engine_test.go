@@ -616,7 +616,7 @@ func TestSilentPeerIsDroppedAfterDeadline(t *testing.T) {
 			t.Fatalf("round %d took %v: the dead rank was waited for again", k, time.Since(begin))
 		}
 	}
-	if !world[0].PeerDown(1) {
+	if world[0].PeerError(1) == nil {
 		t.Fatal("the silent rank was never marked down")
 	}
 }

@@ -247,9 +247,9 @@ func TestOnlyTheSilentRankIsSuspected(t *testing.T) {
 					if errs[r] != nil {
 						t.Errorf("rank %d: %v", r, errs[r])
 					}
-					detected = detected || comms[r].PeerDown(silent)
+					detected = detected || comms[r].PeerError(silent) != nil
 					for q := 0; q < p; q++ {
-						if q != silent && comms[r].PeerDown(q) {
+						if q != silent && comms[r].PeerError(q) != nil {
 							t.Errorf("rank %d marked live rank %d down while rank %d was the silent one", r, q, silent)
 						}
 					}

@@ -299,7 +299,7 @@ func (a *Allreducer) anyInitiatorAlive(round int) bool {
 	}
 	me := a.comm.Rank()
 	for _, r := range inits {
-		if r == me || !a.comm.PeerDown(r) {
+		if r == me || a.comm.PeerError(r) == nil {
 			return true
 		}
 	}
@@ -820,7 +820,7 @@ func (a *Allreducer) listen() {
 			return
 		}
 		stamp := int(msg[0])
-		comm.Release(msg)
+		tensor.PutVector(msg)
 		a.mu.Lock()
 		if stamp > a.extRound && stamp > a.activatedRound {
 			a.extRound = stamp
@@ -968,7 +968,7 @@ func (a *Allreducer) reduceTolerant(data tensor.Vector) error {
 // sendTolerant sends a copy of data; to a peer marked down the message is
 // simply lost, like any send to a crashed process.
 func (a *Allreducer) sendTolerant(dest, tag int, data tensor.Vector) error {
-	if err := a.comm.SendCopy(dest, tag, data); err != nil && !errors.Is(err, comm.ErrPeerDown) {
+	if err := a.comm.SendCopy(dest, tag, data, nil); err != nil && !errors.Is(err, comm.ErrPeerDown) {
 		return err
 	}
 	return nil
@@ -989,7 +989,7 @@ func (a *Allreducer) sendTolerant(dest, tag int, data tensor.Vector) error {
 // PeerDeadline between the two, and progress here is engine-bound, so a peer
 // silent that long is dead, not merely slow.
 func (a *Allreducer) recvTolerant(source, tag, hop int, data tensor.Vector, sum bool) error {
-	if a.comm.PeerDown(source) {
+	if a.comm.PeerError(source) != nil {
 		return nil
 	}
 	deadline := a.opts.PeerDeadline * time.Duration(2+hop)
@@ -1000,7 +1000,7 @@ func (a *Allreducer) recvTolerant(source, tag, hop int, data tensor.Vector, sum 
 		}
 		return err
 	}
-	defer comm.Release(in)
+	defer tensor.PutVector(in)
 	if len(in) != len(data) {
 		return fmt.Errorf("partial: rank %d sent %d elements, want %d", source, len(in), len(data))
 	}

@@ -83,7 +83,7 @@ type bcastConsumer struct {
 // producer, every other rank of its hub is a consumer.
 type bcastRegion struct {
 	producer int
-	group    []int // every rank other than the producer (BroadcastGroup)
+	group    []int // every rank other than the producer
 	data     []byte
 	mask     uint64
 	maxBlock int // payload-byte budget of one block (BroadcastBudget)

@@ -23,7 +23,7 @@ func dialTCPPair(t *testing.T, basePort int) [2]*TCPEndpoint {
 }
 
 // TestSendRecvSurfacesPeerReadLoopDeath is the regression test for the
-// blocked-forever class: a SendRecv whose peer's read loop died used to hang
+// blocked-forever class: an exchange whose peer's read loop died used to hang
 // until some unrelated timeout. With the failure notifier wired (as every
 // communicator does), the death is scoped to that peer, the blocked exchange
 // returns a typed PeerDownError, and the root cause — the endpoint's recorded
@@ -43,7 +43,11 @@ func TestSendRecvSurfacesPeerReadLoopDeath(t *testing.T) {
 	go func() {
 		// Rank 1 exchanges with rank 0; rank 0 never answers because its
 		// stream to rank 1 is about to die.
-		v, _, err := c1.SendRecvTimeout(0, 5, make(tensor.Vector, 4), 0, 5, nil, 0)
+		if err := c1.SendCopy(0, 5, make(tensor.Vector, 4), nil); err != nil {
+			done <- result{nil, err}
+			return
+		}
+		v, _, err := c1.RecvTimeout(0, 5, nil, 0)
 		done <- result{v, err}
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -76,15 +80,15 @@ func TestSendRecvSurfacesPeerReadLoopDeath(t *testing.T) {
 	}
 	// The failure is scoped to the dead peer: the endpoint itself stays open,
 	// and rank 1 can tell exactly who died.
-	if !c1.PeerDown(0) {
+	if c1.PeerError(0) == nil {
 		t.Fatal("peer 0 not marked down on rank 1's communicator")
 	}
 }
 
-// TestSendRecvCancelStillHonorsContextOnDeadPeer pins the ctx half of the
-// contract: even without transport-level detection (the peer is silent, not
-// dead), a canceled SendRecv returns promptly.
-func TestSendRecvCancelStillHonorsContextOnDeadPeer(t *testing.T) {
+// TestCanceledExchangeReturnsOnSilentPeer pins the ctx half of the contract:
+// even without transport-level detection (the peer is silent, not dead), a
+// canceled exchange returns promptly.
+func TestCanceledExchangeReturnsOnSilentPeer(t *testing.T) {
 	eps := dialTCPPair(t, 23140)
 	c0 := comm.NewCommunicator(eps[0])
 	c1 := comm.NewCommunicator(eps[1])
@@ -94,7 +98,10 @@ func TestSendRecvCancelStillHonorsContextOnDeadPeer(t *testing.T) {
 	cancel := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c1.SendRecvTimeout(0, 6, make(tensor.Vector, 4), 0, 6, cancel, 0)
+		err := c1.SendCopy(0, 6, make(tensor.Vector, 4), cancel)
+		if err == nil {
+			_, _, err = c1.RecvTimeout(0, 6, cancel, 0)
+		}
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -105,7 +112,7 @@ func TestSendRecvCancelStillHonorsContextOnDeadPeer(t *testing.T) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("canceled SendRecv did not return")
+		t.Fatal("canceled exchange did not return")
 	}
 }
 

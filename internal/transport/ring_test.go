@@ -306,7 +306,7 @@ func TestShmLargeMessageStreams(t *testing.T) {
 	for i := range payload {
 		payload[i] = float64(i)
 	}
-	go func() { _ = w[0].SendCopy(1, 0, payload) }()
+	go func() { _ = w[0].SendCopy(1, 0, payload, nil) }()
 	data, _, err := w[1].Recv(0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -439,22 +439,23 @@ func TestShmCorruptRingFailsPeer(t *testing.T) {
 }
 
 // TestShmBroadcastGroupIsTheWorld pins what collectives' segment gate relies
-// on: a hub connects all of its ranks, so every endpoint's broadcast group is
-// the rest of the world and its budget is non-zero.
+// on: a hub connects all of its ranks, so every endpoint's broadcast segment
+// is consumed by the rest of the world and its budget is non-zero.
 func TestShmBroadcastGroupIsTheWorld(t *testing.T) {
 	for size := 1; size <= 5; size++ {
 		hub := NewShmHub(size)
 		for r := 0; r < size; r++ {
 			ep := hub.Endpoint(r)
+			group := ep.bcOut.group
 			seen := make(map[int]bool)
-			for _, peer := range ep.BroadcastGroup() {
+			for _, peer := range group {
 				if peer == r || peer < 0 || peer >= size || seen[peer] {
-					t.Errorf("size %d rank %d: group %v names itself, a stranger or a rank twice", size, r, ep.BroadcastGroup())
+					t.Errorf("size %d rank %d: group %v names itself, a stranger or a rank twice", size, r, group)
 				}
 				seen[peer] = true
 			}
 			if len(seen) != size-1 {
-				t.Errorf("size %d rank %d: group %v, want the other %d ranks", size, r, ep.BroadcastGroup(), size-1)
+				t.Errorf("size %d rank %d: group %v, want the other %d ranks", size, r, group, size-1)
 			}
 			if ep.BroadcastBudget() <= 0 {
 				t.Errorf("size %d rank %d: broadcast budget %d, want > 0", size, r, ep.BroadcastBudget())

@@ -296,17 +296,13 @@ func ringClosedErr(dest int, err error) error {
 	return &comm.PeerDownError{Rank: dest, Cause: fmt.Errorf("transport: ring to rank %d: %w", dest, err)}
 }
 
-// BroadcastGroup returns the ranks that consume this rank's broadcast segment
-// (comm.GroupBroadcaster): every other rank of the world.
-func (e *ShmEndpoint) BroadcastGroup() []int { return e.bcOut.group }
-
 // BroadcastBudget returns the payload-byte budget of one broadcast block —
 // the largest payload SendBroadcast accepts.
 func (e *ShmEndpoint) BroadcastBudget() int { return e.bcOut.maxBlock }
 
 // SendBroadcast publishes data (borrowed from the caller, fully encoded
-// before return) once into this rank's broadcast segment; every rank in
-// BroadcastGroup receives it as a message tagged (this rank, tag). It blocks
+// before return) once into this rank's broadcast segment; every other rank
+// receives it as a message tagged (this rank, tag). It blocks
 // while the region is full — the same flow control as a ring send — and
 // fails with ErrFrameTooLarge past BroadcastBudget.
 func (e *ShmEndpoint) SendBroadcast(tag int, data tensor.Vector) error {

@@ -342,7 +342,7 @@ func TestTCPLargeMessage(t *testing.T) {
 	}
 	// SendCopy: the test keeps payload for the comparison below, so it must
 	// retain ownership.
-	go func() { _ = w[0].SendCopy(1, 0, payload) }()
+	go func() { _ = w[0].SendCopy(1, 0, payload, nil) }()
 	data, _, err := w[1].Recv(0, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -335,7 +335,7 @@ func TestShmSendToClosedPeerIsPeerDown(t *testing.T) {
 	copyInto := func(dst, a, _ tensor.Vector) { copy(dst, a) }
 	for name, err := range map[string]error{
 		"Send":     c.Send(1, 3, tensor.GetVectorCopy(data)),
-		"SendCopy": c.SendCopy(1, 3, data),
+		"SendCopy": c.SendCopy(1, 3, data, nil),
 		"SendFrom": c.SendFrom(1, 3, data, data, copyInto),
 	} {
 		if !errors.Is(err, comm.ErrPeerDown) || !errors.Is(err, ErrRingClosed) {
