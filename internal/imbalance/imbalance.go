@@ -17,9 +17,11 @@ import (
 
 // Clock converts "paper milliseconds" into real sleeps. Scale 1.0 sleeps the
 // full duration; the experiments default to a much smaller scale (e.g. 0.02)
-// so that a 400 ms injected delay costs 8 ms of wall clock. All latency and
+// so that a 400 ms injected delay costs 8 ms of wall clock. Latency and
 // throughput ratios are preserved because every delay in a run uses the same
-// clock.
+// clock and a sleep lasts its scaled duration plus tens of microseconds. On
+// Linux that needs a timerfd (sleep_linux.go): time.Sleep wakes on epoll's
+// millisecond grid, adding 0–1 ms to every delay whatever its length.
 type Clock struct {
 	// Scale multiplies paper milliseconds before sleeping. Zero disables
 	// sleeping entirely (useful for logic-only tests).
@@ -48,7 +50,7 @@ func (c Clock) Duration(paperMs float64) time.Duration {
 // Sleep blocks for the scaled equivalent of paperMs milliseconds.
 func (c Clock) Sleep(paperMs float64) {
 	if d := c.Duration(paperMs); d > 0 {
-		time.Sleep(d)
+		sleep(d)
 	}
 }
 

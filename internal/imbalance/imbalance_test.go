@@ -3,9 +3,14 @@ package imbalance
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"eagersgd/internal/race"
 )
 
 func TestClockDuration(t *testing.T) {
@@ -49,8 +54,73 @@ func TestClockSleepApproximatelyScaled(t *testing.T) {
 	start := time.Now()
 	c.Sleep(100) // 10 ms real
 	elapsed := time.Since(start)
-	if elapsed < 8*time.Millisecond || elapsed > 200*time.Millisecond {
+	if elapsed < 10*time.Millisecond || elapsed > 200*time.Millisecond {
 		t.Fatalf("scaled sleep took %v, want ~10ms", elapsed)
+	}
+}
+
+// TestClockSleepOnDeadline pins what a modelled sleep costs beyond its
+// nominal: never less than zero, and on Linux a small fraction of the
+// millisecond-grid overshoot time.Sleep pays for the same durations.
+func TestClockSleepOnDeadline(t *testing.T) {
+	const sleepers, calls = 4, 40
+	nominal := [2]float64{1.333, 3.333} // ms
+	c := RealTimeClock()
+	// over[g][k] holds goroutine g's overshoots of Clock.Sleep (k = 0) and
+	// time.Sleep (k = 1).
+	var over [sleepers][2][]time.Duration
+	var wg sync.WaitGroup
+	for g := 0; g < sleepers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				d := c.Duration(nominal[i%2])
+				start := time.Now()
+				c.Sleep(nominal[i%2])
+				over[g][0] = append(over[g][0], time.Since(start)-d)
+				start = time.Now()
+				time.Sleep(d)
+				over[g][1] = append(over[g][1], time.Since(start)-d)
+			}
+		}(g)
+	}
+	wg.Wait()
+	names := [2]string{"Clock.Sleep", "time.Sleep"}
+	var all [2][]time.Duration
+	for g := range over {
+		for k := range all {
+			all[k] = append(all[k], over[g][k]...)
+		}
+	}
+	for k, s := range all {
+		for _, o := range s {
+			if o < 0 {
+				t.Fatalf("%s returned %v early", names[k], -o)
+			}
+		}
+	}
+	median := func(s []time.Duration) time.Duration {
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		return s[len(s)/2]
+	}
+	mc, mt := median(all[0]), median(all[1])
+	t.Logf("median overshoot: Clock.Sleep %v, time.Sleep %v", mc, mt)
+	if runtime.GOOS != "linux" || testing.Short() {
+		return
+	}
+	if 3*mc > mt {
+		t.Fatalf("median Clock.Sleep overshoot %v is more than a third of time.Sleep's %v", mc, mt)
+	}
+}
+
+func TestClockSleepAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	c := RealTimeClock()
+	if allocs := testing.AllocsPerRun(50, func() { c.Sleep(0.05) }); allocs != 0 {
+		t.Fatalf("warm Clock.Sleep allocates %v times", allocs)
 	}
 }
 
