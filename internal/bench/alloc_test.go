@@ -105,7 +105,11 @@ func TestAllreduceInprocAllocFree(t *testing.T) {
 // TestAllreduceShmAllocFree is the same gate for the shared-ring transport: a
 // steady-state allreduce round over per-pair SPSC rings — frames encoded in
 // place into a reserved ring span on send, decoded into pooled vectors on
-// receive — must allocate zero heap objects per round, like inproc.
+// receive — must allocate zero heap objects per round, like inproc. The
+// 64Ki-element ring case gives each of 4 ranks a 16Ki-element (128 KiB)
+// chunk: the fused ring, its Copy2 ring-walk allgather, and ring frames
+// delivered as zero-copy aliases, which the 2048-element cases never reach
+// (they stay below the 16 KiB alias floor).
 func TestAllreduceShmAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -113,92 +117,50 @@ func TestAllreduceShmAllocFree(t *testing.T) {
 	if tensor.LeaseDebugEnabled {
 		t.Skip("-tags leasedebug trades the alloc-free guarantee for lease-site tracking")
 	}
-	const n = 2048
+	type shmCase struct {
+		name    string
+		algo    collectives.Algorithm
+		size, n int
+	}
+	var cases []shmCase
 	for _, ac := range allreduceAlgos {
 		for _, size := range []int{4, 3} { // power-of-two and folded sizes
-			t.Run(fmt.Sprintf("%s/p=%d", ac.name, size), func(t *testing.T) {
-				w := transport.NewShmWorld(size)
-				defer func() {
-					for _, c := range w {
-						c.Close()
-					}
-				}()
-				data := make([]tensor.Vector, size)
-				for r := range data {
-					data[r] = tensor.NewVector(n)
-					data[r].Fill(1)
+			cases = append(cases, shmCase{fmt.Sprintf("%s/p=%d", ac.name, size), ac.algo, size, 2048})
+		}
+	}
+	cases = append(cases, shmCase{"ring/p=4/n=65536", collectives.AlgoRing, 4, 1 << 16})
+	for _, sc := range cases {
+		t.Run(sc.name, func(t *testing.T) {
+			w := transport.NewShmWorld(sc.size)
+			defer func() {
+				for _, c := range w {
+					c.Close()
 				}
-				d := newRoundDriver(size, func(rank int) error {
-					return collectives.AllreduceWith(w[rank], data[rank], collectives.OpSum, ac.algo, collectives.Config{}, nil)
-				})
-				defer d.stop()
-				for i := 0; i < 32; i++ {
-					if err := d.round(); err != nil {
-						t.Fatalf("warmup round: %v", err)
-					}
+			}()
+			data := make([]tensor.Vector, sc.size)
+			for r := range data {
+				data[r] = tensor.NewVector(sc.n)
+				data[r].Fill(1)
+			}
+			d := newRoundDriver(sc.size, func(rank int) error {
+				return collectives.AllreduceWith(w[rank], data[rank], collectives.OpSum, sc.algo, collectives.Config{}, nil)
+			})
+			defer d.stop()
+			// Warm the pools and the alias table before measuring.
+			for i := 0; i < 32; i++ {
+				if err := d.round(); err != nil {
+					t.Fatalf("warmup round: %v", err)
 				}
-				avg := testing.AllocsPerRun(100, func() {
-					if err := d.round(); err != nil {
-						t.Fatalf("round: %v", err)
-					}
-				})
-				if avg > 0 {
-					t.Errorf("steady-state shm allreduce (%s, %d ranks) allocates %.2f objects per round, want 0",
-						ac.name, size, avg)
+			}
+			avg := testing.AllocsPerRun(100, func() {
+				if err := d.round(); err != nil {
+					t.Fatalf("round: %v", err)
 				}
 			})
-		}
-	}
-}
-
-// TestAllreduceShmBcastAllocFree gates the broadcast-segment allgather: at
-// 64Ki elements over 4 shared-ring ranks each chunk is 16Ki elements
-// (128 KiB), so the ring allreduce takes the fused path and its allgather
-// phase publishes every fully-reduced chunk once into the owner's broadcast
-// segment, with peers aliasing the published block zero-copy (the chunk is
-// well past the alias threshold). The steady-state cycle — publish, direct
-// delivery, alias, release, reclaim — must allocate zero heap objects, like
-// the per-pair ring paths.
-func TestAllreduceShmBcastAllocFree(t *testing.T) {
-	if race.Enabled {
-		t.Skip("AllocsPerRun is unreliable under the race detector")
-	}
-	if tensor.LeaseDebugEnabled {
-		t.Skip("-tags leasedebug trades the alloc-free guarantee for lease-site tracking")
-	}
-	const (
-		size = 4
-		n    = 1 << 16
-	)
-	w := transport.NewShmWorld(size)
-	defer func() {
-		for _, c := range w {
-			c.Close()
-		}
-	}()
-	data := make([]tensor.Vector, size)
-	for r := range data {
-		data[r] = tensor.NewVector(n)
-		data[r].Fill(1)
-	}
-	d := newRoundDriver(size, func(rank int) error {
-		return collectives.AllreduceWith(w[rank], data[rank], collectives.OpSum, collectives.AlgoRing, collectives.Config{}, nil)
-	})
-	defer d.stop()
-	// Warm the pools, the broadcast block list, and the alias table before
-	// measuring.
-	for i := 0; i < 32; i++ {
-		if err := d.round(); err != nil {
-			t.Fatalf("warmup round: %v", err)
-		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if err := d.round(); err != nil {
-			t.Fatalf("round: %v", err)
-		}
-	})
-	if avg > 0 {
-		t.Errorf("steady-state shm broadcast-segment allreduce allocates %.2f objects per round, want 0", avg)
+			if avg > 0 {
+				t.Errorf("steady-state shm allreduce (%s) allocates %.2f objects per round, want 0", sc.name, avg)
+			}
+		})
 	}
 }
 

@@ -57,24 +57,7 @@ const (
 	tagFold              = tagBase + 448
 	tagScatterReduce     = tagBase + 512
 	tagAllgatherRab      = tagBase + 576
-	tagRingBcast         = tagBase + 640
 )
-
-// bcastWorld reports whether this rank can reach every peer of the world with
-// one comm.SendBroadcastCopy of up to maxBytes — the gate for replacing the
-// ring allgather's relay walk with direct publication over the transport's
-// broadcast segment. An endpoint with the capability reaches the whole world
-// (a segment hub connects all its ranks), so the gate is the budget alone,
-// and the decision is SPMD-consistent without agreement traffic: the budget
-// is a hub-wide constant and maxBytes derives from the collective's SPMD
-// arguments. Ranks whose endpoints hide the capability (fault-injection
-// wrappers, plain-endpoint worlds) see a zero budget and keep the classic
-// path — wrapping only some ranks of one world would break the consistency
-// and is not supported.
-func bcastWorld(c *comm.Communicator, maxBytes int) bool {
-	budget := c.BroadcastBudget()
-	return budget > 0 && maxBytes <= budget
-}
 
 // ReduceOp identifies the element-wise combination applied by AllreduceWith.
 // Sum is the only one: every gradient exchange and model average is a sum.
@@ -529,23 +512,7 @@ func allreduceRingFused(e env, data tensor.Vector) error {
 		}
 	}
 
-	// Allgather: every rank now owns one fully reduced chunk, and every other
-	// rank needs exactly that chunk — a one-to-many pattern. Over a broadcast
-	// segment covering the world, each rank publishes its chunk once and
-	// copies the peers' chunks straight out of their segments: one encode and
-	// P-1 zero-copy reads replace the P-1 serial relay hops (and their
-	// re-encodes) of the ring walk below.
-	maxChunk := 0
-	for i := 0; i < size; i++ {
-		if lo, hi := tensor.ChunkBounds(n, size, i); hi-lo > maxChunk {
-			maxChunk = hi - lo
-		}
-	}
-	if bcastWorld(e.c, 8*maxChunk) {
-		return allgatherOwnedBcast(e, data)
-	}
-
-	// Ring walk: circulate the fully reduced chunks, mirroring each forwarded
+	// Allgather: circulate the fully reduced chunks, mirroring each forwarded
 	// one into the result buffer and the outgoing frame in a single pass.
 	sendLo, sendHi = tensor.ChunkBounds(n, size, next)
 	if err := e.sendCopy(next, e.tag(tagRingGather), data[sendLo:sendHi]); err != nil {
@@ -572,41 +539,6 @@ func allreduceRingFused(e env, data tensor.Vector) error {
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// allgatherOwnedBcast completes a ring allreduce's allgather over the
-// transport's broadcast segments: each rank publishes the chunk it owns
-// fully reduced after the reduce-scatter — chunk (rank+1) mod size — exactly
-// once, then copies every peer's owned chunk into place as the publications
-// arrive. The values written are the same fully reduced chunks the ring walk
-// relays, so the result is bit-identical; only the transport pattern differs,
-// which is why the whole world must take the same path (bcastWorld). The
-// receive loop walks peers in ring-upstream order, matching the order the
-// relay walk would have delivered the chunks.
-func allgatherOwnedBcast(e env, data tensor.Vector) error {
-	rank, size := e.c.Rank(), e.c.Size()
-	n := len(data)
-	lo, hi := tensor.ChunkBounds(n, size, (rank+1)%size)
-	if err := wrapUnreachable(e.c.SendBroadcastCopy(e.tag(tagRingBcast), data[lo:hi])); err != nil {
-		return err
-	}
-	for step := 1; step < size; step++ {
-		p := (rank - step + size) % size
-		idx := (p + 1) % size
-		lo, hi := tensor.ChunkBounds(n, size, idx)
-		incoming, _, err := e.recv(p, e.tag(tagRingBcast))
-		if err != nil {
-			return err
-		}
-		if len(incoming) != hi-lo {
-			e.release(incoming)
-			return fmt.Errorf("collectives: broadcast chunk %d from rank %d carries %d elements, want %d",
-				idx, p, len(incoming), hi-lo)
-		}
-		data[lo:hi].CopyFrom(incoming)
-		e.release(incoming)
 	}
 	return nil
 }

@@ -15,11 +15,11 @@ import (
 // plainEndpoint strips every optional capability from an endpoint by
 // interface embedding: the struct satisfies comm.Endpoint and nothing else,
 // so a communicator built over it takes only the classic paths — inbox demux
-// instead of direct delivery, per-pair ring relays instead of broadcast
-// segments, retained copies instead of borrowed sends. Wrapping every rank of
-// a shared-ring hub yields a world that moves the same bytes over the same
-// rings but exercises none of the fast paths, which is exactly the baseline
-// the equivalence tests below compare against.
+// instead of direct delivery, retained copies instead of borrowed sends,
+// staged frames instead of in-place fills. Wrapping every rank of a
+// shared-ring hub yields a world that moves the same bytes over the same
+// rings but exercises none of the communicator's fast paths, which is
+// exactly the baseline the equivalence tests below compare against.
 type plainEndpoint struct{ comm.Endpoint }
 
 // newPlainShmWorld builds a shared-ring world whose communicators see only
@@ -67,13 +67,14 @@ func runWorld(t *testing.T, world []*comm.Communicator, body func(c *comm.Commun
 }
 
 // TestAllreduceDirectMatchesDemux: an allreduce over the full fast path —
-// direct delivery from the poll loop plus the broadcast-segment allgather
-// with zero-copy block aliasing — must produce results bit-for-bit identical
-// to the same allreduce over the classic demux + ring-relay paths on the same
-// transport, for every algorithm and for Auto, the one the reducers run. The size sweep crosses every routing boundary: tiny fused
-// chunks, chunks below and above the alias threshold, a non-divisible
-// element count (unequal chunk bounds), and a chunk past the segment bound
-// that must fall back to the segmented unfused path on both worlds.
+// direct delivery from the poll loop, borrowed sends and in-place fills —
+// must produce results bit-for-bit identical to the same allreduce over the
+// classic demux path on the same transport, for every algorithm and for
+// Auto, the one the reducers run. The size sweep crosses every routing
+// boundary: tiny fused chunks, chunks below and above the alias threshold, a
+// non-divisible element count (unequal chunk bounds), and a chunk past the
+// segment bound that must fall back to the segmented unfused path on both
+// worlds.
 func TestAllreduceDirectMatchesDemux(t *testing.T) {
 	algos := []struct {
 		name string
@@ -87,9 +88,9 @@ func TestAllreduceDirectMatchesDemux(t *testing.T) {
 	for _, p := range []int{3, 4} {
 		ns := []int{
 			p + 3,                                 // tiny fused chunks, far below the alias threshold
-			4096,                                  // mid-size, still copied out of the segment
-			collectives.DefaultSegmentElems * p,   // max fused chunk: broadcast publish + zero-copy alias
-			collectives.DefaultSegmentElems*p - 7, // non-divisible: unequal chunk bounds over the segment
+			4096,                                  // mid-size, still copied out of the ring
+			collectives.DefaultSegmentElems * p,   // max fused chunk: zero-copy alias
+			collectives.DefaultSegmentElems*p - 7, // non-divisible: unequal chunk bounds
 			4*collectives.DefaultSegmentElems + 5, // chunk past the segment bound: segmented fallback
 		}
 		for _, n := range ns {

@@ -15,9 +15,8 @@
 //
 //   - Send takes ownership of the payload: the caller must not read or write
 //     the vector after the call.
-//   - SendCopy, SendFrom and SendBroadcastCopy borrow their operands: the
-//     caller keeps ownership and may reuse the buffer as soon as the call
-//     returns.
+//   - SendCopy and SendFrom borrow their operands: the caller keeps
+//     ownership and may reuse the buffer as soon as the call returns.
 //   - Recv and RecvTimeout hand back a leased buffer: the receiver owns it and
 //     should release it with tensor.PutVector once the payload has been
 //     consumed. Forgetting to release only costs a garbage collection;
@@ -124,23 +123,6 @@ type BorrowingSender interface {
 // take the in-place path, and the caller falls back to a staged send.
 type FillSender interface {
 	SendFill(dest, tag int, a, b tensor.Vector, fill func(dst, a, b tensor.Vector)) (handled bool, err error)
-}
-
-// GroupBroadcaster is an optional Endpoint capability: the transport can
-// publish one payload to all of its peers in a single operation (a
-// shared-memory broadcast segment every other rank reads in place), instead
-// of one send per peer. A publication reaches every rank of the world but the
-// endpoint's own, which is what lets callers gate on the budget alone.
-// BroadcastBudget returns the largest payload byte count SendBroadcast
-// accepts. SendBroadcast borrows data for the duration of the call —
-// ownership stays with the caller on every path — and on return the payload
-// is en route to every other rank as an ordinary tagged message from this
-// endpoint's rank; like Send, it may block for flow control. The budget is
-// fixed for the endpoint's lifetime, so SPMD callers can derive consistent
-// routing decisions from it.
-type GroupBroadcaster interface {
-	BroadcastBudget() int
-	SendBroadcast(tag int, data tensor.Vector) error
 }
 
 // Message is the unit of communication: a payload of float64 values labelled
@@ -489,38 +471,6 @@ func (c *Communicator) SendFrom(dest, tag int, a, b tensor.Vector, fill func(dst
 	tmp := tensor.GetVector(len(a))
 	fill(tmp, a, b)
 	return c.Send(dest, tag, tmp)
-}
-
-// BroadcastBudget returns the largest payload byte count SendBroadcastCopy
-// accepts, zero when the endpoint has no group-broadcast capability
-// (GroupBroadcaster). Callers gate one-to-many protocols on it: the budget is
-// fixed for the communicator's lifetime and the same on every rank of a
-// world, so an SPMD collective derives the same routing decision locally.
-func (c *Communicator) BroadcastBudget() int {
-	if gb, ok := c.ep.(GroupBroadcaster); ok {
-		return gb.BroadcastBudget()
-	}
-	return 0
-}
-
-// SendBroadcastCopy publishes data once to every other rank of the world,
-// where it arrives as an ordinary tagged message from this rank — matched,
-// queued, and discarded exactly like a point-to-point send. data is
-// borrowed: the transport finishes with it before returning and the caller
-// keeps ownership on every path. Fails on endpoints without the capability;
-// callers must gate on BroadcastBudget first.
-func (c *Communicator) SendBroadcastCopy(tag int, data tensor.Vector) error {
-	gb, ok := c.ep.(GroupBroadcaster)
-	if !ok {
-		return fmt.Errorf("comm: endpoint does not support group broadcast")
-	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	return gb.SendBroadcast(tag, data)
 }
 
 // matchLocked scans the unexpected queue for the first message matching

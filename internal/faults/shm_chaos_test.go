@@ -1,9 +1,10 @@
-// Chaos scenario for the broadcast-segment fast path: a rank dies while the
-// world is mid-allgather over the SPMC broadcast segments. Unlike the
-// scripted scenarios in chaos_test.go, this one runs over a bare shared-ring
-// world — no fault injector wrapping — because the injector hides the
-// endpoint's optional capabilities and would silently route every rank onto
-// the classic ring-relay path, leaving the segment code untested.
+// Chaos scenario for the shared-ring fast paths: a rank dies while the world
+// is mid fused-ring allreduce. Unlike the scripted scenarios in
+// chaos_test.go, this one runs over a bare shared-ring world — no fault
+// injector wrapping — because the injector hides the endpoint's optional
+// capabilities (direct delivery, borrowed and in-place sends) and would
+// silently route every rank onto the classic paths, leaving the fast paths
+// untested.
 package faults_test
 
 import (
@@ -17,23 +18,23 @@ import (
 	"eagersgd/internal/transport"
 )
 
-// TestChaosBcastSegmentRankCrash: four shared-ring ranks loop large fused
-// ring allreduces — 16Ki-element chunks, so the allgather phase publishes
-// through the broadcast segments and survivors alias the published blocks
-// zero-copy — and one rank closes its communicator between steps. The
-// liveness and hygiene contract of the classic paths must hold on the fast
-// path too: every survivor surfaces a typed ErrRankUnreachable instead of
-// hanging (the dead producer's segment reads ring-dead, the dead consumer
-// drops out of the reclamation quorum so publishers never park forever), and
-// no pool lease leaks — aliased broadcast blocks pinned by undelivered
-// messages are released when the closing communicator drains its queues.
-func TestChaosBcastSegmentRankCrash(t *testing.T) {
+// TestChaosShmRingRankCrash: four shared-ring ranks loop large fused ring
+// allreduces — 16Ki-element chunks, so every hop's frame is filled in place
+// and delivered to the next rank as a zero-copy alias of the ring span, and
+// the allgather relays those aliased frames — and one rank closes its
+// communicator between steps. The liveness and hygiene contract of the
+// classic paths must hold on the fast paths too: every survivor surfaces a
+// typed ErrRankUnreachable instead of hanging (the dead rank's rings read
+// EOF, and sends toward it fail typed), and no pool lease leaks — aliased
+// ring spans pinned by undelivered messages are released when the closing
+// communicator drains its queues.
+func TestChaosShmRingRankCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos scenarios take seconds")
 	}
 	const (
 		size      = 4
-		n         = 1 << 16 // 16Ki-element chunks: fused ring + broadcast alias path
+		n         = 1 << 16 // 16Ki-element chunks: fused ring + aliased ring frames
 		steps     = 8
 		crashRank = 2
 		crashStep = 3
@@ -56,7 +57,7 @@ func TestChaosBcastSegmentRankCrash(t *testing.T) {
 				data := make(tensor.Vector, n)
 				for s := 0; s < steps; s++ {
 					if r == crashRank && s == crashStep {
-						world[r].Close() // crash: tears down rings and broadcast segment mid-world
+						world[r].Close() // crash: tears down its rings mid-world
 						return
 					}
 					for i := range data {
@@ -76,7 +77,7 @@ func TestChaosBcastSegmentRankCrash(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(chaosWatchdog):
-			t.Fatal("broadcast-segment crash scenario hung: a survivor neither completed nor failed (liveness violated)")
+			t.Fatal("shared-ring crash scenario hung: a survivor neither completed nor failed (liveness violated)")
 		}
 		for r := 0; r < size; r++ {
 			if r == crashRank {

@@ -331,7 +331,7 @@ func recordSpan(payloadLen int) int { return (4 + payloadLen + 7) &^ 7 }
 const ringYieldBudget = 2
 
 // WaitStats counts how an endpoint's waiters — its poller and the producer
-// ends of its outgoing rings and broadcast segment — spent their idle time.
+// ends of its outgoing rings — spent their idle time.
 type WaitStats struct {
 	Hits    uint64 // poller sweeps that found work
 	Yields  uint64 // runtime.Gosched calls

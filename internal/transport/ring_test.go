@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -438,29 +439,50 @@ func TestShmCorruptRingFailsPeer(t *testing.T) {
 	}
 }
 
-// TestShmBroadcastGroupIsTheWorld pins what collectives' segment gate relies
-// on: a hub connects all of its ranks, so every endpoint's broadcast segment
-// is consumed by the rest of the world and its budget is non-zero.
-func TestShmBroadcastGroupIsTheWorld(t *testing.T) {
+// TestShmHubConnectsEveryPair pins what a ring allreduce's walk relies on at
+// every world size: a hub connects each rank to every rank, itself included,
+// so a frame sent along any (source, destination) pair arrives intact and
+// attributed to its source.
+func TestShmHubConnectsEveryPair(t *testing.T) {
 	for size := 1; size <= 5; size++ {
-		hub := NewShmHub(size)
-		for r := 0; r < size; r++ {
-			ep := hub.Endpoint(r)
-			group := ep.bcOut.group
-			seen := make(map[int]bool)
-			for _, peer := range group {
-				if peer == r || peer < 0 || peer >= size || seen[peer] {
-					t.Errorf("size %d rank %d: group %v names itself, a stranger or a rank twice", size, r, group)
+		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
+			before := tensor.ReadPoolStats()
+			hub := NewShmHub(size)
+			var wg sync.WaitGroup
+			for r := 0; r < size; r++ {
+				ep := hub.Endpoint(r)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					seen := make([]bool, size)
+					for i := 0; i < size; i++ {
+						m := <-ep.Inbox()
+						if m.Source < 0 || m.Source >= size || seen[m.Source] {
+							t.Errorf("size %d rank %d: frame from rank %d, want one from each of the %d ranks", size, ep.Rank(), m.Source, size)
+						} else {
+							seen[m.Source] = true
+						}
+						if want := float64(m.Source*size + ep.Rank()); m.Tag != ep.Rank() || m.Data[0] != want || m.Data[3] != want+3 {
+							t.Errorf("size %d rank %d: frame from %d has tag %d data %v, want tag %d data from %v",
+								size, ep.Rank(), m.Source, m.Tag, m.Data, ep.Rank(), want)
+						}
+						tensor.PutVector(m.Data)
+					}
+				}()
+			}
+			for r := 0; r < size; r++ {
+				ep := hub.Endpoint(r)
+				for dest := 0; dest < size; dest++ {
+					if err := ep.Send(dest, comm.Message{Source: r, Tag: dest, Data: leasedVector(4, float64(r*size+dest))}); err != nil {
+						t.Fatalf("rank %d send to %d: %v", r, dest, err)
+					}
 				}
-				seen[peer] = true
 			}
-			if len(seen) != size-1 {
-				t.Errorf("size %d rank %d: group %v, want the other %d ranks", size, r, group, size-1)
+			waitOrFatal(t, &wg, 10*time.Second, "all-pairs delivery")
+			hub.Close()
+			if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+				t.Errorf("%d leases leaked", n)
 			}
-			if ep.BroadcastBudget() <= 0 {
-				t.Errorf("size %d rank %d: broadcast budget %d, want > 0", size, r, ep.BroadcastBudget())
-			}
-		}
-		hub.Close()
+		})
 	}
 }

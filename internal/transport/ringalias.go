@@ -60,9 +60,8 @@ type aliasSpan struct {
 // that hands out an alias. PutVector consults it before pooling: one mutex
 // and a linear scan over the live aliasing rings (a handful per endpoint).
 type ringAliasTable struct {
-	mu     sync.Mutex
-	rings  []*ringBuffer
-	bcasts []*bcastRegion // broadcast segments (bcast.go): registered from birth
+	mu    sync.Mutex
+	rings []*ringBuffer
 }
 
 var (
@@ -88,30 +87,8 @@ func (t *ringAliasTable) ReleaseAlias(v tensor.Vector) bool {
 		t.mu.Unlock()
 		return true
 	}
-	for i, b := range t.bcasts {
-		base := uintptr(unsafe.Pointer(unsafe.SliceData(b.data)))
-		if addr < base || addr >= base+uintptr(len(b.data)) {
-			continue
-		}
-		if b.releaseAliasAt(uint64(addr - base)) {
-			t.bcasts = append(t.bcasts[:i], t.bcasts[i+1:]...)
-		}
-		t.mu.Unlock()
-		return true
-	}
 	t.mu.Unlock()
 	return false
-}
-
-// removeBcastLocked drops a retired broadcast region from the table. Caller
-// holds t.mu.
-func (t *ringAliasTable) removeBcastLocked(b *bcastRegion) {
-	for i, reg := range t.bcasts {
-		if reg == b {
-			t.bcasts = append(t.bcasts[:i], t.bcasts[i+1:]...)
-			return
-		}
-	}
 }
 
 // ensureAliasRegistered puts the ring in the process alias table (installing

@@ -54,24 +54,14 @@ func NewShmHubRing(size, ringBytes int) *ShmHub {
 			rings[p][c] = rb
 		}
 	}
-	// One broadcast segment per rank (bcast.go): that rank produces, every
-	// other rank consumes, parking on its endpoint's wake channel.
-	bcasts := make([]*bcastRegion, size)
-	for p := range bcasts {
-		bcasts[p] = newBcastRegion(p, DefaultBcastBytes, wakes)
-	}
 	for r := 0; r < size; r++ {
 		in := make([]*ringBuffer, size)
 		out := make([]*ringBuffer, size)
-		bcIn := make([]*bcastReader, size)
 		for p := 0; p < size; p++ {
 			in[p] = rings[p][r]
 			out[p] = rings[r][p]
-			if p != r {
-				bcIn[p] = bcasts[p].reader(r)
-			}
 		}
-		h.eps[r] = newShmEndpoint(r, in, out, bcasts[r], bcIn, wakes[r])
+		h.eps[r] = newShmEndpoint(r, in, out, wakes[r])
 	}
 	return h
 }
@@ -129,30 +119,20 @@ type ShmEndpoint struct {
 	failures map[int]error      // per-peer failures observed so far, for replay
 
 	dead []bool // poller-owned: rings no longer swept (peer EOF or corrupt)
-
-	// Broadcast segments (bcast.go): bcOut is the region this rank produces
-	// into, bcIn the readers over the peers' regions (nil at own rank), bcDead
-	// the poller-owned marks for regions no longer swept.
-	bcOut  *bcastRegion
-	bcIn   []*bcastReader
-	bcDead []bool
 }
 
-// newShmEndpoint wires an endpoint over its rings and broadcast segments.
-// wake is the channel the poller parks on.
-func newShmEndpoint(rank int, in, out []*ringBuffer, bcOut *bcastRegion, bcIn []*bcastReader, wake chan struct{}) *ShmEndpoint {
+// newShmEndpoint wires an endpoint over its rings. wake is the channel the
+// poller parks on.
+func newShmEndpoint(rank int, in, out []*ringBuffer, wake chan struct{}) *ShmEndpoint {
 	size := len(in)
 	e := &ShmEndpoint{
-		rank:   rank,
-		size:   size,
-		in:     in,
-		out:    out,
-		inbox:  make(chan comm.Message, DefaultInboxDepth),
-		done:   make(chan struct{}),
-		dead:   make([]bool, size),
-		bcOut:  bcOut,
-		bcIn:   bcIn,
-		bcDead: make([]bool, size),
+		rank:  rank,
+		size:  size,
+		in:    in,
+		out:   out,
+		inbox: make(chan comm.Message, DefaultInboxDepth),
+		done:  make(chan struct{}),
+		dead:  make([]bool, size),
 	}
 	e.poll.wake = wake
 	return e
@@ -288,31 +268,12 @@ func (e *ShmEndpoint) SendFill(dest, tag int, a, b tensor.Vector, fill func(dst,
 }
 
 // ringClosedErr types a send that found dest's ring closed by its consumer:
-// dest closed its endpoint or was declared dead. The sender learns this from
-// the ring before the poller reports dest's exit (which waits until dest's
-// broadcast segment is drained), so the error itself carries comm.ErrPeerDown
-// and nothing is marked down early for receivers.
+// dest closed its endpoint or was declared dead. The sender can learn this
+// from the ring before its own poller has drained dest's ring and reported
+// the exit, so the error itself carries comm.ErrPeerDown and nothing is
+// marked down early for receivers.
 func ringClosedErr(dest int, err error) error {
 	return &comm.PeerDownError{Rank: dest, Cause: fmt.Errorf("transport: ring to rank %d: %w", dest, err)}
-}
-
-// BroadcastBudget returns the payload-byte budget of one broadcast block —
-// the largest payload SendBroadcast accepts.
-func (e *ShmEndpoint) BroadcastBudget() int { return e.bcOut.maxBlock }
-
-// SendBroadcast publishes data (borrowed from the caller, fully encoded
-// before return) once into this rank's broadcast segment; every other rank
-// receives it as a message tagged (this rank, tag). It blocks
-// while the region is full — the same flow control as a ring send — and
-// fails with ErrFrameTooLarge past BroadcastBudget.
-func (e *ShmEndpoint) SendBroadcast(tag int, data tensor.Vector) error {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	return e.bcOut.publish(tag, data, e.done)
 }
 
 func (e *ShmEndpoint) send(dest int, m comm.Message, owned bool) error {
@@ -389,7 +350,6 @@ func (e *ShmEndpoint) Close() error {
 			r.closeProducer()
 		}
 	}
-	e.bcOut.closeProducer()
 	e.wg.Wait() // the poller exits via done; after this the consumer state is ours
 	for _, r := range e.in {
 		if r != nil {
@@ -398,14 +358,6 @@ func (e *ShmEndpoint) Close() error {
 			r.retireAliases()
 		}
 	}
-	for _, br := range e.bcIn {
-		if br != nil {
-			// Leave peers' reclamation quorums so this rank's sweep debt
-			// cannot pin their regions.
-			br.reg.deadConsumer(e.rank)
-		}
-	}
-	e.bcOut.retire()
 	e.senders.Wait()
 	close(e.inbox)
 	return nil
@@ -449,24 +401,8 @@ func (e *ShmEndpoint) pollLoop() {
 				progress = true
 			case res == ringDead:
 				e.dead[peer] = true
-				// The peer published to its segment before it closed its
-				// rings: deliver that before reporting the exit, or a receive
-				// naming the peer fails with its data still in the segment.
-				for more := true; more; {
-					var ok bool
-					if more, ok = e.sweepBcast(peer); !ok {
-						return
-					}
-				}
 				e.handleRingFailure(peer, fmt.Errorf("transport: rank %d closed its ring (process exited?): %w", peer, io.EOF))
 			}
-		}
-		for peer := 0; peer < e.size; peer++ {
-			more, ok := e.sweepBcast(peer)
-			if !ok {
-				return
-			}
-			progress = progress || more
 		}
 		if progress {
 			e.poll.progressed()
@@ -476,47 +412,12 @@ func (e *ShmEndpoint) pollLoop() {
 	}
 }
 
-// sweepBcast consumes at most one record of peer's broadcast segment,
-// delivering a complete frame. more reports that a record was consumed; ok is
-// false once the endpoint is closing.
-func (e *ShmEndpoint) sweepBcast(peer int) (more, ok bool) {
-	br := e.bcIn[peer]
-	if br == nil || e.bcDead[peer] {
-		return false, true
-	}
-	m, res, err := br.tryDequeue()
-	switch {
-	case err != nil:
-		e.bcDead[peer] = true
-		e.handleRingFailure(peer, err)
-	case res == ringMsg:
-		if e.deliverFn != nil {
-			e.deliverFn(m)
-		} else if !e.deliver(m) {
-			return false, false
-		}
-		return true, true
-	case res == ringMore:
-		return true, true
-	case res == ringDead:
-		// The producer closed its segment: its ring EOF reports the
-		// exit, the drained region just stops being swept.
-		e.bcDead[peer] = true
-	}
-	return false, true
-}
-
 // setParked raises (1) or lowers (0) the poller's parked flag on every live
-// incoming ring and broadcast segment.
+// incoming ring.
 func (e *ShmEndpoint) setParked(v uint32) {
 	for peer, r := range e.in {
 		if r != nil && !e.dead[peer] {
 			r.consParked.Store(v)
-		}
-	}
-	for peer, br := range e.bcIn {
-		if br != nil && !e.bcDead[peer] {
-			br.reg.cons[e.rank].parked.Store(v)
 		}
 	}
 }
@@ -532,19 +433,14 @@ func (e *ShmEndpoint) pending() bool {
 			return true
 		}
 	}
-	for peer, br := range e.bcIn {
-		if br != nil && !e.bcDead[peer] && (br.pos != br.reg.tail.Load() || br.reg.prodClosed.Load() != 0) {
-			return true
-		}
-	}
 	return false
 }
 
 // WaitStats reports how this endpoint's waiters — the poller and the
-// producer ends of its outgoing rings and broadcast segment — have spent
-// their idle time. Each waiter publishes its counts when it parks, so the
-// hot path never touches shared memory for them: the snapshot is as of each
-// waiter's latest park, which for the poller means exact once traffic stops.
+// producer ends of its outgoing rings — have spent their idle time. Each
+// waiter publishes its counts when it parks, so the hot path never touches
+// shared memory for them: the snapshot is as of each waiter's latest park,
+// which for the poller means exact once traffic stops.
 func (e *ShmEndpoint) WaitStats() WaitStats {
 	s := e.poll.snapshot()
 	for _, r := range e.out {
@@ -552,7 +448,6 @@ func (e *ShmEndpoint) WaitStats() WaitStats {
 			s.add(r.prodWake.snapshot())
 		}
 	}
-	s.add(e.bcOut.prodWake.snapshot())
 	return s
 }
 
@@ -590,14 +485,7 @@ func (e *ShmEndpoint) handleRingFailure(peer int, cause error) {
 			e.readErr = cause
 		}
 		e.readMu.Unlock()
-		// A corrupt peer's broadcast segment is as untrustworthy as its ring;
-		// a clean EOF keeps draining the segment (the peer published before
-		// closing, and the region carries its own EOF).
-		e.bcDead[peer] = true
 	}
-	// The peer can no longer consume our segment: drop it from the
-	// reclamation quorum so its sweep debt cannot pin the region.
-	e.bcOut.deadConsumer(peer)
 	if fns := e.recordPeerFailure(peer, cause); len(fns) > 0 {
 		e.out[peer].abortProducer() // fail pending sends toward the dead peer too
 		for _, fn := range fns {

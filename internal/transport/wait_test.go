@@ -140,18 +140,17 @@ func waitOrFatal(t *testing.T, wg *sync.WaitGroup, limit time.Duration, what str
 // is most exposed: processors fewer than, equal to and (on a small box)
 // nominally above the rank count, over small rings so producers park on full
 // rings as often as pollers park on empty ones, with both sides going idle on
-// their own schedules. Pairwise, fan-in and broadcast-segment traffic each
-// exercise a different flag set (ring prodParked/consParked, the poller's
-// shared wake channel, the segment's per-consumer flags). The assertions are
+// their own schedules. Pairwise and fan-in traffic each exercise a different
+// flag set (ring prodParked/consParked, the poller's shared wake channel).
+// The assertions are
 // liveness (a watchdog, no wall-clock thresholds), per-source FIFO and lease
 // balance.
 func TestChaosShmWaitersOversubscribed(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const ranks = 4
 	frames := 400
-	blocks := 24
 	if testing.Short() {
-		frames, blocks = 100, 8
+		frames = 100
 	}
 	// Payload sizes either side of the alias floor and the fragment threshold
 	// of a 64 KiB ring (16 KiB records).
@@ -225,30 +224,56 @@ func TestChaosShmWaitersOversubscribed(t *testing.T) {
 			wg.Add(1)
 			go func() { defer wg.Done(); receive(hub.Endpoint(0), (ranks-1)*frames) }()
 		}},
-		{"broadcast-segment", func(hub *ShmHub, wg *sync.WaitGroup) {
-			// 1 MiB blocks: four fill a segment, so a publisher whose
-			// consumers idle parks on reclamation.
-			block := tensor.NewVector(1 << 17)
+		{"ring-relay", func(hub *ShmHub, wg *sync.WaitGroup) {
+			// The allgather walk of a ring allreduce: per round each rank
+			// sends its own frame to its successor, then forwards what its
+			// predecessor sends for ranks-2 more hops — filled in place from
+			// the incoming frame with Copy2, as the fused ring does, or
+			// copied out when the frame is past one record.
+			rounds := frames / (ranks - 1)
 			for r := 0; r < ranks; r++ {
-				wg.Add(2)
+				wg.Add(1)
 				go func(ep *ShmEndpoint) {
 					defer wg.Done()
-					data := tensor.GetVectorCopy(block)
-					defer tensor.PutVector(data)
-					for i := 0; i < blocks; i++ {
-						data[0] = float64(i)
-						n := len(data)
-						if i%3 == 2 {
-							n = 64 // below the alias floor: copy delivery
-						}
-						if err := ep.SendBroadcast(i, data[:n]); err != nil {
-							t.Errorf("rank %d publish %d: %v", ep.Rank(), i, err)
+					rank := ep.Rank()
+					next, prev := (rank+1)%ranks, (rank+ranks-1)%ranks
+					local := make(tensor.Vector, sizes[len(sizes)-1])
+					for i := 0; i < rounds; i++ {
+						v := leasedVector(sizes[(i+rank)%len(sizes)], float64(i*ranks+rank))
+						if err := ep.Send(next, comm.Message{Source: rank, Tag: i, Data: v}); err != nil {
+							t.Errorf("rank %d send %d: %v", rank, i, err)
 							return
 						}
-						pause(i * 5)
+						for hop := 1; hop < ranks; hop++ {
+							m, ok := <-ep.Inbox()
+							if !ok {
+								t.Errorf("rank %d inbox closed in round %d", rank, i)
+								return
+							}
+							origin := (rank + ranks - hop) % ranks
+							n, seed := sizes[(i+origin)%len(sizes)], float64(i*ranks+origin)
+							if m.Source != prev || m.Tag != i || len(m.Data) != n || m.Data[0] != seed || m.Data[n-1] != seed+float64(n-1) {
+								t.Errorf("rank %d round %d hop %d: frame from %d tag %d len %d, want origin %d's %d-element frame from %d",
+									rank, i, hop, m.Source, m.Tag, len(m.Data), origin, n, prev)
+								tensor.PutVector(m.Data)
+								return
+							}
+							if hop < ranks-1 {
+								handled, err := ep.SendFill(next, i, local[:n], m.Data, tensor.Copy2)
+								if err == nil && !handled {
+									err = ep.SendBorrowed(next, comm.Message{Source: rank, Tag: i, Data: m.Data})
+								}
+								if err != nil {
+									t.Errorf("rank %d forward %d: %v", rank, i, err)
+									tensor.PutVector(m.Data)
+									return
+								}
+							}
+							tensor.PutVector(m.Data)
+						}
+						pause(i + rank)
 					}
 				}(hub.Endpoint(r))
-				go func(ep *ShmEndpoint) { defer wg.Done(); receive(ep, (ranks-1)*blocks) }(hub.Endpoint(r))
 			}
 		}},
 	}
@@ -279,13 +304,12 @@ func TestChaosShmWaitersOversubscribed(t *testing.T) {
 	}
 }
 
-// TestShmExitReportedAfterSegmentDrained: what a rank published to its
-// broadcast segment before closing reaches its peers before they are told it
-// exited — a receive naming the peer must not fail with its data still in the
-// segment. On one processor the consumer's poller cannot run between the
-// publish and the Close, so its next sweep meets the ring EOF and the
-// unread block together.
-func TestShmExitReportedAfterSegmentDrained(t *testing.T) {
+// TestShmExitReportedAfterRingDrained: what a rank sent before closing
+// reaches its peers before they are told it exited — a receive naming the
+// peer must not fail with its data still in the ring. On one processor the
+// consumer's poller cannot run between the send and the Close, so its next
+// sweep meets the unread frame and the producer's close together.
+func TestShmExitReportedAfterRingDrained(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(1)
 	before := tensor.ReadPoolStats()
@@ -294,15 +318,14 @@ func TestShmExitReportedAfterSegmentDrained(t *testing.T) {
 	delivered := make(chan int, 1)
 	consumer.NotifyPeerFailure(func(int, error) { delivered <- len(consumer.Inbox()) })
 	time.Sleep(10 * time.Millisecond) // both pollers park
-	block := tensor.NewVector(64)
-	if err := hub.Endpoint(1).SendBroadcast(7, block); err != nil {
+	if err := hub.Endpoint(1).Send(0, comm.Message{Source: 1, Tag: 7, Data: leasedVector(64, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	hub.Endpoint(1).Close()
 	select {
 	case n := <-delivered:
 		if n != 1 {
-			t.Errorf("peer exit reported with %d of 1 published blocks delivered", n)
+			t.Errorf("peer exit reported with %d of 1 sent frames delivered", n)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("peer exit never reported")
