@@ -14,12 +14,12 @@ import (
 
 // plainEndpoint strips every optional capability from an endpoint by
 // interface embedding: the struct satisfies comm.Endpoint and nothing else,
-// so a communicator built over it takes only the classic paths — inbox demux
-// instead of direct delivery, retained copies instead of borrowed sends,
-// staged frames instead of in-place fills. Wrapping every rank of a
-// shared-ring hub yields a world that moves the same bytes over the same
-// rings but exercises none of the communicator's fast paths, which is
-// exactly the baseline the equivalence tests below compare against.
+// so a communicator built over it takes only the staged send paths —
+// retained copies instead of borrowed sends, staged frames instead of
+// in-place fills. Wrapping every rank of a shared-ring hub yields a world
+// that moves the same bytes over the same rings but exercises none of the
+// communicator's send fast paths, which is exactly the baseline the
+// equivalence tests below compare against.
 type plainEndpoint struct{ comm.Endpoint }
 
 // newPlainShmWorld builds a shared-ring world whose communicators see only
@@ -66,16 +66,16 @@ func runWorld(t *testing.T, world []*comm.Communicator, body func(c *comm.Commun
 	}
 }
 
-// TestAllreduceDirectMatchesDemux: an allreduce over the full fast path —
-// direct delivery from the poll loop, borrowed sends and in-place fills —
-// must produce results bit-for-bit identical to the same allreduce over the
-// classic demux path on the same transport, for every algorithm and for
+// TestAllreduceBorrowedAndFilledSendsMatchStaged: an allreduce over the send
+// fast paths — borrowed sends and in-place fills — must produce results
+// bit-for-bit identical to the same allreduce over staged sends on the same
+// transport, for every algorithm and for
 // Auto, the one the reducers run. The size sweep crosses every routing
 // boundary: tiny fused chunks, chunks below and above the alias threshold, a
 // non-divisible element count (unequal chunk bounds), and a chunk past the
 // segment bound that must fall back to the segmented unfused path on both
 // worlds.
-func TestAllreduceDirectMatchesDemux(t *testing.T) {
+func TestAllreduceBorrowedAndFilledSendsMatchStaged(t *testing.T) {
 	algos := []struct {
 		name string
 		algo collectives.Algorithm
@@ -109,13 +109,13 @@ func TestAllreduceDirectMatchesDemux(t *testing.T) {
 						})
 						return results
 					}
-					demux := run(newPlainShmWorld(p))
-					direct := run(transport.NewShmWorld(p))
+					staged := run(newPlainShmWorld(p))
+					fast := run(transport.NewShmWorld(p))
 					for r := 0; r < p; r++ {
-						for i := range demux[r] {
-							if demux[r][i] != direct[r][i] {
-								t.Fatalf("rank %d elem %d: demux %v != direct %v (fast path diverged)",
-									r, i, demux[r][i], direct[r][i])
+						for i := range staged[r] {
+							if staged[r][i] != fast[r][i] {
+								t.Fatalf("rank %d elem %d: staged %v != fast %v (fast path diverged)",
+									r, i, staged[r][i], fast[r][i])
 							}
 						}
 					}

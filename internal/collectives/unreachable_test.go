@@ -89,11 +89,21 @@ func TestAllreduceDeadlineDetectsSilentRank(t *testing.T) {
 }
 
 // deafEndpoint is a shared-ring endpoint whose communicator is never told a
-// peer exited — the window in which a survivor's send meets the dead rank's
-// closed ring before its own poller has reported the exit.
-type deafEndpoint struct{ *transport.ShmEndpoint }
+// peer exited — its inbox never starts the poller, pinning the window in
+// which a survivor's send meets the dead rank's closed ring before its own
+// poller has reported the exit.
+type deafEndpoint struct {
+	*transport.ShmEndpoint
+	silent chan comm.Message
+}
 
-func (deafEndpoint) NotifyPeerFailure(func(rank int, cause error)) {}
+func (e deafEndpoint) Inbox() <-chan comm.Message { return e.silent }
+
+func (e deafEndpoint) Close() error {
+	err := e.ShmEndpoint.Close()
+	close(e.silent)
+	return err
+}
 
 // TestAllreduceSendIntoClosedRingIsRankUnreachable: the failed send alone
 // types the collective's error; no peer-down mark is needed first.
@@ -106,7 +116,7 @@ func TestAllreduceSendIntoClosedRingIsRankUnreachable(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			hub := transport.NewShmHub(2)
 			defer hub.Close()
-			c := comm.NewCommunicator(deafEndpoint{hub.Endpoint(0)})
+			c := comm.NewCommunicator(deafEndpoint{hub.Endpoint(0), make(chan comm.Message)})
 			defer c.Close()
 			hub.Endpoint(1).Close()
 			err := collectives.AllreduceWith(c, tensor.NewVector(64), collectives.OpSum, algo,

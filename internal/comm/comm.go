@@ -3,10 +3,16 @@
 //
 // The design mirrors the small subset of MPI semantics the paper relies on.
 // A Communicator wraps a transport Endpoint (see internal/transport for the
-// in-process and TCP implementations) and adds MPI-style message matching:
-// receives name a (source, tag) pair — either may be a wildcard — and messages
-// that arrive before a matching receive is posted are held in an unexpected
-// queue, preserving per-(source, tag) FIFO order.
+// in-process, shared-ring and TCP implementations) and adds MPI-style message
+// matching: receives name a (source, tag) pair — either may be a wildcard —
+// and messages that arrive before a matching receive is posted are held in an
+// unexpected queue, preserving per-(source, tag) FIFO order.
+//
+// Inbound traffic has one path: transport → Endpoint.Inbox → the
+// communicator's demux goroutine → the unexpected queue, where receivers
+// match it. A peer failure the transport observes travels the same path, as
+// a Message carrying Err, so it is acted on only after every frame that peer
+// delivered before it died.
 //
 // # Buffer ownership
 //
@@ -51,11 +57,11 @@ var ErrCanceled = errors.New("comm: canceled")
 
 // ErrPeerDown is the sentinel every peer-failure error matches
 // (errors.Is(err, ErrPeerDown)). A peer is marked down by the transport (a
-// TCP read loop observing the connection die), by a deadline expiring on a
-// blocked receive (RecvTimeout), or explicitly via MarkPeerDown. Down status
-// is sticky: once marked, every receive naming that peer fails fast and every
-// send to it is refused, so no operation can block indefinitely on a rank
-// that will never answer.
+// failure message in the inbox: a TCP connection or a shared ring died), by
+// a deadline expiring on a blocked receive (RecvTimeout), or explicitly via
+// MarkPeerDown. Down status is sticky: once marked, every receive naming that
+// peer fails fast and every send to it is refused, so no operation can block
+// indefinitely on a rank that will never answer.
 var ErrPeerDown = errors.New("comm: peer down")
 
 // ErrPeerDeadline is the cause recorded when a peer is marked down because a
@@ -88,17 +94,6 @@ func (e *PeerDownError) Is(target error) bool { return target == ErrPeerDown }
 // Unwrap exposes the recorded cause.
 func (e *PeerDownError) Unwrap() error { return e.Cause }
 
-// PeerFailureNotifier is implemented by transports that can observe peer
-// failures themselves (a TCP endpoint whose per-peer read loop died, a fault
-// injector delivering a scripted crash signal). NewCommunicator registers
-// MarkPeerDown with the endpoint when the interface is present, so
-// transport-level failures surface as PeerDownError on blocked operations
-// instead of hanging them. Implementations must replay failures observed
-// before registration.
-type PeerFailureNotifier interface {
-	NotifyPeerFailure(fn func(rank int, cause error))
-}
-
 // BorrowingSender is an optional Endpoint fast path used by SendCopy:
 // SendBorrowed delivers a message whose payload the transport only borrows
 // for the duration of the call. The transport must finish reading m.Data
@@ -129,10 +124,16 @@ type FillSender interface {
 // with the sending rank and a user tag. The Data vector is owned by whoever
 // currently holds the message (sender until Send, transport in flight,
 // receiver after Recv); it is typically a pool lease.
+//
+// A message with a non-nil Err carries no data: it is the transport reporting
+// that Source failed (its connection or ring died), delivered through Inbox
+// after every frame Source delivered. The communicator marks Source down when
+// it reaches one, so a peer's last frames always land before its death.
 type Message struct {
 	Source int
 	Tag    int
 	Data   tensor.Vector
+	Err    error
 }
 
 // Endpoint is the contract a transport must satisfy to back a Communicator.
@@ -150,9 +151,13 @@ type Endpoint interface {
 	// releases it back to the vector pool (TCP), or releases it on its error
 	// paths.
 	Send(dest int, m Message) error
-	// Inbox returns the stream of messages addressed to this rank. The channel
-	// is closed when the endpoint is closed. Each delivered message transfers
-	// ownership of its Data vector to the receiver.
+	// Inbox returns the stream of messages addressed to this rank, the only
+	// path inbound traffic takes. The channel is closed when the endpoint is
+	// closed. Each delivered message transfers ownership of its Data vector to
+	// the receiver. A transport that observes a peer fail (EOF, a decode or
+	// ring error) reports it in band, as a message whose Err is the cause,
+	// after the last frame it delivered from that peer; the endpoint itself
+	// stays open for the other peers.
 	Inbox() <-chan Message
 	// Close shuts the endpoint down and releases its resources.
 	Close() error
@@ -170,12 +175,11 @@ type Status struct {
 type Communicator struct {
 	ep Endpoint
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []Message // unexpected-message queue, arrival order
-	closed   bool
-	closedCh chan struct{} // closed when the transport is down; wakes slot receivers
-	demuxWG  sync.WaitGroup
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []Message // unexpected-message queue, arrival order
+	closed  bool      // set by demux once the inbox has closed
+	demuxWG sync.WaitGroup
 
 	// sends counts in-flight cancelable SendCopy goroutines, each of which
 	// owns the pool lease of its payload; Close joins them so no lease is
@@ -186,50 +190,39 @@ type Communicator struct {
 
 	down      []error          // per-rank down cause; nil = peer believed up
 	downHooks []func(rank int) // observers notified (outside mu) on each marking
-
-	// slots is the direct-delivery match table, one slot per source rank (see
-	// direct.go).
-	slots []directSlot
 }
 
 // NewCommunicator wraps a transport endpoint. The communicator starts a demux
 // goroutine that drains the endpoint's inbox; Close (or closing the endpoint)
-// stops it. If the endpoint can observe peer failures itself
-// (PeerFailureNotifier), they are wired to MarkPeerDown.
+// stops it.
 func NewCommunicator(ep Endpoint) *Communicator {
-	c := &Communicator{ep: ep, down: make([]error, ep.Size()), closedCh: make(chan struct{})}
+	c := &Communicator{ep: ep, down: make([]error, ep.Size())}
 	c.cond = sync.NewCond(&c.mu)
-	c.slots = make([]directSlot, ep.Size())
-	for i := range c.slots {
-		c.slots[i].init()
-	}
-	// Install the direct sink before the demux goroutine first touches the
-	// inbox: a DirectSource transport starts its receive loop on whichever of
-	// SetDeliver or Inbox it sees first, so ordering them this way guarantees
-	// every message of this communicator's lifetime travels one path.
-	if ds, ok := ep.(DirectSource); ok {
-		ds.SetDeliver(c.deliverDirect)
-	}
 	c.demuxWG.Add(1)
 	go c.demux()
-	if n, ok := ep.(PeerFailureNotifier); ok {
-		n.NotifyPeerFailure(c.MarkPeerDown)
-	}
 	return c
 }
 
+// demux is the one inbound path: it moves every frame from the inbox to the
+// unexpected queue and wakes the receivers, and turns an in-band failure
+// (Message.Err) into MarkPeerDown. Frames and failures share the inbox's
+// FIFO, so a peer's failure is never seen before a frame it sent earlier.
 func (c *Communicator) demux() {
 	defer c.demuxWG.Done()
 	for m := range c.ep.Inbox() {
+		if m.Err != nil {
+			c.MarkPeerDown(m.Source, m.Err)
+			continue
+		}
 		c.mu.Lock()
-		c.dispatchLocked(m)
+		c.queue = append(c.queue, m)
+		c.cond.Broadcast()
 		c.mu.Unlock()
 	}
 	c.mu.Lock()
 	c.closed = true
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	close(c.closedCh)
 }
 
 // Rank returns this communicator's rank.
@@ -287,7 +280,6 @@ func (c *Communicator) MarkPeerDown(rank int, cause error) {
 	c.down[rank] = cause
 	hooks := append([]func(int){}, c.downHooks...)
 	c.cond.Broadcast()
-	c.slots[rank].nudgeLocked() // wake a direct receiver naming this peer
 	c.mu.Unlock()
 	for _, fn := range hooks {
 		fn(rank)
@@ -307,7 +299,10 @@ func (c *Communicator) PeerError(rank int) error {
 // OnPeerDown registers an observer invoked once per peer when that peer is
 // marked down. Peers already down at registration time are replayed
 // immediately, so no failure is lost to registration order. Observers run
-// outside the communicator lock and may call back into the communicator.
+// outside the communicator lock and may call back into the communicator, but
+// they run on whichever goroutine did the marking — for a transport-reported
+// failure that is the demux goroutine, the one that delivers every frame — so
+// an observer must not wait on a receive.
 func (c *Communicator) OnPeerDown(fn func(rank int)) {
 	c.mu.Lock()
 	c.downHooks = append(c.downHooks, fn)
@@ -509,21 +504,9 @@ func (c *Communicator) RecvTimeout(source, tag int, cancel <-chan struct{}, dead
 		if err := c.checkPeer(source); err != nil {
 			return nil, Status{}, err
 		}
-		if tag != AnyTag {
-			// Fully named receives take the direct-delivery path: same
-			// semantics, one goroutine hop instead of two (see direct.go).
-			return c.recvDirect(source, tag, cancel, deadline)
-		}
 	} else {
 		deadline = 0 // a wildcard receive names no peer to suspect
 	}
-	return c.recvQueued(source, tag, cancel, deadline)
-}
-
-// recvQueued is the classic cond-based receive: it waits for the demux (or a
-// direct delivery's fallback) to queue a matching message. Wildcard receives
-// and receives whose source slot is held by another receiver wait here.
-func (c *Communicator) recvQueued(source, tag int, cancel <-chan struct{}, deadline time.Duration) (tensor.Vector, Status, error) {
 	// Watcher goroutines convert channel close / timer expiry into
 	// condition-variable wakeups so the wait loop below can observe them.
 	var stop chan struct{}

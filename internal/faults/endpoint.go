@@ -8,7 +8,8 @@ import (
 // endpoint is the fault-injecting comm.Endpoint wrapper returned by
 // Injector.Wrap. Outgoing messages pass through the injector's per-link fate
 // decisions; the inbox is forwarded through a goroutine so a crash can sever
-// it (the communicator then observes a closed transport).
+// it (the communicator then observes a closed transport) and a signaled crash
+// of a peer can join it as a failure message (Scenario.SignalCrashes).
 type endpoint struct {
 	inner comm.Endpoint
 	inj   *Injector
@@ -29,16 +30,6 @@ func (e *endpoint) Inbox() <-chan comm.Message { return e.out }
 // Close closes the wrapped endpoint. (For the in-process hub this closes the
 // whole hub, matching the unwrapped semantics.)
 func (e *endpoint) Close() error { return e.inner.Close() }
-
-// NotifyPeerFailure forwards transport-level failure observation from the
-// inner endpoint (TCP read-loop deaths) and registers the handler for the
-// injector's scripted crash signals (Scenario.SignalCrashes).
-func (e *endpoint) NotifyPeerFailure(fn func(rank int, cause error)) {
-	if n, ok := e.inner.(comm.PeerFailureNotifier); ok {
-		n.NotifyPeerFailure(fn)
-	}
-	e.inj.registerHandler(e.rank, fn)
-}
 
 // Send applies the link's fate decision to m. It consumes m.Data on every
 // path, like any transport. Sends from a crashed rank fail with ErrCrashed;
@@ -76,22 +67,45 @@ func (e *endpoint) Send(dest int, m comm.Message) error {
 	}
 }
 
-// forward pumps the inner inbox into the wrapper's, severing the stream when
-// this rank crashes: the wrapper inbox closes (the communicator sees a dead
-// transport) and any further arrivals are drained and released so inner
-// senders never block on a dead rank's full inbox.
+// forward pumps the inner inbox into the wrapper's — frames and the inner
+// transport's failure messages alike — together with this rank's crash
+// notices, severing the stream when this rank crashes: the wrapper inbox
+// closes (the communicator sees a dead transport) and any further arrivals
+// are drained and released so inner senders never block on a dead rank's
+// full inbox.
 func (e *endpoint) forward() {
 	crash := e.inj.crashChs[e.rank]
+	notices := e.inj.notices[e.rank]
 	in := e.inner.Inbox()
 	alive := true
+	sever := func() {
+		close(e.out)
+		alive = false
+		crash = nil // stop selecting on the closed channel
+	}
+	pass := func(m comm.Message) {
+		if alive {
+			select {
+			case e.out <- m:
+				return
+			case <-crash:
+				sever()
+			}
+		}
+		tensor.PutVector(m.Data)
+	}
 	for {
 		select {
 		case <-crash:
-			if alive {
-				close(e.out)
-				alive = false
+			sever()
+		case n := <-notices:
+			// A crash signal models a connection reset: what the dead rank
+			// sent before it crashed is already buffered in the inner inbox,
+			// and lands before the notice does.
+			for len(in) > 0 {
+				pass(<-in)
 			}
-			crash = nil // stop selecting on the closed channel
+			pass(n)
 		case m, ok := <-in:
 			if !ok {
 				if alive {
@@ -99,18 +113,7 @@ func (e *endpoint) forward() {
 				}
 				return
 			}
-			if !alive {
-				tensor.PutVector(m.Data)
-				continue
-			}
-			select {
-			case e.out <- m:
-			case <-crash:
-				close(e.out)
-				alive = false
-				crash = nil
-				tensor.PutVector(m.Data)
-			}
+			pass(m)
 		}
 	}
 }

@@ -20,8 +20,9 @@
 // are silently dropped by the sender's wrapper — the network black-holes
 // traffic to a dead process. Peers learn of the crash either through the
 // comm layer's per-peer deadlines (the detection path real clusters need) or,
-// when Scenario.SignalCrashes is set, through an immediate peer-failure
-// notification modelling a TCP connection reset.
+// when Scenario.SignalCrashes is set, through a failure message in their
+// inbox (comm.Message.Err) modelling a TCP connection reset: it arrives after
+// what the crashed rank had already delivered.
 package faults
 
 import (
@@ -103,8 +104,8 @@ type Scenario struct {
 	// counter (Injector.AdvanceStep(r)) reaches the given value. Crashes are
 	// deterministic in the rank's step sequence, not in wall-clock time.
 	CrashAtStep map[int]int
-	// SignalCrashes delivers an immediate peer-failure notification to every
-	// surviving rank when a rank crashes, modelling a TCP connection reset.
+	// SignalCrashes queues a peer-failure message on every surviving rank's
+	// inbox when a rank crashes, modelling a TCP connection reset.
 	// When false, survivors only learn of the crash through per-peer
 	// deadlines — the harsher detection model.
 	SignalCrashes bool

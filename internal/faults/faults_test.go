@@ -182,39 +182,30 @@ func TestCrashSemantics(t *testing.T) {
 	inj.Close()
 }
 
+// TestSignalCrashesNotifiesSurvivors: a signaled crash reaches a survivor as
+// a failure message in its wrapped inbox, with cause ErrCrashed, after every
+// frame the crashed rank sent before it died — and it is queued even though
+// nobody reads that inbox until after the crash.
 func TestSignalCrashesNotifiesSurvivors(t *testing.T) {
 	hub := transport.NewHub(2)
 	inj := NewInjector(2, Scenario{SignalCrashes: true})
 	ep0 := inj.Wrap(hub.Endpoint(0))
-	inj.Wrap(hub.Endpoint(1))
+	ep1 := inj.Wrap(hub.Endpoint(1))
 
-	notified := make(chan int, 1)
-	ep0.(comm.PeerFailureNotifier).NotifyPeerFailure(func(rank int, cause error) {
-		if !errors.Is(cause, ErrCrashed) {
-			t.Errorf("cause = %v, want ErrCrashed", cause)
-		}
-		notified <- rank
-	})
-	inj.Crash(1)
-	select {
-	case r := <-notified:
-		if r != 1 {
-			t.Fatalf("notified rank = %d, want 1", r)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("crash signal not delivered")
+	if err := ep1.Send(0, comm.Message{Source: 1, Tag: 3, Data: payload(7)}); err != nil {
+		t.Fatalf("send before the crash: %v", err)
 	}
-
-	// Late registration replays the crash.
-	replayed := make(chan int, 1)
-	inj.registerHandler(0, func(rank int, cause error) { replayed <- rank })
-	select {
-	case r := <-replayed:
-		if r != 1 {
-			t.Fatalf("replayed rank = %d, want 1", r)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("crash not replayed to a late handler")
+	inj.Crash(1)
+	got := drainInbox(ep0.Inbox())
+	if len(got) != 2 {
+		t.Fatalf("survivor received %d messages, want the frame then the crash notice", len(got))
+	}
+	if got[0].Err != nil || got[0].Source != 1 || got[0].Data[0] != 7 {
+		t.Fatalf("first message = %+v, want the frame rank 1 sent before crashing", got[0])
+	}
+	tensor.PutVector(got[0].Data)
+	if got[1].Source != 1 || !errors.Is(got[1].Err, ErrCrashed) {
+		t.Fatalf("second message = %+v, want rank 1's failure with cause ErrCrashed", got[1])
 	}
 	hub.Close()
 	inj.Close()

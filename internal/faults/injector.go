@@ -58,9 +58,9 @@ type Injector struct {
 	links     map[Link]*linkState
 	overrides map[Link]LinkRule // dynamic rule changes (mid-step partitions)
 	crashed   []bool
-	crashChs  []chan struct{}    // per-rank, closed on that rank's crash
-	steps     []int              // per-rank application step counters
-	handlers  []func(int, error) // per-rank peer-failure handlers (SignalCrashes)
+	crashChs  []chan struct{}     // per-rank, closed on that rank's crash
+	notices   []chan comm.Message // per-rank crash signals for forward (SignalCrashes)
+	steps     []int               // per-rank application step counters
 	closed    bool
 
 	wg sync.WaitGroup // link workers and out-of-band deliveries
@@ -76,11 +76,14 @@ func NewInjector(size int, sc Scenario) *Injector {
 		links:    make(map[Link]*linkState),
 		crashed:  make([]bool, size),
 		crashChs: make([]chan struct{}, size),
+		notices:  make([]chan comm.Message, size),
 		steps:    make([]int, size),
-		handlers: make([]func(int, error), size),
 	}
 	for r := 0; r < size; r++ {
 		in.crashChs[r] = make(chan struct{})
+		// Each peer crashes at most once, so a rank is never owed more
+		// notices than this: Crash never blocks queueing one.
+		in.notices[r] = make(chan comm.Message, size)
 	}
 	return in
 }
@@ -168,8 +171,8 @@ func (in *Injector) AdvanceStep(rank int) int {
 
 // Crash kills the rank now: its endpoint refuses further sends, its inbox
 // closes, and traffic addressed to it is black-holed. Idempotent. When the
-// scenario signals crashes, every surviving rank's peer-failure handler is
-// invoked with ErrCrashed.
+// scenario signals crashes, every surviving rank's wrapped inbox is queued a
+// failure message for the rank, with cause ErrCrashed.
 func (in *Injector) Crash(rank int) {
 	if rank < 0 || rank >= in.size {
 		return
@@ -180,21 +183,16 @@ func (in *Injector) Crash(rank int) {
 		return
 	}
 	in.crashed[rank] = true
-	ch := in.crashChs[rank]
-	var notify []func(int, error)
 	if in.sc.SignalCrashes {
-		for r, fn := range in.handlers {
-			if r != rank && !in.crashed[r] && fn != nil {
-				notify = append(notify, fn)
+		cause := fmt.Errorf("%w: rank %d", ErrCrashed, rank)
+		for r, n := range in.notices {
+			if r != rank && !in.crashed[r] {
+				n <- comm.Message{Source: rank, Err: cause}
 			}
 		}
 	}
 	in.mu.Unlock()
-	close(ch)
-	cause := fmt.Errorf("%w: rank %d", ErrCrashed, rank)
-	for _, fn := range notify {
-		fn(rank, cause)
-	}
+	close(in.crashChs[rank])
 }
 
 // AnyCrashed reports whether any rank has crashed.
@@ -373,23 +371,4 @@ func (in *Injector) deliver(it delayedMsg) {
 		return
 	}
 	_ = it.ep.Send(it.dest, it.m)
-}
-
-// registerHandler records a rank's peer-failure handler for SignalCrashes
-// delivery, replaying crashes that already happened.
-func (in *Injector) registerHandler(rank int, fn func(int, error)) {
-	in.mu.Lock()
-	in.handlers[rank] = fn
-	var replay []int
-	if in.sc.SignalCrashes {
-		for r, crashed := range in.crashed {
-			if crashed && r != rank {
-				replay = append(replay, r)
-			}
-		}
-	}
-	in.mu.Unlock()
-	for _, r := range replay {
-		fn(r, fmt.Errorf("%w: rank %d", ErrCrashed, r))
-	}
 }

@@ -2,9 +2,8 @@
 // is mid fused-ring allreduce. Unlike the scripted scenarios in
 // chaos_test.go, this one runs over a bare shared-ring world — no fault
 // injector wrapping — because the injector hides the endpoint's optional
-// capabilities (direct delivery, borrowed and in-place sends) and would
-// silently route every rank onto the classic paths, leaving the fast paths
-// untested.
+// capabilities (borrowed and in-place sends) and would silently route every
+// rank onto the staged send paths, leaving the fast paths untested.
 package faults_test
 
 import (
@@ -23,7 +22,7 @@ import (
 // and delivered to the next rank as a zero-copy alias of the ring span, and
 // the allgather relays those aliased frames — and one rank closes its
 // communicator between steps. The liveness and hygiene contract of the
-// classic paths must hold on the fast paths too: every survivor surfaces a
+// staged paths must hold on the fast paths too: every survivor surfaces a
 // typed ErrRankUnreachable instead of hanging (the dead rank's rings read
 // EOF, and sends toward it fail typed), and no pool lease leaks — aliased
 // ring spans pinned by undelivered messages are released when the closing

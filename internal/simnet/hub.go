@@ -10,8 +10,9 @@
 //     seeded latency model, a dispatcher drains the heap in virtual-time
 //     order, and per-rank virtual clocks advance from deliveries and from
 //     explicit AdvanceCompute calls (the compute-skew model). The full real
-//     stack — tag matching, direct delivery, partial rounds, epochs, fault
-//     injection — runs unmodified on top.
+//     stack — tag matching, partial rounds, epochs, fault injection — runs
+//     unmodified on top, over the same single inbound path (Inbox, then the
+//     communicator's demux) as every other transport.
 //   - internal/simnet/sweep is the closed-form lockstep sweep driver that
 //     reproduces the paper's NAP-vs-step-time curves at 1000+ ranks,
 //     bit-identically, using the same Model/Stream vocabulary (see that

@@ -3,7 +3,8 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
+	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -24,8 +25,8 @@ func dialTCPPair(t *testing.T, basePort int) [2]*TCPEndpoint {
 
 // TestSendRecvSurfacesPeerReadLoopDeath is the regression test for the
 // blocked-forever class: an exchange whose peer's read loop died used to hang
-// until some unrelated timeout. With the failure notifier wired (as every
-// communicator does), the death is scoped to that peer, the blocked exchange
+// until some unrelated timeout. With the failure delivered in band, the death
+// is scoped to that peer, the blocked exchange
 // returns a typed PeerDownError, and the root cause — the endpoint's recorded
 // ReadError — is in the error chain instead of a bare timeout.
 func TestSendRecvSurfacesPeerReadLoopDeath(t *testing.T) {
@@ -116,40 +117,151 @@ func TestCanceledExchangeReturnsOnSilentPeer(t *testing.T) {
 	}
 }
 
-// TestPeerEOFMarksPeerDownWithNotifier: a peer process exiting cleanly (EOF
-// on its connections) is a rank failure for the survivors — with a notifier
-// registered, the survivor marks it down instead of closing its endpoint.
-func TestPeerEOFMarksPeerDownWithNotifier(t *testing.T) {
-	eps := dialTCPPair(t, 23180)
-	c0 := comm.NewCommunicator(eps[0])
-	defer c0.Close()
+// nextMessage returns the next message of an endpoint's inbox, failing the
+// test when none arrives within five seconds or the inbox closes.
+func nextMessage(t *testing.T, inbox <-chan comm.Message) comm.Message {
+	t.Helper()
+	select {
+	case m, ok := <-inbox:
+		if !ok {
+			t.Fatal("inbox closed")
+		}
+		return m
+	case <-time.After(5 * time.Second):
+		t.Fatal("no message within 5s")
+	}
+	return comm.Message{}
+}
 
-	var mu sync.Mutex
-	var failed []int
-	eps[0].NotifyPeerFailure(func(rank int, cause error) {
-		mu.Lock()
-		failed = append(failed, rank)
-		mu.Unlock()
-	})
+// expectFrame checks that m is a frame (not a failure) from source with the
+// given tag and length, and releases its payload.
+func expectFrame(t *testing.T, m comm.Message, source, tag, n int) {
+	t.Helper()
+	if m.Err != nil {
+		t.Fatalf("failure %v (source %d) overtook a frame the peer sent before it", m.Err, m.Source)
+	}
+	if m.Source != source || m.Tag != tag || len(m.Data) != n {
+		t.Fatalf("frame source %d tag %d len %d, want %d/%d/%d", m.Source, m.Tag, len(m.Data), source, tag, n)
+	}
+	tensor.PutVector(m.Data)
+}
+
+// expectFailure checks that m is the in-band failure of source with a cause
+// wrapping want.
+func expectFailure(t *testing.T, m comm.Message, source int, want error) {
+	t.Helper()
+	if m.Err == nil {
+		tensor.PutVector(m.Data)
+		t.Fatalf("got a frame (source %d tag %d), want the failure of rank %d", m.Source, m.Tag, source)
+	}
+	if m.Source != source || m.Data != nil {
+		t.Fatalf("failure message names rank %d with %d elements, want rank %d and no data", m.Source, len(m.Data), source)
+	}
+	if !errors.Is(m.Err, want) {
+		t.Fatalf("failure cause = %v, want it to wrap %v", m.Err, want)
+	}
+}
+
+// TestPeerEOFIsReportedInBand: a peer process exiting cleanly (EOF on its
+// connections) is a rank failure for the survivors — reported in the
+// survivor's inbox after the frames the peer sent before exiting, while the
+// survivor's endpoint stays open. A clean exit is not a read error.
+func TestPeerEOFIsReportedInBand(t *testing.T) {
+	eps := dialTCPPair(t, 23180)
+	defer eps[0].Close()
+	if err := eps[1].Send(0, comm.Message{Source: 1, Tag: 4, Data: leasedVector(8, 0)}); err != nil {
+		t.Fatal(err)
+	}
 	// Rank 1's process "exits": its endpoint closes, sending EOF to rank 0.
 	eps[1].Close()
+	expectFrame(t, nextMessage(t, eps[0].Inbox()), 1, 4, 8)
+	expectFailure(t, nextMessage(t, eps[0].Inbox()), 1, io.EOF)
+	if err := eps[0].ReadError(); err != nil {
+		t.Fatalf("ReadError = %v after a clean peer exit, want nil", err)
+	}
+}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(failed)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("peer EOF not reported to the failure notifier")
-		}
-		time.Sleep(time.Millisecond)
+// TestPeerDownAfterItsLastFrames: what a peer sent before it exited reaches a
+// receiver blocked on it before the peer's death does. Rank 1 sends a small
+// and a large frame and closes while rank 0 waits in a receive naming it: both
+// frames must be received, and only the next receive fails, with a
+// PeerDownError wrapping io.EOF. A failure report that travels beside the
+// inbox instead of through it overtakes frames still queued there.
+func TestPeerDownAfterItsLastFrames(t *testing.T) {
+	const (
+		trials = 200
+		tag    = 9
+	)
+	worlds := []struct {
+		name string
+		make func() ([]*comm.Communicator, error)
+	}{
+		{"tcp", func() ([]*comm.Communicator, error) { return NewTCPWorld(2, 23240) }},
+		{"shm", func() ([]*comm.Communicator, error) { return NewShmWorld(2), nil }},
 	}
-	mu.Lock()
-	if failed[0] != 1 {
-		t.Fatalf("failed = %v, want [1]", failed)
+	sizes := []int{3, 32 << 10}
+	payloads := make([]tensor.Vector, len(sizes))
+	for i, n := range sizes {
+		payloads[i] = tensor.NewVector(n)
+		payloads[i].Fill(float64(i + 1))
 	}
-	mu.Unlock()
+	for _, wc := range worlds {
+		t.Run(wc.name, func(t *testing.T) {
+			before := tensor.ReadPoolStats()
+			failed, first := 0, error(nil)
+			for i := 0; i < trials; i++ {
+				w, err := wc.make()
+				if err != nil {
+					t.Skipf("transport unavailable in this environment: %v", err)
+				}
+				got := make(chan error, 1)
+				go func() {
+					for _, n := range sizes {
+						v, _, err := w[0].RecvTimeout(1, tag, nil, 0)
+						if err != nil {
+							got <- fmt.Errorf("frame of %d elements: %w", n, err)
+							return
+						}
+						m := len(v)
+						tensor.PutVector(v)
+						if m != n {
+							got <- fmt.Errorf("frame of %d elements, want %d", m, n)
+							return
+						}
+					}
+					v, _, err := w[0].RecvTimeout(1, tag, nil, 0)
+					tensor.PutVector(v)
+					if !errors.Is(err, comm.ErrPeerDown) || !errors.Is(err, io.EOF) {
+						err = fmt.Errorf("receive after the last frame: err = %v, want a PeerDownError wrapping io.EOF", err)
+					} else {
+						err = nil
+					}
+					got <- err
+				}()
+				for _, p := range payloads {
+					if err := w[1].SendCopy(0, tag, p, nil); err != nil {
+						t.Fatalf("trial %d: send: %v", i, err)
+					}
+				}
+				w[1].Close()
+				select {
+				case err := <-got:
+					if err != nil {
+						if failed++; first == nil {
+							first = fmt.Errorf("trial %d: %w", i, err)
+						}
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("trial %d: receiver still blocked 10s after the peer closed", i)
+				}
+				w[0].Close()
+			}
+			if failed > 0 {
+				t.Errorf("%d of %d trials lost frames to the peer's death; first: %v", failed, trials, first)
+			}
+			if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+				t.Errorf("%d leases leaked", n)
+			}
+		})
+	}
 }

@@ -341,44 +341,25 @@ func TestShmSendAfterClose(t *testing.T) {
 	hub.Close()
 }
 
-// TestShmPeerEOFMarksFailureWithNotifier: a peer closing its endpoint is a
-// rank failure for the survivors, reported through the notifier — the
-// surviving endpoint stays open, mirroring TCP EOF semantics.
-func TestShmPeerEOFMarksFailureWithNotifier(t *testing.T) {
+// TestShmPeerEOFIsReportedInBand: a peer closing its endpoint is a rank
+// failure for the survivors, reported in the survivor's inbox after the
+// frames the peer sent before closing — the surviving endpoint stays open,
+// mirroring TCP EOF semantics. A clean exit is not a read error.
+func TestShmPeerEOFIsReportedInBand(t *testing.T) {
 	hub := NewShmHub(3)
 	defer hub.Close()
-	var mu sync.Mutex
-	var failed []int
-	hub.Endpoint(0).NotifyPeerFailure(func(rank int, cause error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !errors.Is(cause, io.EOF) {
-			t.Errorf("cause = %v, want wrapped io.EOF", cause)
-		}
-		failed = append(failed, rank)
-	})
+	ep0 := hub.Endpoint(0)
+	if err := hub.Endpoint(1).Send(0, comm.Message{Source: 1, Tag: 4, Data: leasedVector(8, 0)}); err != nil {
+		t.Fatal(err)
+	}
 	hub.Endpoint(1).Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(failed)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("peer EOF not reported to the failure notifier")
-		}
-		time.Sleep(time.Millisecond)
+	expectFrame(t, nextMessage(t, ep0.Inbox()), 1, 4, 8)
+	expectFailure(t, nextMessage(t, ep0.Inbox()), 1, io.EOF)
+	if err := ep0.ReadError(); err != nil {
+		t.Fatalf("ReadError = %v after a clean peer exit, want nil", err)
 	}
-	mu.Lock()
-	if failed[0] != 1 {
-		t.Fatalf("failed = %v, want [1]", failed)
-	}
-	mu.Unlock()
 	// Traffic with the healthy peer continues.
-	if err := hub.Endpoint(0).Send(2, comm.Message{Source: 0, Tag: 1, Data: leasedVector(4, 0)}); err != nil {
+	if err := ep0.Send(2, comm.Message{Source: 0, Tag: 1, Data: leasedVector(4, 0)}); err != nil {
 		t.Fatalf("send to healthy peer after EOF: %v", err)
 	}
 	m := <-hub.Endpoint(2).Inbox()
@@ -386,39 +367,31 @@ func TestShmPeerEOFMarksFailureWithNotifier(t *testing.T) {
 }
 
 // TestShmCorruptRingFailsPeer: framing corruption in an incoming ring is
-// recorded (ReadError), reported to the notifier, and aborts pending sends
-// toward the corrupt peer — the shared-memory analogue of a TCP decode
-// failure tearing down the connection.
+// recorded (ReadError), reported in band after the frames that preceded it,
+// and aborts pending sends toward the corrupt peer — the shared-memory
+// analogue of a TCP decode failure tearing down the connection.
 func TestShmCorruptRingFailsPeer(t *testing.T) {
 	hub := NewShmHub(2)
 	defer hub.Close()
 	ep0, ep1 := hub.Endpoint(0), hub.Endpoint(1)
-	failed := make(chan int, 1)
-	ep1.NotifyPeerFailure(func(rank int, cause error) {
-		select {
-		case failed <- rank:
-		default:
-		}
-	})
-	// Corrupt rank 0's ring toward rank 1: an orphan continuation record.
+	if err := ep0.Send(1, comm.Message{Source: 0, Tag: 4, Data: leasedVector(8, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	expectFrame(t, nextMessage(t, ep1.Inbox()), 0, 4, 8)
+	// Corrupt rank 0's ring toward rank 1 at its next record: an orphan
+	// continuation record.
 	r := ep0.out[1]
 	r.prodMu.Lock()
-	binary.LittleEndian.PutUint32(r.data[0:], uint32(recCont)<<recTypeShift|8)
-	r.tail.Store(uint64(recordSpan(8)))
+	at := r.tail.Load()
+	binary.LittleEndian.PutUint32(r.data[at&r.mask:], uint32(recCont)<<recTypeShift|8)
+	r.tail.Store(at + uint64(recordSpan(8)))
 	if r.consParked.Swap(0) != 0 {
 		r.consWake.signal()
 	}
 	r.consWake.signal()
 	r.prodMu.Unlock()
 
-	select {
-	case rank := <-failed:
-		if rank != 0 {
-			t.Fatalf("failed rank = %d, want 0", rank)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ring corruption not reported to the failure notifier")
-	}
+	expectFailure(t, nextMessage(t, ep1.Inbox()), 0, errRingCorrupt)
 	if err := ep1.ReadError(); err == nil || !errors.Is(err, errRingCorrupt) {
 		t.Fatalf("ReadError = %v, want wrapped errRingCorrupt", err)
 	}

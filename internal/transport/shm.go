@@ -88,9 +88,9 @@ func (h *ShmHub) Close() error {
 // ShmEndpoint implements comm.Endpoint over per-peer SPSC rings. One poller
 // goroutine sweeps the incoming rings, decoding frames straight into
 // pool-leased vectors; sends reserve a span in the outgoing ring and encode
-// in place. It also implements comm.PeerFailureNotifier with the same
-// semantics as TCPEndpoint: a peer closing its rings (EOF) or corrupting one
-// fails that peer, not the endpoint.
+// in place. Peer failure has the same semantics as on TCPEndpoint: a peer
+// closing its rings (EOF) or corrupting one fails that peer, not the
+// endpoint, and is reported in band after the peer's last frame.
 type ShmEndpoint struct {
 	rank  int
 	size  int
@@ -102,21 +102,12 @@ type ShmEndpoint struct {
 
 	mu      sync.Mutex
 	closed  bool
-	started bool           // poller launched (first Inbox or SetDeliver call)
+	started bool           // poller launched (first Inbox call)
 	wg      sync.WaitGroup // the poller
 	senders sync.WaitGroup // in-flight deliverLocal calls; drained before closing the inbox
 
-	// deliverFn, when set, is the comm.DirectSource sink: the poller hands
-	// decoded frames straight to it instead of the inbox. It is latched
-	// before the poller starts and never changes, so the poller reads it
-	// without synchronization; self-sends keep the inbox path (one delivery
-	// path per source either way).
-	deliverFn func(m comm.Message)
-
-	readMu   sync.Mutex
-	readErr  error              // first ring corruption observed, kept for diagnostics
-	onFail   []func(int, error) // peer-failure handlers (NotifyPeerFailure)
-	failures map[int]error      // per-peer failures observed so far, for replay
+	readMu  sync.Mutex
+	readErr error // first ring corruption observed, kept for diagnostics
 
 	dead []bool // poller-owned: rings no longer swept (peer EOF or corrupt)
 }
@@ -138,81 +129,25 @@ func newShmEndpoint(rank int, in, out []*ringBuffer, wake chan struct{}) *ShmEnd
 	return e
 }
 
-// startPoller launches the consumer goroutine once. The poller starts lazily
-// — on the first Inbox or SetDeliver call — so the delivery mode is decided
-// before the first frame is decoded and every message of the endpoint's
-// lifetime travels exactly one path.
-func (e *ShmEndpoint) startPoller() {
-	e.mu.Lock()
-	if !e.started && !e.closed {
-		e.started = true
-		e.wg.Add(1)
-		go e.pollLoop()
-	}
-	e.mu.Unlock()
-}
-
-// SetDeliver installs the comm.DirectSource sink and starts the poller in
-// direct mode. If the poller is already running (something consumed Inbox
-// first) the call is ignored: mixing delivery paths for one source could
-// reorder messages, so the mode is latched by whoever starts the poller.
-func (e *ShmEndpoint) SetDeliver(fn func(m comm.Message)) {
-	e.mu.Lock()
-	if !e.started && !e.closed {
-		e.deliverFn = fn
-		e.started = true
-		e.wg.Add(1)
-		go e.pollLoop()
-	}
-	e.mu.Unlock()
-}
-
 // Rank returns this endpoint's rank.
 func (e *ShmEndpoint) Rank() int { return e.rank }
 
 // Size returns the number of ranks in the job.
 func (e *ShmEndpoint) Size() int { return e.size }
 
-// Inbox returns the stream of messages addressed to this rank. The first
-// call starts the poller in inbox mode (unless SetDeliver got there first).
+// Inbox returns the stream of messages addressed to this rank: decoded
+// frames, and a failure message (comm.Message.Err) after the last frame of a
+// peer whose ring died. The first call starts the poller; until then nothing
+// is read from the rings.
 func (e *ShmEndpoint) Inbox() <-chan comm.Message {
-	e.startPoller()
+	e.mu.Lock()
+	if !e.started && !e.closed {
+		e.started = true
+		e.wg.Add(1)
+		go e.pollLoop()
+	}
+	e.mu.Unlock()
 	return e.inbox
-}
-
-// NotifyPeerFailure registers the handler invoked when a peer's ring dies
-// mid-job (ring EOF or framing corruption). Failures observed before
-// registration are replayed immediately. Semantics mirror
-// TCPEndpoint.NotifyPeerFailure.
-func (e *ShmEndpoint) NotifyPeerFailure(fn func(rank int, cause error)) {
-	// Failure detection is the poller observing ring EOF/corruption, so
-	// registering interest starts it (in inbox mode unless SetDeliver already
-	// chose direct).
-	e.startPoller()
-	e.readMu.Lock()
-	e.onFail = append(e.onFail, fn)
-	replay := make(map[int]error, len(e.failures))
-	for r, err := range e.failures {
-		replay[r] = err
-	}
-	e.readMu.Unlock()
-	for r, err := range replay {
-		fn(r, err)
-	}
-}
-
-// recordPeerFailure stores the failure for replay and returns the registered
-// handlers (nil if none).
-func (e *ShmEndpoint) recordPeerFailure(peer int, cause error) []func(int, error) {
-	e.readMu.Lock()
-	defer e.readMu.Unlock()
-	if e.failures == nil {
-		e.failures = make(map[int]error)
-	}
-	if e.failures[peer] == nil {
-		e.failures[peer] = cause
-	}
-	return e.onFail
 }
 
 // ReadError returns the first ring corruption observed by the poller (nil if
@@ -389,19 +324,21 @@ func (e *ShmEndpoint) pollLoop() {
 			case err != nil:
 				e.dead[peer] = true
 				r.releasePending()
-				e.handleRingFailure(peer, err)
+				if !e.handleRingFailure(peer, err) {
+					return
+				}
 			case res == ringMsg:
 				progress = true
-				if e.deliverFn != nil {
-					e.deliverFn(m)
-				} else if !e.deliver(m) {
+				if !e.deliver(m) {
 					return
 				}
 			case res == ringMore:
 				progress = true
 			case res == ringDead:
 				e.dead[peer] = true
-				e.handleRingFailure(peer, fmt.Errorf("transport: rank %d closed its ring (process exited?): %w", peer, io.EOF))
+				if !e.handleRingFailure(peer, fmt.Errorf("transport: rank %d closed its ring (process exited?): %w", peer, io.EOF)) {
+					return
+				}
 			}
 		}
 		if progress {
@@ -463,22 +400,13 @@ func (e *ShmEndpoint) deliver(m comm.Message) bool {
 	}
 }
 
-// handleRingFailure reacts to an incoming ring dying: nothing during our own
-// shutdown; otherwise the producing peer is unreachable (closed its ring —
-// EOF — or corrupted it). Corruption is recorded for ReadError diagnostics.
-// With a peer-failure handler the failure is scoped to the peer: our
-// outgoing ring toward it is aborted (failing pending sends, like closing a
-// TCP connection) and the handler invoked so the comm layer marks the rank
-// down. Without a handler, corruption closes the whole endpoint so blocked
-// receivers observe ErrClosed promptly instead of hanging; a clean EOF does
-// not.
-func (e *ShmEndpoint) handleRingFailure(peer int, cause error) {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return
-	}
+// handleRingFailure reacts to an incoming ring dying: the producing peer is
+// unreachable (closed its ring — EOF — or corrupted it). Corruption is
+// recorded for ReadError diagnostics, our outgoing ring toward the peer is
+// aborted (failing pending sends, like closing a TCP connection), and the
+// failure is delivered in band, behind every frame the peer's ring yielded.
+// Returns false when the endpoint is closing.
+func (e *ShmEndpoint) handleRingFailure(peer int, cause error) bool {
 	if !errors.Is(cause, io.EOF) {
 		e.readMu.Lock()
 		if e.readErr == nil {
@@ -486,17 +414,8 @@ func (e *ShmEndpoint) handleRingFailure(peer int, cause error) {
 		}
 		e.readMu.Unlock()
 	}
-	if fns := e.recordPeerFailure(peer, cause); len(fns) > 0 {
-		e.out[peer].abortProducer() // fail pending sends toward the dead peer too
-		for _, fn := range fns {
-			fn(peer, cause)
-		}
-		return
-	}
-	if !errors.Is(cause, io.EOF) {
-		// Close must run off this goroutine: it joins the poller.
-		go e.Close()
-	}
+	e.out[peer].abortProducer()
+	return e.deliver(comm.Message{Source: peer, Err: cause})
 }
 
 // NewShmWorld builds an in-process shared-ring hub for size ranks and returns

@@ -49,45 +49,8 @@ type TCPEndpoint struct {
 	wg      sync.WaitGroup // read loops
 	senders sync.WaitGroup // in-flight deliverLocal calls; drained before closing the inbox
 
-	readMu   sync.Mutex
-	readErr  error              // first read-loop decode/IO failure, kept for diagnostics
-	onFail   []func(int, error) // peer-failure handlers (NotifyPeerFailure)
-	failures map[int]error      // per-peer failures observed so far, for replay
-}
-
-// NotifyPeerFailure registers the handler invoked when a peer's connection
-// dies mid-job (read-loop EOF or decode/IO failure). Failures observed before
-// registration are replayed immediately. With a handler registered, a dead
-// connection fails only that peer — the handler typically marks the rank down
-// on the communicator so blocked receives surface a typed PeerDownError while
-// traffic with healthy peers continues. Without one, the endpoint falls back
-// to closing itself entirely (the pre-fault-tolerance behaviour), so bare
-// endpoints never hang their receivers.
-func (e *TCPEndpoint) NotifyPeerFailure(fn func(rank int, cause error)) {
-	e.readMu.Lock()
-	e.onFail = append(e.onFail, fn)
-	replay := make(map[int]error, len(e.failures))
-	for r, err := range e.failures {
-		replay[r] = err
-	}
-	e.readMu.Unlock()
-	for r, err := range replay {
-		fn(r, err)
-	}
-}
-
-// recordPeerFailure stores the failure for replay and returns the registered
-// handlers (nil if none).
-func (e *TCPEndpoint) recordPeerFailure(peer int, cause error) []func(int, error) {
-	e.readMu.Lock()
-	defer e.readMu.Unlock()
-	if e.failures == nil {
-		e.failures = make(map[int]error)
-	}
-	if e.failures[peer] == nil {
-		e.failures[peer] = cause
-	}
-	return e.onFail
+	readMu  sync.Mutex
+	readErr error // first read-loop decode/IO failure, kept for diagnostics
 }
 
 // tcpWriter owns one peer connection's write half and coalesces concurrent
@@ -464,7 +427,9 @@ func (e *TCPEndpoint) Rank() int { return e.rank }
 // Size returns the number of ranks in the job.
 func (e *TCPEndpoint) Size() int { return e.size }
 
-// Inbox returns the stream of messages addressed to this rank.
+// Inbox returns the stream of messages addressed to this rank: decoded
+// frames, and a failure message (comm.Message.Err) after the last frame of a
+// peer whose connection died.
 func (e *TCPEndpoint) Inbox() <-chan comm.Message { return e.inbox }
 
 // Send encodes m as a length-prefixed frame into the destination
@@ -550,10 +515,9 @@ func (e *TCPEndpoint) Close() error {
 // vectors and forwarding them to the inbox. Each loop owns a private scratch
 // buffer that is grown once and reused for every frame, so a steady-state
 // receive performs no allocation. A decode failure (including an oversized or
-// truncated frame) tears the connection down and is recorded on the endpoint
-// (see ReadError) instead of silently vanishing; with a peer-failure handler
-// registered (NotifyPeerFailure) only that peer is declared dead, otherwise
-// the whole endpoint closes.
+// truncated frame) or EOF tears the connection down and fails only that peer,
+// in band, behind its last frame (see handleReadFailure); a decode failure is
+// also recorded on the endpoint (see ReadError) instead of silently vanishing.
 func (e *TCPEndpoint) readLoop(peer int, conn net.Conn) {
 	defer e.wg.Done()
 	var scratch []byte
@@ -579,11 +543,10 @@ func (e *TCPEndpoint) readLoop(peer int, conn net.Conn) {
 // handleReadFailure reacts to a read loop ending: nothing during our own
 // shutdown; otherwise the peer is unreachable (its process exited — EOF — or
 // the stream is corrupt). Decode/IO failures are recorded for ReadError
-// diagnostics. With a peer-failure handler the failure is scoped to the peer:
-// the connection is closed (failing its pending writes) and the handler is
-// invoked so the comm layer can mark the rank down. Without a handler, a
-// fatal (non-EOF) failure closes the whole endpoint so blocked receivers
-// observe ErrClosed promptly instead of hanging.
+// diagnostics. The failure is scoped to the peer: the connection is closed
+// (failing its pending writes) and the failure is delivered to the inbox
+// behind every frame this read loop delivered, so the comm layer marks the
+// rank down only after consuming them.
 func (e *TCPEndpoint) handleReadFailure(peer int, conn net.Conn, err error) {
 	e.mu.Lock()
 	closed := e.closed
@@ -601,26 +564,15 @@ func (e *TCPEndpoint) handleReadFailure(peer int, conn net.Conn, err error) {
 		}
 		e.readMu.Unlock()
 	}
-	if fns := e.recordPeerFailure(peer, cause); len(fns) > 0 {
-		conn.Close() // fail pending writes toward the dead peer too
-		for _, fn := range fns {
-			fn(peer, cause)
-		}
-		return
-	}
-	if !errors.Is(err, io.EOF) {
-		// Close must run off this goroutine: it waits for read loops.
-		go e.Close()
-	}
+	conn.Close() // fail pending writes toward the dead peer too
+	e.deliverLocal(comm.Message{Source: peer, Err: cause})
 }
 
 // ReadError returns the first fatal decode or I/O failure observed by a read
 // loop (nil if none). A non-nil value means a peer connection died mid-job —
-// for example on a corrupt or oversized frame. With a peer-failure handler
-// registered (the communicator's default), only that peer is marked down and
-// blocked operations naming it observe a PeerDownError carrying this error;
-// without one the endpoint closes itself, so blocked receivers observe
-// ErrClosed and this error explains why.
+// for example on a corrupt or oversized frame. Only that peer fails: its
+// failure message carries this error, so a communicator's blocked operations
+// naming it observe a PeerDownError wrapping it.
 func (e *TCPEndpoint) ReadError() error {
 	e.readMu.Lock()
 	defer e.readMu.Unlock()

@@ -243,35 +243,23 @@ func TestTCPReadErrorRecordedOnCorruptFrame(t *testing.T) {
 	defer eps[0].Close()
 	defer eps[1].Close()
 
-	// Write a corrupt frame — an oversized length header announcing ~2^32
-	// elements — straight onto rank 0's connection to rank 1.
+	// A good frame first, then a corrupt one — an oversized length header
+	// announcing ~2^32 elements — straight onto rank 0's connection to rank 1.
+	if err := eps[0].Send(1, comm.Message{Source: 0, Tag: 4, Data: tensor.GetVector(8)}); err != nil {
+		t.Fatal(err)
+	}
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[8:12], 0xffffffff)
 	if _, err := eps[0].writers[1].conn.Write(hdr[:]); err != nil {
 		t.Fatalf("write corrupt frame: %v", err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if err := eps[1].ReadError(); err != nil {
-			if !errors.Is(err, ErrFrameTooLarge) {
-				t.Fatalf("recorded error = %v, want ErrFrameTooLarge", err)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("corrupt frame was swallowed silently: no read error recorded")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The endpoint must fail fast, not stall: its inbox closes so blocked
-	// receivers observe ErrClosed instead of hanging forever.
-	select {
-	case _, ok := <-eps[1].Inbox():
-		if ok {
-			t.Fatal("unexpected message on corrupted endpoint")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("endpoint stayed open after fatal decode error: receivers would hang")
+	// The endpoint must fail fast, not stall: after the good frame its inbox
+	// reports rank 0 failed, with the decode error as the cause, so blocked
+	// receivers observe the failure instead of hanging forever.
+	expectFrame(t, nextMessage(t, eps[1].Inbox()), 0, 4, 8)
+	expectFailure(t, nextMessage(t, eps[1].Inbox()), 0, ErrFrameTooLarge)
+	if err := eps[1].ReadError(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("recorded error = %v, want ErrFrameTooLarge", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -315,23 +316,19 @@ func TestShmExitReportedAfterRingDrained(t *testing.T) {
 	before := tensor.ReadPoolStats()
 	hub := NewShmHub(2)
 	consumer := hub.Endpoint(0)
-	delivered := make(chan int, 1)
-	consumer.NotifyPeerFailure(func(int, error) { delivered <- len(consumer.Inbox()) })
+	inbox := consumer.Inbox()
 	time.Sleep(10 * time.Millisecond) // both pollers park
 	if err := hub.Endpoint(1).Send(0, comm.Message{Source: 1, Tag: 7, Data: leasedVector(64, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	hub.Endpoint(1).Close()
-	select {
-	case n := <-delivered:
-		if n != 1 {
-			t.Errorf("peer exit reported with %d of 1 sent frames delivered", n)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("peer exit never reported")
+	expectFrame(t, nextMessage(t, inbox), 1, 7, 64)
+	expectFailure(t, nextMessage(t, inbox), 1, io.EOF)
+	if err := consumer.ReadError(); err != nil {
+		t.Errorf("ReadError = %v after a clean peer exit, want nil", err)
 	}
 	hub.Close()
-	for m := range consumer.Inbox() {
+	for m := range inbox {
 		tensor.PutVector(m.Data)
 	}
 	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
@@ -340,11 +337,25 @@ func TestShmExitReportedAfterRingDrained(t *testing.T) {
 }
 
 // deafEndpoint is a ShmEndpoint whose communicator is never told a peer
-// exited: it pins the window between a peer closing its rings and this rank's
-// poller reporting the exit, in which a send must already fail typed.
-type deafEndpoint struct{ *ShmEndpoint }
+// exited: its inbox never starts the poller, so it pins the window between a
+// peer closing its rings and this rank's poller reporting the exit, in which
+// a send must already fail typed.
+type deafEndpoint struct {
+	*ShmEndpoint
+	silent chan comm.Message
+}
 
-func (deafEndpoint) NotifyPeerFailure(func(rank int, cause error)) {}
+func newDeafEndpoint(ep *ShmEndpoint) deafEndpoint {
+	return deafEndpoint{ep, make(chan comm.Message)}
+}
+
+func (e deafEndpoint) Inbox() <-chan comm.Message { return e.silent }
+
+func (e deafEndpoint) Close() error {
+	err := e.ShmEndpoint.Close()
+	close(e.silent)
+	return err
+}
 
 // TestShmSendToClosedPeerIsPeerDown: a send that finds the destination's ring
 // closed by its consumer carries comm.ErrPeerDown by itself, on every send
@@ -352,7 +363,7 @@ func (deafEndpoint) NotifyPeerFailure(func(rank int, cause error)) {}
 func TestShmSendToClosedPeerIsPeerDown(t *testing.T) {
 	before := tensor.ReadPoolStats()
 	hub := NewShmHub(2)
-	c := comm.NewCommunicator(deafEndpoint{hub.Endpoint(0)})
+	c := comm.NewCommunicator(newDeafEndpoint(hub.Endpoint(0)))
 	hub.Endpoint(1).Close()
 	data := tensor.NewVector(64)
 	copyInto := func(dst, a, _ tensor.Vector) { copy(dst, a) }
