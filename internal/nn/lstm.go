@@ -56,6 +56,10 @@ type LSTMClassifier struct {
 
 	zs, cs, hs, logits, dLogits workspace
 	zero, preH, dh, dc          tensor.Vector
+	// wxT and whT are wxᵀ and whᵀ, refreshed by every Forward, so that each
+	// frame's wx·x and wh·h run as column axpys over them
+	// (tensor.Matrix.MulVecTDense).
+	wxT, whT *tensor.Matrix
 }
 
 // NewLSTMClassifier allocates an LSTM classifier with the given feature size,
@@ -74,6 +78,8 @@ func NewLSTMClassifier(inputSize, hiddenSize, numClasses int) *LSTMClassifier {
 	m.preH = tensor.NewVector(4 * hiddenSize)
 	m.dh = tensor.NewVector(hiddenSize)
 	m.dc = tensor.NewVector(hiddenSize)
+	m.whT = tensor.NewMatrix(hiddenSize, 4*hiddenSize)
+	m.wxT = tensor.NewMatrix(inputSize, 4*hiddenSize)
 	return m
 }
 
@@ -145,8 +151,11 @@ func resize(vs []tensor.Vector, n int) []tensor.Vector {
 // Forward runs the LSTM over a batch of sequences, keeping every frame's
 // state for backpropagation, and returns each sequence's logits. The logits
 // belong to the model and stay valid until its next Forward or gradient
-// computation. The input projections wx·x of all frames come from one MulMat
-// pass over wx; the recurrent wh·h is inherently one frame at a time.
+// computation. Each frame's input projection wx·x and recurrent wh·h run as
+// column axpys over transposes of wx and wh taken once per call, on the
+// vector axpy kernels: every element still receives the additions of
+// wx.MulVec and wh.MulVec, in order. The recurrent product depends on the
+// frame before, so it runs one frame at a time.
 func (m *LSTMClassifier) Forward(seqs [][]tensor.Vector) []tensor.Vector {
 	frames := 0
 	for _, seq := range seqs {
@@ -166,7 +175,11 @@ func (m *LSTMClassifier) Forward(seqs [][]tensor.Vector) []tensor.Vector {
 		}
 		base += len(seq)
 	}
-	m.wx.MulMat(m.x, m.z)
+	m.wx.TransposeInto(m.wxT)
+	for k, x := range m.x {
+		m.wxT.MulVecTDense(x, m.z[k])
+	}
+	m.wh.TransposeInto(m.whT)
 
 	logits := m.logits.get(len(seqs), m.NumClasses)
 	base = 0
@@ -174,7 +187,7 @@ func (m *LSTMClassifier) Forward(seqs [][]tensor.Vector) []tensor.Vector {
 		hPrev, cPrev := m.zero, m.zero
 		for k := base + len(seq) - 1; k >= base; k-- { // t ascending
 			z := m.z[k]
-			m.wh.MulVec(hPrev, m.preH)
+			m.whT.MulVecTDense(hPrev, m.preH)
 			z.Add(m.preH)
 			z.Add(m.bias)
 			for j := 0; j < h; j++ {

@@ -11,6 +11,12 @@ import "fmt"
 // only changes how often a weight or output element travels between memory
 // and registers. There are no multi-accumulator dot products and no explicit
 // FMA: either would change the rounding.
+//
+// The same rule holds on SIMD lanes. The axpy core (axpy4, axpy1) runs on
+// AVX2 where the CPU has it (axpy_amd64.s): a lane is one output element,
+// its multiplications and additions keep the per-element order of the
+// portable loop, there is no FMA, and no sum is ever split across lanes.
+// axpy_test.go checks the vector path against the portable one.
 
 // MulVec computes out = m * x for a column vector x of length Cols, writing
 // the result into out of length Rows. Each out[i] is row i's dot product with
@@ -68,6 +74,40 @@ func (m *Matrix) MulVecT(x, out Vector) {
 		}
 	}
 	acc.flush()
+}
+
+// MulVecTDense computes out = mᵀ·x as column axpys: out = +0, then out +=
+// x[i]·(row i of m) for every row in order, zero coefficients included. For m
+// the transpose of a matrix W it equals W.MulVec(x, out) bit for bit: each
+// out[j] receives the products of W's row j in column order, the additions of
+// dot4 (where two NaNs meet, the surviving payload may differ). It is not
+// MulVecT, which skips zero coefficients and so differs from W.MulVec where a
+// weight is infinite or NaN.
+func (m *Matrix) MulVecTDense(x, out Vector) {
+	if len(x) != m.Rows || len(out) != m.Cols {
+		panic(fmt.Sprintf("tensor: MulVecTDense shape mismatch (%dx%d)^T * %d -> %d", m.Rows, m.Cols, len(x), len(out)))
+	}
+	out.Zero()
+	acc := axpyBatch{dst: out}
+	for i, xi := range x {
+		if acc.add(xi, m.Row(i)) {
+			acc.apply4()
+		}
+	}
+	acc.flush()
+}
+
+// TransposeInto writes mᵀ into t, which must be Cols x Rows.
+func (m *Matrix) TransposeInto(t *Matrix) {
+	if t.Rows != m.Cols || t.Cols != m.Rows {
+		panic(fmt.Sprintf("tensor: TransposeInto shape mismatch (%dx%d)^T -> %dx%d", m.Rows, m.Cols, t.Rows, t.Cols))
+	}
+	for j := 0; j < t.Rows; j++ {
+		row := t.Row(j)
+		for i := range row {
+			row[i] = m.Data[i*m.Cols+j]
+		}
+	}
 }
 
 // AddOuters accumulates the outer products Σ_s as[s]·bs[s]ᵀ into m, where
@@ -150,13 +190,11 @@ func (b *axpyBatch) add(a float64, src Vector) (full bool) {
 	return b.n == 4
 }
 
+// flush adds the one to three sources still pending into dst, one pass over
+// dst per source, and empties the batch.
 func (b *axpyBatch) flush() {
-	dst := b.dst
 	for _, t := range b.pend[:b.n] {
-		src := t.src[:len(dst)]
-		for j, x := range src {
-			dst[j] += x * t.a
-		}
+		axpy1(b.dst, t.src, t.a)
 	}
 	b.n = 0
 }
@@ -165,9 +203,31 @@ func (b *axpyBatch) flush() {
 // every element, and empties the batch.
 func (b *axpyBatch) apply4() {
 	b.n = 0
-	dst, p := b.dst, &b.pend
-	a0, a1, a2, a3 := p[0].a, p[1].a, p[2].a, p[3].a
-	s0, s1, s2, s3 := p[0].src[:len(dst)], p[1].src[:len(dst)], p[2].src[:len(dst)], p[3].src[:len(dst)]
+	p := &b.pend
+	axpy4(b.dst, p[0].src, p[1].src, p[2].src, p[3].src, p[0].a, p[1].a, p[2].a, p[3].a)
+}
+
+// axpy1Go is the portable dst[j] += src[j]·a: the reference the vector
+// kernels reproduce, their tail handler, and the whole of axpy1 where they
+// are not available. src is at least as long as dst. It is never inlined, so
+// every caller runs the one compiled body whose NaN propagation the vector
+// kernels copy (axpy_amd64.s).
+//
+//go:noinline
+func axpy1Go(dst, src []float64, a float64) {
+	src = src[:len(dst)]
+	for j, x := range src {
+		dst[j] += x * a
+	}
+}
+
+// axpy4Go is the portable dst[j] = (((dst[j] + s0[j]·a0) + s1[j]·a1) +
+// s2[j]·a2) + s3[j]·a3, in the role axpy1Go plays for axpy1, and like it
+// never inlined. Every source is at least as long as dst.
+//
+//go:noinline
+func axpy4Go(dst, s0, s1, s2, s3 []float64, a0, a1, a2, a3 float64) {
+	s0, s1, s2, s3 = s0[:len(dst)], s1[:len(dst)], s2[:len(dst)], s3[:len(dst)]
 	for j, d := range dst {
 		d += s0[j] * a0
 		d += s1[j] * a1
