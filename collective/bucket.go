@@ -19,25 +19,17 @@ import (
 // sum as it lands (BucketHandle.Wait), and closes the step (WaitStep). The
 // classic one-shot Reduce remains the single-bucket special case.
 //
-// Concurrency and wire safety: concurrent bucket reductions ride disjoint tag
-// blocks (collectives.Config.TagOffset). The Sync reducer serializes buckets
-// onto a fixed set of stream workers — bucket i runs on stream i mod
-// numBucketStreams, in submit order — so at most numBucketStreams reductions
-// are in flight and every rank pairs the same bucket with the same stream.
-// The eager reducers commit a step's buckets in one fold and reduce them as
-// one partial round behind a single activation: one solo/majority/quorum
-// participation decision per step, shared by every bucket (see
-// internal/partial).
+// Concurrency and wire safety: the Sync reducer reduces a step's buckets one
+// at a time, in submit order, on one worker goroutine in the default tag
+// block, as Horovod's background thread and PyTorch DDP's reducer do: one
+// reduction is in flight, and every rank runs the same bucket's collective at
+// the same position of its message stream. The eager reducers commit a
+// step's buckets in one fold and reduce them as one partial round behind a
+// single activation: one solo/majority/quorum participation decision per
+// step, shared by every bucket (see internal/partial).
 
 // ErrReducerClosed is returned by the bucketed step API after Close.
 var ErrReducerClosed = errors.New("collective: reducer closed")
-
-// numBucketStreams is how many bucket reductions a Sync bucketed step keeps
-// in flight concurrently. Each stream serializes its buckets in submit order
-// on its own tag block, so the streams never collide on the wire; more
-// streams overlap more buckets but spread the transport's write coalescing
-// thinner.
-const numBucketStreams = 4
 
 // BucketReducer is the asynchronous bucket extension of Reducer, implemented
 // by every built-in mode. One step's protocol is
@@ -224,106 +216,112 @@ func bucketIndex(lens, offs []int, offset, length int) (int, error) {
 
 // --- Sync reducer implementation ---------------------------------------
 
-// bucketTask is one submitted bucket on its way through a stream worker.
+// bucketTask is one submitted bucket on its way through the bucket worker.
 type bucketTask struct {
 	h   *BucketHandle
 	sum tensor.Vector
 	ctx context.Context
 }
 
-// bucketStreams is the Sync reducer's worker pool: numBucketStreams
-// goroutines, each draining its own FIFO queue and running each bucket's
-// allreduce in the stream's private tag block. The queues are mutex+cond
-// lists rather than channels so that Close (which may race with a submitter
-// still in its backward pass) never has to close a channel someone might be
-// sending on: after close, workers drain whatever is queued — resolving it
-// with ErrReducerClosed and releasing the leases — and exit.
-type bucketStreams struct {
+// bucketWorker is the Sync reducer's bucket worker: one goroutine draining
+// one FIFO queue and running each bucket's allreduce in submit order. The
+// queue is a mutex+cond list rather than a channel so that Close (which may
+// race with a submitter still in its backward pass) never has to close a
+// channel someone might be sending on: after close, the worker drains
+// whatever is queued — resolving it with ErrReducerClosed and releasing the
+// leases — and exits.
+type bucketWorker struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	qs     [][]bucketTask
+	q      []bucketTask
 	closed bool
-	wg     sync.WaitGroup
+	done   chan struct{} // closed when the worker goroutine exits
 }
 
-// enqueue appends the task to stream i, or resolves it with ErrReducerClosed
-// when the streams are already shut down.
-func (st *bucketStreams) enqueue(i int, task bucketTask) {
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
+// enqueue appends the task to the queue, or resolves it with
+// ErrReducerClosed when the worker is already shut down.
+func (bw *bucketWorker) enqueue(task bucketTask) {
+	bw.mu.Lock()
+	if bw.closed {
+		bw.mu.Unlock()
 		tensor.PutVector(task.sum)
 		task.h.resolve(nil, ErrReducerClosed)
 		return
 	}
-	st.qs[i] = append(st.qs[i], task)
-	st.cond.Broadcast()
-	st.mu.Unlock()
+	bw.q = append(bw.q, task)
+	bw.cond.Signal()
+	bw.mu.Unlock()
 }
 
-// close wakes every worker for its final drain. Idempotent.
-func (st *bucketStreams) close() {
-	st.mu.Lock()
-	st.closed = true
-	st.cond.Broadcast()
-	st.mu.Unlock()
+// close wakes the worker for its final drain. Idempotent.
+func (bw *bucketWorker) close() {
+	bw.mu.Lock()
+	bw.closed = true
+	bw.cond.Signal()
+	bw.mu.Unlock()
 }
 
-// joinEngine implements engine: it blocks until the stream workers have
-// drained and exited, returning their queued leases to the pool (a worker
+// joinEngine implements engine: it blocks until the bucket worker has
+// drained and exited, returning its queued leases to the pool (a worker
 // blocked inside a collective exits once the communicator is closed).
 func (s *syncReducer) joinEngine() {
 	s.mu.Lock()
-	st := s.streams
+	bw := s.worker
 	s.mu.Unlock()
-	if st != nil {
-		st.wg.Wait()
+	if bw != nil {
+		<-bw.done
 	}
 }
 
-func (s *syncReducer) ensureStreams() *bucketStreams {
-	if s.streams != nil {
-		return s.streams
+func (s *syncReducer) ensureWorker() *bucketWorker {
+	if s.worker != nil {
+		return s.worker
 	}
-	st := &bucketStreams{qs: make([][]bucketTask, numBucketStreams)}
-	st.cond = sync.NewCond(&st.mu)
-	for i := 0; i < numBucketStreams; i++ {
-		st.wg.Add(1)
-		go func(i int) {
-			defer st.wg.Done()
-			cfg := collectives.Config{TagOffset: collectives.BucketStreamTagOffset(i), PeerDeadline: s.peerDeadline}
-			for {
-				st.mu.Lock()
-				for len(st.qs[i]) == 0 && !st.closed {
-					st.cond.Wait()
-				}
-				if len(st.qs[i]) == 0 { // closed and drained
-					st.mu.Unlock()
-					return
-				}
-				task := st.qs[i][0]
-				st.qs[i] = st.qs[i][1:]
-				closed := st.closed
-				st.mu.Unlock()
-				switch {
-				case closed:
-					// The reducer was closed with this bucket still queued:
-					// resolve it without touching the wire.
-					tensor.PutVector(task.sum)
-					task.h.resolve(nil, ErrReducerClosed)
-				default:
-					if err := collectives.AllreduceWith(s.comm, task.sum, collectives.OpSum, collectives.AlgoAuto, cfg, task.ctx.Done()); err != nil {
-						tensor.PutVector(task.sum)
-						task.h.resolve(nil, ctxError(task.ctx, err))
-						continue
-					}
-					task.h.resolve(task.sum, nil)
-				}
+	bw := &bucketWorker{done: make(chan struct{})}
+	bw.cond = sync.NewCond(&bw.mu)
+	go func() {
+		defer close(bw.done)
+		cfg := collectives.Config{PeerDeadline: s.peerDeadline}
+		var failed error // first failed collective; later buckets fail with it
+		for {
+			bw.mu.Lock()
+			for len(bw.q) == 0 && !bw.closed {
+				bw.cond.Wait()
 			}
-		}(i)
-	}
-	s.streams = st
-	return st
+			if len(bw.q) == 0 { // closed and drained
+				bw.mu.Unlock()
+				return
+			}
+			task := bw.q[0]
+			bw.q = bw.q[1:]
+			closed := bw.closed
+			bw.mu.Unlock()
+			switch {
+			case closed:
+				// The reducer was closed with this bucket still queued:
+				// resolve it without touching the wire.
+				tensor.PutVector(task.sum)
+				task.h.resolve(nil, ErrReducerClosed)
+			case failed != nil:
+				// A collective that failed (canceled, or a peer down) left
+				// the default tag block mid-protocol: its unmatched messages
+				// would pair with the next bucket's, whose length differs.
+				// Fail every later bucket without touching the wire.
+				tensor.PutVector(task.sum)
+				task.h.resolve(nil, ctxError(task.ctx, failed))
+			default:
+				if err := collectives.AllreduceWith(s.comm, task.sum, collectives.OpSum, collectives.AlgoAuto, cfg, task.ctx.Done()); err != nil {
+					failed = err
+					tensor.PutVector(task.sum)
+					task.h.resolve(nil, ctxError(task.ctx, err))
+					continue
+				}
+				task.h.resolve(task.sum, nil)
+			}
+		}
+	}()
+	s.worker = bw
+	return bw
 }
 
 // syncStep is the Sync reducer's in-flight bucketed step.
@@ -372,8 +370,9 @@ func (s *syncReducer) BeginStep(ctx context.Context, lens []int) error {
 	return nil
 }
 
-// SubmitBucket snapshots the bucket and hands it to its stream worker; the
-// allreduce begins immediately, overlapping whatever the caller does next.
+// SubmitBucket snapshots the bucket and queues it on the bucket worker; its
+// allreduce begins as soon as the buckets submitted before it are reduced,
+// overlapping whatever the caller does next.
 func (s *syncReducer) SubmitBucket(ctx context.Context, offset int, data tensor.Vector) (*BucketHandle, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -396,15 +395,15 @@ func (s *syncReducer) SubmitBucket(ctx context.Context, offset int, data tensor.
 	}
 	h := &BucketHandle{offset: offset, length: len(data), done: make(chan struct{})}
 	st.handles[b] = h
-	streams := s.ensureStreams()
+	bw := s.ensureWorker()
 	s.mu.Unlock()
-	streams.enqueue(b%numBucketStreams, bucketTask{h: h, sum: tensor.GetVectorCopy(data), ctx: ctx})
+	bw.enqueue(bucketTask{h: h, sum: tensor.GetVectorCopy(data), ctx: ctx})
 	return h, nil
 }
 
 // WaitStep completes the step (see BucketReducer). Canceling ctx abandons
 // the remaining buckets — their late results are released, stray queued
-// payloads for the bucket tag blocks are purged — and leaves the collective
+// payloads in the bucket worker's tag block are purged — and leaves the collective
 // mid-protocol: close the world afterwards.
 func (s *syncReducer) WaitStep(ctx context.Context) (Result, error) {
 	s.mu.Lock()
@@ -426,15 +425,15 @@ func (s *syncReducer) WaitStep(ctx context.Context) (Result, error) {
 				firstErr = err
 			}
 			if ctx.Err() != nil {
-				// Abandon the rest and purge stray bucket-stream payloads so
-				// their pooled vectors return to the pool instead of sitting
-				// in the unexpected queue forever.
+				// Abandon the rest and purge stray bucket payloads so their
+				// pooled vectors return to the pool instead of sitting in the
+				// unexpected queue forever.
 				for _, rest := range st.handles[i+1:] {
 					if rest != nil {
 						rest.abandon()
 					}
 				}
-				lo, hi := collectives.BucketStreamTagRange()
+				lo, hi := collectives.TagRange()
 				s.comm.DiscardTagRange(lo, hi)
 				return Result{}, ctxError(ctx, firstErr)
 			}
@@ -453,7 +452,7 @@ func (s *syncReducer) WaitStep(ctx context.Context) (Result, error) {
 	return Result{Ranks: size, ActiveRanks: size, Included: true, Round: st.call}, nil
 }
 
-// Close marks the reducer closed and stops its stream workers; queued buckets
+// Close marks the reducer closed and stops its bucket worker; queued buckets
 // resolve with ErrReducerClosed and their leases return to the pool. Close
 // does not close the transport, so a worker blocked inside a collective is
 // unblocked by closing the world, not by Close. It is idempotent and safe to
@@ -463,11 +462,11 @@ func (s *syncReducer) Close() error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
 		s.closed = true
-		streams, st := s.streams, s.step
+		bw, st := s.worker, s.step
 		s.step = nil
 		s.mu.Unlock()
-		if streams != nil {
-			streams.close()
+		if bw != nil {
+			bw.close()
 		}
 		if st != nil {
 			for _, h := range st.handles {

@@ -89,11 +89,17 @@ func runBucketedStep(t *testing.T, reducers []Reducer, lens []int, fill func(ran
 // the overlapped exchange: at these lengths Auto runs recursive doubling
 // (whose per-element reduction tree does not depend on the vector length), so
 // a bucketed step must produce bit-for-bit the sums of the one-shot Reduce on
-// the in-process transport.
+// the in-process transport. The bucket worker reduces the buckets one at a
+// time in submit order; the 9-bucket row queues more buckets than a step has
+// ever had in flight, and the TCP runs put them on the transport
+// balanced-large uses.
 func TestSyncBucketedBitForBitSingleShot(t *testing.T) {
 	const ranks = 4
-	lens := []int{5, 17, 42}
-	dim := 64
+	const dim = 64
+	rows := [][]int{
+		{5, 17, 42},
+		{3, 7, 1, 12, 9, 4, 15, 2, 11},
+	}
 	fill := func(rank int, full tensor.Vector) {
 		for i := range full {
 			full[i] = float64(rank+1) * (1.0 + float64(i)*0.37)
@@ -135,26 +141,36 @@ func TestSyncBucketedBitForBitSingleShot(t *testing.T) {
 		}
 	}
 
-	world, err := NewWorld(ranks, WithOverlap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer world.Close()
-	reducers := make([]Reducer, ranks)
-	for r := 0; r < ranks; r++ {
-		if reducers[r], err = world.Node(r).Reducer(dim); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fulls, results := runBucketedStep(t, reducers, lens, fill)
-	for r := 0; r < ranks; r++ {
-		for i := range fulls[r] {
-			if fulls[r][i] != refSums[r][i] {
-				t.Fatalf("rank %d element %d: bucketed %v != one-shot %v (must be bit-for-bit)", r, i, fulls[r][i], refSums[r][i])
-			}
-		}
-		if res := results[r]; res.ActiveRanks != ranks || !res.Included {
-			t.Fatalf("rank %d: sync bucketed result %+v, want full participation", r, res)
+	for li, lens := range rows {
+		for _, transport := range []Transport{Inproc, TCP} {
+			t.Run(fmt.Sprintf("%dbuckets/%v", len(lens), transport), func(t *testing.T) {
+				opts := []Option{WithOverlap(), WithTransport(transport)}
+				if transport == TCP {
+					opts = append(opts, WithBasePort(30460+10*li))
+				}
+				world, err := NewWorld(ranks, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer world.Close()
+				reducers := make([]Reducer, ranks)
+				for r := 0; r < ranks; r++ {
+					if reducers[r], err = world.Node(r).Reducer(dim); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fulls, results := runBucketedStep(t, reducers, lens, fill)
+				for r := 0; r < ranks; r++ {
+					for i := range fulls[r] {
+						if fulls[r][i] != refSums[r][i] {
+							t.Fatalf("rank %d element %d: bucketed %v != one-shot %v (must be bit-for-bit)", r, i, fulls[r][i], refSums[r][i])
+						}
+					}
+					if res := results[r]; res.ActiveRanks != ranks || !res.Included {
+						t.Fatalf("rank %d: sync bucketed result %+v, want full participation", r, res)
+					}
+				}
+			})
 		}
 	}
 }
@@ -420,6 +436,60 @@ func TestSubmitBucketCancellation(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("canceled bucketed step did not unblock")
+	}
+}
+
+// TestFailedBucketFailsLaterBuckets: the bucket worker runs every bucket in
+// one tag block, so a bucket whose collective failed leaves the block
+// mid-protocol, and a later bucket must fail without touching the wire
+// instead of pairing with the failed bucket's stray messages. The peer never
+// takes part here: bucket 0's context is canceled, and bucket 1, submitted on
+// a live context, must still resolve with an error rather than block.
+func TestFailedBucketFailsLaterBuckets(t *testing.T) {
+	before := tensor.ReadPoolStats()
+	world, err := NewWorld(2, WithOverlap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close() // idempotent; the lease check below closes it first
+	red, err := world.Node(0).Reducer(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := red.(BucketReducer)
+	if err := br.BeginStep(context.Background(), []int{32, 32}); err != nil {
+		t.Fatal(err)
+	}
+	ctx0, cancel := context.WithCancel(context.Background())
+	if _, err := br.SubmitBucket(ctx0, 0, tensor.NewVector(32)); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	h1, err := br.SubmitBucket(context.Background(), 32, tensor.NewVector(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := h1.Wait(context.Background())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("bucket after a failed bucket reported a sum")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("bucket after a failed bucket blocked on the wire")
+	}
+	if _, err := br.WaitStep(context.Background()); err == nil {
+		t.Fatal("WaitStep after a failed bucket succeeded")
+	}
+	if err := world.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+		t.Fatalf("failed bucketed step leaked %d pool leases%s", n, tensor.FormatLeaseReport())
 	}
 }
 

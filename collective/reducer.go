@@ -79,8 +79,8 @@ func ctxError(ctx context.Context, err error) error {
 
 // syncReducer is the Sync mode: a blocking allreduce per call, optionally
 // chunked (Deep500-style) or preceded by a negotiation round (Horovod-style).
-// It also implements BucketReducer (bucket.go): the bucketed step runs each
-// bucket's allreduce on a stream worker as soon as the bucket is submitted.
+// It also implements BucketReducer (bucket.go): the bucketed step queues each
+// bucket's allreduce on one worker as soon as the bucket is submitted.
 type syncReducer struct {
 	comm         *comm.Communicator
 	dim          int
@@ -93,8 +93,8 @@ type syncReducer struct {
 	// driven by one goroutine (the rank's training loop), but Close may be
 	// called concurrently by World.Close while a step is in flight.
 	mu        sync.Mutex
-	streams   *bucketStreams // lazily started stream workers (bucket.go)
-	step      *syncStep      // in-flight bucketed step, nil between steps
+	worker    *bucketWorker // lazily started bucket worker (bucket.go)
+	step      *syncStep     // in-flight bucketed step, nil between steps
 	closed    bool
 	closeOnce sync.Once
 }

@@ -19,7 +19,7 @@ import (
 // (buckets submitted during the backward pass, results applied as they
 // land). The interesting cells are the TCP ones: there the wire time is
 // substantial, and overlap=on hides part of it under compute while the
-// bucket streams keep several reductions in flight.
+// bucket worker reduces the buckets one at a time in submit order.
 func BenchmarkStepOverlap(b *testing.B) {
 	type model struct {
 		name      string

@@ -114,11 +114,10 @@ type Config struct {
 	// message per hop, the pre-pipelining behaviour).
 	SegmentElems int
 	// TagOffset shifts every tag the collective uses by a fixed amount,
-	// placing the whole operation in a private tag block. Concurrent
-	// allreduces over one communicator — the bucket streams of an overlapped
-	// gradient exchange — each use a distinct offset (BucketStreamTagOffset)
-	// so their message streams never collide. Zero is the default block,
-	// shared with the non-bucketed collectives.
+	// placing the whole operation in a private tag block, so allreduces
+	// running concurrently over one communicator never collide (the partial
+	// engine's data phase runs in its own block this way). Zero is the
+	// default block, TagRange.
 	TagOffset int
 	// PeerDeadline bounds how long a collective receive may block on one
 	// peer: past the deadline the peer is marked down on the communicator and
@@ -154,29 +153,14 @@ func (cfg Config) segmentElems() int {
 	}
 }
 
-// MaxBucketStreams is the number of disjoint tag blocks available for
-// concurrent bucket streams. The blocks occupy
-// [tagBase, tagBase + MaxBucketStreams*tagSpan), which stays far below the
-// partial-collective namespace at 2^24.
-const MaxBucketStreams = 64
-
-// BucketStreamTagOffset returns the Config.TagOffset of bucket stream i.
-// Stream 0 is the default tag block (offset 0), shared with non-bucketed
-// collectives; callers that interleave bucketed and plain collectives on one
-// communicator must issue them in the same order on every rank (per-(source,
-// tag) FIFO then keeps the streams matched).
-func BucketStreamTagOffset(i int) int {
-	if i < 0 || i >= MaxBucketStreams {
-		panic(fmt.Sprintf("collectives: bucket stream %d out of range [0,%d)", i, MaxBucketStreams))
-	}
-	return i * tagSpan
-}
-
-// BucketStreamTagRange returns the [lo, hi) tag interval covering every
-// bucket-stream block, for comm.DiscardTagRange hygiene after an abandoned
-// (canceled) bucketed step.
-func BucketStreamTagRange() (lo, hi int) {
-	return tagBase, tagBase + MaxBucketStreams*tagSpan
+// TagRange returns the [lo, hi) tag interval of the default tag block
+// (Config.TagOffset zero): every collective of this package that runs without
+// an offset, the Sync reducer's bucket allreduces included, uses tags inside
+// it. A canceled bucketed step purges stray payloads over it with
+// comm.DiscardTagRange, and packages with a private block derive their
+// TagOffset from lo.
+func TagRange() (lo, hi int) {
+	return tagBase, tagBase + tagSpan
 }
 
 // env bundles the communicator with the cancel channel and the resolved

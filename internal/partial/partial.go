@@ -889,7 +889,7 @@ func (a *Allreducer) reduce(data tensor.Vector) error {
 	if a.opts.PeerDeadline > 0 {
 		return a.reduceTolerant(data)
 	}
-	lo, _ := collectives.BucketStreamTagRange()
+	lo, _ := collectives.TagRange()
 	cfg := collectives.Config{
 		TagOffset: DefaultBaseTag + tagData - lo,
 		// One element more per pipeline segment, for the flag: the n+1 elements

@@ -53,68 +53,40 @@ type TCPEndpoint struct {
 	readErr error // first read-loop decode/IO failure, kept for diagnostics
 }
 
-// tcpWriter owns one peer connection's write half and coalesces concurrent
-// sends: frames are staged as iovecs under the lock, and the first sender to
-// find no flush in progress becomes the flusher, handing the whole batch to
-// the kernel in one vectored write (net.Buffers / writev, see flushBuffers)
-// and looping until the batch list is empty — picking up frames other senders
-// appended while it was writing. Segment streams produced by the pipelined
-// collectives and the schedule executor's sender therefore reach the kernel
-// in one syscall per batch instead of one per frame, while a lone send still
-// goes out immediately, and the last flusher leaving drains everything:
-// flush-on-idle without timers.
+// tcpWriter owns one peer connection's write half. A send holds the mutex
+// for one vectored write of its frame (net.Buffers / writev, see
+// flushBuffers): a 12-byte header and the payload. Frames from concurrent
+// senders therefore never interleave on the socket, and each sender's frames
+// leave in the order it sent them. On little-endian targets the payload iovec
+// aliases the pooled vector's backing array, so the frame is never copied in
+// user space: the kernel reads the vector during writev, and the lease is
+// released once the write returns (see encodePayload). The portable fallback
+// converts into a staging buffer the writer keeps. Either way a steady-state
+// send allocates nothing.
 //
-// Each frame contributes two iovecs: a 12-byte header from a recycled
-// freelist and the payload. On little-endian targets the payload iovec
-// aliases the pooled vector's backing array — the frame is never copied in
-// user space at all; the kernel reads the vector during writev and the lease
-// is released when its batch completes (see encodePayload). The portable
-// fallback stages through recycled conversion buffers. Either way the steady
-// state allocates nothing: the batch slices, header buffers, and staging
-// buffers all ping-pong.
-//
-// The semantics are group commit: every sender's frames reach the socket
-// before its send returns — a coalesced sender waits on the condition
-// variable until the flusher has written past its frame (or failed). On a
-// write failure the kernel's byte count still advances flushed, so the error
-// is reported to exactly the sends whose frames were not fully delivered,
-// never swallowed and never over-reported.
-//
-// Flow control: the staged bytes are additionally bounded by maxPendBytes —
-// admission blocks while a stuck flusher (a peer that stopped draining its
-// socket) has that much already queued, the backpressure the Endpoint.Send
-// contract advertises. Close unblocks everyone: closing the connection fails
-// the in-flight write, the error is recorded, and all waiters are woken.
+// A write failure is sticky: the failed sender gets the error, and so does
+// every later sender, without writing. A write stuck on a peer that stopped
+// draining its socket holds the mutex, which is the backpressure the
+// Endpoint.Send contract advertises; Close unblocks it by closing the
+// connection, which fails the write.
 type tcpWriter struct {
 	conn net.Conn
 
-	mu        sync.Mutex
-	cond      sync.Cond       // signaled when flushed advances, the flusher exits, or err is set
-	pend      net.Buffers     // iovecs awaiting write (header, payload, header, payload, ...)
-	owned     []tensor.Vector // payload leases aliased by pend, released once the batch is written
-	hdrs      [][]byte        // header buffers in pend, recycled after the batch
-	encs      [][]byte        // staging buffers in pend (portable fallback only), recycled after
-	pendBytes int             // total bytes staged in pend
-	writing   bool            // a flusher is active
-	queued    uint64          // total frame bytes ever staged
-	flushed   uint64          // total frame bytes the kernel accepted
-	err       error           // first write failure; sticky
-
-	sparePend            net.Buffers     // recycled backing arrays the next batch reuses
-	spareOwned           []tensor.Vector //
-	spareHdrs, spareEncs [][]byte        //
-	hdrFree, encFree     [][]byte        // freelists of header / staging buffers
+	mu   sync.Mutex
+	hdr  [12]byte
+	iov  [2][]byte   // backing array of bufs: header, payload
+	bufs net.Buffers // the frame's iovecs; the write consumes them
+	enc  []byte      // staging buffer of the portable encoder, reused
+	err  error       // first write failure; sticky
 }
 
-// buffersWriter lets tests intercept the vectored flush; *net.TCPConn goes
-// through net.Buffers.WriteTo, which issues a single writev per batch.
+// buffersWriter lets tests intercept the vectored write; *net.TCPConn goes
+// through net.Buffers.WriteTo, which issues a single writev per frame.
 type buffersWriter interface {
 	WriteBuffers(*net.Buffers) (int64, error)
 }
 
-// flushBuffers hands one batch of iovecs to the connection. The returned
-// count is bytes the kernel accepted even on a partial failure — the group
-// commit's error attribution depends on it.
+// flushBuffers hands one frame's iovecs to the connection.
 func flushBuffers(conn net.Conn, bufs *net.Buffers) (int64, error) {
 	if bw, ok := conn.(buffersWriter); ok {
 		return bw.WriteBuffers(bufs)
@@ -122,146 +94,29 @@ func flushBuffers(conn net.Conn, bufs *net.Buffers) (int64, error) {
 	return bufs.WriteTo(conn)
 }
 
-// maxPendBytes bounds the frames buffered behind an in-progress flush before
-// new senders block for flow control. 4 MiB absorbs a full pipelined exchange
-// of large-gradient segments without stalling the fast path.
-const maxPendBytes = 4 << 20
-
 func newTCPWriter(conn net.Conn) *tcpWriter {
-	w := &tcpWriter{conn: conn}
-	w.cond.L = &w.mu
-	return w
+	return &tcpWriter{conn: conn}
 }
 
-// takeHdr pops a recycled 12-byte header buffer (allocating on first use).
-func (w *tcpWriter) takeHdr() []byte {
-	if n := len(w.hdrFree); n > 0 {
-		h := w.hdrFree[n-1]
-		w.hdrFree = w.hdrFree[:n-1]
-		return h
-	}
-	return make([]byte, 12)
-}
-
-// takeEnc pops a recycled staging buffer for the portable encoder (nil when
-// none is available; appendFloats grows it as needed).
-func (w *tcpWriter) takeEnc() []byte {
-	if n := len(w.encFree); n > 0 {
-		e := w.encFree[n-1]
-		w.encFree = w.encFree[:n-1]
-		return e
-	}
-	return nil
-}
-
-// send stages m as header+payload iovecs and returns once the frame has been
-// written to the socket: either this sender becomes the flusher (no flush in
-// progress) and issues the vectored write itself, or it waits for the active
-// flusher to write past its frame. It consumes m.Data on every path.
+// send writes m as one frame and returns once the kernel has accepted all of
+// it, or the write failed. It consumes m.Data on every path.
 func (w *tcpWriter) send(m comm.Message) error {
 	w.mu.Lock()
-	for w.err == nil && w.writing && w.pendBytes >= maxPendBytes {
-		w.cond.Wait()
-	}
+	defer w.mu.Unlock()
 	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
 		tensor.PutVector(m.Data)
-		return err
+		return w.err
 	}
-	hdr := w.takeHdr()
-	putFrameHeader(hdr, m)
-	w.pend = append(w.pend, hdr)
-	w.hdrs = append(w.hdrs, hdr)
+	putFrameHeader(w.hdr[:], m)
 	var retained tensor.Vector
-	var enc []byte
-	w.pend, retained, enc = encodePayload(w.pend, m.Data, w.takeEnc())
-	if retained != nil {
-		w.owned = append(w.owned, retained)
+	w.bufs, retained, w.enc = encodePayload(append(w.iov[:0], w.hdr[:]), m.Data, w.enc)
+	_, err := flushBuffers(w.conn, &w.bufs)
+	// The kernel is done with the payload iovec, written or not: the Send
+	// contract consumed the lease, and non-delivery is reported below.
+	tensor.PutVector(retained)
+	if err != nil {
+		w.err = err
 	}
-	if enc != nil {
-		w.encs = append(w.encs, enc)
-	}
-	frameSize := 12 + 8*len(m.Data)
-	w.pendBytes += frameSize
-	w.queued += uint64(frameSize)
-	target := w.queued
-	if w.writing {
-		// Group commit: the active flusher will pick this frame up in its
-		// next batch; wait until it has been written (or the write failed).
-		for w.err == nil && w.flushed < target {
-			w.cond.Wait()
-		}
-		var err error
-		if w.flushed < target {
-			err = w.err
-		}
-		w.mu.Unlock()
-		return err
-	}
-	w.writing = true
-	for len(w.pend) > 0 && w.err == nil {
-		bufs := w.pend
-		owned := w.owned
-		hdrs := w.hdrs
-		encs := w.encs
-		batchBytes := w.pendBytes
-		w.pend = w.sparePend[:0]
-		w.owned = w.spareOwned[:0]
-		w.hdrs = w.spareHdrs[:0]
-		w.encs = w.spareEncs[:0]
-		w.pendBytes = 0
-		w.mu.Unlock()
-		remaining := bufs // WriteTo consumes the slice; keep bufs for recycling
-		n, err := flushBuffers(w.conn, &remaining)
-		// The kernel is done with every iovec (written or abandoned): the
-		// aliased payload leases can go back to the pool either way — the
-		// Send contract consumed them, and non-delivery is reported below.
-		for _, v := range owned {
-			tensor.PutVector(v)
-		}
-		w.mu.Lock()
-		w.sparePend = bufs[:0]
-		w.spareOwned = owned[:0]
-		w.hdrFree = append(w.hdrFree, hdrs...)
-		w.spareHdrs = hdrs[:0]
-		w.encFree = append(w.encFree, encs...)
-		w.spareEncs = encs[:0]
-		if err != nil {
-			if w.err == nil {
-				w.err = err
-			}
-			// Partial-write attribution: senders whose frames the kernel
-			// fully accepted succeed; everyone behind the failure point gets
-			// the error.
-			w.flushed += uint64(n)
-		} else {
-			w.flushed += uint64(batchBytes)
-		}
-		w.cond.Broadcast() // progress (or failure): wake coalesced waiters and admissions
-	}
-	if w.err != nil && len(w.pend) > 0 {
-		// Frames staged behind the failure point will never be written (the
-		// error is sticky, so no flusher ever runs again): release their
-		// leases and recycle their buffers so nothing leaks.
-		for _, v := range w.owned {
-			tensor.PutVector(v)
-		}
-		w.owned = w.owned[:0]
-		w.hdrFree = append(w.hdrFree, w.hdrs...)
-		w.hdrs = w.hdrs[:0]
-		w.encFree = append(w.encFree, w.encs...)
-		w.encs = w.encs[:0]
-		w.pend = w.pend[:0]
-		w.pendBytes = 0
-	}
-	w.writing = false
-	w.cond.Broadcast() // flusher exiting: admit a new flusher
-	var err error
-	if w.flushed < target {
-		err = w.err
-	}
-	w.mu.Unlock()
 	return err
 }
 
@@ -432,9 +287,8 @@ func (e *TCPEndpoint) Size() int { return e.size }
 // peer whose connection died.
 func (e *TCPEndpoint) Inbox() <-chan comm.Message { return e.inbox }
 
-// Send encodes m as a length-prefixed frame into the destination
-// connection's coalescing writer (see tcpWriter: concurrent sends to the same
-// peer batch into one syscall, a lone send flushes immediately). Sending to
+// Send writes m as a length-prefixed frame to the destination connection,
+// in one vectored write (see tcpWriter). Sending to
 // self forwards the payload to the local inbox without any encoding. Send
 // consumes m.Data: after the frame is encoded the vector is released to the
 // pool, and on every error path it is released as well, so the caller (the
@@ -586,8 +440,7 @@ func (e *TCPEndpoint) ReadError() error {
 // appendFrame appends m's wire encoding to buf and returns the extended
 // slice. On little-endian architectures the payload is one bulk copy of the
 // vector's bytes (see wire_le.go); the portable fallback converts element by
-// element. The caller (tcpWriter) retains and recycles the buffer, so
-// steady-state sends allocate nothing.
+// element.
 func appendFrame(buf []byte, m comm.Message) []byte {
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(int32(m.Source)))

@@ -46,8 +46,8 @@ func readFloats(r io.Reader, data tensor.Vector, _ *[]byte) error {
 // encodePayload appends data's wire bytes to bufs for a vectored write. On
 // little-endian targets the vector's backing array is aliased directly — no
 // copy at all; the kernel reads it during writev — so the lease is retained
-// (second return) and released by the caller only after the batch has been
-// written. The enc staging buffer is unused here and returned untouched.
+// (second return) and released by the caller only after the write has
+// returned. The enc staging buffer is unused here and returned untouched.
 func encodePayload(bufs net.Buffers, data tensor.Vector, enc []byte) (net.Buffers, tensor.Vector, []byte) {
 	if len(data) > 0 {
 		bufs = append(bufs, floatBytes(data))

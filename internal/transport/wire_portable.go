@@ -25,8 +25,8 @@ func appendFloats(buf []byte, data []float64) []byte {
 }
 
 // encodePayload appends data's wire bytes to bufs for a vectored write,
-// converting element by element into enc (grown as needed and recycled by the
-// caller). Nothing aliases the vector afterwards, so its lease is released
+// converting element by element into enc (grown as needed and kept by the
+// caller for the next frame). Nothing aliases the vector afterwards, so its lease is released
 // immediately and the retained return is nil.
 func encodePayload(bufs net.Buffers, data tensor.Vector, enc []byte) (net.Buffers, tensor.Vector, []byte) {
 	enc = appendFloats(enc[:0], data)

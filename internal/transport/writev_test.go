@@ -1,29 +1,32 @@
 package transport
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"eagersgd/internal/comm"
+	"eagersgd/internal/race"
 	"eagersgd/internal/tensor"
 )
 
 // gatedBuffersConn is a net.Conn stub whose vectored-write hook blocks until
-// the test releases it, so the test controls exactly when each batch flushes
-// and can count how many flushes a workload produced.
+// the test releases it, so the test controls exactly when each write returns
+// and can count how many writes were issued.
 type gatedBuffersConn struct {
 	gate    chan struct{} // one token admits one WriteBuffers call
 	entered chan struct{} // signaled when a WriteBuffers call begins waiting
 
 	mu    sync.Mutex
 	calls int
-	got   bytes.Buffer
-	fail  error // returned (with a partial count) instead of writing
+	fail  error // returned (with a zero count) instead of writing
 }
 
 func newGatedBuffersConn() *gatedBuffersConn {
@@ -39,13 +42,12 @@ func (c *gatedBuffersConn) WriteBuffers(bufs *net.Buffers) (int64, error) {
 	if c.fail != nil {
 		return 0, c.fail
 	}
-	return bufs.WriteTo(&c.got)
-}
-
-func (c *gatedBuffersConn) snapshot() (int, []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.calls, append([]byte(nil), c.got.Bytes()...)
+	var n int64
+	for _, b := range *bufs {
+		n += int64(len(b))
+	}
+	*bufs = nil
+	return n, nil
 }
 
 func (c *gatedBuffersConn) Write(b []byte) (int, error) {
@@ -59,88 +61,193 @@ func (c *gatedBuffersConn) SetDeadline(t time.Time) error      { return nil }
 func (c *gatedBuffersConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *gatedBuffersConn) SetWriteDeadline(t time.Time) error { return nil }
 
-// TestWriterCoalescesBatchIntoSingleVectoredWrite is the writev regression
-// test: while one flush is in flight, every concurrently staged frame must
-// leave in ONE vectored write when the flusher loops — not one write per
-// frame — and every sender must still observe group-commit success.
-func TestWriterCoalescesBatchIntoSingleVectoredWrite(t *testing.T) {
-	conn := newGatedBuffersConn()
-	w := newTCPWriter(conn)
-
-	first := make(chan error, 1)
+// loopbackPair returns the two ends of one loopback TCP connection.
+func loopbackPair(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
 	go func() {
-		first <- w.send(comm.Message{Source: 0, Tag: 0, Data: leasedVector(8, 0)})
-	}()
-	<-conn.entered // the first sender is now the flusher, blocked in writev
-
-	// Stage a burst behind the in-flight flush.
-	const burst = 8
-	rest := make(chan error, burst)
-	for i := 1; i <= burst; i++ {
-		go func(i int) {
-			rest <- w.send(comm.Message{Source: 0, Tag: i, Data: leasedVector(8, float64(100*i))})
-		}(i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		w.mu.Lock()
-		staged := w.pendBytes
-		w.mu.Unlock()
-		if staged == burst*(12+8*8) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("burst never fully staged: %d bytes pending", staged)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	conn.gate <- struct{}{} // release the first flush (the lone first frame)
-	<-conn.entered          // the flusher picked up the batch and is in writev again
-	conn.gate <- struct{}{} // release the batch flush
-
-	if err := <-first; err != nil {
-		t.Fatalf("first send: %v", err)
-	}
-	for i := 0; i < burst; i++ {
-		if err := <-rest; err != nil {
-			t.Fatalf("coalesced send: %v", err)
-		}
-	}
-
-	calls, raw := conn.snapshot()
-	if calls != 2 {
-		t.Fatalf("batch of %d frames took %d vectored writes, want 2 (lone first frame + one coalesced batch)", burst+1, calls)
-	}
-	// The stream must decode to all 9 frames, intact.
-	var scratch []byte
-	r := bytes.NewReader(raw)
-	seen := make(map[int]bool)
-	for {
-		m, err := decodeFrame(r, &scratch)
-		if errors.Is(err, io.EOF) {
-			break
-		}
+		conn, err := ln.Accept()
 		if err != nil {
-			t.Fatalf("decode flushed stream: %v", err)
+			accepted <- nil
+			return
 		}
-		if len(m.Data) != 8 || m.Data[0] != float64(100*m.Tag) {
-			t.Fatalf("frame tag %d carries payload %v", m.Tag, m.Data[0])
-		}
-		if seen[m.Tag] {
-			t.Fatalf("frame tag %d flushed twice", m.Tag)
-		}
-		seen[m.Tag] = true
-		tensor.PutVector(m.Data)
+		accepted <- conn
+	}()
+	client, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(seen) != burst+1 {
-		t.Fatalf("flushed stream holds %d frames, want %d", len(seen), burst+1)
+	if server = <-accepted; server == nil {
+		client.Close()
+		t.Fatal("accept failed")
+	}
+	return client, server
+}
+
+// TestWriterConcurrentSendersFramesIntactInOrder sends M frames from each of
+// N goroutines through one tcpWriter over a real loopback connection. Frames
+// run up to 128 KiB, so a write can block mid-frame on a full socket buffer
+// while the other senders wait: the stream must still decode to every frame
+// intact with no interleaving, each sender's frames must arrive in send
+// order, and every lease must be back.
+func TestWriterConcurrentSendersFramesIntactInOrder(t *testing.T) {
+	const senders, frames = 4, 128
+	before := tensor.ReadPoolStats()
+	client, server := loopbackPair(t)
+	defer server.Close()
+	w := newTCPWriter(client)
+	defer client.Close()
+
+	// Frame (s, k) carries length(s, k) elements; element i is value(s, k, i).
+	length := func(s, k int) int { return 1 + (k*4099+s*1543)%(16<<10) }
+	value := func(s, k, i int) float64 { return float64(s)*1e9 + float64(k)*1e5 + float64(i) }
+
+	// The reader checks each header against the frame it expects before
+	// reading the payload, so an interleaved stream fails at its first torn
+	// header instead of trusting whatever length it announces.
+	readErr := make(chan error, 1)
+	go func() {
+		var scratch []byte
+		var hdr [12]byte
+		next := make([]int, senders)
+		for n := 0; n < senders*frames; n++ {
+			if _, err := io.ReadFull(server, hdr[:]); err != nil {
+				readErr <- fmt.Errorf("frame %d: header: %w", n, err)
+				return
+			}
+			s := int(binary.LittleEndian.Uint32(hdr[0:4]))
+			k := int(binary.LittleEndian.Uint32(hdr[4:8]))
+			count := int(binary.LittleEndian.Uint32(hdr[8:12]))
+			if s < 0 || s >= senders || k != next[s] || count != length(s, k) {
+				readErr <- fmt.Errorf("frame %d: header (sender %d, frame %d, %d elements), want one of the next frames %v (interleaved frames?)", n, s, k, count, next)
+				return
+			}
+			next[s]++
+			v := tensor.GetVector(count)
+			if err := readFloats(server, v, &scratch); err != nil {
+				tensor.PutVector(v)
+				readErr <- fmt.Errorf("sender %d frame %d: payload: %w", s, k, err)
+				return
+			}
+			for i, x := range v {
+				if x != value(s, k, i) {
+					tensor.PutVector(v)
+					readErr <- fmt.Errorf("sender %d frame %d element %d = %v, want %v (interleaved frames?)", s, k, i, x, value(s, k, i))
+					return
+				}
+			}
+			tensor.PutVector(v)
+		}
+		readErr <- nil
+	}()
+
+	var wg sync.WaitGroup
+	sendErrs := make([]error, senders)
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for k := 0; k < frames; k++ {
+				v := tensor.GetVector(length(s, k))
+				for i := range v {
+					v[i] = value(s, k, i)
+				}
+				if err := w.send(comm.Message{Source: s, Tag: k, Data: v}); err != nil {
+					sendErrs[s] = fmt.Errorf("sender %d frame %d: %w", s, k, err)
+					return
+				}
+			}
+		}(s)
+	}
+	sendsDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(sendsDone)
+	}()
+	// A reader that stops early stops draining the socket: close the
+	// connection so senders blocked in writev fail instead of hanging.
+	var err error
+	select {
+	case err = <-readErr:
+	case <-time.After(10 * time.Second):
+		err = errors.New("reader did not receive every frame")
+	}
+	if err != nil {
+		client.Close()
+		server.Close()
+		<-sendsDone
+		t.Fatal(err)
+	}
+	<-sendsDone
+	for _, err := range sendErrs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+		t.Fatalf("%d pool leases outstanding after every frame was sent and decoded%s", n, tensor.FormatLeaseReport())
 	}
 }
 
-// TestWriterVectoredWriteFailureAttribution: a failed vectored write must
-// error every sender whose frame the kernel did not accept, release all
-// staged payload leases, and stay sticky for later sends.
+// TestWriterSendAllocFree: a steady-state send over a real connection
+// allocates nothing. The header and the iovecs live on the writer, and the
+// payload iovec aliases the pooled vector.
+func TestWriterSendAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	client, server := loopbackPair(t)
+	drained := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, server)
+		close(drained)
+	}()
+	defer func() {
+		client.Close()
+		server.Close()
+		<-drained
+	}()
+	w := newTCPWriter(client)
+	send := func() {
+		if err := w.send(comm.Message{Source: 0, Tag: 1, Data: tensor.GetVector(4096)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // warm the pool
+	if avg := testing.AllocsPerRun(200, send); avg > 0 {
+		t.Fatalf("tcpWriter.send allocates %.2f objects per frame, want 0", avg)
+	}
+}
+
+// waitMutexWaiterInSend waits until a goroutine is parked on a tcpWriter's
+// mutex inside send, read off the goroutine stacks.
+func waitMutexWaiterInSend(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if strings.Contains(g, "Mutex).lockSlow") && strings.Contains(g, "(*tcpWriter).send") {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no sender parked on the writer's mutex")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWriterVectoredWriteFailureAttribution: the sender whose vectored write
+// fails gets the error and its lease back in the pool; a sender queued on the
+// writer's mutex behind that write gets the error without writing; and the
+// error is sticky, so later sends fail fast.
 func TestWriterVectoredWriteFailureAttribution(t *testing.T) {
 	before := tensor.ReadPoolStats()
 	conn := newGatedBuffersConn()
@@ -150,39 +257,36 @@ func TestWriterVectoredWriteFailureAttribution(t *testing.T) {
 	go func() {
 		first <- w.send(comm.Message{Source: 0, Tag: 0, Data: leasedVector(8, 0)})
 	}()
-	<-conn.entered
+	<-conn.entered // the first sender holds the mutex, blocked in writev
+
 	second := make(chan error, 1)
 	go func() {
 		second <- w.send(comm.Message{Source: 0, Tag: 1, Data: leasedVector(8, 0)})
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		w.mu.Lock()
-		staged := w.pendBytes
-		w.mu.Unlock()
-		if staged > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("second frame never staged")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitMutexWaiterInSend(t)
 
 	conn.mu.Lock()
 	conn.fail = errors.New("connection reset by peer")
 	conn.mu.Unlock()
-	conn.gate <- struct{}{} // the first flush fails with zero bytes accepted
+	// The first write fails with zero bytes accepted. Closing the gate would
+	// also let a second write through, which the call count below catches.
+	close(conn.gate)
 
 	if err := <-first; err == nil {
 		t.Fatal("first send succeeded although its frame was never written")
 	}
 	if err := <-second; err == nil {
-		t.Fatal("coalesced send succeeded although its frame was never written")
+		t.Fatal("queued send succeeded behind a failed write")
 	}
-	// The error is sticky: later sends fail fast without staging.
+	// The error is sticky: later sends fail fast without writing.
 	if err := w.send(comm.Message{Source: 0, Tag: 2, Data: leasedVector(8, 0)}); err == nil {
 		t.Fatal("send after write failure succeeded")
+	}
+	conn.mu.Lock()
+	calls := conn.calls
+	conn.mu.Unlock()
+	if calls != 1 {
+		t.Fatalf("%d vectored writes issued, want 1: senders behind a failed write must not write", calls)
 	}
 	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
 		t.Fatalf("failed writes leaked %d pool leases%s", n, tensor.FormatLeaseReport())
