@@ -5,7 +5,7 @@
 //
 // The two entry points are:
 //
-//   - World: builds a job over the in-process, TCP, shared-ring, or simulated
+//   - World: builds a job over the in-process, TCP, or shared-ring
 //     transport and hands out one Node per member; Join, Leave and Replace
 //     change the membership while training runs. Options select the
 //     transport, the reduction mode and its Sync style (chunked or
@@ -159,7 +159,7 @@ func (m Mode) String() string {
 	}
 }
 
-// Transport selects the wire layer a World runs on.
+// Transport selects the wire layer a World runs on: Inproc, TCP, or Shm.
 type Transport int
 
 const (
@@ -174,13 +174,6 @@ const (
 	// encoded in place into a ring span and decoded straight into pooled
 	// vectors — zero syscalls per exchange. All ranks live in this process.
 	Shm
-	// Sim runs the ranks over the deterministic simulation transport: a
-	// discrete-event network with a virtual clock where per-link latency and
-	// per-rank compute skew are drawn from seed-derived streams (see
-	// WithSimConfig). The full real stack runs unmodified on top, with no
-	// sockets and no wall-clock sleeps, so worlds far larger than the socket
-	// transports allow fit in one test process.
-	Sim
 )
 
 // String returns the transport name.
@@ -192,8 +185,6 @@ func (t Transport) String() string {
 		return "tcp"
 	case Shm:
 		return "shm"
-	case Sim:
-		return "sim"
 	default:
 		return fmt.Sprintf("transport(%d)", int(t))
 	}

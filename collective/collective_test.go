@@ -66,13 +66,6 @@ func TestReduceRoundTripEveryModeAndTransport(t *testing.T) {
 		{"inproc", []collective.Option{collective.WithTransport(collective.Inproc)}},
 		{"tcp", []collective.Option{collective.WithTransport(collective.TCP)}},
 		{"shm", []collective.Option{collective.WithTransport(collective.Shm)}},
-		{"sim", []collective.Option{
-			collective.WithTransport(collective.Sim),
-			collective.WithSimConfig(collective.SimConfig{
-				Seed:    7,
-				Latency: collective.SimUniform(10*time.Microsecond, 50*time.Microsecond),
-			}),
-		}},
 	}
 	for ti, tr := range transports {
 		for mi, m := range modes {

@@ -26,7 +26,6 @@ type config struct {
 	peerDeadline time.Duration
 	faults       *faults.Scenario
 	dialRetry    time.Duration
-	sim          SimConfig
 }
 
 func defaultConfig() config {
@@ -49,7 +48,7 @@ func (c config) with(opts []Option) config {
 // options override earlier ones.
 type Option func(*config)
 
-// WithTransport selects the wire layer (Inproc, TCP, Shm, or Sim) the world
+// WithTransport selects the wire layer (Inproc, TCP, or Shm) the world
 // runs on. Default Inproc.
 func WithTransport(t Transport) Option {
 	return func(c *config) { c.transport = t }

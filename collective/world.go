@@ -7,7 +7,6 @@ import (
 	"eagersgd/internal/comm"
 	"eagersgd/internal/faults"
 	"eagersgd/internal/membership"
-	"eagersgd/internal/simnet"
 	"eagersgd/internal/transport"
 )
 
@@ -54,7 +53,6 @@ type World struct {
 type generation struct {
 	comms    []*comm.Communicator // dense rank order of the generation's view
 	injector *faults.Injector     // non-nil when built WithFaults
-	simHub   *simnet.Hub          // non-nil for Sim worlds (World.SimNow)
 
 	commsOnce sync.Once // closeComms idempotence (Close can race a transition's retire)
 	commsErr  error
@@ -126,7 +124,6 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 func (w *World) buildGeneration(size int) (*generation, error) {
 	cfg := w.cfg
 	eps := make([]comm.Endpoint, size)
-	var simHub *simnet.Hub
 	switch cfg.transport {
 	case Inproc:
 		hub := transport.NewHub(size)
@@ -151,19 +148,10 @@ func (w *World) buildGeneration(size int) (*generation, error) {
 		for r := 0; r < size; r++ {
 			eps[r] = hub.Endpoint(r)
 		}
-	case Sim:
-		simHub = simnet.NewHub(size, simnet.Config{
-			Seed:    cfg.sim.Seed,
-			Latency: cfg.sim.Latency,
-			Skew:    cfg.sim.Skew,
-		})
-		for r := 0; r < size; r++ {
-			eps[r] = simHub.Endpoint(r)
-		}
 	default:
 		return nil, fmt.Errorf("collective: unknown transport %v", cfg.transport)
 	}
-	g := &generation{simHub: simHub}
+	g := &generation{}
 	if cfg.faults != nil {
 		// The injector interposes between every endpoint and its
 		// communicator, so all layers above experience the scenario's faults

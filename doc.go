@@ -10,7 +10,7 @@
 // re-exports the collective essentials so small programs need one import:
 //
 //   - eagersgd/collective — the Reducer seam (Sync, Solo, Majority,
-//     Quorum(k)) and the World builder over the in-process and TCP
+//     Quorum(k)) and the World builder over the Inproc, TCP, or Shm
 //     transports.
 //   - eagersgd/tensor — the Vector and Matrix containers gradients travel in.
 //   - eagersgd/train — declarative training runs comparing synch-SGD and

@@ -47,9 +47,6 @@ const (
 	TCP = collective.TCP
 	// Shm connects same-host ranks through syscall-free SPSC shared rings.
 	Shm = collective.Shm
-	// Sim runs the ranks over the deterministic simulation transport —
-	// virtual clock, seeded latency and compute-skew models, no sockets.
-	Sim = collective.Sim
 )
 
 // NewWorld builds a world of size ranks; see collective.NewWorld.
@@ -63,13 +60,9 @@ func Quorum(k int) Mode { return collective.Quorum(k) }
 // NewVector returns a zero-initialized vector of length n.
 func NewVector(n int) Vector { return tensor.NewVector(n) }
 
-// WithTransport selects the wire layer (Inproc, TCP, Shm, or Sim). Default
+// WithTransport selects the wire layer (Inproc, TCP, or Shm). Default
 // Inproc.
 func WithTransport(t Transport) Option { return collective.WithTransport(t) }
-
-// WithSimConfig parameterizes the Sim transport's virtual network (seed,
-// latency model, compute-skew model); see collective.WithSimConfig.
-func WithSimConfig(sc collective.SimConfig) Option { return collective.WithSimConfig(sc) }
 
 // WithMode selects the reduction behaviour. Default Sync.
 func WithMode(m Mode) Option { return collective.WithMode(m) }

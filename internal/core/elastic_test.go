@@ -215,9 +215,9 @@ func TestChurnJoinGrowsUnderLoad(t *testing.T) {
 		},
 		Build: func(rank int, n *collective.Node) (*core.Trainer, error) {
 			// Paced steps (~5ms of modelled compute) keep the run in flight
-			// long enough for the millisecond-polling churn clock to land the
-			// joins mid-training; the instant regression steps would finish
-			// all of them before the controller's first look.
+			// long enough for the churn controller to land the joins
+			// mid-training; the instant regression steps would finish all of
+			// them before the controller's first transition commits.
 			task := buildRegressionTask(rank, shards, 5, 4)
 			ex, err := n.Reducer(task.NumParams(), collective.WithMode(collective.Sync))
 			if err != nil {

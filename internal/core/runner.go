@@ -50,6 +50,62 @@ type ChurnEvent struct {
 // controller waits for the health view to confirm a victim down.
 const churnWaitTimeout = 30 * time.Second
 
+// runEvents is one run's churn clock and the wakeups its waiters — the churn
+// controller and ranks parked on a dying epoch — block on. Anything that may
+// change a waiter's predicate calls notify: rank 0 completing a step, any
+// rank's step failing, and a committed epoch transition. The end of the run
+// closes done. Waiters re-check their own predicate on every wakeup.
+type runEvents struct {
+	progress atomic.Int64  // rank 0's completed steps
+	done     chan struct{} // closed once every founding rank's loop returned
+
+	mu   sync.Mutex
+	wake chan struct{} // nil until a waiter asks; closed and dropped by notify
+}
+
+// notify wakes every current waiter. Without waiters it allocates nothing,
+// so rank 0 may call it on every step.
+func (e *runEvents) notify() {
+	e.mu.Lock()
+	if e.wake != nil {
+		close(e.wake)
+		e.wake = nil
+	}
+	e.mu.Unlock()
+}
+
+// await blocks until ready reports true, re-checking it after every notify.
+// It reports false when the run ends with ready still false, or when a
+// positive timeout passes first.
+func (e *runEvents) await(ready func() bool, timeout time.Duration) bool {
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
+	for {
+		// Take the wake channel before checking, so a notify that lands
+		// between the check and the select is not lost.
+		e.mu.Lock()
+		if e.wake == nil {
+			e.wake = make(chan struct{})
+		}
+		wake := e.wake
+		e.mu.Unlock()
+		if ready() {
+			return true
+		}
+		select {
+		case <-wake:
+		case <-e.done:
+			return ready()
+		case <-expired:
+			return false
+		}
+	}
+}
+
 // RunConfig describes one end-to-end distributed training run executed with
 // every rank as a goroutine over a collective.World (in-process by default).
 type RunConfig struct {
@@ -151,7 +207,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 
 	inj := world.FaultInjector()
-	var progress atomic.Int64 // rank 0's completed steps, the churn clock
+	events := &runEvents{done: make(chan struct{})}
+	world.OnMembershipChange(func(collective.Epoch) { events.notify() })
 	var loopWG sync.WaitGroup
 	for r := 0; r < cfg.Size; r++ {
 		rr := runs[r]
@@ -159,33 +216,21 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		loopWG.Add(1)
 		go func() {
 			defer loopWG.Done()
-			var p *atomic.Int64
-			if record {
-				p = &progress
-			}
-			rr.err = runRank(cfg, rr.tr, record, result, world, rr.node, p)
+			rr.err = runRank(cfg, rr.tr, record, result, world, rr.node, events)
 		}()
 	}
+
+	go func() {
+		loopWG.Wait()
+		close(events.done)
+	}()
 
 	// The churn controller executes the scripted membership changes against
-	// rank 0's step clock and spawns joiner training loops. It shares runsMu
-	// with nobody until a joiner is admitted; joiner runs are appended there.
-	runDone := make(chan struct{})
-	var joinerRuns []*rankRun
+	// rank 0's step clock and spawns joiner training loops; without churn it
+	// returns at once.
 	var joinersWG sync.WaitGroup
-	var churnErr error
-	var ctrlWG sync.WaitGroup
-	if len(cfg.Churn) > 0 {
-		ctrlWG.Add(1)
-		go func() {
-			defer ctrlWG.Done()
-			joinerRuns, churnErr = runChurn(cfg, world, &progress, runDone, result, &joinersWG)
-		}()
-	}
-
-	loopWG.Wait()
-	close(runDone)
-	ctrlWG.Wait()
+	joinerRuns, churnErr := runChurn(cfg, world, events, result, &joinersWG)
+	<-events.done
 	joinersWG.Wait()
 
 	all := append(append([]*rankRun(nil), runs...), joinerRuns...)
@@ -245,11 +290,12 @@ func registerStateProvider(node *collective.Node, tr *Trainer) {
 
 // runChurn executes the scripted membership changes in order, each gated on
 // rank 0's completed-step clock, and spawns a training loop for every joiner.
-// It stops early when the run finishes (runDone).
-func runChurn(cfg RunConfig, world *collective.World, progress *atomic.Int64, runDone <-chan struct{}, result *RunResult, joinersWG *sync.WaitGroup) ([]*rankRun, error) {
+// It stops early when the run finishes.
+func runChurn(cfg RunConfig, world *collective.World, events *runEvents, result *RunResult, joinersWG *sync.WaitGroup) ([]*rankRun, error) {
 	var joiners []*rankRun
 	for _, ev := range cfg.Churn {
-		if !awaitProgress(progress, int64(ev.AfterStep), runDone) {
+		target := int64(ev.AfterStep)
+		if !events.await(func() bool { return events.progress.Load() >= target }, 0) {
 			return joiners, nil
 		}
 		switch ev.Kind {
@@ -261,7 +307,7 @@ func runChurn(cfg RunConfig, world *collective.World, progress *atomic.Int64, ru
 			var node *collective.Node
 			var err error
 			if ev.Kind == ChurnReplace {
-				if !awaitPeerDown(world, ev.Victim, runDone) {
+				if !events.await(func() bool { return peerDown(world, ev.Victim) }, churnWaitTimeout) {
 					return joiners, fmt.Errorf("replace %d after step %d: victim never confirmed down", ev.Victim, ev.AfterStep)
 				}
 				node, err = world.Replace(ev.Victim, ev.Addr)
@@ -271,7 +317,7 @@ func runChurn(cfg RunConfig, world *collective.World, progress *atomic.Int64, ru
 			if err != nil {
 				return joiners, fmt.Errorf("admit %q after step %d: %w", ev.Addr, ev.AfterStep, err)
 			}
-			rr, err := spawnJoiner(cfg, world, node, ev, result, joinersWG)
+			rr, err := spawnJoiner(cfg, world, node, ev, result, events, joinersWG)
 			if err != nil {
 				return joiners, err
 			}
@@ -286,7 +332,7 @@ func runChurn(cfg RunConfig, world *collective.World, progress *atomic.Int64, ru
 // spawnJoiner builds a trainer for a freshly admitted member — adopting the
 // handed-over parameters and handoff step — and starts its training
 // loop for the remaining steps.
-func spawnJoiner(cfg RunConfig, world *collective.World, node *collective.Node, ev ChurnEvent, result *RunResult, joinersWG *sync.WaitGroup) (*rankRun, error) {
+func spawnJoiner(cfg RunConfig, world *collective.World, node *collective.Node, ev ChurnEvent, result *RunResult, events *runEvents, joinersWG *sync.WaitGroup) (*rankRun, error) {
 	startStep := ev.AfterStep
 	init := node.InitialState()
 	if len(init) > 0 {
@@ -310,38 +356,18 @@ func spawnJoiner(cfg RunConfig, world *collective.World, node *collective.Node, 
 	joinersWG.Add(1)
 	go func() {
 		defer joinersWG.Done()
-		rr.err = runRank(cfg, tr, false, result, world, node, nil)
+		rr.err = runRank(cfg, tr, false, result, world, node, events)
 	}()
 	return rr, nil
 }
 
-// awaitProgress blocks until rank 0 has completed at least target steps.
-// It reports false when the run ended first.
-func awaitProgress(progress *atomic.Int64, target int64, runDone <-chan struct{}) bool {
-	for progress.Load() < target {
-		select {
-		case <-runDone:
-			return false
-		case <-time.After(time.Millisecond):
-		}
-	}
-	return true
-}
-
-// awaitPeerDown blocks until the world's health view reports the victim down,
-// so a Replace composes deterministically with the scripted crash it repairs.
-func awaitPeerDown(world *collective.World, victim collective.RankID, runDone <-chan struct{}) bool {
-	deadline := time.Now().Add(churnWaitTimeout)
-	for time.Now().Before(deadline) {
-		for _, p := range world.Peers() {
-			if p.ID == victim && !p.Up {
-				return true
-			}
-		}
-		select {
-		case <-runDone:
-			return false
-		case <-time.After(time.Millisecond):
+// peerDown reports whether the world's health view has the victim down —
+// the verdict that includes the fault injector's scripted crash — so a
+// Replace composes deterministically with the crash it repairs.
+func peerDown(world *collective.World, victim collective.RankID) bool {
+	for _, p := range world.Peers() {
+		if p.ID == victim && !p.Up {
+			return true
 		}
 	}
 	return false
@@ -353,10 +379,10 @@ func awaitPeerDown(world *collective.World, victim collective.RankID, runDone <-
 // transition's drain completes exactly when the wedged step fails, so the
 // commit races the failure return — when the epoch already moved past
 // epochBefore the wait is over before it starts. It returns the original
-// error when no transition arrives in time, the rank itself is the scripted
-// crash victim, or the rank was removed from the membership (Leave/Replace
-// took effect, or the world closed).
-func awaitNextEpoch(world *collective.World, node *collective.Node, stepErr error, epochBefore uint64) error {
+// error when no transition arrives in time or before the run ends, the rank
+// itself is the scripted crash victim, or the rank was removed from the
+// membership (Leave/Replace took effect, or the world closed).
+func awaitNextEpoch(world *collective.World, node *collective.Node, events *runEvents, stepErr error, epochBefore uint64) error {
 	if errors.Is(stepErr, collective.ErrReducerClosed) {
 		return stepErr // the member departed or the world is closing
 	}
@@ -367,12 +393,11 @@ func awaitNextEpoch(world *collective.World, node *collective.Node, stepErr erro
 	if inj := world.FaultInjector(); inj != nil && inj.Crashed(node.Rank()) {
 		return stepErr // this rank IS the scripted victim; its loop ends here
 	}
-	deadline := time.Now().Add(churnWaitTimeout)
-	for node.Epoch() == epochBefore {
-		if !stillMember(world, node) || time.Now().After(deadline) {
-			return stepErr
-		}
-		time.Sleep(time.Millisecond)
+	events.await(func() bool {
+		return node.Epoch() != epochBefore || !stillMember(world, node)
+	}, churnWaitTimeout)
+	if node.Epoch() == epochBefore {
+		return stepErr // removed, timed out, or the run ended first
 	}
 	return nil
 }
@@ -388,13 +413,14 @@ func stillMember(world *collective.World, node *collective.Node) bool {
 }
 
 // runRank executes the training loop for one rank. Only rank 0 (record=true)
-// appends to the shared result curves; ranks never write concurrently to the
-// same fields because exactly one rank records. Under an injected fault
+// appends to the shared result curves and advances the churn clock; ranks
+// never write concurrently to the same fields because exactly one rank
+// records. Under an injected fault
 // scenario the rank advances its crash-at-step counter once per optimizer
 // step, so scripted crashes fire deterministically in the rank's own step
 // sequence; the injector handle is re-fetched per step because each epoch
 // runs its own.
-func runRank(cfg RunConfig, tr *Trainer, record bool, result *RunResult, world *collective.World, node *collective.Node, progress *atomic.Int64) error {
+func runRank(cfg RunConfig, tr *Trainer, record bool, result *RunResult, world *collective.World, node *collective.Node, events *runEvents) error {
 	defer tr.Close()
 	//eagervet:ignore ctxcheck -- Run takes no context, so each rank loop roots the one its steps run under.
 	ctx := context.Background()
@@ -421,11 +447,12 @@ func runRank(cfg RunConfig, tr *Trainer, record bool, result *RunResult, world *
 			if len(cfg.Churn) == 0 {
 				return err
 			}
+			events.notify()
 			// Elastic run: the step failed on a dying epoch. Wait for the
 			// scripted transition to commit, then retry the step — the
 			// trainer's counter only advances on success, so the retry
 			// recomputes the same step over the repaired world.
-			if waitErr := awaitNextEpoch(world, node, err, epochBefore); waitErr != nil {
+			if waitErr := awaitNextEpoch(world, node, events, err, epochBefore); waitErr != nil {
 				return waitErr
 			}
 			continue
@@ -434,8 +461,9 @@ func runRank(cfg RunConfig, tr *Trainer, record bool, result *RunResult, world *
 		if inj := world.FaultInjector(); inj != nil {
 			inj.AdvanceStep(node.Rank())
 		}
-		if progress != nil {
-			progress.Store(int64(tr.Steps()))
+		if record {
+			events.progress.Store(int64(tr.Steps()))
+			events.notify()
 		}
 		lossAccum += rec.Loss
 		lossCount++

@@ -198,8 +198,7 @@ func (s *traceSampler) Next() int64 {
 	return v
 }
 
-// ParseModel parses the textual model spec syntax used by cmd/simsweep and
-// the collective Sim options:
+// ParseModel parses the textual model spec syntax used by cmd/simsweep:
 //
 //	constant:DUR
 //	uniform:LO,HI

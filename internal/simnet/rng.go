@@ -1,19 +1,20 @@
-package simnet
-
-// Deterministic randomness for the simulator: every entity that needs random
-// draws — a link's latency, a rank's compute skew, a sweep's per-step wire
-// jitter — owns a private SplitMix64 stream whose seed is derived from one
-// root seed plus the entity's identity. Two runs with the same root seed make
-// bit-identical draws in every stream, regardless of how goroutines
-// interleave, because no stream is ever shared between entities.
+// Package simnet is the seeded randomness and duration-model vocabulary of
+// the deterministic lockstep sweep (internal/simnet/sweep, CLI cmd/simsweep).
+// Every entity that draws — a rank's compute skew, the sweep's per-step wire
+// latency — owns a private SplitMix64 Stream seeded by DeriveSeed from one
+// root seed plus the entity's identity, so two runs with the same root seed
+// make bit-identical draws. A Model (models.go: Constant, Uniform, Pareto,
+// Trace, TraceAligned; ParseModel reads cmd/simsweep's spec syntax) turns an
+// entity's seed into its Sampler of durations.
 //
 // SplitMix64 is the same generator internal/partial uses for initiator
 // selection and internal/faults for per-link fault decisions, so the whole
 // deterministic axis of the repository speaks one PRNG dialect.
+package simnet
 
 // Stream is a SplitMix64 pseudo-random stream. The zero value is a valid
 // stream seeded with 0; NewStream seeds explicitly. Not safe for concurrent
-// use — an entity's stream belongs to the goroutine simulating that entity.
+// use — an entity's stream has one caller.
 type Stream struct {
 	state uint64
 }
@@ -48,7 +49,7 @@ func (s *Stream) Int63n(n int64) int64 {
 
 // DeriveSeed folds an entity identity into the root seed, producing the seed
 // for that entity's private stream. Identities are small structured tuples —
-// (kindLink, src, dst), (kindSkew, rank) — mixed one component at a time
+// (DomainSkew, rank), (DomainWire, stream) — mixed one component at a time
 // through the SplitMix64 finalizer, so streams for distinct entities are
 // statistically independent and stable across runs.
 func DeriveSeed(root uint64, ids ...uint64) uint64 {
@@ -68,12 +69,11 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Seed-derivation domains, the first id passed to DeriveSeed so link streams
+// Seed-derivation domains, the first id passed to DeriveSeed so wire streams
 // can never collide with skew streams even when their remaining ids match.
-// Exported so internal/simnet/sweep draws from the very same per-rank skew
-// streams the Hub uses for a given root seed.
+// The values are part of the sweep's output: changing one changes every
+// curve drawn at a given root seed.
 const (
-	DomainLink uint64 = 1 // per directed link latency: (DomainLink, src, dst)
 	DomainSkew uint64 = 2 // per rank compute skew: (DomainSkew, rank)
 	DomainWire uint64 = 3 // sweep per-step collective wire draws: (DomainWire, stream)
 )

@@ -4,9 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"eagersgd/internal/comm"
 	"eagersgd/internal/simnet"
-	"eagersgd/internal/tensor"
 )
 
 // TestStreamDeterminism pins the SplitMix64 sequence: same seed, same draws;
@@ -89,138 +87,5 @@ func TestParseModelRejectsBadSpecs(t *testing.T) {
 		if _, err := simnet.ParseModel(spec); err == nil {
 			t.Errorf("ParseModel(%q) accepted a bad spec", spec)
 		}
-	}
-}
-
-// TestHubVirtualTimeDeterminism runs the same single-goroutine send sequence
-// twice and requires identical virtual clocks — the Hub-layer determinism
-// contract.
-func TestHubVirtualTimeDeterminism(t *testing.T) {
-	run := func() (time.Duration, []time.Duration) {
-		hub := simnet.NewHub(4, simnet.Config{
-			Seed:    1234,
-			Latency: simnet.Uniform(50*time.Microsecond, 400*time.Microsecond),
-			Skew:    simnet.Pareto(time.Millisecond, 1.3, 100*time.Millisecond),
-		})
-		world := make([]*comm.Communicator, 4)
-		for r := 0; r < 4; r++ {
-			world[r] = comm.NewCommunicator(hub.Endpoint(r))
-		}
-		defer world[0].Close()
-		for step := 0; step < 20; step++ {
-			for r := 0; r < 4; r++ {
-				hub.AdvanceCompute(r)
-			}
-			for r := 0; r < 4; r++ {
-				if err := world[r].Send((r+1)%4, step, tensor.GetVector(8)); err != nil {
-					t.Fatalf("send: %v", err)
-				}
-			}
-			for r := 0; r < 4; r++ {
-				data, _, err := world[r].Recv((r+3)%4, step)
-				if err != nil {
-					t.Fatalf("recv: %v", err)
-				}
-				tensor.PutVector(data)
-			}
-		}
-		times := make([]time.Duration, 4)
-		for r := range times {
-			times[r] = hub.RankTime(r)
-		}
-		return hub.Now(), times
-	}
-	now1, t1 := run()
-	now2, t2 := run()
-	if now1 != now2 {
-		t.Fatalf("virtual clocks diverged across identical runs: %v vs %v", now1, now2)
-	}
-	for r := range t1 {
-		if t1[r] != t2[r] {
-			t.Fatalf("rank %d virtual clock diverged: %v vs %v", r, t1[r], t2[r])
-		}
-	}
-	if now1 == 0 {
-		t.Fatal("virtual clock never advanced")
-	}
-}
-
-// TestHubPerLinkFIFO sends a burst on one link and checks arrival order
-// matches send order (per-link FIFO in virtual time).
-func TestHubPerLinkFIFO(t *testing.T) {
-	world := simnet.NewWorld(2, simnet.Config{
-		Seed:    7,
-		Latency: simnet.Uniform(0, time.Millisecond),
-	})
-	defer world[0].Close()
-	const n = 50
-	for i := 0; i < n; i++ {
-		v := tensor.GetVector(1)
-		v[0] = float64(i)
-		if err := world[0].Send(1, 5, v); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		data, _, err := world[1].Recv(0, 5)
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if got := int(data[0]); got != i {
-			t.Fatalf("link reordered: got payload %d at position %d", got, i)
-		}
-		tensor.PutVector(data)
-	}
-}
-
-// TestHubCloseReleasesUndelivered closes a world with scheduled-but-unread
-// deliveries in flight and asserts no pool lease leaks.
-func TestHubCloseReleasesUndelivered(t *testing.T) {
-	world := simnet.NewWorld(2, simnet.Config{Seed: 3})
-	before := tensor.ReadPoolStats()
-	for i := 0; i < 32; i++ {
-		if err := world[0].Send(1, i, tensor.GetVector(16)); err != nil {
-			t.Fatalf("send: %v", err)
-		}
-	}
-	for _, w := range world {
-		w.Close()
-	}
-	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
-		t.Fatalf("close leaked %d pool leases%s", n, tensor.FormatLeaseReport())
-	}
-	if err := world[0].Send(1, 0, tensor.GetVector(4)); err == nil {
-		t.Fatal("send after close succeeded")
-	}
-}
-
-// TestHubComputeSkewDelaysSends checks that a rank's compute advances push
-// its virtual clock forward and that subsequent sends depart no earlier: the
-// receiver's clock lands at or after the sender's advanced clock plus the
-// link latency floor.
-func TestHubComputeSkewDelaysSends(t *testing.T) {
-	hub := simnet.NewHub(2, simnet.Config{
-		Seed:    11,
-		Latency: simnet.Constant(100 * time.Microsecond),
-		Skew:    simnet.Constant(5 * time.Millisecond),
-	})
-	world := []*comm.Communicator{
-		comm.NewCommunicator(hub.Endpoint(0)),
-		comm.NewCommunicator(hub.Endpoint(1)),
-	}
-	defer world[0].Close()
-	if d := hub.AdvanceCompute(0); d != 5*time.Millisecond {
-		t.Fatalf("AdvanceCompute = %v, want 5ms", d)
-	}
-	if err := world[0].Send(1, 1, tensor.GetVector(1)); err != nil {
-		t.Fatal(err)
-	}
-	data, _, err := world[1].Recv(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tensor.PutVector(data)
-	if got, want := hub.RankTime(1), 5*time.Millisecond+100*time.Microsecond; got != want {
-		t.Fatalf("receiver virtual clock = %v, want %v (sender compute + link latency)", got, want)
 	}
 }

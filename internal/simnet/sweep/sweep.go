@@ -16,7 +16,7 @@
 //
 //	arr[r] = start[r] + BaseCompute + skew[r][step]
 //
-// where skew draws come from the same per-rank streams the simnet Hub uses.
+// where skew draws come from per-rank streams seeded (simnet.DomainSkew, r).
 // The policy then decides the round's activation time:
 //
 //	sync:      max over live arr (everyone waits for the last straggler)
@@ -43,8 +43,8 @@
 // r leaves the world at its scheduled step and contributes to no later
 // round. What the model deliberately omits: per-message queueing inside the
 // collective's hop graph, transport backpressure, and tag-level protocol
-// detail — those belong to the simnet Hub, which runs the real stack at
-// moderate sizes. DESIGN.md "Deterministic simulation" states the split.
+// detail — the real stack on the inproc, TCP and shm transports has those.
+// DESIGN.md "Deterministic simulation" states the split.
 package sweep
 
 import (
@@ -87,8 +87,8 @@ type Config struct {
 	// Policies are the activation policies compared in lockstep.
 	Policies []Policy
 	// Faults optionally schedules rank crashes via CrashAtStep (other
-	// Scenario fields are outside this model — the simnet Hub honors them
-	// through the real faults.Injector).
+	// Scenario fields are outside this model — the real stack honors them
+	// through faults.Injector).
 	Faults *faults.Scenario
 	// PeerDeadline is the dead-initiator failover delay: when every
 	// designated initiator of a round is dead, the fastest live rank

@@ -92,7 +92,9 @@ func TestRingFullBlocksAndDrains(t *testing.T) {
 	defer close(done)
 	const total = 50
 	var sent atomic.Int32
+	exited := make(chan struct{})
 	go func() {
+		defer close(exited)
 		for i := 0; i < total; i++ {
 			if err := r.enqueue(comm.Message{Source: 0, Tag: i, Data: leasedVector(64, float64(i))}, done, true); err != nil {
 				return
@@ -110,6 +112,13 @@ func TestRingFullBlocksAndDrains(t *testing.T) {
 			t.Fatalf("message %d arrived with tag %d (reordered)", i, m.Tag)
 		}
 		tensor.PutVector(m.Data)
+	}
+	// The consumer can drain the last message before the producer counts
+	// it: join the producer before reading its count.
+	select {
+	case <-exited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("producer never returned after the consumer drained every message")
 	}
 	if s := sent.Load(); s != total {
 		t.Fatalf("producer sent %d of %d after the consumer drained", s, total)
