@@ -310,6 +310,26 @@ func TestWorldValidation(t *testing.T) {
 	}
 }
 
+// TestTransportStrings pins the name of each of the three transports and
+// the fallback for a value outside them.
+func TestTransportStrings(t *testing.T) {
+	for _, tc := range []struct {
+		tr   collective.Transport
+		want string
+	}{
+		{collective.Inproc, "inproc"},
+		{collective.TCP, "tcp"},
+		{collective.Shm, "shm"},
+		{collective.Shm + 1, fmt.Sprintf("transport(%d)", int(collective.Shm)+1)},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			if got := tc.tr.String(); got != tc.want {
+				t.Fatalf("Transport(%d).String() = %q, want %q", int(tc.tr), got, tc.want)
+			}
+		})
+	}
+}
+
 // TestModeAndNameStrings pins the naming surface reports rely on.
 func TestModeAndNameStrings(t *testing.T) {
 	if collective.Sync.String() != "sync" || collective.Solo.String() != "solo" ||

@@ -28,6 +28,27 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 }
 
+// TestSeedDomainsPinned pins the seed-derivation domains and the seeds the
+// sweep derives from them: a change to either changes every curve simsweep
+// draws at a given root seed.
+func TestSeedDomainsPinned(t *testing.T) {
+	if simnet.DomainSkew != 2 || simnet.DomainWire != 3 {
+		t.Fatalf("domains moved: skew %d, wire %d; want 2, 3", simnet.DomainSkew, simnet.DomainWire)
+	}
+	for _, tc := range []struct {
+		ids  []uint64
+		want uint64
+	}{
+		{[]uint64{simnet.DomainSkew, 0}, 0xed37e86986dd56a3},
+		{[]uint64{simnet.DomainSkew, 1}, 0x8aefb2af83fca67b},
+		{[]uint64{simnet.DomainWire, 0}, 0x712b20bdce4b2dfc},
+	} {
+		if got := simnet.DeriveSeed(1, tc.ids...); got != tc.want {
+			t.Fatalf("DeriveSeed(1, %v) = %#x, want %#x", tc.ids, got, tc.want)
+		}
+	}
+}
+
 // TestModelsSampleDeterministically checks each model family produces the
 // same sequence for the same seed, stays within its stated bounds, and
 // round-trips through ParseModel.
