@@ -1,44 +1,52 @@
 // Command simsweep runs the deterministic 1000-rank policy sweep and writes
 // NAP-vs-step-time curves as a JSON snapshot.
 //
-// It is the command-line face of internal/simnet/sweep: every {policy ×
-// skew-distribution × world-size} cell is simulated in lockstep over
-// identical seed-derived draws, so two invocations with the same flags
-// produce byte-identical output — CI runs it twice and diffs the files as
-// the determinism gate.
+// It is the command-line face of internal/sweep: every {policy × injector ×
+// world-size} cell is simulated in lockstep over the same per-(step, rank)
+// delays, so two invocations with the same flags produce byte-identical
+// output — CI runs it twice and diffs the files as the determinism gate.
 //
 // Usage:
 //
 //	go run ./cmd/simsweep -seed 42 -ranks 1000 -out curves.json
 //	go run ./cmd/simsweep -ranks 8,64,1000 -policies solo,majority,quorum -quorum 3
-//	go run ./cmd/simsweep -skew 'constant:0;uniform:0,4ms;pareto:200us,1.2,500ms'
+//	go run ./cmd/simsweep -ranks 8,64 -skew 'none;shifted:50,400;random:4,300'
 //	go run ./cmd/simsweep -crash 500@120,501@121,502@122   # cascading death at rank 500
 //
-// Skew specs are ';'-separated (each spec may itself contain commas); see
-// simnet.ParseModel for the spec syntax.
+// Skew specs are ';'-separated and name the training stack's imbalance
+// injectors, with amounts in paper milliseconds read as virtual milliseconds:
+//
+//	none             no delay
+//	random:K,MS      K random ranks per step delayed MS (Figs. 10/11)
+//	linear:MS        rank r delayed (r+1)*MS (Fig. 9)
+//	shifted:MIN,MAX  every rank delayed MIN..MAX, rotated each step (Fig. 12)
+//	cloud:K          K random ranks per step get the Fig. 4 cloud noise tail
+//
+// The random kinds draw from -seed, which also seeds initiator selection.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"eagersgd/internal/faults"
-	"eagersgd/internal/simnet"
-	"eagersgd/internal/simnet/sweep"
+	"eagersgd/internal/imbalance"
+	"eagersgd/internal/sweep"
 )
 
 func main() {
 	var (
-		seed     = flag.Uint64("seed", 42, "root seed; every stream derives from it")
+		seed     = flag.Uint64("seed", 42, "seed of initiator selection and of the random skew kinds")
 		ranksArg = flag.String("ranks", "1000", "comma-separated world sizes to sweep")
 		steps    = flag.Int("steps", 200, "training steps simulated per cell")
 		base     = flag.Duration("base", 2*time.Millisecond, "skew-free per-step compute time")
-		skewArg  = flag.String("skew", "constant:0;uniform:0,4ms;pareto:200us,1.2,500ms", "';'-separated compute-skew model specs (see simnet.ParseModel)")
-		linkArg  = flag.String("link", "uniform:50us,200us", "per-hop wire latency model spec")
+		skewArg  = flag.String("skew", "none;random:62,4;cloud:62", "';'-separated imbalance injector specs (none, random:K,MS, linear:MS, shifted:MIN,MAX, cloud:K)")
+		hop      = flag.Duration("hop", 125*time.Microsecond, "per-hop wire latency of the collective")
 		policies = flag.String("policies", "solo,majority,quorum", "comma-separated activation policies (solo, majority, quorum, sync)")
 		quorumK  = flag.Int("quorum", 3, "candidate count for the quorum policy")
 		crashArg = flag.String("crash", "", "scripted rank crashes, 'rank@step,rank@step,...'")
@@ -51,17 +59,12 @@ func main() {
 	if err != nil {
 		fatalf("bad -ranks: %v", err)
 	}
-	link, err := simnet.ParseModel(*linkArg)
-	if err != nil {
-		fatalf("bad -link: %v", err)
-	}
-	var skews []simnet.Model
-	for _, spec := range strings.Split(*skewArg, ";") {
-		m, err := simnet.ParseModel(spec)
-		if err != nil {
+	specs := strings.Split(*skewArg, ";")
+	skews := make([]func(size int) imbalance.Injector, len(specs))
+	for i, spec := range specs {
+		if skews[i], err = parseSkew(spec, int64(*seed)); err != nil {
 			fatalf("bad -skew: %v", err)
 		}
-		skews = append(skews, m)
 	}
 	var pols []sweep.Policy
 	for _, name := range strings.Split(*policies, ",") {
@@ -94,28 +97,29 @@ func main() {
 
 	// The command line is reconstructed from the parsed values (not os.Args)
 	// so the snapshot's command field is canonical and deterministic.
-	command := fmt.Sprintf("simsweep -seed %d -ranks %s -steps %d -base %s -skew %q -link %q -policies %s -quorum %d -crash %q -deadline %s",
-		*seed, *ranksArg, *steps, *base, *skewArg, *linkArg, *policies, *quorumK, *crashArg, *deadline)
+	command := fmt.Sprintf("simsweep -seed %d -ranks %s -steps %d -base %s -skew %q -hop %s -policies %s -quorum %d -crash %q -deadline %s",
+		*seed, *ranksArg, *steps, *base, *skewArg, *hop, *policies, *quorumK, *crashArg, *deadline)
 	snap := sweep.NewSnapshot(*seed, command)
 
 	for _, n := range ranks {
-		for _, skew := range skews {
+		for i, skew := range skews {
+			label := strings.TrimSpace(specs[i])
 			curves, err := sweep.Run(sweep.Config{
 				Seed:         *seed,
 				Ranks:        n,
 				Steps:        *steps,
 				BaseCompute:  *base,
-				Skew:         skew,
-				Link:         link,
+				Skew:         skew(n),
+				Hop:          *hop,
 				Policies:     pols,
 				Faults:       scenario,
 				PeerDeadline: *deadline,
 			})
 			if err != nil {
-				fatalf("sweep n=%d skew=%s: %v", n, skew, err)
+				fatalf("sweep n=%d skew=%s: %v", n, label, err)
 			}
 			for _, c := range curves {
-				snap.Add(skew.String(), n, c)
+				snap.Add(label, n, c)
 			}
 		}
 	}
@@ -147,6 +151,52 @@ func parseInts(s string) ([]int, error) {
 		return nil, fmt.Errorf("empty list")
 	}
 	return out, nil
+}
+
+// parseSkew reads one -skew spec into a builder of its injector for a world
+// of the given size; seed seeds the random kinds.
+func parseSkew(spec string, seed int64) (func(size int) imbalance.Injector, error) {
+	kind, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
+	var args []float64
+	if rest != "" {
+		for _, a := range strings.Split(rest, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(a), 64)
+			if err != nil || !(v >= 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("skew %q: argument %q is not a non-negative number", spec, a)
+			}
+			args = append(args, v)
+		}
+	}
+	arity, ok := map[string]int{"none": 0, "random": 2, "linear": 1, "shifted": 2, "cloud": 1}[kind]
+	if !ok {
+		return nil, fmt.Errorf("skew %q: unknown kind %q (want none, random, linear, shifted or cloud)", spec, kind)
+	}
+	if len(args) != arity {
+		return nil, fmt.Errorf("skew %q: %s wants %d arguments, got %d", spec, kind, arity, len(args))
+	}
+	if (kind == "random" || kind == "cloud") && args[0] != math.Trunc(args[0]) {
+		return nil, fmt.Errorf("skew %q: rank count %g is not an integer", spec, args[0])
+	}
+	switch kind {
+	case "random":
+		return func(size int) imbalance.Injector {
+			return imbalance.RandomSubset{Size: size, K: int(args[0]), Amount: args[1], Seed: seed}
+		}, nil
+	case "linear":
+		return func(int) imbalance.Injector { return imbalance.LinearSkew{StepMs: args[0]} }, nil
+	case "shifted":
+		if args[1] < args[0] {
+			return nil, fmt.Errorf("skew %q: max %g is below min %g", spec, args[1], args[0])
+		}
+		return func(size int) imbalance.Injector {
+			return imbalance.ShiftedSevere{Size: size, MinMs: args[0], MaxMs: args[1]}
+		}, nil
+	case "cloud":
+		return func(size int) imbalance.Injector {
+			return imbalance.CloudNoise{Size: size, K: int(args[0]), Seed: seed}
+		}, nil
+	}
+	return func(int) imbalance.Injector { return imbalance.None{} }, nil
 }
 
 func fatalf(format string, args ...any) {

@@ -2,10 +2,11 @@
 // it into distributed training runs: per-(step, rank) delay injectors
 // mirroring the experiments of §6 (random-subset delays for the cloud-like
 // Figs. 10/11, linear skew for the Fig. 9 microbenchmark, shifted severe skew
-// for Fig. 12), empirical runtime models reproducing the workload
-// distributions of Figs. 2–4, and a scalable clock that replays paper-scale
-// millisecond delays at a configurable fraction of real time so experiments
-// finish in seconds while preserving every ratio the paper reports.
+// for Fig. 12, the cloud noise tail of Fig. 4), empirical runtime models
+// reproducing the workload distributions of Figs. 2–4, and a scalable clock
+// that replays paper-scale millisecond delays at a configurable fraction of
+// real time so experiments finish in seconds while preserving every ratio the
+// paper reports.
 package imbalance
 
 import (
@@ -154,6 +155,33 @@ func (s ShiftedSevere) Delay(step, rank int) float64 {
 	return s.MinMs + frac*(s.MaxMs-s.MinMs)
 }
 
+// CloudNoise delays K random ranks (out of Size) per step by the excess of a
+// sample from the Fig. 4 cloud batch-runtime distribution over its minimum —
+// the multi-tenant "noise tail" of §2.3. The K ranks of a step share one
+// draw.
+type CloudNoise struct {
+	Size int
+	K    int
+	Seed int64
+}
+
+// Name returns "cloud-noise".
+func (CloudNoise) Name() string { return "cloud-noise" }
+
+// Delay returns the step's noise sample for the K ranks selected at this
+// step, zero otherwise.
+func (c CloudNoise) Delay(step, rank int) float64 {
+	rng := rand.New(rand.NewSource(c.Seed ^ int64(step)*104729))
+	perm := rng.Perm(c.Size)
+	for i := 0; i < c.K && i < c.Size; i++ {
+		if perm[i] == rank {
+			d := CloudBatchRuntime()
+			return d.Sample(rng) - d.MinMs
+		}
+	}
+	return 0
+}
+
 // Distribution samples per-step runtimes (in paper milliseconds). It models
 // the empirical runtime distributions of Figs. 2b, 3, and 4.
 type Distribution struct {
@@ -182,8 +210,8 @@ func (d Distribution) Sample(rng *rand.Rand) float64 {
 // Name returns the workload label.
 func (d Distribution) Name() string { return d.Label }
 
-// Mean estimates the distribution mean by quadrature over the clipped
-// log-normal (used by reports; exactness is unnecessary).
+// Mean estimates the distribution mean as the average of samples draws from
+// a generator seeded with seed (used by reports; exactness is unnecessary).
 func (d Distribution) Mean(samples int, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	var total float64

@@ -263,6 +263,36 @@ func checkDistribution(t *testing.T, d Distribution, wantMeanLo, wantMeanHi floa
 	}
 }
 
+// TestCloudNoiseGolden pins CloudNoise's draws to the values the trainer's
+// cloud-noise runs have always used: the K ranks picked at a step share one
+// sample of the Fig. 4 tail above its minimum, every other rank gets zero.
+func TestCloudNoiseGolden(t *testing.T) {
+	for _, tc := range []struct {
+		c          CloudNoise
+		step, rank int
+		want       float64
+	}{
+		{CloudNoise{Size: 4, K: 2, Seed: 7}, 0, 0, 32.96355694971584},
+		{CloudNoise{Size: 4, K: 2, Seed: 7}, 0, 1, 0},
+		{CloudNoise{Size: 4, K: 2, Seed: 7}, 0, 2, 32.96355694971584},
+		{CloudNoise{Size: 4, K: 2, Seed: 7}, 1, 0, 19.732398792624963},
+		{CloudNoise{Size: 4, K: 2, Seed: 7}, 2, 3, 91.30271039735493},
+		{CloudNoise{Size: 64, K: 4, Seed: 42}, 0, 5, 59.29451987210592},
+		{CloudNoise{Size: 64, K: 4, Seed: 42}, 0, 60, 59.29451987210592},
+		{CloudNoise{Size: 64, K: 4, Seed: 42}, 0, 0, 0},
+		{CloudNoise{Size: 64, K: 4, Seed: 42}, 1, 24, 81.75373156073516},
+		{CloudNoise{Size: 64, K: 4, Seed: 42}, 2, 44, 196.7309682872392},
+		{CloudNoise{Size: 64, K: 4, Seed: 42}, 2, 1, 0},
+	} {
+		if got := tc.c.Delay(tc.step, tc.rank); got != tc.want {
+			t.Errorf("%+v.Delay(%d, %d) = %v, want %v", tc.c, tc.step, tc.rank, got, tc.want)
+		}
+	}
+	if name := (CloudNoise{}).Name(); name != "cloud-noise" {
+		t.Errorf("Name() = %q, want cloud-noise", name)
+	}
+}
+
 func TestVideoBatchRuntimeMatchesPaperShape(t *testing.T) {
 	// Paper: 201–3410 ms, mean 1235 ms. Allow a generous band around the
 	// reported mean.

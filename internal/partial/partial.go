@@ -460,21 +460,24 @@ func (a *Allreducer) DesignatedInitiators(round int) []int {
 	}
 }
 
-// initiatorFor returns the idx-th designated initiator for the round. All
-// ranks compute the same value because the hash depends only on the shared
-// seed, the round, and the index.
+// initiatorFor returns the idx-th designated initiator for the round.
 func (a *Allreducer) initiatorFor(round, idx int) int {
-	h := splitmix64(uint64(a.opts.Seed) ^ (uint64(round)+1)*0x9e3779b97f4a7c15 ^ uint64(idx)*0xbf58476d1ce4e5b9)
-	return int(h % uint64(a.comm.Size()))
+	return Initiator(a.opts.Seed, round, idx, a.comm.Size())
 }
 
-// splitmix64 is the SplitMix64 hash finalizer, used as a tiny shared PRNG so
-// initiator selection needs no state that could drift between ranks.
-func splitmix64(x uint64) uint64 {
+// Initiator returns the idx-th designated initiator of the round in a world
+// of size ranks sharing seed. Every rank computes the same value because the
+// SplitMix64 hash depends only on the shared seed, the round and the index;
+// initiator selection needs no state that could drift between ranks. The
+// sweep (internal/sweep) calls it so its model activates the very rank the
+// engine would.
+func Initiator(seed int64, round, idx, size int) int {
+	x := uint64(seed) ^ (uint64(round)+1)*0x9e3779b97f4a7c15 ^ uint64(idx)*0xbf58476d1ce4e5b9
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	x ^= x >> 31
+	return int(x % uint64(size))
 }
 
 // Exchange contributes grad to the current round of the partial allreduce and

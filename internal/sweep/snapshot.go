@@ -43,7 +43,7 @@ func NewSnapshot(seed uint64, command string) *Snapshot {
 		Command: command,
 		GOOS:    runtime.GOOS,
 		GOARCH:  runtime.GOARCH,
-		Package: "eagersgd/internal/simnet/sweep",
+		Package: "eagersgd/internal/sweep",
 	}
 }
 

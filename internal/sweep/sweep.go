@@ -1,60 +1,63 @@
-// Package sweep is the lockstep sweep driver over the simnet models: it
-// replays {solo, majority, quorum(k), sync} partial-collective policies
-// against identical per-rank compute-skew draws and per-step wire draws,
-// producing the paper's NAP-vs-step-time trade-off curves at world sizes
-// (1000+ ranks) the socket transports cannot reach.
+// Package sweep is the deterministic lockstep sweep: it replays {solo,
+// majority, quorum(k), sync} partial-collective policies against one
+// imbalance.Injector — the same per-(step, rank) delays the training stack
+// injects — producing the paper's NAP-vs-step-time trade-off curves at world
+// sizes (1000+ ranks) the socket transports cannot reach. The CLI is
+// cmd/simsweep.
 //
 // The driver follows the seeded tick-world idiom (see SNIPPETS.md Snippet 1):
-// one root seed derives every stream, every policy consumes the same draws,
-// and the whole sweep is pure arithmetic over the event-level model below —
-// no goroutines, no channels, no wall clock — so two runs with the same
-// Config are bit-identical, which CI gates on.
+// one generated load is handed to every policy, and the whole sweep is pure
+// arithmetic over the event-level model below — no goroutines, no channels,
+// no wall clock — so two runs with the same Config are bit-identical, which
+// CI gates on.
 //
 // # Event-level model
 //
 // Per step, rank r finishes its gradient at
 //
-//	arr[r] = start[r] + BaseCompute + skew[r][step]
+//	arr[r] = start[r] + BaseCompute + Skew.Delay(step, r)
 //
-// where skew draws come from per-rank streams seeded (simnet.DomainSkew, r).
+// where the injector's paper milliseconds are read as virtual milliseconds.
 // The policy then decides the round's activation time:
 //
 //	sync:      max over live arr (everyone waits for the last straggler)
 //	solo:      min over live arr (the fastest rank activates immediately)
-//	majority:  arr of the round's designated initiator — selected by the
-//	           exact seeded formula internal/partial uses — or, when every
-//	           designated initiator is dead, the dead-initiator failover:
-//	           the fastest live arrival plus PeerDeadline
-//	quorum(k): min arr over the round's k seeded candidates (same failover)
+//	majority:  arr of the round's designated initiator — partial.Initiator,
+//	           the formula the engine itself calls — or, when that initiator
+//	           is dead, the dead-initiator failover: the fastest live arrival
+//	           plus PeerDeadline
+//	quorum(k): min arr over the round's k candidates (same failover)
 //
 // NAP (the paper's "number of active processes", RoundInfo.ActiveProcesses)
 // is the count of live ranks whose contribution arrived by activation. The
 // round's result is formed at activation and propagated in ceil(log2 n)
-// hops, each drawing wire latency from a shared per-step stream:
+// hops of Hop each:
 //
-//	end = activation + wire[step]
+//	end = activation + ceil(log2 n)*Hop
 //	start[r] = max(arr[r], end)
 //
 // A rank slower than the round (arr[r] > end) continues from its own late
 // arrival — partial collectives never block on stragglers; their stale
 // contribution lands in a later round, exactly the eager-SGD semantics.
 //
-// Crashes come from faults.Scenario.CrashAtStep (the PR 5 vocabulary): rank
-// r leaves the world at its scheduled step and contributes to no later
-// round. What the model deliberately omits: per-message queueing inside the
-// collective's hop graph, transport backpressure, and tag-level protocol
-// detail — the real stack on the inproc, TCP and shm transports has those.
-// DESIGN.md "Deterministic simulation" states the split.
+// Crashes come from faults.Scenario.CrashAtStep: rank r leaves the world at
+// its scheduled step and contributes to no later round. What the model
+// deliberately omits: per-message queueing inside the collective's hop
+// graph, transport backpressure, and tag-level protocol detail — the real
+// stack on the inproc, TCP and shm transports has those. DESIGN.md
+// "Deterministic simulation" states the split.
 package sweep
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 	"time"
 
 	"eagersgd/internal/faults"
-	"eagersgd/internal/simnet"
+	"eagersgd/internal/imbalance"
+	"eagersgd/internal/partial"
 )
 
 // Policy names one activation policy of the sweep.
@@ -68,11 +71,10 @@ type Policy struct {
 	K int
 }
 
-// Config parameterizes one sweep cell: one world size × one skew model,
-// swept across every policy in lockstep.
+// Config parameterizes one sweep cell: one world size × one injector, swept
+// across every policy in lockstep.
 type Config struct {
-	// Seed is the root seed; every stream (skew, wire, initiator selection)
-	// derives from it.
+	// Seed is the shared initiator-selection seed (partial.Options.Seed).
 	Seed uint64
 	// Ranks is the world size.
 	Ranks int
@@ -80,10 +82,11 @@ type Config struct {
 	Steps int
 	// BaseCompute is the skew-free per-step compute time.
 	BaseCompute time.Duration
-	// Skew models per-rank per-step compute skew (nil = none).
-	Skew simnet.Model
-	// Link models per-hop wire latency of the collective (nil = none).
-	Link simnet.Model
+	// Skew injects the per-(step, rank) compute delay, in paper milliseconds
+	// read as virtual milliseconds (nil = none).
+	Skew imbalance.Injector
+	// Hop is the fixed per-hop wire latency of the collective.
+	Hop time.Duration
 	// Policies are the activation policies compared in lockstep.
 	Policies []Policy
 	// Faults optionally schedules rank crashes via CrashAtStep (other
@@ -117,7 +120,7 @@ type Curve struct {
 	TotalNs int64
 }
 
-// Run sweeps every policy of cfg over identical draws and returns one curve
+// Run sweeps every policy of cfg over the same load and returns one curve
 // per policy, in cfg.Policies order.
 func Run(cfg Config) ([]Curve, error) {
 	if cfg.Ranks <= 0 {
@@ -125,6 +128,9 @@ func Run(cfg Config) ([]Curve, error) {
 	}
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("sweep: steps %d must be positive", cfg.Steps)
+	}
+	if cfg.Hop < 0 {
+		return nil, fmt.Errorf("sweep: hop %v must not be negative", cfg.Hop)
 	}
 	if len(cfg.Policies) == 0 {
 		return nil, fmt.Errorf("sweep: no policies")
@@ -140,13 +146,9 @@ func Run(cfg Config) ([]Curve, error) {
 			return nil, fmt.Errorf("sweep: unknown mode %q in policy %q", p.Mode, p.Name)
 		}
 	}
-	skewModel := cfg.Skew
-	if skewModel == nil {
-		skewModel = simnet.Constant(0)
-	}
-	linkModel := cfg.Link
-	if linkModel == nil {
-		linkModel = simnet.Constant(0)
+	skew := cfg.Skew
+	if skew == nil {
+		skew = imbalance.None{}
 	}
 	deadline := cfg.PeerDeadline
 	if deadline <= 0 {
@@ -154,30 +156,20 @@ func Run(cfg Config) ([]Curve, error) {
 	}
 
 	n := cfg.Ranks
-	// Shared draws: every policy sees the same skew and wire samples — the
-	// lockstep property that makes the curves apples-to-apples.
+	// One generated load: every policy sees the same delays — the lockstep
+	// property that makes the curves apples-to-apples.
 	skews := make([][]int64, n) // skews[r][step]
-	for r := 0; r < n; r++ {
-		s := skewModel.Sampler(simnet.DeriveSeed(cfg.Seed, simnet.DomainSkew, uint64(r)))
-		draws := make([]int64, cfg.Steps)
-		for step := range draws {
-			draws[step] = s.Next()
+	for r := range skews {
+		skews[r] = make([]int64, cfg.Steps)
+		for step := range skews[r] {
+			skews[r][step] = int64(skew.Delay(step, r) * float64(time.Millisecond))
 		}
-		skews[r] = draws
 	}
 	hops := int64(1)
 	if n > 1 {
 		hops = int64(bits.Len(uint(n - 1))) // ceil(log2 n)
 	}
-	wire := make([]int64, cfg.Steps)
-	ws := linkModel.Sampler(simnet.DeriveSeed(cfg.Seed, simnet.DomainWire, 0))
-	for step := range wire {
-		var sum int64
-		for h := int64(0); h < hops; h++ {
-			sum += ws.Next()
-		}
-		wire[step] = sum
-	}
+	wire := hops * int64(cfg.Hop)
 	// Crash schedule: deadAt[r] = step at which rank r leaves, -1 = never.
 	deadAt := make([]int, n)
 	for r := range deadAt {
@@ -198,7 +190,7 @@ func Run(cfg Config) ([]Curve, error) {
 	return curves, nil
 }
 
-func runPolicy(cfg Config, pol Policy, skews [][]int64, wire []int64, deadAt []int, deadline int64) Curve {
+func runPolicy(cfg Config, pol Policy, skews [][]int64, wire int64, deadAt []int, deadline int64) Curve {
 	n := cfg.Ranks
 	base := int64(cfg.BaseCompute)
 	start := make([]int64, n)
@@ -235,7 +227,7 @@ func runPolicy(cfg Config, pol Policy, skews [][]int64, wire []int64, deadAt []i
 		case "solo":
 			act = minArr
 		case "majority":
-			if i0 := initiatorFor(cfg.Seed, step, 0, n); isLive(i0) {
+			if i0 := partial.Initiator(int64(cfg.Seed), step, 0, n); isLive(i0) {
 				act = arr[i0]
 			} else {
 				act = minArr + deadline // dead-initiator failover
@@ -243,7 +235,7 @@ func runPolicy(cfg Config, pol Policy, skews [][]int64, wire []int64, deadAt []i
 		case "quorum":
 			act = int64(math.MaxInt64)
 			for idx := 0; idx < pol.K; idx++ {
-				if c := initiatorFor(cfg.Seed, step, idx, n); isLive(c) && arr[c] < act {
+				if c := partial.Initiator(int64(cfg.Seed), step, idx, n); isLive(c) && arr[c] < act {
 					act = arr[c]
 				}
 			}
@@ -258,7 +250,7 @@ func runPolicy(cfg Config, pol Policy, skews [][]int64, wire []int64, deadAt []i
 				nap++
 			}
 		}
-		end := act + wire[step]
+		end := act + wire
 		stepDurs = append(stepDurs, end-prevEnd)
 		prevEnd = end
 		naps = append(naps, nap)
@@ -283,9 +275,9 @@ func runPolicy(cfg Config, pol Policy, skews [][]int64, wire []int64, deadAt []i
 		sumDur += d
 	}
 	c.MeanStepNs = float64(sumDur) / float64(len(stepDurs))
-	c.P50StepNs = simnet.Percentile(stepDurs, 50)
-	c.P95StepNs = simnet.Percentile(stepDurs, 95)
-	c.P99StepNs = simnet.Percentile(stepDurs, 99)
+	c.P50StepNs = percentile(stepDurs, 50)
+	c.P95StepNs = percentile(stepDurs, 95)
+	c.P99StepNs = percentile(stepDurs, 99)
 	c.MinNAP, c.MaxNAP = naps[0], naps[0]
 	sumNAP := 0
 	for _, v := range naps {
@@ -310,19 +302,11 @@ func runPolicy(cfg Config, pol Policy, skews [][]int64, wire []int64, deadAt []i
 	return c
 }
 
-// initiatorFor mirrors internal/partial's designated-initiator selection
-// exactly — same SplitMix64 finalizer, same mixing constants — so the sweep
-// model activates the very rank the real engine would for a given (seed,
-// round, idx).
-func initiatorFor(seed uint64, round, idx, size int) int {
-	h := mix64(seed ^ (uint64(round)+1)*0x9e3779b97f4a7c15 ^ uint64(idx)*0xbf58476d1ce4e5b9)
-	return int(h % uint64(size))
-}
-
-// mix64 is the SplitMix64 finalizer (see internal/partial.splitmix64).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// percentile returns the p-th percentile (0 ≤ p ≤ 100) of samples by
+// nearest rank on a sorted copy; samples must be non-empty.
+func percentile(samples []int64, p float64) int64 {
+	sorted := append([]int64(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+	return sorted[max(0, min(rank, len(sorted)-1))]
 }

@@ -6,9 +6,8 @@ import (
 	"time"
 
 	"eagersgd/internal/faults"
+	"eagersgd/internal/imbalance"
 	"eagersgd/internal/partial"
-	"eagersgd/internal/simnet"
-	"eagersgd/internal/transport"
 )
 
 func basePolicies() []Policy {
@@ -20,46 +19,52 @@ func basePolicies() []Policy {
 	}
 }
 
-func heavyTailConfig(seed uint64, ranks, steps int) Config {
+// severeConfig runs Fig. 12's shifted severe skew, scaled to the 2 ms base
+// step: every rank is delayed 0.2–8 ms, the assignment rotating each step. The 1000-rank tests use it because its Delay is O(1); the
+// random kinds pay a Perm(Size) per call (see TestSweepBitIdentical).
+func severeConfig(seed uint64, ranks, steps int) Config {
 	return Config{
 		Seed:        seed,
 		Ranks:       ranks,
 		Steps:       steps,
 		BaseCompute: 2 * time.Millisecond,
-		Skew:        simnet.Pareto(200*time.Microsecond, 1.2, 500*time.Millisecond),
-		Link:        simnet.Uniform(50*time.Microsecond, 200*time.Microsecond),
+		Skew:        imbalance.ShiftedSevere{Size: ranks, MinMs: 0.2, MaxMs: 8},
+		Hop:         125 * time.Microsecond,
 		Policies:    basePolicies(),
 	}
 }
 
-// TestSweepBitIdentical runs the same 1000-rank sweep twice and requires the
+// TestSweepBitIdentical runs the same sweep twice and requires the
 // marshalled snapshots to be byte-identical — the determinism contract CI
-// gates on.
+// gates on — at 1000 ranks under the shifted skew and at 64 under the seeded
+// cloud noise tail.
 func TestSweepBitIdentical(t *testing.T) {
-	render := func() []byte {
-		cfg := heavyTailConfig(42, 1000, 100)
-		curves, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
+	cloud := severeConfig(42, 64, 100)
+	cloud.Skew = imbalance.CloudNoise{Size: 64, K: 4, Seed: 42}
+	for _, cfg := range []Config{severeConfig(42, 1000, 100), cloud} {
+		render := func() []byte {
+			curves, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			snap := NewSnapshot(cfg.Seed, "test")
+			for _, c := range curves {
+				snap.Add(cfg.Skew.Name(), cfg.Ranks, c)
+			}
+			doc, err := snap.Marshal()
+			if err != nil {
+				t.Fatalf("Marshal: %v", err)
+			}
+			return doc
 		}
-		snap := NewSnapshot(cfg.Seed, "test")
-		for _, c := range curves {
-			snap.Add("pareto", cfg.Ranks, c)
+		if a, b := render(), render(); !bytes.Equal(a, b) {
+			t.Fatalf("%s: two identical sweeps produced different snapshots", cfg.Skew.Name())
 		}
-		doc, err := snap.Marshal()
-		if err != nil {
-			t.Fatalf("Marshal: %v", err)
-		}
-		return doc
-	}
-	a, b := render(), render()
-	if !bytes.Equal(a, b) {
-		t.Fatal("two identical sweeps produced different snapshots")
 	}
 }
 
 // TestSweepPolicyOrdering pins the paper's qualitative claims at 1000 ranks
-// under heavy-tailed skew:
+// under severe skew:
 //
 //   - step time: solo ≤ quorum(k) ≤ majority ≤ sync per construction (the
 //     quorum's candidate 0 IS the majority initiator, and sync waits for
@@ -67,7 +72,7 @@ func TestSweepBitIdentical(t *testing.T) {
 //   - NAP: sync is always full participation, and solo activates on the
 //     fastest rank so its mean NAP must be below majority's.
 func TestSweepPolicyOrdering(t *testing.T) {
-	curves, err := Run(heavyTailConfig(7, 1000, 200))
+	curves, err := Run(severeConfig(7, 1000, 200))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -91,16 +96,16 @@ func TestSweepPolicyOrdering(t *testing.T) {
 	}
 }
 
-// TestSweepCascadingCrash schedules the PR 5 chaos scenario at simulation
-// scale: a cascade of rank deaths starting at rank 500 of a 1000-rank world.
-// The sweep must keep producing rounds with the survivor set and report the
-// reduced participation.
+// TestSweepCascadingCrash schedules the cascading-crash chaos scenario at
+// simulation scale: a cascade of rank deaths starting at rank 500 of a
+// 1000-rank world. The sweep must keep producing rounds with the survivor set
+// and report the reduced participation.
 func TestSweepCascadingCrash(t *testing.T) {
 	crash := map[int]int{}
 	for i := 0; i < 50; i++ {
 		crash[500+i] = 100 + i // one more rank dies each step
 	}
-	cfg := heavyTailConfig(11, 1000, 300)
+	cfg := severeConfig(11, 1000, 300)
 	cfg.Faults = &faults.Scenario{Name: "cascade-at-500", CrashAtStep: crash}
 	curves, err := Run(cfg)
 	if err != nil {
@@ -129,7 +134,8 @@ func TestSweepAllCrashedStopsEarly(t *testing.T) {
 	for r := 0; r < 8; r++ {
 		crash[r] = 10
 	}
-	cfg := heavyTailConfig(3, 8, 50)
+	cfg := severeConfig(3, 8, 50)
+	cfg.Skew = imbalance.RandomSubset{Size: 8, K: 2, Amount: 4, Seed: 3}
 	cfg.Faults = &faults.Scenario{CrashAtStep: crash}
 	curves, err := Run(cfg)
 	if err != nil {
@@ -150,8 +156,7 @@ func TestSweepAllCrashedStopsEarly(t *testing.T) {
 // live rank + PeerDeadline) keeps rounds finite rather than hanging at
 // math.MaxInt64.
 func TestSweepDeadInitiatorFailover(t *testing.T) {
-	// Kill ranks 0 and 1 of a 2-rank... no: use 4 ranks, kill 3 — many rounds
-	// will designate a dead initiator.
+	// Kill 3 of 4 ranks: many rounds will designate a dead initiator.
 	crash := map[int]int{1: 0, 2: 0, 3: 0}
 	cfg := Config{
 		Seed:         5,
@@ -185,25 +190,30 @@ func TestSweepDeadInitiatorFailover(t *testing.T) {
 	}
 }
 
-// TestSweepCoordinatedStragglers replays an aligned trace where every rank
-// stalls in the same rounds (the coordinated-slowdown chaos scenario): sync
-// must absorb the stall every time while solo's median stays at the fast
-// path... both see the stall (it is coordinated — nobody is fast), so the
-// check is that the stall shows in BOTH p99s and that the lockstep draws
-// made the two policies see identical stall rounds (same p99).
-func TestSweepCoordinatedStragglers(t *testing.T) {
-	// 9 fast steps then one 80ms stall, aligned across ranks.
-	trace := make([]time.Duration, 10)
-	for i := range trace {
-		trace[i] = 100 * time.Microsecond
+// coordinatedStall is 9 fast steps then one 80 ms stall, on every rank at
+// once: the coordinated-slowdown chaos scenario.
+type coordinatedStall struct{}
+
+func (coordinatedStall) Name() string { return "coordinated-stall" }
+
+func (coordinatedStall) Delay(step, _ int) float64 {
+	if step%10 == 9 {
+		return 80
 	}
-	trace[9] = 80 * time.Millisecond
+	return 0.1
+}
+
+// TestSweepCoordinatedStragglers replays a stall every rank hits in the same
+// rounds: nobody is fast, so the stall shows in both sync's and solo's p99
+// while both medians stay on the fast path, and sync keeps full
+// participation.
+func TestSweepCoordinatedStragglers(t *testing.T) {
 	cfg := Config{
 		Seed:        13,
 		Ranks:       64,
 		Steps:       100,
 		BaseCompute: time.Millisecond,
-		Skew:        simnet.TraceAligned(trace),
+		Skew:        coordinatedStall{},
 		Policies:    []Policy{{Name: "sync", Mode: "sync"}, {Name: "solo", Mode: "solo"}},
 	}
 	curves, err := Run(cfg)
@@ -217,45 +227,65 @@ func TestSweepCoordinatedStragglers(t *testing.T) {
 		if c.P50StepNs > int64(5*time.Millisecond) {
 			t.Fatalf("%s: p50 %dns should reflect the fast rounds", c.Policy.Name, c.P50StepNs)
 		}
-	}
-	// Coordinated stall: every rank participates even under solo.
-	for _, c := range curves {
 		if c.MinNAP != 64 && c.Policy.Mode == "sync" {
-			t.Fatalf("sync NAP %d under aligned trace, want 64", c.MinNAP)
+			t.Fatalf("sync NAP %d under coordinated stall, want 64", c.MinNAP)
 		}
 	}
 }
 
-// TestSweepMatchesPartialInitiator cross-checks the sweep's mirrored
-// initiator formula against the real engine: the ranks the sweep model
-// treats as a round's quorum candidates must be exactly the ranks
-// partial.Allreducer.DesignatedInitiators reports for the same seed and
-// round, guarding against silent drift between model and engine.
-func TestSweepMatchesPartialInitiator(t *testing.T) {
-	const size, k, seed = 8, 4, 99
-	world := transport.NewInprocWorld(size)
-	defer world[0].Close()
-	a := partial.New(world[0], 4, partial.Options{Mode: partial.Quorum, Seed: seed, Candidates: k})
-	for round := 0; round < 100; round++ {
-		want := a.DesignatedInitiators(round)
-		// The sweep iterates candidate indices without dedup (duplicates are
-		// harmless under min-arrival); dedup in first-seen order to compare.
-		seen := map[int]bool{}
-		var got []int
-		for idx := 0; idx < k; idx++ {
-			r := initiatorFor(seed, round, idx, size)
-			if !seen[r] {
-				seen[r] = true
-				got = append(got, r)
+// TestSweepActivatesPartialInitiator checks the sweep's half of the
+// model/engine agreement (internal/partial pins the other): in one step of
+// linear skew rank r arrives (r+1) ms late, so the majority round activates
+// at partial.Initiator's rank i and admits exactly ranks 0..i, and quorum(k)
+// activates at the lowest of its k candidates.
+func TestSweepActivatesPartialInitiator(t *testing.T) {
+	const n, k = 8, 3
+	for seed := uint64(0); seed < 20; seed++ {
+		curves, err := Run(Config{
+			Seed:        seed,
+			Ranks:       n,
+			Steps:       1,
+			BaseCompute: time.Millisecond,
+			Skew:        imbalance.LinearSkew{StepMs: 1},
+			Hop:         time.Microsecond,
+			Policies:    []Policy{{Name: "majority", Mode: "majority"}, {Name: "quorum3", Mode: "quorum", K: k}},
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		first := partial.Initiator(int64(seed), 0, 0, n)
+		for idx := 1; idx < k; idx++ {
+			first = min(first, partial.Initiator(int64(seed), 0, idx, n))
+		}
+		for _, c := range curves {
+			want := partial.Initiator(int64(seed), 0, 0, n)
+			if c.Policy.Mode == "quorum" {
+				want = first
+			}
+			end := time.Millisecond + time.Duration(want+1)*time.Millisecond + 3*time.Microsecond
+			if c.MinNAP != want+1 || c.TotalNs != int64(end) {
+				t.Fatalf("seed %d %s: NAP %d, end %dns; want initiator %d: NAP %d, end %dns",
+					seed, c.Policy.Name, c.MinNAP, c.TotalNs, want, want+1, int64(end))
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("round %d: candidates %v, engine says %v", round, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("round %d: candidates %v, engine says %v", round, got, want)
-			}
+	}
+}
+
+// TestRunRejectsBadConfig checks that Run refuses a config it cannot
+// simulate instead of returning empty curves.
+func TestRunRejectsBadConfig(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"no ranks":       func(c *Config) { c.Ranks = 0 },
+		"no steps":       func(c *Config) { c.Steps = 0 },
+		"negative hop":   func(c *Config) { c.Hop = -time.Microsecond },
+		"no policies":    func(c *Config) { c.Policies = nil },
+		"quorum of zero": func(c *Config) { c.Policies = []Policy{{Name: "quorum0", Mode: "quorum"}} },
+		"unknown mode":   func(c *Config) { c.Policies = []Policy{{Name: "eager", Mode: "eager"}} },
+	} {
+		cfg := severeConfig(1, 8, 4)
+		mutate(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: Run accepted the config", name)
 		}
 	}
 }

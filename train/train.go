@@ -23,7 +23,6 @@ package train
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"eagersgd/collective"
@@ -123,28 +122,8 @@ func LinearSkew(stepMs float64) Imbalance {
 // multi-tenant "noise tail" of §2.3.
 func CloudNoise(k int) Imbalance {
 	return Imbalance{build: func(size int, seed int64) imbalance.Injector {
-		return cloudInjector{size: size, k: k, dist: imbalance.CloudBatchRuntime(), seed: seed}
+		return imbalance.CloudNoise{Size: size, K: k, Seed: seed}
 	}}
-}
-
-// cloudInjector implements the cloud noise tail as an imbalance.Injector.
-type cloudInjector struct {
-	size, k int
-	dist    imbalance.Distribution
-	seed    int64
-}
-
-func (c cloudInjector) Name() string { return "cloud-noise" }
-
-func (c cloudInjector) Delay(step, rank int) float64 {
-	rng := rand.New(rand.NewSource(c.seed ^ int64(step)*104729))
-	perm := rng.Perm(c.size)
-	for i := 0; i < c.k && i < c.size; i++ {
-		if perm[i] == rank {
-			return c.dist.Sample(rng) - c.dist.MinMs
-		}
-	}
-	return 0
 }
 
 // Spec describes one training run.
