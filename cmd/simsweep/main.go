@@ -23,6 +23,9 @@
 //	cloud:K          K random ranks per step get the Fig. 4 cloud noise tail
 //
 // The random kinds draw from -seed, which also seeds initiator selection.
+// The default load is Fig. 11's at 1000 ranks: a 640 ms base step with 62 of
+// 1000 ranks (Fig. 11's 4 of 64) delayed 300 or 460 ms. The cloud noise tail
+// is calibrated for the 400 ms floor of Fig. 4, so run it with -base 400ms.
 package main
 
 import (
@@ -44,8 +47,8 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "seed of initiator selection and of the random skew kinds")
 		ranksArg = flag.String("ranks", "1000", "comma-separated world sizes to sweep")
 		steps    = flag.Int("steps", 200, "training steps simulated per cell")
-		base     = flag.Duration("base", 2*time.Millisecond, "skew-free per-step compute time")
-		skewArg  = flag.String("skew", "none;random:62,4;cloud:62", "';'-separated imbalance injector specs (none, random:K,MS, linear:MS, shifted:MIN,MAX, cloud:K)")
+		base     = flag.Duration("base", 640*time.Millisecond, "skew-free per-step compute time (default: Fig. 11's base step)")
+		skewArg  = flag.String("skew", "none;random:62,300;random:62,460", "';'-separated imbalance injector specs (none, random:K,MS, linear:MS, shifted:MIN,MAX, cloud:K); the default is Fig. 11's 4-of-64 share at 1000 ranks")
 		hop      = flag.Duration("hop", 125*time.Microsecond, "per-hop wire latency of the collective")
 		policies = flag.String("policies", "solo,majority,quorum", "comma-separated activation policies (solo, majority, quorum, sync)")
 		quorumK  = flag.Int("quorum", 3, "candidate count for the quorum policy")
@@ -60,9 +63,8 @@ func main() {
 		fatalf("bad -ranks: %v", err)
 	}
 	specs := strings.Split(*skewArg, ";")
-	skews := make([]func(size int) imbalance.Injector, len(specs))
-	for i, spec := range specs {
-		if skews[i], err = parseSkew(spec, int64(*seed)); err != nil {
+	for _, spec := range specs {
+		if _, err := parseSkew(spec, int64(*seed), 1); err != nil {
 			fatalf("bad -skew: %v", err)
 		}
 	}
@@ -102,14 +104,15 @@ func main() {
 	snap := sweep.NewSnapshot(*seed, command)
 
 	for _, n := range ranks {
-		for i, skew := range skews {
-			label := strings.TrimSpace(specs[i])
+		for _, spec := range specs {
+			label := strings.TrimSpace(spec)
+			skew, _ := parseSkew(spec, int64(*seed), n) // validated above
 			curves, err := sweep.Run(sweep.Config{
 				Seed:         *seed,
 				Ranks:        n,
 				Steps:        *steps,
 				BaseCompute:  *base,
-				Skew:         skew(n),
+				Skew:         skew,
 				Hop:          *hop,
 				Policies:     pols,
 				Faults:       scenario,
@@ -153,9 +156,9 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// parseSkew reads one -skew spec into a builder of its injector for a world
-// of the given size; seed seeds the random kinds.
-func parseSkew(spec string, seed int64) (func(size int) imbalance.Injector, error) {
+// parseSkew reads one -skew spec into its injector for a world of the given
+// size; seed seeds the random kinds.
+func parseSkew(spec string, seed int64, size int) (imbalance.Injector, error) {
 	kind, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
 	var args []float64
 	if rest != "" {
@@ -179,24 +182,18 @@ func parseSkew(spec string, seed int64) (func(size int) imbalance.Injector, erro
 	}
 	switch kind {
 	case "random":
-		return func(size int) imbalance.Injector {
-			return imbalance.RandomSubset{Size: size, K: int(args[0]), Amount: args[1], Seed: seed}
-		}, nil
+		return imbalance.RandomSubset{Size: size, K: int(args[0]), Amount: args[1], Seed: seed}, nil
 	case "linear":
-		return func(int) imbalance.Injector { return imbalance.LinearSkew{StepMs: args[0]} }, nil
+		return imbalance.LinearSkew{StepMs: args[0]}, nil
 	case "shifted":
 		if args[1] < args[0] {
 			return nil, fmt.Errorf("skew %q: max %g is below min %g", spec, args[1], args[0])
 		}
-		return func(size int) imbalance.Injector {
-			return imbalance.ShiftedSevere{Size: size, MinMs: args[0], MaxMs: args[1]}
-		}, nil
+		return imbalance.ShiftedSevere{Size: size, MinMs: args[0], MaxMs: args[1]}, nil
 	case "cloud":
-		return func(size int) imbalance.Injector {
-			return imbalance.CloudNoise{Size: size, K: int(args[0]), Seed: seed}
-		}, nil
+		return imbalance.CloudNoise{Size: size, K: int(args[0]), Seed: seed}, nil
 	}
-	return func(int) imbalance.Injector { return imbalance.None{} }, nil
+	return imbalance.None{}, nil
 }
 
 func fatalf(format string, args ...any) {

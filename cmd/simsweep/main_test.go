@@ -21,11 +21,10 @@ func TestParseSkewBuildsInjectors(t *testing.T) {
 		{"shifted:50,400", imbalance.ShiftedSevere{Size: 64, MinMs: 50, MaxMs: 400}, "shifted-50-400ms"},
 		{"cloud:2", imbalance.CloudNoise{Size: 64, K: 2, Seed: 7}, "cloud-noise"},
 	} {
-		build, err := parseSkew(tc.spec, 7)
+		got, err := parseSkew(tc.spec, 7, 64)
 		if err != nil {
 			t.Fatalf("parseSkew(%q): %v", tc.spec, err)
 		}
-		got := build(64)
 		if got != tc.want {
 			t.Errorf("parseSkew(%q) built %#v, want %#v", tc.spec, got, tc.want)
 		}
@@ -45,7 +44,7 @@ func TestParseSkewRejectsBadSpecs(t *testing.T) {
 		"random:-1,300", "linear:-2", "shifted:400,50", "cloud:-3",
 		"linear:fast", "random:4,4ms", "shifted:NaN,1", "linear:Inf", "random:2.5,300", "cloud:0.5",
 	} {
-		_, err := parseSkew(spec, 7)
+		_, err := parseSkew(spec, 7, 64)
 		if err == nil {
 			t.Errorf("parseSkew(%q) accepted a bad spec", spec)
 			continue

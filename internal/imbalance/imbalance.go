@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -103,18 +104,14 @@ func (r RandomSubset) Name() string {
 }
 
 // Delay returns Amount for the K ranks selected at this step, zero otherwise.
-func (r RandomSubset) Delay(step, rank int) float64 {
-	if r.K <= 0 || r.Amount <= 0 {
-		return 0
+func (r RandomSubset) Delay(step, rank int) float64 { return pickedDelay(r, step, rank) }
+
+func (r RandomSubset) pick(step int) ([]int, float64) {
+	if r.Amount <= 0 {
+		return nil, 0
 	}
-	rng := rand.New(rand.NewSource(r.Seed ^ int64(step)*0x9e3779b9))
-	perm := rng.Perm(r.Size)
-	for i := 0; i < r.K && i < r.Size; i++ {
-		if perm[i] == rank {
-			return r.Amount
-		}
-	}
-	return 0
+	perm := rand.New(rand.NewSource(r.Seed ^ int64(step)*0x9e3779b9)).Perm(r.Size)
+	return perm[:max(0, min(r.K, r.Size))], r.Amount
 }
 
 // LinearSkew delays rank r by (r+1)*StepMs paper milliseconds, the fully
@@ -170,16 +167,47 @@ func (CloudNoise) Name() string { return "cloud-noise" }
 
 // Delay returns the step's noise sample for the K ranks selected at this
 // step, zero otherwise.
-func (c CloudNoise) Delay(step, rank int) float64 {
+func (c CloudNoise) Delay(step, rank int) float64 { return pickedDelay(c, step, rank) }
+
+// pick draws the noise sample from the step's source after the selection.
+func (c CloudNoise) pick(step int) ([]int, float64) {
 	rng := rand.New(rand.NewSource(c.Seed ^ int64(step)*104729))
 	perm := rng.Perm(c.Size)
-	for i := 0; i < c.K && i < c.Size; i++ {
-		if perm[i] == rank {
-			d := CloudBatchRuntime()
-			return d.Sample(rng) - d.MinMs
-		}
+	d := CloudBatchRuntime()
+	return perm[:max(0, min(c.K, c.Size))], d.Sample(rng) - d.MinMs
+}
+
+// picker is an injector that delays the ranks it picks at a step by one
+// shared amount: pick returns them and the amount.
+type picker interface {
+	pick(step int) (chosen []int, delay float64)
+}
+
+func pickedDelay(p picker, step, rank int) float64 {
+	if chosen, d := p.pick(step); slices.Contains(chosen, rank) {
+		return d
 	}
 	return 0
+}
+
+// StepDelays sets delays[r] to inj.Delay(step, r) for every rank r below
+// len(delays). RandomSubset and CloudNoise pick the step's ranks once here,
+// not once per rank, so a step costs O(len(delays)) for every injector.
+func StepDelays(inj Injector, step int, delays []float64) {
+	p, ok := inj.(picker)
+	if !ok {
+		for r := range delays {
+			delays[r] = inj.Delay(step, r)
+		}
+		return
+	}
+	chosen, d := p.pick(step)
+	clear(delays)
+	for _, r := range chosen {
+		if r < len(delays) {
+			delays[r] = d
+		}
+	}
 }
 
 // Distribution samples per-step runtimes (in paper milliseconds). It models

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -266,6 +267,8 @@ func checkDistribution(t *testing.T, d Distribution, wantMeanLo, wantMeanHi floa
 // TestCloudNoiseGolden pins CloudNoise's draws to the values the trainer's
 // cloud-noise runs have always used: the K ranks picked at a step share one
 // sample of the Fig. 4 tail above its minimum, every other rank gets zero.
+// The samples match to 1e-12 relative, not bit for bit: math.Exp may differ
+// in the last place between architectures (linux/386 rounds one of them).
 func TestCloudNoiseGolden(t *testing.T) {
 	for _, tc := range []struct {
 		c          CloudNoise
@@ -284,12 +287,68 @@ func TestCloudNoiseGolden(t *testing.T) {
 		{CloudNoise{Size: 64, K: 4, Seed: 42}, 2, 44, 196.7309682872392},
 		{CloudNoise{Size: 64, K: 4, Seed: 42}, 2, 1, 0},
 	} {
-		if got := tc.c.Delay(tc.step, tc.rank); got != tc.want {
+		if got := tc.c.Delay(tc.step, tc.rank); math.Abs(got-tc.want) > 1e-12*tc.want {
 			t.Errorf("%+v.Delay(%d, %d) = %v, want %v", tc.c, tc.step, tc.rank, got, tc.want)
 		}
 	}
 	if name := (CloudNoise{}).Name(); name != "cloud-noise" {
 		t.Errorf("Name() = %q, want cloud-noise", name)
+	}
+}
+
+// TestRandomSubsetGolden pins RandomSubset's selections to the ranks the
+// trainer's Figs. 10/11 runs have always delayed.
+func TestRandomSubsetGolden(t *testing.T) {
+	for _, tc := range []struct {
+		r    RandomSubset
+		step int
+		want []int
+	}{
+		{RandomSubset{Size: 8, K: 1, Amount: 300, Seed: 42}, 0, []int{7}},
+		{RandomSubset{Size: 8, K: 1, Amount: 300, Seed: 42}, 1, []int{0}},
+		{RandomSubset{Size: 8, K: 1, Amount: 300, Seed: 42}, 2, []int{5}},
+		{RandomSubset{Size: 64, K: 4, Amount: 460, Seed: 7}, 0, []int{3, 33, 39, 56}},
+		{RandomSubset{Size: 64, K: 4, Amount: 460, Seed: 7}, 1, []int{21, 35, 52, 60}},
+		{RandomSubset{Size: 64, K: 4, Amount: 460, Seed: 7}, 2, []int{7, 10, 43, 53}},
+	} {
+		var got []int
+		for r := 0; r < tc.r.Size; r++ {
+			if tc.r.Delay(tc.step, r) == tc.r.Amount {
+				got = append(got, r)
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%+v step %d delays ranks %v, want %v", tc.r, tc.step, got, tc.want)
+		}
+	}
+}
+
+// TestStepDelaysMatchesDelay checks that StepDelays fills a step's row with
+// exactly the injector's per-rank Delay values, for every injector kind.
+func TestStepDelaysMatchesDelay(t *testing.T) {
+	for _, inj := range []Injector{
+		None{},
+		RandomSubset{Size: 64, K: 4, Amount: 460, Seed: 7},
+		RandomSubset{Size: 64, K: 0, Amount: 460, Seed: 7},
+		RandomSubset{Size: 8, K: 9, Amount: 300, Seed: 42},
+		LinearSkew{StepMs: 0.5},
+		ShiftedSevere{Size: 64, MinMs: 50, MaxMs: 400},
+		CloudNoise{Size: 64, K: 4, Seed: 42},
+		CloudNoise{Size: 4, K: 2, Seed: 7},
+		CloudNoise{Size: 4, K: 0, Seed: 7},
+	} {
+		row := make([]float64, 64)
+		for step := 0; step < 20; step++ {
+			for r := range row {
+				row[r] = -1 // StepDelays must overwrite every entry
+			}
+			StepDelays(inj, step, row)
+			for r, got := range row {
+				if want := inj.Delay(step, r); got != want {
+					t.Fatalf("%s step %d rank %d: StepDelays %v, Delay %v", inj.Name(), step, r, got, want)
+				}
+			}
+		}
 	}
 }
 

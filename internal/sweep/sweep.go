@@ -121,7 +121,8 @@ type Curve struct {
 }
 
 // Run sweeps every policy of cfg over the same load and returns one curve
-// per policy, in cfg.Policies order.
+// per policy, in cfg.Policies order. It rejects negative or NaN delays and any
+// delay, base, deadline or wire time whose sum over Steps could overflow int64.
 func Run(cfg Config) ([]Curve, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("sweep: ranks %d must be positive", cfg.Ranks)
@@ -156,20 +157,34 @@ func Run(cfg Config) ([]Curve, error) {
 	}
 
 	n := cfg.Ranks
-	// One generated load: every policy sees the same delays — the lockstep
-	// property that makes the curves apples-to-apples.
-	skews := make([][]int64, n) // skews[r][step]
-	for r := range skews {
-		skews[r] = make([]int64, cfg.Steps)
-		for step := range skews[r] {
-			skews[r][step] = int64(skew.Delay(step, r) * float64(time.Millisecond))
-		}
-	}
 	hops := int64(1)
 	if n > 1 {
 		hops = int64(bits.Len(uint(n - 1))) // ceil(log2 n)
 	}
+	// A step advances the clock by at most base + delay + deadline + wire;
+	// each held to a quarter of the per-step budget, Steps of them fit int64.
+	limit := math.MaxInt64 / (4 * int64(cfg.Steps))
+	if int64(cfg.BaseCompute) > limit || int64(deadline) > limit || int64(cfg.Hop) > limit/hops {
+		return nil, fmt.Errorf("sweep: base %v, deadline %v or %d hops of %v exceed the %v per-step bound of %d steps",
+			cfg.BaseCompute, deadline, hops, cfg.Hop, time.Duration(limit), cfg.Steps)
+	}
 	wire := hops * int64(cfg.Hop)
+	// One generated load: every policy sees the same delays — the lockstep
+	// property that makes the curves apples-to-apples.
+	skews := make([][]int64, cfg.Steps) // skews[step][r]
+	row := make([]float64, n)
+	for step := range skews {
+		imbalance.StepDelays(skew, step, row)
+		skews[step] = make([]int64, n)
+		for r, ms := range row {
+			ns := ms * float64(time.Millisecond)
+			if !(ns >= 0 && ns < math.MaxInt64/2) || int64(ns) > limit {
+				return nil, fmt.Errorf("sweep: %s delay %g ms at step %d, rank %d is negative or above the %v per-step bound of %d steps",
+					skew.Name(), ms, step, r, time.Duration(limit), cfg.Steps)
+			}
+			skews[step][r] = int64(ns)
+		}
+	}
 	// Crash schedule: deadAt[r] = step at which rank r leaves, -1 = never.
 	deadAt := make([]int, n)
 	for r := range deadAt {
@@ -207,7 +222,7 @@ func runPolicy(cfg Config, pol Policy, skews [][]int64, wire int64, deadAt []int
 				continue
 			}
 			live++
-			arr[r] = start[r] + base + skews[r][step]
+			arr[r] = start[r] + base + skews[step][r]
 			if arr[r] < minArr {
 				minArr = arr[r]
 			}

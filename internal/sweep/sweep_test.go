@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,8 +22,7 @@ func basePolicies() []Policy {
 }
 
 // severeConfig runs Fig. 12's shifted severe skew, scaled to the 2 ms base
-// step: every rank is delayed 0.2–8 ms, the assignment rotating each step. The 1000-rank tests use it because its Delay is O(1); the
-// random kinds pay a Perm(Size) per call (see TestSweepBitIdentical).
+// step: every rank is delayed 0.2–8 ms, the assignment rotating each step.
 func severeConfig(seed uint64, ranks, steps int) Config {
 	return Config{
 		Seed:        seed,
@@ -36,11 +37,11 @@ func severeConfig(seed uint64, ranks, steps int) Config {
 
 // TestSweepBitIdentical runs the same sweep twice and requires the
 // marshalled snapshots to be byte-identical — the determinism contract CI
-// gates on — at 1000 ranks under the shifted skew and at 64 under the seeded
+// gates on — at 1000 ranks under the shifted skew and under the seeded
 // cloud noise tail.
 func TestSweepBitIdentical(t *testing.T) {
-	cloud := severeConfig(42, 64, 100)
-	cloud.Skew = imbalance.CloudNoise{Size: 64, K: 4, Seed: 42}
+	cloud := severeConfig(42, 1000, 100)
+	cloud.Skew = imbalance.CloudNoise{Size: 1000, K: 62, Seed: 42}
 	for _, cfg := range []Config{severeConfig(42, 1000, 100), cloud} {
 		render := func() []byte {
 			curves, err := Run(cfg)
@@ -271,6 +272,22 @@ func TestSweepActivatesPartialInitiator(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOverflowingDelay checks that a delay whose sum over the
+// steps would overflow int64 nanoseconds is an error naming its step and
+// rank, not a wrapped curve.
+func TestRunRejectsOverflowingDelay(t *testing.T) {
+	cfg := severeConfig(1, 1000, 200)
+	cfg.Skew = imbalance.LinearSkew{StepMs: 1e12}
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "step 0, rank 0") {
+		t.Fatalf("Run with linear:1e12 at 1000 ranks: err %v, want one naming step 0, rank 0", err)
+	}
+	cfg.Skew = imbalance.LinearSkew{StepMs: 1e3} // 1000 s at the last rank: in bounds
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Run with linear:1000: %v", err)
+	}
+}
+
 // TestRunRejectsBadConfig checks that Run refuses a config it cannot
 // simulate instead of returning empty curves.
 func TestRunRejectsBadConfig(t *testing.T) {
@@ -281,6 +298,11 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		"no policies":    func(c *Config) { c.Policies = nil },
 		"quorum of zero": func(c *Config) { c.Policies = []Policy{{Name: "quorum0", Mode: "quorum"}} },
 		"unknown mode":   func(c *Config) { c.Policies = []Policy{{Name: "eager", Mode: "eager"}} },
+		"huge base":      func(c *Config) { c.BaseCompute = math.MaxInt64 / 8 },
+		"huge hop":       func(c *Config) { c.Hop = math.MaxInt64 / 8 },
+		"huge deadline":  func(c *Config) { c.PeerDeadline = math.MaxInt64 / 8 },
+		"negative delay": func(c *Config) { c.Skew = imbalance.LinearSkew{StepMs: -1} },
+		"NaN delay":      func(c *Config) { c.Skew = imbalance.LinearSkew{StepMs: math.NaN()} },
 	} {
 		cfg := severeConfig(1, 8, 4)
 		mutate(&cfg)
