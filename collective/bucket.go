@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"eagersgd/internal/collectives"
 	"eagersgd/internal/partial"
@@ -16,8 +15,9 @@ import (
 // training loop opens a step (BeginStep), submits layer-aligned buckets as
 // backprop produces them (SubmitBucket — communication starts while the
 // remaining layers are still backpropagating), applies each bucket's reduced
-// sum as it lands (BucketHandle.Wait), and closes the step (WaitStep). The
-// classic one-shot Reduce remains the single-bucket special case.
+// sum as it lands (BucketHandle.Wait), and closes the step (WaitStep). It is
+// the only exchange path: Reduce is a step over the engine's one-shot layout
+// (elasticReducer.Reduce).
 //
 // Concurrency and wire safety: the Sync reducer reduces a step's buckets one
 // at a time, in submit order, on one worker goroutine in the default tag
@@ -64,22 +64,27 @@ type BucketReducer interface {
 	WaitStep(ctx context.Context) (Result, error)
 }
 
-// BucketHandle is one in-flight bucket reduction of a bucketed step.
+// BucketHandle is one in-flight bucket reduction of a bucketed step. The
+// reducer owns it and reuses it for the next step: a handle is valid until
+// the next BeginStep.
 type BucketHandle struct {
-	offset int
-	length int
+	owner     bucketOwner
+	index     int // the bucket's position in the step's layout
+	offset    int
+	length    int
+	submitted bool
 
-	// lazy, when non-nil, fetches the result on demand (the eager engine
-	// publishes bucket results itself; the handle only needs to know where to
-	// look). Worker-resolved handles use done/sum/err instead.
-	lazy func(ctx context.Context) (tensor.Vector, error)
+	// The bucket worker's verdict on a Sync bucket, guarded by the
+	// syncReducer's mu: done once resolved, then sum (until claimed) or err.
+	done bool
+	sum  tensor.Vector
+	err  error
+}
 
-	done      chan struct{}
-	mu        sync.Mutex
-	sum       tensor.Vector
-	err       error
-	claimed   bool
-	abandoned bool
+// bucketOwner is the reducer whose step a handle belongs to; it resolves the
+// handle's bucket.
+type bucketOwner interface {
+	waitBucket(ctx context.Context, h *BucketHandle) (tensor.Vector, error)
 }
 
 // Offset returns the bucket's start offset within the gradient vector.
@@ -94,74 +99,67 @@ func (h *BucketHandle) Len() int { return h.length }
 // may be called at most once per handle; results never claimed are released
 // by WaitStep.
 func (h *BucketHandle) Wait(ctx context.Context) (tensor.Vector, error) {
-	if h.lazy != nil {
-		return h.lazy(ctx)
-	}
-	select {
-	case <-h.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.err != nil {
-		return nil, h.err
-	}
-	if h.claimed || h.sum == nil {
-		return nil, errors.New("collective: bucket result already claimed")
-	}
-	h.claimed = true
-	sum := h.sum
-	h.sum = nil
-	return sum, nil
+	return h.owner.waitBucket(ctx, h)
 }
 
-// resolve delivers the worker's result. If the handle was abandoned (its step
-// gave up waiting), the lease is released immediately so nothing leaks.
-func (h *BucketHandle) resolve(sum tensor.Vector, err error) {
-	h.mu.Lock()
-	if h.abandoned && sum != nil {
-		tensor.PutVector(sum)
-		sum = nil
-	}
-	h.sum, h.err = sum, err
-	h.mu.Unlock()
-	close(h.done)
+// stepRecord is a reducer's one step record, rewritten in place by every
+// BeginStep so that a step allocates nothing once the reducer is warm.
+type stepRecord struct {
+	open      bool
+	handles   []BucketHandle // one per bucket, in layout order
+	submitted int
 }
 
-// abandon marks the handle as no longer awaited and releases an unclaimed
-// result if one already arrived; a result arriving later is released by
-// resolve.
-func (h *BucketHandle) abandon() {
-	h.mu.Lock()
-	if h.sum != nil && !h.claimed {
-		tensor.PutVector(h.sum)
-		h.sum = nil
+// begin opens a step over lens, which must partition [0, dim).
+func (st *stepRecord) begin(owner bucketOwner, dim int, lens []int) error {
+	if st.open {
+		return errors.New("collective: BeginStep with a step already in flight")
 	}
-	h.abandoned = true
-	h.mu.Unlock()
+	if err := checkLayout(dim, lens); err != nil {
+		return err
+	}
+	st.handles = st.handles[:0]
+	off := 0
+	for b, l := range lens {
+		st.handles = append(st.handles, BucketHandle{owner: owner, index: b, offset: off, length: l})
+		off += l
+	}
+	st.open, st.submitted = true, 0
+	return nil
 }
 
-// finalize waits for the handle's resolution, releases an unclaimed result,
-// and returns the handle's error. On ctx cancellation the handle is
-// abandoned (a late result is released by resolve) and ctx's error returned.
-func (h *BucketHandle) finalize(ctx context.Context) error {
-	if h.lazy != nil {
-		return nil // the eager engine owns the buffers; nothing to release
+// submit marks the bucket (offset, length) submitted and returns its handle.
+func (st *stepRecord) submit(offset, length int) (*BucketHandle, error) {
+	if !st.open {
+		return nil, errors.New("collective: SubmitBucket without BeginStep")
 	}
-	select {
-	case <-h.done:
-	case <-ctx.Done():
-		h.abandon()
-		return ctx.Err()
+	for i := range st.handles {
+		h := &st.handles[i]
+		if h.offset != offset {
+			continue
+		}
+		if h.length != length {
+			return nil, fmt.Errorf("collective: bucket at offset %d has %d elements, submission has %d", offset, h.length, length)
+		}
+		if h.submitted {
+			return nil, fmt.Errorf("collective: bucket at offset %d submitted twice", offset)
+		}
+		h.submitted = true
+		st.submitted++
+		return h, nil
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.sum != nil && !h.claimed {
-		tensor.PutVector(h.sum)
-		h.sum = nil
+	return nil, fmt.Errorf("collective: no bucket starts at offset %d", offset)
+}
+
+// end closes the step. An SPMD peer that submitted every bucket is blocked
+// in the missing ones, so a step that ended short of its buckets is an error,
+// not full participation.
+func (st *stepRecord) end() error {
+	st.open = false
+	if st.submitted != len(st.handles) {
+		return fmt.Errorf("collective: step ended with %d of %d buckets submitted", st.submitted, len(st.handles))
 	}
-	return h.err
+	return nil
 }
 
 // overlapper is implemented by the reducers Node.Reducer mints.
@@ -179,157 +177,140 @@ func OverlapSettings(r Reducer) (enabled bool, bucketElems int) {
 	return false, 0
 }
 
-// validateLayout checks that lens partitions [0, dim) and returns the bucket
-// start offsets.
-func validateLayout(dim int, lens []int) ([]int, error) {
+// checkLayout checks that lens partitions [0, dim).
+func checkLayout(dim int, lens []int) error {
 	if len(lens) == 0 {
-		return nil, errors.New("collective: bucketed step needs at least one bucket")
+		return errors.New("collective: bucketed step needs at least one bucket")
 	}
-	offs := make([]int, len(lens))
 	total := 0
 	for b, l := range lens {
 		if l <= 0 {
-			return nil, fmt.Errorf("collective: bucket %d length %d must be positive", b, l)
+			return fmt.Errorf("collective: bucket %d length %d must be positive", b, l)
 		}
-		offs[b] = total
 		total += l
 	}
 	if total != dim {
-		return nil, fmt.Errorf("collective: bucket lengths sum to %d, want reducer dimension %d", total, dim)
+		return fmt.Errorf("collective: bucket lengths sum to %d, want reducer dimension %d", total, dim)
 	}
-	return offs, nil
-}
-
-// bucketIndex locates the bucket with the given (offset, length) in the
-// layout described by lens/offs.
-func bucketIndex(lens, offs []int, offset, length int) (int, error) {
-	for b, o := range offs {
-		if o == offset {
-			if lens[b] != length {
-				return 0, fmt.Errorf("collective: bucket at offset %d has %d elements, submission has %d", offset, lens[b], length)
-			}
-			return b, nil
-		}
-	}
-	return 0, fmt.Errorf("collective: no bucket starts at offset %d", offset)
+	return nil
 }
 
 // --- Sync reducer implementation ---------------------------------------
 
 // bucketTask is one submitted bucket on its way through the bucket worker.
 type bucketTask struct {
-	h   *BucketHandle
-	sum tensor.Vector
-	ctx context.Context
+	index int    // the bucket's handle in the step record
+	gen   uint64 // the step generation it was submitted in
+	sum   tensor.Vector
+	ctx   context.Context
 }
 
-// bucketWorker is the Sync reducer's bucket worker: one goroutine draining
-// one FIFO queue and running each bucket's allreduce in submit order. The
-// queue is a mutex+cond list rather than a channel so that Close (which may
-// race with a submitter still in its backward pass) never has to close a
-// channel someone might be sending on: after close, the worker drains
-// whatever is queued — resolving it with ErrReducerClosed and releasing the
-// leases — and exits.
-type bucketWorker struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []bucketTask
-	closed bool
-	done   chan struct{} // closed when the worker goroutine exits
-}
-
-// enqueue appends the task to the queue, or resolves it with
-// ErrReducerClosed when the worker is already shut down.
-func (bw *bucketWorker) enqueue(task bucketTask) {
-	bw.mu.Lock()
-	if bw.closed {
-		bw.mu.Unlock()
-		tensor.PutVector(task.sum)
-		task.h.resolve(nil, ErrReducerClosed)
-		return
-	}
-	bw.q = append(bw.q, task)
-	bw.cond.Signal()
-	bw.mu.Unlock()
-}
-
-// close wakes the worker for its final drain. Idempotent.
-func (bw *bucketWorker) close() {
-	bw.mu.Lock()
-	bw.closed = true
-	bw.cond.Signal()
-	bw.mu.Unlock()
-}
-
-// joinEngine implements engine: it blocks until the bucket worker has
-// drained and exited, returning its queued leases to the pool (a worker
-// blocked inside a collective exits once the communicator is closed).
-func (s *syncReducer) joinEngine() {
+// runWorker is the Sync reducer's bucket worker, started with the reducer:
+// one goroutine draining one FIFO queue and running each bucket's allreduce
+// in submit order. The queue lives under s.mu rather than in a channel so
+// that Close (which may race with a submitter still in its backward pass)
+// never has to close a channel someone might be sending on: after Close,
+// which resolves the step's handles itself, the worker drains whatever is
+// queued without touching the wire, releases the leases, and exits.
+func (s *syncReducer) runWorker() {
+	defer close(s.workerDone)
+	cfg := collectives.Config{PeerDeadline: s.peerDeadline}
+	var failed error // first failed collective; later buckets fail with it
 	s.mu.Lock()
-	bw := s.worker
-	s.mu.Unlock()
-	if bw != nil {
-		<-bw.done
-	}
-}
-
-func (s *syncReducer) ensureWorker() *bucketWorker {
-	if s.worker != nil {
-		return s.worker
-	}
-	bw := &bucketWorker{done: make(chan struct{})}
-	bw.cond = sync.NewCond(&bw.mu)
-	go func() {
-		defer close(bw.done)
-		cfg := collectives.Config{PeerDeadline: s.peerDeadline}
-		var failed error // first failed collective; later buckets fail with it
-		for {
-			bw.mu.Lock()
-			for len(bw.q) == 0 && !bw.closed {
-				bw.cond.Wait()
-			}
-			if len(bw.q) == 0 { // closed and drained
-				bw.mu.Unlock()
-				return
-			}
-			task := bw.q[0]
-			bw.q = bw.q[1:]
-			closed := bw.closed
-			bw.mu.Unlock()
-			switch {
-			case closed:
-				// The reducer was closed with this bucket still queued:
-				// resolve it without touching the wire.
-				tensor.PutVector(task.sum)
-				task.h.resolve(nil, ErrReducerClosed)
-			case failed != nil:
-				// A collective that failed (canceled, or a peer down) left
-				// the default tag block mid-protocol: its unmatched messages
-				// would pair with the next bucket's, whose length differs.
-				// Fail every later bucket without touching the wire.
-				tensor.PutVector(task.sum)
-				task.h.resolve(nil, ctxError(task.ctx, failed))
-			default:
-				if err := collectives.AllreduceWith(s.comm, task.sum, collectives.OpSum, collectives.AlgoAuto, cfg, task.ctx.Done()); err != nil {
-					failed = err
-					tensor.PutVector(task.sum)
-					task.h.resolve(nil, ctxError(task.ctx, err))
-					continue
-				}
-				task.h.resolve(task.sum, nil)
+	for {
+		for s.head == len(s.queue) && !s.closed {
+			s.cond.Wait()
+		}
+		if s.head == len(s.queue) { // closed and drained
+			s.mu.Unlock()
+			return
+		}
+		task := s.queue[s.head]
+		s.queue[s.head] = bucketTask{}
+		s.head++
+		if s.head == len(s.queue) {
+			s.queue, s.head = s.queue[:0], 0
+		}
+		closed := s.closed
+		s.mu.Unlock()
+		var err error
+		switch {
+		case closed:
+			// The reducer was closed with this bucket still queued.
+			err = ErrReducerClosed
+		case failed != nil:
+			// A collective that failed (canceled, or a peer down) left the
+			// default tag block mid-protocol: its unmatched messages would
+			// pair with the next bucket's, whose length differs. Fail every
+			// later bucket without touching the wire.
+			err = ctxError(task.ctx, failed)
+		default:
+			if err = collectives.AllreduceWith(s.comm, task.sum, collectives.OpSum, collectives.AlgoAuto, cfg, task.ctx.Done()); err != nil {
+				failed = err
+				err = ctxError(task.ctx, err)
 			}
 		}
-	}()
-	s.worker = bw
-	return bw
+		if err != nil {
+			tensor.PutVector(task.sum)
+			task.sum = nil
+		}
+		s.mu.Lock()
+		if task.gen != s.gen {
+			// The bucket's step was abandoned, and its record may already
+			// serve the next step: the verdict reaches no handle.
+			if task.sum != nil {
+				tensor.PutVector(task.sum)
+			}
+			continue
+		}
+		h := &s.step.handles[task.index]
+		h.done, h.sum, h.err = true, task.sum, err
+		s.notifyLocked()
+	}
 }
 
-// syncStep is the Sync reducer's in-flight bucketed step.
-type syncStep struct {
-	lens    []int
-	offs    []int
-	handles []*BucketHandle
-	call    int
+// notifyLocked wakes the step's waiter, if any; a token nobody takes stays
+// for the next wait, which then re-checks its handle once more.
+func (s *syncReducer) notifyLocked() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// awaitLocked blocks until the worker has resolved h or ctx is done. It is
+// called, and returns, with s.mu held.
+func (s *syncReducer) awaitLocked(ctx context.Context, h *BucketHandle) error {
+	for !h.done {
+		s.mu.Unlock()
+		select {
+		case <-s.wake:
+		case <-ctx.Done():
+			s.mu.Lock()
+			return ctx.Err()
+		}
+		s.mu.Lock()
+	}
+	return nil
+}
+
+// abandonLocked ends the open step's buckets with err: unresolved handles
+// resolve with it, unclaimed results are released, and the generation moves
+// on so that a bucket still inside its collective is released when it lands.
+// Caller holds s.mu.
+func (s *syncReducer) abandonLocked(err error) {
+	s.gen++
+	for i := range s.step.handles {
+		switch h := &s.step.handles[i]; {
+		case !h.submitted: // nothing in flight
+		case !h.done:
+			h.done, h.err = true, err
+		case h.sum != nil:
+			tensor.PutVector(h.sum)
+			h.sum, h.err = nil, err
+		}
+	}
+	s.notifyLocked()
 }
 
 // BeginStep opens a bucketed step (see BucketReducer). For the negotiated
@@ -341,32 +322,25 @@ func (s *syncReducer) BeginStep(ctx context.Context, lens []int) error {
 		s.mu.Unlock()
 		return ErrReducerClosed
 	}
-	if s.step != nil {
+	if err := s.step.begin(s, s.dim, lens); err != nil {
 		s.mu.Unlock()
-		return errors.New("collective: BeginStep with a step already in flight")
-	}
-	s.mu.Unlock()
-	offs, err := validateLayout(s.dim, lens)
-	if err != nil {
 		return err
 	}
-	call := s.calls
 	s.calls++
-	if s.negotiate {
-		ready := tensor.GetVector(1)
-		ready[0] = 1
-		err := collectives.AllreduceWith(s.comm, ready, collectives.OpSum, collectives.AlgoRecursiveDoubling, collectives.Config{PeerDeadline: s.peerDeadline}, ctx.Done())
-		tensor.PutVector(ready)
-		if err != nil {
-			return ctxError(ctx, err)
-		}
+	s.mu.Unlock()
+	if !s.negotiate {
+		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrReducerClosed
+	ready := tensor.GetVector(1)
+	ready[0] = 1
+	err := collectives.AllreduceWith(s.comm, ready, collectives.OpSum, collectives.AlgoRecursiveDoubling, collectives.Config{PeerDeadline: s.peerDeadline}, ctx.Done())
+	tensor.PutVector(ready)
+	if err != nil {
+		s.mu.Lock()
+		s.step.open = false
+		s.mu.Unlock()
+		return ctxError(ctx, err)
 	}
-	s.step = &syncStep{lens: lens, offs: offs, handles: make([]*BucketHandle, len(lens)), call: call}
 	return nil
 }
 
@@ -374,146 +348,145 @@ func (s *syncReducer) BeginStep(ctx context.Context, lens []int) error {
 // allreduce begins as soon as the buckets submitted before it are reduced,
 // overlapping whatever the caller does next.
 func (s *syncReducer) SubmitBucket(ctx context.Context, offset int, data tensor.Vector) (*BucketHandle, error) {
+	sum := tensor.GetVectorCopy(data)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
+		tensor.PutVector(sum)
 		return nil, ErrReducerClosed
 	}
-	st := s.step
-	if st == nil {
-		s.mu.Unlock()
-		return nil, errors.New("collective: SubmitBucket without BeginStep")
-	}
-	b, err := bucketIndex(st.lens, st.offs, offset, len(data))
+	h, err := s.step.submit(offset, len(data))
 	if err != nil {
-		s.mu.Unlock()
+		tensor.PutVector(sum)
 		return nil, err
 	}
-	if st.handles[b] != nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("collective: bucket at offset %d submitted twice", offset)
-	}
-	h := &BucketHandle{offset: offset, length: len(data), done: make(chan struct{})}
-	st.handles[b] = h
-	bw := s.ensureWorker()
-	s.mu.Unlock()
-	bw.enqueue(bucketTask{h: h, sum: tensor.GetVectorCopy(data), ctx: ctx})
+	s.queue = append(s.queue, bucketTask{index: h.index, gen: s.gen, sum: sum, ctx: ctx})
+	s.cond.Signal()
 	return h, nil
+}
+
+// waitBucket implements bucketOwner: it waits for the worker's verdict and
+// claims the bucket's result.
+func (s *syncReducer) waitBucket(ctx context.Context, h *BucketHandle) (tensor.Vector, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.awaitLocked(ctx, h); err != nil {
+		return nil, err
+	}
+	if h.err != nil {
+		return nil, h.err
+	}
+	if h.sum == nil {
+		return nil, errors.New("collective: bucket result already claimed")
+	}
+	sum := h.sum
+	h.sum = nil
+	return sum, nil
 }
 
 // WaitStep completes the step (see BucketReducer). Canceling ctx abandons
 // the remaining buckets — their late results are released, stray queued
-// payloads in the bucket worker's tag block are purged — and leaves the collective
-// mid-protocol: close the world afterwards.
+// payloads in the bucket worker's tag block are purged — and leaves the
+// collective mid-protocol: close the world afterwards.
 func (s *syncReducer) WaitStep(ctx context.Context) (Result, error) {
 	s.mu.Lock()
-	st := s.step
-	s.step = nil
-	s.mu.Unlock()
-	if st == nil {
+	defer s.mu.Unlock()
+	if !s.step.open {
 		return Result{}, errors.New("collective: WaitStep without BeginStep")
 	}
+	if s.closed {
+		s.step.open = false // Close resolved the handles and released their sums
+		return Result{}, ErrReducerClosed
+	}
 	var firstErr error
-	submitted := 0
-	for i, h := range st.handles {
-		if h == nil {
+	for i := range s.step.handles {
+		h := &s.step.handles[i]
+		if !h.submitted {
 			continue
 		}
-		submitted++
-		if err := h.finalize(ctx); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			if ctx.Err() != nil {
-				// Abandon the rest and purge stray bucket payloads so their
-				// pooled vectors return to the pool instead of sitting in the
-				// unexpected queue forever.
-				for _, rest := range st.handles[i+1:] {
-					if rest != nil {
-						rest.abandon()
-					}
-				}
-				lo, hi := collectives.TagRange()
-				s.comm.DiscardTagRange(lo, hi)
-				return Result{}, ctxError(ctx, firstErr)
-			}
+		if err := s.awaitLocked(ctx, h); err != nil {
+			// Abandon the rest and purge stray bucket payloads so their
+			// pooled vectors return to the pool instead of sitting in the
+			// unexpected queue forever.
+			s.abandonLocked(err)
+			s.step.open = false
+			lo, hi := collectives.TagRange()
+			s.comm.DiscardTagRange(lo, hi)
+			return Result{}, ctxError(ctx, err)
+		}
+		if h.sum != nil {
+			tensor.PutVector(h.sum)
+			h.sum = nil
+		}
+		if h.err != nil && firstErr == nil {
+			firstErr = h.err
 		}
 	}
+	err := s.step.end()
 	if firstErr != nil {
 		return Result{}, ctxError(ctx, firstErr)
 	}
-	if submitted != len(st.handles) {
-		// An SPMD peer that submitted everything is now blocked inside the
-		// missing buckets' collectives; surface the protocol violation here
-		// instead of reporting full participation.
-		return Result{}, fmt.Errorf("collective: step ended with %d of %d buckets submitted", submitted, len(st.handles))
+	if err != nil {
+		return Result{}, err
 	}
 	size := s.comm.Size()
-	return Result{Ranks: size, ActiveRanks: size, Included: true, Round: st.call}, nil
+	return Result{Ranks: size, ActiveRanks: size, Included: true, Round: s.calls - 1}, nil
 }
 
 // Close marks the reducer closed and stops its bucket worker; queued buckets
-// resolve with ErrReducerClosed and their leases return to the pool. Close
+// resolve with ErrReducerClosed and their leases return to the pool, and a
+// step in flight resolves every pending handle with ErrReducerClosed. Close
 // does not close the transport, so a worker blocked inside a collective is
 // unblocked by closing the world, not by Close. It is idempotent and safe to
 // call concurrently with an in-flight bucketed step (World.Close during an
 // overlapped step, or a trainer and World.Close both shutting down).
 func (s *syncReducer) Close() error {
-	s.closeOnce.Do(func() {
-		s.mu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
 		s.closed = true
-		bw, st := s.worker, s.step
-		s.step = nil
-		s.mu.Unlock()
-		if bw != nil {
-			bw.close()
-		}
-		if st != nil {
-			for _, h := range st.handles {
-				if h != nil {
-					h.abandon()
-				}
-			}
-		}
-	})
+		s.abandonLocked(ErrReducerClosed)
+		s.cond.Signal()
+	}
 	return nil
 }
 
-// --- Eager reducer implementation ---------------------------------------
+// joinEngine implements engine: it blocks until the bucket worker has
+// drained and exited, returning its queued leases to the pool (a worker
+// blocked inside a collective exits once the communicator is closed).
+func (s *syncReducer) joinEngine() { <-s.workerDone }
 
-// eagerStep is the eager reducer's in-flight bucketed step.
-type eagerStep struct {
-	round     int           // engine round
-	seq       uint64        // contribution sequence, set at commit
-	stage     tensor.Vector // where the step's buckets are staged until its last one commits them
-	submitted int
-	handles   []*BucketHandle
-}
+// --- Eager reducer implementation ---------------------------------------
 
 // BeginStep opens a bucketed step (see BucketReducer). The lens must match
 // the layout the reducer was constructed with (WithBucketLayout, or the
 // single whole-vector bucket): the partial engine hands out every round's
 // result by that layout, which is fixed for the reducer's lifetime.
 func (e *eagerReducer) BeginStep(ctx context.Context, lens []int) error {
-	if e.estep != nil {
-		return errors.New("collective: BeginStep with a step already in flight")
-	}
-	if _, err := validateLayout(e.dim, lens); err != nil {
+	if err := e.step.begin(e, e.dim, lens); err != nil {
 		return err
 	}
-	if len(lens) != e.ar.NumBuckets() {
-		return fmt.Errorf("collective: step has %d buckets, reducer layout has %d (fix it with WithBucketLayout)", len(lens), e.ar.NumBuckets())
+	err := e.matchLayout(lens)
+	if err == nil {
+		e.round, e.stage, err = e.ar.BeginStep()
+		err = e.stepErr(err)
+	}
+	if err != nil {
+		e.step.open = false
+	}
+	return err
+}
+
+// matchLayout reports a step layout that differs from the engine's.
+func (e *eagerReducer) matchLayout(lens []int) error {
+	if len(lens) != len(e.layout) {
+		return fmt.Errorf("collective: step has %d buckets, reducer layout has %d (fix it with WithBucketLayout)", len(lens), len(e.layout))
 	}
 	for b, l := range lens {
-		if lo, hi := e.ar.BucketRange(b); hi-lo != l {
-			return fmt.Errorf("collective: bucket %d has %d elements, reducer layout has %d", b, l, hi-lo)
+		if l != e.layout[b] {
+			return fmt.Errorf("collective: bucket %d has %d elements, reducer layout has %d", b, l, e.layout[b])
 		}
 	}
-	round, stage, err := e.ar.BeginStep()
-	if err != nil {
-		return e.stepErr(err)
-	}
-	e.estep = &eagerStep{round: round, stage: stage, handles: make([]*BucketHandle, len(lens))}
 	return nil
 }
 
@@ -529,28 +502,14 @@ func (e *eagerReducer) stepErr(err error) error {
 // bucket of the step shares one participation decision. Bucket handles
 // resolve when the engine publishes the step's round.
 func (e *eagerReducer) SubmitBucket(ctx context.Context, offset int, data tensor.Vector) (*BucketHandle, error) {
-	st := e.estep
-	if st == nil {
-		return nil, errors.New("collective: SubmitBucket without BeginStep")
-	}
-	b, err := bucketIndex(e.lens, e.offs, offset, len(data))
+	h, err := e.step.submit(offset, len(data))
 	if err != nil {
 		return nil, err
 	}
-	if st.handles[b] != nil {
-		return nil, fmt.Errorf("collective: bucket at offset %d submitted twice", offset)
-	}
-	st.stage[offset : offset+len(data)].CopyFrom(data)
-	round := st.round
-	h := &BucketHandle{offset: offset, length: len(data), lazy: func(ctx context.Context) (tensor.Vector, error) {
-		sum, err := e.ar.WaitBucket(ctx, round, b)
-		return sum, e.stepErr(err)
-	}}
-	st.handles[b] = h
-	st.submitted++
-	if st.submitted == len(st.handles) {
-		seq, err := e.ar.Contribute(st.round)
-		st.seq = seq
+	e.stage[offset : offset+len(data)].CopyFrom(data)
+	if e.step.submitted == len(e.step.handles) {
+		seq, err := e.ar.Contribute(e.round)
+		e.seq = seq
 		if err != nil {
 			return h, e.stepErr(err)
 		}
@@ -558,17 +517,11 @@ func (e *eagerReducer) SubmitBucket(ctx context.Context, offset int, data tensor
 	return h, nil
 }
 
-// layoutOf computes the reducer's bucket lengths and offsets from the
-// engine's fixed layout; the constructor caches the result on e.lens/e.offs.
-func (e *eagerReducer) layoutOf() (lens, offs []int) {
-	n := e.ar.NumBuckets()
-	lens = make([]int, n)
-	offs = make([]int, n)
-	for b := 0; b < n; b++ {
-		lo, hi := e.ar.BucketRange(b)
-		offs[b], lens[b] = lo, hi-lo
-	}
-	return lens, offs
+// waitBucket implements bucketOwner: the engine keeps the round's result, and
+// the handle reads its bucket's slice of it.
+func (e *eagerReducer) waitBucket(ctx context.Context, h *BucketHandle) (tensor.Vector, error) {
+	sum, err := e.ar.WaitBucket(ctx, e.round, h.index)
+	return sum, e.stepErr(err)
 }
 
 // WaitStep completes the step (see BucketReducer): it waits for the engine
@@ -576,15 +529,13 @@ func (e *eagerReducer) layoutOf() (lens, offs []int) {
 // decision, so ActiveRanks and Included are identical for every bucket of
 // the step.
 func (e *eagerReducer) WaitStep(ctx context.Context) (Result, error) {
-	st := e.estep
-	if st == nil {
+	if !e.step.open {
 		return Result{}, errors.New("collective: WaitStep without BeginStep")
 	}
-	e.estep = nil
-	if st.submitted != len(st.handles) {
-		return Result{}, fmt.Errorf("collective: step ended with %d of %d buckets submitted", st.submitted, len(st.handles))
+	if err := e.step.end(); err != nil {
+		return Result{}, err
 	}
-	info, err := e.ar.WaitStep(ctx, st.round, st.seq)
+	info, err := e.ar.WaitStep(ctx, e.round, e.seq)
 	if err != nil {
 		return Result{}, e.stepErr(err)
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"eagersgd/internal/collectives"
 	"eagersgd/internal/partial"
 	"eagersgd/internal/tensor"
 )
@@ -88,11 +90,12 @@ func runBucketedStep(t *testing.T, reducers []Reducer, lens []int, fill func(ran
 // TestSyncBucketedBitForBitSingleShot is the numerical-equivalence gate of
 // the overlapped exchange: at these lengths Auto runs recursive doubling
 // (whose per-element reduction tree does not depend on the vector length), so
-// a bucketed step must produce bit-for-bit the sums of the one-shot Reduce on
-// the in-process transport. The bucket worker reduces the buckets one at a
-// time in submit order; the 9-bucket row queues more buckets than a step has
-// ever had in flight, and the TCP runs put them on the transport
-// balanced-large uses.
+// a bucketed step must produce bit-for-bit the sums of one allreduce over the
+// full vector on the in-process transport. The reference calls
+// collectives.AllreduceWith directly, not Reduce, which is itself a step. The
+// bucket worker reduces the buckets one at a time in submit order; the
+// 9-bucket row queues more buckets than a step has ever had in flight, and
+// the TCP runs put them on the transport balanced-large uses.
 func TestSyncBucketedBitForBitSingleShot(t *testing.T) {
 	const ranks = 4
 	const dim = 64
@@ -105,41 +108,7 @@ func TestSyncBucketedBitForBitSingleShot(t *testing.T) {
 			full[i] = float64(rank+1) * (1.0 + float64(i)*0.37)
 		}
 	}
-
-	// Reference: one-shot Reduce over the full vector.
-	refWorld, err := NewWorld(ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer refWorld.Close()
-	refSums := make([]tensor.Vector, ranks)
-	var wg sync.WaitGroup
-	refErrs := make([]error, ranks)
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			red, err := refWorld.Node(r).Reducer(dim)
-			if err != nil {
-				refErrs[r] = err
-				return
-			}
-			grad := tensor.NewVector(dim)
-			fill(r, grad)
-			res, err := red.Reduce(context.Background(), grad)
-			if err != nil {
-				refErrs[r] = err
-				return
-			}
-			refSums[r] = res.Sum
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range refErrs {
-		if err != nil {
-			t.Fatalf("reference rank %d: %v", r, err)
-		}
-	}
+	refSums := directAllreduce(t, ranks, dim, fill, []int{dim})
 
 	for li, lens := range rows {
 		for _, transport := range []Transport{Inproc, TCP} {
@@ -163,7 +132,7 @@ func TestSyncBucketedBitForBitSingleShot(t *testing.T) {
 				for r := 0; r < ranks; r++ {
 					for i := range fulls[r] {
 						if fulls[r][i] != refSums[r][i] {
-							t.Fatalf("rank %d element %d: bucketed %v != one-shot %v (must be bit-for-bit)", r, i, fulls[r][i], refSums[r][i])
+							t.Fatalf("rank %d element %d: bucketed %v != whole-vector allreduce %v (must be bit-for-bit)", r, i, fulls[r][i], refSums[r][i])
 						}
 					}
 					if res := results[r]; res.ActiveRanks != ranks || !res.Included {
@@ -172,6 +141,179 @@ func TestSyncBucketedBitForBitSingleShot(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// directAllreduce is the independent reference of the Sync tests: it sums
+// every rank's fill over a fresh in-process world with one
+// collectives.AllreduceWith call per chunk of lens (AlgoAuto, default tag
+// block, no Reducer involved) and returns every rank's result.
+func directAllreduce(t *testing.T, ranks, dim int, fill func(rank int, full tensor.Vector), lens []int) []tensor.Vector {
+	t.Helper()
+	world, err := NewWorld(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	sums := make([]tensor.Vector, ranks)
+	errs := make([]error, ranks)
+	var wg sync.WaitGroup
+	for r := 0; r < ranks; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			sums[r] = tensor.NewVector(dim)
+			fill(r, sums[r])
+			off := 0
+			for _, l := range lens {
+				if err := collectives.AllreduceWith(world.Node(r).Communicator(), sums[r][off:off+l], collectives.OpSum, collectives.AlgoAuto, collectives.Config{}, nil); err != nil {
+					errs[r] = err
+					return
+				}
+				off += l
+			}
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("reference rank %d: %v", r, err)
+		}
+	}
+	return sums
+}
+
+// TestDeep500ChunksBitForBit: WithChunks(4) is a layout — Reduce runs the
+// four tensor.ChunkBounds chunks as the buckets of one step — and must
+// produce bit for bit the sums of one AllreduceWith per chunk. At 32Ki
+// elements over four ranks AlgoAuto reduces each 8Ki chunk with Rabenseifner
+// and the whole vector with the pipelined ring, whose sums differ in the
+// last place: a Reduce that ran one allreduce over the whole vector fails
+// here.
+func TestDeep500ChunksBitForBit(t *testing.T) {
+	const ranks, dim, chunks = 4, 1 << 15, 4
+	fill := func(rank int, full tensor.Vector) {
+		for i := range full {
+			full[i] = float64(rank+1)*(1.0+float64(i)*0.37) + 1/float64(3+rank+i%7)
+		}
+	}
+	lens := make([]int, chunks)
+	for i := range lens {
+		lo, hi := tensor.ChunkBounds(dim, chunks, i)
+		lens[i] = hi - lo
+	}
+	want := directAllreduce(t, ranks, dim, fill, lens)
+	whole := directAllreduce(t, ranks, dim, fill, []int{dim})
+	if slices.Equal(want[0], whole[0]) {
+		t.Fatal("per-chunk and whole-vector allreduce agree bit for bit: the fill cannot tell them apart")
+	}
+	for ti, transport := range []Transport{Inproc, TCP} {
+		t.Run(transport.String(), func(t *testing.T) {
+			world, err := NewWorld(ranks, WithChunks(chunks), WithTransport(transport), WithBasePort(30500+10*ti))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer world.Close()
+			got := make([]tensor.Vector, ranks)
+			errs := make([]error, ranks)
+			var wg sync.WaitGroup
+			for r := 0; r < ranks; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					red, err := world.Node(r).Reducer(dim)
+					if err != nil {
+						errs[r] = err
+						return
+					}
+					grad := tensor.NewVector(dim)
+					fill(r, grad)
+					res, err := red.Reduce(context.Background(), grad)
+					got[r], errs[r] = res.Sum, err
+				}(r)
+			}
+			wg.Wait()
+			for r := 0; r < ranks; r++ {
+				if errs[r] != nil {
+					t.Fatalf("rank %d: %v", r, errs[r])
+				}
+				for i := range got[r] {
+					if got[r][i] != want[r][i] {
+						t.Fatalf("rank %d element %d: chunked Reduce %v != per-chunk allreduce %v (must be bit-for-bit)", r, i, got[r][i], want[r][i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestStragglerAccountingMatchesAcrossEntryPoints: a rank two rounds behind
+// gets the same accounting from Reduce and from a two-bucket step, and it is
+// the one RoundInfo states — the latest completed round (round 1, not its
+// own round 0) and that round's NAP, with its own gradient not included.
+func TestStragglerAccountingMatchesAcrossEntryPoints(t *testing.T) {
+	const ranks, dim = 2, 16
+	lens := []int{8, 8}
+	type accounting struct {
+		Round, ActiveRanks int
+		Included           bool
+	}
+	straggle := func(t *testing.T, opts []Option, exchange func(red Reducer, grad tensor.Vector) (tensor.Vector, Result, error)) accounting {
+		world, err := NewWorld(ranks, append([]Option{WithMode(Solo)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer world.Close()
+		reds := make([]Reducer, ranks)
+		for r := range reds {
+			if reds[r], err = world.Node(r).Reducer(dim); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fast := tensor.NewVector(dim)
+		fast.Fill(1)
+		for round := 0; round < 2; round++ { // rank 0 runs rounds 0 and 1 alone
+			res, err := reds[0].Reduce(context.Background(), fast)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tensor.PutVector(res.Sum)
+		}
+		slow := partialOf(reds[1])
+		deadline := time.Now().Add(5 * time.Second)
+		for slow.LastRound() < 1 {
+			if time.Now().After(deadline) {
+				t.Fatal("rank 1's engine never completed round 1")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		grad := tensor.NewVector(dim)
+		grad.Fill(10)
+		sum, res, err := exchange(reds[1], grad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range sum {
+			if v != 1 {
+				t.Fatalf("element %d = %v, want round 1's sum 1 (rank 0's gradient alone)", i, v)
+			}
+		}
+		if slow.PendingStale() == 0 {
+			t.Fatal("the straggler's gradient should stay buffered for a later round")
+		}
+		return accounting{res.Round, res.ActiveRanks, res.Included}
+	}
+	reduce := straggle(t, nil, func(red Reducer, grad tensor.Vector) (tensor.Vector, Result, error) {
+		res, err := red.Reduce(context.Background(), grad)
+		return res.Sum, res, err
+	})
+	step := straggle(t, []Option{WithBucketLayout(lens...)}, func(red Reducer, grad tensor.Vector) (tensor.Vector, Result, error) {
+		fulls, results := runBucketedStep(t, []Reducer{red}, lens, func(_ int, full tensor.Vector) { full.CopyFrom(grad) })
+		return fulls[0], results[0], nil
+	})
+	want := accounting{Round: 1, ActiveRanks: 1, Included: false}
+	if reduce != want || step != want {
+		t.Fatalf("straggler two rounds behind: Reduce reports %+v, a two-bucket step %+v; want both %+v", reduce, step, want)
 	}
 }
 
@@ -519,11 +661,7 @@ func TestSyncBucketedStepTimeoutReportsDeadlineExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-h.done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("timed-out bucket never resolved")
-	}
+	awaitWorkerVerdict(t, red, h)
 	// The worker has resolved the handle: waiting under a live context returns
 	// the worker's own verdict, with no ctx.Done() arm to mask it.
 	if _, err := h.Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
@@ -531,6 +669,26 @@ func TestSyncBucketedStepTimeoutReportsDeadlineExceeded(t *testing.T) {
 	}
 	if _, err := br.WaitStep(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("WaitStep error = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// awaitWorkerVerdict polls until the Sync bucket worker has resolved h,
+// without waiting on any context.
+func awaitWorkerVerdict(t *testing.T, red Reducer, h *BucketHandle) {
+	t.Helper()
+	s := red.(*elasticReducer).inner.(*syncReducer)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		done := h.done
+		s.mu.Unlock()
+		if done {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed-out bucket never resolved")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -48,6 +49,8 @@ type elasticReducer struct {
 	draining    bool
 	drainTarget uint64 // while draining: admit ops until rounds reaches this
 	closed      bool
+
+	handles []*BucketHandle // Reduce's handles, reused: Reduce is driven by one goroutine
 }
 
 // TrainStepper is implemented by the epoch-aware reducers Node.Reducer mints:
@@ -235,14 +238,64 @@ func (r *elasticReducer) markClosed() error {
 }
 
 // Reduce runs one reduction on the current epoch's reducer, waiting out any
-// in-flight membership transition first.
+// in-flight membership transition first. It is one bucketed step over the
+// engine's one-shot layout — the whole vector, WithChunks' chunks, or an
+// eager reducer's WithBucketLayout — whose bucket sums make up Result.Sum.
 func (r *elasticReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result, error) {
+	if len(grad) != r.dim {
+		return Result{}, fmt.Errorf("collective: gradient length %d, want %d", len(grad), r.dim)
+	}
 	inner, err := r.beginOp()
 	if err != nil {
 		return Result{}, err
 	}
 	defer r.endOp()
-	return inner.Reduce(ctx, grad)
+	lens := inner.oneShot()
+	if err := inner.BeginStep(ctx, lens); err != nil {
+		return Result{}, err
+	}
+	sum, err := r.reduceBuckets(ctx, inner, grad, lens)
+	res, stepErr := inner.WaitStep(ctx) // always: the step's cleanup point
+	if err == nil {
+		err = stepErr
+	}
+	if err != nil {
+		if sum != nil {
+			tensor.PutVector(sum)
+		}
+		return Result{}, err
+	}
+	res.Sum = sum
+	return res, nil
+}
+
+// reduceBuckets submits grad's buckets to the step inner has open and
+// gathers their sums into one pool-leased vector.
+func (r *elasticReducer) reduceBuckets(ctx context.Context, inner engine, grad tensor.Vector, lens []int) (tensor.Vector, error) {
+	r.handles = r.handles[:0]
+	off := 0
+	for _, l := range lens {
+		h, err := inner.SubmitBucket(ctx, off, grad[off:off+l])
+		if err != nil {
+			return nil, err
+		}
+		r.handles = append(r.handles, h)
+		off += l
+	}
+	if len(r.handles) == 1 {
+		return r.handles[0].Wait(ctx)
+	}
+	sum := tensor.GetVector(r.dim)
+	for _, h := range r.handles {
+		part, err := h.Wait(ctx)
+		if err != nil {
+			tensor.PutVector(sum)
+			return nil, err
+		}
+		sum[h.offset : h.offset+h.length].CopyFrom(part)
+		tensor.PutVector(part)
+	}
+	return sum, nil
 }
 
 // Close closes the reducer. The world's transition machinery stops touching

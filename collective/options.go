@@ -75,8 +75,10 @@ func WithSeed(seed int64) Option {
 
 // WithChunks makes a Sync reducer reduce the gradient in n ordered chunks
 // instead of one fused allreduce, modelling the control dependencies a
-// DAG-scheduled framework adds (the Deep500 baseline of §3). Values below 2
-// mean a single fused reduction (the default).
+// DAG-scheduled framework adds (the Deep500 baseline of §3). It is Reduce's
+// bucket layout: the n tensor.ChunkBounds chunks are the buckets of one step,
+// reduced one allreduce each, in order. Values below 2 mean a single fused
+// reduction (the default).
 func WithChunks(n int) Option {
 	return func(c *config) {
 		if n < 1 {

@@ -7,17 +7,24 @@ import (
 	"sync"
 	"time"
 
-	"eagersgd/internal/collectives"
 	"eagersgd/internal/comm"
 	"eagersgd/internal/partial"
 	"eagersgd/internal/tensor"
 )
 
 // engine is the sync or eager reducer an elasticReducer runs its current
-// epoch on. Node.Reducer is the only way to obtain one, wrapped.
+// epoch on. Node.Reducer is the only way to obtain one, wrapped: the wrapper
+// runs Reduce as one step over the engine's oneShot layout.
 type engine interface {
-	BucketReducer
+	BeginStep(ctx context.Context, lens []int) error
+	SubmitBucket(ctx context.Context, offset int, data tensor.Vector) (*BucketHandle, error)
+	WaitStep(ctx context.Context) (Result, error)
+	Close() error
 	Name() string
+	// oneShot is the bucket layout Reduce runs as one step: the whole vector
+	// or WithChunks' chunks for Sync, the construction layout for the eager
+	// modes.
+	oneShot() []int
 	// joinEngine blocks until the engine's background goroutines have exited
 	// and returned their buffers to the pool. Only valid after the
 	// communicator is closed; World.Close and generation retirement call it
@@ -32,20 +39,31 @@ func newEngine(c *comm.Communicator, dim int, cfg config) (engine, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("collective: reducer dimension %d must be positive", dim)
 	}
-	if len(cfg.layout) > 0 {
-		if _, err := validateLayout(dim, cfg.layout); err != nil {
-			return nil, err
-		}
+	layout := cfg.layout
+	if len(layout) == 0 {
+		layout = []int{dim}
+	} else if err := checkLayout(dim, layout); err != nil {
+		return nil, err
 	}
 	switch cfg.mode.kind {
 	case kindSync:
-		return &syncReducer{
+		s := &syncReducer{
 			comm: c, dim: dim,
 			chunks: cfg.chunks, negotiate: cfg.negotiate,
 			peerDeadline: cfg.peerDeadline,
-		}, nil
+			wake:         make(chan struct{}, 1),
+			workerDone:   make(chan struct{}),
+		}
+		s.cond = sync.NewCond(&s.mu)
+		for i, n := 0, max(cfg.chunks, 1); i < n; i++ {
+			if lo, hi := tensor.ChunkBounds(dim, n, i); hi > lo {
+				s.layout = append(s.layout, hi-lo)
+			}
+		}
+		go s.runWorker()
+		return s, nil
 	case kindSolo, kindMajority, kindQuorum:
-		popts := partial.Options{Seed: cfg.seed, Buckets: cfg.layout, PeerDeadline: cfg.peerDeadline}
+		popts := partial.Options{Seed: cfg.seed, Buckets: layout, PeerDeadline: cfg.peerDeadline}
 		switch cfg.mode.kind {
 		case kindSolo:
 			popts.Mode = partial.Solo
@@ -55,14 +73,13 @@ func newEngine(c *comm.Communicator, dim int, cfg config) (engine, error) {
 			popts.Mode = partial.Quorum
 			popts.Candidates = cfg.mode.candidates
 		}
-		e := &eagerReducer{
-			comm: c,
-			ar:   partial.New(c, dim, popts),
-			mode: cfg.mode,
-			dim:  dim,
-		}
-		e.lens, e.offs = e.layoutOf()
-		return e, nil
+		return &eagerReducer{
+			comm:   c,
+			ar:     partial.New(c, dim, popts),
+			mode:   cfg.mode,
+			dim:    dim,
+			layout: layout,
+		}, nil
 	default:
 		return nil, fmt.Errorf("collective: unknown mode %v", cfg.mode)
 	}
@@ -77,26 +94,32 @@ func ctxError(ctx context.Context, err error) error {
 	return err
 }
 
-// syncReducer is the Sync mode: a blocking allreduce per call, optionally
-// chunked (Deep500-style) or preceded by a negotiation round (Horovod-style).
-// It also implements BucketReducer (bucket.go): the bucketed step queues each
-// bucket's allreduce on one worker as soon as the bucket is submitted.
+// syncReducer is the Sync mode: a blocking allreduce per bucket, queued on
+// one bucket worker (bucket.go). Reduce runs one bucket over the whole
+// vector, or one per chunk (Deep500-style, WithChunks); the step may open
+// with a negotiation round (Horovod-style, WithNegotiation).
 type syncReducer struct {
 	comm         *comm.Communicator
 	dim          int
 	chunks       int
+	layout       []int // the one-shot layout: the whole vector, or its chunks
 	negotiate    bool
-	calls        int
 	peerDeadline time.Duration
+	wake         chan struct{} // the worker's "a handle resolved" signal to the step's waiter
+	workerDone   chan struct{} // closed when the bucket worker exits, after Close
 
-	// mu guards the bucketed-step fields below: the step API itself is
-	// driven by one goroutine (the rank's training loop), but Close may be
-	// called concurrently by World.Close while a step is in flight.
-	mu        sync.Mutex
-	worker    *bucketWorker // lazily started bucket worker (bucket.go)
-	step      *syncStep     // in-flight bucketed step, nil between steps
-	closed    bool
-	closeOnce sync.Once
+	// mu guards the fields below: the step API itself is driven by one
+	// goroutine (the rank's training loop), but the bucket worker resolves
+	// handles and Close may be called concurrently by World.Close while a
+	// step is in flight.
+	mu     sync.Mutex
+	cond   *sync.Cond   // the bucket worker waits here for work
+	queue  []bucketTask // the bucket worker's FIFO: queue[head:] is pending
+	head   int
+	step   stepRecord
+	gen    uint64 // bumped when a step is abandoned: its late results are released
+	calls  int    // steps opened so far; the open step's Result.Round is calls-1
+	closed bool
 }
 
 // Name identifies the reducer in reports.
@@ -111,85 +134,30 @@ func (s *syncReducer) Name() string {
 	}
 }
 
-// Reduce performs the synchronous allreduce. Canceling ctx aborts a blocked
-// reduction; the collective is then mid-protocol on this rank, so the only
-// safe follow-up is closing the world.
-func (s *syncReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result, error) {
-	if len(grad) != s.dim {
-		return Result{}, fmt.Errorf("collective: gradient length %d, want %d", len(grad), s.dim)
-	}
-	call := s.calls
-	s.calls++
-	cancel := ctx.Done()
-	sum := tensor.GetVectorCopy(grad)
-	if s.negotiate {
-		// Readiness consensus (Horovod's coordinator round), then one fused
-		// allreduce over the whole gradient.
-		ready := tensor.GetVector(1)
-		ready[0] = 1
-		err := collectives.AllreduceWith(s.comm, ready, collectives.OpSum, collectives.AlgoRecursiveDoubling, collectives.Config{PeerDeadline: s.peerDeadline}, cancel)
-		tensor.PutVector(ready)
-		if err != nil {
-			tensor.PutVector(sum)
-			return Result{}, ctxError(ctx, err)
-		}
-	}
-	wireCfg := collectives.Config{PeerDeadline: s.peerDeadline}
-	if s.chunks > 1 {
-		for i := 0; i < s.chunks; i++ {
-			lo, hi := tensor.ChunkBounds(len(sum), s.chunks, i)
-			if lo == hi {
-				continue
-			}
-			if err := collectives.AllreduceWith(s.comm, sum[lo:hi], collectives.OpSum, collectives.AlgoAuto, wireCfg, cancel); err != nil {
-				tensor.PutVector(sum)
-				return Result{}, ctxError(ctx, err)
-			}
-		}
-	} else if err := collectives.AllreduceWith(s.comm, sum, collectives.OpSum, collectives.AlgoAuto, wireCfg, cancel); err != nil {
-		tensor.PutVector(sum)
-		return Result{}, ctxError(ctx, err)
-	}
-	size := s.comm.Size()
-	return Result{Sum: sum, Ranks: size, ActiveRanks: size, Included: true, Round: call}, nil
-}
+func (s *syncReducer) oneShot() []int { return s.layout }
 
-// eagerReducer adapts a partial.Allreducer to the Reducer interface. It also
-// implements BucketReducer (bucket.go): buckets are staged during backprop,
-// committed to the engine in one atomic fold (one participation decision per
-// step), and their results resolve together when the engine publishes the
-// step's round.
+// eagerReducer adapts a partial.Allreducer to the engine interface: buckets
+// are staged during backprop, committed to the allreducer in one atomic fold
+// (one participation decision per step), and their results resolve together
+// when the allreducer publishes the step's round (bucket.go).
 type eagerReducer struct {
-	comm       *comm.Communicator
-	ar         *partial.Allreducer
-	mode       Mode
-	dim        int
-	lens, offs []int      // the engine's fixed bucket layout (layoutOf)
-	estep      *eagerStep // in-flight bucketed step, nil between steps
+	comm   *comm.Communicator
+	ar     *partial.Allreducer
+	mode   Mode
+	dim    int
+	layout []int // the allreducer's fixed bucket layout
+
+	// The open step, driven by the rank's one training goroutine.
+	step  stepRecord
+	round int           // the step's allreducer round
+	seq   uint64        // its contribution's sequence number, set at commit
+	stage tensor.Vector // where its buckets are staged until the last commits them
 }
 
 // Name identifies the reducer in reports.
 func (e *eagerReducer) Name() string { return fmt.Sprintf("eager-sgd (%s)", e.mode) }
 
-// Reduce contributes grad to the current partial-allreduce round. Canceling
-// ctx abandons only the wait: the contribution stays buffered and the engine
-// keeps serving peers, so the reducer remains usable.
-func (e *eagerReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result, error) {
-	if len(grad) != e.dim {
-		return Result{}, fmt.Errorf("collective: gradient length %d, want %d", len(grad), e.dim)
-	}
-	sum, info, err := e.ar.ExchangeContext(ctx, grad)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Sum:         sum,
-		Ranks:       e.comm.Size(),
-		ActiveRanks: info.ActiveProcesses,
-		Included:    info.Included,
-		Round:       info.Round,
-	}, nil
-}
+func (e *eagerReducer) oneShot() []int { return e.layout }
 
 // Close marks the underlying allreducer closed. The background engine exits
 // when the world (communicator) is closed.

@@ -167,7 +167,6 @@ func microPartialLatency(procs, elems, iterations int, skew imbalance.Injector, 
 			clock.Sleep(skew.Delay(iter, rank))
 			buf.Fill(1)
 			start := time.Now()
-			//eagervet:ignore ctxcheck -- microbenchmark measures the uncancellable hot path; iterations bound the loop.
 			sum, info, err := reducers[rank].Exchange(buf)
 			if err != nil {
 				return err

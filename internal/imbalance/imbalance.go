@@ -106,12 +106,17 @@ func (r RandomSubset) Name() string {
 // Delay returns Amount for the K ranks selected at this step, zero otherwise.
 func (r RandomSubset) Delay(step, rank int) float64 { return pickedDelay(r, step, rank) }
 
-func (r RandomSubset) pick(step int) ([]int, float64) {
+func (r RandomSubset) pick(step int) ([]int, []float64) {
 	if r.Amount <= 0 {
-		return nil, 0
+		return nil, nil
 	}
 	perm := rand.New(rand.NewSource(r.Seed ^ int64(step)*0x9e3779b9)).Perm(r.Size)
-	return perm[:max(0, min(r.K, r.Size))], r.Amount
+	chosen := perm[:max(0, min(r.K, r.Size))]
+	delays := make([]float64, len(chosen))
+	for i := range delays {
+		delays[i] = r.Amount
+	}
+	return chosen, delays
 }
 
 // LinearSkew delays rank r by (r+1)*StepMs paper milliseconds, the fully
@@ -152,10 +157,10 @@ func (s ShiftedSevere) Delay(step, rank int) float64 {
 	return s.MinMs + frac*(s.MaxMs-s.MinMs)
 }
 
-// CloudNoise delays K random ranks (out of Size) per step by the excess of a
-// sample from the Fig. 4 cloud batch-runtime distribution over its minimum —
-// the multi-tenant "noise tail" of §2.3. The K ranks of a step share one
-// draw.
+// CloudNoise delays K random ranks (out of Size) per step, each by the
+// excess of its own sample from the Fig. 4 cloud batch-runtime distribution
+// over its minimum — the multi-tenant "noise tail" of §2.3, drawn
+// independently per delayed rank.
 type CloudNoise struct {
 	Size int
 	K    int
@@ -165,27 +170,33 @@ type CloudNoise struct {
 // Name returns "cloud-noise".
 func (CloudNoise) Name() string { return "cloud-noise" }
 
-// Delay returns the step's noise sample for the K ranks selected at this
-// step, zero otherwise.
+// Delay returns the rank's noise sample if it is one of the K ranks selected
+// at this step, zero otherwise.
 func (c CloudNoise) Delay(step, rank int) float64 { return pickedDelay(c, step, rank) }
 
-// pick draws the noise sample from the step's source after the selection.
-func (c CloudNoise) pick(step int) ([]int, float64) {
+// pick draws the step's selection and then one noise sample per selected
+// rank, in selection order, from the step's source.
+func (c CloudNoise) pick(step int) ([]int, []float64) {
 	rng := rand.New(rand.NewSource(c.Seed ^ int64(step)*104729))
-	perm := rng.Perm(c.Size)
+	chosen := rng.Perm(c.Size)[:max(0, min(c.K, c.Size))]
 	d := CloudBatchRuntime()
-	return perm[:max(0, min(c.K, c.Size))], d.Sample(rng) - d.MinMs
+	delays := make([]float64, len(chosen))
+	for i := range delays {
+		delays[i] = d.Sample(rng) - d.MinMs
+	}
+	return chosen, delays
 }
 
-// picker is an injector that delays the ranks it picks at a step by one
-// shared amount: pick returns them and the amount.
+// picker is an injector that delays only the ranks it picks at a step: pick
+// returns them and, index for index, their delays.
 type picker interface {
-	pick(step int) (chosen []int, delay float64)
+	pick(step int) (chosen []int, delays []float64)
 }
 
 func pickedDelay(p picker, step, rank int) float64 {
-	if chosen, d := p.pick(step); slices.Contains(chosen, rank) {
-		return d
+	chosen, delays := p.pick(step)
+	if i := slices.Index(chosen, rank); i >= 0 {
+		return delays[i]
 	}
 	return 0
 }
@@ -201,11 +212,11 @@ func StepDelays(inj Injector, step int, delays []float64) {
 		}
 		return
 	}
-	chosen, d := p.pick(step)
+	chosen, picked := p.pick(step)
 	clear(delays)
-	for _, r := range chosen {
+	for i, r := range chosen {
 		if r < len(delays) {
-			delays[r] = d
+			delays[r] = picked[i]
 		}
 	}
 }

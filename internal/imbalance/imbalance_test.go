@@ -264,27 +264,28 @@ func checkDistribution(t *testing.T, d Distribution, wantMeanLo, wantMeanHi floa
 	}
 }
 
-// TestCloudNoiseGolden pins CloudNoise's draws to the values the trainer's
-// cloud-noise runs have always used: the K ranks picked at a step share one
-// sample of the Fig. 4 tail above its minimum, every other rank gets zero.
-// The samples match to 1e-12 relative, not bit for bit: math.Exp may differ
-// in the last place between architectures (linux/386 rounds one of them).
+// TestCloudNoiseGolden pins CloudNoise's draws: the K ranks picked at a step
+// each get their own sample of the Fig. 4 tail above its minimum, drawn from
+// the step's source in pick order after the selection, and every other rank
+// gets zero. The samples match to 1e-12 relative, not bit for bit: math.Exp
+// may differ in the last place between architectures (linux/386 rounds one
+// of them).
 func TestCloudNoiseGolden(t *testing.T) {
 	for _, tc := range []struct {
 		c          CloudNoise
 		step, rank int
 		want       float64
 	}{
-		{CloudNoise{Size: 4, K: 2, Seed: 7}, 0, 0, 32.96355694971584},
+		{CloudNoise{Size: 4, K: 2, Seed: 7}, 0, 0, 82.34059804323044},
 		{CloudNoise{Size: 4, K: 2, Seed: 7}, 0, 1, 0},
 		{CloudNoise{Size: 4, K: 2, Seed: 7}, 0, 2, 32.96355694971584},
-		{CloudNoise{Size: 4, K: 2, Seed: 7}, 1, 0, 19.732398792624963},
+		{CloudNoise{Size: 4, K: 2, Seed: 7}, 1, 0, 28.45813803106404},
 		{CloudNoise{Size: 4, K: 2, Seed: 7}, 2, 3, 91.30271039735493},
-		{CloudNoise{Size: 64, K: 4, Seed: 42}, 0, 5, 59.29451987210592},
-		{CloudNoise{Size: 64, K: 4, Seed: 42}, 0, 60, 59.29451987210592},
+		{CloudNoise{Size: 64, K: 4, Seed: 42}, 0, 5, 70.3865573968792},
+		{CloudNoise{Size: 64, K: 4, Seed: 42}, 0, 60, 13.236452902298709},
 		{CloudNoise{Size: 64, K: 4, Seed: 42}, 0, 0, 0},
 		{CloudNoise{Size: 64, K: 4, Seed: 42}, 1, 24, 81.75373156073516},
-		{CloudNoise{Size: 64, K: 4, Seed: 42}, 2, 44, 196.7309682872392},
+		{CloudNoise{Size: 64, K: 4, Seed: 42}, 2, 44, 59.617745746812204},
 		{CloudNoise{Size: 64, K: 4, Seed: 42}, 2, 1, 0},
 	} {
 		if got := tc.c.Delay(tc.step, tc.rank); math.Abs(got-tc.want) > 1e-12*tc.want {
@@ -293,6 +294,29 @@ func TestCloudNoiseGolden(t *testing.T) {
 	}
 	if name := (CloudNoise{}).Name(); name != "cloud-noise" {
 		t.Errorf("Name() = %q, want cloud-noise", name)
+	}
+}
+
+// TestCloudNoiseDrawsPerRank: the ranks picked at one step are delayed by
+// independent samples, not one shared draw, so the noise tail is not
+// perfectly correlated within a step.
+func TestCloudNoiseDrawsPerRank(t *testing.T) {
+	c := CloudNoise{Size: 64, K: 4, Seed: 42}
+	delays := make([]float64, c.Size)
+	StepDelays(c, 0, delays)
+	var picked []float64
+	for _, d := range delays {
+		if d > 0 {
+			picked = append(picked, d)
+		}
+	}
+	if len(picked) != c.K {
+		t.Fatalf("%d ranks delayed at step 0, want %d", len(picked), c.K)
+	}
+	for i := 1; i < len(picked); i++ {
+		if picked[i] == picked[0] {
+			t.Fatalf("two ranks picked at step 0 share the delay %v: %v", picked[0], picked)
+		}
 	}
 }
 

@@ -142,6 +142,7 @@ var ErrClosed = errors.New("partial: allreducer closed")
 type roundRecord struct {
 	round       int    // the round this slot describes (slots are reused modulo retainedRounds)
 	snapshotSeq uint64 // contribSeq at the round's snapshot: contributions up to it were included
+	doneSeq     uint64 // contribSeq at the round's completion: later ones arrived after it (stragglers)
 	nap         int    // number of active processes; -1 until the round completes
 }
 
@@ -494,90 +495,27 @@ func Initiator(seed int64, round, idx, size int) int {
 //     and the gradient is kept in the send buffer to be folded into a later
 //     round.
 //
+// Exchange is the one-bucket step: BeginStep, a copy of grad into the stage,
+// Contribute, and one wait that reads the result and its accounting together.
 // The returned vector is a pool-leased copy owned by the caller (release it
 // with tensor.PutVector when done, or let the garbage collector take it). The
 // result is the element-wise sum over contributions; divide by Size() for the
 // average used by eager-SGD.
 func (a *Allreducer) Exchange(grad tensor.Vector) (tensor.Vector, RoundInfo, error) {
-	//eagervet:ignore ctxcheck -- Exchange is the documented no-context shim over ExchangeContext; the root lives here by design.
-	return a.ExchangeContext(context.Background(), grad)
-}
-
-// ExchangeContext behaves like Exchange but stops waiting for the round to
-// complete when ctx is canceled, returning ctx's error. The contribution
-// itself is not withdrawn: the gradient stays folded into the send buffer and
-// is contributed to a later round as a stale gradient (Fig. 7 semantics), and
-// the engine keeps making rounds progress on behalf of peers, so a canceled
-// call leaves the allreducer fully usable.
-func (a *Allreducer) ExchangeContext(ctx context.Context, grad tensor.Vector) (tensor.Vector, RoundInfo, error) {
 	if len(grad) != a.n {
 		return nil, RoundInfo{}, fmt.Errorf("partial: gradient length %d, want %d", len(grad), a.n)
 	}
-	defer a.watchContext(ctx)()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed {
-		return nil, RoundInfo{}, ErrClosed
+	round, stage, err := a.BeginStep()
+	if err != nil {
+		return nil, RoundInfo{}, err
 	}
-	round := a.appRound
-	a.appRound++
-	a.appArrived = round
-
-	a.foldLocked(grad)
-	a.contribSeq++
-	mySeq := a.contribSeq
-
-	if a.err != nil {
-		return nil, RoundInfo{}, a.err
+	stage.CopyFrom(grad)
+	seq, err := a.Contribute(round)
+	if err != nil {
+		return nil, RoundInfo{}, err
 	}
-	if a.completedRound >= round {
-		// Straggler path: the engine already completed this round on our
-		// behalf using whatever was in the send buffer at the time.
-		a.stats.ExchangesStraggler++
-		info := RoundInfo{Round: a.completedRound, Included: false}
-		if rec, ok := a.recordLocked(a.completedRound); ok {
-			info.ActiveProcesses = rec.nap
-		}
-		return a.resultCopyLocked(), info, nil
-	}
-
-	// The round is still open. Request internal activation if this rank is
-	// allowed to initiate under the configured mode (or via failover when
-	// every designated initiator is already known dead).
-	if a.mayActivateLocked(round) {
-		a.activateLocked(round)
-	} else {
-		stopDetector := a.armFailoverTimer(round)
-		defer stopDetector()
-	}
-
-	// Wait for the round to complete (possibly activated externally).
-	for a.completedRound < round && !a.closed && a.err == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, RoundInfo{}, err
-		}
-		a.cond.Wait()
-	}
-	if a.err != nil {
-		return nil, RoundInfo{}, a.err
-	}
-	if a.closed {
-		return nil, RoundInfo{}, ErrClosed
-	}
-	return a.resultCopyLocked(), a.roundInfoLocked(round, mySeq), nil
-}
-
-// foldLocked accumulates grad into the send buffer together with any stale
-// gradients waiting there. A logically empty send buffer is overwritten rather
-// than added to: it still holds whatever the buffer carried in its previous
-// role. Caller holds a.mu.
-func (a *Allreducer) foldLocked(grad tensor.Vector) {
-	if a.sendNull {
-		a.sendBuf[:a.n].CopyFrom(grad)
-		a.sendNull = false
-	} else {
-		a.sendBuf[:a.n].Add(grad)
-	}
+	//eagervet:ignore ctxcheck -- Exchange is the documented no-context form of the step protocol; the root lives here by design.
+	return a.wait(context.Background(), round, seq, true)
 }
 
 // recordLocked returns the retained accounting of the round, if it has not
@@ -589,10 +527,18 @@ func (a *Allreducer) recordLocked(round int) (roundRecord, bool) {
 
 // roundInfoLocked reports the completed round to the caller whose
 // contribution has sequence number seq (zero: none), and counts the call as
-// included or straggling. Caller holds a.mu.
+// included or straggling. A contribution that arrived after its round had
+// completed gets the latest completed round and its NAP, as RoundInfo
+// states: that round's result is what the receive buffer holds. Caller holds
+// a.mu.
 func (a *Allreducer) roundInfoLocked(round int, seq uint64) RoundInfo {
+	rec, ok := a.recordLocked(round)
+	if !ok || seq > rec.doneSeq {
+		round = a.completedRound
+		rec, ok = a.recordLocked(round)
+	}
 	info := RoundInfo{Round: round}
-	if rec, ok := a.recordLocked(round); ok {
+	if ok {
 		info.ActiveProcesses = rec.nap
 		info.Included = seq > 0 && seq <= rec.snapshotSeq
 	}
@@ -647,8 +593,9 @@ func (a *Allreducer) watchContext(ctx context.Context) (stop func()) {
 // participation decision per step. The staging vector belongs to the caller
 // until Contribute, which must find all n elements written; it is one more
 // buffer of the rotation, so that committing into an empty send buffer is a
-// swap, not a pass over the vector. Every rank must interleave its
-// BeginStep/Contribute pairs and Exchange calls in the same order (SPMD).
+// swap, not a pass over the vector, so a step must be contributed before the
+// next one begins. Exchange is this protocol with one bucket. Every rank must
+// run its steps, Exchange calls included, in the same order (SPMD).
 func (a *Allreducer) BeginStep() (int, tensor.Vector, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -683,7 +630,7 @@ func (a *Allreducer) Contribute(round int) (uint64, error) {
 		a.sendBuf, a.stageBuf = a.stageBuf, a.sendBuf
 		a.sendNull = false
 	} else {
-		a.foldLocked(a.stageBuf[:a.n])
+		a.sendBuf[:a.n].Add(a.stageBuf[:a.n]) // fold onto the stale gradients
 	}
 	a.contribSeq++
 	seq := a.contribSeq
@@ -712,47 +659,62 @@ func (a *Allreducer) WaitBucket(ctx context.Context, round, b int) (tensor.Vecto
 	defer a.armFailoverTimer(round)()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for {
-		if a.err != nil {
-			return nil, a.err
-		}
-		if a.closed {
-			return nil, ErrClosed
-		}
-		if a.completedRound >= round {
-			lo := a.bucketOffs[b]
-			return tensor.GetVectorCopy(a.lastResult[lo : lo+a.buckets[b]]), nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		a.cond.Wait()
+	if err := a.awaitLocked(ctx, round); err != nil {
+		return nil, err
 	}
+	lo := a.bucketOffs[b]
+	return tensor.GetVectorCopy(a.lastResult[lo : lo+a.buckets[b]]), nil
 }
 
 // WaitStep blocks until the round has fully completed and returns its
 // accounting: the number of active processes and whether the contribution
 // identified by seq (from Contribute) made it into the round's snapshot.
 // Because the snapshot is atomic and the activation decision is made once per
-// round, inclusion is the same for every bucket of the step.
+// round, inclusion is the same for every bucket of the step. Canceling ctx
+// abandons only the wait: the contribution stays in the send buffer and is
+// contributed to a later round as a stale gradient (Fig. 7), and the engine
+// keeps serving the peers' rounds, so the allreducer stays usable.
 func (a *Allreducer) WaitStep(ctx context.Context, round int, seq uint64) (RoundInfo, error) {
+	_, info, err := a.wait(ctx, round, seq, false)
+	return info, err
+}
+
+// wait is the step protocol's wait for the round: it blocks until the round
+// has completed and returns the round's accounting for the contribution seq
+// and, with result, a pool-leased copy of the receive buffer read under the
+// same lock.
+func (a *Allreducer) wait(ctx context.Context, round int, seq uint64, result bool) (tensor.Vector, RoundInfo, error) {
 	defer a.watchContext(ctx)()
 	defer a.armFailoverTimer(round)()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for a.completedRound < round && !a.closed && a.err == nil {
+	if err := a.awaitLocked(ctx, round); err != nil {
+		return nil, RoundInfo{}, err
+	}
+	var sum tensor.Vector
+	if result {
+		sum = a.resultCopyLocked()
+	}
+	return sum, a.roundInfoLocked(round, seq), nil
+}
+
+// awaitLocked blocks until the round has completed, the allreducer has failed
+// or closed, or ctx is done. Caller holds a.mu and has armed watchContext.
+func (a *Allreducer) awaitLocked(ctx context.Context, round int) error {
+	for {
+		switch {
+		case a.err != nil:
+			return a.err
+		case a.closed:
+			return ErrClosed
+		case a.completedRound >= round:
+			return nil
+		}
 		if err := ctx.Err(); err != nil {
-			return RoundInfo{}, err
+			return err
 		}
 		a.cond.Wait()
 	}
-	if a.err != nil {
-		return RoundInfo{}, a.err
-	}
-	if a.closed {
-		return RoundInfo{}, ErrClosed
-	}
-	return a.roundInfoLocked(round, seq), nil
 }
 
 // engineLoop is the background communication engine: the persistent schedule
@@ -1021,7 +983,9 @@ func (a *Allreducer) publish(round int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.roundBuf, a.lastResult = a.lastResult, a.roundBuf
-	a.records[round%retainedRounds].nap = int(a.lastResult[a.n] + 0.5)
+	rec := &a.records[round%retainedRounds]
+	rec.nap = int(a.lastResult[a.n] + 0.5)
+	rec.doneSeq = a.contribSeq
 	a.completedRound = round
 	a.stats.Rounds++
 	a.cond.Broadcast()

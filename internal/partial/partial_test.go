@@ -507,12 +507,26 @@ func ExampleAllreducer() {
 	// Output: true
 }
 
-// TestExchangeContextCancellation proves a blocked ExchangeContext returns
-// promptly when the context expires, and that the contribution survives as a
-// stale gradient: in majority mode with the designated initiator held back,
-// a non-initiator's exchange cannot complete — canceling it must not lose the
+// exchangeContext runs Exchange's one-bucket step with a context on its wait.
+func exchangeContext(ctx context.Context, a *partial.Allreducer, grad tensor.Vector) (partial.RoundInfo, error) {
+	round, stage, err := a.BeginStep()
+	if err != nil {
+		return partial.RoundInfo{}, err
+	}
+	stage.CopyFrom(grad)
+	seq, err := a.Contribute(round)
+	if err != nil {
+		return partial.RoundInfo{}, err
+	}
+	return a.WaitStep(ctx, round, seq)
+}
+
+// TestWaitStepCancellation proves a blocked step wait returns promptly when
+// the context expires, and that the contribution survives as a stale
+// gradient: in majority mode with the designated initiator held back, a
+// non-initiator's exchange cannot complete — canceling it must not lose the
 // gradient, which is folded into the next round once the initiator arrives.
-func TestExchangeContextCancellation(t *testing.T) {
+func TestWaitStepCancellation(t *testing.T) {
 	const p = 2
 	const n = 3
 	_, reducers := makeWorld(t, p, n, partial.Options{Mode: partial.Majority, Seed: 8})
@@ -525,7 +539,7 @@ func TestExchangeContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, _, err := reducers[waiter].ExchangeContext(ctx, grad); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := exchangeContext(ctx, reducers[waiter], grad); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("blocked exchange returned %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -571,7 +585,7 @@ func TestDrainPendingTakesStaleGradients(t *testing.T) {
 	grad := tensor.Vector{2, 3}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, _, err := reducers[waiter].ExchangeContext(ctx, grad)
+	_, err := exchangeContext(ctx, reducers[waiter], grad)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("setup exchange returned %v", err)
 	}

@@ -3,7 +3,6 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 )
 
 // The snapshot lays one policy curve out like one `go test -bench` line: a
@@ -27,8 +26,6 @@ type Result struct {
 type Snapshot struct {
 	Date       string   `json:"date"`
 	Command    string   `json:"command"`
-	GOOS       string   `json:"goos,omitempty"`
-	GOARCH     string   `json:"goarch,omitempty"`
 	Package    string   `json:"package,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
@@ -41,8 +38,6 @@ func NewSnapshot(seed uint64, command string) *Snapshot {
 	return &Snapshot{
 		Date:    fmt.Sprintf("sim-seed-%d", seed),
 		Command: command,
-		GOOS:    runtime.GOOS,
-		GOARCH:  runtime.GOARCH,
 		Package: "eagersgd/internal/sweep",
 	}
 }

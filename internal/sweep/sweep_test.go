@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -60,6 +61,34 @@ func TestSweepBitIdentical(t *testing.T) {
 		}
 		if a, b := render(), render(); !bytes.Equal(a, b) {
 			t.Fatalf("%s: two identical sweeps produced different snapshots", cfg.Skew.Name())
+		}
+	}
+}
+
+// TestSnapshotIsMachineIndependent: the marshalled snapshot of a tiny sweep
+// names nothing of the machine that ran it — no operating system or
+// architecture key — so two machines produce the same bytes for one sweep.
+func TestSnapshotIsMachineIndependent(t *testing.T) {
+	cfg := severeConfig(3, 4, 5)
+	curves, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	snap := NewSnapshot(cfg.Seed, "test")
+	for _, c := range curves {
+		snap.Add(cfg.Skew.Name(), cfg.Ranks, c)
+	}
+	doc, err := snap.Marshal()
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(doc, &top); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	for _, key := range []string{"goos", "goarch"} {
+		if _, ok := top[key]; ok {
+			t.Errorf("snapshot carries the machine-dependent key %q", key)
 		}
 	}
 }

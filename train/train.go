@@ -117,9 +117,9 @@ func LinearSkew(stepMs float64) Imbalance {
 	}}
 }
 
-// CloudNoise delays k random ranks per step by the excess of a sample from
-// the Fig. 4 cloud batch-runtime distribution over its minimum — the
-// multi-tenant "noise tail" of §2.3.
+// CloudNoise delays k random ranks per step, each by the excess of its own
+// sample from the Fig. 4 cloud batch-runtime distribution over its minimum —
+// the multi-tenant "noise tail" of §2.3.
 func CloudNoise(k int) Imbalance {
 	return Imbalance{build: func(size int, seed int64) imbalance.Injector {
 		return imbalance.CloudNoise{Size: size, K: k, Seed: seed}
