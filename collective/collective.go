@@ -131,7 +131,8 @@ var (
 
 // Quorum generalizes Solo and Majority (§8): k candidate initiators are
 // designated per round and the first to arrive completes it. Quorum(1)
-// behaves like Majority; Quorum(P) like Solo.
+// behaves like Majority; Quorum(k) with k at or above the world size P like
+// Solo.
 func Quorum(k int) Mode {
 	if k < 1 {
 		k = 1

@@ -100,8 +100,11 @@ func (e *PeerDownError) Unwrap() error { return e.Cause }
 // before returning and must neither retain nor release it — ownership stays
 // with the caller on every path, success and error alike. Only transports
 // that consume payloads synchronously may implement it (the shared-ring
-// transport encodes in place); transports that hand the slice onward or
-// defer the encode (in-process channels, vectored TCP writes) must not.
+// transport encodes in place); transports that hand the slice onward
+// (in-process channels) must not. The TCP writer also finishes with the
+// payload before it returns, so TCP could borrow, but it stays on the
+// snapshot path: borrowing there saved process CPU without moving any
+// end-to-end step rate beyond run-to-run noise (ROADMAP.md, item 7).
 type BorrowingSender interface {
 	SendBorrowed(dest int, m Message) error
 }

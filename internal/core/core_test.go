@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"eagersgd/internal/imbalance"
 	"eagersgd/internal/nn"
 	"eagersgd/internal/optimizer"
+	"eagersgd/internal/race"
 	"eagersgd/internal/tensor"
 )
 
@@ -634,6 +636,54 @@ func TestOverlappedEagerTraining(t *testing.T) {
 	for r, l := range evalLosses {
 		if l > initial*0.5 {
 			t.Fatalf("rank %d overlapped eager training did not make progress: eval loss %v (initial %v)", r, l, initial)
+		}
+	}
+}
+
+// TestTrainerStepAllocFree gates a whole training step on a one-rank world:
+// once warm, StepContext allocates nothing — minibatch sampling, gradient,
+// exchange, averaging and the optimizer update — for Sync and Solo, on the
+// serial path and the overlapped one.
+func TestTrainerStepAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	for _, mode := range []collective.Mode{collective.Sync, collective.Solo} {
+		for _, overlap := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/overlap=%v", mode, overlap), func(t *testing.T) {
+				world, err := collective.NewWorld(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer world.Close()
+				n := world.Node(0)
+				task := buildDeepClassificationTask(0, 1)
+				opts := []collective.Option{collective.WithMode(mode)}
+				if overlap {
+					opts = append(opts, collective.WithOverlap(), collective.WithBucketLayout(core.BucketLayout(task, 0)...))
+				}
+				tr, err := core.NewTrainer(core.Config{
+					Node:      n,
+					Task:      task,
+					Exchanger: mustReducer(n, task.NumParams(), opts...),
+					Optimizer: optimizer.NewSGD(0.05),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tr.Close()
+				step := func() {
+					if _, err := tr.StepContext(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 20; i++ {
+					step() // warm the pool, the workspaces and the recorder
+				}
+				if avg := testing.AllocsPerRun(100, step); avg > 0 {
+					t.Fatalf("StepContext allocates %.2f objects per step, want 0", avg)
+				}
+			})
 		}
 	}
 }

@@ -81,6 +81,33 @@ type trainerBuckets struct {
 
 	handles   []*collective.BucketHandle // the step's submitted buckets, in order
 	remaining []int                      // per bucket: segments still to settle
+
+	// The step in flight, for settle: its context and its first submission
+	// error. onSegment is settle as the backward pass's callback, built once
+	// so a step allocates none.
+	ctx       context.Context
+	submitErr error
+	onSegment func(nn.Segment)
+}
+
+// settle counts a segment the backward pass has finished and submits its
+// bucket once the bucket's last segment has settled.
+func (bk *trainerBuckets) settle(seg nn.Segment) {
+	if bk.submitErr != nil {
+		return
+	}
+	b := bk.plan.bucketOf[seg.Offset]
+	bk.remaining[b]--
+	if bk.remaining[b] > 0 {
+		return // bucket coalesces several segments; wait for the rest
+	}
+	lo := bk.plan.offs[b]
+	h, err := bk.reducer.SubmitBucket(bk.ctx, lo, bk.task.Grads()[lo:lo+bk.plan.lens[b]])
+	if err != nil {
+		bk.submitErr = err
+		return
+	}
+	bk.handles = append(bk.handles, h)
 }
 
 // NewTrainer validates the configuration and builds a trainer. When the
@@ -106,6 +133,7 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 			return nil, fmt.Errorf("core: overlap requires a bucket-capable exchanger and task (have %T, %T)", cfg.Exchanger, cfg.Task)
 		}
 		t.bucket = &trainerBuckets{reducer: br, task: bt, plan: planBuckets(bt.Segments(), bucketElems)}
+		t.bucket.onSegment = t.bucket.settle
 	}
 	return t, nil
 }
@@ -265,30 +293,15 @@ func (t *Trainer) stepSerial(ctx context.Context, step int) (float64, collective
 // the overlap being modelled.
 func (t *Trainer) stepOverlapped(ctx context.Context, step int) (float64, collective.Result, error) {
 	bk := t.bucket
-	grads := bk.task.Grads()
 	if err := bk.reducer.BeginStep(ctx, bk.plan.lens); err != nil {
 		return 0, collective.Result{}, fmt.Errorf("core: step %d begin: %w", step, err)
 	}
 	bk.handles = bk.handles[:0]
 	bk.remaining = append(bk.remaining[:0], bk.plan.segsPerBucket...)
-	var submitErr error
-	loss := bk.task.ComputeGradientBuckets(step, func(seg nn.Segment) {
-		if submitErr != nil {
-			return
-		}
-		b := bk.plan.bucketOf[seg.Offset]
-		bk.remaining[b]--
-		if bk.remaining[b] > 0 {
-			return // bucket coalesces several segments; wait for the rest
-		}
-		lo := bk.plan.offs[b]
-		h, err := bk.reducer.SubmitBucket(ctx, lo, grads[lo:lo+bk.plan.lens[b]])
-		if err != nil {
-			submitErr = err
-			return
-		}
-		bk.handles = append(bk.handles, h)
-	})
+	bk.ctx, bk.submitErr = ctx, nil
+	loss := bk.task.ComputeGradientBuckets(step, bk.onSegment)
+	submitErr := bk.submitErr
+	bk.ctx = nil // hold no step's context past it
 	t.sleepImbalance(step)
 
 	var applyErr error

@@ -223,6 +223,8 @@ type BatchSampler struct {
 
 	start, end int
 	order      []int
+	batch      []int      // At's result, reused by the next call
+	rng        *rand.Rand // reseeded per epoch by reshuffle
 	cursor     int
 	epoch      int
 }
@@ -237,19 +239,21 @@ func NewBatchSampler(total, batchSize, rank, size int, seed int64) *BatchSampler
 	s := &BatchSampler{
 		total: total, batchSize: batchSize, rank: rank, size: size, seed: seed,
 		start: start, end: end,
+		order: make([]int, end-start), rng: rand.New(rand.NewSource(0)),
 	}
 	s.reshuffle()
 	return s
 }
 
+// reshuffle refills order with the shard and shuffles it with the epoch's
+// seed. Reseeding the kept source restarts it exactly as a fresh source with
+// that seed would, so the order matches one drawn from a new source.
 func (s *BatchSampler) reshuffle() {
-	n := s.end - s.start
-	s.order = make([]int, n)
 	for i := range s.order {
 		s.order[i] = s.start + i
 	}
-	rng := rand.New(rand.NewSource(s.seed + int64(s.epoch)*1_000_003 + int64(s.rank)*7919))
-	rng.Shuffle(n, func(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] })
+	s.rng.Seed(s.seed + int64(s.epoch)*1_000_003 + int64(s.rank)*7919)
+	s.rng.Shuffle(len(s.order), func(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] })
 	s.cursor = 0
 }
 
@@ -282,6 +286,9 @@ func (s *BatchSampler) Next() []int {
 // a joiner replay from a handoff step) and draw the exact batch the step
 // would have had: gradients become deterministic in the step index, not in
 // how many attempts it took to get there.
+//
+// The returned slice belongs to the sampler and is valid until the next call
+// to At: read it at once, or copy it.
 func (s *BatchSampler) At(step int) []int {
 	if len(s.order) == 0 || step < 0 {
 		return nil
@@ -292,11 +299,11 @@ func (s *BatchSampler) At(step int) []int {
 		s.reshuffle()
 	}
 	base := (step % spe) * s.batchSize
-	batch := make([]int, 0, s.batchSize)
+	s.batch = s.batch[:0]
 	for i := 0; i < s.batchSize; i++ {
-		batch = append(batch, s.order[(base+i)%len(s.order)])
+		s.batch = append(s.batch, s.order[(base+i)%len(s.order)])
 	}
-	return batch
+	return s.batch
 }
 
 // StepsPerEpoch returns how many Next calls constitute one pass over the

@@ -320,6 +320,34 @@ func TestBatchSamplerEpochAdvancesAndReshuffles(t *testing.T) {
 	}
 }
 
+// TestBatchSamplerAtGolden pins At over three data epochs of a shard whose
+// batches wrap (rank 1 of 2 over 23 samples: indices 12..22, batch 4), and
+// again out of order, so the shuffles stay bit-identical whatever buffers
+// the sampler reuses. At returns a buffer it owns, so each batch is compared
+// before the next call.
+func TestBatchSamplerAtGolden(t *testing.T) {
+	want := [][]int{
+		{12, 21, 15, 17}, {22, 20, 13, 14}, {19, 18, 16, 12}, // epoch 0
+		{17, 16, 14, 15}, {12, 19, 13, 18}, {22, 21, 20, 17}, // epoch 1
+		{18, 16, 20, 19}, {15, 22, 14, 17}, {21, 13, 12, 18}, // epoch 2
+	}
+	s := NewBatchSampler(23, 4, 1, 2, 9)
+	if spe := s.StepsPerEpoch(); spe != 3 {
+		t.Fatalf("StepsPerEpoch = %d, want 3", spe)
+	}
+	for _, step := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 1, 7, 0, 5} {
+		got := s.At(step)
+		if len(got) != len(want[step]) {
+			t.Fatalf("At(%d) = %v, want %v", step, got, want[step])
+		}
+		for i := range got {
+			if got[i] != want[step][i] {
+				t.Fatalf("At(%d) = %v, want %v", step, got, want[step])
+			}
+		}
+	}
+}
+
 func TestBatchSamplerInvalidBatchSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {

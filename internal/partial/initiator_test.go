@@ -69,3 +69,38 @@ func TestInitiatorAgreesWithEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestCandidatesWalk pins the participation rule every mode resolves to: at
+// k ≥ size every rank once in rank order, below it Initiator's first k draws
+// in draw order (a collision yielded twice), and the walk stops as soon as
+// yield returns false.
+func TestCandidatesWalk(t *testing.T) {
+	walk := func(k, size, stopAfter int) []int {
+		var got []int
+		Candidates(42, 17, k, size, func(r int) bool {
+			got = append(got, r)
+			return len(got) < stopAfter
+		})
+		return got
+	}
+	for _, k := range []int{5, 6, 1000} {
+		if got := walk(k, 5, 100); !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
+			t.Errorf("k=%d of 5: candidates %v, want every rank", k, got)
+		}
+	}
+	var draws []int
+	for i := 0; i < 12; i++ {
+		draws = append(draws, Initiator(42, 17, i, 20))
+	}
+	distinct := slices.Clone(draws)
+	slices.Sort(distinct)
+	if len(slices.Compact(distinct)) == len(draws) {
+		t.Fatalf("the draws %v hold no collision, so they do not show one yielded twice", draws)
+	}
+	if got := walk(12, 20, 100); !slices.Equal(got, draws) {
+		t.Errorf("k=12 of 20: candidates %v, want Initiator's draws %v", got, draws)
+	}
+	if got := walk(12, 20, 2); !slices.Equal(got, draws[:2]) {
+		t.Errorf("walk stopped after 2: candidates %v, want %v", got, draws[:2])
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,8 +42,8 @@ const (
 	Majority
 	// Quorum generalizes the two: Candidates ranks are designated per round
 	// and the first of them to arrive initiates. Candidates=1 is Majority,
-	// Candidates=P is Solo; intermediate values trade latency for expected
-	// participation (§8).
+	// Candidates at or above P is Solo; intermediate values trade latency for
+	// expected participation (§8).
 	Quorum
 )
 
@@ -90,8 +91,8 @@ type Options struct {
 	// §4.2 is achieved by using the same seed on all processes).
 	Seed int64
 	// Candidates is the number of designated initiators per round in Quorum
-	// mode. Values below 1 are treated as 1; values above the communicator
-	// size behave like Solo.
+	// mode. Values below 1 are treated as 1; values at or above the
+	// communicator size behave like Solo.
 	Candidates int
 	// Buckets partitions the n-element gradient into contiguous buckets of
 	// the given lengths (summing to n) for the bucketed step API: WaitBucket
@@ -189,6 +190,7 @@ type Allreducer struct {
 	comm *comm.Communicator
 	n    int
 	opts Options
+	k    int // the round's candidate initiators (Candidates): the mode, resolved at New
 
 	buckets    []int // bucket lengths, summing to n (single whole-vector bucket by default)
 	bucketOffs []int // bucket start offsets
@@ -237,8 +239,12 @@ type Allreducer struct {
 // Every rank of the communicator must create one with identical n and
 // options; the engines start immediately.
 func New(c *comm.Communicator, n int, opts Options) *Allreducer {
-	if opts.Candidates < 1 {
-		opts.Candidates = 1
+	k := c.Size() // Solo: every rank is a candidate
+	switch opts.Mode {
+	case Majority:
+		k = 1
+	case Quorum:
+		k = min(max(opts.Candidates, 1), k)
 	}
 	buckets := opts.Buckets
 	if len(buckets) == 0 {
@@ -260,6 +266,7 @@ func New(c *comm.Communicator, n int, opts Options) *Allreducer {
 		comm:           c,
 		n:              n,
 		opts:           opts,
+		k:              k,
 		buckets:        buckets,
 		bucketOffs:     offs,
 		sendBuf:        tensor.NewVector(n + 1),
@@ -291,20 +298,21 @@ func New(c *comm.Communicator, n int, opts Options) *Allreducer {
 }
 
 // anyInitiatorAlive reports whether any designated initiator of the round is
-// still believed alive (self counts as alive). For Solo mode every rank may
-// initiate, so the answer is always true.
+// still believed alive (self counts as alive).
 func (a *Allreducer) anyInitiatorAlive(round int) bool {
-	inits := a.DesignatedInitiators(round)
-	if inits == nil {
-		return true // Solo (or Quorum covering all ranks)
-	}
 	me := a.comm.Rank()
-	for _, r := range inits {
-		if r == me || a.comm.PeerError(r) == nil {
-			return true
-		}
-	}
-	return false
+	return a.anyCandidate(round, func(r int) bool { return r == me || a.comm.PeerError(r) == nil })
+}
+
+// anyCandidate reports whether pred holds for one of the round's candidate
+// initiators, walking them without building a list.
+func (a *Allreducer) anyCandidate(round int, pred func(r int) bool) bool {
+	found := false
+	Candidates(a.opts.Seed, round, a.k, a.comm.Size(), func(r int) bool {
+		found = pred(r)
+		return !found
+	})
+	return found
 }
 
 // mayActivateLocked reports whether this rank may internally activate the
@@ -354,15 +362,11 @@ func (a *Allreducer) activateLocked(round int) {
 // been heard from are marked down on the communicator (cause
 // comm.ErrPeerDeadline) and, all initiators now being dead, the round is
 // failover-activated. The returned stop function must be called when the
-// wait ends. With failure tolerance off (or in Solo mode, where the waiter
-// activates the round itself) it does nothing.
+// wait ends. With failure tolerance off, or when every rank is a candidate
+// (Solo: the waiter activates the round itself), it does nothing.
 func (a *Allreducer) armFailoverTimer(round int) (stop func()) {
-	if a.opts.PeerDeadline <= 0 {
+	if a.opts.PeerDeadline <= 0 || a.k >= a.comm.Size() {
 		return func() {}
-	}
-	inits := a.DesignatedInitiators(round)
-	if inits == nil {
-		return func() {} // Solo: the application's own arrival activates
 	}
 	timer := time.AfterFunc(a.opts.PeerDeadline, func() {
 		a.mu.Lock()
@@ -376,7 +380,7 @@ func (a *Allreducer) armFailoverTimer(round int) (stop func()) {
 			return
 		}
 		me := a.comm.Rank()
-		for _, r := range inits {
+		for _, r := range a.DesignatedInitiators(round) {
 			if r != me {
 				// MarkPeerDown re-runs maybeFailoverActivate via the
 				// OnPeerDown hook; the direct call below covers the case
@@ -392,11 +396,6 @@ func (a *Allreducer) armFailoverTimer(round int) (stop func()) {
 // NumBuckets returns the number of buckets WaitBucket slices a round into.
 func (a *Allreducer) NumBuckets() int { return len(a.buckets) }
 
-// BucketRange returns the [lo, hi) element range of bucket b.
-func (a *Allreducer) BucketRange(b int) (lo, hi int) {
-	return a.bucketOffs[b], a.bucketOffs[b] + a.buckets[b]
-}
-
 // Mode returns the configured mode.
 func (a *Allreducer) Mode() Mode { return a.opts.Mode }
 
@@ -407,63 +406,49 @@ func (a *Allreducer) Size() int { return a.comm.Size() }
 func (a *Allreducer) Rank() int { return a.comm.Rank() }
 
 // isInitiator reports whether this rank may internally activate the given
-// round under the configured mode.
+// round: it is one of the round's candidates.
 func (a *Allreducer) isInitiator(round int) bool {
-	switch a.opts.Mode {
-	case Solo:
-		return true
-	case Majority:
-		return a.initiatorFor(round, 0) == a.comm.Rank()
-	case Quorum:
-		c := a.opts.Candidates
-		if c >= a.comm.Size() {
-			return true
-		}
-		me := a.comm.Rank()
-		for i := 0; i < c; i++ {
-			if a.initiatorFor(round, i) == me {
-				return true
-			}
-		}
-		return false
-	default:
-		return true
-	}
+	me := a.comm.Rank()
+	return a.anyCandidate(round, func(r int) bool { return r == me })
 }
 
 // DesignatedInitiators returns the ranks allowed to internally activate the
-// given round: nil for Solo (every rank may initiate), the single designated
-// initiator for Majority, and the candidate set for Quorum. Every rank
-// computes the same answer (the shared-seed consensus of §4.2), which makes
-// this useful for diagnostics and for tests that need to control who
-// activates a round.
+// given round, without duplicates in first-seen order: nil when every rank
+// may (Solo, a Quorum whose Candidates cover the world, any mode on a one-rank
+// world), the single designated initiator for Majority, and the candidate set
+// for Quorum. Every rank computes the same answer (the shared-seed consensus
+// of §4.2), which makes this useful for diagnostics and for tests that need
+// to control who activates a round.
 func (a *Allreducer) DesignatedInitiators(round int) []int {
-	switch a.opts.Mode {
-	case Majority:
-		return []int{a.initiatorFor(round, 0)}
-	case Quorum:
-		c := a.opts.Candidates
-		if c >= a.comm.Size() {
-			return nil
-		}
-		set := make(map[int]bool, c)
-		var out []int
-		for i := 0; i < c; i++ {
-			r := a.initiatorFor(round, i)
-			if !set[r] {
-				set[r] = true
-				out = append(out, r)
-			}
-		}
-		return out
-	default:
+	if a.k >= a.comm.Size() {
 		return nil
 	}
+	var out []int
+	Candidates(a.opts.Seed, round, a.k, a.comm.Size(), func(r int) bool {
+		if !slices.Contains(out, r) {
+			out = append(out, r)
+		}
+		return true
+	})
+	return out
 }
 
-// initiatorFor returns the idx-th designated initiator for the round.
-func (a *Allreducer) initiatorFor(round, idx int) int {
-	return Initiator(a.opts.Seed, round, idx, a.comm.Size())
+// Candidates walks the candidate initiators of the round among size ranks
+// when k are designated per round — the one participation rule behind every
+// mode (Solo is k = size, Majority k = 1, Quorum k = Candidates) and behind
+// internal/sweep's model of them — calling yield on each until it returns
+// false. At k ≥ size every rank is a candidate, each once, in rank order;
+// otherwise the candidates are Initiator(seed, round, i, size) for i < k, in
+// draw order, so a rank drawn twice is yielded twice. A round activates at
+// the first of its candidates to arrive.
+func Candidates(seed int64, round, k, size int, yield func(rank int) bool) {
+	if k >= size {
+		for r := 0; r < size && yield(r); r++ {
+		}
+		return
+	}
+	for i := 0; i < k && yield(Initiator(seed, round, i, size)); i++ {
+	}
 }
 
 // Initiator returns the idx-th designated initiator of the round in a world

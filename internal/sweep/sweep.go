@@ -20,13 +20,14 @@
 // where the injector's paper milliseconds are read as virtual milliseconds.
 // The policy then decides the round's activation time:
 //
-//	sync:      max over live arr (everyone waits for the last straggler)
-//	solo:      min over live arr (the fastest rank activates immediately)
-//	majority:  arr of the round's designated initiator — partial.Initiator,
-//	           the formula the engine itself calls — or, when that initiator
-//	           is dead, the dead-initiator failover: the fastest live arrival
-//	           plus PeerDeadline
-//	quorum(k): min arr over the round's k candidates (same failover)
+//	sync:  max over live arr (everyone waits for the last straggler)
+//	eager: min arr over the round's live candidates (partial.Candidates, the
+//	       walk the engine itself makes), else the dead-initiator failover:
+//	       the fastest live arrival plus PeerDeadline
+//
+// The eager policies differ only in their candidate count k, resolved as
+// partial.New resolves a mode: solo k = n, majority k = 1, quorum(K) K, and
+// a K ≥ n makes every rank a candidate, so quorum(K ≥ n) is solo.
 //
 // NAP (the paper's "number of active processes", RoundInfo.ActiveProcesses)
 // is the count of live ranks whose contribution arrived by activation. The
@@ -67,7 +68,8 @@ type Policy struct {
 	Name string
 	// Mode is one of "sync", "solo", "majority", "quorum".
 	Mode string
-	// K is the candidate count for quorum mode (ignored otherwise).
+	// K is the candidate count for quorum mode (ignored otherwise); a K at or
+	// above Ranks makes every rank a candidate, as in solo.
 	K int
 }
 
@@ -136,13 +138,21 @@ func Run(cfg Config) ([]Curve, error) {
 	if len(cfg.Policies) == 0 {
 		return nil, fmt.Errorf("sweep: no policies")
 	}
-	for _, p := range cfg.Policies {
+	// Each policy's candidate initiators per round, resolved as partial.New
+	// resolves a mode; 0 marks sync.
+	ks := make([]int, len(cfg.Policies))
+	for i, p := range cfg.Policies {
 		switch p.Mode {
-		case "sync", "solo", "majority":
+		case "sync":
+		case "solo":
+			ks[i] = cfg.Ranks
+		case "majority":
+			ks[i] = 1
 		case "quorum":
 			if p.K <= 0 {
 				return nil, fmt.Errorf("sweep: quorum policy %q needs K > 0", p.Name)
 			}
+			ks[i] = p.K
 		default:
 			return nil, fmt.Errorf("sweep: unknown mode %q in policy %q", p.Mode, p.Name)
 		}
@@ -199,13 +209,15 @@ func Run(cfg Config) ([]Curve, error) {
 	}
 
 	curves := make([]Curve, 0, len(cfg.Policies))
-	for _, pol := range cfg.Policies {
-		curves = append(curves, runPolicy(cfg, pol, skews, wire, deadAt, int64(deadline)))
+	for i, pol := range cfg.Policies {
+		curves = append(curves, runPolicy(cfg, pol, ks[i], skews, wire, deadAt, int64(deadline)))
 	}
 	return curves, nil
 }
 
-func runPolicy(cfg Config, pol Policy, skews [][]int64, wire int64, deadAt []int, deadline int64) Curve {
+// runPolicy replays one policy with k candidate initiators per round (0:
+// sync) over the shared load.
+func runPolicy(cfg Config, pol Policy, k int, skews [][]int64, wire int64, deadAt []int, deadline int64) Curve {
 	n := cfg.Ranks
 	base := int64(cfg.BaseCompute)
 	start := make([]int64, n)
@@ -235,27 +247,17 @@ func runPolicy(cfg Config, pol Policy, skews [][]int64, wire int64, deadAt []int
 		}
 		isLive := func(r int) bool { return deadAt[r] < 0 || step < deadAt[r] }
 
-		var act int64
-		switch pol.Mode {
-		case "sync":
-			act = maxArr
-		case "solo":
-			act = minArr
-		case "majority":
-			if i0 := partial.Initiator(int64(cfg.Seed), step, 0, n); isLive(i0) {
-				act = arr[i0]
-			} else {
-				act = minArr + deadline // dead-initiator failover
-			}
-		case "quorum":
-			act = int64(math.MaxInt64)
-			for idx := 0; idx < pol.K; idx++ {
-				if c := partial.Initiator(int64(cfg.Seed), step, idx, n); isLive(c) && arr[c] < act {
+		act := maxArr
+		if k > 0 {
+			act = math.MaxInt64
+			partial.Candidates(int64(cfg.Seed), step, k, n, func(c int) bool {
+				if isLive(c) && arr[c] < act {
 					act = arr[c]
 				}
-			}
+				return true
+			})
 			if act == math.MaxInt64 {
-				act = minArr + deadline // every candidate dead
+				act = minArr + deadline // every candidate dead: failover
 			}
 		}
 

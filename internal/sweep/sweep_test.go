@@ -301,6 +301,42 @@ func TestSweepActivatesPartialInitiator(t *testing.T) {
 	}
 }
 
+// TestQuorumEndsAreSoloAndMajority checks that the eager policies are one
+// rule over a candidate count, as in the engine: quorum(K) with K at or above
+// the rank count makes every rank a candidate and is solo, and quorum(1) is
+// majority, in every Curve field but the policy's own name.
+func TestQuorumEndsAreSoloAndMajority(t *testing.T) {
+	const n = 8
+	curves, err := Run(Config{
+		Seed:        42,
+		Ranks:       n,
+		Steps:       200,
+		BaseCompute: 10 * time.Millisecond,
+		Skew:        imbalance.LinearSkew{StepMs: 1},
+		Hop:         100 * time.Microsecond,
+		Policies: []Policy{
+			{Name: "solo", Mode: "solo"},
+			{Name: "majority", Mode: "majority"},
+			{Name: "quorum8", Mode: "quorum", K: n},
+			{Name: "quorum13", Mode: "quorum", K: 13},
+			{Name: "quorum1", Mode: "quorum", K: 1},
+		},
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	solo, maj := curves[0], curves[1]
+	for _, tc := range []struct {
+		got, want Curve
+	}{{curves[2], solo}, {curves[3], solo}, {curves[4], maj}} {
+		got, want := tc.got, tc.want
+		got.Policy, want.Policy = Policy{}, Policy{}
+		if got != want {
+			t.Errorf("%s = %+v, want %s's %+v", tc.got.Policy.Name, got, tc.want.Policy.Name, want)
+		}
+	}
+}
+
 // TestRunRejectsOverflowingDelay checks that a delay whose sum over the
 // steps would overflow int64 nanoseconds is an error naming its step and
 // rank, not a wrapped curve.

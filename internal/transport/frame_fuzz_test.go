@@ -39,10 +39,11 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := tensor.ReadPoolStats()
+		var hdr [12]byte
 		var scratch []byte
 		r := bytes.NewReader(data)
 		for {
-			m, err := decodeFrame(r, &scratch)
+			m, err := decodeFrame(r, &hdr, &scratch)
 			if err != nil {
 				if err.Error() == "" {
 					t.Fatal("decode error with empty message")
@@ -80,8 +81,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8 : i*8+8]))
 		}
 		buf := appendFrame(nil, comm.Message{Source: int(source), Tag: int(tag), Data: payload})
+		var hdr [12]byte
 		var scratch []byte
-		got, err := decodeFrame(bytes.NewReader(buf), &scratch)
+		got, err := decodeFrame(bytes.NewReader(buf), &hdr, &scratch)
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}

@@ -366,17 +366,19 @@ func (e *TCPEndpoint) Close() error {
 }
 
 // readLoop drains one peer connection, decoding frames into pool-leased
-// vectors and forwarding them to the inbox. Each loop owns a private scratch
-// buffer that is grown once and reused for every frame, so a steady-state
-// receive performs no allocation. A decode failure (including an oversized or
-// truncated frame) or EOF tears the connection down and fails only that peer,
-// in band, behind its last frame (see handleReadFailure); a decode failure is
-// also recorded on the endpoint (see ReadError) instead of silently vanishing.
+// vectors and forwarding them to the inbox. Each loop owns a private header
+// buffer and a scratch buffer that is grown once and reused for every frame,
+// so a steady-state receive performs no allocation. A decode failure
+// (including an oversized or truncated frame) or EOF tears the connection
+// down and fails only that peer, in band, behind its last frame (see
+// handleReadFailure); a decode failure is also recorded on the endpoint (see
+// ReadError) instead of silently vanishing.
 func (e *TCPEndpoint) readLoop(peer int, conn net.Conn) {
 	defer e.wg.Done()
+	var hdr [12]byte
 	var scratch []byte
 	for {
-		m, err := decodeFrame(conn, &scratch)
+		m, err := decodeFrame(conn, &hdr, &scratch)
 		if err != nil {
 			e.handleReadFailure(peer, conn, err)
 			return
@@ -450,15 +452,16 @@ func appendFrame(buf []byte, m comm.Message) []byte {
 	return appendFloats(buf, m.Data)
 }
 
-// decodeFrame reads one frame from r into a pool-leased vector. On
+// decodeFrame reads one frame from r into a pool-leased vector. The header
+// lands in *hdr, which the caller keeps across frames: a local array would
+// escape through io.ReadFull and cost a heap object per frame. On
 // little-endian architectures the payload bytes land directly in the vector's
 // backing array (no staging buffer, no conversion pass); the portable
 // fallback stages through *scratch (grown once, then reused). The returned
 // message owns its Data lease. Oversized length headers are rejected before
 // any payload allocation with an error wrapping ErrFrameTooLarge; a payload
 // shorter than its header promises fails with a descriptive truncation error.
-func decodeFrame(r io.Reader, scratch *[]byte) (comm.Message, error) {
-	var hdr [12]byte
+func decodeFrame(r io.Reader, hdr *[12]byte, scratch *[]byte) (comm.Message, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return comm.Message{}, err
 	}

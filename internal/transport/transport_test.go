@@ -147,11 +147,12 @@ func TestNewInprocWorldRoundTrip(t *testing.T) {
 
 func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 	var wbuf []byte
+	var hdr [12]byte
 	var scratch []byte
 	f := func(source int32, tag int32, payload []float64) bool {
 		m := comm.Message{Source: int(source), Tag: int(tag), Data: tensor.Vector(payload)}
 		wbuf = appendFrame(wbuf[:0], m)
-		got, err := decodeFrame(bytes.NewReader(wbuf), &scratch)
+		got, err := decodeFrame(bytes.NewReader(wbuf), &hdr, &scratch)
 		if err != nil {
 			return false
 		}
@@ -184,10 +185,11 @@ func TestAppendFrameReusesBuffer(t *testing.T) {
 
 func TestDecodeFrameRejectsOversizedLength(t *testing.T) {
 	var wbuf, scratch []byte
+	var hdr [12]byte
 	wbuf = appendFrame(wbuf[:0], comm.Message{Source: 1, Tag: 2, Data: tensor.Vector{1}})
 	// Corrupt the length field to an absurd value (~2^31 elements).
 	wbuf[8], wbuf[9], wbuf[10], wbuf[11] = 0xff, 0xff, 0xff, 0x7f
-	_, err := decodeFrame(bytes.NewReader(wbuf), &scratch)
+	_, err := decodeFrame(bytes.NewReader(wbuf), &hdr, &scratch)
 	if err == nil {
 		t.Fatal("expected error for oversized frame length")
 	}
@@ -203,9 +205,10 @@ func TestDecodeFrameRejectsOversizedLength(t *testing.T) {
 
 func TestDecodeFrameRejectsTruncatedPayload(t *testing.T) {
 	var wbuf, scratch []byte
+	var hdr [12]byte
 	wbuf = appendFrame(wbuf[:0], comm.Message{Source: 3, Tag: 4, Data: tensor.Vector{1, 2, 3, 4}})
 	// Drop the last 8 bytes: the header announces 4 elements but only 3 arrive.
-	_, err := decodeFrame(bytes.NewReader(wbuf[:len(wbuf)-8]), &scratch)
+	_, err := decodeFrame(bytes.NewReader(wbuf[:len(wbuf)-8]), &hdr, &scratch)
 	if err == nil {
 		t.Fatal("expected error for truncated frame")
 	}
@@ -218,8 +221,9 @@ func TestDecodeFrameRejectsTruncatedPayload(t *testing.T) {
 }
 
 func TestDecodeFrameTruncatedHeader(t *testing.T) {
+	var hdr [12]byte
 	var scratch []byte
-	if _, err := decodeFrame(bytes.NewReader([]byte{1, 2, 3}), &scratch); err == nil {
+	if _, err := decodeFrame(bytes.NewReader([]byte{1, 2, 3}), &hdr, &scratch); err == nil {
 		t.Fatal("expected error for truncated header")
 	}
 }

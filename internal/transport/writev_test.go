@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -221,6 +222,37 @@ func TestWriterSendAllocFree(t *testing.T) {
 	send() // warm the pool
 	if avg := testing.AllocsPerRun(200, send); avg > 0 {
 		t.Fatalf("tcpWriter.send allocates %.2f objects per frame, want 0", avg)
+	}
+}
+
+// TestDecodeFrameAllocFree holds the receive side of a TCP connection to zero
+// allocations per frame: decoding pre-encoded frames of several sizes into
+// pooled vectors, with the header and scratch buffers a read loop keeps.
+func TestDecodeFrameAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	sizes := []int{0, 1, 64, 4096}
+	var wire []byte
+	for i, n := range sizes {
+		wire = appendFrame(wire, comm.Message{Source: i, Tag: 7, Data: make(tensor.Vector, n)})
+	}
+	r := bytes.NewReader(wire)
+	var hdr [12]byte
+	var scratch []byte
+	decodeAll := func() {
+		r.Reset(wire)
+		for _, n := range sizes {
+			m, err := decodeFrame(r, &hdr, &scratch)
+			if err != nil || len(m.Data) != n {
+				t.Fatalf("decodeFrame: %d elements, err %v; want %d", len(m.Data), err, n)
+			}
+			tensor.PutVector(m.Data)
+		}
+	}
+	decodeAll() // warm the pool
+	if avg := testing.AllocsPerRun(200, decodeAll) / float64(len(sizes)); avg > 0 {
+		t.Fatalf("decodeFrame allocates %.2f objects per frame, want 0", avg)
 	}
 }
 
