@@ -113,13 +113,14 @@ func lockstepRound(ars []*partial.Allreducer, grads []tensor.Vector) []stepResul
 			return
 		}
 		sum := tensor.NewVector(len(grads[r]))
-		for b, lo := 0, 0; b < a.NumBuckets(); b++ {
+		for b := 0; b < a.NumBuckets(); b++ {
 			part, err := a.WaitBucket(ctx, round, b)
 			if err != nil {
 				out[r].err = err
 				return
 			}
-			lo += copy(sum[lo:], part) // buckets are contiguous, in order
+			lo, hi := a.BucketRange(b)
+			sum[lo:hi].CopyFrom(part)
 			tensor.PutVector(part)
 		}
 		out[r].sum = sum

@@ -70,22 +70,26 @@ func TestInitiatorAgreesWithEngine(t *testing.T) {
 	}
 }
 
-// TestCandidatesWalk pins the participation rule every mode resolves to: at
-// k ≥ size every rank once in rank order, below it Initiator's first k draws
-// in draw order (a collision yielded twice), and the walk stops as soon as
-// yield returns false.
+// TestCandidatesWalk pins the participation rule every mode resolves to:
+// Solo, and a Quorum of k ≥ size, walk every rank once in rank order;
+// Majority, and a Quorum below size, walk Initiator's first k draws in draw
+// order (Majority k = 1, a Quorum k below 1 counts as 1, a collision is
+// yielded twice); the walk stops as soon as yield returns false.
 func TestCandidatesWalk(t *testing.T) {
-	walk := func(k, size, stopAfter int) []int {
+	walk := func(mode Mode, k, size, stopAfter int) []int {
 		var got []int
-		Candidates(42, 17, k, size, func(r int) bool {
+		Candidates(mode, k, 42, 17, size, func(r int) bool {
 			got = append(got, r)
 			return len(got) < stopAfter
 		})
 		return got
 	}
+	if got := walk(Solo, 0, 5, 100); !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
+		t.Errorf("Solo of 5: candidates %v, want every rank", got)
+	}
 	for _, k := range []int{5, 6, 1000} {
-		if got := walk(k, 5, 100); !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
-			t.Errorf("k=%d of 5: candidates %v, want every rank", k, got)
+		if got := walk(Quorum, k, 5, 100); !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
+			t.Errorf("Quorum k=%d of 5: candidates %v, want every rank", k, got)
 		}
 	}
 	var draws []int
@@ -97,10 +101,18 @@ func TestCandidatesWalk(t *testing.T) {
 	if len(slices.Compact(distinct)) == len(draws) {
 		t.Fatalf("the draws %v hold no collision, so they do not show one yielded twice", draws)
 	}
-	if got := walk(12, 20, 100); !slices.Equal(got, draws) {
-		t.Errorf("k=12 of 20: candidates %v, want Initiator's draws %v", got, draws)
+	for _, m := range []struct {
+		mode Mode
+		k    int
+	}{{Majority, 7}, {Quorum, 1}, {Quorum, 0}, {Quorum, -3}} {
+		if got := walk(m.mode, m.k, 20, 100); !slices.Equal(got, draws[:1]) {
+			t.Errorf("%v k=%d of 20: candidates %v, want Initiator's first draw %v", m.mode, m.k, got, draws[:1])
+		}
 	}
-	if got := walk(12, 20, 2); !slices.Equal(got, draws[:2]) {
+	if got := walk(Quorum, 12, 20, 100); !slices.Equal(got, draws) {
+		t.Errorf("Quorum k=12 of 20: candidates %v, want Initiator's draws %v", got, draws)
+	}
+	if got := walk(Quorum, 12, 20, 2); !slices.Equal(got, draws[:2]) {
 		t.Errorf("walk stopped after 2: candidates %v, want %v", got, draws[:2])
 	}
 }

@@ -190,7 +190,6 @@ type Allreducer struct {
 	comm *comm.Communicator
 	n    int
 	opts Options
-	k    int // the round's candidate initiators (Candidates): the mode, resolved at New
 
 	buckets    []int // bucket lengths, summing to n (single whole-vector bucket by default)
 	bucketOffs []int // bucket start offsets
@@ -239,13 +238,6 @@ type Allreducer struct {
 // Every rank of the communicator must create one with identical n and
 // options; the engines start immediately.
 func New(c *comm.Communicator, n int, opts Options) *Allreducer {
-	k := c.Size() // Solo: every rank is a candidate
-	switch opts.Mode {
-	case Majority:
-		k = 1
-	case Quorum:
-		k = min(max(opts.Candidates, 1), k)
-	}
 	buckets := opts.Buckets
 	if len(buckets) == 0 {
 		buckets = []int{n}
@@ -266,7 +258,6 @@ func New(c *comm.Communicator, n int, opts Options) *Allreducer {
 		comm:           c,
 		n:              n,
 		opts:           opts,
-		k:              k,
 		buckets:        buckets,
 		bucketOffs:     offs,
 		sendBuf:        tensor.NewVector(n + 1),
@@ -308,7 +299,7 @@ func (a *Allreducer) anyInitiatorAlive(round int) bool {
 // initiators, walking them without building a list.
 func (a *Allreducer) anyCandidate(round int, pred func(r int) bool) bool {
 	found := false
-	Candidates(a.opts.Seed, round, a.k, a.comm.Size(), func(r int) bool {
+	Candidates(a.opts.Mode, a.opts.Candidates, a.opts.Seed, round, a.comm.Size(), func(r int) bool {
 		found = pred(r)
 		return !found
 	})
@@ -365,7 +356,7 @@ func (a *Allreducer) activateLocked(round int) {
 // wait ends. With failure tolerance off, or when every rank is a candidate
 // (Solo: the waiter activates the round itself), it does nothing.
 func (a *Allreducer) armFailoverTimer(round int) (stop func()) {
-	if a.opts.PeerDeadline <= 0 || a.k >= a.comm.Size() {
+	if a.opts.PeerDeadline <= 0 || a.everyRankCandidate() {
 		return func() {}
 	}
 	timer := time.AfterFunc(a.opts.PeerDeadline, func() {
@@ -420,11 +411,11 @@ func (a *Allreducer) isInitiator(round int) bool {
 // of §4.2), which makes this useful for diagnostics and for tests that need
 // to control who activates a round.
 func (a *Allreducer) DesignatedInitiators(round int) []int {
-	if a.k >= a.comm.Size() {
+	if a.everyRankCandidate() {
 		return nil
 	}
 	var out []int
-	Candidates(a.opts.Seed, round, a.k, a.comm.Size(), func(r int) bool {
+	Candidates(a.opts.Mode, a.opts.Candidates, a.opts.Seed, round, a.comm.Size(), func(r int) bool {
 		if !slices.Contains(out, r) {
 			out = append(out, r)
 		}
@@ -433,15 +424,36 @@ func (a *Allreducer) DesignatedInitiators(round int) []int {
 	return out
 }
 
+// everyRankCandidate reports whether every rank is a candidate initiator of
+// every round (Solo, a Quorum covering the world, any mode on one rank).
+func (a *Allreducer) everyRankCandidate() bool {
+	return candidateCount(a.opts.Mode, a.opts.Candidates, a.comm.Size()) >= a.comm.Size()
+}
+
+// candidateCount resolves a mode into the number k of candidate initiators
+// it designates per round among size ranks: Solo k = size, Majority k = 1,
+// Quorum k = candidates clamped to [1, size].
+func candidateCount(mode Mode, candidates, size int) int {
+	switch mode {
+	case Majority:
+		return 1
+	case Quorum:
+		return min(max(candidates, 1), size)
+	}
+	return size
+}
+
 // Candidates walks the candidate initiators of the round among size ranks
-// when k are designated per round — the one participation rule behind every
-// mode (Solo is k = size, Majority k = 1, Quorum k = Candidates) and behind
-// internal/sweep's model of them — calling yield on each until it returns
-// false. At k ≥ size every rank is a candidate, each once, in rank order;
-// otherwise the candidates are Initiator(seed, round, i, size) for i < k, in
-// draw order, so a rank drawn twice is yielded twice. A round activates at
-// the first of its candidates to arrive.
-func Candidates(seed int64, round, k, size int, yield func(rank int) bool) {
+// under the given mode (candidates is Options.Candidates, read by Quorum) —
+// the one participation rule behind every mode and behind internal/sweep's
+// model of them — calling yield on each until it returns false. The mode
+// designates k ranks per round (candidateCount). At k ≥ size every rank is a
+// candidate, each once, in rank order; otherwise the candidates are
+// Initiator(seed, round, i, size) for i < k, in draw order, so a rank drawn
+// twice is yielded twice. A round activates at the first of its candidates
+// to arrive.
+func Candidates(mode Mode, candidates int, seed int64, round, size int, yield func(rank int) bool) {
+	k := candidateCount(mode, candidates, size)
 	if k >= size {
 		for r := 0; r < size && yield(r); r++ {
 		}

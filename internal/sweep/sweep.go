@@ -25,9 +25,9 @@
 //	       walk the engine itself makes), else the dead-initiator failover:
 //	       the fastest live arrival plus PeerDeadline
 //
-// The eager policies differ only in their candidate count k, resolved as
-// partial.New resolves a mode: solo k = n, majority k = 1, quorum(K) K, and
-// a K ≥ n makes every rank a candidate, so quorum(K ≥ n) is solo.
+// The eager policies are the engine's modes and differ only in the candidate
+// count k that partial.Candidates resolves for them: solo k = n, majority
+// k = 1, quorum(K) K clamped to [1, n], so quorum(K ≥ n) is solo.
 //
 // NAP (the paper's "number of active processes", RoundInfo.ActiveProcesses)
 // is the count of live ranks whose contribution arrived by activation. The
@@ -138,23 +138,12 @@ func Run(cfg Config) ([]Curve, error) {
 	if len(cfg.Policies) == 0 {
 		return nil, fmt.Errorf("sweep: no policies")
 	}
-	// Each policy's candidate initiators per round, resolved as partial.New
-	// resolves a mode; 0 marks sync.
-	ks := make([]int, len(cfg.Policies))
-	for i, p := range cfg.Policies {
-		switch p.Mode {
-		case "sync":
-		case "solo":
-			ks[i] = cfg.Ranks
-		case "majority":
-			ks[i] = 1
-		case "quorum":
-			if p.K <= 0 {
-				return nil, fmt.Errorf("sweep: quorum policy %q needs K > 0", p.Name)
-			}
-			ks[i] = p.K
-		default:
+	for _, p := range cfg.Policies {
+		if _, eager := eagerModes[p.Mode]; !eager && p.Mode != "sync" {
 			return nil, fmt.Errorf("sweep: unknown mode %q in policy %q", p.Mode, p.Name)
+		}
+		if p.Mode == "quorum" && p.K <= 0 {
+			return nil, fmt.Errorf("sweep: quorum policy %q needs K > 0", p.Name)
 		}
 	}
 	skew := cfg.Skew
@@ -209,16 +198,19 @@ func Run(cfg Config) ([]Curve, error) {
 	}
 
 	curves := make([]Curve, 0, len(cfg.Policies))
-	for i, pol := range cfg.Policies {
-		curves = append(curves, runPolicy(cfg, pol, ks[i], skews, wire, deadAt, int64(deadline)))
+	for _, pol := range cfg.Policies {
+		curves = append(curves, runPolicy(cfg, pol, skews, wire, deadAt, int64(deadline)))
 	}
 	return curves, nil
 }
 
-// runPolicy replays one policy with k candidate initiators per round (0:
-// sync) over the shared load.
-func runPolicy(cfg Config, pol Policy, k int, skews [][]int64, wire int64, deadAt []int, deadline int64) Curve {
+// eagerModes maps each eager policy mode to the engine mode whose candidates
+// it replays.
+var eagerModes = map[string]partial.Mode{"solo": partial.Solo, "majority": partial.Majority, "quorum": partial.Quorum}
+
+func runPolicy(cfg Config, pol Policy, skews [][]int64, wire int64, deadAt []int, deadline int64) Curve {
 	n := cfg.Ranks
+	mode, eager := eagerModes[pol.Mode]
 	base := int64(cfg.BaseCompute)
 	start := make([]int64, n)
 	arr := make([]int64, n)
@@ -247,10 +239,10 @@ func runPolicy(cfg Config, pol Policy, k int, skews [][]int64, wire int64, deadA
 		}
 		isLive := func(r int) bool { return deadAt[r] < 0 || step < deadAt[r] }
 
-		act := maxArr
-		if k > 0 {
+		act := maxArr // sync: the last live arrival
+		if eager {
 			act = math.MaxInt64
-			partial.Candidates(int64(cfg.Seed), step, k, n, func(c int) bool {
+			partial.Candidates(mode, pol.K, int64(cfg.Seed), step, n, func(c int) bool {
 				if isLive(c) && arr[c] < act {
 					act = arr[c]
 				}
