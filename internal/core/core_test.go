@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -636,6 +637,82 @@ func TestOverlappedEagerTraining(t *testing.T) {
 	for r, l := range evalLosses {
 		if l > initial*0.5 {
 			t.Fatalf("rank %d overlapped eager training did not make progress: eval loss %v (initial %v)", r, l, initial)
+		}
+	}
+}
+
+// TestWorldStepAllocBounded gates whole training steps on a four-rank world,
+// inproc and TCP, Sync and Solo, with overlap on and a model sync every step:
+// each rank steps on its own goroutine, all of them in lock-step, and the
+// process's heap objects (runtime.MemStats.Mallocs, so the transports' read
+// loops and the engines count too) stay below half an object per rank-step
+// over 400 steps.
+func TestWorldStepAllocBounded(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const ranks, warm, steps, bound = 4, 50, 400, 0.5
+	for _, transport := range []collective.Transport{collective.Inproc, collective.TCP} {
+		for mi, mode := range []collective.Mode{collective.Sync, collective.Solo} {
+			t.Run(fmt.Sprintf("%v/%v", transport, mode), func(t *testing.T) {
+				world, err := collective.NewWorld(ranks, collective.WithTransport(transport), collective.WithBasePort(28700+10*mi))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer world.Close()
+				step := make([]chan struct{}, ranks)
+				done := make(chan error, ranks)
+				for r := range step {
+					n := world.Node(r)
+					task := buildDeepClassificationTask(r, ranks)
+					tr, err := core.NewTrainer(core.Config{
+						Node: n,
+						Task: task,
+						Exchanger: mustReducer(n, task.NumParams(), collective.WithMode(mode),
+							collective.WithOverlap(), collective.WithBucketLayout(core.BucketLayout(task, 0)...)),
+						Optimizer:      optimizer.NewSGD(0.05),
+						SyncEverySteps: 1,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer tr.Close()
+					step[r] = make(chan struct{})
+					go func() {
+						for range step[r] {
+							_, err := tr.StepContext(context.Background())
+							done <- err
+						}
+					}()
+				}
+				defer func() {
+					for _, ch := range step {
+						close(ch)
+					}
+				}()
+				lockstep := func(n int) {
+					for i := 0; i < n; i++ {
+						for _, ch := range step {
+							ch <- struct{}{}
+						}
+						for range step {
+							if err := <-done; err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				lockstep(warm) // warm the pools, the workspaces and the recorders
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				lockstep(steps)
+				runtime.ReadMemStats(&after)
+				perStep := float64(after.Mallocs-before.Mallocs) / (ranks * steps)
+				t.Logf("%.3f heap objects per rank-step", perStep)
+				if perStep > bound {
+					t.Fatalf("%.3f heap objects per rank-step over %d lock-step steps, want at most %v", perStep, steps, bound)
+				}
+			})
 		}
 	}
 }

@@ -1,0 +1,142 @@
+package partial
+
+import "slices"
+
+// activation is one rank's activation protocol as a value, with no I/O and
+// no lock: the consumable OR-activation of the persistent schedule (§4.1.1,
+// Fig. 6), the shared-seed candidates of §4.2 with their failover, and the
+// snapshot's fresh flag (Fig. 7). Each event is one method; the Allreducer
+// calls it under a.mu and carries out what it returns, and explore_test.go
+// drives it through every interleaving of a small world.
+type activation struct {
+	rank, size int
+	opts       Options
+	stats      Stats // the Allreducer's: Rounds and the activation counters are counted here
+
+	// The highest round the application arrived at, asked to start here, took
+	// a peer's stamp for, activated and completed here (-1 none).
+	arrived, internal, stamp, active, done int
+}
+
+func newActivation(rank, size int, opts Options) activation {
+	return activation{rank: rank, size: size, opts: opts, arrived: -1, internal: -1, stamp: -1, active: -1, done: -1}
+}
+
+// arrive is the application arriving at round r. It reports whether to wake
+// the engine: this rank may start the round, and does.
+func (m *activation) arrive(r int, alive func(rank int) bool) bool {
+	m.arrived = max(m.arrived, r)
+	return m.request(r, alive)
+}
+
+// receive is a peer's activation stamped s arriving; it reports whether to
+// wake the engine. A stamp at or below a round activated here is a redundant
+// flood copy, never the next round's; a later one is kept until its round.
+func (m *activation) receive(s int) bool {
+	if s <= m.stamp || s <= m.active {
+		m.stats.StaleActivations++
+		return false
+	}
+	m.stamp = s
+	return true
+}
+
+// arm is the engine arming round r, or waking while armed on it. It reports
+// whether the round is activated, internally or externally, and must run now.
+func (m *activation) arm(r int) bool {
+	switch {
+	case m.internal >= r:
+		m.stats.InternalActivations++
+		if m.stamp == r {
+			m.stats.StaleActivations++ // a peer's activation was waiting too; ours won
+		}
+	case m.stamp >= r:
+		m.stats.ExternalActivations++
+	default:
+		return false
+	}
+	m.active = r
+	return true
+}
+
+// peerDown is a peer being marked down: the application's round may have lost
+// its last live candidate and fail over. It reports whether to wake the engine.
+func (m *activation) peerDown(alive func(rank int) bool) bool {
+	return m.request(m.arrived, alive)
+}
+
+// deadline is round r's deadline firing at a rank waiting on it. It reports
+// whether to suspect the round's candidates: only before it activated here,
+// as then the wait is on the data phase, whose deadlines handle dead ranks.
+func (m *activation) deadline(r int) bool {
+	return m.done < r && m.active < r
+}
+
+// complete is round r completing here.
+func (m *activation) complete(r int) {
+	m.done = r
+	m.stats.Rounds++
+}
+
+// fresh reports whether round r's snapshot carries a fresh contribution.
+func (m *activation) fresh(r int) bool { return m.arrived >= r }
+
+// request starts round r for the application if it is still to run and this
+// rank is a candidate, or with a peer deadline every candidate is down.
+func (m *activation) request(r int, alive func(rank int) bool) bool {
+	if m.done >= r || m.internal >= r {
+		return false
+	}
+	if !m.isInitiator(r) {
+		if m.opts.PeerDeadline <= 0 || m.anyCandidate(r, alive) {
+			return false
+		}
+		m.stats.FailoverActivations++
+	}
+	m.internal = r
+	return true
+}
+
+// isInitiator reports whether this rank is a candidate of the round.
+func (m *activation) isInitiator(r int) bool {
+	return m.everyRank() || m.anyCandidate(r, func(c int) bool { return c == m.rank })
+}
+
+// everyRank reports whether every rank is a candidate of every round.
+func (m *activation) everyRank() bool {
+	return candidateCount(m.opts.Mode, m.opts.Candidates, m.size) >= m.size
+}
+
+// anyCandidate reports whether pred holds for one of the round's Candidates.
+func (m *activation) anyCandidate(r int, pred func(rank int) bool) bool {
+	found := false
+	Candidates(m.opts.Mode, m.opts.Candidates, m.opts.Seed, r, m.size, func(c int) bool {
+		found = pred(c)
+		return !found
+	})
+	return found
+}
+
+// peers returns the ranks this rank floods an activation to: its neighbours in
+// the hypercube of dimension k = ⌈log₂ size⌉, rank v − 2^(k−1) standing in
+// for each vertex v ≥ size. A round reaches all within k hops, and a death (at
+// most two vertices of the k-connected hypercube) leaves the rest connected.
+func (m *activation) peers() []int {
+	top := 1
+	for top*2 < m.size {
+		top *= 2
+	}
+	var out []int
+	for v := m.rank; v < 2*top && (v == m.rank || v >= m.size); v += top {
+		for d := 1; d < 2*top; d *= 2 {
+			p := v ^ d
+			if p >= m.size {
+				p -= top
+			}
+			if p != m.rank && !slices.Contains(out, p) {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
+}

@@ -58,7 +58,7 @@ func TestInitiatorAgreesWithEngine(t *testing.T) {
 				t.Fatalf("%v k=%d round %d: DesignatedInitiators = %v, Initiator gives %v", opts.Mode, k, round, got, want)
 			}
 			for r, a := range ars {
-				if got := a.isInitiator(round); got != (want == nil || slices.Contains(want, r)) {
+				if got := a.act.isInitiator(round); got != (want == nil || slices.Contains(want, r)) {
 					t.Fatalf("%v k=%d round %d: rank %d isInitiator = %v, Initiator gives %v", opts.Mode, k, round, r, got, want)
 				}
 			}

@@ -216,17 +216,11 @@ type Allreducer struct {
 	lastResult tensor.Vector
 	stageBuf   tensor.Vector // allocated by the first BeginStep
 
-	contribSeq  uint64 // bumped on every accumulation into sendBuf
-	appRound    int    // next round index the application will exchange
-	appArrived  int    // highest round for which the application has arrived (-1 none)
-	pendingInit int    // highest round the app wants internally activated (-1 none)
-	extRound    int    // highest round stamp received in a peer's activation (-1 none)
-
-	engineRound    int // round currently armed by the engine
-	activatedRound int // highest round the engine has been activated for (-1 none)
-	completedRound int // highest completed round (-1 none)
-	records        [retainedRounds]roundRecord
-	stats          Stats
+	contribSeq uint64 // bumped on every accumulation into sendBuf
+	appRound   int    // next round index the application will exchange
+	act        activation
+	peers      []int // the ranks the activation flood goes to (activation.peers)
+	records    [retainedRounds]roundRecord
 
 	closed   bool // Close was called, or the communicator closed
 	stopped  bool // the engine must stop: fail was called
@@ -255,32 +249,27 @@ func New(c *comm.Communicator, n int, opts Options) *Allreducer {
 		panic(fmt.Sprintf("partial: bucket lengths sum to %d, want %d", total, n))
 	}
 	a := &Allreducer{
-		comm:           c,
-		n:              n,
-		opts:           opts,
-		buckets:        buckets,
-		bucketOffs:     offs,
-		sendBuf:        tensor.NewVector(n + 1),
-		sendNull:       true,
-		roundBuf:       tensor.NewVector(n + 1),
-		lastResult:     tensor.NewVector(n + 1),
-		appArrived:     -1,
-		pendingInit:    -1,
-		extRound:       -1,
-		activatedRound: -1,
-		completedRound: -1,
+		comm:       c,
+		n:          n,
+		opts:       opts,
+		buckets:    buckets,
+		bucketOffs: offs,
+		sendBuf:    tensor.NewVector(n + 1),
+		sendNull:   true,
+		roundBuf:   tensor.NewVector(n + 1),
+		lastResult: tensor.NewVector(n + 1),
+		act:        newActivation(c.Rank(), c.Size(), opts),
 	}
+	a.peers = a.act.peers()
 	for i := range a.records {
 		a.records[i].round = -1
 	}
 	a.cond = sync.NewCond(&a.mu)
 	a.wake = sync.NewCond(&a.mu)
 	if opts.PeerDeadline > 0 {
-		// A peer marked down (by a data-phase deadline, the transport, or the
-		// failure detector of a sibling allreducer on the same communicator)
-		// may have been the only rank allowed to activate the armed round;
-		// re-evaluate failover activation on every marking.
-		c.OnPeerDown(func(int) { a.maybeFailoverActivate() })
+		// A peer marked down (by a data-phase deadline, the transport, or a
+		// sibling allreducer) may have been the round's last live candidate.
+		c.OnPeerDown(func(int) { a.peerDown() })
 	}
 	a.engineWG.Add(2)
 	go a.engineLoop()
@@ -288,130 +277,54 @@ func New(c *comm.Communicator, n int, opts Options) *Allreducer {
 	return a
 }
 
-// anyInitiatorAlive reports whether any designated initiator of the round is
-// still believed alive (self counts as alive).
-func (a *Allreducer) anyInitiatorAlive(round int) bool {
-	me := a.comm.Rank()
-	return a.anyCandidate(round, func(r int) bool { return r == me || a.comm.PeerError(r) == nil })
-}
+// alive reports whether the communicator still believes rank r alive.
+func (a *Allreducer) alive(r int) bool { return a.comm.PeerError(r) == nil }
 
-// anyCandidate reports whether pred holds for one of the round's candidate
-// initiators, walking them without building a list.
-func (a *Allreducer) anyCandidate(round int, pred func(r int) bool) bool {
-	found := false
-	Candidates(a.opts.Mode, a.opts.Candidates, a.opts.Seed, round, a.comm.Size(), func(r int) bool {
-		found = pred(r)
-		return !found
-	})
-	return found
-}
-
-// mayActivateLocked reports whether this rank may internally activate the
-// round: it is a designated initiator, or failure tolerance is on and every
-// designated initiator is marked down (the failover that keeps a round with a
-// dead initiator live — its activation then carries only survivors' flags).
-// Caller holds a.mu.
-func (a *Allreducer) mayActivateLocked(round int) bool {
-	if a.isInitiator(round) {
-		return true
-	}
-	return a.opts.PeerDeadline > 0 && !a.anyInitiatorAlive(round)
-}
-
-// maybeFailoverActivate triggers the armed round if the application has
-// arrived at it and its designated initiators are all dead.
-func (a *Allreducer) maybeFailoverActivate() {
+// peerDown delivers a peer's marking down to the activation protocol, which
+// may fail the application's round over to this rank.
+func (a *Allreducer) peerDown() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.closed || a.err != nil {
-		return
-	}
-	round := a.engineRound
-	if a.appArrived >= round && a.completedRound < round && a.mayActivateLocked(round) {
-		a.activateLocked(round)
+	if !a.closed && a.err == nil && a.act.peerDown(a.alive) {
+		a.wake.Signal()
 	}
 }
 
-// activateLocked is the internal activation of §4.1.1: the application wants
-// the round started. The engine acts on it at once if it is waiting on that
-// round, and as soon as it arms the round otherwise. The caller has checked
-// mayActivateLocked and holds a.mu.
-func (a *Allreducer) activateLocked(round int) {
-	if a.pendingInit >= round {
-		return
-	}
-	a.pendingInit = round
-	if !a.isInitiator(round) {
-		a.stats.FailoverActivations++
-	}
-	a.wake.Signal()
-}
-
-// armFailoverTimer starts the per-wait failure detector used while the
-// application waits on an incomplete round: if the round is still incomplete
-// after the peer deadline, the round's designated initiators that have not
-// been heard from are marked down on the communicator (cause
-// comm.ErrPeerDeadline) and, all initiators now being dead, the round is
-// failover-activated. The returned stop function must be called when the
-// wait ends. With failure tolerance off, or when every rank is a candidate
-// (Solo: the waiter activates the round itself), it does nothing.
+// armFailoverTimer starts the failure detector of a wait on the round: when
+// the peer deadline fires on it unactivated (activation.deadline), its
+// designated initiators are marked down (cause comm.ErrPeerDeadline), so it
+// fails over. Call the returned stop function when the wait ends. With failure
+// tolerance off, or every rank a candidate, it does nothing.
 func (a *Allreducer) armFailoverTimer(round int) (stop func()) {
-	if a.opts.PeerDeadline <= 0 || a.everyRankCandidate() {
+	if a.opts.PeerDeadline <= 0 || a.act.everyRank() {
 		return func() {}
 	}
 	timer := time.AfterFunc(a.opts.PeerDeadline, func() {
 		a.mu.Lock()
-		// Only suspect the initiators while the round is both incomplete AND
-		// unactivated: once any live initiator activated it, the wait is on
-		// the data phase (whose own deadlines handle dead ranks), and marking
-		// the initiators down here would falsely kill live ranks.
-		expired := !a.closed && a.err == nil && a.completedRound < round && a.activatedRound < round
+		suspect := !a.closed && a.err == nil && a.act.deadline(round)
 		a.mu.Unlock()
-		if !expired {
+		if !suspect {
 			return
 		}
-		me := a.comm.Rank()
 		for _, r := range a.DesignatedInitiators(round) {
-			if r != me {
-				// MarkPeerDown re-runs maybeFailoverActivate via the
-				// OnPeerDown hook; the direct call below covers the case
-				// where every initiator was already marked.
+			if r != a.comm.Rank() {
+				// The OnPeerDown hook delivers peerDown; the call below covers
+				// initiators that were marked already.
 				a.comm.MarkPeerDown(r, fmt.Errorf("partial: round %d initiator %d unresponsive: %w", round, r, comm.ErrPeerDeadline))
 			}
 		}
-		a.maybeFailoverActivate()
+		a.peerDown()
 	})
 	return func() { timer.Stop() }
 }
 
-// NumBuckets returns the number of buckets WaitBucket slices a round into.
-func (a *Allreducer) NumBuckets() int { return len(a.buckets) }
-
-// Mode returns the configured mode.
-func (a *Allreducer) Mode() Mode { return a.opts.Mode }
-
-// Size returns the number of participating ranks.
-func (a *Allreducer) Size() int { return a.comm.Size() }
-
-// Rank returns the local rank.
-func (a *Allreducer) Rank() int { return a.comm.Rank() }
-
-// isInitiator reports whether this rank may internally activate the given
-// round: it is one of the round's candidates.
-func (a *Allreducer) isInitiator(round int) bool {
-	me := a.comm.Rank()
-	return a.anyCandidate(round, func(r int) bool { return r == me })
-}
-
 // DesignatedInitiators returns the ranks allowed to internally activate the
 // given round, without duplicates in first-seen order: nil when every rank
-// may (Solo, a Quorum whose Candidates cover the world, any mode on a one-rank
-// world), the single designated initiator for Majority, and the candidate set
-// for Quorum. Every rank computes the same answer (the shared-seed consensus
-// of §4.2), which makes this useful for diagnostics and for tests that need
-// to control who activates a round.
+// may (Solo, a Quorum covering the world, a one-rank world), else the
+// round's candidates. Every rank computes the same answer (the shared-seed
+// consensus of §4.2), for diagnostics and for tests that pick an initiator.
 func (a *Allreducer) DesignatedInitiators(round int) []int {
-	if a.everyRankCandidate() {
+	if a.act.everyRank() {
 		return nil
 	}
 	var out []int
@@ -422,12 +335,6 @@ func (a *Allreducer) DesignatedInitiators(round int) []int {
 		return true
 	})
 	return out
-}
-
-// everyRankCandidate reports whether every rank is a candidate initiator of
-// every round (Solo, a Quorum covering the world, any mode on one rank).
-func (a *Allreducer) everyRankCandidate() bool {
-	return candidateCount(a.opts.Mode, a.opts.Candidates, a.comm.Size()) >= a.comm.Size()
 }
 
 // candidateCount resolves a mode into the number k of candidate initiators
@@ -496,8 +403,8 @@ func Initiator(seed int64, round, idx, size int) int {
 // Contribute, and one wait that reads the result and its accounting together.
 // The returned vector is a pool-leased copy owned by the caller (release it
 // with tensor.PutVector when done, or let the garbage collector take it). The
-// result is the element-wise sum over contributions; divide by Size() for the
-// average used by eager-SGD.
+// result is the element-wise sum over contributions; divide by the world size
+// for the average used by eager-SGD.
 func (a *Allreducer) Exchange(grad tensor.Vector) (tensor.Vector, RoundInfo, error) {
 	if len(grad) != a.n {
 		return nil, RoundInfo{}, fmt.Errorf("partial: gradient length %d, want %d", len(grad), a.n)
@@ -531,7 +438,7 @@ func (a *Allreducer) recordLocked(round int) (roundRecord, bool) {
 func (a *Allreducer) roundInfoLocked(round int, seq uint64) RoundInfo {
 	rec, ok := a.recordLocked(round)
 	if !ok || seq > rec.doneSeq {
-		round = a.completedRound
+		round = a.act.done
 		rec, ok = a.recordLocked(round)
 	}
 	info := RoundInfo{Round: round}
@@ -540,39 +447,25 @@ func (a *Allreducer) roundInfoLocked(round int, seq uint64) RoundInfo {
 		info.Included = seq > 0 && seq <= rec.snapshotSeq
 	}
 	if info.Included {
-		a.stats.ExchangesIncluded++
+		a.act.stats.ExchangesIncluded++
 	} else {
-		a.stats.ExchangesStraggler++
+		a.act.stats.ExchangesStraggler++
 	}
 	return info
-}
-
-// resultCopyLocked returns a pool-leased copy of the latest receive-buffer
-// contents. The caller (the application) owns the lease and may release it
-// with tensor.PutVector once consumed. Caller holds a.mu.
-func (a *Allreducer) resultCopyLocked() tensor.Vector {
-	return tensor.GetVectorCopy(a.lastResult[:a.n])
 }
 
 // watchContext converts a context cancellation into condition-variable
 // wakeups so the wait loops can observe it. The returned stop function must
 // be called (usually deferred) when the wait is over.
-func (a *Allreducer) watchContext(ctx context.Context) (stop func()) {
-	done := ctx.Done()
-	if done == nil {
-		return func() {}
+func (a *Allreducer) watchContext(ctx context.Context) (stop func() bool) {
+	if ctx.Done() == nil {
+		return func() bool { return false } // nothing to watch, nothing to allocate
 	}
-	stopCh := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-			a.mu.Lock()
-			a.cond.Broadcast()
-			a.mu.Unlock()
-		case <-stopCh:
-		}
-	}()
-	return func() { close(stopCh) }
+	return context.AfterFunc(ctx, func() {
+		a.mu.Lock()
+		a.cond.Broadcast()
+		a.mu.Unlock()
+	})
 }
 
 // BeginStep reserves the next exchange round for a bucketed step and returns
@@ -630,17 +523,10 @@ func (a *Allreducer) Contribute(round int) (uint64, error) {
 		a.sendBuf[:a.n].Add(a.stageBuf[:a.n]) // fold onto the stale gradients
 	}
 	a.contribSeq++
-	seq := a.contribSeq
-	if round > a.appArrived {
-		a.appArrived = round
+	if a.err == nil && a.act.arrive(round, a.alive) {
+		a.wake.Signal()
 	}
-	if a.err != nil {
-		return seq, a.err
-	}
-	if a.completedRound < round && a.mayActivateLocked(round) {
-		a.activateLocked(round)
-	}
-	return seq, nil
+	return a.contribSeq, a.err
 }
 
 // WaitBucket blocks until the round has been reduced and returns a
@@ -652,11 +538,9 @@ func (a *Allreducer) WaitBucket(ctx context.Context, round, b int) (tensor.Vecto
 	if b < 0 || b >= len(a.buckets) {
 		return nil, fmt.Errorf("partial: bucket %d out of range [0,%d)", b, len(a.buckets))
 	}
-	defer a.watchContext(ctx)()
-	defer a.armFailoverTimer(round)()
-	a.mu.Lock()
+	err := a.await(ctx, round)
 	defer a.mu.Unlock()
-	if err := a.awaitLocked(ctx, round); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	lo := a.bucketOffs[b]
@@ -681,30 +565,32 @@ func (a *Allreducer) WaitStep(ctx context.Context, round int, seq uint64) (Round
 // and, with result, a pool-leased copy of the receive buffer read under the
 // same lock.
 func (a *Allreducer) wait(ctx context.Context, round int, seq uint64, result bool) (tensor.Vector, RoundInfo, error) {
-	defer a.watchContext(ctx)()
-	defer a.armFailoverTimer(round)()
-	a.mu.Lock()
+	err := a.await(ctx, round)
 	defer a.mu.Unlock()
-	if err := a.awaitLocked(ctx, round); err != nil {
+	if err != nil {
 		return nil, RoundInfo{}, err
 	}
 	var sum tensor.Vector
 	if result {
-		sum = a.resultCopyLocked()
+		sum = tensor.GetVectorCopy(a.lastResult[:a.n]) // the caller's lease
 	}
 	return sum, a.roundInfoLocked(round, seq), nil
 }
 
-// awaitLocked blocks until the round has completed, the allreducer has failed
-// or closed, or ctx is done. Caller holds a.mu and has armed watchContext.
-func (a *Allreducer) awaitLocked(ctx context.Context, round int) error {
+// await blocks, with the round's failure detector armed, until the round has
+// completed, the allreducer failed or closed, or ctx is done; it returns
+// holding a.mu.
+func (a *Allreducer) await(ctx context.Context, round int) error {
+	defer a.watchContext(ctx)()
+	defer a.armFailoverTimer(round)()
+	a.mu.Lock()
 	for {
 		switch {
 		case a.err != nil:
 			return a.err
 		case a.closed:
 			return ErrClosed
-		case a.completedRound >= round:
+		case a.act.done >= round:
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -715,10 +601,9 @@ func (a *Allreducer) awaitLocked(ctx context.Context, round int) error {
 }
 
 // engineLoop is the background communication engine: the persistent schedule
-// of Fig. 6 as a loop. Each iteration arms one round, waits for its
-// activation — internal or external, whichever comes first — and then runs
-// the round on behalf of the application, whether or not it has arrived: flood
-// the activation, snapshot the send buffer, reduce, publish.
+// of Fig. 6 as a loop. Each iteration arms one round, waits for its activation
+// and runs it on behalf of the application, arrived or not: flood the
+// activation, snapshot the send buffer, reduce, publish.
 func (a *Allreducer) engineLoop() {
 	defer a.engineWG.Done()
 	for round := 0; ; round++ {
@@ -738,40 +623,19 @@ func (a *Allreducer) engineLoop() {
 	}
 }
 
-// awaitActivation arms the round and blocks until the application asks for it
-// (activateLocked) or a peer's activation stamped with this round or a later
-// one has been received (listen). It reports false when the engine must stop
-// instead (fail).
+// awaitActivation arms the round and blocks until it is activated, or reports
+// false when the engine must stop instead (fail).
 func (a *Allreducer) awaitActivation(round int) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.engineRound = round
-	for a.pendingInit < round && a.extRound < round && !a.stopped {
+	for !a.stopped && !a.act.arm(round) {
 		a.wake.Wait()
 	}
-	switch {
-	case a.stopped:
-		return false
-	case a.pendingInit >= round:
-		a.stats.InternalActivations++
-		if a.extRound == round {
-			a.stats.StaleActivations++ // a peer's activation was waiting too; ours won
-		}
-	default:
-		a.stats.ExternalActivations++
-	}
-	a.activatedRound = round
-	return true
+	return !a.stopped
 }
 
-// listen receives the peers' activation messages for the lifetime of the
-// communicator: one wildcard-source receive on the one activation tag. Each
-// message is stamped with the round it activates. Only the highest stamp seen
-// matters — the consumable, OR-dependency activation of Fig. 6: a stamp at or
-// below a round already activated here is a redundant copy of the flood and is
-// dropped, so it can never start the next round; a stamp above the armed round
-// (a fast peer is already one round ahead) is remembered and activates that
-// round the moment the engine arms it.
+// listen receives the peers' round-stamped activations for the lifetime of
+// the communicator: one wildcard-source receive on the one activation tag.
 func (a *Allreducer) listen() {
 	defer a.engineWG.Done()
 	for {
@@ -784,28 +648,18 @@ func (a *Allreducer) listen() {
 		stamp := int(msg[0])
 		tensor.PutVector(msg)
 		a.mu.Lock()
-		if stamp > a.extRound && stamp > a.activatedRound {
-			a.extRound = stamp
+		if a.act.receive(stamp) {
 			a.wake.Signal()
-		} else {
-			a.stats.StaleActivations++
 		}
 		a.mu.Unlock()
 	}
 }
 
-// flood forwards the round's activation to the hypercube neighbours — the
-// union of P binomial broadcast trees, so whichever ranks initiate, every rank
-// hears of the round within log2(P) hops. The engine floods each round exactly
-// once, on its first activation. A neighbour marked down is skipped: its
-// activation simply never happens.
+// flood forwards the round's activation to the hypercube neighbours
+// (activation.peers), once per round, on its first activation here. A
+// neighbour marked down is skipped: its activation simply never happens.
 func (a *Allreducer) flood(round int) error {
-	rank, size := a.comm.Rank(), a.comm.Size()
-	for d := 1; d < size; d *= 2 {
-		peer := rank ^ d
-		if peer >= size {
-			continue
-		}
+	for _, peer := range a.peers {
 		msg := tensor.GetVector(1)
 		msg[0] = float64(round)
 		if err := a.comm.Send(peer, DefaultBaseTag+tagActivation, msg); err != nil && !errors.Is(err, comm.ErrPeerDown) {
@@ -826,10 +680,10 @@ func (a *Allreducer) snapshot(round int) {
 		a.sendBuf, a.roundBuf = a.roundBuf, a.sendBuf
 		a.sendNull = true
 	} else {
-		a.stats.NullSnapshots++
+		a.act.stats.NullSnapshots++
 	}
 	flag := 0.0
-	if a.appArrived >= round {
+	if a.act.fresh(round) {
 		flag = 1 // this rank's application reached the collective in time
 	}
 	a.records[round%retainedRounds] = roundRecord{round: round, snapshotSeq: a.contribSeq, nap: -1}
@@ -983,8 +837,7 @@ func (a *Allreducer) publish(round int) {
 	rec := &a.records[round%retainedRounds]
 	rec.nap = int(a.lastResult[a.n] + 0.5)
 	rec.doneSeq = a.contribSeq
-	a.completedRound = round
-	a.stats.Rounds++
+	a.act.complete(round)
 	a.cond.Broadcast()
 }
 
@@ -1008,14 +861,14 @@ func (a *Allreducer) fail(err error) {
 func (a *Allreducer) LastRound() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.completedRound
+	return a.act.done
 }
 
 // Stats returns the engine's counters as of now.
 func (a *Allreducer) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.stats
+	return a.act.stats
 }
 
 // PendingStale returns the L2 norm of the gradients currently parked in the
