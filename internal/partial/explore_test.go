@@ -285,21 +285,27 @@ func (w *world) send(mi message) {
 func (w *world) settle(s scope) error {
 	for i := 0; i < int(w.n); {
 		mi := w.msgs[i]
-		rs := &w.r[mi.to]
-		if int(mi.stamp) > max(rs.m.active, rs.m.stamp) {
+		if rs := &w.r[mi.to]; int(mi.stamp) > max(rs.m.active, rs.m.stamp) {
 			i++
 			continue
 		}
-		before, pending := rs.m.stats, rs.m.stamp > rs.m.active
-		copy(w.msgs[i:w.n], w.msgs[i+1:w.n])
-		w.n--
-		rs.heard = max(rs.heard, mi.stamp)
-		rs.wake(rs.m.receive(int(mi.stamp)))
-		if err := w.checkCounters(s, int(mi.to), before, pending, 1, 0); err != nil {
+		if err := w.deliver(s, i); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// deliver hands the i-th stamp in flight to its receiver's listener.
+func (w *world) deliver(s scope, i int) error {
+	mi := w.msgs[i]
+	copy(w.msgs[i:w.n], w.msgs[i+1:w.n])
+	w.n--
+	rs := &w.r[mi.to]
+	before, pending := rs.m.stats, rs.m.stamp > rs.m.active
+	rs.heard = max(rs.heard, mi.stamp)
+	rs.wake(rs.m.receive(int(mi.stamp)))
+	return w.checkCounters(s, int(mi.to), before, pending, 1, 0)
 }
 
 // snapshot takes round eng's snapshot: the machine's fresh flag, and the
@@ -335,7 +341,7 @@ func (w *world) step(s scope, e event) error {
 		rs = &w.r[q]
 		before, pending = rs.m.stats, rs.m.stamp > rs.m.active
 	}
-	var received, activations int64
+	var activations int64
 	switch e.kind {
 	case 'a':
 		rs.wake(rs.m.arrive(int(rs.app), rs.alive))
@@ -376,14 +382,7 @@ func (w *world) step(s scope, e event) error {
 		for w.msgs[i].from != e.q || w.msgs[i].to != e.p {
 			i++
 		}
-		stamp := w.msgs[i].stamp
-		copy(w.msgs[i:w.n], w.msgs[i+1:w.n])
-		w.n--
-		rs = &w.r[e.p]
-		before, pending = rs.m.stats, rs.m.stamp > rs.m.active
-		q, received = int(e.p), 1
-		rs.heard = max(rs.heard, stamp)
-		rs.wake(rs.m.receive(int(stamp)))
+		return w.deliver(s, i)
 	case 'c':
 		nap, fresh, live := 0, 0, 0
 		for p := 0; p < s.p; p++ {
@@ -436,7 +435,7 @@ func (w *world) step(s scope, e event) error {
 			rs.wake(rs.m.peerDown(rs.alive))
 		}
 	}
-	return w.checkCounters(s, q, before, pending, received, activations)
+	return w.checkCounters(s, q, before, pending, 0, activations)
 }
 
 // checkCounters holds rank q's activation counters to what the step did:
