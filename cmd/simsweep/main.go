@@ -53,7 +53,7 @@ func main() {
 		policies = flag.String("policies", "solo,majority,quorum", "comma-separated activation policies (solo, majority, quorum, sync)")
 		quorumK  = flag.Int("quorum", 3, "candidate count for the quorum policy")
 		crashArg = flag.String("crash", "", "scripted rank crashes, 'rank@step,rank@step,...'")
-		deadline = flag.Duration("deadline", 50*time.Millisecond, "dead-initiator failover delay (mirrors partial.Options.PeerDeadline)")
+		deadline = flag.Duration("deadline", 50*time.Millisecond, "peer deadline (partial.Options.PeerDeadline): a rank unactivated this long after it arrives marks the round's crashed candidates down and fails over if none is left")
 		out      = flag.String("out", "", "output path (default stdout)")
 	)
 	flag.Parse()

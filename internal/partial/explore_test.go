@@ -103,7 +103,7 @@ const (
 // rankState is one rank of the explored world: its machine, plus what the
 // explorer itself records to check the machine against.
 type rankState struct {
-	m      activation
+	m      Activation
 	app    int8  // rounds the application has arrived at
 	eng    int8  // the engine's round
 	phase  int8  // idle, waiting, flooded or reduced
@@ -129,7 +129,7 @@ type world struct {
 func newExploreWorld(s scope) world {
 	w := world{dead: -1}
 	for q := 0; q < s.p; q++ {
-		w.r[q] = rankState{m: newActivation(q, s.p, s.options()), timer: -1, heard: -1}
+		w.r[q] = rankState{m: NewActivation(q, s.p, s.options()), timer: -1, heard: -1}
 	}
 	return w
 }
@@ -207,12 +207,12 @@ func (w *world) events(s scope) []event {
 		if s.crash && w.dead < 0 {
 			out = append(out, event{kind: 'x', q: int8(q)})
 		}
-		if s.deadline && w.dead >= 0 && rs.down&(1<<w.dead) == 0 && !rs.m.everyRank() {
+		if s.deadline && w.dead >= 0 && rs.down&(1<<w.dead) == 0 && !rs.m.EveryRank() {
 			// With every rank a candidate, a marking can fail nothing over,
 			// and the flood skips the dead rank either way.
 			out = append(out, event{kind: 'p', q: int8(q)})
 		}
-		if r := int(rs.app) - 1; s.deadline && r >= 0 && rs.m.done < r && int(rs.timer) < r && !rs.m.everyRank() && w.onlyDeadCandidates(q, r) {
+		if r := int(rs.app) - 1; s.deadline && r >= 0 && rs.m.done < r && int(rs.timer) < r && !rs.m.EveryRank() && w.onlyDeadCandidates(q, r) {
 			out = append(out, event{kind: 't', q: int8(q)})
 		}
 	}
@@ -304,14 +304,14 @@ func (w *world) deliver(s scope, i int) error {
 	rs := &w.r[mi.to]
 	before, pending := rs.m.stats, rs.m.stamp > rs.m.active
 	rs.heard = max(rs.heard, mi.stamp)
-	rs.wake(rs.m.receive(int(mi.stamp)))
+	rs.wake(rs.m.Receive(int(mi.stamp)))
 	return w.checkCounters(s, int(mi.to), before, pending, 1, 0)
 }
 
 // snapshot takes round eng's snapshot: the machine's fresh flag, and the
 // explorer's own record of whether the application had arrived.
 func (rs *rankState) snapshot() {
-	rs.flag, rs.fresh = rs.m.fresh(int(rs.eng)), int(rs.app) > int(rs.eng)
+	rs.flag, rs.fresh = rs.m.Fresh(int(rs.eng)), int(rs.app) > int(rs.eng)
 	rs.phase = reduced
 }
 
@@ -344,7 +344,7 @@ func (w *world) step(s scope, e event) error {
 	var activations int64
 	switch e.kind {
 	case 'a':
-		rs.wake(rs.m.arrive(int(rs.app), rs.alive))
+		rs.wake(rs.m.Arrive(int(rs.app), rs.alive))
 		rs.app++
 	case 'e':
 		switch rs.phase {
@@ -352,7 +352,7 @@ func (w *world) step(s scope, e event) error {
 			rs.signal = false
 			rs.phase = waiting
 			r := int(rs.eng)
-			if !rs.m.arm(r) {
+			if !rs.m.Arm(r) {
 				break
 			}
 			activations = 1
@@ -363,7 +363,7 @@ func (w *world) step(s scope, e event) error {
 				return fmt.Errorf("rank %d: round %d started internally before the application arrived", q, r)
 			}
 			rs.phase = flooded
-			for _, p := range rs.m.peers() {
+			for _, p := range rs.m.Peers() {
 				if w.live(p) && rs.alive(p) {
 					w.send(message{from: int8(q), to: int8(p), stamp: rs.eng})
 				}
@@ -400,7 +400,7 @@ func (w *world) step(s scope, e event) error {
 			if o.flag != o.fresh {
 				return fmt.Errorf("rank %d flagged round %d fresh=%t, but its application had arrived=%t", p, o.eng, o.flag, o.fresh)
 			}
-			o.m.complete(int(o.eng))
+			o.m.Complete(int(o.eng))
 			o.eng++
 			o.phase = idle
 		}
@@ -421,18 +421,18 @@ func (w *world) step(s scope, e event) error {
 		return nil
 	case 'p':
 		rs.down |= 1 << w.dead
-		rs.wake(rs.m.peerDown(rs.alive))
+		rs.wake(rs.m.PeerDown(rs.alive))
 	case 't':
 		r := int(rs.app) - 1
 		rs.timer = int8(r)
-		if rs.m.deadline(r) {
+		if rs.m.Deadline(r) {
 			for _, c := range w.candidates(r) {
 				if c != q && rs.down&(1<<c) == 0 {
 					rs.down |= 1 << c
-					rs.wake(rs.m.peerDown(rs.alive))
+					rs.wake(rs.m.PeerDown(rs.alive))
 				}
 			}
-			rs.wake(rs.m.peerDown(rs.alive))
+			rs.wake(rs.m.PeerDown(rs.alive))
 		}
 	}
 	return w.checkCounters(s, q, before, pending, 0, activations)
@@ -656,7 +656,9 @@ var mutations = []struct {
 // with the mutated activation.go laid over the real one (go build -overlay;
 // the tree is not touched), and requires TestExplore to fail at its small
 // bound and TestExploreReplay to fail the same way on the trace it printed.
-// It compiles six test binaries, so it runs only with -explore.full.
+// internal/sweep steps the same machine, so its tests must fail under the
+// overlay too. It compiles twelve test binaries, so it runs only with
+// -explore.full.
 func TestExploreCatchesMutations(t *testing.T) {
 	if !*exploreFull {
 		t.Skip("builds a test binary per mutation; run with -explore.full")
@@ -712,6 +714,9 @@ func TestExploreCatchesMutations(t *testing.T) {
 			replayed, err := exec.Command(bin, "-test.run", "^TestExploreReplay$", "-explore.replay="+trace).CombinedOutput()
 			if err == nil || !bytes.Contains(replayed, []byte(violation)) {
 				t.Fatalf("replaying %q did not fail with %q:\n%s", trace, violation, replayed)
+			}
+			if out, err := exec.Command(goTool, "test", "-count=1", "-overlay", ovFile, "eagersgd/internal/sweep").CombinedOutput(); err == nil || !bytes.Contains(out, []byte("--- FAIL")) {
+				t.Fatalf("the sweep's tests missed the mutation (%v):\n%s", err, out)
 			}
 			t.Logf("caught: %s\n%s", violation, trace)
 		})

@@ -218,8 +218,8 @@ type Allreducer struct {
 
 	contribSeq uint64 // bumped on every accumulation into sendBuf
 	appRound   int    // next round index the application will exchange
-	act        activation
-	peers      []int // the ranks the activation flood goes to (activation.peers)
+	act        Activation
+	peers      []int // the ranks the activation flood goes to (Activation.Peers)
 	records    [retainedRounds]roundRecord
 
 	closed   bool // Close was called, or the communicator closed
@@ -258,9 +258,9 @@ func New(c *comm.Communicator, n int, opts Options) *Allreducer {
 		sendNull:   true,
 		roundBuf:   tensor.NewVector(n + 1),
 		lastResult: tensor.NewVector(n + 1),
-		act:        newActivation(c.Rank(), c.Size(), opts),
+		act:        NewActivation(c.Rank(), c.Size(), opts),
 	}
-	a.peers = a.act.peers()
+	a.peers = a.act.Peers()
 	for i := range a.records {
 		a.records[i].round = -1
 	}
@@ -285,23 +285,23 @@ func (a *Allreducer) alive(r int) bool { return a.comm.PeerError(r) == nil }
 func (a *Allreducer) peerDown() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.closed && a.err == nil && a.act.peerDown(a.alive) {
+	if !a.closed && a.err == nil && a.act.PeerDown(a.alive) {
 		a.wake.Signal()
 	}
 }
 
 // armFailoverTimer starts the failure detector of a wait on the round: when
-// the peer deadline fires on it unactivated (activation.deadline), its
+// the peer deadline fires on it unactivated (Activation.Deadline), its
 // designated initiators are marked down (cause comm.ErrPeerDeadline), so it
 // fails over. Call the returned stop function when the wait ends. With failure
 // tolerance off, or every rank a candidate, it does nothing.
 func (a *Allreducer) armFailoverTimer(round int) (stop func()) {
-	if a.opts.PeerDeadline <= 0 || a.act.everyRank() {
+	if a.opts.PeerDeadline <= 0 || a.act.EveryRank() {
 		return func() {}
 	}
 	timer := time.AfterFunc(a.opts.PeerDeadline, func() {
 		a.mu.Lock()
-		suspect := !a.closed && a.err == nil && a.act.deadline(round)
+		suspect := !a.closed && a.err == nil && a.act.Deadline(round)
 		a.mu.Unlock()
 		if !suspect {
 			return
@@ -324,7 +324,7 @@ func (a *Allreducer) armFailoverTimer(round int) (stop func()) {
 // round's candidates. Every rank computes the same answer (the shared-seed
 // consensus of §4.2), for diagnostics and for tests that pick an initiator.
 func (a *Allreducer) DesignatedInitiators(round int) []int {
-	if a.act.everyRank() {
+	if a.act.EveryRank() {
 		return nil
 	}
 	var out []int
@@ -523,7 +523,7 @@ func (a *Allreducer) Contribute(round int) (uint64, error) {
 		a.sendBuf[:a.n].Add(a.stageBuf[:a.n]) // fold onto the stale gradients
 	}
 	a.contribSeq++
-	if a.err == nil && a.act.arrive(round, a.alive) {
+	if a.err == nil && a.act.Arrive(round, a.alive) {
 		a.wake.Signal()
 	}
 	return a.contribSeq, a.err
@@ -628,7 +628,7 @@ func (a *Allreducer) engineLoop() {
 func (a *Allreducer) awaitActivation(round int) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for !a.stopped && !a.act.arm(round) {
+	for !a.stopped && !a.act.Arm(round) {
 		a.wake.Wait()
 	}
 	return !a.stopped
@@ -648,7 +648,7 @@ func (a *Allreducer) listen() {
 		stamp := int(msg[0])
 		tensor.PutVector(msg)
 		a.mu.Lock()
-		if a.act.receive(stamp) {
+		if a.act.Receive(stamp) {
 			a.wake.Signal()
 		}
 		a.mu.Unlock()
@@ -656,7 +656,7 @@ func (a *Allreducer) listen() {
 }
 
 // flood forwards the round's activation to the hypercube neighbours
-// (activation.peers), once per round, on its first activation here. A
+// (Activation.Peers), once per round, on its first activation here. A
 // neighbour marked down is skipped: its activation simply never happens.
 func (a *Allreducer) flood(round int) error {
 	for _, peer := range a.peers {
@@ -683,7 +683,7 @@ func (a *Allreducer) snapshot(round int) {
 		a.act.stats.NullSnapshots++
 	}
 	flag := 0.0
-	if a.act.fresh(round) {
+	if a.act.Fresh(round) {
 		flag = 1 // this rank's application reached the collective in time
 	}
 	a.records[round%retainedRounds] = roundRecord{round: round, snapshotSeq: a.contribSeq, nap: -1}
@@ -837,7 +837,7 @@ func (a *Allreducer) publish(round int) {
 	rec := &a.records[round%retainedRounds]
 	rec.nap = int(a.lastResult[a.n] + 0.5)
 	rec.doneSeq = a.contribSeq
-	a.act.complete(round)
+	a.act.Complete(round)
 	a.cond.Broadcast()
 }
 

@@ -3,7 +3,10 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -266,38 +269,152 @@ func TestSweepCoordinatedStragglers(t *testing.T) {
 // TestSweepActivatesPartialInitiator checks the sweep's half of the
 // model/engine agreement (internal/partial pins the other): in one step of
 // linear skew rank r arrives (r+1) ms late, so the majority round activates
-// at partial.Initiator's rank i and admits exactly ranks 0..i, and quorum(k)
-// activates at the lowest of its k candidates.
+// at partial.Initiator's rank and quorum(k) at the lowest of its candidates
+// (partial.Candidates: every rank once k ≥ n).
+// The flood then activates each rank one Hop per hop of Peers (a candidate
+// may start sooner on its own arrival), the round ends one wire term after
+// the last activation, and NAP counts the ranks arrived by their own
+// activation. With a 1 µs hop those are the ranks up to the initiator; with
+// a 1 ms hop, one rank of skew per hop, the flood window admits later ranks.
 func TestSweepActivatesPartialInitiator(t *testing.T) {
-	const n, k = 8, 3
-	for seed := uint64(0); seed < 20; seed++ {
-		curves, err := Run(Config{
-			Seed:        seed,
-			Ranks:       n,
-			Steps:       1,
-			BaseCompute: time.Millisecond,
-			Skew:        imbalance.LinearSkew{StepMs: 1},
-			Hop:         time.Microsecond,
-			Policies:    []Policy{{Name: "majority", Mode: "majority"}, {Name: "quorum3", Mode: "quorum", K: k}},
-		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		first := partial.Initiator(int64(seed), 0, 0, n)
-		for idx := 1; idx < k; idx++ {
-			first = min(first, partial.Initiator(int64(seed), 0, idx, n))
-		}
-		for _, c := range curves {
-			want := partial.Initiator(int64(seed), 0, 0, n)
-			if c.Policy.Mode == "quorum" {
-				want = first
+	const k = 3
+	for _, n := range []int{3, 6, 8} {
+		wire := bits.Len(uint(n - 1))
+		for _, hop := range []time.Duration{time.Microsecond, time.Millisecond} {
+			for seed := uint64(0); seed < 20; seed++ {
+				curves, err := Run(Config{
+					Seed:        seed,
+					Ranks:       n,
+					Steps:       1,
+					BaseCompute: time.Millisecond,
+					Skew:        imbalance.LinearSkew{StepMs: 1},
+					Hop:         hop,
+					Policies:    []Policy{{Name: "majority", Mode: "majority"}, {Name: "quorum3", Mode: "quorum", K: k}},
+				})
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				arrival := func(r int) time.Duration { return time.Millisecond + time.Duration(r+1)*time.Millisecond }
+				for _, c := range curves {
+					mode := eagerModes[c.Policy.Mode]
+					act := make([]time.Duration, n) // each rank's activation: the earliest flood from a candidate
+					for r := range act {
+						act[r] = math.MaxInt64
+					}
+					partial.Candidates(mode, k, int64(seed), 0, n, func(cand int) bool {
+						for r, d := range floodHops(n, cand) {
+							act[r] = min(act[r], arrival(cand)+time.Duration(d)*hop)
+						}
+						return true
+					})
+					nap := 0
+					for r := range act {
+						if arrival(r) <= act[r] {
+							nap++
+						}
+					}
+					end := slices.Max(act) + time.Duration(wire)*hop
+					if c.MinNAP != nap || c.TotalNs != int64(end) {
+						t.Fatalf("n=%d hop %v seed %d %s: NAP %d, end %dns; want NAP %d, end %dns",
+							n, hop, seed, c.Policy.Name, c.MinNAP, c.TotalNs, nap, int64(end))
+					}
+				}
 			}
-			end := time.Millisecond + time.Duration(want+1)*time.Millisecond + 3*time.Microsecond
-			if c.MinNAP != want+1 || c.TotalNs != int64(end) {
-				t.Fatalf("seed %d %s: NAP %d, end %dns; want initiator %d: NAP %d, end %dns",
-					seed, c.Policy.Name, c.MinNAP, c.TotalNs, want, want+1, int64(end))
+		}
+	}
+	if ecc := slices.Max(floodHops(8, 5)); ecc != 3 {
+		t.Fatalf("the flood of 8 ranks takes %d hops from rank 5, want the hypercube's 3", ecc)
+	}
+	// Pinned by hand: at 3 ranks, seed 3 makes rank 1 the initiator. It
+	// activates at 3 ms and floods both other ranks one 1 ms hop later: rank 2
+	// is rank 1's neighbour in the contracted hypercube (the truncated one
+	// reaches it through rank 0). Rank 2 arrives at 4 ms, in time to count,
+	// and the round ends two wire hops after 4 ms.
+	curves, err := Run(Config{Seed: 3, Ranks: 3, Steps: 1, BaseCompute: time.Millisecond, Skew: imbalance.LinearSkew{StepMs: 1},
+		Hop: time.Millisecond, Policies: []Policy{{Name: "majority", Mode: "majority"}}})
+	if err != nil || curves[0].MinNAP != 3 || curves[0].TotalNs != int64(6*time.Millisecond) {
+		t.Fatalf("3 ranks, initiator 1, 1 ms hop: %+v, %v; want NAP 3, end 6ms", curves, err)
+	}
+}
+
+// floodHops returns each rank's distance from rank src in flood hops: a
+// breadth-first search over partial.Activation.Peers.
+func floodHops(n, src int) []int {
+	dist := make([]int, n)
+	for r := range dist {
+		dist[r] = -1
+	}
+	dist[src] = 0
+	for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
+		m := partial.NewActivation(queue[0], n, partial.Options{})
+		for _, p := range m.Peers() {
+			if dist[p] < 0 {
+				dist[p] = dist[queue[0]] + 1
+				queue = append(queue, p)
 			}
 		}
+	}
+	return dist
+}
+
+// TestSweepFailoverMarksDeadCandidatesOnce kills every rank but rank 0 at step
+// 0 of worlds of 2 to 4 ranks. As in the engine, the survivor's deadline
+// marks a round's dead candidates down for good: a round whose candidates are
+// dead costs PeerDeadline only while one of them is still unmarked, and fails
+// over at the survivor's arrival after. Each step therefore costs base plus
+// the wire term, and the run one PeerDeadline per such round.
+func TestSweepFailoverMarksDeadCandidatesOnce(t *testing.T) {
+	const steps, base, deadline, hop = 40, time.Millisecond, 10 * time.Millisecond, 125 * time.Microsecond
+	for n := 2; n <= 4; n++ {
+		crash := map[int]int{}
+		for r := 1; r < n; r++ {
+			crash[r] = 0
+		}
+		for _, pol := range []Policy{{Name: "majority", Mode: "majority"}, {Name: "quorum2", Mode: "quorum", K: 2}} {
+			curves, err := Run(Config{Seed: 5, Ranks: n, Steps: steps, BaseCompute: base, Hop: hop, Policies: []Policy{pol},
+				Faults: &faults.Scenario{CrashAtStep: crash}, PeerDeadline: deadline})
+			if err != nil {
+				t.Fatalf("n=%d %s: Run: %v", n, pol.Name, err)
+			}
+			mode := eagerModes[pol.Mode]
+			marked := map[int]bool{}
+			charged := 0
+			for step := 0; step < steps; step++ {
+				var cands []int
+				partial.Candidates(mode, pol.K, 5, step, n, func(c int) bool {
+					cands = append(cands, c)
+					return true
+				})
+				if !slices.Contains(cands, 0) && slices.ContainsFunc(cands, func(c int) bool { return !marked[c] }) {
+					charged++ // the deadline fires and marks them all
+					for _, c := range cands {
+						marked[c] = true
+					}
+				}
+			}
+			want := steps*(base+time.Duration(bits.Len(uint(n-1)))*hop) + time.Duration(charged)*deadline
+			if got := curves[0].TotalNs; got != int64(want) {
+				t.Errorf("n=%d %s: total %v, want %v: %d deadlines", n, pol.Name, time.Duration(got), want, charged)
+			}
+		}
+	}
+}
+
+// TestSweepReportsRankCutOffFromFlood kills ranks 1 and 2 of four, the only
+// flood neighbours of rank 3 and of rank 0. The first majority round with a
+// live initiator then never reaches the other survivor, whose detector
+// suspects no live rank, so Run reports that round as an error naming the
+// policy, the step and the count instead of returning a curve.
+func TestSweepReportsRankCutOffFromFlood(t *testing.T) {
+	step := 0
+	for slices.Contains([]int{1, 2}, partial.Initiator(5, step, 0, 4)) {
+		step++
+	}
+	_, err := Run(Config{Seed: 5, Ranks: 4, Steps: 40, BaseCompute: time.Millisecond, Hop: time.Microsecond,
+		Policies: []Policy{{Name: "majority", Mode: "majority"}}, Faults: &faults.Scenario{CrashAtStep: map[int]int{1: 0, 2: 0}}})
+	want := fmt.Sprintf(`policy "majority", step %d: 1 of 2 live ranks never activated`, step)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run: err %v, want one containing %q", err, want)
 	}
 }
 
@@ -365,6 +482,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		"unknown mode":   func(c *Config) { c.Policies = []Policy{{Name: "eager", Mode: "eager"}} },
 		"huge base":      func(c *Config) { c.BaseCompute = math.MaxInt64 / 8 },
 		"huge hop":       func(c *Config) { c.Hop = math.MaxInt64 / 8 },
+		"huge flood hop": func(c *Config) { c.Hop = math.MaxInt64 / 64 }, // in bounds without the flood's ceil(log2 n) hops
 		"huge deadline":  func(c *Config) { c.PeerDeadline = math.MaxInt64 / 8 },
 		"negative delay": func(c *Config) { c.Skew = imbalance.LinearSkew{StepMs: -1} },
 		"NaN delay":      func(c *Config) { c.Skew = imbalance.LinearSkew{StepMs: math.NaN()} },
