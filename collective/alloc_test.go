@@ -12,9 +12,9 @@ import (
 // TestReducerAllocFree is the allocation gate of the exchange path: once the
 // vector pool and the reducers' step records are warm, a Reduce and a
 // four-bucket step allocate nothing, in every Sync style and in the eager
-// modes. Reduce is a one-step exchange over the reducer's one-shot layout, so
-// any per-step record, handle, layout copy, closure or channel on the step
-// path shows up here.
+// modes, with or without WithBucketLayout. Reduce is a one-step exchange over
+// the reducer's one-shot layout, so any per-step record, handle, layout copy,
+// closure or channel on the step path shows up here.
 func TestReducerAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("testing.AllocsPerRun is unreliable under the race detector")
@@ -34,6 +34,7 @@ func TestReducerAllocFree(t *testing.T) {
 			{"reduce/majority", []Option{WithMode(Majority), WithSeed(3)}, nil},
 			{"step4/sync", nil, four},
 			{"step4/solo", []Option{WithMode(Solo), WithBucketLayout(four...)}, four},
+			{"step4/majority", []Option{WithMode(Majority), WithSeed(3)}, four},
 		} {
 			t.Run(fmt.Sprintf("%s/%d", row.name, dim), func(t *testing.T) {
 				world, err := NewWorld(ranks, row.opts...)

@@ -42,9 +42,9 @@ var ErrReducerClosed = errors.New("collective: reducer closed")
 // SPMD contract: every rank must open steps with the same bucket lengths and
 // submit the buckets in the same order (the reverse layer order of the
 // backward pass satisfies this), interleaved identically with any plain
-// Reduce calls. Eager reducers additionally fix the layout at construction
-// (WithBucketLayout): their engine hands out every round's result by the one
-// layout it was built with.
+// Reduce calls. Any partition of the vector may open any step, in every
+// mode: a Sync reducer runs one allreduce per bucket, and an eager reducer
+// reduces the whole vector in one round whose result the buckets read.
 type BucketReducer interface {
 	Reducer
 	// BeginStep opens a bucketed step whose buckets have the given lengths,
@@ -458,36 +458,19 @@ func (s *syncReducer) joinEngine() { <-s.workerDone }
 
 // --- Eager reducer implementation ---------------------------------------
 
-// BeginStep opens a bucketed step (see BucketReducer). The lens must match
-// the layout the reducer was constructed with (WithBucketLayout, or the
-// single whole-vector bucket): the partial engine hands out every round's
-// result by that layout, which is fixed for the reducer's lifetime.
+// BeginStep opens a bucketed step (see BucketReducer) over any partition of
+// the vector: the round reduces the whole vector, and the buckets only say
+// which ranges of its result the handles read.
 func (e *eagerReducer) BeginStep(ctx context.Context, lens []int) error {
 	if err := e.step.begin(e, e.dim, lens); err != nil {
 		return err
 	}
-	err := e.matchLayout(lens)
-	if err == nil {
-		e.round, e.stage, err = e.ar.BeginStep()
-		err = e.stepErr(err)
-	}
+	var err error
+	e.round, e.stage, err = e.ar.BeginStep()
 	if err != nil {
 		e.step.open = false
 	}
-	return err
-}
-
-// matchLayout reports a step layout that differs from the engine's.
-func (e *eagerReducer) matchLayout(lens []int) error {
-	if len(lens) != len(e.layout) {
-		return fmt.Errorf("collective: step has %d buckets, reducer layout has %d (fix it with WithBucketLayout)", len(lens), len(e.layout))
-	}
-	for b, l := range lens {
-		if l != e.layout[b] {
-			return fmt.Errorf("collective: bucket %d has %d elements, reducer layout has %d", b, l, e.layout[b])
-		}
-	}
-	return nil
+	return e.stepErr(err)
 }
 
 func (e *eagerReducer) stepErr(err error) error {
@@ -518,9 +501,9 @@ func (e *eagerReducer) SubmitBucket(ctx context.Context, offset int, data tensor
 }
 
 // waitBucket implements bucketOwner: the engine keeps the round's result, and
-// the handle reads its bucket's slice of it.
+// the handle reads its bucket's range of it.
 func (e *eagerReducer) waitBucket(ctx context.Context, h *BucketHandle) (tensor.Vector, error) {
-	sum, err := e.ar.WaitBucket(ctx, e.round, h.index)
+	sum, err := e.ar.WaitBucket(ctx, e.round, h.offset, h.offset+h.length)
 	return sum, e.stepErr(err)
 }
 

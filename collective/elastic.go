@@ -35,9 +35,10 @@ type ParamSyncer interface {
 // value keeps working across epochs, with Result.Ranks and the participant
 // set following the membership.
 type elasticReducer struct {
-	node *Node
-	dim  int
-	cfg  config // merged option set at mint time
+	node    *Node
+	dim     int
+	cfg     config // merged option set at mint time
+	oneShot []int  // the bucket layout Reduce runs as one step (oneShotLayout)
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -90,13 +91,38 @@ func (r *elasticReducer) EndTrainStep() {
 }
 
 func newElasticReducer(n *Node, dim int, cfg config, c *comm.Communicator) (*elasticReducer, error) {
+	oneShot, err := oneShotLayout(dim, cfg)
+	if err != nil {
+		return nil, err
+	}
 	inner, err := newEngine(c, dim, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := &elasticReducer{node: n, dim: dim, cfg: cfg, inner: inner}
+	r := &elasticReducer{node: n, dim: dim, cfg: cfg, oneShot: oneShot, inner: inner}
 	r.cond = sync.NewCond(&r.mu)
 	return r, nil
+}
+
+// oneShotLayout validates the reducer dimension and resolves the bucket
+// layout Reduce runs as one step, in every mode: WithBucketLayout's lengths
+// if given, else WithChunks' non-empty chunks, which by default are the whole
+// vector. dim and cfg are fixed at mint time, so every epoch's engine
+// shares the layout.
+func oneShotLayout(dim int, cfg config) ([]int, error) {
+	if dim <= 0 {
+		return nil, fmt.Errorf("collective: reducer dimension %d must be positive", dim)
+	}
+	if len(cfg.layout) > 0 {
+		return cfg.layout, checkLayout(dim, cfg.layout)
+	}
+	var lens []int
+	for i, n := 0, cfg.chunks; i < n; i++ {
+		if lo, hi := tensor.ChunkBounds(dim, n, i); hi > lo {
+			lens = append(lens, hi-lo)
+		}
+	}
+	return lens, nil
 }
 
 // beginOp gates one operation through the drain barrier: while a transition
@@ -239,8 +265,7 @@ func (r *elasticReducer) markClosed() error {
 
 // Reduce runs one reduction on the current epoch's reducer, waiting out any
 // in-flight membership transition first. It is one bucketed step over the
-// engine's one-shot layout — the whole vector, WithChunks' chunks, or an
-// eager reducer's WithBucketLayout — whose bucket sums make up Result.Sum.
+// one-shot layout (oneShotLayout), whose bucket sums make up Result.Sum.
 func (r *elasticReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result, error) {
 	if len(grad) != r.dim {
 		return Result{}, fmt.Errorf("collective: gradient length %d, want %d", len(grad), r.dim)
@@ -250,11 +275,10 @@ func (r *elasticReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result
 		return Result{}, err
 	}
 	defer r.endOp()
-	lens := inner.oneShot()
-	if err := inner.BeginStep(ctx, lens); err != nil {
+	if err := inner.BeginStep(ctx, r.oneShot); err != nil {
 		return Result{}, err
 	}
-	sum, err := r.reduceBuckets(ctx, inner, grad, lens)
+	sum, err := r.reduceBuckets(ctx, inner, grad, r.oneShot)
 	res, stepErr := inner.WaitStep(ctx) // always: the step's cleanup point
 	if err == nil {
 		err = stepErr

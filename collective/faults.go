@@ -65,33 +65,14 @@ type PeerStatus struct {
 // it drains and picks the state source for joiners.
 func (w *World) Peers() []PeerStatus {
 	w.mu.Lock()
-	gen, view := w.gen, w.view
-	nodes := append([]*Node(nil), w.nodes...)
+	gen, view, size := w.gen, w.view, len(w.nodes)
 	w.mu.Unlock()
-	out := make([]PeerStatus, len(nodes))
+	out := make([]PeerStatus, size)
 	for r := range out {
-		out[r] = PeerStatus{Rank: r, Up: true, Epoch: view.Epoch}
+		err := w.downCause(gen, r)
+		out[r] = PeerStatus{Rank: r, Up: err == nil, Err: err, Epoch: view.Epoch}
 		if r < len(view.Members) {
 			out[r].ID = view.Members[r].ID
-		}
-	}
-	for _, c := range gen.comms {
-		for r := range out {
-			if !out[r].Up {
-				continue
-			}
-			if err := c.PeerError(r); err != nil {
-				out[r].Up = false
-				out[r].Err = err
-			}
-		}
-	}
-	if gen.injector != nil {
-		for r := range out {
-			if out[r].Up && gen.injector.Crashed(r) {
-				out[r].Up = false
-				out[r].Err = faults.ErrCrashed
-			}
 		}
 	}
 	return out

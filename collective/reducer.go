@@ -14,17 +14,13 @@ import (
 
 // engine is the sync or eager reducer an elasticReducer runs its current
 // epoch on. Node.Reducer is the only way to obtain one, wrapped: the wrapper
-// runs Reduce as one step over the engine's oneShot layout.
+// runs Reduce as one step over its one-shot layout (oneShotLayout).
 type engine interface {
 	BeginStep(ctx context.Context, lens []int) error
 	SubmitBucket(ctx context.Context, offset int, data tensor.Vector) (*BucketHandle, error)
 	WaitStep(ctx context.Context) (Result, error)
 	Close() error
 	Name() string
-	// oneShot is the bucket layout Reduce runs as one step: the whole vector
-	// or WithChunks' chunks for Sync, the construction layout for the eager
-	// modes.
-	oneShot() []int
 	// joinEngine blocks until the engine's background goroutines have exited
 	// and returned their buffers to the pool. Only valid after the
 	// communicator is closed; World.Close and generation retirement call it
@@ -33,18 +29,10 @@ type engine interface {
 }
 
 // newEngine builds the engine of cfg's mode over one epoch's communicator.
-// dim is the fixed gradient length; every rank must build its engine with
-// the same dim, mode and seed (the engines are SPMD).
+// dim is the fixed gradient length, already validated by oneShotLayout;
+// every rank must build its engine with the same dim, mode and seed (the
+// engines are SPMD).
 func newEngine(c *comm.Communicator, dim int, cfg config) (engine, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("collective: reducer dimension %d must be positive", dim)
-	}
-	layout := cfg.layout
-	if len(layout) == 0 {
-		layout = []int{dim}
-	} else if err := checkLayout(dim, layout); err != nil {
-		return nil, err
-	}
 	switch cfg.mode.kind {
 	case kindSync:
 		s := &syncReducer{
@@ -55,15 +43,10 @@ func newEngine(c *comm.Communicator, dim int, cfg config) (engine, error) {
 			workerDone:   make(chan struct{}),
 		}
 		s.cond = sync.NewCond(&s.mu)
-		for i, n := 0, max(cfg.chunks, 1); i < n; i++ {
-			if lo, hi := tensor.ChunkBounds(dim, n, i); hi > lo {
-				s.layout = append(s.layout, hi-lo)
-			}
-		}
 		go s.runWorker()
 		return s, nil
 	case kindSolo, kindMajority, kindQuorum:
-		popts := partial.Options{Seed: cfg.seed, Buckets: layout, PeerDeadline: cfg.peerDeadline}
+		popts := partial.Options{Seed: cfg.seed, PeerDeadline: cfg.peerDeadline}
 		switch cfg.mode.kind {
 		case kindSolo:
 			popts.Mode = partial.Solo
@@ -74,11 +57,10 @@ func newEngine(c *comm.Communicator, dim int, cfg config) (engine, error) {
 			popts.Candidates = cfg.mode.candidates
 		}
 		return &eagerReducer{
-			comm:   c,
-			ar:     partial.New(c, dim, popts),
-			mode:   cfg.mode,
-			dim:    dim,
-			layout: layout,
+			comm: c,
+			ar:   partial.New(c, dim, popts),
+			mode: cfg.mode,
+			dim:  dim,
 		}, nil
 	default:
 		return nil, fmt.Errorf("collective: unknown mode %v", cfg.mode)
@@ -102,7 +84,6 @@ type syncReducer struct {
 	comm         *comm.Communicator
 	dim          int
 	chunks       int
-	layout       []int // the one-shot layout: the whole vector, or its chunks
 	negotiate    bool
 	peerDeadline time.Duration
 	wake         chan struct{} // the worker's "a handle resolved" signal to the step's waiter
@@ -134,18 +115,15 @@ func (s *syncReducer) Name() string {
 	}
 }
 
-func (s *syncReducer) oneShot() []int { return s.layout }
-
 // eagerReducer adapts a partial.Allreducer to the engine interface: buckets
 // are staged during backprop, committed to the allreducer in one atomic fold
 // (one participation decision per step), and their results resolve together
 // when the allreducer publishes the step's round (bucket.go).
 type eagerReducer struct {
-	comm   *comm.Communicator
-	ar     *partial.Allreducer
-	mode   Mode
-	dim    int
-	layout []int // the allreducer's fixed bucket layout
+	comm *comm.Communicator
+	ar   *partial.Allreducer
+	mode Mode
+	dim  int
 
 	// The open step, driven by the rank's one training goroutine.
 	step  stepRecord
@@ -156,8 +134,6 @@ type eagerReducer struct {
 
 // Name identifies the reducer in reports.
 func (e *eagerReducer) Name() string { return fmt.Sprintf("eager-sgd (%s)", e.mode) }
-
-func (e *eagerReducer) oneShot() []int { return e.layout }
 
 // Close marks the underlying allreducer closed. The background engine exits
 // when the world (communicator) is closed.

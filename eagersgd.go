@@ -81,7 +81,6 @@ func WithOverlap() Option { return collective.WithOverlap() }
 // exchange (0 = one bucket per layer segment).
 func WithBucketElems(n int) Option { return collective.WithBucketElems(n) }
 
-// WithBucketLayout fixes the bucket layout at construction — required for
-// overlapped steps on the eager modes (Solo/Majority/Quorum), whose engine
-// hands out every round's result by the one layout it was built with.
+// WithBucketLayout sets the bucket layout Reduce runs as one step, in every
+// mode; bucketed steps take their own layout. Every rank must pass the same.
 func WithBucketLayout(lens ...int) Option { return collective.WithBucketLayout(lens...) }

@@ -48,9 +48,8 @@ func planBuckets(segs []nn.Segment, bucketElems int) bucketPlan {
 }
 
 // BucketLayout returns the bucket lengths (in offset order) an overlapped
-// trainer will use for the task with the given coalescing target — the
-// layout to pass to collective.WithBucketLayout when constructing eager
-// reducers, whose engines fix the layout at construction.
+// trainer opens its steps with for the task and coalescing target. Passed to
+// collective.WithBucketLayout, it makes Reduce run in the same buckets.
 func BucketLayout(task BucketedTask, bucketElems int) []int {
 	return planBuckets(task.Segments(), bucketElems).lens
 }

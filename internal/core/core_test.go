@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -638,6 +639,101 @@ func TestOverlappedEagerTraining(t *testing.T) {
 		if l > initial*0.5 {
 			t.Fatalf("rank %d overlapped eager training did not make progress: eval loss %v (initial %v)", r, l, initial)
 		}
+	}
+}
+
+// TestOverlapNeedsNoBucketLayout: an eager reducer minted with WithOverlap
+// alone trains a two-segment model on the overlapped path. The trainer opens
+// every step with its own two-bucket layout, which no reducer option names.
+func TestOverlapNeedsNoBucketLayout(t *testing.T) {
+	const size, steps = 4, 60
+	full := data.Hyperplane(8, 320, 0, 21)
+	train := &data.RegressionDataset{Inputs: full.Inputs[:256], Targets: full.Targets[:256], Coefficients: full.Coefficients}
+	eval := &data.RegressionDataset{Inputs: full.Inputs[256:], Targets: full.Targets[256:], Coefficients: full.Coefficients}
+	build := func(rank, size int) *core.RegressionTask {
+		net := nn.NewNetwork(nn.MSE{}, nn.NewDense(8, 4), nn.NewTanh(4), nn.NewDense(4, 1))
+		return core.NewRegressionTask("hyperplane", net, train, eval, 8, rank, size, 99)
+	}
+	if segs := len(build(0, 1).Segments()); segs != 2 {
+		t.Fatalf("task has %d layer segments, want 2", segs)
+	}
+	initial := build(0, 1).Evaluate().Loss
+	for _, mode := range []collective.Mode{collective.Solo, collective.Majority} {
+		t.Run(mode.String(), func(t *testing.T) {
+			evalLosses := make([]float64, size)
+			runWorld(t, size, func(rank int, n *collective.Node) error {
+				task := build(rank, size)
+				tr, err := core.NewTrainer(core.Config{
+					Node: n,
+					Task: task,
+					Exchanger: mustReducer(n, task.NumParams(),
+						collective.WithMode(mode), collective.WithSeed(17), collective.WithOverlap()),
+					Optimizer:      optimizer.NewSGD(0.02),
+					SyncEverySteps: 20,
+				})
+				if err != nil {
+					return err
+				}
+				defer tr.Close()
+				for s := 0; s < steps; s++ {
+					if _, err := tr.StepContext(context.Background()); err != nil {
+						return fmt.Errorf("step %d: %w", s, err)
+					}
+				}
+				if err := tr.SyncModel(); err != nil {
+					return err
+				}
+				evalLosses[rank] = task.Evaluate().Loss
+				return nil
+			})
+			for r, l := range evalLosses {
+				if l >= initial {
+					t.Fatalf("rank %d: eval loss %v after %d steps, initial %v", r, l, steps, initial)
+				}
+			}
+		})
+	}
+}
+
+// taskOnly hides every optional interface of the task it wraps, so it cannot
+// announce the layer segments the overlapped path needs.
+type taskOnly struct{ core.Task }
+
+// TestBuildTrainerClosesReducerOnError: BuildTrainer mints the reducer before
+// NewTrainer can reject the configuration (here: overlap over a task without
+// segments). The call must return NewTrainer's error and close the reducer,
+// and the world must close with every pool lease back. A closed Sync
+// reducer's bucket worker exits at once, while an open one waits for work
+// until the world closes, so for Sync the goroutine count shows the close.
+func TestBuildTrainerClosesReducerOnError(t *testing.T) {
+	for _, mode := range []collective.Mode{collective.Sync, collective.Solo} {
+		t.Run(mode.String(), func(t *testing.T) {
+			before := tensor.ReadPoolStats()
+			world, err := collective.NewWorld(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			goroutines := runtime.NumGoroutine()
+			task := taskOnly{buildRegressionTask(0, 1, 4, 4)}
+			cfg := core.Config{Task: task, Optimizer: optimizer.NewSGD(0.1)}
+			variant := []collective.Option{collective.WithMode(mode)}
+			_, err = core.BuildTrainer(world.Node(0), cfg, 1, variant, true, 0)
+			if err == nil || !strings.Contains(err.Error(), "overlap requires a bucket-capable exchanger and task") {
+				t.Fatalf("BuildTrainer error = %v, want NewTrainer's overlap error", err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); mode == collective.Sync && runtime.NumGoroutine() > goroutines; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines with the world open, %d before BuildTrainer: the reducer's worker still runs", runtime.NumGoroutine(), goroutines)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := world.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if leaked := tensor.ReadPoolStats().OutstandingSince(before); leaked != 0 {
+				t.Fatalf("%d pool leases outstanding after the world closed", leaked)
+			}
+		})
 	}
 }
 

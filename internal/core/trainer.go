@@ -142,31 +142,27 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 // it — the one builder behind train.Run and the figure harness. cfg carries
 // everything but Node and Exchanger, which are filled in here. The reducer
 // options are applied in a fixed order (seed, the variant's options, the peer
-// deadline, then the overlap settings with the bucket layout the trainer will
-// plan), so equal inputs construct equal reducers.
+// deadline, then the overlap settings), so equal inputs construct equal
+// reducers. If NewTrainer rejects the configuration, the reducer is closed.
 func BuildTrainer(n *collective.Node, cfg Config, seed int64, variant []collective.Option, overlap bool, bucketElems int) (*Trainer, error) {
 	opts := append([]collective.Option{collective.WithSeed(seed)}, variant...)
 	if cfg.PeerDeadline > 0 {
 		opts = append(opts, collective.WithPeerDeadline(cfg.PeerDeadline))
 	}
 	if overlap {
-		bt, ok := cfg.Task.(BucketedTask)
-		if !ok {
-			return nil, fmt.Errorf("core: task %T does not support the overlapped exchange", cfg.Task)
-		}
-		opts = append(opts,
-			collective.WithOverlap(),
-			collective.WithBucketElems(bucketElems),
-			// Eager reducers fix the bucket layout at construction; sync
-			// reducers ignore it.
-			collective.WithBucketLayout(BucketLayout(bt, bucketElems)...))
+		opts = append(opts, collective.WithOverlap(), collective.WithBucketElems(bucketElems))
 	}
 	ex, err := n.Reducer(cfg.Task.NumParams(), opts...)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Node, cfg.Exchanger = n, ex
-	return NewTrainer(cfg)
+	t, err := NewTrainer(cfg)
+	if err != nil {
+		ex.Close()
+		return nil, err
+	}
+	return t, nil
 }
 
 // Rank returns the trainer's dense rank in the current epoch; it can change

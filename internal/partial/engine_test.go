@@ -90,14 +90,15 @@ type stepResult struct {
 }
 
 // lockstepRound runs one round on every rank and returns after all of them
-// have. A single-bucket layout goes through Exchange, any other through the
-// bucketed step API, reassembling the result from WaitBucket.
-func lockstepRound(ars []*partial.Allreducer, grads []tensor.Vector) []stepResult {
+// have. Without a layout (bucket lengths summing to the vector length) the
+// round goes through Exchange, with one through the bucketed step API,
+// reassembling the result from WaitBucket over the layout's ranges.
+func lockstepRound(ars []*partial.Allreducer, grads []tensor.Vector, layout ...int) []stepResult {
 	out := make([]stepResult, len(ars))
 	ctx := context.Background()
 	onAllRanks(len(ars), func(r int) {
 		a := ars[r]
-		if a.NumBuckets() == 1 {
+		if len(layout) == 0 {
 			out[r].sum, out[r].info, out[r].err = a.Exchange(grads[r])
 			return
 		}
@@ -113,15 +114,16 @@ func lockstepRound(ars []*partial.Allreducer, grads []tensor.Vector) []stepResul
 			return
 		}
 		sum := tensor.NewVector(len(grads[r]))
-		for b := 0; b < a.NumBuckets(); b++ {
-			part, err := a.WaitBucket(ctx, round, b)
+		lo := 0
+		for _, l := range layout {
+			part, err := a.WaitBucket(ctx, round, lo, lo+l)
 			if err != nil {
 				out[r].err = err
 				return
 			}
-			lo, hi := a.BucketRange(b)
-			sum[lo:hi].CopyFrom(part)
+			sum[lo : lo+l].CopyFrom(part)
 			tensor.PutVector(part)
+			lo += l
 		}
 		out[r].sum = sum
 		out[r].info, out[r].err = a.WaitStep(ctx, round, seq)
@@ -173,10 +175,9 @@ func TestLockstepRoundsMatchSerialModel(t *testing.T) {
 						}
 						for _, deadline := range []time.Duration{0, time.Minute} {
 							opts := mode.opts
-							opts.Buckets = layout
 							opts.PeerDeadline = deadline
 							name := fmt.Sprintf("%s/p=%d/%s/n=%d/buckets=%d/deadline=%v", kind, p, mode.name, n, max(1, len(layout)), deadline)
-							t.Run(name, func(t *testing.T) { checkSerialModel(t, kind, p, n, opts) })
+							t.Run(name, func(t *testing.T) { checkSerialModel(t, kind, p, n, opts, layout) })
 						}
 					}
 				}
@@ -185,7 +186,7 @@ func TestLockstepRoundsMatchSerialModel(t *testing.T) {
 	}
 }
 
-func checkSerialModel(t *testing.T, kind string, p, n int, opts partial.Options) {
+func checkSerialModel(t *testing.T, kind string, p, n int, opts partial.Options, layout []int) {
 	const rounds = 3
 	ars := newReducers(t, newWorld(t, kind, p), n, opts)
 	grads := make([]tensor.Vector, p)
@@ -204,7 +205,7 @@ func checkSerialModel(t *testing.T, kind string, p, n int, opts partial.Options)
 			grads[r].Fill(v)
 			contributed += v
 		}
-		results := lockstepRound(ars, grads)
+		results := lockstepRound(ars, grads, layout...)
 		want, included := 0.0, 0
 		for r, res := range results {
 			if res.err != nil {
@@ -451,13 +452,13 @@ func TestMassConservationWithDrain(t *testing.T) {
 func TestResultSurvivesLaterRounds(t *testing.T) {
 	const p, n = 2, 8
 	for _, layout := range [][]int{nil, {3, 5}} {
-		ars := newReducers(t, newWorld(t, "inproc", p), n, partial.Options{Mode: partial.Majority, Seed: 9, Buckets: layout})
+		ars := newReducers(t, newWorld(t, "inproc", p), n, partial.Options{Mode: partial.Majority, Seed: 9})
 		grads := []tensor.Vector{tensor.NewVector(n), tensor.NewVector(n)}
 		var held, want []tensor.Vector
 		for k := 0; k < 5; k++ {
 			grads[0].Fill(float64(k + 1))
 			grads[1].Fill(float64(100 * (k + 1)))
-			for _, res := range lockstepRound(ars, grads) {
+			for _, res := range lockstepRound(ars, grads, layout...) {
 				if res.err != nil {
 					t.Fatal(res.err)
 				}

@@ -1,14 +1,5 @@
 package partial
 
-// BucketRange returns the [lo, hi) element range of bucket b, so tests can
-// reassemble a round from WaitBucket and check each bucket's length.
-func (a *Allreducer) BucketRange(b int) (lo, hi int) {
-	return a.bucketOffs[b], a.bucketOffs[b] + a.buckets[b]
-}
-
-// NumBuckets returns the number of buckets WaitBucket slices a round into.
-func (a *Allreducer) NumBuckets() int { return len(a.buckets) }
-
 // Mode returns the configured mode.
 func (a *Allreducer) Mode() Mode { return a.opts.Mode }
 

@@ -94,15 +94,6 @@ type Options struct {
 	// mode. Values below 1 are treated as 1; values at or above the
 	// communicator size behave like Solo.
 	Candidates int
-	// Buckets partitions the n-element gradient into contiguous buckets of
-	// the given lengths (summing to n) for the bucketed step API: WaitBucket
-	// hands out the round's result one bucket at a time. It does not change
-	// the wire: a step commits all its buckets in one atomic fold, so a round
-	// reduces the whole vector behind a single activation — one
-	// solo/majority/quorum participation decision shared by every bucket —
-	// and publishes every bucket together. Empty means one bucket covering
-	// the whole vector.
-	Buckets []int
 	// PeerDeadline enables rank-failure tolerance: it is the failure
 	// detector's deadline. The data phase then runs as a recursive doubling
 	// whose every hop can drop a dead peer: a receive blocked on a peer for
@@ -191,9 +182,6 @@ type Allreducer struct {
 	n    int
 	opts Options
 
-	buckets    []int // bucket lengths, summing to n (single whole-vector bucket by default)
-	bucketOffs []int // bucket start offsets
-
 	mu   sync.Mutex
 	cond *sync.Cond // application callers wait here for a round to complete
 	wake *sync.Cond // the engine waits here for the armed round's activation
@@ -232,28 +220,10 @@ type Allreducer struct {
 // Every rank of the communicator must create one with identical n and
 // options; the engines start immediately.
 func New(c *comm.Communicator, n int, opts Options) *Allreducer {
-	buckets := opts.Buckets
-	if len(buckets) == 0 {
-		buckets = []int{n}
-	}
-	offs := make([]int, len(buckets))
-	total := 0
-	for b, l := range buckets {
-		if l <= 0 {
-			panic(fmt.Sprintf("partial: bucket %d length %d must be positive", b, l))
-		}
-		offs[b] = total
-		total += l
-	}
-	if total != n {
-		panic(fmt.Sprintf("partial: bucket lengths sum to %d, want %d", total, n))
-	}
 	a := &Allreducer{
 		comm:       c,
 		n:          n,
 		opts:       opts,
-		buckets:    buckets,
-		bucketOffs: offs,
 		sendBuf:    tensor.NewVector(n + 1),
 		sendNull:   true,
 		roundBuf:   tensor.NewVector(n + 1),
@@ -475,12 +445,14 @@ func (a *Allreducer) watchContext(ctx context.Context) (stop func() bool) {
 //	round, stage, _ := a.BeginStep()
 //	// ... as backprop produces buckets, copy them into stage ...
 //	seq, _ := a.Contribute(round)         // commit: the step's arrival
-//	a.WaitBucket(ctx, round, b)           // per bucket
+//	a.WaitBucket(ctx, round, lo, hi)      // per bucket [lo, hi)
 //	a.WaitStep(ctx, round, seq)           // end-of-step accounting
 //
-// The contribution is committed atomically by Contribute, so the set of ranks
-// whose data is fresh in the round is identical for every bucket: one
-// participation decision per step. The staging vector belongs to the caller
+// The contribution is committed atomically by Contribute and the round
+// reduces the whole vector, so the set of ranks whose data is fresh in the
+// round is identical for every bucket: one participation decision per step.
+// The buckets are the caller's: they never reach the wire, so each step may
+// read its result in any ranges. The staging vector belongs to the caller
 // until Contribute, which must find all n elements written; it is one more
 // buffer of the rotation, so that committing into an empty send buffer is a
 // swap, not a pass over the vector, so a step must be contributed before the
@@ -530,21 +502,20 @@ func (a *Allreducer) Contribute(round int) (uint64, error) {
 }
 
 // WaitBucket blocks until the round has been reduced and returns a
-// pool-leased copy of bucket b's slice of the receive buffer. If the round —
-// or a later one — already completed, the latest receive-buffer contents for
-// the bucket are returned immediately: the straggler path of Fig. 7 at bucket
-// granularity.
-func (a *Allreducer) WaitBucket(ctx context.Context, round, b int) (tensor.Vector, error) {
-	if b < 0 || b >= len(a.buckets) {
-		return nil, fmt.Errorf("partial: bucket %d out of range [0,%d)", b, len(a.buckets))
+// pool-leased copy of elements [lo, hi) of the receive buffer, a non-empty
+// range within the vector. If the round — or a later one — already
+// completed, the latest receive-buffer contents for the range are returned
+// immediately: the straggler path of Fig. 7 at bucket granularity.
+func (a *Allreducer) WaitBucket(ctx context.Context, round, lo, hi int) (tensor.Vector, error) {
+	if lo < 0 || hi <= lo || hi > a.n {
+		return nil, fmt.Errorf("partial: bucket [%d,%d) is not a non-empty range of [0,%d)", lo, hi, a.n)
 	}
 	err := a.await(ctx, round)
 	defer a.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	lo := a.bucketOffs[b]
-	return tensor.GetVectorCopy(a.lastResult[lo : lo+a.buckets[b]]), nil
+	return tensor.GetVectorCopy(a.lastResult[lo:hi]), nil
 }
 
 // WaitStep blocks until the round has fully completed and returns its

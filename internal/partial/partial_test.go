@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +45,43 @@ func TestExchangeAfterClose(t *testing.T) {
 	if _, _, err := reducers[0].Exchange(tensor.Vector{1, 2}); err != partial.ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
+}
+
+// TestWaitBucketRejectsBadRange: a range that is negative, empty or past the
+// vector is an error naming it, and it costs the allreducer nothing: the step
+// still completes and the next Exchange succeeds.
+func TestWaitBucketRejectsBadRange(t *testing.T) {
+	_, reducers := makeWorld(t, 1, 4, partial.Options{Mode: partial.Solo})
+	a := reducers[0]
+	ctx := context.Background()
+	round, stage, err := a.BeginStep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage.CopyFrom(tensor.Vector{1, 2, 3, 4})
+	seq, err := a.Contribute(round)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int{{-1, 2}, {2, 2}, {3, 1}, {2, 5}} {
+		part, err := a.WaitBucket(ctx, round, r[0], r[1])
+		if want := fmt.Sprintf("[%d,%d)", r[0], r[1]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("WaitBucket(%d, %d) = %v, %v; want an error naming %s", r[0], r[1], part, err, want)
+		}
+	}
+	part, err := a.WaitBucket(ctx, round, 1, 3)
+	if err != nil || !part.Equal(tensor.Vector{2, 3}) {
+		t.Fatalf("WaitBucket(1, 3) = %v, %v; want [2 3]", part, err)
+	}
+	tensor.PutVector(part)
+	if _, err := a.WaitStep(ctx, round, seq); err != nil {
+		t.Fatal(err)
+	}
+	sum, _, err := a.Exchange(tensor.Vector{5, 6, 7, 8})
+	if err != nil || !sum.Equal(tensor.Vector{5, 6, 7, 8}) {
+		t.Fatalf("Exchange after bad ranges = %v, %v; want [5 6 7 8]", sum, err)
+	}
+	tensor.PutVector(sum)
 }
 
 func TestSoloSingleRoundConsistency(t *testing.T) {

@@ -185,9 +185,10 @@ func TestSweepAllCrashedStopsEarly(t *testing.T) {
 }
 
 // TestSweepDeadInitiatorFailover kills rank communities until every majority
-// initiator of a round can be dead, and checks the failover path (fastest
-// live rank + PeerDeadline) keeps rounds finite rather than hanging at
-// math.MaxInt64.
+// initiator of a round can be dead, and checks the failover path keeps rounds
+// finite rather than hanging at math.MaxInt64: PeerDeadline after a live
+// rank arrives, its machine's Deadline marks the round's dead candidates
+// down, and PeerDown lets the rank activate the round itself.
 func TestSweepDeadInitiatorFailover(t *testing.T) {
 	// Kill 3 of 4 ranks: many rounds will designate a dead initiator.
 	crash := map[int]int{1: 0, 2: 0, 3: 0}
