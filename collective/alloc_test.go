@@ -12,9 +12,9 @@ import (
 // TestReducerAllocFree is the allocation gate of the exchange path: once the
 // vector pool and the reducers' step records are warm, a Reduce and a
 // four-bucket step allocate nothing, in every Sync style and in the eager
-// modes, with or without WithBucketLayout. Reduce is a one-step exchange over
-// the reducer's one-shot layout, so any per-step record, handle, layout copy,
-// closure or channel on the step path shows up here.
+// modes. Reduce is a one-step exchange over the reducer's one-shot layout, so
+// any per-step record, handle, layout copy, closure or channel on the step
+// path shows up here.
 func TestReducerAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("testing.AllocsPerRun is unreliable under the race detector")

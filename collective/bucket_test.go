@@ -189,11 +189,7 @@ func directAllreduce(t *testing.T, ranks, dim int, fill func(rank int, full tens
 // elements over four ranks AlgoAuto reduces each 8Ki chunk with Rabenseifner
 // and the whole vector with the pipelined ring, whose sums differ in the
 // last place: a Reduce that ran one allreduce over the whole vector fails
-// here. WithBucketLayout is one more input: Reduce then runs its buckets, and
-// with WithChunks given after it the explicit layout still wins, so both
-// must match one AllreduceWith per bucket of the layout, whose sums differ
-// from the chunks'. Every input also reduces an integer gradient, whose sum
-// is exact: it must equal the serial sum bit for bit.
+// here.
 func TestDeep500ChunksBitForBit(t *testing.T) {
 	const ranks, dim, chunks = 4, 1 << 15, 4
 	fill := func(rank int, full tensor.Vector) {
@@ -201,79 +197,49 @@ func TestDeep500ChunksBitForBit(t *testing.T) {
 			full[i] = float64(rank+1)*(1.0+float64(i)*0.37) + 1/float64(3+rank+i%7)
 		}
 	}
-	fillInt := func(rank int, full tensor.Vector) {
-		for i := range full {
-			full[i] = float64((rank + 1) * (i % 7))
-		}
-	}
 	lens := make([]int, chunks)
 	for i := range lens {
 		lo, hi := tensor.ChunkBounds(dim, chunks, i)
 		lens[i] = hi - lo
 	}
-	layout := []int{dim / 8, dim - dim/8} // recursive doubling, then Rabenseifner
 	want := directAllreduce(t, ranks, dim, fill, lens)
-	wantLayout := directAllreduce(t, ranks, dim, fill, layout)
 	whole := directAllreduce(t, ranks, dim, fill, []int{dim})
 	if slices.Equal(want[0], whole[0]) {
 		t.Fatal("per-chunk and whole-vector allreduce agree bit for bit: the fill cannot tell them apart")
 	}
-	if slices.Equal(want[0], wantLayout[0]) {
-		t.Fatal("per-chunk and per-bucket allreduce agree bit for bit: the fill cannot tell the layouts apart")
-	}
-	inputs := []struct {
-		name string
-		opts []Option
-		want []tensor.Vector
-	}{
-		{"chunks", []Option{WithChunks(chunks)}, want},
-		{"layout", []Option{WithBucketLayout(layout...)}, wantLayout},
-		{"layout+chunks", []Option{WithBucketLayout(layout...), WithChunks(chunks)}, wantLayout},
-	}
 	for ti, transport := range []Transport{Inproc, TCP} {
 		t.Run(transport.String(), func(t *testing.T) {
-			for ii, in := range inputs {
-				world, err := NewWorld(ranks, append(in.opts, WithTransport(transport), WithBasePort(30500+10*ti+20*ii))...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := make([]tensor.Vector, ranks)
-				gotInt := make([]tensor.Vector, ranks)
-				errs := make([]error, ranks)
-				var wg sync.WaitGroup
-				for r := 0; r < ranks; r++ {
-					wg.Add(1)
-					go func(r int) {
-						defer wg.Done()
-						red, err := world.Node(r).Reducer(dim)
-						if err != nil {
-							errs[r] = err
-							return
-						}
-						grad := tensor.NewVector(dim)
-						fill(r, grad)
-						res, err := red.Reduce(context.Background(), grad)
-						if got[r], errs[r] = res.Sum, err; err != nil {
-							return
-						}
-						fillInt(r, grad)
-						res, err = red.Reduce(context.Background(), grad)
-						gotInt[r], errs[r] = res.Sum, err
-					}(r)
-				}
-				wg.Wait()
-				world.Close()
-				for r := 0; r < ranks; r++ {
-					if errs[r] != nil {
-						t.Fatalf("%s rank %d: %v", in.name, r, errs[r])
+			world, err := NewWorld(ranks, WithChunks(chunks), WithTransport(transport), WithBasePort(30500+10*ti))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer world.Close()
+			got := make([]tensor.Vector, ranks)
+			errs := make([]error, ranks)
+			var wg sync.WaitGroup
+			for r := 0; r < ranks; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					red, err := world.Node(r).Reducer(dim)
+					if err != nil {
+						errs[r] = err
+						return
 					}
-					for i := range got[r] {
-						if got[r][i] != in.want[r][i] {
-							t.Fatalf("%s rank %d element %d: Reduce %v != per-bucket allreduce %v (must be bit-for-bit)", in.name, r, i, got[r][i], in.want[r][i])
-						}
-						if serial := float64(ranks * (ranks + 1) / 2 * (i % 7)); gotInt[r][i] != serial {
-							t.Fatalf("%s rank %d element %d: integer Reduce %v != serial sum %v", in.name, r, i, gotInt[r][i], serial)
-						}
+					grad := tensor.NewVector(dim)
+					fill(r, grad)
+					res, err := red.Reduce(context.Background(), grad)
+					got[r], errs[r] = res.Sum, err
+				}(r)
+			}
+			wg.Wait()
+			for r := 0; r < ranks; r++ {
+				if errs[r] != nil {
+					t.Fatalf("rank %d: %v", r, errs[r])
+				}
+				for i := range got[r] {
+					if got[r][i] != want[r][i] {
+						t.Fatalf("rank %d element %d: chunked Reduce %v != per-chunk allreduce %v (must be bit-for-bit)", r, i, got[r][i], want[r][i])
 					}
 				}
 			}

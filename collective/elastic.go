@@ -105,16 +105,18 @@ func newElasticReducer(n *Node, dim int, cfg config, c *comm.Communicator) (*ela
 }
 
 // oneShotLayout validates the reducer dimension and resolves the bucket
-// layout Reduce runs as one step, in every mode: WithBucketLayout's lengths
-// if given, else WithChunks' non-empty chunks, which by default are the whole
-// vector. dim and cfg are fixed at mint time, so every epoch's engine
-// shares the layout.
+// layout Reduce runs as one step, in every mode: WithChunks' non-empty
+// chunks, which by default are the whole vector. A WithBucketLayout layout
+// is still checked against dim but runs nothing. dim and cfg are fixed at
+// mint time, so every epoch's engine shares the layout.
 func oneShotLayout(dim int, cfg config) ([]int, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("collective: reducer dimension %d must be positive", dim)
 	}
 	if len(cfg.layout) > 0 {
-		return cfg.layout, checkLayout(dim, cfg.layout)
+		if err := checkLayout(dim, cfg.layout); err != nil {
+			return nil, err
+		}
 	}
 	var lens []int
 	for i, n := 0, cfg.chunks; i < n; i++ {

@@ -76,10 +76,9 @@ func WithSeed(seed int64) Option {
 // WithChunks makes a Sync reducer reduce the gradient in n ordered chunks
 // instead of one fused allreduce, modelling the control dependencies a
 // DAG-scheduled framework adds (the Deep500 baseline of §3). It is Reduce's
-// bucket layout unless WithBucketLayout is given: the n tensor.ChunkBounds
-// chunks are the buckets of one step, reduced one allreduce each, in order
-// (an eager reducer reads them from its one round). Values below 2 mean a
-// single fused reduction (the default).
+// bucket layout: the n tensor.ChunkBounds chunks are the buckets of one step,
+// reduced one allreduce each, in order (an eager reducer reads them from its
+// one round). Values below 2 mean a single fused reduction (the default).
 func WithChunks(n int) Option {
 	return func(c *config) {
 		if n < 1 {
@@ -157,13 +156,13 @@ func WithDialRetry(d time.Duration) Option {
 	return func(c *config) { c.dialRetry = d }
 }
 
-// WithBucketLayout sets the bucket layout Reduce runs as one step, in every
-// mode: lens are the bucket lengths in ascending offset order, summing to the
-// reducer dimension, and Node.Reducer rejects any other. It takes precedence
-// over WithChunks. A Sync Reduce then runs one allreduce per bucket; an eager
-// Reduce still reduces the whole vector in one round, read back by bucket.
-// Bucketed steps are not bound by it: BeginStep takes any layout. Every rank
-// must pass the same layout (a Sync bucket is one collective on the wire).
+// WithBucketLayout names a bucket layout: lens are the bucket lengths in
+// ascending offset order, summing to the reducer dimension, and Node.Reducer
+// rejects any other. It changes nothing else: bucketed steps take their
+// layout as a BeginStep argument, in every mode, and Reduce's layout is
+// WithChunks'.
+//
+// Deprecated: pass the layout to BeginStep instead.
 func WithBucketLayout(lens ...int) Option {
 	return func(c *config) { c.layout = append([]int(nil), lens...) }
 }

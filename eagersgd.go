@@ -81,6 +81,8 @@ func WithOverlap() Option { return collective.WithOverlap() }
 // exchange (0 = one bucket per layer segment).
 func WithBucketElems(n int) Option { return collective.WithBucketElems(n) }
 
-// WithBucketLayout sets the bucket layout Reduce runs as one step, in every
-// mode; bucketed steps take their own layout. Every rank must pass the same.
+// WithBucketLayout names a bucket layout that Node.Reducer checks against the
+// reducer dimension; it changes nothing else.
+//
+// Deprecated: bucketed steps take their layout as a BeginStep argument.
 func WithBucketLayout(lens ...int) Option { return collective.WithBucketLayout(lens...) }

@@ -48,8 +48,7 @@ func planBuckets(segs []nn.Segment, bucketElems int) bucketPlan {
 }
 
 // BucketLayout returns the bucket lengths (in offset order) an overlapped
-// trainer opens its steps with for the task and coalescing target. Passed to
-// collective.WithBucketLayout, it makes Reduce run in the same buckets.
+// trainer opens its steps with for the task and coalescing target.
 func BucketLayout(task BucketedTask, bucketElems int) []int {
 	return planBuckets(task.Segments(), bucketElems).lens
 }
