@@ -81,8 +81,11 @@ type Reducer interface {
 	// designated initiator (Majority/Quorum). Canceling ctx aborts a blocked
 	// call with the context's error.
 	Reduce(ctx context.Context, grad tensor.Vector) (Result, error)
-	// Close releases the reducer's local resources. It does not close the
-	// transport; that is the World's job (or the communicator owner's).
+	// Close ends the reducer for its caller: later and pending calls return
+	// ErrReducerClosed. It does not close the transport; that is the World's
+	// job. An eager reducer's engine keeps serving its peers' rounds with null
+	// gradients until World.Close, so a rank that stops early never stalls the
+	// ranks still training; its goroutines and buffers are released there.
 	Close() error
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"eagersgd/internal/collectives"
 	"eagersgd/internal/comm"
@@ -20,9 +19,11 @@ import (
 // collective it issues, and it runs over the current epoch's communicator.
 type ParamSyncer interface {
 	// SyncParams sums params across all members in place, scales by the member
-	// count, and returns that count. A zero deadline blocks indefinitely on a
-	// silent peer; pass the world's WithPeerDeadline value to fail typed.
-	SyncParams(params tensor.Vector, deadline time.Duration) (int, error)
+	// count, and returns that count. It detects a silent peer with the
+	// reducer's WithPeerDeadline (given to the world or to Node.Reducer) and
+	// then fails with an error wrapping ErrRankUnreachable; without one it
+	// blocks on that peer.
+	SyncParams(params tensor.Vector) (int, error)
 }
 
 // elasticReducer is the Reducer every Node.Reducer call returns: a thin
@@ -387,7 +388,7 @@ func (r *elasticReducer) WaitStep(ctx context.Context) (Result, error) {
 // reduction — every member issues the same SPMD sequence of reductions and
 // syncs, so the barrier's catch-up allowance keeps the collectives matched
 // across an epoch boundary.
-func (r *elasticReducer) SyncParams(params tensor.Vector, deadline time.Duration) (int, error) {
+func (r *elasticReducer) SyncParams(params tensor.Vector) (int, error) {
 	if _, err := r.beginOp(); err != nil {
 		return 0, err
 	}
@@ -396,7 +397,7 @@ func (r *elasticReducer) SyncParams(params tensor.Vector, deadline time.Duration
 	// operation out, so it is the current epoch's for the whole call.
 	c := r.node.Communicator()
 	if err := collectives.AllreduceWith(c, params, collectives.OpSum, collectives.AlgoAuto,
-		collectives.Config{PeerDeadline: deadline}, nil); err != nil {
+		collectives.Config{PeerDeadline: r.cfg.peerDeadline}, nil); err != nil {
 		return 0, err
 	}
 	size := c.Size()

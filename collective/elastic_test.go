@@ -89,12 +89,12 @@ func TestJoinGrowsWorldUnderLoad(t *testing.T) {
 		}()
 	}
 
-	joiners, err := w.Reconfigure([]membership.Change{
+	joiners, err := collective.Transition(w, []membership.Change{
 		{Kind: membership.ChangeJoin, Addr: "j1"},
 		{Kind: membership.ChangeJoin, Addr: "j2"},
 	})
 	if err != nil {
-		t.Fatalf("Reconfigure: %v", err)
+		t.Fatalf("Transition: %v", err)
 	}
 	if len(joiners) != 2 {
 		t.Fatalf("got %d joiner nodes, want 2", len(joiners))

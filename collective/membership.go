@@ -108,13 +108,6 @@ func (w *World) Replace(dead RankID, addr string) (*Node, error) {
 	return nodes[0], nil
 }
 
-// Reconfigure applies several membership changes in one epoch transition
-// (e.g. growing a world by two ranks drains and rebuilds once, not twice).
-// It returns the Nodes of the incoming members in change order.
-func (w *World) Reconfigure(changes []membership.Change) ([]*Node, error) {
-	return w.transition(changes)
-}
-
 // transition drives one epoch handoff end to end, holding transMu from the
 // proposal to the commit or abort, so no two transitions ever overlap:
 //

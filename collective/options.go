@@ -118,7 +118,8 @@ func WithBucketElems(n int) Option {
 
 // WithPeerDeadline enables rank-failure tolerance with the given
 // failure-detector deadline. Sync reducers abort a reduction blocked on a
-// dead rank with an error wrapping ErrRankUnreachable instead of hanging;
+// dead rank with an error wrapping ErrRankUnreachable instead of hanging, and
+// so does every reducer's model sync (ParamSyncer.SyncParams);
 // the eager (partial) reducers treat a rank silent past the deadline as
 // permanently failed — its data and activation flag drop out of every
 // subsequent round, a dead designated initiator is failed over, and training

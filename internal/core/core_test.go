@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -528,6 +529,58 @@ func TestSyncModelAveragesReplicas(t *testing.T) {
 		if !results[r].AllClose(want, 1e-9) {
 			t.Fatalf("rank %d synced params %v, want all 2", r, results[r][:2])
 		}
+	}
+}
+
+// TestSyncModelPeerDownUsesReducerDeadline: the world's WithPeerDeadline is
+// the model sync's failure detector too, with nothing repeated in
+// core.Config. A silent crash of rank 2 leaves only a deadline to detect it;
+// each survivor's SyncModel must then fail with ErrRankUnreachable instead of
+// blocking on the dead rank.
+func TestSyncModelPeerDownUsesReducerDeadline(t *testing.T) {
+	const size, victim = 3, 2
+	for _, mode := range []collective.Mode{collective.Sync, collective.Solo} {
+		t.Run(mode.String(), func(t *testing.T) {
+			world, err := collective.NewWorld(size,
+				collective.WithPeerDeadline(100*time.Millisecond),
+				collective.WithFaults(collective.FaultScenario{Seed: 1}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer world.Close()
+			trainers := make([]*core.Trainer, size)
+			for r := range trainers {
+				n := world.Node(r)
+				task := buildRegressionTask(r, size, 4, 4)
+				trainers[r], err = core.NewTrainer(core.Config{
+					Node:      n,
+					Task:      task,
+					Exchanger: mustReducer(n, task.NumParams(), collective.WithMode(mode)),
+					Optimizer: optimizer.NewSGD(0.1),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer trainers[r].Close()
+			}
+			world.FaultInjector().Crash(victim)
+
+			errs := make(chan error, victim)
+			for r := 0; r < victim; r++ {
+				go func(tr *core.Trainer) { errs <- tr.SyncModel() }(trainers[r])
+			}
+			guard := time.After(10 * time.Second)
+			for i := 0; i < victim; i++ {
+				select {
+				case err := <-errs:
+					if !errors.Is(err, collective.ErrRankUnreachable) {
+						t.Errorf("survivor SyncModel error = %v, want one wrapping ErrRankUnreachable", err)
+					}
+				case <-guard:
+					t.Fatal("survivor SyncModel still blocked on the crashed rank after 10s")
+				}
+			}
+		})
 	}
 }
 

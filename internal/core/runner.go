@@ -114,9 +114,11 @@ type RunConfig struct {
 	// Size is the number of ranks.
 	Size int
 	// WorldOptions configure the collective.World the run executes on
-	// (transport, base port). Empty means in-process. Reducer settings are
-	// chosen by Build, which constructs reducers explicitly; world-level
-	// reducer defaults do not apply here.
+	// (transport, base port, faults, peer deadline). Empty means in-process.
+	// They are also the defaults of every reducer Build mints through
+	// Node.Reducer, so a WithPeerDeadline here is the failure detector of
+	// each rank's gradient exchange and model sync; Build's own reducer
+	// options apply over them.
 	WorldOptions []collective.Option
 	// Steps is the number of optimizer steps every rank executes.
 	Steps int

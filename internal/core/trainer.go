@@ -47,13 +47,6 @@ type Config struct {
 	// that implements collective.ParamSyncer. Synchronous replicas never
 	// diverge, so only the eager variants set it.
 	SyncEverySteps int
-	// PeerDeadline is the failure-detector deadline applied to the trainer's
-	// own synchronous collectives (SyncModel): a rank silent past it is
-	// marked down and the collective returns an error wrapping
-	// collective.ErrRankUnreachable instead of blocking forever. Use the same
-	// value the exchanger was built with (collective.WithPeerDeadline). Zero
-	// disables it.
-	PeerDeadline time.Duration
 	// StartStep offsets the trainer's step counter: a joiner admitted to an
 	// elastic world mid-run starts at the survivors' step so its periodic
 	// synchronization points (SyncEverySteps) line up with theirs.
@@ -141,14 +134,11 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 // BuildTrainer mints rank's reducer on the node and builds the trainer over
 // it — the one builder behind train.Run and the figure harness. cfg carries
 // everything but Node and Exchanger, which are filled in here. The reducer
-// options are applied in a fixed order (seed, the variant's options, the peer
-// deadline, then the overlap settings), so equal inputs construct equal
+// options are applied in a fixed order (seed, the variant's options, then the
+// overlap settings) over the world's, so equal inputs construct equal
 // reducers. If NewTrainer rejects the configuration, the reducer is closed.
 func BuildTrainer(n *collective.Node, cfg Config, seed int64, variant []collective.Option, overlap bool, bucketElems int) (*Trainer, error) {
 	opts := append([]collective.Option{collective.WithSeed(seed)}, variant...)
-	if cfg.PeerDeadline > 0 {
-		opts = append(opts, collective.WithPeerDeadline(cfg.PeerDeadline))
-	}
 	if overlap {
 		opts = append(opts, collective.WithOverlap(), collective.WithBucketElems(bucketElems))
 	}
@@ -264,14 +254,9 @@ func (t *Trainer) stepSerial(ctx context.Context, step int) (float64, collective
 		return 0, collective.Result{}, fmt.Errorf("core: step %d exchange: %w", step, err)
 	}
 	global := res.Sum
-	// Average over the schedule the result actually ran on (Result.Ranks):
-	// on an elastic world an epoch boundary can change the world size between
-	// steps, and the exchange already completed under the new schedule.
-	ranks := res.Ranks
-	if ranks <= 0 {
-		ranks = t.Size()
-	}
-	global.Scale(1 / float64(ranks))
+	// The TrainStepper bracket holds the epoch for the whole step, so the
+	// world size is the schedule the exchange ran on.
+	global.Scale(1 / float64(t.Size()))
 	t.cfg.Optimizer.Step(t.cfg.Task.Params(), global, step)
 	// The reduced sum is a pool lease and has been fully applied: recycle it
 	// so every training step reuses the same result buffer.
@@ -332,14 +317,15 @@ func (t *Trainer) stepOverlapped(ctx context.Context, step int) (float64, collec
 // collective; every rank must call it at the same step). It runs through the
 // exchanger's collective.ParamSyncer, so it covers the current epoch's
 // members, passes the drain barrier like any reduction, and runs over the
-// epoch's communicator. With a Config.PeerDeadline it aborts with a typed
-// error instead of blocking on a dead rank.
+// epoch's communicator. With the reducer's collective.WithPeerDeadline it
+// aborts with an error wrapping collective.ErrRankUnreachable instead of
+// blocking on a dead rank.
 func (t *Trainer) SyncModel() error {
 	ps, ok := t.cfg.Exchanger.(collective.ParamSyncer)
 	if !ok {
 		return fmt.Errorf("core: model sync needs an exchanger that implements collective.ParamSyncer (have %T)", t.cfg.Exchanger)
 	}
-	_, err := ps.SyncParams(t.cfg.Task.Params(), t.cfg.PeerDeadline)
+	_, err := ps.SyncParams(t.cfg.Task.Params())
 	return err
 }
 

@@ -17,9 +17,7 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"eagersgd/internal/faults"
 	"eagersgd/internal/trace"
 )
 
@@ -33,25 +31,6 @@ type Config struct {
 	// Seed drives all pseudo-randomness (datasets, initiator selection,
 	// injection schedules).
 	Seed int64
-	// Overlap runs every training variant with the bucketed gradient exchange
-	// (train.Spec.Overlap / collective.WithOverlap): buckets are submitted as
-	// the backward pass produces them instead of one fused exchange at the
-	// end.
-	Overlap bool
-	// BucketElems is the bucket coalescing target when Overlap is on; 0 keeps
-	// one bucket per layer segment.
-	BucketElems int
-	// Faults runs every training experiment's transport through a
-	// deterministic fault injector executing the scenario (per-link drops,
-	// delays, reordering, partitions, scripted rank crashes); see
-	// collective.WithFaults. Scripted crashes do not fail a run — the
-	// surviving ranks' results stand.
-	Faults *faults.Scenario
-	// PeerDeadline enables rank-failure tolerance with the given
-	// failure-detector deadline (collective.WithPeerDeadline). Set it when
-	// running a fault scenario so the stack detects the injected failures
-	// instead of blocking on them.
-	PeerDeadline time.Duration
 }
 
 // DefaultConfig returns the full-scale configuration.

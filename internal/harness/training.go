@@ -20,12 +20,6 @@ func horovod() arm          { return arm{"synch-horovod", train.SynchHorovod()} 
 func solo(p params) arm     { return arm{"eager-solo", train.EagerSolo(p.syncEvery)} }
 func majority(p params) arm { return arm{"eager-majority", train.EagerMajority(p.syncEvery)} }
 
-// spec fills in the fields every training experiment takes from the Config.
-func (c Config) spec(s train.Spec) train.Spec {
-	s.Seed, s.Overlap, s.BucketElems, s.Faults, s.PeerDeadline = c.Seed, c.Overlap, c.BucketElems, c.Faults, c.PeerDeadline
-	return s
-}
-
 // compare runs spec once per arm, in order, and hands each result to row with
 // its throughput relative to the arm keyed baseline (0 for arms that run
 // before it).
@@ -77,11 +71,11 @@ func Fig10Hyperplane(cfg Config) (*Report, error) {
 		"injection ms", "variant", "throughput steps/s", "training time s", "final val loss", "speedup vs synch")
 
 	for _, inj := range p.fig10Injections {
-		spec := cfg.spec(train.Spec{
-			Ranks: p.fig10Procs, Steps: p.fig10Steps, EvalEvery: p.evalEvery,
+		spec := train.Spec{
+			Ranks: p.fig10Procs, Steps: p.fig10Steps, EvalEvery: p.evalEvery, Seed: cfg.Seed,
 			Workload: p.hyperplane(), LearningRate: p.fig10LR,
 			Imbalance: train.RandomDelays(1, inj), BaseStepMs: p.fig10BaseMs, ClockScale: p.fig10Clock,
-		})
+		}
 		arms := []arm{deep500(), solo(p)}
 		if inj == p.fig10Injections[0] {
 			// The paper reports one majority data point for the lightest
@@ -120,13 +114,13 @@ func Fig11ImageNetLight(cfg Config) (*Report, error) {
 		"injection ms", "variant", "throughput steps/s", "training time s", "final top-1", "final top-5", "speedup vs deep500")
 
 	for _, inj := range p.fig11Injections {
-		spec := cfg.spec(train.Spec{
-			Ranks: p.fig11Procs, Steps: p.fig11Steps, EvalEvery: p.evalEvery,
+		spec := train.Spec{
+			Ranks: p.fig11Procs, Steps: p.fig11Steps, EvalEvery: p.evalEvery, Seed: cfg.Seed,
 			Workload: train.Images(train.ImagesConfig{Classes: p.fig11Classes, Dim: p.fig11Dim, Hidden: p.fig11Hidden,
 				Samples: p.fig11Samples, Batch: p.fig11Batch, Spread: 1.5}),
 			LearningRate: p.fig11LR,
 			Imbalance:    train.RandomDelays(p.fig11InjectedK, inj), BaseStepMs: p.fig11BaseMs, ClockScale: p.fig11Clock,
-		})
+		}
 		err := compare(spec, []arm{deep500(), horovod(), solo(p)}, "synch-deep500", func(a arm, res *train.Result, speedup float64) {
 			key := fmt.Sprintf("%s/%.0f", a.key, inj)
 			r.Values["throughput/"+key] = res.Throughput
@@ -171,13 +165,13 @@ func Fig12CifarSevere(cfg Config) (*Report, error) {
 		fmt.Sprintf("Fig. 12 — CIFAR-like classification, %d processes, all ranks skewed %g–%g ms shifted per step (clock scale %g)",
 			p.fig12Procs, p.fig12MinMs, p.fig12MaxMs, p.fig12Clock),
 		"variant", "throughput steps/s", "training time s", "final top-1", "final top-5", "speedup vs synch")
-	spec := cfg.spec(train.Spec{
-		Ranks: p.fig12Procs, Steps: p.fig12Steps, EvalEvery: p.evalEvery,
+	spec := train.Spec{
+		Ranks: p.fig12Procs, Steps: p.fig12Steps, EvalEvery: p.evalEvery, Seed: cfg.Seed,
 		Workload: train.Images(train.ImagesConfig{Classes: p.fig12Classes, Dim: p.fig12Dim, Hidden: p.fig12Hidden,
 			Samples: p.fig12Samples, Batch: p.fig12Batch, Spread: 1.6}),
 		LearningRate: p.fig12LR,
 		Imbalance:    train.SevereSkew(p.fig12MinMs, p.fig12MaxMs), BaseStepMs: p.fig12BaseMs, ClockScale: p.fig12Clock,
-	})
+	}
 	if err := compare(spec, []arm{horovod(), solo(p), majority(p)}, "synch-horovod", accuracyRows(r, table)); err != nil {
 		return nil, err
 	}
@@ -197,14 +191,14 @@ func Fig13VideoLSTM(cfg Config) (*Report, error) {
 		fmt.Sprintf("Fig. 13 — video LSTM, %d processes, inherent imbalance from sequence lengths %d–%d frames (clock scale %g)",
 			p.fig13Procs, p.fig13MinLen, p.fig13MaxLen, p.fig13Clock),
 		"variant", "throughput steps/s", "training time s", "final top-1", "final top-5", "speedup vs synch")
-	spec := cfg.spec(train.Spec{
-		Ranks: p.fig13Procs, Steps: p.fig13Steps, EvalEvery: p.evalEvery,
+	spec := train.Spec{
+		Ranks: p.fig13Procs, Steps: p.fig13Steps, EvalEvery: p.evalEvery, Seed: cfg.Seed,
 		Workload: train.Video(train.VideoConfig{Classes: p.fig13Classes, FeatDim: p.fig13FeatDim, Hidden: p.fig13Hidden,
 			Samples: p.fig13Samples, Batch: p.fig13Batch, Noise: 1.0,
 			MinFrames: p.fig13MinLen, MaxFrames: p.fig13MaxLen, MedianFrames: p.fig13MedianLen,
 			BaseMs: 20, PerFrameMs: p.fig13PerUnitMs}),
 		LearningRate: p.fig13LR, ClockScale: p.fig13Clock,
-	})
+	}
 	rows := accuracyRows(r, table)
 	err := compare(spec, []arm{horovod(), solo(p), majority(p)}, "synch-horovod", func(a arm, res *train.Result, speedup float64) {
 		rows(a, res, speedup)
@@ -226,11 +220,11 @@ func ScalingSummary(cfg Config) (*Report, error) {
 	p := experimentParams(cfg)
 	r := newReport("scaling", "Strong/weak scaling summary on the hyperplane task")
 	inj := p.fig10Injections[0]
-	multi := cfg.spec(train.Spec{
-		Ranks: p.fig10Procs, Steps: p.halfFig10Steps(),
+	multi := train.Spec{
+		Ranks: p.fig10Procs, Steps: p.halfFig10Steps(), Seed: cfg.Seed,
 		Workload: p.hyperplane(), LearningRate: p.fig10LR,
 		Imbalance: train.RandomDelays(1, inj), BaseStepMs: p.fig10BaseMs, ClockScale: p.fig10Clock,
-	})
+	}
 	// One process does the whole global batch, undisturbed.
 	single := multi
 	single.Ranks, single.Imbalance, single.BaseStepMs = 1, train.NoImbalance(), p.fig10BaseMs*float64(p.fig10Procs)
@@ -268,11 +262,11 @@ func QuorumSpectrum(cfg Config) (*Report, error) {
 	p := experimentParams(cfg)
 	r := newReport("quorum", "Quorum spectrum between solo, majority, and full collectives")
 	size := p.fig10Procs
-	spec := cfg.spec(train.Spec{
-		Ranks: size, Steps: p.halfFig10Steps(),
+	spec := train.Spec{
+		Ranks: size, Steps: p.halfFig10Steps(), Seed: cfg.Seed,
 		Workload: p.hyperplane(), LearningRate: p.fig10LR,
 		Imbalance: train.LinearSkew(100), BaseStepMs: p.fig10BaseMs / 2, ClockScale: p.fig10Clock,
-	})
+	}
 	table := trace.NewTable(
 		fmt.Sprintf("Quorum spectrum on %d processes under linear skew (clock scale %g)", size, p.fig10Clock),
 		"candidates", "mean active processes", "throughput steps/s", "final val loss")

@@ -164,28 +164,23 @@ type Spec struct {
 	// Seed drives dataset generation, batch sampling, initiator selection,
 	// and injection schedules. Runs with equal specs are reproducible.
 	Seed int64
-	// World configures the collective world the run executes on (transport,
-	// base port). Empty means in-process.
+	// World configures the collective world the run executes on: transport,
+	// base port and fault tolerance. Empty means in-process with none. Every
+	// reducer of the run takes the world's options, so
+	// collective.WithPeerDeadline here detects a dead rank for the gradient
+	// exchanges and the model syncs alike: eager rounds drop it and train on
+	// with the survivors, while a synchronous step or a model sync needs every
+	// rank and fails with a typed error (unless Churn replaces the rank).
+	// collective.WithFaults runs the transport through a deterministic fault
+	// injector; the run advances each rank's crash-at-step counter once per
+	// optimizer step, and the crashed rank's own error does not fail the run.
 	World []collective.Option
-	// Faults runs the world's transport through a deterministic fault
-	// injector executing the scenario (collective.WithFaults): per-link
-	// drops, delays, reordering, partitions, and scripted rank crashes. The
-	// run advances each rank's crash-at-step counter once per optimizer
-	// step, and a scripted crash does not fail the run — survivors' results
-	// stand. Combine with PeerDeadline so the stack detects the injected
-	// failures.
-	Faults *collective.FaultScenario
-	// PeerDeadline enables rank-failure tolerance with the given
-	// failure-detector deadline (collective.WithPeerDeadline): eager
-	// variants drop a dead rank from subsequent rounds and keep training
-	// with the survivors; synchronous variants abort with a typed error
-	// instead of hanging. Zero disables it.
-	PeerDeadline time.Duration
 	// Churn scripts membership changes — ranks joining, leaving, or being
 	// replaced — executed at step boundaries while training runs (the elastic
-	// path). Combine ChurnReplace with a Faults scenario that crashes the
-	// victim and a PeerDeadline that detects it. Joiners train the remaining
-	// steps from the state handed over at their epoch boundary.
+	// path). Combine ChurnReplace with a World that holds a
+	// collective.WithFaults scenario crashing the victim and a
+	// collective.WithPeerDeadline that detects it. Joiners train the
+	// remaining steps from the state handed over at their epoch boundary.
 	Churn []ChurnEvent
 }
 
@@ -255,23 +250,13 @@ func Run(spec Spec) (*Result, error) {
 	if spec.Imbalance.build != nil {
 		injector = spec.Imbalance.build(spec.Ranks, spec.Seed)
 	}
-
-	worldOpts := append([]collective.Option{}, spec.World...)
-	if spec.Faults != nil {
-		worldOpts = append(worldOpts, collective.WithFaults(*spec.Faults))
-	}
-	if spec.PeerDeadline > 0 {
-		// World-level too: the elastic transition protocol (drains, state
-		// transfer) uses the deadline to outwait dead ranks.
-		worldOpts = append(worldOpts, collective.WithPeerDeadline(spec.PeerDeadline))
-	}
 	res, err := core.Run(core.RunConfig{
 		Name:           name,
 		Size:           spec.Ranks,
 		Steps:          spec.Steps,
 		EvalEverySteps: spec.EvalEvery,
 		FinalSync:      true,
-		WorldOptions:   worldOpts,
+		WorldOptions:   spec.World,
 		Churn:          spec.Churn,
 		Build: func(rank int, n *collective.Node) (*core.Trainer, error) {
 			return core.BuildTrainer(n, core.Config{
@@ -282,7 +267,6 @@ func Run(spec Spec) (*Result, error) {
 				BaseStepPaperMs: spec.BaseStepMs,
 				CostModel:       costModel,
 				SyncEverySteps:  v.syncEvery,
-				PeerDeadline:    spec.PeerDeadline,
 			}, spec.Seed, v.opts, spec.Overlap, spec.BucketElems)
 		},
 	})

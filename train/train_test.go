@@ -1,8 +1,11 @@
 package train_test
 
 import (
+	"math"
 	"testing"
+	"time"
 
+	"eagersgd/collective"
 	"eagersgd/train"
 )
 
@@ -105,5 +108,34 @@ func TestWorkloadsTrain(t *testing.T) {
 	}
 	if video.Top5 < video.Top1 {
 		t.Fatalf("video accuracies top1=%v top5=%v", video.Top1, video.Top5)
+	}
+}
+
+// TestRunChurnReplacesCrashedRank drives Spec.Churn through Run: rank 1
+// crashes silently after crashAt steps, the world's peer deadline detects it,
+// and a ChurnReplace admits a replacement. The run completes, and since a
+// churned run tolerates no failed model sync, that includes the final model
+// sync over the repaired world.
+func TestRunChurnReplacesCrashedRank(t *testing.T) {
+	const crashAt = 5
+	res, err := train.Run(train.Spec{
+		Ranks:    3,
+		Steps:    9,
+		Workload: train.Hyperplane(train.HyperplaneConfig{Dim: 8, Samples: 64, Batch: 4}),
+		Seed:     3,
+		World: []collective.Option{
+			collective.WithFaults(collective.FaultScenario{Seed: 11, CrashAtStep: map[int]int{1: crashAt}}),
+			collective.WithPeerDeadline(300 * time.Millisecond),
+		},
+		Churn: []train.ChurnEvent{{AfterStep: crashAt, Kind: train.ChurnReplace, Victim: 1, Addr: "replacement"}},
+	})
+	if err != nil {
+		t.Fatalf("churned run: %v", err)
+	}
+	if res.Loss <= 0 || math.IsNaN(res.Loss) || math.IsInf(res.Loss, 0) {
+		t.Fatalf("final loss %v", res.Loss)
+	}
+	if res.MeanActiveRanks != 3 {
+		t.Fatalf("mean active ranks %v, want 3: every synchronous step sums a full world", res.MeanActiveRanks)
 	}
 }
