@@ -128,11 +128,9 @@ func (st *stepRecord) begin(owner bucketOwner, dim int, lens []int) error {
 	return nil
 }
 
-// submit marks the bucket (offset, length) submitted and returns its handle.
+// submit marks the open step's bucket (offset, length) submitted and returns
+// its handle; the drain barrier has checked that a step is open.
 func (st *stepRecord) submit(offset, length int) (*BucketHandle, error) {
-	if !st.open {
-		return nil, errors.New("collective: SubmitBucket without BeginStep")
-	}
 	for i := range st.handles {
 		h := &st.handles[i]
 		if h.offset != offset {
@@ -391,9 +389,6 @@ func (s *syncReducer) waitBucket(ctx context.Context, h *BucketHandle) (tensor.V
 func (s *syncReducer) WaitStep(ctx context.Context) (Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.step.open {
-		return Result{}, errors.New("collective: WaitStep without BeginStep")
-	}
 	if s.closed {
 		s.step.open = false // Close resolved the handles and released their sums
 		return Result{}, ErrReducerClosed
@@ -512,9 +507,6 @@ func (e *eagerReducer) waitBucket(ctx context.Context, h *BucketHandle) (tensor.
 // decision, so ActiveRanks and Included are identical for every bucket of
 // the step.
 func (e *eagerReducer) WaitStep(ctx context.Context) (Result, error) {
-	if !e.step.open {
-		return Result{}, errors.New("collective: WaitStep without BeginStep")
-	}
 	if err := e.step.end(); err != nil {
 		return Result{}, err
 	}

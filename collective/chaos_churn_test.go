@@ -50,7 +50,6 @@ func TestChaosChurnScenarios(t *testing.T) {
 			return []collective.Option{
 				collective.WithTransport(collective.TCP),
 				collective.WithBasePort(26200 + block*32),
-				collective.WithDialRetry(5 * time.Second),
 			}
 		}},
 	}

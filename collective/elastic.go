@@ -27,30 +27,20 @@ type ParamSyncer interface {
 }
 
 // elasticReducer is the Reducer every Node.Reducer call returns: a thin
-// epoch-aware wrapper around the real (sync or eager) reducer of the current
-// epoch. It is the world's drain barrier — an epoch transition flips the
-// wrapper into draining, new steps park at the gate while in-flight ones run
-// to completion, and once every wrapper in the world is idle the old epoch's
-// inner reducers are retired and fresh ones minted over the new epoch's
-// communicators. Training loops never observe the swap: the same Reducer
-// value keeps working across epochs, with Result.Ranks and the participant
-// set following the membership.
+// epoch-aware wrapper around the current epoch's engine, driving its drain
+// barrier (drainBarrier) under mu and cond. Once a transition has drained
+// every wrapper, the old engines retire and fresh ones are minted over the
+// new epoch's communicators; training loops keep the same Reducer value.
 type elasticReducer struct {
 	node    *Node
 	dim     int
 	cfg     config // merged option set at mint time
 	oneShot []int  // the bucket layout Reduce runs as one step (oneShotLayout)
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	inner       engine
-	active      int    // in-flight operations on inner (Reduce calls and whole bucketed steps)
-	rounds      uint64 // operations completed since mint — the drain allowance is measured in these
-	guarded     int    // open TrainStepper brackets; nested operations bypass the gate
-	stepOpen    bool   // a bucketed step is open: BeginStep passed the gate, WaitStep not yet called
-	draining    bool
-	drainTarget uint64 // while draining: admit ops until rounds reaches this
-	closed      bool
+	mu    sync.Mutex
+	cond  *sync.Cond
+	inner engine
+	b     drainBarrier
 
 	handles []*BucketHandle // Reduce's handles, reused: Reduce is driven by one goroutine
 }
@@ -74,33 +64,19 @@ type TrainStepper interface {
 
 // BeginTrainStep implements TrainStepper.
 func (r *elasticReducer) BeginTrainStep() error {
-	if _, err := r.beginOp(); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.guarded++
-	r.mu.Unlock()
-	return nil
+	_, err := r.beginOp(true)
+	return err
 }
 
 // EndTrainStep implements TrainStepper.
-func (r *elasticReducer) EndTrainStep() {
-	r.mu.Lock()
-	r.guarded--
-	r.mu.Unlock()
-	r.endOp()
-}
+func (r *elasticReducer) EndTrainStep() { r.endOp(true) }
 
 func newElasticReducer(n *Node, dim int, cfg config, c *comm.Communicator) (*elasticReducer, error) {
 	oneShot, err := oneShotLayout(dim, cfg)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := newEngine(c, dim, cfg)
-	if err != nil {
-		return nil, err
-	}
-	r := &elasticReducer{node: n, dim: dim, cfg: cfg, oneShot: oneShot, inner: inner}
+	r := &elasticReducer{node: n, dim: dim, cfg: cfg, oneShot: oneShot, inner: newEngine(c, dim, cfg)}
 	r.cond = sync.NewCond(&r.mu)
 	return r, nil
 }
@@ -128,82 +104,59 @@ func oneShotLayout(dim int, cfg config) ([]int, error) {
 	return lens, nil
 }
 
-// beginOp gates one operation through the drain barrier: while a transition
-// is draining, new operations are admitted only up to the drain allowance
-// (see beginDrain), then park. Admitted operations pin the current inner
-// reducer until endOp.
-func (r *elasticReducer) beginOp() (engine, error) {
+// beginOp passes the drain barrier (drainBarrier.admit), parking until a
+// wake while the gate holds it out. An admitted operation pins the current
+// engine until endOp.
+func (r *elasticReducer) beginOp(bracket bool) (engine, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.draining && r.rounds >= r.drainTarget && r.guarded == 0 && !r.closed {
+	for {
+		park, err := r.b.admit(bracket)
+		if err != nil {
+			return nil, err
+		}
+		if !park {
+			return r.inner, nil
+		}
 		r.cond.Wait()
 	}
-	if r.closed {
-		return nil, ErrReducerClosed
-	}
-	r.active++
-	return r.inner, nil
 }
 
-func (r *elasticReducer) endOp() {
+func (r *elasticReducer) endOp(bracket bool) {
 	r.mu.Lock()
-	r.active--
-	r.rounds++
+	r.b.finish(bracket)
 	r.cond.Broadcast() // wake a drain waiting for idle, or an op parked under the allowance
 	r.mu.Unlock()
 }
 
-// beginDrain flips the barrier: no further operations are admitted (the
-// allowance starts at the rounds already completed) but in-flight ones keep
-// running. It returns the number of operations started so far — completed
-// plus in-flight — which the transition folds into the matched group's
-// allowance (allowRounds): synchronous collectives are lockstep, so a member
-// mid-collective needs its peers' matching round, and a hard gate here would
-// deadlock the drain against the very steps it waits for.
-func (r *elasticReducer) beginDrain() uint64 {
+// event runs one barrier event under the mutex and wakes every waiter when
+// it says to.
+func (r *elasticReducer) event(ev func(b *drainBarrier) (wake bool)) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.draining = true
-	r.drainTarget = r.rounds
-	return r.rounds + uint64(r.active)
-}
-
-// allowRounds raises the drain allowance so members behind the group's
-// furthest round catch up instead of starving a lockstep peer.
-func (r *elasticReducer) allowRounds(target uint64) {
-	r.mu.Lock()
-	if target > r.drainTarget {
-		r.drainTarget = target
+	if ev(&r.b) {
 		r.cond.Broadcast()
 	}
 	r.mu.Unlock()
 }
 
-// awaitIdle blocks until the reducer has no in-flight operation. Operations
-// wedged on a dead peer complete with an error once the failure detector
-// (WithPeerDeadline) fires or the epoch's transport closes; elastic worlds
-// should configure a peer deadline so a drain never outwaits a silent rank.
-// The gate may still admit catch-up rounds afterwards — quiesceReducers is
-// the atomic completion check.
+// awaitIdle blocks until the reducer has no operation in flight. One wedged
+// on a dead peer fails once WithPeerDeadline fires or the epoch's transport
+// closes, so elastic worlds should set a peer deadline.
 func (r *elasticReducer) awaitIdle() {
 	r.mu.Lock()
-	for r.active > 0 {
+	for !r.b.idle() {
 		r.cond.Wait()
 	}
 	r.mu.Unlock()
 }
 
-// quiesceReducers completes a drain: if every reducer is idle at one instant,
-// it revokes their remaining catch-up allowances under the same critical
-// section — no operation can slip in afterwards — and reports true. If any
-// reducer is still active it changes nothing and reports false; the caller
-// re-waits. Allowances are revoked rather than run dry because a member whose
-// operations errored (dead peer) stops pumping below the group target, and
-// the outgoing epoch's wire state is discarded wholesale anyway.
+// quiesceReducers completes a drain: if every reducer is idle at one
+// instant, it revokes their allowances in the same critical section and
+// reports true; otherwise it changes nothing and the caller re-waits.
 func quiesceReducers(rs []*elasticReducer) bool {
 	for i, r := range rs {
 		r.mu.Lock()
-		if r.active > 0 {
+		if !r.b.idle() {
 			for j := 0; j <= i; j++ {
 				rs[j].mu.Unlock()
 			}
@@ -211,55 +164,36 @@ func quiesceReducers(rs []*elasticReducer) bool {
 		}
 	}
 	for _, r := range rs {
-		r.drainTarget = r.rounds
+		r.b.revoke()
 		r.mu.Unlock()
 	}
 	return true
 }
 
-// undrain lifts the barrier and wakes parked operations, either onto the
-// freshly minted epoch (after remint) or back onto the old one (transition
-// aborted).
-func (r *elasticReducer) undrain() {
-	r.mu.Lock()
-	r.draining = false
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
 // remint builds the new epoch's inner reducer over the given communicator and
 // returns the retired one for the transition to close and join with the old
-// generation. Only called with the barrier down and the reducer idle.
-func (r *elasticReducer) remint(c *comm.Communicator) (engine, error) {
-	inner, err := newEngine(c, r.dim, r.cfg)
-	if err != nil {
-		return nil, err
-	}
+// generation. Only called with the reducer quiesced.
+func (r *elasticReducer) remint(c *comm.Communicator) engine {
+	inner := newEngine(c, r.dim, r.cfg)
 	r.mu.Lock()
 	old := r.inner
 	r.inner = inner
-	// Round counters restart with the epoch. Drain allowances compare these
-	// counters ACROSS members (the group target is a max over the matched
-	// reducers), which is only meaningful while everyone counts from the
-	// same origin: a joiner's fresh reducer starts at zero, so a survivor
-	// carrying its lifetime count would hand the next transition a target
-	// the joiner's gate check reads as "run freely" — it would keep starting
-	// steps its gated peers can never serve, wedging the drain.
-	r.rounds = 0
-	r.drainTarget = 0
+	closed := r.b.remint()
 	r.mu.Unlock()
-	return old, nil
+	if closed {
+		_ = inner.Close()
+	}
+	return old
 }
 
 // markClosed closes the barrier permanently and closes the current inner
 // reducer, waking every parked operation with ErrReducerClosed. Idempotent.
 func (r *elasticReducer) markClosed() error {
 	r.mu.Lock()
-	if r.closed {
+	if !r.b.close() {
 		r.mu.Unlock()
 		return nil
 	}
-	r.closed = true
 	inner := r.inner
 	r.cond.Broadcast()
 	r.mu.Unlock()
@@ -273,11 +207,11 @@ func (r *elasticReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result
 	if len(grad) != r.dim {
 		return Result{}, fmt.Errorf("collective: gradient length %d, want %d", len(grad), r.dim)
 	}
-	inner, err := r.beginOp()
+	inner, err := r.beginOp(false)
 	if err != nil {
 		return Result{}, err
 	}
-	defer r.endOp()
+	defer r.endOp(false)
 	if err := inner.BeginStep(ctx, r.oneShot); err != nil {
 		return Result{}, err
 	}
@@ -287,9 +221,7 @@ func (r *elasticReducer) Reduce(ctx context.Context, grad tensor.Vector) (Result
 		err = stepErr
 	}
 	if err != nil {
-		if sum != nil {
-			tensor.PutVector(sum)
-		}
+		tensor.PutVector(sum) // nil when the buckets failed
 		return Result{}, err
 	}
 	res.Sum = sum
@@ -343,16 +275,16 @@ func (r *elasticReducer) overlapSettings() (bool, int) { return r.cfg.overlap, r
 // the drain barrier — a transition arriving mid-step waits for WaitStep, so an
 // epoch boundary never splits a step's buckets across two epochs' reducers.
 func (r *elasticReducer) BeginStep(ctx context.Context, lens []int) error {
-	inner, err := r.beginOp()
+	inner, err := r.beginOp(false)
 	if err != nil {
 		return err
 	}
 	if err := inner.BeginStep(ctx, lens); err != nil {
-		r.endOp()
+		r.endOp(false)
 		return err
 	}
 	r.mu.Lock()
-	r.stepOpen = true
+	r.b.openStep()
 	r.mu.Unlock()
 	return nil
 }
@@ -361,10 +293,10 @@ func (r *elasticReducer) BeginStep(ctx context.Context, lens []int) error {
 // barrier, so inner cannot be reminted under it.
 func (r *elasticReducer) SubmitBucket(ctx context.Context, offset int, data tensor.Vector) (*BucketHandle, error) {
 	r.mu.Lock()
-	open, inner := r.stepOpen, r.inner
+	err, inner := r.b.inStep(errSubmitWithoutStep), r.inner
 	r.mu.Unlock()
-	if !open {
-		return nil, ErrReducerClosed // data is borrowed, so nothing to release
+	if err != nil {
+		return nil, err // data is borrowed, so nothing to release
 	}
 	return inner.SubmitBucket(ctx, offset, data)
 }
@@ -373,13 +305,12 @@ func (r *elasticReducer) SubmitBucket(ctx context.Context, offset int, data tens
 // barrier.
 func (r *elasticReducer) WaitStep(ctx context.Context) (Result, error) {
 	r.mu.Lock()
-	open, inner := r.stepOpen, r.inner
-	r.stepOpen = false
+	err, inner := r.b.endStep(), r.inner
 	r.mu.Unlock()
-	if !open {
-		return Result{}, ErrReducerClosed
+	if err != nil {
+		return Result{}, err
 	}
-	defer r.endOp()
+	defer r.endOp(false)
 	return inner.WaitStep(ctx)
 }
 
@@ -389,10 +320,10 @@ func (r *elasticReducer) WaitStep(ctx context.Context) (Result, error) {
 // syncs, so the barrier's catch-up allowance keeps the collectives matched
 // across an epoch boundary.
 func (r *elasticReducer) SyncParams(params tensor.Vector) (int, error) {
-	if _, err := r.beginOp(); err != nil {
+	if _, err := r.beginOp(false); err != nil {
 		return 0, err
 	}
-	defer r.endOp()
+	defer r.endOp(false)
 	// The node's communicator is swapped while the barrier holds every
 	// operation out, so it is the current epoch's for the whole call.
 	c := r.node.Communicator()

@@ -411,7 +411,6 @@ func TestTCPWorldGrows(t *testing.T) {
 	w, err := collective.NewWorld(2,
 		collective.WithTransport(collective.TCP),
 		collective.WithBasePort(25540),
-		collective.WithDialRetry(5*time.Second),
 	)
 	if err != nil {
 		t.Fatalf("world: %v", err)
@@ -694,7 +693,6 @@ func TestJoinFencesTheOldGeneration(t *testing.T) {
 		{"tcp", []collective.Option{
 			collective.WithTransport(collective.TCP),
 			collective.WithBasePort(25560),
-			collective.WithDialRetry(5 * time.Second),
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -736,5 +734,95 @@ func TestJoinFencesTheOldGeneration(t *testing.T) {
 				t.Fatalf("join leaked %d pool leases", n)
 			}
 		})
+	}
+}
+
+// TestStepMisuseOnLiveReducer calls SubmitBucket and WaitStep without a
+// BeginStep on a live reducer: each must fail with its own misuse error, not
+// ErrReducerClosed, which trainers read as the member having departed. Once
+// the reducer is closed, both report ErrReducerClosed.
+func TestStepMisuseOnLiveReducer(t *testing.T) {
+	for _, mode := range []collective.Mode{collective.Sync, collective.Solo} {
+		t.Run(mode.String(), func(t *testing.T) {
+			w, err := collective.NewWorld(1, collective.WithMode(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			red, err := w.Node(0).Reducer(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			br := red.(collective.BucketReducer)
+			ctx := context.Background()
+			check := func(call string, err error, want string) {
+				t.Helper()
+				if err == nil || errors.Is(err, collective.ErrReducerClosed) || err.Error() != want {
+					t.Fatalf("%s without BeginStep on a live reducer: %v, want %q", call, err, want)
+				}
+			}
+			_, err = br.SubmitBucket(ctx, 0, make(tensor.Vector, 4))
+			check("SubmitBucket", err, "collective: SubmitBucket without BeginStep")
+			_, err = br.WaitStep(ctx)
+			check("WaitStep", err, "collective: WaitStep without BeginStep")
+			// The reducer still works: the misuse admitted nothing at the gate.
+			res, err := red.Reduce(ctx, make(tensor.Vector, 4))
+			if err != nil {
+				t.Fatalf("reduce after misuse: %v", err)
+			}
+			tensor.PutVector(res.Sum)
+
+			if err := red.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := br.SubmitBucket(ctx, 0, make(tensor.Vector, 4)); !errors.Is(err, collective.ErrReducerClosed) {
+				t.Fatalf("SubmitBucket on a closed reducer: %v, want ErrReducerClosed", err)
+			}
+			if _, err := br.WaitStep(ctx); !errors.Is(err, collective.ErrReducerClosed) {
+				t.Fatalf("WaitStep on a closed reducer: %v, want ErrReducerClosed", err)
+			}
+		})
+	}
+}
+
+// TestCloseRacingCommit closes the world at every point of a Join's commit,
+// sweeping the delay between the two calls. A Close that lands between the
+// transition's last closing check and a reducer's remint reaches only the
+// engine the remint replaces; the fresh engine must then be closed by the
+// remint itself, or Close waits forever to join it. The drain explorer's
+// "remint forgets a close" mutation is this defect.
+func TestCloseRacingCommit(t *testing.T) {
+	for it := 0; it < 400; it++ {
+		w, err := collective.NewWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 2; r++ {
+			for k := 0; k < 4; k++ {
+				if _, err := w.Node(r).Reducer(8); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		joined := make(chan error, 1)
+		go func() {
+			_, err := w.Join("late")
+			joined <- err
+		}()
+		delay := time.Duration(it%80) * time.Microsecond
+		time.Sleep(delay)
+		closed := make(chan error, 1)
+		go func() { closed <- w.Close() }()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatalf("close: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d (close %v after the join): World.Close hung", it, delay)
+		}
+		if err := <-joined; err != nil && !errors.Is(err, collective.ErrWorldClosed) {
+			t.Fatalf("join racing close returned %v, want nil or ErrWorldClosed", err)
+		}
 	}
 }

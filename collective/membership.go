@@ -2,7 +2,6 @@ package collective
 
 import (
 	"errors"
-	"fmt"
 
 	"eagersgd/internal/faults"
 	"eagersgd/internal/membership"
@@ -108,25 +107,14 @@ func (w *World) Replace(dead RankID, addr string) (*Node, error) {
 	return nodes[0], nil
 }
 
-// transition drives one epoch handoff end to end, holding transMu from the
-// proposal to the commit or abort, so no two transitions ever overlap:
-//
-//	propose   (membership.Next computes the next view; the health view names
-//	           the live survivors)
-//	→ drain   (every live survivor finishes its in-flight steps)
-//	→ build   (the next transport generation: a fresh hub or port block,
-//	           fresh communicators and injector, so no frame of the outgoing
-//	           epoch can ever reach it)
-//	→ hand over (the first live survivor's state provider runs once and every
-//	           joiner gets its own copy of the snapshot)
-//	→ commit  (nodes swap to the new generation, reducers re-mint over it,
-//	           the old generation retires, subscribers are notified)
-//
-// Any failure — and Close racing the transition — takes the abort path
-// instead: the half-built generation is retired, the outgoing epoch stays in
-// force, and the drain barrier lifts so surviving trainers continue
-// undisturbed. Either way the window is leak-free: every pool lease minted by
-// the transition is released before it returns.
+// transition drives one epoch handoff end to end — propose, drain, build the
+// next transport generation, hand the state over, commit (DESIGN.md,
+// "Elastic membership & epochs") — holding transMu from the proposal to the
+// commit or abort, so no two transitions ever overlap. Any failure, and Close
+// racing the transition, takes the abort path instead: the half-built
+// generation is retired, the outgoing epoch stays in force, and the drain
+// barrier lifts. Either way every pool lease the transition minted is
+// released before it returns.
 func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 	w.transMu.Lock()
 	defer w.transMu.Unlock()
@@ -162,34 +150,24 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 	w.nextID += RankID(len(joined))
 	w.mu.Unlock()
 
-	// Drain: flip every survivor's barrier and wait until the world is idle.
-	// Dead members are skipped; their wedged steps unblock with errors when
-	// the old generation retires.
-	//
-	// The barrier admits catch-up rounds rather than parking members outright:
-	// synchronous collectives are lockstep, so when the gate falls while one
-	// member is mid-collective, its peers must run their matching round or the
-	// drain deadlocks against the in-flight step. Reducers minted at the same
-	// index across nodes form one matched group; each group's allowance is the
-	// furthest round any member has started. The drain completes at a globally
-	// idle instant (quiesceReducers), at which point unused allowances are
-	// revoked — a member that stopped pumping below the target (its operations
-	// errored on a dead peer) must not hold the epoch boundary open.
+	// Drain: flip every survivor's barrier, raise each matched group's
+	// allowance to its furthest started round (drainBarrier), and wait for a
+	// globally idle instant, where the allowances are revoked. Dead members
+	// are skipped; their wedged steps unblock with errors when the old
+	// generation retires.
 	reducerSets := make([][]*elasticReducer, len(survivors))
 	var allReducers []*elasticReducer
-	groupTarget := make(map[int]uint64)
+	groupMax := make(map[int]uint64)
 	for i, n := range survivors {
 		reducerSets[i] = n.snapshotReducers()
 		allReducers = append(allReducers, reducerSets[i]...)
 		for idx, r := range reducerSets[i] {
-			if started := r.beginDrain(); started > groupTarget[idx] {
-				groupTarget[idx] = started
-			}
+			r.event(func(b *drainBarrier) bool { groupMax[idx] = b.beginDrain(groupMax[idx]); return false })
 		}
 	}
 	for _, rs := range reducerSets {
 		for idx, r := range rs {
-			r.allowRounds(groupTarget[idx])
+			r.event(func(b *drainBarrier) bool { return b.allow(groupMax[idx]) })
 		}
 	}
 	for !quiesceReducers(allReducers) {
@@ -197,11 +175,9 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 			r.awaitIdle()
 		}
 	}
-	undrain := func() {
-		for _, n := range survivors {
-			for _, r := range n.snapshotReducers() {
-				r.undrain()
-			}
+	undrain := func() { // transMu keeps Node.Reducer from adding to allReducers
+		for _, r := range allReducers {
+			r.event(func(b *drainBarrier) bool { b.undrain(); return true })
 		}
 	}
 	if w.isClosing() {
@@ -260,16 +236,7 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 	for _, n := range survivors {
 		dense := to.IndexOf(n.id)
 		for _, r := range n.snapshotReducers() {
-			old, err := r.remint(newGen.comms[dense])
-			if err != nil {
-				// A remint failure is unrecoverable mid-swap only if some
-				// reducers already moved; with per-reducer remint the failure
-				// mode is config-invariant (same cfg that built the original),
-				// so treat it as fatal to the transition but roll nothing back.
-				abort()
-				return nil, fmt.Errorf("collective: reminting reducer for epoch %d: %w", to.Epoch, err)
-			}
-			retired = append(retired, old)
+			retired = append(retired, r.remint(newGen.comms[dense]))
 		}
 	}
 	for _, old := range retired {

@@ -25,7 +25,6 @@ type config struct {
 	layout       []int
 	peerDeadline time.Duration
 	faults       *faults.Scenario
-	dialRetry    time.Duration
 }
 
 func defaultConfig() config {
@@ -144,17 +143,6 @@ func WithFaults(sc FaultScenario) Option {
 		copied := sc
 		c.faults = &copied
 	}
-}
-
-// WithDialRetry sets the total wall-clock budget a TCP world's dials keep
-// retrying before giving up, covering both world bootstrap (every rank dialing
-// its higher-ranked peers) and joiners dialing into an epoch transition. The
-// retry loop backs off exponentially with jitter inside this window, so a
-// large budget costs nothing once the peer is up. Zero (the default) keeps the
-// transport's default window. Ignored by Inproc and Shm worlds, whose
-// endpoints rendezvous in memory.
-func WithDialRetry(d time.Duration) Option {
-	return func(c *config) { c.dialRetry = d }
 }
 
 // WithBucketLayout names a bucket layout: lens are the bucket lengths in

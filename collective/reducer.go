@@ -31,10 +31,9 @@ type engine interface {
 // newEngine builds the engine of cfg's mode over one epoch's communicator.
 // dim is the fixed gradient length, already validated by oneShotLayout;
 // every rank must build its engine with the same dim, mode and seed (the
-// engines are SPMD).
-func newEngine(c *comm.Communicator, dim int, cfg config) (engine, error) {
-	switch cfg.mode.kind {
-	case kindSync:
+// engines are SPMD). Every Mode value is one of the four modes built here.
+func newEngine(c *comm.Communicator, dim int, cfg config) engine {
+	if cfg.mode.kind == kindSync {
 		s := &syncReducer{
 			comm: c, dim: dim,
 			chunks: cfg.chunks, negotiate: cfg.negotiate,
@@ -44,26 +43,23 @@ func newEngine(c *comm.Communicator, dim int, cfg config) (engine, error) {
 		}
 		s.cond = sync.NewCond(&s.mu)
 		go s.runWorker()
-		return s, nil
-	case kindSolo, kindMajority, kindQuorum:
-		popts := partial.Options{Seed: cfg.seed, PeerDeadline: cfg.peerDeadline}
-		switch cfg.mode.kind {
-		case kindSolo:
-			popts.Mode = partial.Solo
-		case kindMajority:
-			popts.Mode = partial.Majority
-		default:
-			popts.Mode = partial.Quorum
-			popts.Candidates = cfg.mode.candidates
-		}
-		return &eagerReducer{
-			comm: c,
-			ar:   partial.New(c, dim, popts),
-			mode: cfg.mode,
-			dim:  dim,
-		}, nil
+		return s
+	}
+	popts := partial.Options{Seed: cfg.seed, PeerDeadline: cfg.peerDeadline}
+	switch cfg.mode.kind {
+	case kindSolo:
+		popts.Mode = partial.Solo
+	case kindMajority:
+		popts.Mode = partial.Majority
 	default:
-		return nil, fmt.Errorf("collective: unknown mode %v", cfg.mode)
+		popts.Mode = partial.Quorum
+		popts.Candidates = cfg.mode.candidates
+	}
+	return &eagerReducer{
+		comm: c,
+		ar:   partial.New(c, dim, popts),
+		mode: cfg.mode,
+		dim:  dim,
 	}
 }
 

@@ -136,7 +136,7 @@ func (w *World) buildGeneration(size int) (*generation, error) {
 		// lost a port race (ephemeral ports land anywhere) must make a
 		// retried transition probe fresh ports, not re-collide forever.
 		w.portCursor = basePort + size
-		teps, err := transport.NewTCPEndpointsRetry(size, basePort, cfg.dialRetry)
+		teps, err := transport.NewTCPEndpoints(size, basePort)
 		if err != nil {
 			return nil, fmt.Errorf("collective: tcp world: %w", err)
 		}

@@ -80,9 +80,3 @@ func WithOverlap() Option { return collective.WithOverlap() }
 // WithBucketElems sets the bucket coalescing target of the overlapped
 // exchange (0 = one bucket per layer segment).
 func WithBucketElems(n int) Option { return collective.WithBucketElems(n) }
-
-// WithBucketLayout names a bucket layout that Node.Reducer checks against the
-// reducer dimension; it changes nothing else.
-//
-// Deprecated: bucketed steps take their layout as a BeginStep argument.
-func WithBucketLayout(lens ...int) Option { return collective.WithBucketLayout(lens...) }

@@ -63,7 +63,7 @@ func TestDialRetryExhaustsBudget(t *testing.T) {
 }
 
 func TestNewTCPEndpointsRetryBuildsWorld(t *testing.T) {
-	eps, err := NewTCPEndpointsRetry(3, 23450, 2*time.Second)
+	eps, err := newTCPEndpointsRetry(3, 23450, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestNewTCPEndpointsRetryFailsFastOnOccupiedPort(t *testing.T) {
 	start := time.Now()
 	done := make(chan error, 1)
 	go func() {
-		_, err := NewTCPEndpointsRetry(3, base, 500*time.Millisecond)
+		_, err := newTCPEndpointsRetry(3, base, 500*time.Millisecond)
 		done <- err
 	}()
 	select {
@@ -102,6 +102,6 @@ func TestNewTCPEndpointsRetryFailsFastOnOccupiedPort(t *testing.T) {
 			t.Fatalf("failure took %v, want within the ~500ms budget", elapsed)
 		}
 	case <-time.After(15 * time.Second):
-		t.Fatal("NewTCPEndpointsRetry deadlocked on an occupied base port")
+		t.Fatal("newTCPEndpointsRetry deadlocked on an occupied base port")
 	}
 }

@@ -489,13 +489,13 @@ func decodeFrame(r io.Reader, hdr *[12]byte, scratch *[]byte) (comm.Message, err
 // in-process TCP worlds (tests, examples, fault-injection wrapping);
 // production deployments construct one NewTCPEndpoint per OS process.
 func NewTCPEndpoints(size, basePort int) ([]*TCPEndpoint, error) {
-	return NewTCPEndpointsRetry(size, basePort, 0)
+	return newTCPEndpointsRetry(size, basePort, 0)
 }
 
-// NewTCPEndpointsRetry is NewTCPEndpoints with an explicit dial-retry budget
+// newTCPEndpointsRetry is NewTCPEndpoints with an explicit dial-retry budget
 // (TCPConfig.DialRetry) applied to every rank's dials; retry <= 0 keeps the
 // default window.
-func NewTCPEndpointsRetry(size, basePort int, retry time.Duration) ([]*TCPEndpoint, error) {
+func newTCPEndpointsRetry(size, basePort int, retry time.Duration) ([]*TCPEndpoint, error) {
 	addrs := make([]string, size)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
