@@ -15,14 +15,14 @@ import (
 // Trainers that synchronize replicas periodically (eager-SGD's bounded
 // divergence, the final model average) must do it through this method on
 // elastic worlds — it runs inside the same drain barrier as the gradient
-// exchange, so an epoch transition can never split or orphan the synchronous
-// collective it issues, and it runs over the current epoch's communicator.
+// exchange, so an epoch transition can never split or orphan the collective
+// it issues, and it runs over the current epoch's communicator.
 type ParamSyncer interface {
-	// SyncParams sums params across all members in place, scales by the member
-	// count, and returns that count. It detects a silent peer with the
-	// reducer's WithPeerDeadline (given to the world or to Node.Reducer) and
-	// then fails with an error wrapping ErrRankUnreachable; without one it
-	// blocks on that peer.
+	// SyncParams averages params in place across the members and returns
+	// how many replicas it averaged. An eager reducer with a WithPeerDeadline
+	// (given to the world or to Node.Reducer) averages the members still
+	// alive; any other fails on a silent member with an error wrapping
+	// ErrRankUnreachable, or without a deadline blocks on it.
 	SyncParams(params tensor.Vector) (int, error)
 }
 
@@ -314,16 +314,20 @@ func (r *elasticReducer) WaitStep(ctx context.Context) (Result, error) {
 	return inner.WaitStep(ctx)
 }
 
-// SyncParams implements ParamSyncer: one synchronous allreduce over the
-// current epoch's members, gated by the drain barrier exactly like a
-// reduction — every member issues the same SPMD sequence of reductions and
-// syncs, so the barrier's catch-up allowance keeps the collectives matched
-// across an epoch boundary.
+// SyncParams implements ParamSyncer: one collective over the current
+// epoch's members, chosen by the engine the drain barrier pinned, and gated
+// by the barrier exactly like a reduction — every member issues the same SPMD
+// sequence of reductions and syncs, so the barrier's catch-up allowance keeps
+// the collectives matched across an epoch boundary.
 func (r *elasticReducer) SyncParams(params tensor.Vector) (int, error) {
-	if _, err := r.beginOp(false); err != nil {
+	inner, err := r.beginOp(false)
+	if err != nil {
 		return 0, err
 	}
 	defer r.endOp(false)
+	if e, ok := inner.(*eagerReducer); ok && r.cfg.peerDeadline > 0 {
+		return e.ar.SyncParams(params)
+	}
 	// The node's communicator is swapped while the barrier holds every
 	// operation out, so it is the current epoch's for the whole call.
 	c := r.node.Communicator()

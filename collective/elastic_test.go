@@ -3,6 +3,7 @@ package collective_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -361,6 +362,48 @@ func TestCloseRacingDrain(t *testing.T) {
 	}
 	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
 		t.Fatalf("close-during-drain leaked %d pool leases", n)
+	}
+}
+
+// TestReducerOnClosedWorld: once a world's Close has begun, Node.Reducer
+// fails with ErrWorldClosed and leaves nothing running. Close closes and
+// joins only the reducers enrolled when it snapshots them, so a reducer
+// minted later — or racing the snapshot — would keep its engine's goroutines
+// alive with no owner. The racing mints here either land before the snapshot
+// (and Close closes them) or fail.
+func TestReducerOnClosedWorld(t *testing.T) {
+	for _, mode := range []collective.Mode{collective.Sync, collective.Solo} {
+		t.Run(mode.String(), func(t *testing.T) {
+			goroutines := runtime.NumGoroutine()
+			w, err := collective.NewWorld(2, collective.WithMode(mode))
+			if err != nil {
+				t.Fatalf("world: %v", err)
+			}
+			racing := make(chan error, 1)
+			go func() {
+				for i := 0; i < 20; i++ {
+					if _, err := w.Node(1).Reducer(4); err != nil {
+						racing <- err
+						return
+					}
+				}
+				racing <- nil
+			}()
+			if err := w.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if err := <-racing; err != nil && !errors.Is(err, collective.ErrWorldClosed) {
+				t.Errorf("Reducer racing Close returned %v, want nil or ErrWorldClosed", err)
+			}
+			if _, err := w.Node(0).Reducer(4); !errors.Is(err, collective.ErrWorldClosed) {
+				t.Errorf("Reducer on a closed world returned %v, want ErrWorldClosed", err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the world closed, %d before it opened", runtime.NumGoroutine(), goroutines)
+				}
+			}
+		})
 	}
 }
 

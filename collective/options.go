@@ -116,16 +116,16 @@ func WithBucketElems(n int) Option {
 }
 
 // WithPeerDeadline enables rank-failure tolerance with the given
-// failure-detector deadline. Sync reducers abort a reduction blocked on a
-// dead rank with an error wrapping ErrRankUnreachable instead of hanging, and
-// so does every reducer's model sync (ParamSyncer.SyncParams);
-// the eager (partial) reducers treat a rank silent past the deadline as
-// permanently failed — its data and activation flag drop out of every
-// subsequent round, a dead designated initiator is failed over, and training
-// continues with the surviving participant set. The deadline is a failure
-// detector, not a latency bound: choose it far above any legitimate skew,
-// because a rank it fires on is never readmitted. Zero (the default)
-// disables failure tolerance.
+// failure-detector deadline. Sync reducers abort a reduction or a model sync
+// (ParamSyncer.SyncParams) blocked on a dead rank with an error wrapping
+// ErrRankUnreachable instead of hanging; the eager (partial) reducers treat a
+// rank silent past the deadline as permanently failed — its data and
+// activation flag drop out of every subsequent round, a dead designated
+// initiator is failed over, a model sync averages the survivors' replicas,
+// and training continues with the surviving participant set. The deadline
+// is a failure detector, not a latency bound: choose it far above any
+// legitimate skew, because a rank it fires on is never readmitted. Zero (the
+// default) disables failure tolerance.
 func WithPeerDeadline(d time.Duration) Option {
 	return func(c *config) { c.peerDeadline = d }
 }

@@ -309,7 +309,8 @@ func (n *Node) Size() int { return n.world.Size() }
 //
 // The returned reducer is epoch-aware: it keeps working across membership
 // transitions, draining at each epoch boundary and continuing over the new
-// rank set, with Result.Ranks following the current world size.
+// rank set, with Result.Ranks following the current world size. Once the
+// world's Close has begun, Reducer fails with ErrWorldClosed.
 func (n *Node) Reducer(dim int, opts ...Option) (Reducer, error) {
 	// Serialize against transitions: a reducer minted here is either drained
 	// by the next transition or built after it, never half-enrolled.
@@ -327,9 +328,21 @@ func (n *Node) Reducer(dim int, opts ...Option) (Reducer, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Checked where the reducer is enrolled: a World.Close racing this call
+	// either snapshots it among the reducers it closes and joins, or the
+	// reducer is closed and joined here, over a communicator that Close
+	// closes.
 	n.mu.Lock()
-	n.reducers = append(n.reducers, r)
+	closing := n.world.isClosing()
+	if !closing {
+		n.reducers = append(n.reducers, r)
+	}
 	n.mu.Unlock()
+	if closing {
+		_ = r.markClosed()
+		r.joinEngine()
+		return nil, ErrWorldClosed
+	}
 	return r, nil
 }
 

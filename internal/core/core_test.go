@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -534,9 +535,11 @@ func TestSyncModelAveragesReplicas(t *testing.T) {
 
 // TestSyncModelPeerDownUsesReducerDeadline: the world's WithPeerDeadline is
 // the model sync's failure detector too, with nothing repeated in
-// core.Config. A silent crash of rank 2 leaves only a deadline to detect it;
-// each survivor's SyncModel must then fail with ErrRankUnreachable instead of
-// blocking on the dead rank.
+// core.Config. A silent crash of rank 2 leaves only a deadline to detect it.
+// A Sync reducer's model sync needs every rank, so each survivor's SyncModel
+// must fail with ErrRankUnreachable instead of blocking on the dead rank; a
+// Solo reducer's averages the two survivors, as its gradient rounds train on
+// with them.
 func TestSyncModelPeerDownUsesReducerDeadline(t *testing.T) {
 	const size, victim = 3, 2
 	for _, mode := range []collective.Mode{collective.Sync, collective.Solo} {
@@ -549,13 +552,17 @@ func TestSyncModelPeerDownUsesReducerDeadline(t *testing.T) {
 			}
 			defer world.Close()
 			trainers := make([]*core.Trainer, size)
+			syncers := make([]collective.ParamSyncer, size)
+			tasks := make([]core.Task, size)
 			for r := range trainers {
 				n := world.Node(r)
-				task := buildRegressionTask(r, size, 4, 4)
+				tasks[r] = buildRegressionTask(r, size, 4, 4)
+				red := mustReducer(n, tasks[r].NumParams(), collective.WithMode(mode))
+				syncers[r] = red.(collective.ParamSyncer)
 				trainers[r], err = core.NewTrainer(core.Config{
 					Node:      n,
-					Task:      task,
-					Exchanger: mustReducer(n, task.NumParams(), collective.WithMode(mode)),
+					Task:      tasks[r],
+					Exchanger: red,
 					Optimizer: optimizer.NewSGD(0.1),
 				})
 				if err != nil {
@@ -565,19 +572,85 @@ func TestSyncModelPeerDownUsesReducerDeadline(t *testing.T) {
 			}
 			world.FaultInjector().Crash(victim)
 
-			errs := make(chan error, victim)
+			type outcome struct {
+				count int
+				err   error
+			}
+			outs := make(chan outcome, victim)
 			for r := 0; r < victim; r++ {
-				go func(tr *core.Trainer) { errs <- tr.SyncModel() }(trainers[r])
+				go func(r int) {
+					if mode == collective.Sync {
+						outs <- outcome{err: trainers[r].SyncModel()}
+						return
+					}
+					count, err := syncers[r].SyncParams(tasks[r].Params())
+					outs <- outcome{count, err}
+				}(r)
 			}
 			guard := time.After(10 * time.Second)
 			for i := 0; i < victim; i++ {
 				select {
-				case err := <-errs:
-					if !errors.Is(err, collective.ErrRankUnreachable) {
-						t.Errorf("survivor SyncModel error = %v, want one wrapping ErrRankUnreachable", err)
+				case o := <-outs:
+					switch {
+					case mode == collective.Sync && !errors.Is(o.err, collective.ErrRankUnreachable):
+						t.Errorf("survivor SyncModel error = %v, want one wrapping ErrRankUnreachable", o.err)
+					case mode != collective.Sync && (o.err != nil || o.count != victim):
+						t.Errorf("survivor SyncParams = %d, %v; want %d survivors and no error", o.count, o.err, victim)
 					}
 				case <-guard:
-					t.Fatal("survivor SyncModel still blocked on the crashed rank after 10s")
+					t.Fatal("survivor model sync still blocked on the crashed rank after 10s")
+				}
+			}
+		})
+	}
+}
+
+// TestSyncModelPeerDownAveragesSurvivors: after a silent crash, an eager
+// reducer with a peer deadline syncs the model over the survivors. Each
+// survivor's SyncParams returns 2, and both hold the same parameters, bit for
+// bit: the mean of their two replicas.
+func TestSyncModelPeerDownAveragesSurvivors(t *testing.T) {
+	const size, victim = 3, 2
+	for _, mode := range []collective.Mode{collective.Solo, collective.Majority} {
+		t.Run(mode.String(), func(t *testing.T) {
+			world, err := collective.NewWorld(size,
+				collective.WithMode(mode),
+				collective.WithPeerDeadline(100*time.Millisecond),
+				collective.WithFaults(collective.FaultScenario{Seed: 1}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer world.Close()
+			syncers := make([]collective.ParamSyncer, size)
+			params := make([]tensor.Vector, size)
+			for r := range syncers {
+				red := mustReducer(world.Node(r), 4)
+				defer red.Close()
+				syncers[r] = red.(collective.ParamSyncer)
+				params[r] = tensor.NewVector(4)
+				params[r].Fill(float64(r + 1))
+			}
+			world.FaultInjector().Crash(victim)
+
+			counts := make([]int, victim)
+			errs := make([]error, victim)
+			var wg sync.WaitGroup
+			for r := 0; r < victim; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					counts[r], errs[r] = syncers[r].SyncParams(params[r])
+				}(r)
+			}
+			wg.Wait()
+			want := tensor.NewVector(4)
+			want.Fill(1.5) // the mean of the survivors' 1 and 2
+			for r := 0; r < victim; r++ {
+				if errs[r] != nil || counts[r] != victim {
+					t.Errorf("survivor %d SyncParams = %d, %v; want %d and no error", r, counts[r], errs[r], victim)
+				}
+				if !slices.Equal(params[r], want) {
+					t.Errorf("survivor %d holds %v after the sync, want %v", r, params[r], want)
 				}
 			}
 		})

@@ -127,7 +127,8 @@ type RunConfig struct {
 	// balanced) but only rank 0's metrics are recorded.
 	EvalEverySteps int
 	// FinalSync averages replicas across ranks before the final evaluation
-	// (recommended for eager-SGD, harmless for synch-SGD).
+	// (recommended for eager-SGD, harmless for synch-SGD) with
+	// Trainer.SyncModel, whose failure fails the run.
 	FinalSync bool
 	// Build constructs the rank's trainer over the given membership handle
 	// (reducers minted via n.Reducer stay valid across epochs). It runs once
@@ -475,16 +476,7 @@ func runRank(cfg RunConfig, tr *Trainer, record bool, result *RunResult, world *
 	}
 	if cfg.FinalSync {
 		if err := tr.SyncModel(); err != nil {
-			// Model averaging needs every rank; when a scripted crash removed
-			// one (without a replacing churn event), the survivors keep their
-			// replicas instead of failing. On elastic runs churn repairs the
-			// membership, so a sync failure there — like one with every rank
-			// alive — is a real error even under an injected scenario.
-			inj := world.FaultInjector()
-			tolerate := len(cfg.Churn) == 0 && inj != nil && inj.AnyCrashed()
-			if !tolerate {
-				return err
-			}
+			return err
 		}
 	}
 	evaluate()

@@ -313,13 +313,13 @@ func (t *Trainer) stepOverlapped(ctx context.Context, step int) (float64, collec
 	return loss, res, nil
 }
 
-// SyncModel averages the model replicas across all ranks (a synchronous
-// collective; every rank must call it at the same step). It runs through the
-// exchanger's collective.ParamSyncer, so it covers the current epoch's
-// members, passes the drain barrier like any reduction, and runs over the
-// epoch's communicator. With the reducer's collective.WithPeerDeadline it
-// aborts with an error wrapping collective.ErrRankUnreachable instead of
-// blocking on a dead rank.
+// SyncModel averages the model replicas across the ranks (a collective;
+// every rank must call it at the same step). It runs through the exchanger's
+// collective.ParamSyncer, so it covers the current epoch's members, passes
+// the drain barrier like any reduction, and treats a dead rank by the
+// reducer's rule: with collective.WithPeerDeadline an eager reducer averages
+// the survivors, and a synchronous one fails with an error wrapping
+// collective.ErrRankUnreachable instead of blocking.
 func (t *Trainer) SyncModel() error {
 	ps, ok := t.cfg.Exchanger.(collective.ParamSyncer)
 	if !ok {

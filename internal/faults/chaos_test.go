@@ -30,12 +30,15 @@ type rankOutcome struct {
 	err         error // first error, if the rank stopped early
 	lastActive  int   // ActiveRanks of the final completed reduction
 	activeStats []int // ActiveRanks per completed step
+	syncCounts  []int // SyncParams' replica count per completed model sync
 }
 
 // runChaosTraining drives size ranks through steps partial reductions over a
-// faulty world, advancing each rank's crash-at-step counter once per step.
-// Every rank goroutine terminates or the watchdog fails the test.
-func runChaosTraining(t *testing.T, w *collective.World, dim, steps int) []rankOutcome {
+// faulty world, with a model sync (ParamSyncer.SyncParams) after every
+// syncEvery-th reduction (never, at 0), advancing each rank's crash-at-step
+// counter once per step, after the step's sync. Every rank goroutine
+// terminates or the watchdog fails the test.
+func runChaosTraining(t *testing.T, w *collective.World, dim, steps, syncEvery int) []rankOutcome {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), chaosWatchdog)
 	defer cancel()
@@ -52,6 +55,7 @@ func runChaosTraining(t *testing.T, w *collective.World, dim, steps int) []rankO
 		go func(r int, red collective.Reducer) {
 			defer wg.Done()
 			grad := make(tensor.Vector, dim)
+			params := make(tensor.Vector, dim)
 			for s := 0; s < steps; s++ {
 				for i := range grad {
 					grad[i] = float64(r + 1)
@@ -65,6 +69,15 @@ func runChaosTraining(t *testing.T, w *collective.World, dim, steps int) []rankO
 				out[r].steps++
 				out[r].lastActive = res.ActiveRanks
 				out[r].activeStats = append(out[r].activeStats, res.ActiveRanks)
+				if syncEvery > 0 && (s+1)%syncEvery == 0 {
+					params.Fill(float64(r + 1))
+					n, err := red.(collective.ParamSyncer).SyncParams(params)
+					if err != nil {
+						out[r].err = err
+						return
+					}
+					out[r].syncCounts = append(out[r].syncCounts, n)
+				}
 				if inj != nil {
 					inj.AdvanceStep(r)
 				}
@@ -156,7 +169,7 @@ func TestChaosRankCrashPartialTraining(t *testing.T) {
 							if err != nil {
 								t.Skipf("world unavailable: %v", err)
 							}
-							out := runChaosTraining(t, w, dim, steps)
+							out := runChaosTraining(t, w, dim, steps, 0)
 
 							// Survivors complete every step; the crashed rank
 							// completes its scripted steps and then observes
@@ -203,6 +216,115 @@ func TestChaosRankCrashPartialTraining(t *testing.T) {
 	}
 }
 
+// TestChaosModelSyncRankCrash is the crash scenario with eager-SGD's
+// periodic model sync (§5) between the steps: rank 2 crashes after its second
+// step and its first sync. Solo and majority training must complete every
+// step and every sync on the survivors, and each sync averages at most the
+// world and never the dead rank's replica once it crashed.
+//
+// With the crash signalled, every sync averages at least the survivors, and
+// every sync after the crash exactly the survivors: a dead rank costs its own
+// replica and nothing else. Detected by deadline alone, a crash can make
+// survivors suspect each other: one that waits out the dead rank in a
+// data-phase round reaches the next round later than the partners that did
+// not, by more than their deadline on it. Those suspicions reach the sync
+// through the shared down set, so there only the world bounds are asserted.
+func TestChaosModelSyncRankCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos scenarios take seconds")
+	}
+	const (
+		size      = 4
+		dim       = 96
+		steps     = 6
+		syncEvery = 2
+		crashRank = 2
+		crashStep = 2
+	)
+	modes := map[string]collective.Mode{"solo": collective.Solo, "majority": collective.Majority}
+	transports := map[string]collective.Transport{"inproc": collective.Inproc, "tcp": collective.TCP}
+	for modeName, mode := range modes {
+		for trName, tr := range transports {
+			for _, signal := range []bool{true, false} {
+				if tr == collective.TCP && !signal {
+					continue // keep the slow variants to one transport
+				}
+				detect, deadline := "signal", 2*time.Second
+				if !signal {
+					detect, deadline = "deadline", 300*time.Millisecond
+				}
+				t.Run(modeName+"/"+trName+"/"+detect, func(t *testing.T) {
+					sc := collective.FaultScenario{
+						Name:          "crash-sync",
+						Seed:          1,
+						CrashAtStep:   map[int]int{crashRank: crashStep},
+						SignalCrashes: signal,
+					}
+					leaseBalanced(t, func() {
+						opts := []collective.Option{
+							collective.WithTransport(tr),
+							collective.WithMode(mode),
+							collective.WithSeed(1),
+							collective.WithPeerDeadline(deadline),
+							collective.WithFaults(sc),
+						}
+						if tr == collective.TCP {
+							opts = append(opts, collective.WithBasePort(nextChaosPort()))
+						}
+						w, err := collective.NewWorld(size, opts...)
+						if err != nil {
+							t.Skipf("world unavailable: %v", err)
+						}
+						out := runChaosTraining(t, w, dim, steps, syncEvery)
+						for r, o := range out {
+							if r == crashRank {
+								if o.steps < crashStep || len(o.syncCounts) < crashStep/syncEvery {
+									t.Errorf("crashed rank completed %d steps and %d syncs, scripted to reach step %d", o.steps, len(o.syncCounts), crashStep)
+								}
+								if o.steps < steps && o.err == nil {
+									t.Errorf("crashed rank stopped at step %d with no error", o.steps)
+								}
+								continue
+							}
+							if o.steps != steps || len(o.syncCounts) != steps/syncEvery {
+								t.Errorf("survivor %d completed %d of %d steps and %d of %d syncs (err=%v)", r, o.steps, steps, len(o.syncCounts), steps/syncEvery, o.err)
+								continue
+							}
+							for s, a := range o.activeStats {
+								if a < 0 || a > size {
+									t.Errorf("survivor %d step %d: ActiveRanks=%d outside [0,%d]", r, s, a, size)
+								}
+							}
+							if o.lastActive > size-1 {
+								t.Errorf("survivor %d final step: ActiveRanks=%d includes the dead rank", r, o.lastActive)
+							}
+							for i, n := range o.syncCounts {
+								after := (i+1)*syncEvery > crashStep // issued after the victim crashed
+								lo, hi := 1, size
+								if after {
+									hi = size - 1
+								}
+								if signal {
+									lo = size - 1
+								}
+								if n < lo || n > hi {
+									t.Errorf("survivor %d sync %d averaged %d replicas, want [%d, %d]", r, i, n, lo, hi)
+								}
+							}
+						}
+						if st := w.Peers()[crashRank]; st.Up {
+							t.Errorf("World.Peers reports crashed rank %d up", crashRank)
+						}
+						if err := w.Close(); err != nil {
+							t.Errorf("world close: %v", err)
+						}
+					})
+				})
+			}
+		}
+	}
+}
+
 // TestChaosScenarioMatrixLiveness sweeps degraded-network scenarios (delay,
 // reorder, light loss, a one-way partition) across modes and seeds: every
 // rank's training loop must terminate with every step completed — partial
@@ -243,7 +365,7 @@ func TestChaosScenarioMatrixLiveness(t *testing.T) {
 						if err != nil {
 							t.Fatalf("world: %v", err)
 						}
-						out := runChaosTraining(t, w, dim, steps)
+						out := runChaosTraining(t, w, dim, steps, 0)
 						for r, o := range out {
 							if o.err != nil {
 								t.Errorf("rank %d failed under %s: %v", r, sc.Name, o.err)
@@ -417,7 +539,7 @@ func TestChaosSyncModeCrashSurfacesRankUnreachable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("world: %v", err)
 		}
-		out := runChaosTraining(t, w, dim, 4)
+		out := runChaosTraining(t, w, dim, 4, 0)
 		unreachable := false
 		for r, o := range out {
 			if r == crashRank {
@@ -476,7 +598,7 @@ func TestChaosShmCrashWithLoss(t *testing.T) {
 		if err != nil {
 			t.Fatalf("world: %v", err)
 		}
-		out := runChaosTraining(t, w, dim, steps)
+		out := runChaosTraining(t, w, dim, steps, 0)
 		for r, o := range out {
 			if r == crashRank {
 				if o.steps < crashStep {

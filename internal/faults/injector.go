@@ -195,18 +195,6 @@ func (in *Injector) Crash(rank int) {
 	close(in.crashChs[rank])
 }
 
-// AnyCrashed reports whether any rank has crashed.
-func (in *Injector) AnyCrashed() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, c := range in.crashed {
-		if c {
-			return true
-		}
-	}
-	return false
-}
-
 // Crashed reports whether the rank has crashed.
 func (in *Injector) Crashed(rank int) bool {
 	if rank < 0 || rank >= in.size {

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -80,6 +81,7 @@ const (
 	tagActivation = 0    // the round-stamped activation flood
 	tagData       = 64   // data phase without PeerDeadline: one internal/collectives tag block
 	tagTolerant   = 2048 // data phase with PeerDeadline: fold, fold-back, then one tag per doubling step
+	tagSync       = 4096 // SyncParams: the replicas, then the closing tokens
 )
 
 // Options configures an Allreducer.
@@ -107,7 +109,8 @@ type Options struct {
 	// internal/collectives allreduce (pipelined ring at large sizes), which
 	// blocks on a silent peer forever and fails the engine with
 	// collectives.ErrRankUnreachable on one marked down. Every rank must use
-	// the same value: it selects the wire protocol.
+	// the same value: it selects the wire protocol, and with it a model sync
+	// over the engine's ranks is SyncParams instead of a fail-fast collective.
 	PeerDeadline time.Duration
 }
 
@@ -795,6 +798,59 @@ func (a *Allreducer) recvTolerant(source, tag, hop int, data tensor.Vector, sum 
 		data.Add(in)
 	} else {
 		data.CopyFrom(in)
+	}
+	return nil
+}
+
+// SyncParams averages params in place across the ranks still alive and
+// returns how many replicas it averaged: the model sync (§5) of an engine
+// with a PeerDeadline, on the caller's goroutine, in its own tag block. Each
+// rank sends every peer its replica plus a count slot set to 1, and sums its
+// own and the live peers' in rank order under the data phase's rule for a
+// dead peer: a dead rank costs only its own replica, and ranks that received
+// the same replicas hold bit-identical results. Closing tokens keep a
+// survivor that waited out a dead peer from reaching the next sync behind the
+// others' deadline on it. Receives are numbered past a round's hops (at most
+// bits.Len(size)) plus a failover and a spare: a survivor can reach the sync
+// one detecting round and one failover behind another.
+func (a *Allreducer) SyncParams(params tensor.Vector) (int, error) {
+	n, hop := len(params), bits.Len(uint(a.comm.Size()))+2
+	mine, sum := tensor.GetVector(n+1), tensor.GetVectorZero(n+1)
+	defer tensor.PutVector(mine)
+	defer tensor.PutVector(sum)
+	copy(mine, params)
+	mine[n] = 1
+	tag := DefaultBaseTag + tagSync
+	if err := a.exchange(tag, hop, mine, sum); err != nil {
+		return 0, err
+	}
+	// The tokens are summed into the replica, which is spent.
+	if err := a.exchange(tag+1, hop+1, mine[n:], mine[:1]); err != nil {
+		return 0, err
+	}
+	count := int(sum[n] + 0.5)
+	params.CopyFrom(sum[:n])
+	params.Scale(1 / float64(count))
+	return count, nil
+}
+
+// exchange sends data to every peer, then adds this rank's data and each live
+// peer's, in rank order, into sum.
+func (a *Allreducer) exchange(tag, hop int, data, sum tensor.Vector) error {
+	rank := a.comm.Rank()
+	for r := range a.comm.Size() {
+		if r != rank {
+			if err := a.sendTolerant(r, tag, data); err != nil {
+				return err
+			}
+		}
+	}
+	for r := range a.comm.Size() {
+		if r == rank {
+			sum.Add(data)
+		} else if err := a.recvTolerant(r, tag, hop, sum, true); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -168,9 +168,10 @@ type Spec struct {
 	// base port and fault tolerance. Empty means in-process with none. Every
 	// reducer of the run takes the world's options, so
 	// collective.WithPeerDeadline here detects a dead rank for the gradient
-	// exchanges and the model syncs alike: eager rounds drop it and train on
-	// with the survivors, while a synchronous step or a model sync needs every
-	// rank and fails with a typed error (unless Churn replaces the rank).
+	// exchanges and the model syncs alike: eager variants drop it from their
+	// rounds and model syncs and train on with the survivors, while a
+	// synchronous step needs every rank and fails with a typed error (unless
+	// Churn replaces the rank).
 	// collective.WithFaults runs the transport through a deterministic fault
 	// injector; the run advances each rank's crash-at-step counter once per
 	// optimizer step, and the crashed rank's own error does not fail the run.

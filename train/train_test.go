@@ -139,3 +139,41 @@ func TestRunChurnReplacesCrashedRank(t *testing.T) {
 		t.Fatalf("mean active ranks %v, want 3: every synchronous step sums a full world", res.MeanActiveRanks)
 	}
 }
+
+// TestRunEagerModelSyncSurvivesCrash: rank 2 of three crashes silently after
+// its second step, with no churn to replace it. An eager variant's gradient
+// rounds and its model syncs (every 4 steps, and the final one) both train on
+// with the survivors, on either transport, and the run ends with a finite
+// loss.
+func TestRunEagerModelSyncSurvivesCrash(t *testing.T) {
+	transports := map[string]collective.Transport{"inproc": collective.Inproc, "tcp": collective.TCP}
+	variants := map[string]train.Variant{"solo": train.EagerSolo(4), "majority": train.EagerMajority(4)}
+	port := 31400
+	for trName, tr := range transports {
+		for vName, v := range variants {
+			port += 10
+			world := []collective.Option{
+				collective.WithTransport(tr),
+				collective.WithBasePort(port),
+				collective.WithFaults(collective.FaultScenario{Seed: 11, CrashAtStep: map[int]int{2: 2}}),
+				collective.WithPeerDeadline(200 * time.Millisecond),
+			}
+			t.Run(vName+"/"+trName, func(t *testing.T) {
+				res, err := train.Run(train.Spec{
+					Ranks:    3,
+					Steps:    12,
+					Workload: train.Hyperplane(train.HyperplaneConfig{Dim: 8, Samples: 64, Batch: 4}),
+					Variant:  v,
+					Seed:     3,
+					World:    world,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.IsNaN(res.Loss) || math.IsInf(res.Loss, 0) {
+					t.Fatalf("final loss %v", res.Loss)
+				}
+			})
+		}
+	}
+}
