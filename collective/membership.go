@@ -185,7 +185,7 @@ func (w *World) transition(changes []membership.Change) ([]*Node, error) {
 		return nil, ErrWorldClosed
 	}
 
-	newGen, err := w.buildGeneration(to.Size())
+	newGen, err := w.buildGeneration(to.Size(), carryCrashes(oldGen, from, to))
 	if err != nil {
 		undrain()
 		return nil, err
@@ -313,6 +313,27 @@ func firstState(survivors []*Node) []float64 {
 		}
 	}
 	return nil
+}
+
+// carryCrashes moves the outgoing epoch's pending scripted crashes to the
+// next epoch's dense slots. A script names a founding rank and counts that
+// rank's own steps, so it follows the member to its new slot, less the steps
+// the member already took; a crash that fired, or whose member leaves, is
+// dropped, so each scripted crash fires at most once. A step a member counts
+// on the outgoing injector after this read is lost, which can delay its
+// crash by that step.
+func carryCrashes(old *generation, from, to membership.View) map[int]int {
+	if old.injector == nil {
+		return nil
+	}
+	crashAt := map[int]int{}
+	for oldIdx, m := range from.Members {
+		steps, ok := old.injector.CrashIn(oldIdx)
+		if dense := to.IndexOf(m.ID); ok && dense >= 0 {
+			crashAt[dense] = steps
+		}
+	}
+	return crashAt
 }
 
 // downByID builds the transition's health verdict over the outgoing epoch,

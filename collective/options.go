@@ -134,7 +134,10 @@ func WithPeerDeadline(d time.Duration) Option {
 // injector executing the scenario: seed-driven per-link message drops,
 // delays, reordering, one-way partitions, and scripted rank crashes. The
 // injector is exposed through World.FaultInjector for runtime control
-// (advancing crash-at-step counters, cutting links mid-step). Combine with
+// (advancing crash-at-step counters, cutting links mid-step). A scripted
+// crash names a founding rank and fires once, at that rank's own step count,
+// even when membership changes move the rank to another dense slot or give
+// its slot to another member. Combine with
 // WithPeerDeadline so the layers above detect the injected failures instead
 // of blocking on them. Ignored by Node.Reducer (the injector wraps transport
 // endpoints, which only the World builder constructs).

@@ -102,7 +102,11 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 		portCursor: cfg.basePort,
 		closing:    make(chan struct{}),
 	}
-	gen, err := w.buildGeneration(size)
+	var crashAt map[int]int
+	if cfg.faults != nil {
+		crashAt = cfg.faults.CrashAtStep
+	}
+	gen, err := w.buildGeneration(size, crashAt)
 	if err != nil {
 		return nil, err
 	}
@@ -120,8 +124,9 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 // buildGeneration constructs the transport stack for one epoch's view. TCP
 // generations consume a fresh block of consecutive ports from the port
 // cursor, so a retired epoch's lingering sockets can never collide with the
-// next epoch's listeners.
-func (w *World) buildGeneration(size int) (*generation, error) {
+// next epoch's listeners. crashAt is the epoch's crash script by dense slot,
+// in place of the scenario's (see carryCrashes).
+func (w *World) buildGeneration(size int, crashAt map[int]int) (*generation, error) {
 	cfg := w.cfg
 	eps := make([]comm.Endpoint, size)
 	switch cfg.transport {
@@ -156,9 +161,10 @@ func (w *World) buildGeneration(size int) (*generation, error) {
 		// The injector interposes between every endpoint and its
 		// communicator, so all layers above experience the scenario's faults
 		// through their ordinary interfaces. Each generation runs its own
-		// injector: scripted per-rank state is per-epoch (a replaced rank's
-		// crash does not haunt its successor's dense slot).
-		g.injector = faults.NewInjector(size, *cfg.faults)
+		// injector; only the crash script carries over between them.
+		sc := *cfg.faults
+		sc.CrashAtStep = crashAt
+		g.injector = faults.NewInjector(size, sc)
 		for r := range eps {
 			eps[r] = g.injector.Wrap(eps[r])
 		}

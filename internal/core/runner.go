@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"eagersgd/collective"
+	"eagersgd/internal/tensor"
 	"eagersgd/internal/trace"
 )
 
@@ -122,13 +123,18 @@ type RunConfig struct {
 	WorldOptions []collective.Option
 	// Steps is the number of optimizer steps every rank executes.
 	Steps int
-	// EvalEverySteps inserts an evaluation every that many steps (0 = only a
-	// final evaluation). Evaluation happens on every rank (so the load stays
-	// balanced) but only rank 0's metrics are recorded.
+	// EvalEverySteps scores rank 0's parameters on the held-out set every
+	// that many steps (0 = only a final evaluation). At each point rank 0
+	// hands a pooled copy of its parameters to the run's evaluator goroutine
+	// and steps on: the evaluator scores the copy on its own replica of rank
+	// 0's task (Task.Replica), so no rank pauses and the other ranks never
+	// evaluate.
 	EvalEverySteps int
 	// FinalSync averages replicas across ranks before the final evaluation
 	// (recommended for eager-SGD, harmless for synch-SGD) with
-	// Trainer.SyncModel, whose failure fails the run.
+	// Trainer.SyncModel, whose failure fails the run. The final evaluation
+	// scores rank 0's parameters after the sync, and Run returns once it is
+	// done.
 	FinalSync bool
 	// Build constructs the rank's trainer over the given membership handle
 	// (reducers minted via n.Reducer stay valid across epochs). It runs once
@@ -151,14 +157,16 @@ type RunResult struct {
 	// TrainLoss is rank 0's minibatch loss averaged between evaluations,
 	// plotted against cumulative training time (seconds).
 	TrainLoss *trace.Curve
-	// EvalLoss, EvalTop1, and EvalTop5 are rank 0's held-out metrics against
-	// cumulative training time (seconds).
+	// EvalLoss, EvalTop1, and EvalTop5 are the held-out metrics of rank 0's
+	// parameters at each evaluation point, against rank 0's cumulative step
+	// time at that point (seconds).
 	EvalLoss *trace.Curve
 	EvalTop1 *trace.Curve
 	EvalTop5 *trace.Curve
-	// Final is the last evaluation on rank 0.
+	// Final is the last evaluation of rank 0's parameters.
 	Final Metrics
-	// TrainingTime is rank 0's cumulative step time (evaluation excluded).
+	// TrainingTime is rank 0's cumulative step time. Evaluations run off
+	// the training path, so none of it is spent evaluating.
 	TrainingTime time.Duration
 	// Throughput is rank 0's average steps per second of training time.
 	Throughput float64
@@ -212,14 +220,30 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	inj := world.FaultInjector()
 	events := &runEvents{done: make(chan struct{})}
 	world.OnMembershipChange(func(collective.Epoch) { events.notify() })
+	// Rank 0 takes at most one snapshot per evaluation point, so the
+	// evaluator's queue never blocks it.
+	points := 1
+	if cfg.EvalEverySteps > 0 {
+		points += (cfg.Steps - 1) / cfg.EvalEverySteps
+	}
+	snapshots := make(chan evalPoint, points)
+	evalDone := make(chan struct{})
+	replica := runs[0].tr.cfg.Task.Replica()
+	go func() {
+		defer close(evalDone)
+		evaluate(replica, snapshots, result)
+	}()
 	var loopWG sync.WaitGroup
 	for r := 0; r < cfg.Size; r++ {
 		rr := runs[r]
-		record := r == 0
+		var evals chan<- evalPoint
+		if r == 0 {
+			evals = snapshots
+		}
 		loopWG.Add(1)
 		go func() {
 			defer loopWG.Done()
-			rr.err = runRank(cfg, rr.tr, record, result, world, rr.node, events)
+			rr.err = runRank(cfg, rr.tr, evals, world, rr.node, events)
 		}()
 	}
 
@@ -232,9 +256,10 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	// rank 0's step clock and spawns joiner training loops; without churn it
 	// returns at once.
 	var joinersWG sync.WaitGroup
-	joinerRuns, churnErr := runChurn(cfg, world, events, result, &joinersWG)
+	joinerRuns, churnErr := runChurn(cfg, world, events, &joinersWG)
 	<-events.done
 	joinersWG.Wait()
+	<-evalDone
 
 	all := append(append([]*rankRun(nil), runs...), joinerRuns...)
 	if churnErr != nil {
@@ -294,7 +319,7 @@ func registerStateProvider(node *collective.Node, tr *Trainer) {
 // runChurn executes the scripted membership changes in order, each gated on
 // rank 0's completed-step clock, and spawns a training loop for every joiner.
 // It stops early when the run finishes.
-func runChurn(cfg RunConfig, world *collective.World, events *runEvents, result *RunResult, joinersWG *sync.WaitGroup) ([]*rankRun, error) {
+func runChurn(cfg RunConfig, world *collective.World, events *runEvents, joinersWG *sync.WaitGroup) ([]*rankRun, error) {
 	var joiners []*rankRun
 	for _, ev := range cfg.Churn {
 		target := int64(ev.AfterStep)
@@ -320,7 +345,7 @@ func runChurn(cfg RunConfig, world *collective.World, events *runEvents, result 
 			if err != nil {
 				return joiners, fmt.Errorf("admit %q after step %d: %w", ev.Addr, ev.AfterStep, err)
 			}
-			rr, err := spawnJoiner(cfg, world, node, ev, result, events, joinersWG)
+			rr, err := spawnJoiner(cfg, world, node, ev, events, joinersWG)
 			if err != nil {
 				return joiners, err
 			}
@@ -335,7 +360,7 @@ func runChurn(cfg RunConfig, world *collective.World, events *runEvents, result 
 // spawnJoiner builds a trainer for a freshly admitted member — adopting the
 // handed-over parameters and handoff step — and starts its training
 // loop for the remaining steps.
-func spawnJoiner(cfg RunConfig, world *collective.World, node *collective.Node, ev ChurnEvent, result *RunResult, events *runEvents, joinersWG *sync.WaitGroup) (*rankRun, error) {
+func spawnJoiner(cfg RunConfig, world *collective.World, node *collective.Node, ev ChurnEvent, events *runEvents, joinersWG *sync.WaitGroup) (*rankRun, error) {
 	startStep := ev.AfterStep
 	init := node.InitialState()
 	if len(init) > 0 {
@@ -359,7 +384,7 @@ func spawnJoiner(cfg RunConfig, world *collective.World, node *collective.Node, 
 	joinersWG.Add(1)
 	go func() {
 		defer joinersWG.Done()
-		rr.err = runRank(cfg, tr, false, result, world, node, events)
+		rr.err = runRank(cfg, tr, nil, world, node, events)
 	}()
 	return rr, nil
 }
@@ -415,33 +440,58 @@ func stillMember(world *collective.World, node *collective.Node) bool {
 	return false
 }
 
-// runRank executes the training loop for one rank. Only rank 0 (record=true)
-// appends to the shared result curves and advances the churn clock; ranks
-// never write concurrently to the same fields because exactly one rank
-// records. Under an injected fault
-// scenario the rank advances its crash-at-step counter once per optimizer
-// step, so scripted crashes fire deterministically in the rank's own step
-// sequence; the injector handle is re-fetched per step because each epoch
-// runs its own.
-func runRank(cfg RunConfig, tr *Trainer, record bool, result *RunResult, world *collective.World, node *collective.Node, events *runEvents) error {
+// evalPoint is one evaluation point: rank 0's parameters at the snapshot, a
+// pool lease the evaluator returns, and rank 0's training curve there.
+type evalPoint struct {
+	params  tensor.Vector
+	x       float64 // rank 0's cumulative step time, seconds
+	lossSum float64 // minibatch losses since the previous point
+	losses  int
+}
+
+// evaluate scores each snapshot on the replica, in order, and appends the
+// curve points. It returns once the channel is closed and drained; every
+// lease goes back to the pool.
+func evaluate(replica Evaluator, points <-chan evalPoint, result *RunResult) {
+	for p := range points {
+		copy(replica.Params(), p.params)
+		tensor.PutVector(p.params)
+		m := replica.Evaluate()
+		if p.losses > 0 {
+			result.TrainLoss.Add(p.x, p.lossSum/float64(p.losses))
+		}
+		result.EvalLoss.Add(p.x, m.Loss)
+		result.EvalTop1.Add(p.x, m.Top1)
+		result.EvalTop5.Add(p.x, m.Top5)
+		result.Final = m
+	}
+}
+
+// runRank executes the training loop for one rank. Only founding rank 0 is
+// handed the evaluator's channel (evals non-nil): it advances the churn clock
+// and snapshots its parameters at every evaluation point, closing the channel
+// when its loop ends. Under an injected fault scenario the rank advances its
+// crash-at-step counter once per optimizer step, so scripted crashes fire
+// deterministically in the rank's own step sequence; the injector handle is
+// re-fetched per step because each epoch runs its own.
+func runRank(cfg RunConfig, tr *Trainer, evals chan<- evalPoint, world *collective.World, node *collective.Node, events *runEvents) error {
 	defer tr.Close()
+	record := evals != nil
+	if record {
+		defer close(evals)
+	}
 	//eagervet:ignore ctxcheck -- Run takes no context, so each rank loop roots the one its steps run under.
 	ctx := context.Background()
 	lossAccum := 0.0
 	lossCount := 0
-	evaluate := func() {
-		m := tr.cfg.Task.Evaluate()
-		if record {
-			x := tr.Recorder().TotalTime().Seconds()
-			if lossCount > 0 {
-				result.TrainLoss.Add(x, lossAccum/float64(lossCount))
-			}
-			result.EvalLoss.Add(x, m.Loss)
-			result.EvalTop1.Add(x, m.Top1)
-			result.EvalTop5.Add(x, m.Top5)
-			result.Final = m
-			lossAccum, lossCount = 0, 0
+	snapshot := func() {
+		evals <- evalPoint{
+			params:  tensor.GetVectorCopy(tr.cfg.Task.Params()),
+			x:       tr.Recorder().TotalTime().Seconds(),
+			lossSum: lossAccum,
+			losses:  lossCount,
 		}
+		lossAccum, lossCount = 0, 0
 	}
 	for tr.Steps() < cfg.Steps {
 		epochBefore := node.Epoch()
@@ -470,8 +520,8 @@ func runRank(cfg RunConfig, tr *Trainer, record bool, result *RunResult, world *
 		}
 		lossAccum += rec.Loss
 		lossCount++
-		if cfg.EvalEverySteps > 0 && (step+1)%cfg.EvalEverySteps == 0 && step+1 < cfg.Steps {
-			evaluate()
+		if record && cfg.EvalEverySteps > 0 && (step+1)%cfg.EvalEverySteps == 0 && step+1 < cfg.Steps {
+			snapshot()
 		}
 	}
 	if cfg.FinalSync {
@@ -479,6 +529,8 @@ func runRank(cfg RunConfig, tr *Trainer, record bool, result *RunResult, world *
 			return err
 		}
 	}
-	evaluate()
+	if record {
+		snapshot()
+	}
 	return nil
 }

@@ -24,23 +24,34 @@ type Metrics struct {
 	Top5 float64
 }
 
+// Evaluator scores a model replica on a held-out set.
+type Evaluator interface {
+	// Params returns the flat parameter vector of the replica.
+	Params() tensor.Vector
+	// Evaluate scores the replica on the held-out set.
+	Evaluate() Metrics
+}
+
 // Task is the per-rank training workload: it owns a local model replica and a
 // shard of the dataset, computes local minibatch gradients, and evaluates the
 // replica on held-out data.
 type Task interface {
+	Evaluator
 	// Name identifies the task in reports.
 	Name() string
 	// NumParams returns the model's parameter count.
 	NumParams() int
-	// Params returns the flat parameter vector of the local replica.
-	Params() tensor.Vector
 	// Grads returns the flat gradient vector filled by ComputeGradient.
 	Grads() tensor.Vector
 	// ComputeGradient computes the local mean minibatch gradient for the
 	// given step and returns the minibatch loss.
 	ComputeGradient(step int) float64
-	// Evaluate scores the local replica on the task's held-out set.
-	Evaluate() Metrics
+	// Replica returns an evaluation replica of the task: a model of the same
+	// shape holding a copy of the current parameters, with its own
+	// workspaces, that scores the same read-only held-out set. It shares no
+	// mutable state with the task, so its Evaluate may run on one goroutine
+	// while the task computes gradients on another.
+	Replica() Evaluator
 	// WorkloadUnits returns the size of the step's minibatch workload in
 	// task-specific units (frames for video, 0 when every batch costs the
 	// same); it drives inherent-imbalance cost modelling.
@@ -143,6 +154,11 @@ func (t *RegressionTask) ComputeGradientBuckets(step int, ready func(nn.Segment)
 	return t.net.BatchGradientBuckets(xs, ys, ready)
 }
 
+// Replica returns an evaluation replica over a clone of the network.
+func (t *RegressionTask) Replica() Evaluator {
+	return &RegressionTask{name: t.name, net: t.net.Clone(), eval: t.eval}
+}
+
 // Evaluate returns the mean validation loss.
 func (t *RegressionTask) Evaluate() Metrics {
 	loss := t.net.Loss()
@@ -226,6 +242,11 @@ func (t *ClassificationTask) Segments() []nn.Segment { return t.net.Segments() }
 func (t *ClassificationTask) ComputeGradientBuckets(step int, ready func(nn.Segment)) float64 {
 	xs, ys := t.batch(step)
 	return t.net.BatchGradientBuckets(xs, ys, ready)
+}
+
+// Replica returns an evaluation replica over a clone of the network.
+func (t *ClassificationTask) Replica() Evaluator {
+	return &ClassificationTask{name: t.name, net: t.net.Clone(), eval: t.eval, targets: t.targets}
 }
 
 // Evaluate returns held-out loss and top-1/top-5 accuracy.
@@ -355,6 +376,11 @@ func (t *SequenceTask) Segments() []nn.Segment { return t.model.Segments() }
 func (t *SequenceTask) ComputeGradientBuckets(step int, ready func(nn.Segment)) float64 {
 	seqs, labels := t.batch(step)
 	return t.model.BatchGradientBuckets(seqs, labels, ready)
+}
+
+// Replica returns an evaluation replica over a clone of the model.
+func (t *SequenceTask) Replica() Evaluator {
+	return &SequenceTask{name: t.name, model: t.model.Clone(), eval: t.eval, targets: t.targets}
 }
 
 // Evaluate returns held-out loss and top-1/top-5 accuracy.

@@ -169,6 +169,18 @@ func (in *Injector) AdvanceStep(rank int) int {
 	return step
 }
 
+// CrashIn reports how many more AdvanceStep calls the rank has left before
+// its scripted crash. ok is false when none is scripted or it already fired.
+func (in *Injector) CrashIn(rank int) (steps int, ok bool) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	at, scripted := in.sc.CrashAtStep[rank]
+	if !scripted || in.crashed[rank] {
+		return 0, false
+	}
+	return max(at-in.steps[rank], 0), true
+}
+
 // Crash kills the rank now: its endpoint refuses further sends, its inbox
 // closes, and traffic addressed to it is black-holed. Idempotent. When the
 // scenario signals crashes, every surviving rank's wrapped inbox is queued a

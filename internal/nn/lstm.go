@@ -83,6 +83,15 @@ func NewLSTMClassifier(inputSize, hiddenSize, numClasses int) *LSTMClassifier {
 	return m
 }
 
+// Clone returns a classifier of the same shape holding a copy of the
+// parameters, with its own gradients and workspaces: the copy and the
+// original may run on two goroutines at once.
+func (m *LSTMClassifier) Clone() *LSTMClassifier {
+	c := NewLSTMClassifier(m.InputSize, m.HiddenSize, m.NumClasses)
+	copy(c.params, m.params)
+	return c
+}
+
 // NumParams returns the total number of parameters.
 func (m *LSTMClassifier) NumParams() int {
 	h, i, c := m.HiddenSize, m.InputSize, m.NumClasses

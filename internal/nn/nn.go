@@ -49,6 +49,9 @@ type Layer interface {
 	// outputs. With needInput false it returns nil and skips that work: the
 	// first layer's input gradient has no consumer.
 	Backward(dOuts []tensor.Vector, needInput bool) []tensor.Vector
+	// Clone returns an unbound layer of the same configuration that shares
+	// no state with this one.
+	Clone() Layer
 }
 
 // workspace is a reusable batch of equal-length vectors carved from one
@@ -114,6 +117,9 @@ func (d *Dense) Bind(params, grads tensor.Vector) {
 	d.gw, _ = tensor.MatrixFromData(d.Out, d.In, grads[:nw])
 	d.gb = grads[nw:]
 }
+
+// Clone returns an unbound dense layer of the same shape.
+func (d *Dense) Clone() Layer { return NewDense(d.In, d.Out) }
 
 // Init applies Xavier initialization to the weights and zeros the biases.
 func (d *Dense) Init(rng *rand.Rand) {
@@ -201,6 +207,10 @@ func (a *activation) OutputSize() int         { return a.size }
 func (a *activation) Bind(_, _ tensor.Vector) {}
 func (a *activation) Init(_ *rand.Rand)       {}
 func (a *activation) String() string          { return a.name }
+
+func (a *activation) Clone() Layer {
+	return &activation{size: a.size, fn: a.fn, deriv: a.deriv, name: a.name}
+}
 
 func (a *activation) Forward(xs []tensor.Vector) []tensor.Vector {
 	outs := a.outs.get(len(xs), a.size)
@@ -397,6 +407,19 @@ func NewNetwork(loss Loss, layers ...Layer) *Network {
 		off += sz
 	}
 	return n
+}
+
+// Clone returns a network of the same layers and loss holding a copy of the
+// parameters, with its own gradients and workspaces: the copy and the
+// original may run on two goroutines at once.
+func (n *Network) Clone() *Network {
+	layers := make([]Layer, len(n.layers))
+	for i, l := range n.layers {
+		layers[i] = l.Clone()
+	}
+	c := NewNetwork(n.loss, layers...)
+	copy(c.params, n.params)
+	return c
 }
 
 // layerName labels a layer for Segment diagnostics.

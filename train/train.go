@@ -158,8 +158,10 @@ type Spec struct {
 	// this many elements when Overlap is on (collective.WithBucketElems);
 	// 0 keeps one bucket per layer.
 	BucketElems int
-	// EvalEvery inserts a held-out evaluation every that many steps (0 =
-	// final evaluation only).
+	// EvalEvery scores rank 0's parameters on the held-out set every that
+	// many steps (0 = final evaluation only). A copy of the parameters is
+	// scored on a replica of rank 0's model off the training path, so no
+	// rank pauses for it (core.RunConfig.EvalEverySteps).
 	EvalEvery int
 	// Seed drives dataset generation, batch sampling, initiator selection,
 	// and injection schedules. Runs with equal specs are reproducible.
@@ -201,7 +203,8 @@ type Result struct {
 	Name string
 	// Throughput is the average steps per second of training time.
 	Throughput float64
-	// TrainingTime is the cumulative step time, evaluation excluded.
+	// TrainingTime is the cumulative step time. Evaluations run off the
+	// training path, so none of it is spent evaluating.
 	TrainingTime time.Duration
 	// Loss is the final held-out loss; Top1/Top5 the final held-out
 	// accuracies (zero for regression workloads).
@@ -209,9 +212,11 @@ type Result struct {
 	// MeanActiveRanks is the mean number of fresh contributions per
 	// reduction observed by rank 0 (the NAP metric of Fig. 9).
 	MeanActiveRanks float64
-	// EvalLoss and EvalTop1 are the held-out loss and top-1 accuracy against
-	// cumulative training time in seconds: one point per Spec.EvalEvery steps
-	// and one for the final evaluation, whose values Loss and Top1 repeat.
+	// EvalLoss and EvalTop1 are the held-out loss and top-1 accuracy of rank
+	// 0's parameters against its cumulative training time in seconds at the
+	// snapshot: one point per Spec.EvalEvery steps and one for the final
+	// evaluation (after the final model sync), whose values Loss and Top1
+	// repeat.
 	// TrainLoss is the minibatch loss averaged between those evaluations.
 	EvalLoss, EvalTop1, TrainLoss *trace.Curve
 }

@@ -177,3 +177,35 @@ func TestRunEagerModelSyncSurvivesCrash(t *testing.T) {
 		}
 	}
 }
+
+// TestRunChurnScriptedCrashFiresOnce: a scripted crash fires once, on the
+// founding rank it names. Rank 1 crashes at its fifth step and a ChurnReplace
+// admits a replacement; the new epoch then runs more than five steps, and no
+// member of it crashes, whichever one holds rank 1's dense slot. Each eager
+// variant syncs the model every 3 steps.
+func TestRunChurnScriptedCrashFiresOnce(t *testing.T) {
+	const crashAt = 5
+	variants := map[string]train.Variant{"solo": train.EagerSolo(3), "majority": train.EagerMajority(3)}
+	for name, v := range variants {
+		t.Run(name, func(t *testing.T) {
+			res, err := train.Run(train.Spec{
+				Ranks:    3,
+				Steps:    12,
+				Workload: train.Hyperplane(train.HyperplaneConfig{Dim: 8, Samples: 64, Batch: 4}),
+				Variant:  v,
+				Seed:     3,
+				World: []collective.Option{
+					collective.WithFaults(collective.FaultScenario{Seed: 11, CrashAtStep: map[int]int{1: crashAt}}),
+					collective.WithPeerDeadline(300 * time.Millisecond),
+				},
+				Churn: []train.ChurnEvent{{AfterStep: crashAt, Kind: train.ChurnReplace, Victim: 1, Addr: "replacement"}},
+			})
+			if err != nil {
+				t.Fatalf("churned run: %v", err)
+			}
+			if math.IsNaN(res.Loss) || math.IsInf(res.Loss, 0) {
+				t.Fatalf("final loss %v", res.Loss)
+			}
+		})
+	}
+}
