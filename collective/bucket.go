@@ -166,8 +166,11 @@ type overlapper interface {
 }
 
 // OverlapSettings reports whether the reducer was built with WithOverlap and
-// the WithBucketElems coalescing target it carries. It returns false for
-// reducer implementations from outside this package.
+// the bucket coalescing target a trainer should plan its steps with: a Sync
+// reducer's WithBucketElems, and the whole vector for an eager reducer, whose
+// round reduces every bucket together (so one bucket reads the result without
+// a copy). It returns false for reducer implementations from outside this
+// package.
 func OverlapSettings(r Reducer) (enabled bool, bucketElems int) {
 	if o, ok := r.(overlapper); ok {
 		return o.overlapSettings()
@@ -496,7 +499,8 @@ func (e *eagerReducer) SubmitBucket(ctx context.Context, offset int, data tensor
 }
 
 // waitBucket implements bucketOwner: the engine keeps the round's result, and
-// the handle reads its bucket's range of it.
+// the handle reads its bucket's range of it — the whole result by handover
+// when the step is one bucket, a copy of the range otherwise.
 func (e *eagerReducer) waitBucket(ctx context.Context, h *BucketHandle) (tensor.Vector, error) {
 	sum, err := e.ar.WaitBucket(ctx, e.round, h.offset, h.offset+h.length)
 	return sum, e.stepErr(err)

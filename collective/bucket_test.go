@@ -871,3 +871,32 @@ func TestCloseRacesSubmitBucket(t *testing.T) {
 		}
 	}
 }
+
+// TestEagerOpenStepLeaseBalanceAtClose: an eager step whose buckets never all
+// arrive never reaches Contribute, so its stage, a pool lease, stays with the
+// engine; World.Close joins the engine, which returns it.
+func TestEagerOpenStepLeaseBalanceAtClose(t *testing.T) {
+	before := tensor.ReadPoolStats()
+	world, err := NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close() // idempotent; the lease check below closes it first
+	red, err := world.Node(0).Reducer(64, WithMode(Solo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := red.(BucketReducer)
+	if err := br.BeginStep(context.Background(), []int{32, 32}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := br.SubmitBucket(context.Background(), 0, tensor.NewVector(32)); err != nil {
+		t.Fatal(err)
+	}
+	if err := world.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := tensor.ReadPoolStats().OutstandingSince(before); n != 0 {
+		t.Fatalf("eager step left open at close leaked %d pool leases%s", n, tensor.FormatLeaseReport())
+	}
+}

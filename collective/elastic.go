@@ -268,8 +268,17 @@ func (r *elasticReducer) Name() string {
 	return r.inner.Name()
 }
 
-// overlapSettings forwards the mint-time overlap configuration (OverlapSettings).
-func (r *elasticReducer) overlapSettings() (bool, int) { return r.cfg.overlap, r.cfg.bucketElems }
+// overlapSettings reports the mint-time overlap configuration
+// (OverlapSettings). An eager round reduces the whole vector behind one
+// activation, so per-layer buckets would only split its result into copies:
+// every eager mode reports the whole vector as its coalescing target, and the
+// trainer plans one bucket, whose wait takes the result by handover.
+func (r *elasticReducer) overlapSettings() (bool, int) {
+	if r.cfg.mode.kind != kindSync {
+		return r.cfg.overlap, r.dim
+	}
+	return r.cfg.overlap, r.cfg.bucketElems
+}
 
 // BeginStep opens a bucketed step. The whole step counts as one operation at
 // the drain barrier — a transition arriving mid-step waits for WaitStep, so an

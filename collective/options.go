@@ -110,7 +110,8 @@ func WithOverlap() Option {
 // n elements, trading per-bucket overhead against overlap granularity
 // (Horovod/DDP-style fusion buckets). n <= 0 (the default) keeps one bucket
 // per layer segment. Every rank must use the same value (the bucket layout is
-// SPMD wire state).
+// SPMD wire state). Only the Sync reducer uses it: an eager reducer's
+// overlapped steps are one bucket over the whole vector (OverlapSettings).
 func WithBucketElems(n int) Option {
 	return func(c *config) { c.bucketElems = n }
 }

@@ -77,6 +77,7 @@ func WithSeed(seed int64) Option { return collective.WithSeed(seed) }
 // with communication; see collective.BucketReducer.
 func WithOverlap() Option { return collective.WithOverlap() }
 
-// WithBucketElems sets the bucket coalescing target of the overlapped
-// exchange (0 = one bucket per layer segment).
+// WithBucketElems sets the bucket coalescing target of the synchronous
+// overlapped exchange (0 = one bucket per layer segment); eager modes run
+// one bucket per step.
 func WithBucketElems(n int) Option { return collective.WithBucketElems(n) }

@@ -196,16 +196,20 @@ type Allreducer struct {
 	// previous one behind as the new, logically empty send buffer (sendNull:
 	// the next fold overwrites instead of adding, so the stale contents are
 	// never read and never need zeroing). At completion the round buffer and
-	// lastResult swap the same way, and a bucketed step's staging buffer swaps
-	// with an empty send buffer at Contribute. sendBuf and lastResult are only
-	// touched under mu; roundBuf belongs to the engine goroutine alone from
-	// the snapshot to the publication of a round, stageBuf to the application
-	// from BeginStep to Contribute.
+	// lastResult swap the same way. A step's staging buffer is a pool lease
+	// taken by BeginStep; Contribute swaps it with an empty send buffer, or
+	// folds it, and returns one buffer to the pool. A whole-vector wait on the
+	// latest round hands lastResult itself to the caller and puts a pool lease
+	// in its place (handed). sendBuf and lastResult are only touched under mu;
+	// roundBuf belongs to the engine goroutine alone from the snapshot to the
+	// publication of a round, stageBuf to the application from BeginStep to
+	// Contribute.
 	sendBuf    tensor.Vector
 	sendNull   bool // sendBuf holds no contribution; its contents are garbage
 	roundBuf   tensor.Vector
 	lastResult tensor.Vector
-	stageBuf   tensor.Vector // allocated by the first BeginStep
+	handed     bool          // lastResult's round was handed over; its contents are garbage
+	stageBuf   tensor.Vector // the open step's stage, from BeginStep to Contribute
 
 	contribSeq uint64 // bumped on every accumulation into sendBuf
 	appRound   int    // next round index the application will exchange
@@ -374,10 +378,12 @@ func Initiator(seed int64, round, idx, size int) int {
 //
 // Exchange is the one-bucket step: BeginStep, a copy of grad into the stage,
 // Contribute, and one wait that reads the result and its accounting together.
-// The returned vector is a pool-leased copy owned by the caller (release it
-// with tensor.PutVector when done, or let the garbage collector take it). The
-// result is the element-wise sum over contributions; divide by the world size
-// for the average used by eager-SGD.
+// The returned vector is a pool lease owned by the caller (release it with
+// tensor.PutVector when done, or let the garbage collector take it): the
+// receive buffer itself when the round is the latest completed one, otherwise
+// a copy of the latest result (see WaitBucket). The result is the
+// element-wise sum over contributions; divide by the world size for the
+// average used by eager-SGD.
 func (a *Allreducer) Exchange(grad tensor.Vector) (tensor.Vector, RoundInfo, error) {
 	if len(grad) != a.n {
 		return nil, RoundInfo{}, fmt.Errorf("partial: gradient length %d, want %d", len(grad), a.n)
@@ -456,11 +462,15 @@ func (a *Allreducer) watchContext(ctx context.Context) (stop func() bool) {
 // round is identical for every bucket: one participation decision per step.
 // The buckets are the caller's: they never reach the wire, so each step may
 // read its result in any ranges. The staging vector belongs to the caller
-// until Contribute, which must find all n elements written; it is one more
-// buffer of the rotation, so that committing into an empty send buffer is a
-// swap, not a pass over the vector, so a step must be contributed before the
-// next one begins. Exchange is this protocol with one bucket. Every rank must
-// run its steps, Exchange calls included, in the same order (SPMD).
+// until Contribute, which must find all n elements written. It is a pool
+// lease, so the stage copy writes into the buffer the caller last released
+// (usually the previous step's result), and it joins the buffer rotation at
+// Contribute, so that committing into an empty send buffer is a swap, not a
+// pass over the vector. A step must be contributed before the next one
+// begins; a stage never contributed is reused by the next BeginStep, or
+// returned to the pool by Join. Exchange is this protocol with one bucket.
+// Every rank must run its steps, Exchange calls included, in the same order
+// (SPMD).
 func (a *Allreducer) BeginStep() (int, tensor.Vector, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -471,7 +481,7 @@ func (a *Allreducer) BeginStep() (int, tensor.Vector, error) {
 		return 0, nil, a.err
 	}
 	if a.stageBuf == nil {
-		a.stageBuf = tensor.NewVector(a.n + 1)
+		a.stageBuf = tensor.GetVector(a.n + 1)
 	}
 	round := a.appRound
 	a.appRound++
@@ -479,17 +489,22 @@ func (a *Allreducer) BeginStep() (int, tensor.Vector, error) {
 }
 
 // Contribute commits the step's staged gradient vector to the send buffer in
-// one atomic fold — the bucketed step's arrival point. If this rank may
-// initiate the round under the configured mode, the round is activated. The
-// returned sequence number identifies the contribution for WaitStep's
-// inclusion accounting. Contribute never blocks on communication: if the
-// round already completed (straggler), the data simply stays buffered and is
-// folded into a later round as a stale gradient (Fig. 7).
+// one atomic fold — the bucketed step's arrival point. Into an empty send
+// buffer the stage is swapped in and the old send buffer returns to the pool;
+// onto stale gradients it is added and returns to the pool itself. If this
+// rank may initiate the round under the configured mode, the round is
+// activated. The returned sequence number identifies the contribution for
+// WaitStep's inclusion accounting. Contribute never blocks on communication:
+// if the round already completed (straggler), the data simply stays buffered
+// and is folded into a later round as a stale gradient (Fig. 7).
 func (a *Allreducer) Contribute(round int) (uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
 		return 0, ErrClosed
+	}
+	if a.stageBuf == nil {
+		return 0, errors.New("partial: Contribute without BeginStep")
 	}
 	if a.sendNull {
 		a.sendBuf, a.stageBuf = a.stageBuf, a.sendBuf
@@ -497,6 +512,8 @@ func (a *Allreducer) Contribute(round int) (uint64, error) {
 	} else {
 		a.sendBuf[:a.n].Add(a.stageBuf[:a.n]) // fold onto the stale gradients
 	}
+	tensor.PutVector(a.stageBuf)
+	a.stageBuf = nil
 	a.contribSeq++
 	if a.err == nil && a.act.Arrive(round, a.alive) {
 		a.wake.Signal()
@@ -504,11 +521,18 @@ func (a *Allreducer) Contribute(round int) (uint64, error) {
 	return a.contribSeq, a.err
 }
 
-// WaitBucket blocks until the round has been reduced and returns a
-// pool-leased copy of elements [lo, hi) of the receive buffer, a non-empty
-// range within the vector. If the round — or a later one — already
+// WaitBucket blocks until the round has been reduced and returns elements
+// [lo, hi) of the receive buffer, a non-empty range within the vector, as a
+// pool lease the caller owns. If the round — or a later one — already
 // completed, the latest receive-buffer contents for the range are returned
 // immediately: the straggler path of Fig. 7 at bucket granularity.
+//
+// The whole vector of the latest completed round is handed over: the caller
+// gets the receive buffer itself, and a pool lease takes its place, so the
+// step pays no pass over the result. That round's result is then gone: a
+// second read of it fails, until the next round completes. Every other read —
+// a sub-range, or a round older than the latest (a straggler, whose next wait
+// reads the same latest result again) — returns a copy.
 func (a *Allreducer) WaitBucket(ctx context.Context, round, lo, hi int) (tensor.Vector, error) {
 	if lo < 0 || hi <= lo || hi > a.n {
 		return nil, fmt.Errorf("partial: bucket [%d,%d) is not a non-empty range of [0,%d)", lo, hi, a.n)
@@ -518,7 +542,24 @@ func (a *Allreducer) WaitBucket(ctx context.Context, round, lo, hi int) (tensor.
 	if err != nil {
 		return nil, err
 	}
-	return tensor.GetVectorCopy(a.lastResult[lo:hi]), nil
+	return a.resultLocked(round, lo, hi)
+}
+
+// resultLocked reads elements [lo, hi) of the latest completed round's result
+// for a wait on the round: by handover when the read is the whole vector of
+// the round itself, else by copy (WaitBucket). Caller holds a.mu, and the
+// round has completed.
+func (a *Allreducer) resultLocked(round, lo, hi int) (tensor.Vector, error) {
+	if a.handed {
+		return nil, fmt.Errorf("partial: round %d's result was already handed over", a.act.done)
+	}
+	if lo > 0 || hi < a.n || round != a.act.done {
+		return tensor.GetVectorCopy(a.lastResult[lo:hi]), nil
+	}
+	sum := a.lastResult[:a.n]
+	a.lastResult = tensor.GetVector(a.n + 1) // the next publish's round buffer
+	a.handed = true
+	return sum, nil
 }
 
 // WaitStep blocks until the round has fully completed and returns its
@@ -536,8 +577,8 @@ func (a *Allreducer) WaitStep(ctx context.Context, round int, seq uint64) (Round
 
 // wait is the step protocol's wait for the round: it blocks until the round
 // has completed and returns the round's accounting for the contribution seq
-// and, with result, a pool-leased copy of the receive buffer read under the
-// same lock.
+// and, with result, the whole result as WaitBucket reads it, under the same
+// lock.
 func (a *Allreducer) wait(ctx context.Context, round int, seq uint64, result bool) (tensor.Vector, RoundInfo, error) {
 	err := a.await(ctx, round)
 	defer a.mu.Unlock()
@@ -546,7 +587,9 @@ func (a *Allreducer) wait(ctx context.Context, round int, seq uint64, result boo
 	}
 	var sum tensor.Vector
 	if result {
-		sum = tensor.GetVectorCopy(a.lastResult[:a.n]) // the caller's lease
+		if sum, err = a.resultLocked(round, 0, a.n); err != nil {
+			return nil, RoundInfo{}, err
+		}
 	}
 	return sum, a.roundInfoLocked(round, seq), nil
 }
@@ -861,6 +904,7 @@ func (a *Allreducer) publish(round int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.roundBuf, a.lastResult = a.lastResult, a.roundBuf
+	a.handed = false
 	rec := &a.records[round%retainedRounds]
 	rec.nap = int(a.lastResult[a.n] + 0.5)
 	rec.doneSeq = a.contribSeq
@@ -924,12 +968,17 @@ func (a *Allreducer) DrainPending() tensor.Vector {
 	return tensor.GetVectorCopy(a.sendBuf[:a.n])
 }
 
-// Join blocks until the engine's two goroutines have exited. They only exit
-// once the underlying communicator is closed (or a round failed), so call
-// Join after that point (the collective World does, giving leak-free shutdown
-// accounting).
+// Join blocks until the engine's two goroutines have exited, then returns the
+// stage of a step begun but never contributed to the pool. The goroutines
+// only exit once the underlying communicator is closed (or a round failed),
+// so call Join after that point (the collective World does, giving leak-free
+// shutdown accounting).
 func (a *Allreducer) Join() {
 	a.engineWG.Wait()
+	a.mu.Lock()
+	tensor.PutVector(a.stageBuf)
+	a.stageBuf = nil
+	a.mu.Unlock()
 }
 
 // Close marks the allreducer closed. Pending and future Exchange calls return

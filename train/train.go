@@ -156,7 +156,8 @@ type Spec struct {
 	Overlap bool
 	// BucketElems coalesces adjacent layer segments into buckets of at least
 	// this many elements when Overlap is on (collective.WithBucketElems);
-	// 0 keeps one bucket per layer.
+	// 0 keeps one bucket per layer. Only synch-SGD reads it: an eager
+	// variant's overlapped step is one bucket over the whole vector.
 	BucketElems int
 	// EvalEvery scores rank 0's parameters on the held-out set every that
 	// many steps (0 = final evaluation only). A copy of the parameters is
