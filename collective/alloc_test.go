@@ -19,6 +19,9 @@ func TestReducerAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("testing.AllocsPerRun is unreliable under the race detector")
 	}
+	if tensor.LeaseDebugEnabled {
+		t.Skip("-tags leasedebug trades the alloc-free guarantee for lease-site tracking")
+	}
 	const ranks = 4
 	for _, dim := range []int{1 << 10, 1 << 16} {
 		four := []int{dim / 4, dim / 4, dim / 4, dim - 3*(dim/4)}

@@ -63,7 +63,7 @@ const (
 // Sum is the only one: every gradient exchange and model average is a sum.
 type ReduceOp int
 
-// OpSum is the element-wise sum, through tensor.AddVec and tensor.AddInto.
+// OpSum is the element-wise sum, through tensor.Vector.Add and tensor.AddInto.
 const OpSum ReduceOp = 0
 
 // Algorithm selects the allreduce implementation.
@@ -244,7 +244,7 @@ func (e env) exchangeSegmented(dest, source, tag int, send, recvInto tensor.Vect
 			return err
 		}
 		if reduce {
-			tensor.AddVec(recvInto, incoming)
+			recvInto.Add(incoming)
 		} else {
 			recvInto.CopyFrom(incoming)
 		}
@@ -281,7 +281,7 @@ func (e env) exchangeSegmented(dest, source, tag int, send, recvInto tensor.Vect
 				source, recvOff, len(incoming), len(recvInto))
 		}
 		if reduce {
-			tensor.AddVec(recvInto[recvOff:recvOff+len(incoming)], incoming)
+			recvInto[recvOff : recvOff+len(incoming)].Add(incoming)
 		} else {
 			recvInto[recvOff : recvOff+len(incoming)].CopyFrom(incoming)
 		}
@@ -362,7 +362,7 @@ func allreduceRecursiveDoubling(e env, data tensor.Vector) error {
 		if err != nil {
 			return err
 		}
-		tensor.AddVec(data, incoming)
+		data.Add(incoming)
 		e.release(incoming)
 		doublingRank = rank / 2
 	default:
@@ -377,7 +377,7 @@ func allreduceRecursiveDoubling(e env, data tensor.Vector) error {
 			if err != nil {
 				return err
 			}
-			tensor.AddVec(data, incoming)
+			data.Add(incoming)
 			e.release(incoming)
 			step++
 		}
@@ -451,11 +451,11 @@ func allreduceRing(e env, data tensor.Vector) error {
 // transport, one pool stage elsewhere) instead of accumulating in data and
 // copying out afterwards; the local accumulation is skipped entirely for
 // chunks whose partials this rank only relays. In the allgather, each
-// forwarded chunk is written into the result buffer and the outgoing frame in
-// one pass (Copy2).
+// forwarded chunk is written into the result buffer and the outgoing frame by
+// one call (Copy2).
 // The wire stream — tags, chunk order, payload values — is identical to
 // allreduceRing's single-segment path, so fused and unfused ranks
-// interoperate, and the sum order matches tensor.AddVec bit for bit.
+// interoperate, and the sum order matches tensor.Vector.Add bit for bit.
 //
 // Chosen only for cancel-free calls whose chunks fit one segment; the
 // cancelable and multi-segment regimes keep exchangeSegmented's cancelable
@@ -488,7 +488,7 @@ func allreduceRingFused(e env, data tensor.Vector) error {
 		if step < size-2 {
 			err = e.sendFrom(next, e.tag(tagRingReduce+step+1), data[lo:hi], incoming, tensor.AddInto)
 		} else {
-			tensor.AddVec(data[lo:hi], incoming)
+			data[lo:hi].Add(incoming)
 		}
 		e.release(incoming)
 		if err != nil {
@@ -554,7 +554,7 @@ func allreduceRabenseifner(e env, data tensor.Vector) error {
 		if err != nil {
 			return err
 		}
-		tensor.AddVec(data, incoming)
+		data.Add(incoming)
 		e.release(incoming)
 		groupRank = rank / 2
 	default:

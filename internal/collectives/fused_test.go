@@ -49,7 +49,7 @@ func runSPMDShm(t *testing.T, p int, body func(c *comm.Communicator) error) {
 // TestAllreduceRingFusedMatchesUnfused: the fused ring allreduce (shared
 // rings, single-segment regime) must produce results bit-for-bit identical to
 // the unfused path (in-process transport, same algorithm) — the fill kernel
-// adds operands in the same order tensor.AddVec would, and the fused wire
+// adds operands in the same order tensor.Vector.Add would, and the fused wire
 // stream is the unfused one. Sizes cross the fused gate: n >= p with the
 // per-rank chunk within one default segment, plus a chunk straddling the
 // segment bound (> DefaultSegmentElems per chunk) that must fall back to the

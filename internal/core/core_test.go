@@ -873,6 +873,9 @@ func TestWorldStepAllocBounded(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
+	if tensor.LeaseDebugEnabled {
+		t.Skip("-tags leasedebug trades the alloc-free guarantee for lease-site tracking")
+	}
 	const ranks, warm, steps, bound = 4, 50, 400, 0.5
 	for _, transport := range []collective.Transport{collective.Inproc, collective.TCP} {
 		for mi, mode := range []collective.Mode{collective.Sync, collective.Solo} {
@@ -946,6 +949,9 @@ func TestWorldStepAllocBounded(t *testing.T) {
 func TestTrainerStepAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	if tensor.LeaseDebugEnabled {
+		t.Skip("-tags leasedebug trades the alloc-free guarantee for lease-site tracking")
 	}
 	for _, mode := range []collective.Mode{collective.Sync, collective.Solo} {
 		for _, overlap := range []bool{false, true} {

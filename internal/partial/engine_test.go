@@ -554,6 +554,9 @@ func TestSteadyStateExchangeAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("testing.AllocsPerRun is unreliable under the race detector")
 	}
+	if tensor.LeaseDebugEnabled {
+		t.Skip("-tags leasedebug trades the alloc-free guarantee for lease-site tracking")
+	}
 	const p, n = 4, 1024
 	ars := newReducers(t, newWorld(t, "inproc", p), n, partial.Options{Mode: partial.Solo})
 	// Persistent rank goroutines, so the measured rounds start none.

@@ -6,25 +6,30 @@ package tensor
 // forwarded partial sum straight into the reserved outgoing frame instead of
 // accumulating in place and paying a staging copy afterwards.
 //
-// Like their two-address siblings, the kernels are element-wise and chunk
-// across the same worker pool above ParallelThreshold, producing results
-// bit-for-bit identical to the scalar loop.
+// Like their two-address siblings, the kernels are element-wise and run on
+// the caller's goroutine, producing results bit-for-bit identical to the
+// scalar loop.
 
 // AddInto computes dst[i] = a[i] + b[i]. It panics if the lengths differ.
 // dst may alias a or b (the kernels only read an element before writing it).
 func AddInto(dst, a, b Vector) {
 	checkKernelLen("AddInto", len(dst), len(a))
 	checkKernelLen("AddInto", len(dst), len(b))
-	applyKernel(kernelAddInto, dst, a, b, 0)
+	addIntoKernel(dst, a, b)
 }
 
-// Copy2 copies src into both dst and dup in one pass — one read of src, two
-// writes — for the allgather hop that must place an incoming chunk into the
-// result buffer and the outgoing frame at once.
+// Copy2 copies src into both dst and dup, for the allgather hop that must
+// place an incoming chunk into the result buffer and the outgoing frame at
+// once. It is two bulk copies: a fused single-read scalar loop looks cheaper
+// on paper (one read, two writes) but measures ~2.5x slower on cold
+// destinations, since per-element stores pay a read-for-ownership on every
+// missing cache line, while the runtime's bulk memmove takes the no-RFO
+// fast-string path.
 func Copy2(dst, dup, src Vector) {
 	checkKernelLen("Copy2", len(dst), len(dup))
 	checkKernelLen("Copy2", len(dst), len(src))
-	applyKernel(kernelCopy2, dst, dup, src, 0)
+	copy(dst, src)
+	copy(dup, src)
 }
 
 // addIntoKernel is the 8-way unrolled dst = a + b.
@@ -47,15 +52,4 @@ func addIntoKernel(dst, a, b []float64) {
 	for ; i < n; i++ {
 		dst[i] = a[i] + b[i]
 	}
-}
-
-// copy2Kernel writes src into both dst and dup as two bulk copies. A fused
-// single-read scalar loop looks cheaper on paper (one read, two writes) but
-// measures ~2.5x slower on cold destinations: per-element stores pay a
-// read-for-ownership on every missing cache line, while the runtime's bulk
-// memmove takes the no-RFO fast-string path. Task field mapping: dst=dst,
-// src=dup, aux=src.
-func copy2Kernel(dst, dup, src []float64) {
-	copy(dst, src)
-	copy(dup, src)
 }

@@ -14,9 +14,9 @@ func refAddInto(dst, a, b []float64) {
 	}
 }
 
-// intoLengths crosses the unroll widths, the remainder tails, and the
-// parallel dispatch threshold.
-var intoLengths = []int{0, 1, 3, 7, 8, 9, 31, 100, 1024, ParallelThreshold, ParallelThreshold + 17}
+// intoLengths crosses the unroll widths, the remainder tails, and lengths of
+// 64 Ki and past it.
+var intoLengths = []int{0, 1, 3, 7, 8, 9, 31, 100, 1024, 64 * 1024, 64*1024 + 17}
 
 func randomOperands(rng *rand.Rand, n int) (a, b Vector) {
 	a, b = NewVector(n), NewVector(n)

@@ -1,15 +1,18 @@
 package tensor
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
 // Naive scalar reference loops the kernels must match bit-for-bit. Every
-// kernel is element-wise, so neither unrolling nor chunking may reassociate
-// floating-point operations.
+// kernel is element-wise, so neither unrolling nor vector lanes may
+// reassociate floating-point operations.
 
 func naiveAdd(dst, src []float64) {
 	for i, x := range src {
@@ -23,30 +26,25 @@ func naiveAxpy(dst []float64, alpha float64, src []float64) {
 	}
 }
 
-// kernelVariants enumerates the implementations under test for each op: the
-// unrolled single-thread kernel, the public routing entry point, and the
-// chunked parallel dispatcher driven directly (so the parallel path is
-// exercised even when GOMAXPROCS is 1 and routing would never pick it).
+// kernelCases enumerates the implementations under test for each op: the
+// kernel itself and the public method that runs it.
 var kernelCases = []struct {
-	name     string
-	naive    func(dst []float64, alpha float64, src []float64)
-	unrolled func(dst []float64, alpha float64, src []float64)
-	routed   func(dst []float64, alpha float64, src []float64)
-	op       kernelOp
+	name   string
+	naive  func(dst []float64, alpha float64, src []float64)
+	kernel func(dst []float64, alpha float64, src []float64)
+	method func(dst []float64, alpha float64, src []float64)
 }{
 	{
-		name:     "add",
-		naive:    func(d []float64, _ float64, s []float64) { naiveAdd(d, s) },
-		unrolled: func(d []float64, _ float64, s []float64) { addKernel(d, s) },
-		routed:   func(d []float64, _ float64, s []float64) { AddVec(d, s) },
-		op:       kernelAdd,
+		name:   "add",
+		naive:  func(d []float64, _ float64, s []float64) { naiveAdd(d, s) },
+		kernel: func(d []float64, _ float64, s []float64) { addKernel(d, s) },
+		method: func(d []float64, _ float64, s []float64) { Vector(d).Add(s) },
 	},
 	{
-		name:     "axpy",
-		naive:    naiveAxpy,
-		unrolled: axpyKernel,
-		routed:   func(d []float64, a float64, s []float64) { AxpyVec(d, a, s) },
-		op:       kernelAxpy,
+		name:   "axpy",
+		naive:  naiveAxpy,
+		kernel: func(d []float64, a float64, s []float64) { axpy1(d, s, a) },
+		method: func(d []float64, a float64, s []float64) { Vector(d).Axpy(a, s) },
 	},
 }
 
@@ -79,13 +77,12 @@ func bitsEqual(a, b []float64) (int, bool) {
 }
 
 // TestKernelsMatchNaiveBitForBit is the property test of the kernel layer:
-// for every op, every implementation (unrolled, routed, and the parallel
-// dispatcher at several chunk counts) must reproduce the naive scalar loop
-// bit-for-bit — across odd lengths that exercise the unroll tails and lengths
-// past the parallel threshold.
+// for every op, the kernel and its method must reproduce the naive scalar
+// loop bit-for-bit — across odd lengths that exercise the unroll and vector
+// tails, and a length past 64 Ki.
 func TestKernelsMatchNaiveBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	lengths := []int{0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 63, 100, 1023, 4096, ParallelThreshold + 37}
+	lengths := []int{0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 63, 100, 1023, 4096, 64*1024 + 37}
 	for _, kc := range kernelCases {
 		for _, n := range lengths {
 			dst := make([]float64, n)
@@ -105,51 +102,44 @@ func TestKernelsMatchNaiveBitForBit(t *testing.T) {
 						kc.name, impl, n, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 				}
 			}
-			check("unrolled", kc.unrolled)
-			check("routed", kc.routed)
-			if n >= 2*minParallelChunk {
-				startKernelPool()
-				if kernelCh != nil {
-					for _, parts := range []int{2, 3} {
-						p := parts
-						check("parallel", func(d []float64, a float64, s []float64) {
-							parallelApply(kc.op, d, s, nil, a, p)
-						})
-					}
-				}
-			}
+			check("kernel", kc.kernel)
+			check("method", kc.method)
 		}
 	}
 }
 
-// TestParallelChunkingDirect drives the chunked dispatcher through worker
-// handoff even on a single-processor runtime, by starting a private task
-// relay identical to the pool's. It guards the chunk-boundary arithmetic.
-func TestParallelChunkingDirect(t *testing.T) {
-	n := 3*minParallelChunk + 11
-	rng := rand.New(rand.NewSource(7))
-	dst := make([]float64, n)
-	src := make([]float64, n)
-	fillSpecial(rng, dst)
-	fillSpecial(rng, src)
-	want := append([]float64(nil), dst...)
-	naiveAdd(want, src)
+// TestKernelsStartNoGoroutines pins that every element-wise kernel runs on
+// its caller: after Add, Axpy, AddInto and Copy2 at 256 Ki elements, with
+// more than one processor available, no goroutine but this test's own has a
+// frame in this package.
+func TestKernelsStartNoGoroutines(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const n = 256 * 1024
+	a, b, c := NewVector(n), NewVector(n), NewVector(n)
+	a.Add(b)
+	a.Axpy(0.5, b)
+	AddInto(c, a, b)
+	Copy2(a, b, c)
 
-	got := append([]float64(nil), dst...)
-	parts := 3
-	done := make(chan struct{}, parts)
-	for i := 0; i < parts; i++ {
-		lo, hi := ChunkBounds(n, parts, i)
-		go func(lo, hi int) {
-			addKernel(got[lo:hi], src[lo:hi])
-			done <- struct{}{}
-		}(lo, hi)
+	// A stack dump's header is "goroutine N [state]:"; self is "goroutine N ".
+	self := make([]byte, 64)
+	self = self[:runtime.Stack(self, false)]
+	self = self[:bytes.IndexByte(self, '[')]
+	buf := make([]byte, 1<<16)
+	for {
+		m := runtime.Stack(buf, true)
+		if m < len(buf) {
+			buf = buf[:m]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
 	}
-	for i := 0; i < parts; i++ {
-		<-done
-	}
-	if i, ok := bitsEqual(want, got); !ok {
-		t.Fatalf("chunked add differs from naive at %d", i)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !strings.HasPrefix(g, string(self)) && strings.Contains(g, "eagersgd/internal/tensor.") {
+			t.Errorf("a goroutine runs in the tensor package:\n%s", g)
+		}
 	}
 }
 
@@ -173,7 +163,7 @@ func FuzzKernels(f *testing.F) {
 			want := append([]float64(nil), dst...)
 			kc.naive(want, alpha, src)
 			got := append([]float64(nil), dst...)
-			kc.unrolled(got, alpha, src)
+			kc.kernel(got, alpha, src)
 			if i, ok := bitsEqual(want, got); !ok {
 				t.Fatalf("%s: element %d differs: got %x want %x",
 					kc.name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))

@@ -59,14 +59,13 @@ func (v Vector) CopyFrom(src Vector) {
 	copy(v, src)
 }
 
-// Add adds w element-wise into v (v += w). It routes through the tuned
-// kernel layer (see kernels.go): unrolled on one goroutine for small vectors,
-// chunked across the persistent worker pool for large ones.
+// Add adds w element-wise into v (v += w) with the unrolled sum kernel (see
+// kernels.go).
 func (v Vector) Add(w Vector) {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("tensor: Add length mismatch %d != %d", len(v), len(w)))
 	}
-	applyKernel(kernelAdd, v, w, nil, 0)
+	addKernel(v, w)
 }
 
 // Sub subtracts w element-wise from v (v -= w).
@@ -86,12 +85,13 @@ func (v Vector) Scale(alpha float64) {
 	}
 }
 
-// Axpy computes v += alpha*w through the tuned kernel layer.
+// Axpy computes v += alpha*w with the axpy core model compute also uses
+// (axpy1: AVX2 where the CPU has it, the portable loop elsewhere).
 func (v Vector) Axpy(alpha float64, w Vector) {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d != %d", len(v), len(w)))
 	}
-	applyKernel(kernelAxpy, v, w, nil, alpha)
+	axpy1(v, w, alpha)
 }
 
 // Dot returns the inner product of v and w.

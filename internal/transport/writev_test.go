@@ -202,6 +202,9 @@ func TestWriterSendAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
 	}
+	if tensor.LeaseDebugEnabled {
+		t.Skip("-tags leasedebug trades the alloc-free guarantee for lease-site tracking")
+	}
 	client, server := loopbackPair(t)
 	drained := make(chan struct{})
 	go func() {
@@ -231,6 +234,9 @@ func TestWriterSendAllocFree(t *testing.T) {
 func TestDecodeFrameAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	if tensor.LeaseDebugEnabled {
+		t.Skip("-tags leasedebug trades the alloc-free guarantee for lease-site tracking")
 	}
 	sizes := []int{0, 1, 64, 4096}
 	var wire []byte
