@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"eagersgd/internal/race"
 	"eagersgd/internal/tensor"
@@ -63,10 +64,30 @@ func TestReducerAllocFree(t *testing.T) {
 				for i := 0; i < 50; i++ {
 					round() // warm the pool, the step records and the runtime's caches
 				}
+				// An eager engine's listener can still trail the rounds by
+				// dozens of activation messages, each queued on a pool
+				// lease whose return during the window would need a fresh
+				// pool box: measure from a drained backlog.
+				drainPending(t, world, 10*time.Second)
 				if perRank := testing.AllocsPerRun(100, round) / ranks; perRank != 0 {
 					t.Fatalf("%.2f allocations per rank per operation, want 0", perRank)
 				}
 			})
+		}
+	}
+}
+
+// drainPending waits until no rank's communicator holds an unexpected
+// message, failing the test after limit.
+func drainPending(t *testing.T, world *World, limit time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(limit)
+	for r := 0; r < world.Size(); r++ {
+		for world.Node(r).Communicator().Pending() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("rank %d still holds %d unexpected messages after %v", r, world.Node(r).Communicator().Pending(), limit)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -20,13 +20,15 @@ import (
 // (elasticReducer.Reduce).
 //
 // Concurrency and wire safety: the Sync reducer reduces a step's buckets one
-// at a time, in submit order, on one worker goroutine in the default tag
+// at a time, in submit order, on its sum worker (sumQueue) in the default tag
 // block, as Horovod's background thread and PyTorch DDP's reducer do: one
 // reduction is in flight, and every rank runs the same bucket's collective at
-// the same position of its message stream. The eager reducers commit a
-// step's buckets in one fold and reduce them as one partial round behind a
-// single activation: one solo/majority/quorum participation decision per
-// step, shared by every bucket (see internal/partial).
+// the same position of its message stream. A model sync started before the
+// step is one more sum on the same worker, queued ahead of the buckets. The
+// eager reducers commit a step's buckets in one fold and reduce them as one
+// partial round behind a single activation: one solo/majority/quorum
+// participation decision per step, shared by every bucket (see
+// internal/partial).
 
 // ErrReducerClosed is returned by the bucketed step API after Close.
 var ErrReducerClosed = errors.New("collective: reducer closed")
@@ -69,13 +71,13 @@ type BucketReducer interface {
 // the next BeginStep.
 type BucketHandle struct {
 	owner     bucketOwner
-	index     int // the bucket's position in the step's layout
 	offset    int
 	length    int
 	submitted bool
 
-	// The bucket worker's verdict on a Sync bucket, guarded by the
-	// syncReducer's mu: done once resolved, then sum (until claimed) or err.
+	// The sum worker's verdict on a Sync bucket (or a model sync), guarded
+	// by the sum queue's mu: done once resolved, then sum (until claimed) or
+	// err.
 	done bool
 	sum  tensor.Vector
 	err  error
@@ -120,8 +122,8 @@ func (st *stepRecord) begin(owner bucketOwner, dim int, lens []int) error {
 	}
 	st.handles = st.handles[:0]
 	off := 0
-	for b, l := range lens {
-		st.handles = append(st.handles, BucketHandle{owner: owner, index: b, offset: off, length: l})
+	for _, l := range lens {
+		st.handles = append(st.handles, BucketHandle{owner: owner, offset: off, length: l})
 		off += l
 	}
 	st.open, st.submitted = true, 0
@@ -198,103 +200,6 @@ func checkLayout(dim int, lens []int) error {
 
 // --- Sync reducer implementation ---------------------------------------
 
-// bucketTask is one submitted bucket on its way through the bucket worker.
-type bucketTask struct {
-	index int    // the bucket's handle in the step record
-	gen   uint64 // the step generation it was submitted in
-	sum   tensor.Vector
-	ctx   context.Context
-}
-
-// runWorker is the Sync reducer's bucket worker, started with the reducer:
-// one goroutine draining one FIFO queue and running each bucket's allreduce
-// in submit order. The queue lives under s.mu rather than in a channel so
-// that Close (which may race with a submitter still in its backward pass)
-// never has to close a channel someone might be sending on: after Close,
-// which resolves the step's handles itself, the worker drains whatever is
-// queued without touching the wire, releases the leases, and exits.
-func (s *syncReducer) runWorker() {
-	defer close(s.workerDone)
-	cfg := collectives.Config{PeerDeadline: s.peerDeadline}
-	var failed error // first failed collective; later buckets fail with it
-	s.mu.Lock()
-	for {
-		for s.head == len(s.queue) && !s.closed {
-			s.cond.Wait()
-		}
-		if s.head == len(s.queue) { // closed and drained
-			s.mu.Unlock()
-			return
-		}
-		task := s.queue[s.head]
-		s.queue[s.head] = bucketTask{}
-		s.head++
-		if s.head == len(s.queue) {
-			s.queue, s.head = s.queue[:0], 0
-		}
-		closed := s.closed
-		s.mu.Unlock()
-		var err error
-		switch {
-		case closed:
-			// The reducer was closed with this bucket still queued.
-			err = ErrReducerClosed
-		case failed != nil:
-			// A collective that failed (canceled, or a peer down) left the
-			// default tag block mid-protocol: its unmatched messages would
-			// pair with the next bucket's, whose length differs. Fail every
-			// later bucket without touching the wire.
-			err = ctxError(task.ctx, failed)
-		default:
-			if err = collectives.AllreduceWith(s.comm, task.sum, collectives.OpSum, collectives.AlgoAuto, cfg, task.ctx.Done()); err != nil {
-				failed = err
-				err = ctxError(task.ctx, err)
-			}
-		}
-		if err != nil {
-			tensor.PutVector(task.sum)
-			task.sum = nil
-		}
-		s.mu.Lock()
-		if task.gen != s.gen {
-			// The bucket's step was abandoned, and its record may already
-			// serve the next step: the verdict reaches no handle.
-			if task.sum != nil {
-				tensor.PutVector(task.sum)
-			}
-			continue
-		}
-		h := &s.step.handles[task.index]
-		h.done, h.sum, h.err = true, task.sum, err
-		s.notifyLocked()
-	}
-}
-
-// notifyLocked wakes the step's waiter, if any; a token nobody takes stays
-// for the next wait, which then re-checks its handle once more.
-func (s *syncReducer) notifyLocked() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// awaitLocked blocks until the worker has resolved h or ctx is done. It is
-// called, and returns, with s.mu held.
-func (s *syncReducer) awaitLocked(ctx context.Context, h *BucketHandle) error {
-	for !h.done {
-		s.mu.Unlock()
-		select {
-		case <-s.wake:
-		case <-ctx.Done():
-			s.mu.Lock()
-			return ctx.Err()
-		}
-		s.mu.Lock()
-	}
-	return nil
-}
-
 // abandonLocked ends the open step's buckets with err: unresolved handles
 // resolve with it, unclaimed results are released, and the generation moves
 // on so that a bucket still inside its collective is released when it lands.
@@ -332,10 +237,20 @@ func (s *syncReducer) BeginStep(ctx context.Context, lens []int) error {
 	if !s.negotiate {
 		return nil
 	}
-	ready := tensor.GetVector(1)
-	ready[0] = 1
-	err := collectives.AllreduceWith(s.comm, ready, collectives.OpSum, collectives.AlgoRecursiveDoubling, collectives.Config{PeerDeadline: s.peerDeadline}, ctx.Done())
-	tensor.PutVector(ready)
+	// The negotiation runs here, in the worker's tag block: a model sync
+	// queued ahead of the step lands first.
+	s.mu.Lock()
+	var err error
+	if s.snap != nil {
+		err = s.awaitLocked(ctx, &s.model.done)
+	}
+	s.mu.Unlock()
+	if err == nil {
+		ready := tensor.GetVector(1)
+		ready[0] = 1
+		err = collectives.AllreduceWith(s.comm, ready, collectives.OpSum, collectives.AlgoRecursiveDoubling, s.cfg, ctx.Done())
+		tensor.PutVector(ready)
+	}
 	if err != nil {
 		s.mu.Lock()
 		s.step.open = false
@@ -345,7 +260,7 @@ func (s *syncReducer) BeginStep(ctx context.Context, lens []int) error {
 	return nil
 }
 
-// SubmitBucket snapshots the bucket and queues it on the bucket worker; its
+// SubmitBucket snapshots the bucket and queues it on the sum worker; its
 // allreduce begins as soon as the buckets submitted before it are reduced,
 // overlapping whatever the caller does next.
 func (s *syncReducer) SubmitBucket(ctx context.Context, offset int, data tensor.Vector) (*BucketHandle, error) {
@@ -361,7 +276,7 @@ func (s *syncReducer) SubmitBucket(ctx context.Context, offset int, data tensor.
 		tensor.PutVector(sum)
 		return nil, err
 	}
-	s.queue = append(s.queue, bucketTask{index: h.index, gen: s.gen, sum: sum, ctx: ctx})
+	s.queue = append(s.queue, sumTask{h: h, gen: s.gen, sum: sum, ctx: ctx})
 	s.cond.Signal()
 	return h, nil
 }
@@ -371,7 +286,7 @@ func (s *syncReducer) SubmitBucket(ctx context.Context, offset int, data tensor.
 func (s *syncReducer) waitBucket(ctx context.Context, h *BucketHandle) (tensor.Vector, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.awaitLocked(ctx, h); err != nil {
+	if err := s.awaitLocked(ctx, &h.done); err != nil {
 		return nil, err
 	}
 	if h.err != nil {
@@ -387,7 +302,7 @@ func (s *syncReducer) waitBucket(ctx context.Context, h *BucketHandle) (tensor.V
 
 // WaitStep completes the step (see BucketReducer). Canceling ctx abandons
 // the remaining buckets — their late results are released, stray queued
-// payloads in the bucket worker's tag block are purged — and leaves the
+// payloads in the sum worker's tag block are purged — and leaves the
 // collective mid-protocol: close the world afterwards.
 func (s *syncReducer) WaitStep(ctx context.Context) (Result, error) {
 	s.mu.Lock()
@@ -402,7 +317,7 @@ func (s *syncReducer) WaitStep(ctx context.Context) (Result, error) {
 		if !h.submitted {
 			continue
 		}
-		if err := s.awaitLocked(ctx, h); err != nil {
+		if err := s.awaitLocked(ctx, &h.done); err != nil {
 			// Abandon the rest and purge stray bucket payloads so their
 			// pooled vectors return to the pool instead of sitting in the
 			// unexpected queue forever.
@@ -431,7 +346,7 @@ func (s *syncReducer) WaitStep(ctx context.Context) (Result, error) {
 	return Result{Ranks: size, ActiveRanks: size, Included: true, Round: s.calls - 1}, nil
 }
 
-// Close marks the reducer closed and stops its bucket worker; queued buckets
+// Close marks the reducer closed and stops its sum worker; queued buckets
 // resolve with ErrReducerClosed and their leases return to the pool, and a
 // step in flight resolves every pending handle with ErrReducerClosed. Close
 // does not close the transport, so a worker blocked inside a collective is
@@ -449,10 +364,10 @@ func (s *syncReducer) Close() error {
 	return nil
 }
 
-// joinEngine implements engine: it blocks until the bucket worker has
+// joinEngine implements engine: it blocks until the sum worker has
 // drained and exited, returning its queued leases to the pool (a worker
 // blocked inside a collective exits once the communicator is closed).
-func (s *syncReducer) joinEngine() { <-s.workerDone }
+func (s *syncReducer) joinEngine() { <-s.done }
 
 // --- Eager reducer implementation ---------------------------------------
 

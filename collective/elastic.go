@@ -5,25 +5,32 @@ import (
 	"fmt"
 	"sync"
 
-	"eagersgd/internal/collectives"
 	"eagersgd/internal/comm"
 	"eagersgd/internal/tensor"
 )
 
 // ParamSyncer is implemented by the epoch-aware reducers Node.Reducer mints:
-// SyncParams averages the model replicas across the current epoch's members.
+// it averages the model replicas across the current epoch's members.
 // Trainers that synchronize replicas periodically (eager-SGD's bounded
-// divergence, the final model average) must do it through this method on
-// elastic worlds — it runs inside the same drain barrier as the gradient
+// divergence, the final model average) must do it through these methods on
+// elastic worlds — a sync passes the same drain barrier as the gradient
 // exchange, so an epoch transition can never split or orphan the collective
-// it issues, and it runs over the current epoch's communicator.
+// it issues, and it runs over the current epoch's communicator. Its sum runs
+// on the reducer's sum worker, so a sync can run behind a training step.
 type ParamSyncer interface {
-	// SyncParams averages params in place across the members and returns
-	// how many replicas it averaged. An eager reducer with a WithPeerDeadline
-	// (given to the world or to Node.Reducer) averages the members still
-	// alive; any other fails on a silent member with an error wrapping
-	// ErrRankUnreachable, or without a deadline blocks on it.
+	// SyncParams, StartSyncParams then FinishSyncParams, averages params in
+	// place across the members and returns how many replicas it averaged.
+	// An eager reducer with a WithPeerDeadline (given to the world or to
+	// Node.Reducer) averages the members still alive; any other fails on a
+	// silent member with an error wrapping ErrRankUnreachable, or without a
+	// deadline blocks on it.
 	SyncParams(params tensor.Vector) (int, error)
+	// StartSyncParams snapshots params and queues the members' average;
+	// until Finish, the drain gate stays open as in a TrainStepper bracket.
+	StartSyncParams(params tensor.Vector) error
+	// FinishSyncParams sets params, as given to StartSyncParams, to
+	// avg + (params − snapshot) and returns the replica count.
+	FinishSyncParams(params tensor.Vector) (int, error)
 }
 
 // elasticReducer is the Reducer every Node.Reducer call returns: a thin
@@ -32,7 +39,6 @@ type ParamSyncer interface {
 // every wrapper, the old engines retire and fresh ones are minted over the
 // new epoch's communicators; training loops keep the same Reducer value.
 type elasticReducer struct {
-	node    *Node
 	dim     int
 	cfg     config // merged option set at mint time
 	oneShot []int  // the bucket layout Reduce runs as one step (oneShotLayout)
@@ -71,12 +77,12 @@ func (r *elasticReducer) BeginTrainStep() error {
 // EndTrainStep implements TrainStepper.
 func (r *elasticReducer) EndTrainStep() { r.endOp(true) }
 
-func newElasticReducer(n *Node, dim int, cfg config, c *comm.Communicator) (*elasticReducer, error) {
+func newElasticReducer(dim int, cfg config, c *comm.Communicator) (*elasticReducer, error) {
 	oneShot, err := oneShotLayout(dim, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := &elasticReducer{node: n, dim: dim, cfg: cfg, oneShot: oneShot, inner: newEngine(c, dim, cfg)}
+	r := &elasticReducer{dim: dim, cfg: cfg, oneShot: oneShot, inner: newEngine(c, dim, cfg)}
 	r.cond = sync.NewCond(&r.mu)
 	return r, nil
 }
@@ -323,30 +329,38 @@ func (r *elasticReducer) WaitStep(ctx context.Context) (Result, error) {
 	return inner.WaitStep(ctx)
 }
 
-// SyncParams implements ParamSyncer: one collective over the current
-// epoch's members, chosen by the engine the drain barrier pinned, and gated
-// by the barrier exactly like a reduction — every member issues the same SPMD
-// sequence of reductions and syncs, so the barrier's catch-up allowance keeps
-// the collectives matched across an epoch boundary.
+// SyncParams implements ParamSyncer.
 func (r *elasticReducer) SyncParams(params tensor.Vector) (int, error) {
-	inner, err := r.beginOp(false)
-	if err != nil {
+	if err := r.StartSyncParams(params); err != nil {
 		return 0, err
 	}
-	defer r.endOp(false)
-	if e, ok := inner.(*eagerReducer); ok && r.cfg.peerDeadline > 0 {
-		return e.ar.SyncParams(params)
+	return r.FinishSyncParams(params)
+}
+
+// StartSyncParams implements ParamSyncer: one collective over the current
+// epoch's members, on the sum worker of the engine the drain barrier pinned,
+// gated like a reduction (every member issues the same SPMD sequence of
+// reductions and syncs) but admitted as a bracket, which Finish closes.
+func (r *elasticReducer) StartSyncParams(params tensor.Vector) error {
+	inner, err := r.beginOp(true)
+	if err == nil {
+		if err = inner.startSync(params); err != nil {
+			r.endOp(true)
+		}
 	}
-	// The node's communicator is swapped while the barrier holds every
-	// operation out, so it is the current epoch's for the whole call.
-	c := r.node.Communicator()
-	if err := collectives.AllreduceWith(c, params, collectives.OpSum, collectives.AlgoAuto,
-		collectives.Config{PeerDeadline: r.cfg.peerDeadline}, nil); err != nil {
-		return 0, err
+	return err
+}
+
+// FinishSyncParams implements ParamSyncer; a started sync pins the engine.
+func (r *elasticReducer) FinishSyncParams(params tensor.Vector) (int, error) {
+	r.mu.Lock()
+	inner := r.inner
+	r.mu.Unlock()
+	n, err := inner.finishSync(params)
+	if err != errNoSync {
+		r.endOp(true)
 	}
-	size := c.Size()
-	params.Scale(1 / float64(size))
-	return size, nil
+	return n, err
 }
 
 // joinEngine joins the current inner engine's goroutines; retired epochs'

@@ -330,7 +330,7 @@ func (n *Node) Reducer(dim int, opts ...Option) (Reducer, error) {
 	c := n.comm
 	n.mu.Unlock()
 	cfg := n.world.cfg.with(opts)
-	r, err := newElasticReducer(n, dim, cfg, c)
+	r, err := newElasticReducer(dim, cfg, c)
 	if err != nil {
 		return nil, err
 	}

@@ -43,9 +43,11 @@ type Config struct {
 	CostModel *imbalance.SequenceCostModel
 	// SyncEverySteps, when positive, synchronizes (averages) model replicas
 	// across ranks every that many steps — the periodic model synchronization
-	// eager-SGD uses to bound replica divergence (§5). It needs an Exchanger
-	// that implements collective.ParamSyncer. Synchronous replicas never
-	// diverge, so only the eager variants set it.
+	// eager-SGD uses to bound replica divergence (§5). The replicas at the
+	// top of the due step are averaged while it computes, and each rank keeps
+	// its own update from that step on top of the average. It needs an
+	// Exchanger that implements collective.ParamSyncer. Synchronous replicas
+	// never diverge, so only the eager variants set it.
 	SyncEverySteps int
 	// StartStep offsets the trainer's step counter: a joiner admitted to an
 	// elastic world mid-run starts at the survivors' step so its periodic
@@ -167,8 +169,8 @@ func (t *Trainer) Recorder() *trace.ThroughputRecorder { return t.recorder }
 
 // StepContext executes one training step: local gradient computation (plus
 // any injected or modelled imbalance), gradient exchange through the Reducer,
-// averaging, and the optimizer update, followed by the periodic model
-// synchronization if due. Canceling ctx aborts a blocked gradient exchange.
+// averaging, and the optimizer update, behind which a due model sync runs
+// (SyncEverySteps). Canceling ctx aborts a blocked gradient exchange.
 //
 // On the overlapped path the exchange is bucketed: layer-aligned buckets are
 // submitted as the backward pass produces them (communication overlaps the
@@ -189,6 +191,13 @@ func (t *Trainer) StepContext(ctx context.Context) (trace.StepRecord, error) {
 	start := time.Now()
 	step := t.step
 
+	var ps collective.ParamSyncer // NewTrainer checked the exchanger is one
+	if t.cfg.SyncEverySteps > 0 && (step+1)%t.cfg.SyncEverySteps == 0 {
+		ps = t.cfg.Exchanger.(collective.ParamSyncer)
+		if err := ps.StartSyncParams(t.cfg.Task.Params()); err != nil {
+			return trace.StepRecord{}, fmt.Errorf("core: step %d model sync: %w", step, err)
+		}
+	}
 	var loss float64
 	var res collective.Result
 	var err error
@@ -197,14 +206,13 @@ func (t *Trainer) StepContext(ctx context.Context) (trace.StepRecord, error) {
 	} else {
 		loss, res, err = t.stepSerial(ctx, step)
 	}
+	if ps != nil { // even after a failed step: the sync holds leases and a barrier slot
+		if _, syncErr := ps.FinishSyncParams(t.cfg.Task.Params()); syncErr != nil && err == nil {
+			err = fmt.Errorf("core: step %d model sync: %w", step, syncErr)
+		}
+	}
 	if err != nil {
 		return trace.StepRecord{}, err
-	}
-
-	if t.cfg.SyncEverySteps > 0 && (step+1)%t.cfg.SyncEverySteps == 0 {
-		if err := t.SyncModel(); err != nil {
-			return trace.StepRecord{}, fmt.Errorf("core: step %d model sync: %w", step, err)
-		}
 	}
 	// The counter only advances once the whole step succeeded, so a step that
 	// failed on a dying epoch (peer crash before a Replace) is retried as one

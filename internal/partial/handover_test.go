@@ -89,6 +89,31 @@ func TestHandOverSecondReadFails(t *testing.T) {
 	}
 }
 
+// TestEngineBuffersHaveLeaseCapacity: the engine's three rotating buffers
+// of n+1 elements are allocated at the capacity the pool leases n+1 at, so
+// the buffers a handover trades for leases go back to the class those leases
+// come from, and the rotation keeps that capacity round after round.
+func TestEngineBuffersHaveLeaseCapacity(t *testing.T) {
+	const n = 1024 // n+1 elements are leased from the 2048-element class
+	_, reducers := makeWorld(t, 1, n, partial.Options{Mode: partial.Solo})
+	a := reducers[0]
+	want := [3]int{2 * n, 2 * n, 2 * n}
+	if got := a.BufferCaps(); got != want {
+		t.Fatalf("new engine's buffer capacities %v, want %v", got, want)
+	}
+	grad := tensor.NewVector(n)
+	for k := 0; k < 8; k++ {
+		sum, _, err := a.Exchange(grad) // takes the result by handover
+		if err != nil {
+			t.Fatal(err)
+		}
+		tensor.PutVector(sum)
+	}
+	if got := a.BufferCaps(); got != want {
+		t.Fatalf("buffer capacities %v after 8 handovers, want %v", got, want)
+	}
+}
+
 // TestStragglerReadsLatestByCopyThenHandOver pins Fig. 7's straggler path
 // under the handover: rank 1 runs one round behind rank 0, so at its step 0
 // the latest completed round is 1, which it reads by copy (a second read

@@ -231,10 +231,10 @@ func New(c *comm.Communicator, n int, opts Options) *Allreducer {
 		comm:       c,
 		n:          n,
 		opts:       opts,
-		sendBuf:    tensor.NewVector(n + 1),
+		sendBuf:    tensor.NewClassVector(n + 1),
 		sendNull:   true,
-		roundBuf:   tensor.NewVector(n + 1),
-		lastResult: tensor.NewVector(n + 1),
+		roundBuf:   tensor.NewClassVector(n + 1),
+		lastResult: tensor.NewClassVector(n + 1),
 		act:        NewActivation(c.Rank(), c.Size(), opts),
 	}
 	a.peers = a.act.Peers()
@@ -847,7 +847,7 @@ func (a *Allreducer) recvTolerant(source, tag, hop int, data tensor.Vector, sum 
 
 // SyncParams averages params in place across the ranks still alive and
 // returns how many replicas it averaged: the model sync (§5) of an engine
-// with a PeerDeadline, on the caller's goroutine, in its own tag block. Each
+// with a PeerDeadline, beside the engine's rounds, in its own tag block. Each
 // rank sends every peer its replica plus a count slot set to 1, and sums its
 // own and the live peers' in rank order under the data phase's rule for a
 // dead peer: a dead rank costs only its own replica, and ranks that received

@@ -110,6 +110,16 @@ func GetVector(n int) Vector {
 	return v
 }
 
+// NewClassVector allocates a zero vector of length n at the capacity
+// GetVector(n) leases it at, so that PutVector files it in the class
+// GetVector(n) leases from: for buffers that later trade places with leases.
+func NewClassVector(n int) Vector {
+	if c := classForLen(n); c < poolClasses { // n ≤ 0 maps past the classes
+		return make(Vector, n, classCap(c))
+	}
+	return NewVector(n)
+}
+
 // GetVectorZero leases a zero-initialized vector of length n from the pool.
 func GetVectorZero(n int) Vector {
 	v := GetVector(n)

@@ -24,6 +24,26 @@ func TestGetVectorLengthsAndClassCaps(t *testing.T) {
 	}
 }
 
+// TestNewClassVectorHasLeaseCapacity: NewClassVector(n) has the capacity a
+// GetVector(n) miss leases at, so PutVector files it in the class GetVector(n)
+// leases from; beyond the classes it is a plain allocation.
+func TestNewClassVectorHasLeaseCapacity(t *testing.T) {
+	for _, n := range []int{1, 31, 32, 33, 1025, 1<<18 + 1, maxPoolCap} {
+		v := NewClassVector(n)
+		if len(v) != n || cap(v) != classCap(classForLen(n)) {
+			t.Fatalf("NewClassVector(%d): len %d cap %d, want len %d cap %d", n, len(v), cap(v), n, classCap(classForLen(n)))
+		}
+		if classForCap(cap(v)) != classForLen(n) {
+			t.Fatalf("NewClassVector(%d) is filed in class %d, leased from %d", n, classForCap(cap(v)), classForLen(n))
+		}
+	}
+	for _, n := range []int{0, maxPoolCap + 1} {
+		if v := NewClassVector(n); len(v) != n || cap(v) != n {
+			t.Fatalf("NewClassVector(%d): len %d cap %d, want both %d", n, len(v), cap(v), n)
+		}
+	}
+}
+
 func TestGetVectorZeroLength(t *testing.T) {
 	v := GetVector(0)
 	if v == nil || len(v) != 0 {
